@@ -6,7 +6,9 @@ behind. Estimators: perturbed-mean (empirical average plus a decaying
 uniform random component), previous-epoch replay, and a uniform spread.
 Losses are wastage (overprovisioned Gbps / VM slots) and evasion (attack
 Gbps that found no provision), reported per epoch and as normalized regret
-against the best static provision in hindsight.
+against the best static provision in hindsight. A replay collects its
+provisions into one (epochs, pops, attacks) array and scores the whole trace
+in a single vectorized pass; per-epoch scoring is the one-epoch case of it.
 """
 
 from __future__ import annotations
@@ -120,15 +122,25 @@ class EstimatorState:
     n_attacks: int
     gamma: float = 1.0
     history: list[np.ndarray] = field(default_factory=list)
+    # Running sum of ``history``, kept by observe() (the only way to grow it).
+    _total: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ESTIMATORS:
             raise InputError(f"unknown estimator {self.kind!r}")
         if self.gamma < 1.0:
             raise InputError("gamma must be >= 1")
+        given, self.history = self.history, []
+        for mix in given:
+            self.observe(mix)
 
     def observe(self, mix: np.ndarray) -> None:
-        self.history.append(np.array(mix, dtype=float))
+        mix = np.array(mix, dtype=float)
+        self.history.append(mix)
+        if self._total is None:
+            self._total = mix.copy()
+        else:
+            self._total += mix
 
 
 def perturbation_bound(budget: float, next_epoch: int, n_pops: int, n_attacks: int) -> float:
@@ -138,10 +150,15 @@ def perturbation_bound(budget: float, next_epoch: int, n_pops: int, n_attacks: i
 def fpl_estimate(state: EstimatorState, budget: "Budget | float", n_pops: int,
                  n_attacks: int, rng: np.random.Generator) -> np.ndarray:
     """Empirical mean of past mixes plus an independent uniform perturbation
-    per cell, drawn from [0, 2B / (nextEpoch * |E| * |A|)]."""
+    per cell, drawn from [0, 2B / (nextEpoch * |E| * |A|)].
+
+    The mean is the running sum over the history count: the same row-by-row
+    additions as ``np.mean(history, axis=0)``, so the same bits, except for a
+    single-cell mix, where numpy sums the history pairwise instead.
+    """
     next_epoch = len(state.history) + 1
     if state.history:
-        mean = np.mean(state.history, axis=0)
+        mean = state._total / len(state.history)
     else:
         mean = np.zeros((n_pops, n_attacks))
     bound = perturbation_bound(_gbps(budget), next_epoch, n_pops, n_attacks)
@@ -173,23 +190,45 @@ def estimate(state: EstimatorState, budget: Budget,
     return uniform_estimate(budget, state.n_pops, state.n_attacks)
 
 
-def loss_accounting(provisioned: np.ndarray, actual: np.ndarray,
-                    lib: dict[AttackType, AnnotatedGraph]) -> tuple[float, float, float]:
-    """Per-epoch losses: (wastage_gbps, evasion_gbps, wastage_vm_slots).
+def _compute_factors(lib: dict[AttackType, AnnotatedGraph]) -> np.ndarray:
+    """VM slots per Gbps for each attack column, in attack-id order."""
+    return np.array([graph_compute_factor(g) for g in ordered_graphs(lib)])
+
+
+def _stack(trace: list[np.ndarray]) -> np.ndarray:
+    """A trace of (pops, attacks) mixes as one (epochs, pops, attacks) array."""
+    try:
+        return np.array(trace, dtype=float)
+    except ValueError as exc:
+        raise InputError("trace mixes must all have one shape") from exc
+
+
+def _trace_losses(prov: np.ndarray, actual: np.ndarray,
+                  factors: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-epoch (wastage_gbps, evasion_gbps, wastage_vm) arrays for a
+    (T, E, A) provision scored against (T, E, A) realized mixes; a single
+    (E, A) provision is held for every epoch.
 
     Wastage is provision beyond the realized attack; evasion is attack
     volume beyond the provision. VM-slot wastage converts each attack
     column's wasted Gbps through its graph's compute factor.
     """
+    wast = np.maximum(prov - actual, 0.0)
+    evas = np.maximum(actual - prov, 0.0)
+    wast_vm = (wast.sum(axis=1) * factors).sum(axis=1)
+    return wast.sum(axis=(1, 2)), evas.sum(axis=(1, 2)), wast_vm
+
+
+def loss_accounting(provisioned: np.ndarray, actual: np.ndarray,
+                    lib: dict[AttackType, AnnotatedGraph]) -> tuple[float, float, float]:
+    """One epoch's losses, (wastage_gbps, evasion_gbps, wastage_vm_slots):
+    the one-epoch case of ``_trace_losses``, which defines them."""
     provisioned = np.asarray(provisioned, dtype=float)
     actual = np.asarray(actual, dtype=float)
     if provisioned.shape != actual.shape:
         raise InputError("provisioned and actual shapes differ")
-    wast = np.maximum(provisioned - actual, 0.0)
-    evas = np.maximum(actual - provisioned, 0.0)
-    factors = np.array([graph_compute_factor(g) for g in ordered_graphs(lib)])
-    wast_vm = float((wast.sum(axis=0) * factors).sum())
-    return float(wast.sum()), float(evas.sum()), wast_vm
+    w, v, m = _trace_losses(provisioned[None], actual[None], _compute_factors(lib))
+    return float(w[0]), float(v[0]), float(m[0])
 
 
 def best_static_hindsight(trace: list[np.ndarray]) -> tuple[np.ndarray, float]:
@@ -247,15 +286,15 @@ def normalized_regret(trace: list[np.ndarray], wastage_gbps: list[float],
     if len(trace) != len(wastage_gbps) or len(trace) != len(evasion_gbps):
         raise InputError("loss series must align with the trace")
     static, static_loss = best_static_hindsight(trace)
-    s_wast = s_evas = 0.0
-    for mix in trace:
-        w, v, _ = loss_accounting(static, mix, lib)
-        s_wast += w
-        s_evas += v
+    actual = _stack(trace)
+    s_w, s_v, _ = _trace_losses(static, actual, _compute_factors(lib))
+    # Totals accumulate epoch by epoch (np.cumsum adds in sequence).
+    s_wast, s_evas, volume = np.cumsum([s_w, s_v, actual.sum(axis=(1, 2))],
+                                       axis=1)[:, -1].tolist()
     est_w = float(sum(wastage_gbps))
     est_v = float(sum(evasion_gbps))
     combined = est_w + est_v
-    floor = _REGRET_FLOOR_FRACTION * float(sum(m.sum() for m in trace))
+    floor = _REGRET_FLOOR_FRACTION * volume
 
     def ratio(loss: float, ref: float) -> float:
         return (loss - ref) / max(ref, floor, 1e-12)
@@ -275,6 +314,20 @@ def normalized_regret(trace: list[np.ndarray], wastage_gbps: list[float],
     )
 
 
+def _replay(kind: str, trace: list[np.ndarray], budget: Budget, seed: int,
+            gamma: float) -> np.ndarray:
+    """The (T, E, A) provisions of an estimator fed the trace with the
+    one-epoch observation lag; fpl draws epoch t from default_rng([seed, t])."""
+    n_pops, n_attacks = trace[0].shape
+    state = EstimatorState(kind=kind, n_pops=n_pops, n_attacks=n_attacks, gamma=gamma)
+    provisions = np.empty((len(trace), n_pops, n_attacks))
+    for t, mix in enumerate(trace):
+        rng = np.random.default_rng([seed, t]) if kind == "fpl" else None
+        provisions[t] = estimate(state, budget, rng) * gamma
+        state.observe(mix)
+    return provisions
+
+
 def run_estimator_on_trace(kind: str, trace: list[np.ndarray], budget: Budget,
                            lib: dict[AttackType, AnnotatedGraph],
                            seed: int = 0, gamma: float = 1.0) -> RegretReport:
@@ -282,18 +335,14 @@ def run_estimator_on_trace(kind: str, trace: list[np.ndarray], budget: Budget,
     observation lag and account the losses."""
     if not trace:
         raise InputError("trace must be nonempty")
-    n_pops, n_attacks = trace[0].shape
-    state = EstimatorState(kind=kind, n_pops=n_pops, n_attacks=n_attacks, gamma=gamma)
-    wast, evas, wvm = [], [], []
-    for t, mix in enumerate(trace):
-        rng = np.random.default_rng([seed, t]) if kind == "fpl" else None
-        provision = estimate(state, budget, rng) * gamma
-        w, v, m = loss_accounting(provision, mix, lib)
-        wast.append(w)
-        evas.append(v)
-        wvm.append(m)
-        state.observe(mix)
-    return normalized_regret(trace, wast, evas, wvm, lib)
+    actual = _stack(trace)
+    losses = _trace_losses(_replay(kind, trace, budget, seed, gamma), actual,
+                           _compute_factors(lib))
+    return normalized_regret(trace, *(x.tolist() for x in losses), lib)
+
+
+_PER_EPOCH_COLUMNS = ("wastage_gbps", "evasion_gbps", "wastage_vm", "cum_g1_vm",
+                      "cum_g2_gbps", "regret_combined", "regret_g1", "regret_g2")
 
 
 def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
@@ -306,53 +355,35 @@ def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
     regret accruing against the full-trace hindsight static (so the final
     row equals the trace's normalized regret)."""
     n_attacks = len(lib)
-    per_seed: list[list[dict[str, float]]] = []
+    factors = _compute_factors(lib)
+    per_seed = []
     for seed in seeds:
         strat = AdversaryStrategy(kind=strategy_kind, seed=seed)
         trace = [adversary_next(strat, budget, t, n_pops, n_attacks)
                  for t in range(epochs)]
         static, _static_loss = best_static_hindsight(trace)
-        state = EstimatorState(kind=estimator_kind, n_pops=n_pops,
-                               n_attacks=n_attacks, gamma=gamma)
-        rows = []
-        cum_w = cum_v = cum_vm = 0.0
-        s_w = s_v = 0.0
-        volume = 0.0
-        for t, mix in enumerate(trace):
-            rng = np.random.default_rng([seed, t]) if estimator_kind == "fpl" else None
-            provision = estimate(state, budget, rng) * gamma
-            w, v, m = loss_accounting(provision, mix, lib)
-            state.observe(mix)
-            cum_w += w
-            cum_v += v
-            cum_vm += m
-            pw, pv, _pm = loss_accounting(static, mix, lib)
-            s_w += pw
-            s_v += pv
-            volume += float(mix.sum())
-            floor = _REGRET_FLOOR_FRACTION * volume
-            rows.append({
-                "epoch": float(t),
-                "wastage_gbps": w,
-                "evasion_gbps": v,
-                "wastage_vm": m,
-                "cum_g1_vm": cum_vm,
-                "cum_g2_gbps": cum_v,
-                "regret_combined": (cum_w + cum_v - s_w - s_v)
-                                   / max(s_w + s_v, floor, 1e-12),
-                "regret_g1": (cum_w - s_w) / max(s_w, floor, 1e-12),
-                "regret_g2": (cum_v - s_v) / max(s_v, floor, 1e-12),
-            })
-        per_seed.append(rows)
-    averaged = []
-    for t in range(epochs):
-        keys = per_seed[0][t].keys()
-        averaged.append({
-            k: (float(t) if k == "epoch"
-                else float(np.mean([rows[t][k] for rows in per_seed])))
-            for k in keys
-        })
-    return averaged
+        actual = _stack(trace)
+        w, v, m = _trace_losses(_replay(estimator_kind, trace, budget, seed, gamma),
+                                actual, factors)
+        pw, pv, _pm = _trace_losses(static, actual, factors)
+        cum_w, cum_v, cum_vm, s_w, s_v, volume = np.cumsum(
+            [w, v, m, pw, pv, actual.sum(axis=(1, 2))], axis=1)
+        floor = _REGRET_FLOOR_FRACTION * volume
+
+        def denominator(ref: np.ndarray) -> np.ndarray:
+            return np.maximum(np.maximum(ref, floor), 1e-12)
+
+        per_seed.append(np.stack([
+            w, v, m, cum_vm, cum_v,
+            (cum_w + cum_v - s_w - s_v) / denominator(s_w + s_v),
+            (cum_w - s_w) / denominator(s_w),
+            (cum_v - s_v) / denominator(s_v),
+        ]))
+    # Stacked as (columns, epochs, seeds), each cell's seed values form one
+    # contiguous row, which np.mean sums as it sums a list of those values.
+    averaged = np.mean(np.stack(per_seed, axis=-1), axis=-1)
+    return [{"epoch": float(t), **dict(zip(_PER_EPOCH_COLUMNS, row))}
+            for t, row in enumerate(averaged.T.tolist())]
 
 
 @dataclass

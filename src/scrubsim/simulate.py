@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,13 +196,12 @@ def run_simulation(sc: Scenario, seed: int | None = None) -> list[EpochRecord]:
     return records
 
 
-def run_scenario_sweep(sc: Scenario, max_workers: int = 4) -> dict[int, list[EpochRecord]]:
-    """Fan seeds out across worker threads; the merge is an ordered reduce,
-    so results are independent of scheduling."""
+def run_scenario_sweep(sc: Scenario) -> dict[int, list[EpochRecord]]:
+    """One run per distinct seed, in ascending seed order. The runs are
+    CPU-bound Python, so they run serially: threads would only contend for
+    the interpreter lock."""
     seeds = sc.seeds if sc.seeds else [sc.seed]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {seed: pool.submit(run_simulation, sc, seed) for seed in seeds}
-        return {seed: futures[seed].result() for seed in sorted(futures)}
+    return {seed: run_simulation(sc, seed) for seed in sorted(set(seeds))}
 
 
 def provisioning_comparison(demand_series: list[list[float]]) -> tuple[float, float]:

@@ -1,23 +1,35 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrubsim.adaptation import (
+    ESTIMATORS,
     STRATEGIES,
     AdversaryStrategy,
     Budget,
     EstimatorState,
+    RegretReport,
     adversary_next,
     best_static_hindsight,
     estimate,
     fpl_estimate,
     loss_accounting,
     normalized_regret,
+    per_epoch_regret_report,
     perturbation_bound,
     prev_epoch_estimate,
     run_estimator_on_trace,
     uniform_estimate,
 )
-from scrubsim.defense_graphs import builtin_library, graph_compute_factor, ordered_graphs
+from scrubsim.defense_graphs import (
+    AttackType,
+    builtin_library,
+    graph_compute_factor,
+    ordered_graphs,
+)
 from scrubsim.errors import InputError
 
 LIB = builtin_library()
@@ -212,6 +224,20 @@ class TestBestStaticHindsight:
         with pytest.raises(InputError):
             best_static_hindsight([])
 
+    def test_tie_break_keeps_the_mean_below_the_observed_value(self):
+        # Column 1 of this trace is 0, 10, 5, 10/3, 5, 0, 0 in every pop. The
+        # grid tries its mean, 3.333333333333333, before the observed
+        # 3.3333333333333335 one ulp above it (the lower median) and keeps
+        # the first within 1e-12 of the best loss.
+        trace = [adversary_next(AdversaryStrategy("randattack", 14), Budget(30.0), t, 3,
+                                len(LIB)) for t in range(7)]
+        static, _loss = best_static_hindsight(trace)
+        stack = np.stack(trace)
+        lower_median = np.partition(stack, 3, axis=0)[3]
+        for e in range(3):
+            assert static[e, 1] == 3.333333333333333
+            assert lower_median[e, 1] == 3.3333333333333335
+
 
 class TestNormalizedRegret:
     def test_static_replay_zero_regret(self):
@@ -276,3 +302,157 @@ class TestEstimatorDispatch:
         state = EstimatorState("uniform", 2, 2)
         est = estimate(state, Budget(8.0))
         assert est.sum() == pytest.approx(8.0)
+
+
+# ---------------------------------------------------------------------------
+# Replays score a whole trace at once; the reference below is the plain
+# per-epoch loop, and the two must agree bit for bit.
+
+
+def _loop_losses(provisioned, actual, lib):
+    """One epoch's (wastage, evasion, VM wastage), summed cell by cell."""
+    wast = np.maximum(provisioned - actual, 0.0)
+    evas = np.maximum(actual - provisioned, 0.0)
+    factors = np.array([graph_compute_factor(g) for g in ordered_graphs(lib)])
+    return float(wast.sum()), float(evas.sum()), float((wast.sum(axis=0) * factors).sum())
+
+
+def _loop_series(kind, trace, budget, lib, seed, gamma):
+    """Per-epoch estimator losses and the hindsight static's losses, epoch by
+    epoch: estimate, score, then observe."""
+    n_pops, n_attacks = trace[0].shape
+    state = EstimatorState(kind, n_pops, n_attacks, gamma=gamma)
+    est = []
+    for t, mix in enumerate(trace):
+        rng = np.random.default_rng([seed, t]) if kind == "fpl" else None
+        est.append(_loop_losses(estimate(state, budget, rng) * gamma, mix, lib))
+        state.observe(mix)
+    static, static_loss = best_static_hindsight(trace)
+    return est, [_loop_losses(static, mix, lib) for mix in trace], static_loss
+
+
+def _loop_report(kind, trace, budget, lib, seed, gamma):
+    est, stat, static_loss = _loop_series(kind, trace, budget, lib, seed, gamma)
+    wast, evas, wvm = (list(col) for col in zip(*est))
+    s_wast = s_evas = 0.0
+    for w, v, _m in stat:
+        s_wast += w
+        s_evas += v
+    est_w, est_v = float(sum(wast)), float(sum(evas))
+    floor = 0.01 * float(sum(m.sum() for m in trace))
+
+    def ratio(loss, ref):
+        return (loss - ref) / max(ref, floor, 1e-12)
+
+    return RegretReport(
+        wastage_gbps=wast, evasion_gbps=evas, wastage_vm=wvm,
+        cumulative_g1_vm=float(sum(wvm)), cumulative_g2_gbps=est_v,
+        static_loss_combined=static_loss, static_wastage_gbps=s_wast,
+        static_evasion_gbps=s_evas, regret_combined=ratio(est_w + est_v, static_loss),
+        regret_g1=ratio(est_w, s_wast), regret_g2=ratio(est_v, s_evas))
+
+
+def _loop_per_epoch(strategy_kind, kind, n_pops, budget, lib, epochs, seeds, gamma):
+    per_seed = []
+    for seed in seeds:
+        strat = AdversaryStrategy(strategy_kind, seed)
+        trace = [adversary_next(strat, budget, t, n_pops, len(lib)) for t in range(epochs)]
+        est, stat, _ = _loop_series(kind, trace, budget, lib, seed, gamma)
+        rows = []
+        cum_w = cum_v = cum_vm = s_w = s_v = volume = 0.0
+        for t, ((w, v, m), (pw, pv, _pm), mix) in enumerate(zip(est, stat, trace)):
+            cum_w += w
+            cum_v += v
+            cum_vm += m
+            s_w += pw
+            s_v += pv
+            volume += float(mix.sum())
+            floor = 0.01 * volume
+            rows.append({
+                "epoch": float(t), "wastage_gbps": w, "evasion_gbps": v, "wastage_vm": m,
+                "cum_g1_vm": cum_vm, "cum_g2_gbps": cum_v,
+                "regret_combined": (cum_w + cum_v - s_w - s_v) / max(s_w + s_v, floor, 1e-12),
+                "regret_g1": (cum_w - s_w) / max(s_w, floor, 1e-12),
+                "regret_g2": (cum_v - s_v) / max(s_v, floor, 1e-12),
+            })
+        per_seed.append(rows)
+    return [{k: float(t) if k == "epoch" else float(np.mean([rows[t][k] for rows in per_seed]))
+             for k in per_seed[0][t]} for t in range(epochs)]
+
+
+def _library(picks):
+    """The built-in graphs at ``picks``, renumbered densely in that order."""
+    graphs = ordered_graphs(LIB)
+    lib = {}
+    for k, i in enumerate(picks):
+        attack = AttackType(k, graphs[i].attack.name)
+        lib[attack] = replace(graphs[i], attack=attack)
+    return lib
+
+
+_picks = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def _traces(draw):
+    """A trace from one of the adversary strategies, or sparse uniform noise."""
+    n_pops = draw(st.integers(1, 6))
+    lib = _library(draw(_picks))
+    epochs = draw(st.integers(1, 40))
+    budget = Budget(draw(st.floats(1.0, 500.0)))
+    source = draw(st.sampled_from(STRATEGIES + ("noise",)))
+    seed = draw(st.integers(0, 2**16))
+    if source == "noise":
+        rng = np.random.default_rng(seed)
+        shape = (n_pops, len(lib))
+        trace = [rng.uniform(0.0, budget.b_gbps, shape) * (rng.random(shape) < 0.6)
+                 for _ in range(epochs)]
+    else:
+        strat = AdversaryStrategy(source, seed)
+        trace = [adversary_next(strat, budget, t, n_pops, len(lib)) for t in range(epochs)]
+    return trace, budget, lib, seed
+
+
+class TestTraceScoring:
+    @settings(max_examples=150, deadline=None)
+    @given(_traces(), st.sampled_from(ESTIMATORS), st.sampled_from((1.0, 1.25)))
+    def test_replay_equals_per_epoch_loop(self, case, kind, gamma):
+        trace, budget, lib, seed = case
+        got = run_estimator_on_trace(kind, trace, budget, lib, seed=seed, gamma=gamma)
+        assert got == _loop_report(kind, trace, budget, lib, seed, gamma)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(STRATEGIES), st.sampled_from(ESTIMATORS), st.integers(1, 6),
+           _picks, st.integers(1, 40), st.lists(st.integers(0, 999), min_size=1, max_size=10),
+           st.sampled_from((1.0, 1.25)))
+    def test_per_epoch_report_equals_loop(self, strategy, kind, n_pops, picks, epochs,
+                                          seeds, gamma):
+        lib = _library(picks)
+        args = (strategy, kind, n_pops, Budget(50.0), lib, epochs, seeds, gamma)
+        assert per_epoch_regret_report(*args) == _loop_per_epoch(*args)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_traces())
+    def test_running_mean_equals_np_mean(self, case):
+        # Zero budget, zero perturbation: the fpl estimate is the mean. numpy
+        # sums the history row by row, as observe() does, except when a mix
+        # has one cell: then it sums the history pairwise, and the two may
+        # differ by rounding, bounded by the history length in ulps.
+        trace, _budget, _lib, _seed = case
+        n_pops, n_attacks = trace[0].shape
+        state = EstimatorState("fpl", n_pops, n_attacks)
+        for mix in trace:
+            state.observe(mix)
+            mean = fpl_estimate(state, 0.0, n_pops, n_attacks, np.random.default_rng(0))
+            want = np.mean(state.history, axis=0)
+            if n_pops * n_attacks > 1:
+                assert np.array_equal(mean, want)
+            else:
+                eps = np.finfo(float).eps
+                assert np.allclose(mean, want, rtol=len(state.history) * eps, atol=0.0)
+
+    def test_history_given_at_construction_is_observed(self):
+        mixes = [np.array([[1.0, 2.0]]), np.array([[3.0, 5.0]])]
+        state = EstimatorState("fpl", 1, 2, history=mixes)
+        mean = fpl_estimate(state, 0.0, 1, 2, np.random.default_rng(0))
+        assert np.array_equal(mean, np.array([[2.0, 3.5]]))
