@@ -82,6 +82,8 @@ def adversary_next(strategy: AdversaryStrategy, budget: Budget, epoch: int,
     """
     if epoch < 0:
         raise InputError("epoch must be >= 0")
+    if n_pops < 1 or n_attacks < 1:
+        raise InputError("need at least one pop and one attack type")
     b = budget.b_gbps
     if strategy.kind == "steady":
         return _steady_mix(f"{strategy.seed}:steady", b, n_pops, n_attacks)
@@ -354,6 +356,8 @@ def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
     seeds: wastage, evasion, VM wastage, per-goal running cumulatives, and
     regret accruing against the full-trace hindsight static (so the final
     row equals the trace's normalized regret)."""
+    if not seeds:
+        raise InputError("need at least one seed")
     n_attacks = len(lib)
     factors = _compute_factors(lib)
     per_seed = []
@@ -406,6 +410,8 @@ def regret_experiment(n_pops: int, budget: Budget,
     """Sweep adversary strategies x estimators; each seed fixes one adversary
     trace that every estimator replays, so regrets share the same hindsight
     reference."""
+    if not seeds:
+        raise InputError("need at least one seed")
     n_attacks = len(lib)
     rows = []
     for strat_kind in strategies:

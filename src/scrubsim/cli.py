@@ -293,9 +293,12 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
     seed_list = [seed + k for k in range(seeds)]
     if strategy != "all" and estimator != "all":
         # Single pair: per-epoch series with running cumulatives and regret.
-        rows = adaptation.per_epoch_regret_report(
-            strategy, estimator, n_pops=pops, budget=adaptation.Budget(budget),
-            lib=lib, epochs=epochs, seeds=seed_list)
+        try:
+            rows = adaptation.per_epoch_regret_report(
+                strategy, estimator, n_pops=pops, budget=adaptation.Budget(budget),
+                lib=lib, epochs=epochs, seeds=seed_list)
+        except InputError as exc:
+            _fail(str(exc))
         columns = ["epoch", "wastage_gbps", "evasion_gbps", "wastage_vm",
                    "cum_g1_vm", "cum_g2_gbps", "regret_combined",
                    "regret_g1", "regret_g2"]
@@ -312,9 +315,12 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
         return
     strategies = adaptation.STRATEGIES if strategy == "all" else (strategy,)
     estimators = adaptation.ESTIMATORS if estimator == "all" else (estimator,)
-    rows = adaptation.regret_experiment(
-        n_pops=pops, budget=adaptation.Budget(budget), lib=lib, epochs=epochs,
-        seeds=seed_list, strategies=strategies, estimators=estimators)
+    try:
+        rows = adaptation.regret_experiment(
+            n_pops=pops, budget=adaptation.Budget(budget), lib=lib, epochs=epochs,
+            seeds=seed_list, strategies=strategies, estimators=estimators)
+    except InputError as exc:
+        _fail(str(exc))
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "estimator", "regret_combined", "regret_g1",

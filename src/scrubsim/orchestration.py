@@ -15,6 +15,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .defense_graphs import AnnotatedGraph, AttackType, PhysicalGraph, ordered_graphs
 from .errors import CapacityError, InputError, PinConflictError
 from .resource_manager import DspResult, SspResult
@@ -202,22 +204,26 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     graphs = ordered_graphs(lib)
     placements = {(r.attack_id, r.dc_id): r.placements for r in ssps}
 
+    # np.nonzero walks the (e, a, d) cells in row-major order, so each
+    # (e, a)'s splits come out in ascending datacenter order.
     wide_area: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    n_e, n_a, n_d = dsp.f.shape
-    for e in range(n_e):
-        for a in range(n_a):
-            splits = [(d, float(dsp.f[e, a, d])) for d in range(n_d)
-                      if dsp.f[e, a, d] > 0]
-            if splits:
-                wide_area[(e, a)] = splits
+    assigned = np.nonzero(dsp.f > 0)
+    for e, a, d, w in zip(*(ix.tolist() for ix in assigned), dsp.f[assigned].tolist()):
+        wide_area.setdefault((e, a), []).append((d, w))
 
-    tables: dict[str, list[ForwardingRule]] = {}
+    # Egress tags grouped by graph, in (attack, dc, node, context) order.
+    egress: dict[tuple[int, int], list[int]] = {}
+    for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
+        egress.setdefault((ea, ed), []).append(tag)
+
+    # Per switch, its rules keyed by match, in installation order.
+    tables: dict[str, dict[tuple[str, object], ForwardingRule]] = {}
 
     def add(rule: ForwardingRule) -> None:
-        table = tables.setdefault(rule.switch, [])
-        if any(r.match == rule.match for r in table):
+        table = tables.setdefault(rule.switch, {})
+        if rule.match in table:
             raise InputError(f"duplicate rule match {rule.match} on {rule.switch}")
-        table.append(rule)
+        table[rule.match] = rule
 
     for (e, a), splits in sorted(wide_area.items()):
         add(ForwardingRule(
@@ -247,13 +253,12 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                 if (root, inst.index) not in placed:
                     raise InputError(f"unplaced VM {key}")
                 root_targets.append((key, frac / len(insts)))
-        for e in range(n_e):
-            if dsp.f[e, a, d] > 0:
-                add(ForwardingRule(
-                    switch=ingress_sw,
-                    match=("tunnel", f"e{e}-a{a}"),
-                    action=("split", list(root_targets)),
-                ))
+        for e in np.flatnonzero(dsp.f[:, a, d] > 0).tolist():
+            add(ForwardingRule(
+                switch=ingress_sw,
+                match=("tunnel", f"e{e}-a{a}"),
+                action=("split", list(root_targets)),
+            ))
         for node in sorted(pg.instances):
             for inst in pg.instances[node]:
                 key = (a, d, node, inst.index)
@@ -263,14 +268,15 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                 if tag is not None:
                     add(ForwardingRule(switch=sw, match=("tag", tag),
                                        action=("vm", key)))
-        for (ea, ed, node, ctx), tag in sorted(pools.egress_tags.items()):
-            if (ea, ed) == (a, d):
-                add(ForwardingRule(switch=sw, match=("tag", tag),
-                                   action=("customer", None)))
+        for tag in egress.get((a, d), []):
+            add(ForwardingRule(switch=sw, match=("tag", tag),
+                               action=("customer", None)))
 
     max_tag = pools.max_tag
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
-    return ForwardingPlan(wide_area=wide_area, dc_tables=tables, tag_bits=tag_bits)
+    return ForwardingPlan(wide_area=wide_area,
+                          dc_tables={sw: list(t.values()) for sw, t in tables.items()},
+                          tag_bits=tag_bits)
 
 
 def rule_count_comparison(plan: ForwardingPlan, n_flows: int) -> tuple[int, int]:
@@ -314,6 +320,8 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
         return 0
     count = 0
     a, d = pg.attack.id, pg.dc_id
+    # Identity tags are unique, so this inverse is exact.
+    vm_of_tag = {t: vm for vm, t in pools.instance_tags.items()}
     for node in sorted(pg.instances):
         if graph.node(node).kind != "analysis":
             continue
@@ -321,20 +329,13 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
             vm: VmKey = (a, d, node, inst.index)
             for c in range(len(graph.successors(node))):
                 for tag in pools.pools.get((vm, c), []):
-                    target = _vm_of_tag(pools, tag)
+                    target = vm_of_tag.get(tag)
                     if target is not None:
                         before = tag in plan.bidi_pins
                         pin_bidirectional(plan, tag, d, target)
                         if not before:
                             count += 1
     return count
-
-
-def _vm_of_tag(pools: TagPool, tag: int) -> VmKey | None:
-    for vm, t in pools.instance_tags.items():
-        if t == tag:
-            return vm
-    return None
 
 
 def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +86,10 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
+    # Each pop's datacenters, cheapest first: a stable sort of ascending ids
+    # by latency is the (latency, id) order.
+    by_latency = [sorted(range(n_d), key=row.__getitem__) for row in topo.latency]
+    volumes = traffic.tolist()
 
     # Max-heap of (volume, pop, attack); ties resolve to lowest (e, a). The
     # sequence number both breaks residual ties deterministically and keys
@@ -93,10 +98,10 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     heap: list[tuple[float, int, int, int]] = []
     exhausted: dict[int, set[int]] = {}
     seq = 0
-    for e in range(n_e):
-        for a in range(n_a):
-            if traffic[e, a] > EPS:
-                heap.append((-traffic[e, a], e, a, seq))
+    for e, row in enumerate(volumes):
+        for a, t in enumerate(row):
+            if t > EPS:
+                heap.append((-t, e, a, seq))
                 exhausted[seq] = set()
                 seq += 1
     heapq.heapify(heap)
@@ -133,15 +138,13 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     while heap:
         neg_t, e, a, item = heapq.heappop(heap)
         t = -neg_t
-        candidates = [
-            d for d in range(n_d)
-            if link_rem[d] > EPS and compute_rem[d] > EPS
-            and d not in exhausted[item]
-        ]
-        if not candidates:
+        skip = exhausted[item]
+        d = next((d for d in by_latency[e]
+                  if link_rem[d] > EPS and compute_rem[d] > EPS and d not in skip),
+                 None)
+        if d is None:
             t_left += t
             continue
-        d = min(candidates, key=lambda d: (topo.latency[e][d], d))
 
         g = graphs[a]
         t1 = min(t, link_rem[d])
@@ -157,9 +160,13 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             heapq.heappush(heap, (neg_t, e, a, item))
             continue
 
-        node_demand = demand.setdefault((d, a), {n.id: 0.0 for n in g.nodes})
+        node_demand = demand.get((d, a))
+        if node_demand is None:
+            node_demand = demand[(d, a)] = {n.id: 0.0 for n in g.nodes}
         if ceil_per_assignment:
-            have = charged.setdefault((d, a), {n.id: 0 for n in g.nodes})
+            have = charged.get((d, a))
+            if have is None:
+                have = charged[(d, a)] = {n.id: 0 for n in g.nodes}
             inc = 0
             for i, r in rates[a].items():
                 new = math.ceil(node_demand[i] + t_assigned * r - _CEIL_EPS)
@@ -171,7 +178,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             compute_rem[d] -= t_assigned * factors[a]
         for i, r in rates[a].items():
             node_demand[i] += t_assigned * r
-        f[e, a, d] += t_assigned / traffic[e, a]
+        f[e, a, d] += t_assigned / volumes[e][a]
         wide_area_cost += t_assigned * topo.latency[e][d]
         link_rem[d] -= t_assigned
 
@@ -283,7 +290,18 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
     def free(rack_id: int, srv_id: int, slots: int) -> int:
         return slots - used.get((rack_id, srv_id), 0)
 
-    servers = [(rack.id, srv.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
+    # Servers in (rack id, server id) order with their free slots; a
+    # server's position in this order ranks it among equally free ones.
+    # Bisecting finds a server's position, or a rack's span of positions.
+    servers = sorted([(rack.id, srv.id, srv.vm_slots)
+                      for rack in dc.racks for srv in rack.servers])
+    free_list = [slots - used.get((rack_id, srv_id), 0) for rack_id, srv_id, slots in servers]
+
+    def position(rack_id: int, srv_id: int) -> int:
+        return bisect_left(servers, (rack_id, srv_id))
+
+    def rack_span(rack_id: int) -> range:
+        return range(bisect_left(servers, (rack_id,)), bisect_left(servers, (rack_id + 1,)))
 
     placements: dict[tuple[int, int], tuple[int, int]] = {}
     n_srv: dict[tuple[int, int, int], int] = {}
@@ -296,8 +314,15 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         for k in range(start_idx, start_idx + count):
             placements[(node_id, k)] = (rack_id, srv_id)
         used[(rack_id, srv_id)] = used.get((rack_id, srv_id), 0) + count
+        free_list[position(rack_id, srv_id)] -= count
         key = (node_id, rack_id, srv_id)
         n_srv[key] = n_srv.get(key, 0) + count
+
+    def emptiest_fitting(positions: list[int], count: int) -> int | None:
+        """The freest of `positions` that fits `count`, lowest on ties."""
+        best = max(((free_list[i], -i) for i in positions if free_list[i] >= count),
+                   default=None)
+        return None if best is None else -best[1]
 
     def localize(node_id: int, count: int) -> None:
         pred_servers = set()
@@ -311,13 +336,17 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         # Whole node on a single server if one fits it: prefer a server
         # already hosting a predecessor, then one in a predecessor's rack,
         # then the emptiest server anywhere.
-        fitting = [(rack_id, srv_id, slots) for rack_id, srv_id, slots in servers
-                   if free(rack_id, srv_id, slots) >= count]
-        if fitting:
-            rack_id, srv_id, _ = max(
-                fitting,
-                key=lambda s: ((s[0], s[1]) in pred_servers, s[0] in pred_racks,
-                               free(s[0], s[1], s[2]), -s[0], -s[1]))
+        pick = None
+        if pred_servers:
+            pick = emptiest_fitting([position(*loc) for loc in pred_servers], count)
+            if pick is None:
+                pick = emptiest_fitting([i for r in pred_racks for i in rack_span(r)], count)
+        if pick is None and free_list:
+            most = max(free_list)
+            if most >= count:
+                pick = free_list.index(most)
+        if pick is not None:
+            rack_id, srv_id, _ = servers[pick]
             place_on(node_id, 0, count, rack_id, srv_id)
             return
         # Else within a single rack, preferring a predecessor's rack.

@@ -1,9 +1,14 @@
+import contextlib
 import json
+import signal
 
+import pytest
 from click.testing import CliRunner
 
+from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library, save_library
+from scrubsim.errors import InputError
 
 
 def write_traffic(path, matrix):
@@ -112,6 +117,47 @@ def test_adapt_regret_summary_table(tmp_path):
     assert res.exit_code == 0, res.output
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 4  # header + three estimators
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail instead of hanging: an empty pop range once made the adversary
+    redraw its ingress subset forever."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n_pops, n_attacks", [(0, 4), (3, 0)])
+def test_adversary_next_rejects_empty_shape(n_pops, n_attacks):
+    for kind in ("steady", "randhybrid"):
+        with time_limit(5), pytest.raises(InputError, match="at least one pop"):
+            adversary_next(AdversaryStrategy(kind, seed=1), Budget(50.0), 0,
+                           n_pops, n_attacks)
+
+
+@pytest.mark.parametrize("pair", [[], ["--strategy", "steady", "--estimator", "fpl"]])
+@pytest.mark.parametrize("bad, message", [
+    (["--seeds", "0"], "need at least one seed"),
+    (["--epochs", "0"], "trace must be nonempty"),
+    (["--pops", "0"], "need at least one pop"),
+])
+def test_adapt_regret_bad_input_exit_2(tmp_path, pair, bad, message):
+    runner = CliRunner()
+    args = ["adapt", "regret", *pair, "--epochs", "5", "--seeds", "2",
+            "--pops", "3", *bad, "--out", str(tmp_path / "regret.csv")]
+    with time_limit(30):
+        res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert message in res.output
+    assert not (tmp_path / "regret.csv").exists()
 
 
 def test_simulate_scenario(tmp_path):

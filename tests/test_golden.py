@@ -1,0 +1,83 @@
+"""Byte-stability goldens for the simulator reports and one forwarding plan.
+
+The files under ``tests/data/`` pin the exact bytes of ``epochs.csv``,
+``summary.json`` and ``ForwardingPlan.dump()``. A change that alters them on
+purpose regenerates them and says why:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import numpy as np
+
+from scrubsim.defense_graphs import builtin_library
+from scrubsim.orchestration import (
+    build_tag_pools,
+    pin_bidirectional_for_graph,
+    synthesize_rules,
+)
+from scrubsim.resource_manager import dsp_greedy, place_all
+from scrubsim.simulate import Scenario, emit_report, run_simulation
+from scrubsim.topology import generate_topology
+
+DATA = Path(__file__).parent / "data"
+SIM_DIR = DATA / "golden_sim"
+PLAN_PATH = DATA / "golden_plan.json"
+
+# 48 nodes with 150 slots per datacenter and a 1.2 cushion: most epochs fail
+# placement, two also leave volume unassigned (t_left notes), and four
+# compile a full plan.
+GOLDEN_SCENARIO = Scenario(epochs=15, budget_gbps=600.0, adversary="randhybrid",
+                           estimator="fpl", seed=6, gamma=1.2, topology_nodes=48,
+                           dc_slots=150)
+
+
+def write_sim_reports(out_dir: Path) -> None:
+    records = run_simulation(GOLDEN_SCENARIO)
+    emit_report(records, str(out_dir), summary_extra={"seed": GOLDEN_SCENARIO.seed})
+
+
+def write_plan(path: Path) -> None:
+    """All four builtin graphs from six pops into both datacenters of a
+    30-node topology. The 150 Gbps uplinks split one cell over the two
+    datacenters and leave 18 Gbps unassigned; the DNS graph is
+    bidirectional, so the plan carries pins."""
+    topo = generate_topology(30, dc_slot_capacity=4000, seed=7, dc_link_gbps=150.0)
+    lib = builtin_library()
+    traffic = np.zeros((len(topo.pops), len(lib)))
+    for e in range(6):
+        traffic[e, :] = [12.0 + 2 * e, 10.0 + e, 20.0 - 2 * e, 6.0 + e]
+    dsp = dsp_greedy(topo, traffic, lib)
+    ssps = place_all(topo, dsp, lib)
+    pools = build_tag_pools(dsp.physical, lib)
+    plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+    for key in sorted(dsp.physical):
+        pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
+    plan.dump(str(path))
+
+
+def test_simulation_reports_byte_identical(tmp_path):
+    write_sim_reports(tmp_path)
+    for name in ("epochs.csv", "summary.json"):
+        assert (tmp_path / name).read_bytes() == (SIM_DIR / name).read_bytes(), name
+
+
+def test_golden_scenario_covers_failures_and_t_left():
+    rows = (SIM_DIR / "epochs.csv").read_text().splitlines()[1:]
+    assert any("placement" in r for r in rows)
+    assert any("t_left=" in r for r in rows)
+    assert any(r.endswith(",") for r in rows)  # a clean epoch
+
+
+def test_forwarding_plan_byte_identical(tmp_path):
+    path = tmp_path / "plan.json"
+    write_plan(path)
+    assert path.read_bytes() == PLAN_PATH.read_bytes()
+
+
+if __name__ == "__main__":
+    SIM_DIR.mkdir(parents=True, exist_ok=True)
+    write_sim_reports(SIM_DIR)
+    write_plan(PLAN_PATH)
+    print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json and {PLAN_PATH}")

@@ -14,7 +14,7 @@ from scrubsim.defense_graphs import (
     build_physical_graph,
     ordered_graphs,
 )
-from scrubsim.errors import CapacityError, PinConflictError
+from scrubsim.errors import CapacityError, InputError, PinConflictError
 from scrubsim.orchestration import (
     TagPool,
     assign_tags,
@@ -213,6 +213,21 @@ class TestSynthesizeRules:
         for pg in dsp.physical.values():
             assert plan_realizes_edges(plan, pg, pools, lib) == []
 
+    def test_shared_instance_tag_is_a_duplicate_match(self):
+        g = two_branch_graph()
+        lib = {ATK: g}
+        topo = small_topo()
+        dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
+        ssps = place_all(topo, dsp, lib)
+        pools = build_tag_pools(dsp.physical, lib)
+        # Hand-edit the pool so two VMs carry one identity tag.
+        first, second = sorted(pools.instance_tags)[:2]
+        shared = pools.instance_tags[first]
+        pools.instance_tags[second] = shared
+        with pytest.raises(InputError) as err:
+            synthesize_rules(dsp, ssps, pools, topo, lib)
+        assert str(err.value) == f"duplicate rule match ('tag', {shared}) on dc0"
+
     def test_golden_stable_serialization(self, tmp_path):
         _dsp, _pools, plan = self._plan(two_branch_graph())
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
@@ -325,3 +340,40 @@ class TestBidirectionalPins:
                 for c in range(len(dns_graph.successors(node))):
                     for tag in pools.pools.get((vm, c), []):
                         assert tag in plan.bidi_pins
+
+    def test_pins_match_linear_search_over_instance_tags(self):
+        lib = builtin_library()
+        topo = small_topo(2)
+        traffic = np.zeros((1, 4))
+        traffic[0, :] = [30.0, 45.0, 20.0, 10.0]
+        dsp = dsp_greedy(topo, traffic, lib)
+        ssps = place_all(topo, dsp, lib)
+        pools = build_tag_pools(dsp.physical, lib, seed=3)
+        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        graphs = ordered_graphs(lib)
+
+        want: dict[int, tuple[int, tuple]] = {}
+        want_counts = []
+        for (a, d), pg in sorted(dsp.physical.items()):
+            count = 0
+            graph = graphs[a]
+            if graph.bidirectional:
+                for node in sorted(pg.instances):
+                    if graph.node(node).kind != "analysis":
+                        continue
+                    for inst in pg.instances[node]:
+                        vm = (a, d, node, inst.index)
+                        for c in range(len(graph.successors(node))):
+                            for tag in pools.pools.get((vm, c), []):
+                                target = next((v for v, t in pools.instance_tags.items()
+                                               if t == tag), None)
+                                if target is not None and tag not in want:
+                                    want[tag] = (d, target)
+                                    count += 1
+            want_counts.append(count)
+
+        got_counts = [pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
+                      for key in sorted(dsp.physical)]
+        assert got_counts == want_counts
+        assert sum(got_counts) > 0
+        assert plan.bidi_pins == want

@@ -1,7 +1,11 @@
+import heapq
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import (
     ANALYSIS,
@@ -10,6 +14,7 @@ from scrubsim.defense_graphs import (
     AttackType,
     LogicalModule,
     build_physical_graph,
+    builtin_library,
     graph_compute_factor,
     ordered_graphs,
 )
@@ -382,3 +387,264 @@ class TestCheckFeasibility:
         violations = check_feasibility(topo, traffic, dsp, ssps, params, lib)
         assert any(v.constraint in (5, 11) and v.indices[2] == node
                    for v in violations)
+
+
+# -- equivalence with the linear-scan selection rules ---------------------
+#
+# The references below keep the original selection rules: SSP scans every
+# server for the maximum of (hosts a predecessor, in a predecessor's rack,
+# free slots, -rack, -server); DSP scans every datacenter for the minimum of
+# (latency, id) among those with link and compute headroom that the item has
+# not found unaffordable. The greedies index these choices; results must be
+# equal, not close.
+
+def linear_scan_ssp(dc, pg, graph, used):
+    """Returns (placements, n_srv); mutates `used` as ssp_greedy does."""
+    def free(rack_id, srv_id, slots):
+        return slots - used.get((rack_id, srv_id), 0)
+
+    servers = [(rack.id, srv.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
+    placements, n_srv = {}, {}
+
+    def place_on(node, start, count, rack_id, srv_id):
+        for k in range(start, start + count):
+            placements[(node, k)] = (rack_id, srv_id)
+        used[(rack_id, srv_id)] = used.get((rack_id, srv_id), 0) + count
+        n_srv[(node, rack_id, srv_id)] = n_srv.get((node, rack_id, srv_id), 0) + count
+
+    def fill_rack(node, start, count, rack_id):
+        remaining = count
+        for srv in sorted(dc.racks[rack_id].servers,
+                          key=lambda s: (-free(rack_id, s.id, s.vm_slots), s.id)):
+            take = min(remaining, free(rack_id, srv.id, srv.vm_slots))
+            if take > 0:
+                place_on(node, start, take, rack_id, srv.id)
+                start += take
+                remaining -= take
+            if remaining == 0:
+                return
+        name = graph.node(node).name
+        raise PlacementError(f"rack {rack_id} in datacenter {dc.id} ran out of slots "
+                             f"for node {name}", node=name)
+
+    def localize(node, count):
+        pred_servers = {placements[(p, inst.index)] for p in graph.predecessors(node)
+                        for inst in pg.instances.get(p, [])
+                        if (p, inst.index) in placements}
+        pred_racks = {rack_id for rack_id, _srv in pred_servers}
+        fitting = [s for s in servers if free(*s) >= count]
+        if fitting:
+            rack_id, srv_id, _ = max(
+                fitting,
+                key=lambda s: ((s[0], s[1]) in pred_servers, s[0] in pred_racks,
+                               free(*s), -s[0], -s[1]))
+            place_on(node, 0, count, rack_id, srv_id)
+            return
+        rack_free = {rack.id: sum(free(rack.id, s.id, s.vm_slots) for s in rack.servers)
+                     for rack in dc.racks}
+        fitting_racks = [r for r, fr in rack_free.items() if fr >= count]
+        if fitting_racks:
+            fill_rack(node, 0, count,
+                      max(fitting_racks, key=lambda r: (r in pred_racks, rack_free[r], -r)))
+            return
+        total_free = sum(rack_free.values())
+        if total_free < count:
+            name = graph.node(node).name
+            raise PlacementError(f"datacenter {dc.id} lacks {count} slots for node "
+                                 f"{name} ({total_free} free)", node=name)
+        idx = 0
+        for rack_id in sorted(rack_free, key=lambda r: (-rack_free[r], r)):
+            take = min(count - idx, rack_free[rack_id])
+            if take > 0:
+                fill_rack(node, idx, take, rack_id)
+                idx += take
+            if idx == count:
+                break
+
+    pending = {i for i, insts in pg.instances.items() if insts}
+    placed = {n.id for n in graph.nodes if n.id not in pending}
+    while pending:
+        ready = [i for i in pending if all(p in placed for p in graph.predecessors(i))]
+        node = max(ready or pending, key=lambda i: (graph.node(i).capacity_gbps, -i))
+        localize(node, pg.vm_count(node))
+        pending.discard(node)
+        placed.add(node)
+    return placements, n_srv
+
+
+def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
+    """Returns (f, counts, t_left, wide_area_cost, exhausted_hits)."""
+    graphs = ordered_graphs(lib)
+    n_e, n_a = traffic.shape
+    n_d = len(topo.datacenters)
+    factors = [graph_compute_factor(g) for g in graphs]
+    rates = [{n.id: g.share(n.id) / n.capacity_gbps for n in g.nodes} for g in graphs]
+    link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
+    compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
+    heap = [(-traffic[e, a], e, a, e * n_a + a)
+            for e in range(n_e) for a in range(n_a) if traffic[e, a] > 1e-9]
+    heapq.heapify(heap)
+    exhausted = {item: set() for *_rest, item in heap}
+    f = np.zeros((n_e, n_a, n_d))
+    demand, charged = {}, {}
+    t_left = cost = 0.0
+    hits = 0
+
+    def increment(d, a, x):
+        cur, have = demand.get((d, a), {}), charged.get((d, a), {})
+        return sum(max(0, math.ceil(cur.get(i, 0.0) + x * r - 1e-9) - have.get(i, 0))
+                   for i, r in rates[a].items())
+
+    while heap:
+        neg_t, e, a, item = heapq.heappop(heap)
+        t = -neg_t
+        candidates = [d for d in range(n_d) if link_rem[d] > 1e-9
+                      and compute_rem[d] > 1e-9 and d not in exhausted[item]]
+        if not candidates:
+            t_left += t
+            continue
+        d = min(candidates, key=lambda d: (topo.latency[e][d], d))
+        t1 = min(t, link_rem[d])
+        if ceil_per_assignment:
+            lo, hi = 0.0, t1
+            if increment(d, a, t1) > compute_rem[d] + 1e-9:
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if increment(d, a, mid) <= compute_rem[d] + 1e-9 \
+                        else (lo, mid)
+                t1 = min(t1, lo)
+        else:
+            t1 = min(t1, compute_rem[d] / factors[a] if factors[a] > 0 else t1)
+        if t1 <= 1e-9:
+            exhausted[item].add(d)
+            hits += 1
+            heapq.heappush(heap, (neg_t, e, a, item))
+            continue
+        node_demand = demand.setdefault((d, a), {n.id: 0.0 for n in graphs[a].nodes})
+        if ceil_per_assignment:
+            have = charged.setdefault((d, a), {n.id: 0 for n in graphs[a].nodes})
+            for i, r in rates[a].items():
+                new = math.ceil(node_demand[i] + t1 * r - 1e-9)
+                if new > have[i]:
+                    compute_rem[d] -= new - have[i]
+                    have[i] = new
+        else:
+            compute_rem[d] -= t1 * factors[a]
+        for i, r in rates[a].items():
+            node_demand[i] += t1 * r
+        f[e, a, d] += t1 / traffic[e, a]
+        cost += t1 * topo.latency[e][d]
+        link_rem[d] -= t1
+        if t - t1 > 1e-9:
+            heapq.heappush(heap, (-(t - t1), e, a, item))
+    if ceil_per_assignment:
+        counts = charged
+    else:
+        counts = {k: {i: math.ceil(v - 1e-9) if v > 1e-9 else 0 for i, v in dm.items()}
+                  for k, dm in demand.items()}
+    return f, counts, t_left, cost, hits
+
+
+@st.composite
+def datacenters(draw):
+    """Small racks of unequal servers; slot values repeat, so ties are common."""
+    rack_slots = draw(st.lists(st.lists(st.sampled_from([0, 1, 2, 2, 3, 4, 6]),
+                                        min_size=1, max_size=4),
+                               min_size=1, max_size=4))
+    return make_dc(0, 999.0, rack_slots)
+
+
+@st.composite
+def prefilled(draw, dc):
+    return {(rack.id, srv.id): draw(st.integers(0, srv.vm_slots))
+            for rack in dc.racks for srv in rack.servers
+            if srv.vm_slots and draw(st.booleans())}
+
+
+def chain(n_nodes, caps):
+    return AnnotatedGraph(
+        attack=ATK,
+        nodes=[LogicalModule(i, f"m{i}", ANALYSIS if i + 1 < n_nodes else RESPONSE,
+                             caps[i], contexts=1, delivers=i + 1 == n_nodes)
+               for i in range(n_nodes)],
+        edges=[(i, i + 1, 1.0) for i in range(n_nodes - 1)],
+    )
+
+
+def assert_ssp_matches_linear_scan(dc, pg, graph, used):
+    ref_used = dict(used)
+    try:
+        want = linear_scan_ssp(dc, pg, graph, ref_used)
+    except PlacementError as exc:
+        with pytest.raises(PlacementError) as err:
+            ssp_greedy(dc, pg, {graph.attack: graph}, used)
+        assert (str(err.value), err.value.node) == (str(exc), exc.node)
+        assert used == ref_used
+        return
+    res = ssp_greedy(dc, pg, {graph.attack: graph}, used)
+    assert list(res.placements.items()) == list(want[0].items())
+    assert res.n_srv == want[1]
+    assert used == ref_used
+
+
+class TestIndexedSelectionMatchesLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_single_server_pick(self, data):
+        # Counts small enough that most nodes land whole on one server.
+        dc = data.draw(datacenters())
+        used = data.draw(prefilled(dc))
+        n_nodes = data.draw(st.integers(1, 4))
+        caps = data.draw(st.lists(st.sampled_from([5.0, 10.0]),
+                                  min_size=n_nodes, max_size=n_nodes))
+        counts = {i: data.draw(st.integers(1, 3)) for i in range(n_nodes)}
+        g = chain(n_nodes, caps)
+        assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, 10.0, counts), g, used)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_full_ssp_results_and_errors(self, data):
+        dc = data.draw(datacenters())
+        used = data.draw(prefilled(dc))
+        graphs = ordered_graphs(builtin_library())
+        g = data.draw(st.sampled_from(graphs))
+        counts = {n.id: data.draw(st.integers(0, 6)) for n in g.nodes}
+        pg = build_physical_graph(g, 0, 20.0, counts)
+        # Two graphs in turn share the datacenter's occupancy, as place_all does.
+        assert_ssp_matches_linear_scan(dc, pg, g, used)
+        g2 = data.draw(st.sampled_from(graphs))
+        counts2 = {n.id: data.draw(st.integers(0, 3)) for n in g2.nodes}
+        assert_ssp_matches_linear_scan(dc, build_physical_graph(g2, 0, 5.0, counts2), g2, used)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), ceil=st.booleans())
+    def test_dsp_datacenter_choice(self, data, ceil):
+        lib = builtin_library()
+        n_e = data.draw(st.integers(1, 4))
+        n_d = data.draw(st.integers(1, 4))
+        dcs = [make_dc(d, data.draw(st.sampled_from([5.0, 12.0, 30.0, 999.0])),
+                       [[data.draw(st.sampled_from([0, 1, 2, 5, 20]))] * 2])
+               for d in range(n_d)]
+        latency = [[data.draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(n_d)]
+                   for _ in range(n_e)]
+        traffic = np.array([[data.draw(st.sampled_from([0.0, 2.5, 5.0, 10.0, 17.0]))
+                             for _ in range(len(lib))] for _ in range(n_e)])
+        self._check_dsp(make_topo(n_e, dcs, latency), traffic, lib, ceil)
+
+    def test_dsp_exhausted_datacenters(self):
+        # Whole-VM charging with tied latencies: the cheapest datacenters run
+        # out of affordable VM steps, so items skip them and retry elsewhere.
+        lib = builtin_library()
+        dcs = [make_dc(d, 999.0, [[1, 1]]) for d in range(3)]
+        topo = make_topo(2, dcs, [[1.0, 1.0, 2.0], [2.0, 1.0, 1.0]])
+        traffic = np.array([[4.0, 3.0, 6.0, 2.0], [5.0, 0.0, 3.0, 7.0]])
+        assert self._check_dsp(topo, traffic, lib, ceil=True) > 0
+
+    @staticmethod
+    def _check_dsp(topo, traffic, lib, ceil):
+        f, counts, t_left, cost, hits = linear_scan_dsp(topo, traffic, lib, ceil)
+        got = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
+        assert np.array_equal(got.f, f)
+        assert got.n_dc == counts
+        assert (got.t_left, got.wide_area_cost) == (t_left, cost)
+        return hits
