@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import csv
 import json
-import statistics
 import sys
 import time
 
@@ -16,7 +15,7 @@ import click
 import numpy as np
 
 from . import adaptation, defense_graphs, oracle, orchestration, simulate, topology
-from .errors import InputError
+from .errors import InputError, OracleSizeError
 from .resource_manager import dsp_greedy, evaluate_cost, place_all
 from .topology import CostParams
 
@@ -194,14 +193,17 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
 
 
 @rm.command("oracle-compare")
-@click.option("--instances", type=int, default=100, show_default=True)
+@click.option("--instances", type=click.IntRange(min=1), default=100, show_default=True)
 @click.option("--seed", type=int, default=0, envvar=SEED_ENV, show_default=True)
 @click.option("--delta", type=float, default=0.05, show_default=True)
 @click.option("--report", "report_path", type=click.Path(), required=True)
 @click.option("--dump-dir", type=click.Path(), default=None,
               help="Directory for >10% gap counterexamples.")
 def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
-    rows = oracle.oracle_comparison(instances, seed, delta=delta)
+    try:
+        rows = oracle.oracle_comparison(instances, seed, delta=delta)
+    except OracleSizeError as exc:
+        _fail(str(exc))
     with open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "handled_greedy", "handled_oracle",
@@ -219,12 +221,11 @@ def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
                 with open(f"{dump_dir}/counterexample_{r.seed}.json", "w") as fh:
                     json.dump(r.counterexample, fh, indent=2, sort_keys=True)
                 dumped += 1
-    gaps = [r.gap for r in rows]
-    handled_equal = sum(
-        1 for r in rows if abs(r.handled_greedy - r.handled_oracle) < 1e-6)
-    click.echo(f"instances={len(rows)} handled_equal={handled_equal} "
-               f"median_gap={statistics.median(gaps):.6f} "
-               f"max_gap={max(gaps):.6f} dumped={dumped}")
+    stats = oracle.gap_summary(rows)
+    click.echo(f"instances={len(rows)} handled_equal={stats['handled_equal']} "
+               f"median_gap={stats['median_gap']:.6f} "
+               f"p90_gap={stats['p90_gap']:.6f} over_10pct={stats['over_10pct']} "
+               f"max_gap={stats['max_gap']:.6f} dumped={dumped}")
 
 
 # -- orch ---------------------------------------------------------------

@@ -4,9 +4,7 @@ PASS/FAIL line (run with `pytest -s tests/test_acceptance.py -v`).
 
 import json
 import math
-import os
 import random
-import statistics
 import time
 
 import numpy as np
@@ -31,7 +29,7 @@ from scrubsim.defense_graphs import (
     node_demand_vms,
     ordered_graphs,
 )
-from scrubsim.oracle import oracle_comparison, random_tiny_instance
+from scrubsim.oracle import gap_summary, oracle_comparison, random_tiny_instance
 from scrubsim.orchestration import (
     build_tag_pools,
     rule_count_comparison,
@@ -46,36 +44,32 @@ from scrubsim.resource_manager import (
 from scrubsim.simulate import provisioning_comparison
 from scrubsim.topology import generate_topology
 
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "..", "artifacts",
-                            "oracle_counterexamples")
-
 
 def report(criterion, ok, detail):
     print(f"\nACCEPTANCE {criterion}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def test_criterion_1_heuristic_vs_oracle():
+def test_criterion_1_heuristic_vs_oracle(tmp_path):
     started = time.perf_counter()
     rows = oracle_comparison(100, seed=20_000, delta=0.05)
     elapsed = time.perf_counter() - started
-    handled_equal = sum(1 for r in rows
-                        if abs(r.handled_greedy - r.handled_oracle) < 1e-6)
-    gaps = [r.gap for r in rows]
-    median_gap = statistics.median(gaps)
+    stats = gap_summary(rows)
+    dump_dir = tmp_path / "oracle_counterexamples"
+    dump_dir.mkdir()
     dumped = 0
     for r in rows:
         if r.counterexample is not None:
-            os.makedirs(ARTIFACT_DIR, exist_ok=True)
-            path = os.path.join(ARTIFACT_DIR, f"counterexample_{r.seed}.json")
-            with open(path, "w") as fh:
+            with open(dump_dir / f"counterexample_{r.seed}.json", "w") as fh:
                 json.dump(r.counterexample, fh, indent=2, sort_keys=True)
             dumped += 1
-    ok = handled_equal == len(rows) and median_gap <= 0.01 and elapsed <= 300
+    ok = (stats["handled_equal"] == len(rows) and stats["median_gap"] <= 0.01
+          and elapsed <= 300)
     report(1, ok,
-           f"100 instances: handled equal on {handled_equal}/100, median cost gap "
-           f"{median_gap:.4%} (max {max(gaps):.2%}), {dumped} counterexample(s) "
-           f"dumped, {elapsed:.1f}s")
+           f"100 instances: handled equal on {stats['handled_equal']}/100, median cost "
+           f"gap {stats['median_gap']:.4%} (p90 {stats['p90_gap']:.2%}, max "
+           f"{stats['max_gap']:.2%}, {stats['over_10pct']} above 10%), {dumped} "
+           f"counterexample(s) dumped, {elapsed:.1f}s")
 
 
 def test_criterion_2_heuristic_speed():

@@ -244,6 +244,22 @@ def test_oracle_compare_cli(tmp_path):
     lines = report.read_text().strip().splitlines()
     assert len(lines) == 6
     assert "handled_equal=5" in res.output
+    assert "p90_gap=" in res.output and "over_10pct=" in res.output
+
+
+@pytest.mark.parametrize("bad, message", [
+    (["--instances", "0"], "--instances"),
+    (["--delta", "0.3"], "delta 0.3 must be 1/k"),
+])
+def test_oracle_compare_bad_input_exit_2(tmp_path, bad, message):
+    runner = CliRunner()
+    report = tmp_path / "report.csv"
+    res = runner.invoke(main, ["rm", "oracle-compare", "--instances", "2",
+                               *bad, "--report", str(report)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not report.exists()
 
 
 def test_seed_env_var(tmp_path, monkeypatch):

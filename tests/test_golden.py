@@ -1,17 +1,21 @@
-"""Byte-stability goldens for the simulator reports and one forwarding plan.
+"""Byte-stability goldens for the simulator reports, one forwarding plan and
+the exact oracle.
 
 The files under ``tests/data/`` pin the exact bytes of ``epochs.csv``,
-``summary.json`` and ``ForwardingPlan.dump()``. A change that alters them on
-purpose regenerates them and says why:
+``summary.json`` and ``ForwardingPlan.dump()``, and the exact reprs of
+``oracle_exact``'s results on criterion 1's instances. A change that alters
+them on purpose regenerates them and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 from pathlib import Path
 
 import numpy as np
 
 from scrubsim.defense_graphs import builtin_library
+from scrubsim.oracle import OracleInstance, oracle_exact, random_tiny_instance
 from scrubsim.orchestration import (
     build_tag_pools,
     pin_bidirectional_for_graph,
@@ -24,6 +28,8 @@ from scrubsim.topology import generate_topology
 DATA = Path(__file__).parent / "data"
 SIM_DIR = DATA / "golden_sim"
 PLAN_PATH = DATA / "golden_plan.json"
+ORACLE_PATH = DATA / "golden_oracle.json"
+ORACLE_SEEDS = range(20_000, 20_100)  # criterion 1's instances
 
 # 48 nodes with 150 slots per datacenter and a 1.2 cushion: most epochs fail
 # placement, two also leave volume unassigned (t_left notes), and four
@@ -57,6 +63,30 @@ def write_plan(path: Path) -> None:
     plan.dump(str(path))
 
 
+def oracle_reprs() -> dict[str, dict[str, str]]:
+    """Exact reprs of every ``OracleResult`` field, per seed. Arrays go
+    through ``tolist()`` so that each float keeps all of its digits."""
+    out = {}
+    for seed in ORACLE_SEEDS:
+        topo, traffic, lib, params = random_tiny_instance(seed)
+        res = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        out[str(seed)] = {
+            "objective": repr(res.objective),
+            "handled": repr(res.handled),
+            "volumes": repr(res.volumes.tolist()),
+            "f": repr(res.f.tolist()),
+            "n_dc": repr(res.n_dc),
+            "search_nodes": repr(res.search_nodes),
+        }
+    return out
+
+
+def write_oracle(path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(oracle_reprs(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def test_simulation_reports_byte_identical(tmp_path):
     write_sim_reports(tmp_path)
     for name in ("epochs.csv", "summary.json"):
@@ -76,8 +106,14 @@ def test_forwarding_plan_byte_identical(tmp_path):
     assert path.read_bytes() == PLAN_PATH.read_bytes()
 
 
+def test_oracle_bytes():
+    assert oracle_reprs() == json.loads(ORACLE_PATH.read_text())
+
+
 if __name__ == "__main__":
     SIM_DIR.mkdir(parents=True, exist_ok=True)
     write_sim_reports(SIM_DIR)
     write_plan(PLAN_PATH)
-    print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json and {PLAN_PATH}")
+    write_oracle(ORACLE_PATH)
+    print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json, {PLAN_PATH} "
+          f"and {ORACLE_PATH}")

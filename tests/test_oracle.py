@@ -3,14 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scrubsim import oracle
 from scrubsim.defense_graphs import ANALYSIS, AnnotatedGraph, AttackType, LogicalModule
 from scrubsim.errors import OracleSizeError
 from scrubsim.oracle import (
+    ComparisonRow,
     OracleInstance,
+    _max_handled_tables,
     _min_cost_transport,
     oracle_comparison,
     oracle_exact,
+    gap_summary,
     random_tiny_instance,
 )
 from scrubsim.resource_manager import dsp_greedy, evaluate_cost, place_all
@@ -125,8 +131,73 @@ class TestOracleExact:
         assert np.array_equal(a.volumes, b.volumes)
 
 
+def reference_max_handled(tuples_by_dc, d, rem, memo):
+    """The recursive memo the suffix tables replaced: the most units
+    datacenters d.. take from the remaining supply rem."""
+    if d == len(tuples_by_dc):
+        return 0
+    got = memo.get((d, rem))
+    if got is not None:
+        return got
+    best = 0
+    for combo in tuples_by_dc[d]:
+        if all(v <= r for v, r in zip(combo, rem)):
+            best = max(best, sum(combo) + reference_max_handled(
+                tuples_by_dc, d + 1, tuple(r - v for r, v in zip(rem, combo)), memo))
+    memo[(d, rem)] = best
+    return best
+
+
+def assert_tables_match_reference(tuples_by_dc, supply, tables):
+    assert len(tables) == len(tuples_by_dc) + 1
+    memo = {}
+    for d, table in enumerate(tables):
+        assert table.shape == tuple(s + 1 for s in supply)
+        for rem in itertools.product(*(range(s + 1) for s in supply)):
+            assert table[rem] == reference_max_handled(tuples_by_dc, d, rem, memo), (d, rem)
+
+
+@st.composite
+def downward_closed_tuple_sets(draw):
+    """1-2 attacks, 1-3 datacenters; each datacenter's tuples are every grid
+    point under a few drawn corners, in lexicographic order, like the link-
+    and compute-bounded sets the oracle builds."""
+    n_a = draw(st.integers(1, 2))
+    n_d = draw(st.integers(1, 3))
+    supply = tuple(draw(st.lists(st.integers(0, 6), min_size=n_a, max_size=n_a)))
+    point = st.tuples(*(st.integers(0, s) for s in supply))
+    tuples_by_dc = []
+    for _ in range(n_d):
+        corners = draw(st.lists(point, min_size=0, max_size=3))
+        tuples_by_dc.append([
+            c for c in itertools.product(*(range(s + 1) for s in supply))
+            if any(all(v <= m for v, m in zip(c, corner)) for corner in corners)])
+    return tuples_by_dc, supply
+
+
+class TestMaxHandledTables:
+    @settings(max_examples=200, deadline=None)
+    @given(downward_closed_tuple_sets())
+    def test_matches_recursive_memo_at_every_remaining_supply(self, case):
+        tuples_by_dc, supply = case
+        assert_tables_match_reference(tuples_by_dc, supply,
+                                      _max_handled_tables(tuples_by_dc, supply))
+
+    def test_uneven_attacks_and_datacenters(self):
+        # Datacenter 0 takes at most 2 of attack 0 or 1 of attack 1; datacenter
+        # 1 takes at most 3 units in all, but only of attack 1.
+        tuples_by_dc = [[(0, 0), (0, 1), (1, 0), (2, 0)],
+                        [(0, 0), (0, 1), (0, 2), (0, 3)]]
+        tables = _max_handled_tables(tuples_by_dc, (3, 2))
+        assert tables[0][3, 2] == 4  # 2 of attack 0 at dc0, 2 of attack 1 at dc1
+        assert tables[1][3, 2] == 2
+        assert tables[0][0, 0] == 0
+        assert not tables[2].any()
+        assert_tables_match_reference(tuples_by_dc, (3, 2), tables)
+
+
 class TestAgainstNaiveEnumeration:
-    def test_matches_direct_grid_search(self):
+    def test_matches_direct_grid_search(self, monkeypatch):
         # Single-module graph (placement cost is zero by construction), two
         # pops, two datacenters, delta=0.25: small enough to enumerate every
         # grid assignment directly and replay the lexicographic objective.
@@ -134,6 +205,14 @@ class TestAgainstNaiveEnumeration:
         topo = make_topo(2, [make_dc(0, 6.0, 99), make_dc(1, 99.0, 99)],
                          [[1.0, 5.0], [4.0, 2.0]])
         traffic = np.array([[8.0], [8.0]])
+        calls = []
+
+        def spy(tuples_by_dc, supply):
+            tables = _max_handled_tables(tuples_by_dc, supply)
+            calls.append((tuples_by_dc, supply, tables))
+            return tables
+
+        monkeypatch.setattr(oracle, "_max_handled_tables", spy)
         res = oracle_exact(OracleInstance(delta=0.25), topo, traffic, lib,
                            CostParams())
 
@@ -158,6 +237,13 @@ class TestAgainstNaiveEnumeration:
         assert res.handled == pytest.approx(want_handled)
         assert res.objective == pytest.approx(want_cost)
 
+        # h_star: 8 supply units, at most 3 of them (6 Gbps) into dc0.
+        [(tuples_by_dc, supply, tables)] = calls
+        assert supply == (8,)
+        assert tuples_by_dc == [[(u,) for u in range(4)], [(u,) for u in range(9)]]
+        assert tables[0][supply] == round(want_handled / q) == 8
+        assert_tables_match_reference(tuples_by_dc, supply, tables)
+
 
 class TestComparisonRunner:
     def test_rows_and_handled_equality(self):
@@ -170,3 +256,17 @@ class TestComparisonRunner:
                 assert r.counterexample is not None
             else:
                 assert r.counterexample is None
+
+    def test_gap_summary(self):
+        def row(gap, handled_oracle=10.0):
+            return ComparisonRow(seed=0, handled_greedy=10.0, handled_oracle=handled_oracle,
+                                 cost_greedy=1.0, cost_oracle=1.0, gap=gap, runtime_s=0.0)
+
+        rows = [row(0.0), row(0.05), row(0.2), row(0.5, handled_oracle=12.0), row(math.inf)]
+        stats = gap_summary(rows)
+        assert stats["median_gap"] == 0.2
+        # p90 interpolates over the four finite gaps: 0.2 + 0.7 * (0.5 - 0.2).
+        assert stats["p90_gap"] == pytest.approx(0.41)
+        assert stats["max_gap"] == math.inf
+        assert stats["over_10pct"] == 3
+        assert stats["handled_equal"] == 4
