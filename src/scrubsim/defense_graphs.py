@@ -142,23 +142,6 @@ class AnnotatedGraph:
         if seen != len(self.nodes):
             raise InputError(f"{self.attack.name}: graph contains a cycle")
 
-    def topo_order(self) -> list[int]:
-        order = []
-        indeg = {n.id: 0 for n in self.nodes}
-        for _s, d, _w in self.edges:
-            indeg[d] += 1
-        queue = sorted(i for i, k in indeg.items() if k == 0)
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for s, d, _w in self.edges:
-                if s == u:
-                    indeg[d] -= 1
-                    if indeg[d] == 0:
-                        queue.append(d)
-            queue.sort()
-        return order
-
 
 @dataclass
 class VmInstance:

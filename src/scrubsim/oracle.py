@@ -266,8 +266,6 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
     def edge_cost_against_placed(a: int, i: int, my_locs: list[tuple[int, int]]) -> float:
         g = graph_of[a]
         vol = vols[a] * q
-        counts = {ni: len(locs.get((a, ni), [])) for ni in (n.id for n in g.nodes)}
-        counts[i] = len(my_locs)
         total = 0.0
         for s, d, w in g.edges:
             if s != i and d != i:
@@ -276,8 +274,8 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
             if (a, other) not in locs:
                 continue
             ev = vol * w
-            n_s = counts[s] if s == i else len(locs[(a, s)])
-            n_d = counts[d] if d == i else len(locs[(a, d)])
+            n_s = len(my_locs) if s == i else len(locs[(a, s)])
+            n_d = len(my_locs) if d == i else len(locs[(a, d)])
             if ev <= _EPS or n_s == 0 or n_d == 0:
                 continue
             per_pair = ev / (n_s * n_d)
@@ -426,6 +424,21 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
         if ok:
             best_cost = leaf_cost(greedy_v)
 
+    best_v = greedy_v.copy() if best_cost < math.inf else None
+    nodes = 0
+
+    # Every assigned unit pays at least its own cheapest column; if the
+    # incumbent already meets that bound, it is globally optimal.
+    unit_minima = sorted(
+        m for e in range(n_e) for a in range(n_a)
+        for m in [min(topo.latency[e][d] for d in range(n_d))] * int(supplies[e, a]))
+    global_lb = params.alpha * q * sum(unit_minima[:h_star])
+    if best_v is not None and best_cost <= global_lb + 1e-9:
+        return OracleResult(objective=best_cost, handled=float(best_v.sum()) * q,
+                            f=dsp.f.copy(), volumes=best_v.astype(float) * q,
+                            n_dc={k: dict(v) for k, v in dsp.n_dc.items()},
+                            search_nodes=0)
+
     # Admissible wide-area lower bound for v units of attack a into dc d: the
     # v cheapest unit costs available in that column (supplies may be
     # double-counted across columns, so this never exceeds the true cost).
@@ -446,20 +459,6 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
         sorted(tuples_by_dc[d], key=lambda c: (transport_lb(d, c), -sum(c), c))
         for d in range(n_d)
     ]
-    best_v = greedy_v.copy() if best_cost < math.inf else None
-    nodes = 0
-
-    # Every assigned unit pays at least its own cheapest column; if the
-    # incumbent already meets that bound, it is globally optimal.
-    unit_minima = sorted(
-        m for e in range(n_e) for a in range(n_a)
-        for m in [min(topo.latency[e][d] for d in range(n_d))] * int(supplies[e, a]))
-    global_lb = params.alpha * q * sum(unit_minima[:h_star])
-    if best_v is not None and best_cost <= global_lb + 1e-9:
-        return OracleResult(objective=best_cost, handled=float(best_v.sum()) * q,
-                            f=dsp.f.copy(), volumes=best_v.astype(float) * q,
-                            n_dc={k: dict(v) for k, v in dsp.n_dc.items()},
-                            search_nodes=0)
 
     # Nested lists make the per-node bound lookup cheapest.
     h_lists = [h.tolist() for h in h_tables]

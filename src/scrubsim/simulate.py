@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptation import (
+    ESTIMATORS,
+    STRATEGIES,
     AdversaryStrategy,
     Budget,
     EstimatorState,
@@ -72,6 +74,12 @@ class Scenario:
             raise InputError("epochs must be >= 1")
         if self.budget_gbps <= 0:
             raise InputError("budget must be > 0")
+        if self.adversary not in STRATEGIES:
+            raise InputError(f"unknown adversary strategy {self.adversary!r}")
+        if self.estimator not in ESTIMATORS:
+            raise InputError(f"unknown estimator {self.estimator!r}")
+        if self.gamma < 1.0:
+            raise InputError("gamma must be >= 1")
 
     def load_topology(self) -> Topology:
         if self.topology_path:

@@ -2,8 +2,8 @@
 
 The synthetic generator builds a connected random geometric graph over the
 backbone switches, attaches datacenters to a subset of PoPs (5% of backbone
-nodes), and derives the PoP-to-datacenter latency matrix from shortest-path
-hop counts.
+nodes), and derives the PoP-to-datacenter latency matrix and backbone paths
+from one breadth-first search per PoP.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import logging
 import math
 import random
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -44,9 +45,6 @@ class Rack:
     id: int
     servers: tuple[Server, ...]
 
-    def free_slots(self) -> int:
-        return sum(s.vm_slots for s in self.servers)
-
 
 @dataclass(frozen=True)
 class Datacenter:
@@ -58,12 +56,7 @@ class Datacenter:
     @property
     def compute_capacity(self) -> int:
         """Total VM slots across all servers."""
-        return sum(r.free_slots() for r in self.racks)
-
-    def servers(self):
-        for rack in self.racks:
-            for srv in rack.servers:
-                yield rack.id, srv
+        return sum(s.vm_slots for r in self.racks for s in r.servers)
 
 
 @dataclass(frozen=True)
@@ -145,58 +138,73 @@ def _components(adj: dict[int, set[int]]) -> list[list[int]]:
     seen: set[int] = set()
     out = []
     for start in adj:
-        if start in seen:
-            continue
-        group = []
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            u = queue.popleft()
-            group.append(u)
-            for v in sorted(adj[u]):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        out.append(sorted(group))
+        if start not in seen:
+            group = sorted(_bfs(adj, start)[0])
+            seen.update(group)
+            out.append(group)
     return out
 
 
-def _bfs_hops(adj: dict[int, set[int]], src: int) -> dict[int, int]:
+def _bfs(adj: dict[int, Iterable[int]], src: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Hop count and BFS-tree parent of every node reachable from `src`
+    (``prev[src] == src``). Neighbours are visited in the order `adj` gives
+    them, which breaks ties in `prev`; `_adjacency` gives them in id order."""
     dist = {src: 0}
+    prev = {src: src}
     queue = deque([src])
     while queue:
         u = queue.popleft()
-        for v in sorted(adj[u]):
+        for v in adj[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def _bfs_path(adj: dict[int, set[int]], src: int, dst: int) -> list[tuple[int, int]]:
-    """Shortest path as a list of normalized link endpoints; ties by node id."""
-    if src == dst:
-        return []
-    prev: dict[int, int] = {src: src}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        if u == dst:
-            break
-        for v in sorted(adj[u]):
-            if v not in prev:
                 prev[v] = u
                 queue.append(v)
-    if dst not in prev:
-        raise InputError(f"no backbone path between {src} and {dst}")
-    path = []
-    node = dst
-    while node != src:
-        u = prev[node]
-        path.append((min(u, node), max(u, node)))
-        node = u
-    path.reverse()
-    return path
+    return dist, prev
+
+
+def _adjacency(n_pops: int, links: list[tuple[int, int, float]],
+               attach_pops: list[int]) -> dict[int, list[int]]:
+    """Undirected backbone over pops 0..n_pops-1, neighbours in id order.
+    Every link endpoint and datacenter attach pop must name one of those pops."""
+    for pop in attach_pops:
+        if not 0 <= pop < n_pops:
+            raise InputError(f"datacenter attach_pop {pop} is not a pop id (0..{n_pops - 1})")
+    adj: dict[int, set[int]] = {i: set() for i in range(n_pops)}
+    for u, v, _cap in links:
+        if not (0 <= u < n_pops and 0 <= v < n_pops):
+            raise InputError(f"backbone link ({u}, {v}) names a node that is not "
+                             f"a pop id (0..{n_pops - 1})")
+        adj[u].add(v)
+        adj[v].add(u)
+    return {u: sorted(vs) for u, vs in adj.items()}
+
+
+def _routes(adj: dict[int, list[int]], attach_pops: list[int]
+            ) -> tuple[list[list[int]], dict[tuple[int, int], list[tuple[int, int]]]]:
+    """Hop counts ``hops[e][d]`` and shortest backbone paths ``paths[(e, d)]``
+    (normalized link endpoints, ties by node id) from every pop `e` to the
+    attach pop of every datacenter `d`, from one BFS per pop. Rooting each
+    search at `e` fixes every tie-break the way a search from `e` that
+    stopped at the attach pop would."""
+    hops = []
+    paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for e in range(len(adj)):
+        dist, prev = _bfs(adj, e)
+        row = []
+        for d, pop in enumerate(attach_pops):
+            if pop not in dist:
+                raise InputError(f"pop {e} has no backbone path to dc {d} (at pop {pop})")
+            row.append(dist[pop])
+            path = []
+            node = pop
+            while node != e:
+                u = prev[node]
+                path.append((min(u, node), max(u, node)))
+                node = u
+            path.reverse()
+            paths[(e, d)] = path
+        hops.append(row)
+    return hops, paths
 
 
 def _build_racks(total_slots: int, n_racks: int, servers_per_rack: int) -> tuple[Rack, ...]:
@@ -251,20 +259,14 @@ def generate_topology(
         for d, pop in enumerate(dc_pops)
     ]
 
-    latency = [[0.0] * n_dcs for _ in range(n_backbone)]
-    paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for d, pop in enumerate(dc_pops):
-        hops = _bfs_hops(adj, pop)
-        for e in range(n_backbone):
-            latency[e][d] = hops[e] * hop_cost
-            paths[(e, d)] = _bfs_path(adj, e, pop)
-
     links = [
         (u, v, DEFAULT_BACKBONE_GBPS)
         for u in sorted(adj)
         for v in sorted(adj[u])
         if u < v
     ]
+    hops, paths = _routes(_adjacency(n_backbone, links, dc_pops), dc_pops)
+    latency = [[h * hop_cost for h in row] for row in hops]
     topo = Topology(pops=pops, datacenters=dcs, latency=latency,
                     backbone_links=links, paths=paths)
     topo.validate()
@@ -282,17 +284,15 @@ def path_cost_comparison(
     """
     if not flows:
         raise InputError("path_cost_comparison: flows must be nonempty")
-    adj: dict[int, set[int]] = {p.id: set() for p in topo.pops}
-    for u, v, _cap in topo.backbone_links:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = _adjacency(len(topo.pops), topo.backbone_links,
+                     [dc.attach_pop for dc in topo.datacenters])
     hops_from: dict[int, dict[int, int]] = {}
 
     def dist(a: int, b: int) -> int:
         if a not in adj or b not in adj:
             raise InputError(f"unknown node in flow or chokepoint: {a if a not in adj else b}")
         if a not in hops_from:
-            hops_from[a] = _bfs_hops(adj, a)
+            hops_from[a] = _bfs(adj, a)[0]
         if b not in hops_from[a]:
             raise InputError(f"nodes {a} and {b} are disconnected")
         return hops_from[a][b]
@@ -345,30 +345,18 @@ def topology_from_config(cfg: dict) -> Topology:
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed topology config: {exc}") from exc
 
-    adj: dict[int, set[int]] = {p.id: set() for p in pops}
-    for u, v, _cap in links:
-        adj[u].add(v)
-        adj[v].add(u)
-
+    attach_pops = [dc.attach_pop for dc in dcs]
+    adj = _adjacency(len(pops), links, attach_pops)
     lat_cfg = cfg.get("latency", "derive")
-    if lat_cfg == "derive":
-        latency = [[0.0] * len(dcs) for _ in pops]
-        for d, dc in enumerate(dcs):
-            hops = _bfs_hops(adj, dc.attach_pop)
-            for e in range(len(pops)):
-                if e not in hops:
-                    raise InputError(f"pop {e} disconnected from dc {d}")
-                latency[e][d] = hops[e] * DEFAULT_HOP_COST
+    if links or lat_cfg == "derive":
+        hops, paths = _routes(adj, attach_pops)
     else:
-        latency = [[float(v) for v in row] for row in lat_cfg]
-
-    paths = {}
-    for d, dc in enumerate(dcs):
-        for e in range(len(pops)):
-            paths[(e, d)] = _bfs_path(adj, e, dc.attach_pop) if links else []
-    if not links:
         # Degenerate configs without a backbone still need path entries.
         paths = {(e, d): [] for e in range(len(pops)) for d in range(len(dcs))}
+    if lat_cfg == "derive":
+        latency = [[h * DEFAULT_HOP_COST for h in row] for row in hops]
+    else:
+        latency = [[float(v) for v in row] for row in lat_cfg]
 
     topo = Topology(pops=pops, datacenters=dcs, latency=latency,
                     backbone_links=links, paths=paths)

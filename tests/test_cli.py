@@ -57,6 +57,31 @@ def test_topo_gen_and_dsp_pipeline(tmp_path):
     assert counts["tag_rules"] > 0
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("links", [[0, 5, 100]], "backbone link (0, 5)"),
+    ("attach_pop", 9, "attach_pop 9"),
+])
+def test_rm_dsp_topology_outside_pop_range_exit_2(tmp_path, field, value, message):
+    dc = {"link_capacity_gbps": 10, "racks": [[4, 4]], "attach_pop": 2}
+    cfg = {"pops": ["a", "b", "c"], "dcs": [dc], "latency": "derive",
+           "links": [[0, 1, 100], [1, 2, 100]]}
+    if field == "links":
+        cfg["links"] = value
+    else:
+        dc["attach_pop"] = value
+    topo_path = tmp_path / "topo.json"
+    topo_path.write_text(json.dumps(cfg))
+    traffic_path = tmp_path / "traffic.json"
+    write_traffic(traffic_path, [[1.0, 0.0, 0.0, 0.0]] * 3)
+    out = tmp_path / "dsp.json"
+    res = CliRunner().invoke(main, ["rm", "dsp", "--topo", str(topo_path),
+                                    "--traffic", str(traffic_path), "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
+    assert not out.exists()
+
+
 def test_graph_validate_and_demand(tmp_path):
     runner = CliRunner()
     lib_path = tmp_path / "graphs.json"
@@ -212,6 +237,25 @@ def test_simulate_bad_scenario_exit_2(tmp_path):
     res = runner.invoke(main, ["simulate", "--scenario", str(sc_path),
                                "--out-dir", str(tmp_path / "o")])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"gamma": 0.5}, "gamma must be >= 1"),
+    ({"adversary": "nosuch"}, "unknown adversary strategy 'nosuch'"),
+    ({"estimator": "nosuch"}, "unknown estimator 'nosuch'"),
+])
+def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
+    runner = CliRunner()
+    sc_path = tmp_path / "scenario.json"
+    sc_path.write_text(json.dumps({"version": 1, "epochs": 2, "budget_gbps": 1,
+                                   "adversary": "steady", "estimator": "fpl",
+                                   "topology_nodes": 8, **bad}))
+    res = runner.invoke(main, ["simulate", "--scenario", str(sc_path),
+                               "--out-dir", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and message in res.output
+    assert not (tmp_path / "o").exists()
 
 
 def test_simulate_infeasible_exit_3(tmp_path):

@@ -1,14 +1,17 @@
-"""Byte-stability goldens for the simulator reports, one forwarding plan and
-the exact oracle.
+"""Byte-stability goldens for the simulator reports, one forwarding plan, the
+exact oracle and the generated topologies.
 
 The files under ``tests/data/`` pin the exact bytes of ``epochs.csv``,
-``summary.json`` and ``ForwardingPlan.dump()``, and the exact reprs of
-``oracle_exact``'s results on criterion 1's instances. A change that alters
-them on purpose regenerates them and says why:
+``summary.json`` and ``ForwardingPlan.dump()``, the exact reprs of
+``oracle_exact``'s results on criterion 1's instances, and SHA-256 digests of
+the latency, paths and links of generated topologies and of their config
+round trips. A change that alters them on purpose regenerates them and says
+why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -23,13 +26,16 @@ from scrubsim.orchestration import (
 )
 from scrubsim.resource_manager import dsp_greedy, place_all
 from scrubsim.simulate import Scenario, emit_report, run_simulation
-from scrubsim.topology import generate_topology
+from scrubsim.topology import generate_topology, topology_from_config, topology_to_config
 
 DATA = Path(__file__).parent / "data"
 SIM_DIR = DATA / "golden_sim"
 PLAN_PATH = DATA / "golden_plan.json"
 ORACLE_PATH = DATA / "golden_oracle.json"
 ORACLE_SEEDS = range(20_000, 20_100)  # criterion 1's instances
+TOPOLOGY_PATH = DATA / "golden_topology.json"
+# (nodes, seed): the 2-node clamp, small and paper-scale graphs, and 400 nodes.
+TOPOLOGY_CASES = [(2, 1), (24, 0), (48, 6), (100, 5), (196, 1), (196, 7), (400, 1)]
 
 # 48 nodes with 150 slots per datacenter and a 1.2 cushion: most epochs fail
 # placement, two also leave volume unassigned (t_left notes), and four
@@ -87,6 +93,42 @@ def write_oracle(path: Path) -> None:
         fh.write("\n")
 
 
+def _sha(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def _sorted_paths(topo) -> list:
+    return sorted([e, d, path] for (e, d), path in topo.paths.items())
+
+
+def topology_digests() -> dict[str, dict[str, str]]:
+    """Per (nodes, seed): digests of the generated latency, paths, links and
+    config, and of ``topology_from_config`` on that config with its explicit
+    latency and with ``"latency": "derive"``."""
+    out = {}
+    for nodes, seed in TOPOLOGY_CASES:
+        topo = generate_topology(nodes, dc_slot_capacity=4000, seed=seed)
+        cfg = topology_to_config(topo)
+        row = {
+            "latency": _sha(topo.latency),
+            "paths": _sha(_sorted_paths(topo)),
+            "links": _sha(topo.backbone_links),
+            "config": _sha(cfg),
+        }
+        for mode, mode_cfg in (("explicit", cfg), ("derive", dict(cfg, latency="derive"))):
+            loaded = topology_from_config(mode_cfg)
+            row[mode] = _sha([loaded.latency, _sorted_paths(loaded),
+                              topology_to_config(loaded)])
+        out[f"{nodes},{seed}"] = row
+    return out
+
+
+def write_topology(path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(topology_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def test_simulation_reports_byte_identical(tmp_path):
     write_sim_reports(tmp_path)
     for name in ("epochs.csv", "summary.json"):
@@ -110,10 +152,15 @@ def test_oracle_bytes():
     assert oracle_reprs() == json.loads(ORACLE_PATH.read_text())
 
 
+def test_topology_digests():
+    assert topology_digests() == json.loads(TOPOLOGY_PATH.read_text())
+
+
 if __name__ == "__main__":
     SIM_DIR.mkdir(parents=True, exist_ok=True)
     write_sim_reports(SIM_DIR)
     write_plan(PLAN_PATH)
     write_oracle(ORACLE_PATH)
-    print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json, {PLAN_PATH} "
-          f"and {ORACLE_PATH}")
+    write_topology(TOPOLOGY_PATH)
+    print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json, {PLAN_PATH}, "
+          f"{ORACLE_PATH} and {TOPOLOGY_PATH}")

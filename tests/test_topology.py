@@ -1,10 +1,15 @@
 import math
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrubsim.errors import InputError
 from scrubsim.topology import (
+    _adjacency,
+    _routes,
     CostParams,
     Datacenter,
     Pop,
@@ -38,6 +43,47 @@ def bfs_hops_oracle(links, src):
                     nxt.append(v)
         frontier = nxt
     return dist
+
+
+def per_pair_bfs_path(adj, src, dst):
+    """Reference: the one-search-per-(pop, datacenter) shortest path that
+    `_routes` must reproduce, ties by node id."""
+    if src == dst:
+        return []
+    prev = {src: src}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        if u == dst:
+            break
+        for v in sorted(adj[u]):
+            if v not in prev:
+                prev[v] = u
+                queue.append(v)
+    if dst not in prev:
+        raise InputError(f"no backbone path between {src} and {dst}")
+    path = []
+    node = dst
+    while node != src:
+        u = prev[node]
+        path.append((min(u, node), max(u, node)))
+        node = u
+    path.reverse()
+    return path
+
+
+@st.composite
+def backbones(draw):
+    """A random backbone (possibly disconnected, possibly with no links) and
+    the attach pops of 1-4 datacenters."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    density = draw(st.sampled_from((0.0, 0.15, 0.3, 0.6, 1.0)))
+    picks = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    links = [(u, v, 100.0) for (u, v), x in zip(pairs, picks) if x < density]
+    draw(st.randoms()).shuffle(links)
+    attach = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    return n, links, attach
 
 
 def triangle_topology():
@@ -166,6 +212,46 @@ class TestPathCostComparison:
         assert central == expect_central
 
 
+class TestRoutes:
+    @settings(max_examples=300, deadline=None)
+    @given(backbones())
+    def test_matches_per_pair_searches(self, backbone):
+        n, links, attach = backbone
+        sets = {i: set() for i in range(n)}
+        for u, v, _cap in links:
+            sets[u].add(v)
+            sets[v].add(u)
+        reach = [bfs_hops_oracle(links, pop) for pop in attach]
+        adj = _adjacency(n, links, attach)
+        cfg = {"pops": [f"p{i}" for i in range(n)], "latency": "derive",
+               "dcs": [{"link_capacity_gbps": 10, "racks": [[1]], "attach_pop": pop}
+                       for pop in attach],
+               "links": [list(link) for link in links]}
+        if any(e not in hops for hops in reach for e in range(n)):
+            with pytest.raises(InputError):
+                _routes(adj, attach)
+            with pytest.raises(InputError):
+                topology_from_config(cfg)
+            return
+        want_paths = {(e, d): per_pair_bfs_path(sets, e, pop)
+                      for d, pop in enumerate(attach) for e in range(n)}
+        hops, paths = _routes(adj, attach)
+        assert hops == [[reach[d][e] for d in range(len(attach))] for e in range(n)]
+        assert paths == want_paths
+        topo = topology_from_config(cfg)
+        assert topo.latency == [[h * 10.0 for h in row] for row in hops]
+        assert topo.paths == want_paths
+
+    def test_neighbours_visited_in_id_order(self):
+        # Two equal-length paths 0-1-3 and 0-2-3: the lower id wins the tie
+        # whatever order the links come in.
+        links = [(2, 3, 1.0), (0, 2, 1.0), (1, 3, 1.0), (0, 1, 1.0)]
+        hops, paths = _routes(_adjacency(4, links, [3]), [3])
+        assert hops[0] == [2]
+        assert paths[(0, 0)] == [(0, 1), (1, 3)]
+        assert paths[(3, 0)] == []
+
+
 class TestCostParams:
     def test_inter_must_dominate_intra(self):
         with pytest.raises(InputError):
@@ -198,3 +284,47 @@ class TestConfigRoundTrip:
     def test_malformed_config(self):
         with pytest.raises(InputError):
             topology_from_config({"pops": ["a"]})
+
+    @pytest.mark.parametrize("latency", ["derive", [[0.0], [10.0], [20.0]]])
+    @pytest.mark.parametrize("links, attach_pop, message", [
+        ([[0, 5, 100]], 0, r"backbone link \(0, 5\)"),
+        ([[0, 3, 100]], 0, r"backbone link \(0, 3\)"),
+        ([[-1, 1, 100]], 0, r"backbone link \(-1, 1\)"),
+        ([[0, 1, 100], [1, 2, 100]], 9, "attach_pop 9"),
+        ([[0, 1, 100], [1, 2, 100]], 3, "attach_pop 3"),
+        ([[0, 1, 100], [1, 2, 100]], -1, "attach_pop -1"),
+    ])
+    def test_node_outside_pop_range(self, latency, links, attach_pop, message):
+        cfg = {
+            "pops": ["a", "b", "c"],
+            "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": attach_pop}],
+            "latency": latency,
+            "links": links,
+        }
+        with pytest.raises(InputError, match=message):
+            topology_from_config(cfg)
+
+    def test_path_cost_comparison_rejects_link_outside_pop_range(self):
+        topo = triangle_topology()
+        topo.backbone_links.append((2, 7, 100.0))
+        with pytest.raises(InputError, match=r"backbone link \(2, 7\)"):
+            path_cost_comparison(topo, [(0, 1)], chokepoint=0)
+
+    def test_disconnected_derive_rejected(self):
+        cfg = {
+            "pops": ["a", "b", "c"],
+            "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 0}],
+            "latency": "derive",
+            "links": [[0, 1, 100]],
+        }
+        with pytest.raises(InputError, match="pop 2 has no backbone path to dc 0"):
+            topology_from_config(cfg)
+
+    def test_no_backbone_explicit_latency_keeps_empty_paths(self):
+        cfg = {
+            "pops": ["a", "b"],
+            "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 1}],
+            "latency": [[5.0], [0.0]],
+        }
+        topo = topology_from_config(cfg)
+        assert topo.paths == {(0, 0): [], (1, 0): []}
