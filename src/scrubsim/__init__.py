@@ -30,7 +30,6 @@ from .orchestration import (
     TagPool,
     assign_tags,
     build_tag_pools,
-    load_balance_pick,
     pin_bidirectional,
     rule_count_comparison,
     synthesize_rules,
@@ -60,8 +59,6 @@ from .topology import (
     Pop,
     Topology,
     generate_topology,
-    latency_cost,
-    path_cost_comparison,
 )
 
 __version__ = "0.1.0"

@@ -33,7 +33,7 @@ def _load_traffic(path: str, topo, lib) -> np.ndarray:
             data = json.load(fh)
         matrix = np.asarray(data["traffic"] if isinstance(data, dict) else data,
                             dtype=float)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         _fail(f"cannot read traffic file {path}: {exc}")
     try:
         from .resource_manager import validate_traffic
@@ -54,7 +54,7 @@ def _load_lib(path: str | None):
         return defense_graphs.builtin_library()
     try:
         return defense_graphs.load_library(path)
-    except (OSError, InputError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, InputError, json.JSONDecodeError) as exc:
         _fail(f"cannot load graph library {path}: {exc}")
 
 
@@ -259,9 +259,16 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
 @click.option("--plan", "plan_path", type=click.Path(exists=True), required=True)
 @click.option("--flows", type=int, required=True)
 def orch_count(plan_path, flows):
-    with open(plan_path) as fh:
-        data = json.load(fh)
-    per_switch = {sw: len(rules) for sw, rules in data.get("dc_tables", {}).items()}
+    try:
+        with open(plan_path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:
+        _fail(f"cannot read plan {plan_path}: {exc}")
+    tables = data.get("dc_tables", {}) if isinstance(data, dict) else None
+    if not (isinstance(tables, dict) and all(isinstance(r, list) for r in tables.values())):
+        _fail(f"cannot read plan {plan_path}: expected an object whose dc_tables "
+              f"maps switches to rule lists")
+    per_switch = {sw: len(rules) for sw, rules in tables.items()}
     tag_rules = max(per_switch.values(), default=0)
     click.echo(json.dumps({
         "tag_rules": tag_rules,
@@ -374,7 +381,7 @@ def simulate_cmd(scenario_path, out_dir, seed_override):
     try:
         with open(scenario_path) as fh:
             cfg = json.load(fh)
-        if "seed" not in cfg and seed_override is not None:
+        if isinstance(cfg, dict) and "seed" not in cfg and seed_override is not None:
             cfg["seed"] = seed_override
         sc = simulate.Scenario.from_config(cfg)
         # Resolve all referenced inputs before epoch 0 so config problems

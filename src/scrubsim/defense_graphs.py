@@ -21,7 +21,9 @@ RESPONSE = "response"
 # heavier than response actions like logging or dropping.
 DEFAULT_P = {ANALYSIS: 5.0, RESPONSE: 10.0}
 
-_CEIL_EPS = 1e-9
+# Slack taken off before a VM count is rounded up, so float noise on an
+# exact multiple of a module's capacity does not add a VM.
+CEIL_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -172,7 +174,7 @@ def node_demand_vms(g: AnnotatedGraph, i: int, t_gbps: float) -> int:
     load = t_gbps * g.share(i)
     if load <= 0:
         return 0
-    return math.ceil(load / g.node(i).capacity_gbps - _CEIL_EPS)
+    return math.ceil(load / g.node(i).capacity_gbps - CEIL_EPS)
 
 
 def graph_compute_factor(g: AnnotatedGraph) -> float:
@@ -193,7 +195,7 @@ def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:
     bottleneck = min(
         n.capacity_gbps / g.share(n.id) for n in g.nodes if g.share(n.id) > 0
     )
-    return math.ceil(t_gbps / bottleneck - _CEIL_EPS)
+    return math.ceil(t_gbps / bottleneck - CEIL_EPS)
 
 
 def build_physical_graph(g: AnnotatedGraph, dc_id: int, t_gbps: float,
@@ -320,6 +322,8 @@ def graph_from_config(cfg: dict) -> AnnotatedGraph:
 def load_library(path: str) -> dict[AttackType, AnnotatedGraph]:
     with open(path) as fh:
         data = json.load(fh)
+    if not (isinstance(data, dict) and isinstance(data.get("graphs"), list)):
+        raise InputError('a graph library is a JSON object with a "graphs" list')
     graphs = [graph_from_config(item) for item in data["graphs"]]
     return {g.attack: g for g in graphs}
 

@@ -37,10 +37,12 @@ from .defense_graphs import (
     LogicalModule,
     build_physical_graph,
     graph_compute_factor,
+    node_demand_vms,
     ordered_graphs,
 )
 from .errors import OracleSizeError, PlacementError
 from .resource_manager import (
+    SlotTable,
     dsp_greedy,
     evaluate_cost,
     place_all,
@@ -50,7 +52,6 @@ from .resource_manager import (
 from .topology import CostParams, Datacenter, Pop, Rack, Server, Topology
 
 _EPS = 1e-9
-_CEIL_EPS = 1e-9
 
 MAX_POPS = 3
 MAX_DCS = 3
@@ -221,34 +222,27 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
     upper bound, so the result never exceeds what the heuristic would pay.
     """
     servers = [(rack.id, srv.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
-    groups = []  # (attack index, node id, count)
-    for a, g in enumerate(graphs):
-        vol = vols[a] * q
-        if vol <= _EPS:
-            continue
-        for n in g.nodes:
-            load = vol * g.share(n.id)
-            count = math.ceil(load / n.capacity_gbps - _CEIL_EPS) if load > _EPS else 0
-            if count > 0:
-                groups.append((a, n.id, count))
+    counts_by_attack = {
+        a: {n.id: node_demand_vms(g, n.id, vols[a] * q) for n in g.nodes}
+        for a, g in enumerate(graphs) if vols[a] * q > _EPS
+    }
+    # (attack index, node id, count)
+    groups = [(a, i, c) for a, counts in counts_by_attack.items()
+              for i, c in counts.items() if c > 0]
     if not groups:
         return 0.0
     if sum(c for _a, _i, c in groups) > sum(s[2] for s in servers):
         return math.inf
 
     # Greedy incumbent: run the server-selection heuristic on the same demand.
-    used: dict[tuple[int, int], int] = {}
+    slots = SlotTable(dc)
     incumbent = 0.0
     feasible = True
-    for a, g in enumerate(graphs):
-        vol = vols[a] * q
-        if vol <= _EPS:
-            continue
-        counts = {n.id: math.ceil(vol * g.share(n.id) / n.capacity_gbps - _CEIL_EPS)
-                  if vol * g.share(n.id) > _EPS else 0 for n in g.nodes}
-        pg = build_physical_graph(g, dc.id, vol, counts)
+    for a, counts in counts_by_attack.items():
+        g = graphs[a]
+        pg = build_physical_graph(g, dc.id, vols[a] * q, counts)
         try:
-            res = ssp_greedy(dc, pg, {g.attack: g}, used)
+            res = ssp_greedy(dc, pg, {g.attack: g}, slots)
         except PlacementError:
             feasible = False
             break
@@ -520,11 +514,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
             if vol <= _EPS:
                 continue
             g = graphs[a]
-            n_dc[(d, a)] = {
-                n.id: (math.ceil(vol * g.share(n.id) / n.capacity_gbps - _CEIL_EPS)
-                       if vol * g.share(n.id) > _EPS else 0)
-                for n in g.nodes
-            }
+            n_dc[(d, a)] = {n.id: node_demand_vms(g, n.id, vol) for n in g.nodes}
 
     return OracleResult(objective=best_cost, handled=float(best_v.sum()) * q,
                         f=f, volumes=best_v.astype(float) * q, n_dc=n_dc,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .defense_graphs import (
+    CEIL_EPS,
     AnnotatedGraph,
     AttackType,
     PhysicalGraph,
@@ -28,7 +29,6 @@ from .errors import InputError, PlacementError
 from .topology import CostParams, Datacenter, Topology
 
 EPS = 1e-9
-_CEIL_EPS = 1e-9
 
 
 def validate_traffic(traffic: np.ndarray, topo: Topology,
@@ -118,7 +118,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
         have = charged.get((d, a), {})
         inc = 0
         for i, r in rates[a].items():
-            new = math.ceil(cur.get(i, 0.0) + x * r - _CEIL_EPS)
+            new = math.ceil(cur.get(i, 0.0) + x * r - CEIL_EPS)
             inc += max(0, new - have.get(i, 0))
         return inc
 
@@ -169,7 +169,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
                 have = charged[(d, a)] = {n.id: 0 for n in g.nodes}
             inc = 0
             for i, r in rates[a].items():
-                new = math.ceil(node_demand[i] + t_assigned * r - _CEIL_EPS)
+                new = math.ceil(node_demand[i] + t_assigned * r - CEIL_EPS)
                 if new > have[i]:
                     inc += new - have[i]
                     have[i] = new
@@ -193,7 +193,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             counts = dict(charged[(d, a)])
         else:
             counts = {
-                i: math.ceil(v - _CEIL_EPS) if v > EPS else 0
+                i: math.ceil(v - CEIL_EPS) if v > EPS else 0
                 for i, v in node_demand.items()
             }
         n_dc[(d, a)] = counts
@@ -217,7 +217,7 @@ def overprovision(dsp: DspResult, gamma: float,
         return dsp
     graphs = ordered_graphs(lib)
     n_dc = {
-        key: {i: math.ceil(c * gamma - _CEIL_EPS) if c else 0
+        key: {i: math.ceil(c * gamma - CEIL_EPS) if c else 0
               for i, c in counts.items()}
         for key, counts in dsp.n_dc.items()
     }
@@ -274,89 +274,89 @@ def _edge_units(graph: AnnotatedGraph, t_gbps: float,
     return intra, inter
 
 
+class SlotTable:
+    """Free VM slots of one datacenter's servers, shared by every graph
+    placed there. Servers sit in (rack id, server id) order, so a server's
+    position ranks it among equally free ones and each rack spans one run
+    of positions."""
+
+    def __init__(self, dc: Datacenter):
+        self.servers: list[tuple[int, int]] = []  # position -> (rack id, server id)
+        self.free: list[int] = []  # position -> free slots
+        self.rack_spans: dict[int, range] = {}  # rack id -> its positions
+        for rack in sorted(dc.racks, key=lambda r: r.id):
+            start = len(self.servers)
+            for srv in sorted(rack.servers, key=lambda s: s.id):
+                self.servers.append((rack.id, srv.id))
+                self.free.append(srv.vm_slots)
+            self.rack_spans[rack.id] = range(start, len(self.servers))
+
+
 def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                lib: dict[AttackType, AnnotatedGraph],
-               used_slots: dict[tuple[int, int], int] | None = None) -> SspResult:
+               slots: SlotTable | None = None) -> SspResult:
     """Place a physical graph's VM instances onto the datacenter's servers,
     keeping each logical node's replicas (and, transitively, its
     predecessors) on one server or at least one rack where possible.
 
-    `used_slots` lets callers share server occupancy across several graphs
-    placed into the same datacenter; it is updated in place.
+    `slots` is the datacenter's free-slot table; callers placing several
+    graphs into one datacenter pass the same table to each, and every
+    placement, including those made before a `PlacementError`, is taken
+    from it. Without one, the graph gets an empty datacenter.
     """
     graph = lib[pg.attack]
-    used = used_slots if used_slots is not None else {}
-
-    def free(rack_id: int, srv_id: int, slots: int) -> int:
-        return slots - used.get((rack_id, srv_id), 0)
-
-    # Servers in (rack id, server id) order with their free slots; a
-    # server's position in this order ranks it among equally free ones.
-    # Bisecting finds a server's position, or a rack's span of positions.
-    servers = sorted([(rack.id, srv.id, srv.vm_slots)
-                      for rack in dc.racks for srv in rack.servers])
-    free_list = [slots - used.get((rack_id, srv_id), 0) for rack_id, srv_id, slots in servers]
-
-    def position(rack_id: int, srv_id: int) -> int:
-        return bisect_left(servers, (rack_id, srv_id))
-
-    def rack_span(rack_id: int) -> range:
-        return range(bisect_left(servers, (rack_id,)), bisect_left(servers, (rack_id + 1,)))
+    if slots is None:
+        slots = SlotTable(dc)
+    servers, free, spans = slots.servers, slots.free, slots.rack_spans
 
     placements: dict[tuple[int, int], tuple[int, int]] = {}
     n_srv: dict[tuple[int, int, int], int] = {}
-    placed: set[int] = set()
+    hosts: dict[int, set[int]] = {}  # node id -> positions of its servers
     pending = {i for i, insts in pg.instances.items() if insts}
     # Nodes with no instances are trivially placed.
-    placed |= {n.id for n in graph.nodes if n.id not in pending}
+    placed = {n.id for n in graph.nodes if n.id not in pending}
+    preds = {i: graph.predecessors(i) for i in pending}
 
-    def place_on(node_id: int, start_idx: int, count: int, rack_id: int, srv_id: int) -> None:
+    def place_on(node_id: int, start_idx: int, count: int, pos: int) -> None:
+        loc = servers[pos]
         for k in range(start_idx, start_idx + count):
-            placements[(node_id, k)] = (rack_id, srv_id)
-        used[(rack_id, srv_id)] = used.get((rack_id, srv_id), 0) + count
-        free_list[position(rack_id, srv_id)] -= count
-        key = (node_id, rack_id, srv_id)
+            placements[(node_id, k)] = loc
+        free[pos] -= count
+        hosts.setdefault(node_id, set()).add(pos)
+        key = (node_id, *loc)
         n_srv[key] = n_srv.get(key, 0) + count
 
-    def emptiest_fitting(positions: list[int], count: int) -> int | None:
+    def emptiest_fitting(positions: Iterable[int], count: int) -> int | None:
         """The freest of `positions` that fits `count`, lowest on ties."""
-        best = max(((free_list[i], -i) for i in positions if free_list[i] >= count),
-                   default=None)
+        best = max(((free[i], -i) for i in positions if free[i] >= count), default=None)
         return None if best is None else -best[1]
 
     def localize(node_id: int, count: int) -> None:
-        pred_servers = set()
-        for p in graph.predecessors(node_id):
-            for inst in pg.instances.get(p, []):
-                loc = placements.get((p, inst.index))
-                if loc is not None:
-                    pred_servers.add(loc)
-        pred_racks = {rack_id for rack_id, _srv in pred_servers}
+        pred_pos = set().union(*(hosts.get(p, ()) for p in preds[node_id]))
+        pred_racks = {servers[i][0] for i in pred_pos}
 
         # Whole node on a single server if one fits it: prefer a server
         # already hosting a predecessor, then one in a predecessor's rack,
         # then the emptiest server anywhere.
         pick = None
-        if pred_servers:
-            pick = emptiest_fitting([position(*loc) for loc in pred_servers], count)
+        if pred_pos:
+            pick = emptiest_fitting(pred_pos, count)
             if pick is None:
-                pick = emptiest_fitting([i for r in pred_racks for i in rack_span(r)], count)
-        if pick is None and free_list:
-            most = max(free_list)
+                pick = emptiest_fitting([i for r in pred_racks for i in spans[r]], count)
+        if pick is None and free:
+            most = max(free)
             if most >= count:
-                pick = free_list.index(most)
+                pick = free.index(most)
         if pick is not None:
-            rack_id, srv_id, _ = servers[pick]
-            place_on(node_id, 0, count, rack_id, srv_id)
+            place_on(node_id, 0, count, pick)
             return
         # Else within a single rack, preferring a predecessor's rack.
-        rack_free = {rack.id: sum(free(rack.id, s.id, s.vm_slots) for s in rack.servers)
-                     for rack in dc.racks}
+        rack_free = {r: sum(free[span.start:span.stop]) for r, span in spans.items()}
         fitting_racks = [r for r, fr in rack_free.items() if fr >= count]
         if fitting_racks:
             rack_id = max(fitting_racks,
                           key=lambda r: (r in pred_racks, rack_free[r], -r))
-            _fill_rack(node_id, 0, count, rack_id)
+            fill_rack(node_id, 0, count, rack_id)
             return
         # Else split across racks, fullest-free first.
         total_free = sum(rack_free.values())
@@ -367,41 +367,30 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                 node=graph.node(node_id).name,
             )
         idx = 0
-        remaining = count
         for rack_id in sorted(rack_free, key=lambda r: (-rack_free[r], r)):
-            take = min(remaining, rack_free[rack_id])
+            take = min(count - idx, rack_free[rack_id])
             if take > 0:
-                _fill_rack(node_id, idx, take, rack_id)
+                fill_rack(node_id, idx, take, rack_id)
                 idx += take
-                remaining -= take
-            if remaining == 0:
+            if idx == count:
                 break
 
-    def _fill_rack(node_id: int, start_idx: int, count: int, rack_id: int) -> None:
-        rack = dc.racks[rack_id]
-        idx = start_idx
-        remaining = count
-        srvs = sorted(rack.servers, key=lambda s: (-free(rack_id, s.id, s.vm_slots), s.id))
-        for srv in srvs:
-            take = min(remaining, free(rack_id, srv.id, srv.vm_slots))
+    def fill_rack(node_id: int, start_idx: int, count: int, rack_id: int) -> None:
+        """Spread `count` instances over the rack, freest server first; the
+        caller has checked that the rack has that many free slots."""
+        end = start_idx + count
+        for pos in sorted(spans[rack_id], key=lambda i: (-free[i], i)):
+            take = min(end - start_idx, free[pos])
             if take > 0:
-                place_on(node_id, idx, take, rack_id, srv.id)
-                idx += take
-                remaining -= take
-            if remaining == 0:
+                place_on(node_id, start_idx, take, pos)
+                start_idx += take
+            if start_idx == end:
                 return
-        raise PlacementError(
-            f"rack {rack_id} in datacenter {dc.id} ran out of slots for node "
-            f"{graph.node(node_id).name}",
-            node=graph.node(node_id).name,
-        )
 
+    # Acyclic graphs (AnnotatedGraph.validate) always have a ready node.
     while pending:
-        ready = [i for i in pending if all(p in placed for p in graph.predecessors(i))]
-        if ready:
-            node_id = max(ready, key=lambda i: (graph.node(i).capacity_gbps, -i))
-        else:
-            node_id = max(pending, key=lambda i: (graph.node(i).capacity_gbps, -i))
+        node_id = max((i for i in pending if placed.issuperset(preds[i])),
+                      key=lambda i: (graph.node(i).capacity_gbps, -i))
         localize(node_id, pg.vm_count(node_id))
         pending.discard(node_id)
         placed.add(node_id)
@@ -415,16 +404,18 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
 
 def place_all(topo: Topology, dsp: DspResult,
               lib: dict[AttackType, AnnotatedGraph]) -> list[SspResult]:
-    """Run SSP for every (attack, datacenter) physical graph, sharing server
-    occupancy within each datacenter. Graphs place in attack-id order."""
+    """Run SSP for every (attack, datacenter) physical graph in attack-id
+    order, passing each datacenter's graphs one shared `SlotTable`."""
     results = []
-    used_by_dc: dict[int, dict[tuple[int, int], int]] = {}
+    tables: dict[int, SlotTable] = {}
     for (a, d) in sorted(dsp.physical):
         pg = dsp.physical[(a, d)]
         if pg.total_vms == 0:
             continue
-        used = used_by_dc.setdefault(d, {})
-        results.append(ssp_greedy(topo.datacenters[d], pg, lib, used))
+        dc = topo.datacenters[d]
+        if d not in tables:
+            tables[d] = SlotTable(dc)
+        results.append(ssp_greedy(dc, pg, lib, tables[d]))
     return results
 
 
@@ -481,23 +472,25 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
             out.append(Violation(4, (d,), load - dc.link_capacity_gbps,
                                  f"dc {d} link load {load:.4f} > {dc.link_capacity_gbps}"))
 
-    # (5) sufficient VMs per (d, a, i): placed capacity covers traffic share.
+    # VMs placed per (d, a, i), read by (5) and (11).
     by_da: dict[tuple[int, int], SspResult] = {(r.dc_id, r.attack_id): r for r in ssps}
+    placed: dict[tuple[int, int, int], int] = {}
+    for (d, a), r in by_da.items():
+        for (i, _rack, _srv), c in r.n_srv.items():
+            placed[(d, a, i)] = placed.get((d, a, i), 0) + c
+
+    # (5) sufficient VMs per (d, a, i): placed capacity covers traffic share.
     for d in range(n_d):
         for a in range(n_a):
             g = graphs[a]
             vol = dsp.dc_attack_volume(d, a, traffic)
             if vol <= tol:
                 continue
-            ssp = by_da.get((d, a))
             for n in g.nodes:
                 need = vol * g.share(n.id)
                 if need <= tol:
                     continue
-                placed = 0
-                if ssp is not None:
-                    placed = sum(c for (i, _r, _s), c in ssp.n_srv.items() if i == n.id)
-                have = placed * n.capacity_gbps
+                have = placed.get((d, a, n.id), 0) * n.capacity_gbps
                 if have + tol < need:
                     out.append(Violation(5, (d, a, n.id), need - have,
                                          f"dc {d} attack {a} node {n.name}: capacity "
@@ -509,8 +502,14 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
         for (i, rack, srv), c in r.n_srv.items():
             key = (r.dc_id, rack, srv)
             per_server[key] = per_server.get(key, 0) + c
+    slot_maps: dict[int, dict[tuple[int, int], int]] = {}
     for (d, rack, srv), count in sorted(per_server.items()):
-        slots = dc_server_slots(topo.datacenters[d], rack, srv)
+        dc = topo.datacenters[d]
+        if d not in slot_maps:
+            slot_maps[d] = {(rk.id, s.id): s.vm_slots for rk in dc.racks for s in rk.servers}
+        slots = slot_maps[d].get((rack, srv))
+        if slots is None:
+            raise InputError(f"unknown server ({rack},{srv}) in dc {dc.id}")
         if count > slots:
             out.append(Violation(6, (d, rack, srv), float(count - slots),
                                  f"server ({d},{rack},{srv}) holds {count} VMs "
@@ -518,11 +517,8 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
 
     # (11) placement counts match the datacenter-level VM counts.
     for (d, a), counts in dsp.n_dc.items():
-        ssp = by_da.get((d, a))
         for i, want in counts.items():
-            got = 0
-            if ssp is not None:
-                got = sum(c for (ni, _r, _s), c in ssp.n_srv.items() if ni == i)
+            got = placed.get((d, a, i), 0)
             if got != want:
                 out.append(Violation(11, (d, a, i), float(got - want),
                                      f"dc {d} attack {a} node {i}: placed {got} != {want}"))
@@ -546,12 +542,3 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
                                      f"beta*cap {limit:.4f}"))
 
     return out
-
-
-def dc_server_slots(dc: Datacenter, rack_id: int, srv_id: int) -> int:
-    for rack in dc.racks:
-        if rack.id == rack_id:
-            for srv in rack.servers:
-                if srv.id == srv_id:
-                    return srv.vm_slots
-    raise InputError(f"unknown server ({rack_id},{srv_id}) in dc {dc.id}")

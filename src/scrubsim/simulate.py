@@ -93,6 +93,9 @@ class Scenario:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "Scenario":
+        if not (isinstance(cfg, dict) and isinstance(cfg.get("cost", {}), dict)):
+            raise InputError("malformed scenario config: the scenario and its cost "
+                             "must be JSON objects")
         version = cfg.get("version", SCENARIO_SCHEMA_VERSION)
         if version != SCENARIO_SCHEMA_VERSION:
             raise InputError(f"unsupported scenario schema version {version}")
@@ -221,9 +224,14 @@ def provisioning_comparison(demand_series: list[list[float]]) -> tuple[float, fl
     """
     if not demand_series:
         raise InputError("demand series must be nonempty")
-    arr = np.asarray(demand_series, dtype=float)
+    try:
+        arr = np.asarray(demand_series, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"demand series must be a list of per-epoch demands: {exc}") from exc
     if arr.ndim == 1:
         arr = arr[:, None]
+    if arr.ndim != 2:
+        raise InputError("demand series must be a list of per-epoch demands")
     epochs = arr.shape[0]
     static_peak = float(epochs * arr.max(axis=0).sum())
     elastic = float(arr.sum())

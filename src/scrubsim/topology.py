@@ -342,12 +342,16 @@ def topology_from_config(cfg: dict) -> Topology:
                 attach_pop=int(spec["attach_pop"]),
             ))
         links = [(int(u), int(v), float(cap)) for u, v, cap in cfg.get("links", [])]
+        lat_cfg = cfg.get("latency", "derive")
+        if isinstance(lat_cfg, str) and lat_cfg != "derive":
+            raise InputError(f'latency must be "derive" or a matrix, not {lat_cfg!r}')
+        if lat_cfg != "derive":
+            latency = [[float(v) for v in row] for row in lat_cfg]
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed topology config: {exc}") from exc
 
     attach_pops = [dc.attach_pop for dc in dcs]
     adj = _adjacency(len(pops), links, attach_pops)
-    lat_cfg = cfg.get("latency", "derive")
     if links or lat_cfg == "derive":
         hops, paths = _routes(adj, attach_pops)
     else:
@@ -355,8 +359,6 @@ def topology_from_config(cfg: dict) -> Topology:
         paths = {(e, d): [] for e in range(len(pops)) for d in range(len(dcs))}
     if lat_cfg == "derive":
         latency = [[h * DEFAULT_HOP_COST for h in row] for row in hops]
-    else:
-        latency = [[float(v) for v in row] for row in lat_cfg]
 
     topo = Topology(pops=pops, datacenters=dcs, latency=latency,
                     backbone_links=links, paths=paths)

@@ -82,6 +82,49 @@ def test_rm_dsp_topology_outside_pop_range_exit_2(tmp_path, field, value, messag
     assert not out.exists()
 
 
+def topo_config(latency):
+    return json.dumps({"pops": ["a"], "latency": latency,
+                       "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 0}]})
+
+
+@pytest.mark.parametrize("args, content, message", [
+    (["rm", "dsp", "--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"],
+     topo_config([["x"]]), "cannot load topology"),
+    (["rm", "dsp", "--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"],
+     topo_config("derve"), 'latency must be "derive" or a matrix'),
+    (["orch", "count", "--plan", "{bad}", "--flows", "10"], "{not json", "cannot read plan"),
+    (["orch", "count", "--plan", "{bad}", "--flows", "10"], "[1, 2]", "cannot read plan"),
+    (["graph", "validate", "{bad}"], '{"graphs": 5}', "cannot load graph library"),
+    (["graph", "validate", "{bad}"], "[]", "cannot load graph library"),
+    (["graph", "demand", "--attack", "x", "--gbps", "1", "--graphs", "{bad}"],
+     '{"graphs": 5}', "cannot load graph library"),
+    (["graph", "demand", "--attack", "x", "--gbps", "1", "--graphs", "{bad}"],
+     "[]", "cannot load graph library"),
+    (["compare", "provisioning", "--series", "{bad}"], '{"a": [1]}', "demand series"),
+    (["rm", "dsp", "--topo", "{topo}", "--traffic", "{bad}", "--out", "{out}"],
+     '{"traffic": {"a": 1}}', "cannot read traffic file"),
+    (["simulate", "--scenario", "{bad}", "--out-dir", "{out}", "--seed", "3"],
+     "[1, 2]", "malformed scenario config"),
+    (["simulate", "--scenario", "{bad}", "--out-dir", "{out}"],
+     json.dumps({"epochs": 1, "budget_gbps": 1, "adversary": "steady",
+                 "estimator": "fpl", "cost": 5}), "malformed scenario config"),
+])
+def test_malformed_input_file_exit_2(tmp_path, args, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    traffic = tmp_path / "traffic.json"
+    write_traffic(traffic, [[1.0, 0.0, 0.0, 0.0]])
+    topo = tmp_path / "topo.json"
+    topo.write_text(topo_config("derive"))
+    out = tmp_path / "out.json"
+    paths = {"bad": str(bad), "traffic": str(traffic), "topo": str(topo), "out": str(out)}
+    res = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: " in res.output and message in res.output
+    assert not out.exists()
+
+
 def test_graph_validate_and_demand(tmp_path):
     runner = CliRunner()
     lib_path = tmp_path / "graphs.json"

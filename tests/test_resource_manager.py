@@ -18,9 +18,11 @@ from scrubsim.defense_graphs import (
     graph_compute_factor,
     ordered_graphs,
 )
-from scrubsim.errors import PlacementError
+from scrubsim.errors import InputError, PlacementError
 from scrubsim.oracle import random_tiny_instance
 from scrubsim.resource_manager import (
+    DspResult,
+    SlotTable,
     check_feasibility,
     dsp_greedy,
     evaluate_cost,
@@ -376,6 +378,31 @@ class TestCheckFeasibility:
         # Independent slack recomputation: load 8 vs beta*cap 5.
         assert c14[0].slack == pytest.approx(8.0 - 5.0)
 
+    def test_tampered_placement_exact_violations(self):
+        atk1 = AttackType(1, "atk1")
+        lib = {ATK: chain_graph(), atk1: one_node_graph(attack=atk1)}
+        topo = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2, 3]])], [[1.0]])
+        traffic = np.array([[20.0, 10.0]])
+        dsp = dsp_greedy(topo, traffic, lib)
+        ssps = place_all(topo, dsp, lib)
+        assert [r.n_srv for r in ssps] == [{(0, 1, 3): 2, (1, 1, 2): 2}, {(0, 0, 0): 1}]
+        # Drop one VM of attack 0's first node; over-fill server (1, 2) with
+        # a second VM of attack 1's node.
+        ssps[0].n_srv[(0, 1, 3)] = 1
+        ssps[1].n_srv[(0, 1, 2)] = 1
+        got = [(v.constraint, v.indices, v.slack, v.message)
+               for v in check_feasibility(topo, traffic, dsp, ssps, CostParams(), lib)]
+        assert got == [
+            (5, (0, 0, 0), 10.0,
+             "dc 0 attack 0 node a: capacity 10.0000 < required 20.0000"),
+            (6, (0, 1, 2), 1.0, "server (0,1,2) holds 3 VMs for 2 slots"),
+            (11, (0, 0, 0), -1.0, "dc 0 attack 0 node 0: placed 1 != 2"),
+            (11, (0, 1, 0), 1.0, "dc 0 attack 1 node 0: placed 2 != 1"),
+        ]
+        ssps[1].n_srv[(0, 1, 9)] = 1
+        with pytest.raises(InputError, match=r"unknown server \(1,9\) in dc 0"):
+            check_feasibility(topo, traffic, dsp, ssps, CostParams(), lib)
+
     def test_missing_vms_flagged(self):
         topo, traffic, lib, params = random_tiny_instance(5)
         dsp = dsp_greedy(topo, traffic, lib)
@@ -571,20 +598,35 @@ def chain(n_nodes, caps):
     )
 
 
-def assert_ssp_matches_linear_scan(dc, pg, graph, used):
-    ref_used = dict(used)
+def slot_table(dc, used):
+    """The datacenter's SlotTable with `used` slots already taken."""
+    table = SlotTable(dc)
+    for pos, srv in enumerate(table.servers):
+        table.free[pos] -= used.get(srv, 0)
+    return table
+
+
+def occupancy(dc, table):
+    """`table`'s taken slots as a (rack, server) -> used dict, zeros left out."""
+    full = SlotTable(dc).free
+    return {srv: n - f for srv, n, f in zip(table.servers, full, table.free) if n != f}
+
+
+def assert_ssp_matches_linear_scan(dc, pg, graph, used, table):
+    """Run both on one datacenter state: the reference on `used`, ssp_greedy
+    on `table`, which must hold the same occupancy before and after."""
     try:
-        want = linear_scan_ssp(dc, pg, graph, ref_used)
+        want = linear_scan_ssp(dc, pg, graph, used)
     except PlacementError as exc:
         with pytest.raises(PlacementError) as err:
-            ssp_greedy(dc, pg, {graph.attack: graph}, used)
+            ssp_greedy(dc, pg, {graph.attack: graph}, table)
         assert (str(err.value), err.value.node) == (str(exc), exc.node)
-        assert used == ref_used
+        assert occupancy(dc, table) == {k: v for k, v in used.items() if v}
         return
-    res = ssp_greedy(dc, pg, {graph.attack: graph}, used)
+    res = ssp_greedy(dc, pg, {graph.attack: graph}, table)
     assert list(res.placements.items()) == list(want[0].items())
     assert res.n_srv == want[1]
-    assert used == ref_used
+    assert occupancy(dc, table) == {k: v for k, v in used.items() if v}
 
 
 class TestIndexedSelectionMatchesLinearScan:
@@ -599,7 +641,8 @@ class TestIndexedSelectionMatchesLinearScan:
                                   min_size=n_nodes, max_size=n_nodes))
         counts = {i: data.draw(st.integers(1, 3)) for i in range(n_nodes)}
         g = chain(n_nodes, caps)
-        assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, 10.0, counts), g, used)
+        assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, 10.0, counts), g,
+                                       used, slot_table(dc, used))
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -611,10 +654,39 @@ class TestIndexedSelectionMatchesLinearScan:
         counts = {n.id: data.draw(st.integers(0, 6)) for n in g.nodes}
         pg = build_physical_graph(g, 0, 20.0, counts)
         # Two graphs in turn share the datacenter's occupancy, as place_all does.
-        assert_ssp_matches_linear_scan(dc, pg, g, used)
+        table = slot_table(dc, used)
+        assert_ssp_matches_linear_scan(dc, pg, g, used, table)
         g2 = data.draw(st.sampled_from(graphs))
         counts2 = {n.id: data.draw(st.integers(0, 3)) for n in g2.nodes}
-        assert_ssp_matches_linear_scan(dc, build_physical_graph(g2, 0, 5.0, counts2), g2, used)
+        assert_ssp_matches_linear_scan(dc, build_physical_graph(g2, 0, 5.0, counts2), g2,
+                                       used, table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_place_all_shares_one_table_per_datacenter(self, data):
+        dc = data.draw(datacenters())
+        lib = builtin_library()
+        attacks = data.draw(st.lists(st.sampled_from(ordered_graphs(lib)), min_size=2,
+                                     max_size=3, unique_by=lambda g: g.attack.id))
+        physical = {}
+        for g in attacks:
+            counts = {n.id: data.draw(st.integers(0, 4)) for n in g.nodes}
+            physical[(g.attack.id, 0)] = build_physical_graph(g, 0, 10.0, counts)
+        dsp = DspResult(f=np.zeros((1, len(lib), 1)), n_dc={}, demand={},
+                        physical=physical, t_left=0.0, wide_area_cost=0.0)
+        topo = make_topo(1, [dc], [[1.0]])
+        used = {}
+        try:
+            want = [linear_scan_ssp(dc, pg, lib[pg.attack], used)
+                    for _key, pg in sorted(physical.items()) if pg.total_vms]
+        except PlacementError as exc:
+            with pytest.raises(PlacementError) as err:
+                place_all(topo, dsp, lib)
+            assert (str(err.value), err.value.node) == (str(exc), exc.node)
+            return
+        got = place_all(topo, dsp, lib)
+        assert [(list(r.placements.items()), r.n_srv) for r in got] == \
+            [(list(p.items()), n) for p, n in want]
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), ceil=st.booleans())
