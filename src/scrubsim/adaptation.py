@@ -6,13 +6,18 @@ behind. Estimators: perturbed-mean (empirical average plus a decaying
 uniform random component), previous-epoch replay, and a uniform spread.
 Losses are wastage (overprovisioned Gbps / VM slots) and evasion (attack
 Gbps that found no provision), reported per epoch and as normalized regret
-against the best static provision in hindsight. A replay collects its
-provisions into one (epochs, pops, attacks) array and scores the whole trace
-in a single vectorized pass; per-epoch scoring is the one-epoch case of it.
+against the best static provision in hindsight. A replay stacks its trace
+once into an (epochs, pops, attacks) array and runs as whole-array passes
+over it: every estimator's provisions are built at once (only perturbed-mean
+keeps one seeded generator per epoch for its noise), the losses are scored
+in one pass, and the hindsight search prices each cell's candidates in one
+broadcast. Per-epoch scoring is the one-epoch case of it; the simulator's
+online loop uses ``EstimatorState`` and ``estimate`` instead.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -35,8 +40,8 @@ class Budget:
     b_gbps: float
 
     def __post_init__(self):
-        if self.b_gbps <= 0:
-            raise InputError("budget must be > 0")
+        if not (0 < self.b_gbps < math.inf):
+            raise InputError("budget must be > 0 and finite")
 
 
 def _gbps(budget: "Budget | float") -> float:
@@ -117,6 +122,14 @@ def adversary_next(strategy: AdversaryStrategy, budget: Budget, epoch: int,
     return mix
 
 
+def check_estimator(kind: str, gamma: float) -> None:
+    """An estimator name and an overprovision cushion (finite, >= 1)."""
+    if kind not in ESTIMATORS:
+        raise InputError(f"unknown estimator {kind!r}")
+    if not (1.0 <= gamma < math.inf):
+        raise InputError("gamma must be >= 1 and finite")
+
+
 @dataclass
 class EstimatorState:
     kind: str
@@ -128,10 +141,7 @@ class EstimatorState:
     _total: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ESTIMATORS:
-            raise InputError(f"unknown estimator {self.kind!r}")
-        if self.gamma < 1.0:
-            raise InputError("gamma must be >= 1")
+        check_estimator(self.kind, self.gamma)
         given, self.history = self.history, []
         for mix in given:
             self.observe(mix)
@@ -197,10 +207,14 @@ def _compute_factors(lib: dict[AttackType, AnnotatedGraph]) -> np.ndarray:
     return np.array([graph_compute_factor(g) for g in ordered_graphs(lib)])
 
 
-def _stack(trace: list[np.ndarray]) -> np.ndarray:
-    """A trace of (pops, attacks) mixes as one (epochs, pops, attacks) array."""
+def _stack(trace: "list[np.ndarray] | np.ndarray") -> np.ndarray:
+    """A nonempty trace of (pops, attacks) mixes as one (epochs, pops,
+    attacks) array; an array that already is one is returned as it is, not
+    copied."""
+    if len(trace) == 0:
+        raise InputError("trace must be nonempty")
     try:
-        return np.array(trace, dtype=float)
+        return np.asarray(trace, dtype=float)
     except ValueError as exc:
         raise InputError("trace mixes must all have one shape") from exc
 
@@ -233,32 +247,34 @@ def loss_accounting(provisioned: np.ndarray, actual: np.ndarray,
     return float(w[0]), float(v[0]), float(m[0])
 
 
-def best_static_hindsight(trace: list[np.ndarray]) -> tuple[np.ndarray, float]:
+def best_static_hindsight(trace: "list[np.ndarray] | np.ndarray") -> tuple[np.ndarray, float]:
     """Best single provision matrix for the whole trace, minimizing total
     wastage + evasion.
 
     That loss is cellwise L1, so a per-cell search over the observed values
     (the median sits on one) plus the mean is exact; the grid is kept anyway
-    as a guard and for documentation.
+    as a guard and for documentation. Each cell prices all its candidates in
+    one broadcast; scanning them in ascending order, it keeps each that beats
+    the best loss so far by more than 1e-12.
     """
-    if not trace:
-        raise InputError("trace must be nonempty")
-    stack = np.stack([np.asarray(m, dtype=float) for m in trace])
+    stack = _stack(trace)
     n_t, n_e, n_a = stack.shape
-    static = np.zeros((n_e, n_a))
+    # One contiguous row of epochs per cell, in (pop, attack) order. Every
+    # row sum below runs over that contiguous axis, pairwise, as a 1-D sum
+    # of one cell's series would.
+    cells = np.ascontiguousarray(stack.reshape(n_t, n_e * n_a).T)
+    static = np.zeros(n_e * n_a)
     total = 0.0
-    for e in range(n_e):
-        for a in range(n_a):
-            series = stack[:, e, a]
-            candidates = sorted(set(series.tolist()) | {float(series.mean())})
-            best_v, best_loss = 0.0, float("inf")
-            for v in candidates:
-                loss = float(np.abs(series - v).sum())
-                if loss < best_loss - 1e-12:
-                    best_v, best_loss = v, loss
-            static[e, a] = best_v
-            total += best_loss
-    return static, total
+    for i, (series, mean) in enumerate(zip(cells, cells.mean(axis=1).tolist())):
+        candidates = sorted(set(series.tolist()) | {mean})
+        losses = np.abs(series - np.array(candidates)[:, None]).sum(axis=1)
+        best_v, best_loss = 0.0, float("inf")
+        for v, loss in zip(candidates, losses.tolist()):
+            if loss < best_loss - 1e-12:
+                best_v, best_loss = v, loss
+        static[i] = best_v
+        total += best_loss
+    return static.reshape(n_e, n_a), total
 
 
 @dataclass
@@ -276,7 +292,7 @@ class RegretReport:
     regret_g2: float
 
 
-def normalized_regret(trace: list[np.ndarray], wastage_gbps: list[float],
+def normalized_regret(trace: "list[np.ndarray] | np.ndarray", wastage_gbps: list[float],
                       evasion_gbps: list[float], wastage_vm: list[float],
                       lib: dict[AttackType, AnnotatedGraph]) -> RegretReport:
     """Regret of an estimator's realized losses against the best static
@@ -287,8 +303,8 @@ def normalized_regret(trace: list[np.ndarray], wastage_gbps: list[float],
     """
     if len(trace) != len(wastage_gbps) or len(trace) != len(evasion_gbps):
         raise InputError("loss series must align with the trace")
-    static, static_loss = best_static_hindsight(trace)
     actual = _stack(trace)
+    static, static_loss = best_static_hindsight(actual)
     s_w, s_v, _ = _trace_losses(static, actual, _compute_factors(lib))
     # Totals accumulate epoch by epoch (np.cumsum adds in sequence).
     s_wast, s_evas, volume = np.cumsum([s_w, s_v, actual.sum(axis=(1, 2))],
@@ -316,31 +332,44 @@ def normalized_regret(trace: list[np.ndarray], wastage_gbps: list[float],
     )
 
 
-def _replay(kind: str, trace: list[np.ndarray], budget: Budget, seed: int,
+def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
             gamma: float) -> np.ndarray:
-    """The (T, E, A) provisions of an estimator fed the trace with the
-    one-epoch observation lag; fpl draws epoch t from default_rng([seed, t])."""
-    n_pops, n_attacks = trace[0].shape
-    state = EstimatorState(kind=kind, n_pops=n_pops, n_attacks=n_attacks, gamma=gamma)
-    provisions = np.empty((len(trace), n_pops, n_attacks))
-    for t, mix in enumerate(trace):
-        rng = np.random.default_rng([seed, t]) if kind == "fpl" else None
-        provisions[t] = estimate(state, budget, rng) * gamma
-        state.observe(mix)
-    return provisions
+    """The (T, E, A) provisions of an estimator fed the stacked (T, E, A)
+    trace with the one-epoch observation lag, built in whole-array passes.
+
+    Row t equals ``estimate`` after observing rows 0..t-1, times gamma, bit
+    for bit: the fpl mean is the running sum (``np.cumsum`` adds rows in
+    sequence, as ``EstimatorState.observe`` does) over the epoch count, and
+    its noise for row t still comes from its own ``default_rng([seed, t])``.
+    """
+    check_estimator(kind, gamma)
+    n_t, n_pops, n_attacks = actual.shape
+    if kind == "uniform":
+        return np.broadcast_to(uniform_estimate(budget, n_pops, n_attacks) * gamma,
+                               actual.shape)
+    # Row t holds what was observed before epoch t: nothing at t = 0.
+    if kind == "prevepoch":
+        return np.concatenate((np.zeros((1, n_pops, n_attacks)), actual[:-1])) * gamma
+    mean = np.zeros(actual.shape)
+    mean[1:] = np.cumsum(actual[:-1], axis=0) / np.arange(1, n_t)[:, None, None]
+    b = _gbps(budget)
+    noise = np.array([
+        np.random.default_rng([seed, t]).uniform(
+            0.0, perturbation_bound(b, t + 1, n_pops, n_attacks), (n_pops, n_attacks))
+        for t in range(n_t)])
+    return np.maximum(mean + noise, 0.0) * gamma
 
 
-def run_estimator_on_trace(kind: str, trace: list[np.ndarray], budget: Budget,
-                           lib: dict[AttackType, AnnotatedGraph],
+def run_estimator_on_trace(kind: str, trace: "list[np.ndarray] | np.ndarray",
+                           budget: Budget, lib: dict[AttackType, AnnotatedGraph],
                            seed: int = 0, gamma: float = 1.0) -> RegretReport:
     """Feed a fixed adversary trace through an estimator with the one-epoch
-    observation lag and account the losses."""
-    if not trace:
-        raise InputError("trace must be nonempty")
+    observation lag and account the losses. The trace is stacked once; the
+    replay, its scoring and the hindsight reference all read that array."""
     actual = _stack(trace)
-    losses = _trace_losses(_replay(kind, trace, budget, seed, gamma), actual,
+    losses = _trace_losses(_replay(kind, actual, budget, seed, gamma), actual,
                            _compute_factors(lib))
-    return normalized_regret(trace, *(x.tolist() for x in losses), lib)
+    return normalized_regret(actual, *(x.tolist() for x in losses), lib)
 
 
 _PER_EPOCH_COLUMNS = ("wastage_gbps", "evasion_gbps", "wastage_vm", "cum_g1_vm",
@@ -363,11 +392,10 @@ def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
     per_seed = []
     for seed in seeds:
         strat = AdversaryStrategy(kind=strategy_kind, seed=seed)
-        trace = [adversary_next(strat, budget, t, n_pops, n_attacks)
-                 for t in range(epochs)]
-        static, _static_loss = best_static_hindsight(trace)
-        actual = _stack(trace)
-        w, v, m = _trace_losses(_replay(estimator_kind, trace, budget, seed, gamma),
+        actual = _stack([adversary_next(strat, budget, t, n_pops, n_attacks)
+                         for t in range(epochs)])
+        static, _static_loss = best_static_hindsight(actual)
+        w, v, m = _trace_losses(_replay(estimator_kind, actual, budget, seed, gamma),
                                 actual, factors)
         pw, pv, _pm = _trace_losses(static, actual, factors)
         cum_w, cum_v, cum_vm, s_w, s_v, volume = np.cumsum(
@@ -418,8 +446,8 @@ def regret_experiment(n_pops: int, budget: Budget,
         per_estimator: dict[str, list[RegretReport]] = {k: [] for k in estimators}
         for seed in seeds:
             strat = AdversaryStrategy(kind=strat_kind, seed=seed)
-            trace = [adversary_next(strat, budget, t, n_pops, n_attacks)
-                     for t in range(epochs)]
+            trace = _stack([adversary_next(strat, budget, t, n_pops, n_attacks)
+                            for t in range(epochs)])
             for est_kind in estimators:
                 per_estimator[est_kind].append(
                     run_estimator_on_trace(est_kind, trace, budget, lib,

@@ -320,8 +320,10 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
         return 0
     count = 0
     a, d = pg.attack.id, pg.dc_id
-    # Identity tags are unique, so this inverse is exact.
-    vm_of_tag = {t: vm for vm, t in pools.instance_tags.items()}
+    # A pool tag names a VM of this graph's own (attack, dc), and identity
+    # tags are unique, so the inverse over the graph's instances is exact.
+    own = ((a, d, node, inst.index) for node, insts in pg.instances.items() for inst in insts)
+    vm_of_tag = {pools.instance_tags[vm]: vm for vm in own if vm in pools.instance_tags}
     for node in sorted(pg.instances):
         if graph.node(node).kind != "analysis":
             continue

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .adaptation import (
-    ESTIMATORS,
     STRATEGIES,
     AdversaryStrategy,
     Budget,
     EstimatorState,
     adversary_next,
+    check_estimator,
     estimate,
     loss_accounting,
 )
@@ -72,14 +72,10 @@ class Scenario:
     def __post_init__(self):
         if self.epochs < 1:
             raise InputError("epochs must be >= 1")
-        if self.budget_gbps <= 0:
-            raise InputError("budget must be > 0")
+        Budget(self.budget_gbps)  # rejects a budget that is not finite and > 0
         if self.adversary not in STRATEGIES:
             raise InputError(f"unknown adversary strategy {self.adversary!r}")
-        if self.estimator not in ESTIMATORS:
-            raise InputError(f"unknown estimator {self.estimator!r}")
-        if self.gamma < 1.0:
-            raise InputError("gamma must be >= 1")
+        check_estimator(self.estimator, self.gamma)
 
     def load_topology(self) -> Topology:
         if self.topology_path:
@@ -158,9 +154,14 @@ class EpochRecord:
 
 def run_simulation(sc: Scenario, seed: int | None = None) -> list[EpochRecord]:
     """One seeded simulation run; fully deterministic per (scenario, seed)."""
-    seed = sc.seed if seed is None else seed
-    topo = sc.load_topology()
-    lib = sc.load_library()
+    return _run_epochs(sc, sc.seed if seed is None else seed,
+                       sc.load_topology(), sc.load_library())
+
+
+def _run_epochs(sc: Scenario, seed: int, topo: Topology,
+                lib: dict[AttackType, AnnotatedGraph]) -> list[EpochRecord]:
+    """The epochs of one run on a loaded topology and library, which no
+    run changes."""
     graphs = ordered_graphs(lib)
     n_pops, n_attacks = len(topo.pops), len(graphs)
     budget = Budget(sc.budget_gbps)
@@ -208,11 +209,13 @@ def run_simulation(sc: Scenario, seed: int | None = None) -> list[EpochRecord]:
 
 
 def run_scenario_sweep(sc: Scenario) -> dict[int, list[EpochRecord]]:
-    """One run per distinct seed, in ascending seed order. The runs are
-    CPU-bound Python, so they run serially: threads would only contend for
-    the interpreter lock."""
+    """One run per distinct seed, in ascending seed order. The topology and
+    library do not depend on the run seed, so they are loaded once and
+    shared. The runs are CPU-bound Python, so they run serially: threads
+    would only contend for the interpreter lock."""
     seeds = sc.seeds if sc.seeds else [sc.seed]
-    return {seed: run_simulation(sc, seed) for seed in sorted(set(seeds))}
+    topo, lib = sc.load_topology(), sc.load_library()
+    return {seed: _run_epochs(sc, seed, topo, lib) for seed in sorted(set(seeds))}
 
 
 def provisioning_comparison(demand_series: list[list[float]]) -> tuple[float, float]:

@@ -12,6 +12,8 @@ from scrubsim.adaptation import (
     Budget,
     EstimatorState,
     RegretReport,
+    _replay,
+    _stack,
     adversary_next,
     best_static_hindsight,
     estimate,
@@ -303,6 +305,15 @@ class TestEstimatorDispatch:
         est = estimate(state, Budget(8.0))
         assert est.sum() == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_budget_and_gamma_rejected(self, value):
+        with pytest.raises(InputError, match="budget must be > 0 and finite"):
+            Budget(value)
+        with pytest.raises(InputError, match="gamma must be >= 1 and finite"):
+            EstimatorState("fpl", 1, 1, gamma=value)
+        with pytest.raises(InputError, match="gamma must be >= 1 and finite"):
+            _replay("uniform", np.zeros((2, 1, 1)), Budget(1.0), 0, value)
+
 
 # ---------------------------------------------------------------------------
 # Replays score a whole trace at once; the reference below is the plain
@@ -317,18 +328,47 @@ def _loop_losses(provisioned, actual, lib):
     return float(wast.sum()), float(evas.sum()), float((wast.sum(axis=0) * factors).sum())
 
 
+def _loop_provisions(kind, trace, budget, seed, gamma):
+    """The estimator's provision for each epoch, epoch by epoch: estimate
+    from what was observed so far, then observe the epoch's mix."""
+    n_pops, n_attacks = trace[0].shape
+    state = EstimatorState(kind, n_pops, n_attacks, gamma=gamma)
+    provisions = []
+    for t, mix in enumerate(trace):
+        rng = np.random.default_rng([seed, t]) if kind == "fpl" else None
+        provisions.append(estimate(state, budget, rng) * gamma)
+        state.observe(mix)
+    return provisions
+
+
 def _loop_series(kind, trace, budget, lib, seed, gamma):
     """Per-epoch estimator losses and the hindsight static's losses, epoch by
     epoch: estimate, score, then observe."""
-    n_pops, n_attacks = trace[0].shape
-    state = EstimatorState(kind, n_pops, n_attacks, gamma=gamma)
-    est = []
-    for t, mix in enumerate(trace):
-        rng = np.random.default_rng([seed, t]) if kind == "fpl" else None
-        est.append(_loop_losses(estimate(state, budget, rng) * gamma, mix, lib))
-        state.observe(mix)
+    est = [_loop_losses(prov, mix, lib)
+           for prov, mix in zip(_loop_provisions(kind, trace, budget, seed, gamma), trace)]
     static, static_loss = best_static_hindsight(trace)
     return est, [_loop_losses(static, mix, lib) for mix in trace], static_loss
+
+
+def _grid_hindsight(trace):
+    """The hindsight static by a scalar grid: per cell, price every observed
+    value and the mean one at a time, in ascending order, keeping each that
+    beats the best loss so far by more than 1e-12."""
+    stack = np.stack([np.asarray(m, dtype=float) for m in trace])
+    n_t, n_e, n_a = stack.shape
+    static = np.zeros((n_e, n_a))
+    total = 0.0
+    for e in range(n_e):
+        for a in range(n_a):
+            series = stack[:, e, a]
+            best_v, best_loss = 0.0, float("inf")
+            for v in sorted(set(series.tolist()) | {float(series.mean())}):
+                loss = float(np.abs(series - v).sum())
+                if loss < best_loss - 1e-12:
+                    best_v, best_loss = v, loss
+            static[e, a] = best_v
+            total += best_loss
+    return static, total
 
 
 def _loop_report(kind, trace, budget, lib, seed, gamma):
@@ -413,7 +453,48 @@ def _traces(draw):
     return trace, budget, lib, seed
 
 
+@st.composite
+def _float_traces(draw):
+    """Random float traces, up to 300 epochs; half of them draw every cell
+    from a few levels, so that values repeat within and across cells."""
+    shape = (draw(st.integers(1, 300)), draw(st.integers(1, 5)), draw(st.integers(1, 4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0.0, draw(st.floats(1e-3, 1e4)), shape)
+    if draw(st.booleans()):
+        levels = values.ravel()[:draw(st.integers(1, 4))]
+        values = rng.choice(np.append(levels, 0.0), size=shape)
+    return list(values)
+
+
 class TestTraceScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(_traces(), st.sampled_from(ESTIMATORS), st.floats(1.0, 4.0))
+    def test_replay_equals_estimator_state_loop(self, case, kind, gamma):
+        trace, budget, _lib, seed = case
+        got = _replay(kind, _stack(trace), budget, seed, gamma)
+        want = np.array(_loop_provisions(kind, trace, budget, seed, gamma))
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_float_traces())
+    def test_hindsight_equals_scalar_grid(self, trace):
+        static, loss = best_static_hindsight(trace)
+        want_static, want_loss = _grid_hindsight(trace)
+        assert static.tobytes() == want_static.tobytes()
+        assert repr(loss) == repr(want_loss)
+
+    def test_stacked_trace_is_used_as_is(self):
+        trace = toy_trace()
+        stacked = np.array(trace)
+        assert _stack(stacked) is stacked
+        assert (run_estimator_on_trace("fpl", stacked, Budget(30.0), LIB2, seed=2)
+                == run_estimator_on_trace("fpl", trace, Budget(30.0), LIB2, seed=2))
+        with pytest.raises(InputError, match="trace must be nonempty"):
+            best_static_hindsight(np.zeros((0, 1, 2)))
+        with pytest.raises(InputError, match="trace must be nonempty"):
+            run_estimator_on_trace("uniform", np.zeros((0, 1, 2)), Budget(30.0), LIB2)
+
     @settings(max_examples=150, deadline=None)
     @given(_traces(), st.sampled_from(ESTIMATORS), st.sampled_from((1.0, 1.25)))
     def test_replay_equals_per_epoch_loop(self, case, kind, gamma):

@@ -216,6 +216,8 @@ def test_adversary_next_rejects_empty_shape(n_pops, n_attacks):
     (["--seeds", "0"], "need at least one seed"),
     (["--epochs", "0"], "trace must be nonempty"),
     (["--pops", "0"], "need at least one pop"),
+    (["--budget", "nan"], "budget must be > 0 and finite"),
+    (["--budget", "inf"], "budget must be > 0 and finite"),
 ])
 def test_adapt_regret_bad_input_exit_2(tmp_path, pair, bad, message):
     runner = CliRunner()
@@ -286,6 +288,10 @@ def test_simulate_bad_scenario_exit_2(tmp_path):
     ({"gamma": 0.5}, "gamma must be >= 1"),
     ({"adversary": "nosuch"}, "unknown adversary strategy 'nosuch'"),
     ({"estimator": "nosuch"}, "unknown estimator 'nosuch'"),
+    ({"gamma": float("nan")}, "gamma must be >= 1 and finite"),
+    ({"gamma": float("inf")}, "gamma must be >= 1 and finite"),
+    ({"budget_gbps": float("nan")}, "budget must be > 0 and finite"),
+    ({"budget_gbps": float("inf")}, "budget must be > 0 and finite"),
 ])
 def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
     runner = CliRunner()

@@ -1,11 +1,13 @@
 """Byte-stability goldens for the simulator reports, one forwarding plan, the
-exact oracle and the generated topologies.
+exact oracle, the generated topologies and the adaptation layer's regret.
 
 The files under ``tests/data/`` pin the exact bytes of ``epochs.csv``,
 ``summary.json`` and ``ForwardingPlan.dump()``, the exact reprs of
-``oracle_exact``'s results on criterion 1's instances, and SHA-256 digests of
+``oracle_exact``'s results on criterion 1's instances, SHA-256 digests of
 the latency, paths and links of generated topologies and of their config
-round trips. A change that alters them on purpose regenerates them and says
+round trips, and the exact reprs of criterion 8's regret table, of one
+trace's ``RegretReport`` under every estimator and of one per-epoch regret
+report. A change that alters them on purpose regenerates them and says
 why:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -17,6 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
+from scrubsim.adaptation import (
+    ESTIMATORS,
+    AdversaryStrategy,
+    Budget,
+    adversary_next,
+    per_epoch_regret_report,
+    regret_experiment,
+    run_estimator_on_trace,
+)
 from scrubsim.defense_graphs import builtin_library
 from scrubsim.oracle import OracleInstance, oracle_exact, random_tiny_instance
 from scrubsim.orchestration import (
@@ -36,6 +47,7 @@ ORACLE_SEEDS = range(20_000, 20_100)  # criterion 1's instances
 TOPOLOGY_PATH = DATA / "golden_topology.json"
 # (nodes, seed): the 2-node clamp, small and paper-scale graphs, and 400 nodes.
 TOPOLOGY_CASES = [(2, 1), (24, 0), (48, 6), (100, 5), (196, 1), (196, 7), (400, 1)]
+REGRET_PATH = DATA / "golden_regret.json"
 
 # 48 nodes with 150 slots per datacenter and a 1.2 cushion: most epochs fail
 # placement, two also leave volume unassigned (t_left notes), and four
@@ -129,6 +141,30 @@ def write_topology(path: Path) -> None:
         fh.write("\n")
 
 
+def regret_reprs() -> dict:
+    """Criterion 8's regret table; the reports of one 60-epoch randhybrid
+    trace under every estimator with a 1.25 cushion; and one per-epoch
+    report averaged over three seeds."""
+    lib = builtin_library()
+    budget = Budget(100.0)
+    table = regret_experiment(6, budget, lib, 500, list(range(10)))
+    trace = [adversary_next(AdversaryStrategy("randhybrid", 3), budget, t, 6, len(lib))
+             for t in range(60)]
+    reports = {kind: repr(run_estimator_on_trace(kind, trace, budget, lib, seed=3,
+                                                 gamma=1.25))
+               for kind in ESTIMATORS}
+    per_epoch = per_epoch_regret_report("randhybrid", "fpl", 6, budget, lib, 40, [0, 1, 2])
+    return {"regret_experiment": [repr(row) for row in table],
+            "reports": reports,
+            "per_epoch": [repr(row) for row in per_epoch]}
+
+
+def write_regret(path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(regret_reprs(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def test_simulation_reports_byte_identical(tmp_path):
     write_sim_reports(tmp_path)
     for name in ("epochs.csv", "summary.json"):
@@ -156,11 +192,16 @@ def test_topology_digests():
     assert topology_digests() == json.loads(TOPOLOGY_PATH.read_text())
 
 
+def test_regret_bytes():
+    assert regret_reprs() == json.loads(REGRET_PATH.read_text())
+
+
 if __name__ == "__main__":
     SIM_DIR.mkdir(parents=True, exist_ok=True)
     write_sim_reports(SIM_DIR)
     write_plan(PLAN_PATH)
     write_oracle(ORACLE_PATH)
     write_topology(TOPOLOGY_PATH)
+    write_regret(REGRET_PATH)
     print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json, {PLAN_PATH}, "
-          f"{ORACLE_PATH} and {TOPOLOGY_PATH}")
+          f"{ORACLE_PATH}, {TOPOLOGY_PATH} and {REGRET_PATH}")

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from scrubsim import simulate
 from scrubsim.errors import InputError
 from scrubsim.simulate import (
     Scenario,
@@ -88,6 +89,34 @@ class TestRunSimulation:
         assert list(out) == [1, 2, 3]
         for records in out.values():
             assert len(records) == 4
+
+    def test_sweep_builds_the_topology_once(self, monkeypatch):
+        calls = []
+        generate = simulate.generate_topology
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, "generate_topology", counted)
+        out = run_scenario_sweep(tiny_scenario(epochs=2, seeds=[3, 1, 2]))
+        assert len(out) == 3
+        assert len(calls) == 1
+
+    def test_sweep_reports_equal_per_seed_runs(self, tmp_path):
+        # Small datacenters make placement fail in some epochs, so a run
+        # that left state behind in the shared topology or library would
+        # change the reports of the seeds after it.
+        sc = Scenario(epochs=6, budget_gbps=600.0, adversary="randhybrid", estimator="fpl",
+                      seeds=[6, 2, 9], gamma=1.2, topology_nodes=48, dc_slots=150)
+        swept = run_scenario_sweep(sc)
+        assert any(r.infeasible for records in swept.values() for r in records)
+        for seed, records in swept.items():
+            emit_report(records, str(tmp_path / f"sweep{seed}"))
+            emit_report(run_simulation(sc, seed), str(tmp_path / f"alone{seed}"))
+            for name in ("epochs.csv", "summary.json"):
+                assert ((tmp_path / f"sweep{seed}" / name).read_bytes()
+                        == (tmp_path / f"alone{seed}" / name).read_bytes()), (seed, name)
 
 
 class TestEmitReport:
