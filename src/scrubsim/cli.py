@@ -109,9 +109,12 @@ def graph_demand(attack_name, gbps, graphs_path):
         _fail(f"unknown attack {attack_name!r}; have "
               f"{sorted(g.attack.name for g in lib.values())}")
     g = match[0]
-    fine = {g.node(n.id).name: defense_graphs.node_demand_vms(g, n.id, gbps)
-            for n in g.nodes}
-    mono = defense_graphs.monolithic_demand_vms(g, gbps)
+    try:
+        fine = {g.node(n.id).name: defense_graphs.node_demand_vms(g, n.id, gbps)
+                for n in g.nodes}
+        mono = defense_graphs.monolithic_demand_vms(g, gbps)
+    except InputError as exc:
+        _fail(str(exc))
     click.echo(json.dumps({
         "attack": attack_name,
         "gbps": gbps,
@@ -384,13 +387,11 @@ def simulate_cmd(scenario_path, out_dir, seed_override):
         if isinstance(cfg, dict) and "seed" not in cfg and seed_override is not None:
             cfg["seed"] = seed_override
         sc = simulate.Scenario.from_config(cfg)
-        # Resolve all referenced inputs before epoch 0 so config problems
-        # exit with code 2 instead of surfacing mid-run.
-        sc.load_topology()
-        sc.load_library()
+        # The sweep loads the topology and library once, before epoch 0, so
+        # a problem with either exits with code 2 instead of a traceback.
+        by_seed = simulate.run_scenario_sweep(sc)
     except (OSError, InputError, json.JSONDecodeError) as exc:
         _fail(str(exc))
-    by_seed = simulate.run_scenario_sweep(sc)
     infeasible = 0
     for seed, records in by_seed.items():
         target = out_dir if len(by_seed) == 1 else f"{out_dir}/seed{seed}"

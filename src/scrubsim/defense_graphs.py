@@ -60,7 +60,17 @@ class AnnotatedGraph:
     root_fractions: dict[int, float] | None = None
 
     def __post_init__(self):
+        # The graph is not changed after construction, so its adjacency is
+        # derived once here; the accessors hand out copies.
         self._by_id = {n.id: n for n in self.nodes}
+        pred: dict[int, list[int]] = {}
+        succ: dict[int, list[int]] = {}
+        for s, d, _w in self.edges:
+            pred.setdefault(d, []).append(s)
+            succ.setdefault(s, []).append(d)
+        self._pred = {i: tuple(p) for i, p in pred.items()}
+        self._succ = {i: tuple(sorted(c)) for i, c in succ.items()}
+        self._roots = tuple(n.id for n in self.nodes if n.id not in pred)
         self.validate()
 
     def node(self, i: int) -> LogicalModule:
@@ -70,29 +80,27 @@ class AnnotatedGraph:
             raise InputError(f"unknown node id {i} in {self.attack.name} graph") from None
 
     def predecessors(self, i: int) -> list[int]:
-        return [s for s, d, _w in self.edges if d == i]
+        return list(self._pred.get(i, ()))
 
     def successors(self, i: int) -> list[int]:
-        return sorted(d for s, d, _w in self.edges if s == i)
+        return list(self._succ.get(i, ()))
 
     @property
     def roots(self) -> list[int]:
-        have_pred = {d for _s, d, _w in self.edges}
-        return [n.id for n in self.nodes if n.id not in have_pred]
+        return list(self._roots)
 
     def external_fraction(self, i: int) -> float:
-        roots = self.roots
-        if i not in roots:
+        if i not in self._roots:
             return 0.0
         if self.root_fractions is not None:
             return self.root_fractions.get(i, 0.0)
-        return 1.0 / len(roots)
+        return 1.0 / len(self._roots)
 
     def share(self, i: int) -> float:
         """Fraction of the graph's total input traffic this node processes."""
         self.node(i)
         incoming = sum(w for _s, d, w in self.edges if d == i)
-        return incoming if incoming > 0 or i not in self.roots else self.external_fraction(i)
+        return incoming if incoming > 0 or i not in self._roots else self.external_fraction(i)
 
     def validate(self) -> None:
         ids = [n.id for n in self.nodes]
@@ -167,10 +175,14 @@ class PhysicalGraph:
         return sum(len(v) for v in self.instances.values())
 
 
+def _check_volume(t_gbps: float) -> None:
+    if not (math.isfinite(t_gbps) and t_gbps >= 0):
+        raise InputError(f"t_gbps must be >= 0 and finite, not {t_gbps}")
+
+
 def node_demand_vms(g: AnnotatedGraph, i: int, t_gbps: float) -> int:
     """Minimum VM count so aggregate capacity covers the node's traffic share."""
-    if t_gbps < 0:
-        raise InputError("t_gbps must be >= 0")
+    _check_volume(t_gbps)
     load = t_gbps * g.share(i)
     if load <= 0:
         return 0
@@ -188,8 +200,7 @@ def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:
     A replica's throughput is pinned by its bottleneck module; each replica
     deploys every module, so total VMs are this count times len(g.nodes).
     """
-    if t_gbps < 0:
-        raise InputError("t_gbps must be >= 0")
+    _check_volume(t_gbps)
     if t_gbps == 0:
         return 0
     bottleneck = min(

@@ -83,15 +83,17 @@ class OracleInstance:
             n_srv = sum(len(r.servers) for r in dc.racks)
             if n_srv > MAX_SERVERS_PER_DC:
                 problems.append(f"dc {dc.id} has {n_srv} servers > {MAX_SERVERS_PER_DC}")
-        inv = 1.0 / self.delta
-        if abs(inv - round(inv)) > 1e-6 or not (1 <= round(inv) <= 100):
+        # A delta that is not finite and positive has no grid to round to.
+        inv = 1.0 / self.delta if self.delta > 0 else math.nan
+        gridded = math.isfinite(inv)
+        if not gridded or abs(inv - round(inv)) > 1e-6 or not (1 <= round(inv) <= 100):
             problems.append(f"delta {self.delta} must be 1/k for integer k <= 100")
         positive = traffic[traffic > _EPS]
         if positive.size:
             t0 = positive.max()
             if (np.abs(positive - t0) > 1e-9 * max(t0, 1.0)).any():
                 problems.append("positive traffic cells must be equal for grid alignment")
-            units = round(1.0 / self.delta) * positive.size
+            units = round(inv) * positive.size if gridded else 0
             if units > MAX_TOTAL_UNITS:
                 problems.append(f"{units} volume units > {MAX_TOTAL_UNITS}")
         if problems:

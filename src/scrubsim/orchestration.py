@@ -14,6 +14,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -60,47 +61,39 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
     a, d = pg.attack.id, pg.dc_id
+    nodes = sorted(pg.instances)
 
     roots = set(graph.roots)
-    slots_needed = []
-    for node in sorted(pg.instances):
-        if node in roots:
-            continue
-        for inst in pg.instances[node]:
-            slots_needed.append(("vm", (a, d, node, inst.index)))
-    for node in sorted(pg.instances):
-        mod = graph.node(node)
-        if mod.delivers:
-            egress_context = len(graph.successors(node))
-            slots_needed.append(("egress", (a, d, node, egress_context)))
+    vm_keys = [(a, d, node, inst.index) for node in nodes if node not in roots
+               for inst in pg.instances[node]]
+    egress_keys = [(a, d, node, len(graph.successors(node))) for node in nodes
+                   if graph.node(node).delivers]
 
-    values = list(range(pools.next_tag, pools.next_tag + len(slots_needed)))
+    n_slots = len(vm_keys) + len(egress_keys)
+    values = list(range(pools.next_tag, pools.next_tag + n_slots))
     if seed is not None:
         random.Random(seed).shuffle(values)
-    pools.next_tag += len(slots_needed)
+    pools.next_tag += n_slots
     if max_bits is not None and values and max(values) >= (1 << max_bits):
         raise CapacityError(
             f"tag space exhausted: need tag {max(values)} with only {max_bits} bits")
 
-    for (kind, key), value in zip(slots_needed, values):
-        if kind == "vm":
-            pools.instance_tags[key] = value
-        else:
-            pools.egress_tags[key] = value
+    pools.instance_tags.update(zip(vm_keys, values))
+    pools.egress_tags.update(zip(egress_keys, values[len(vm_keys):]))
 
-    for node in sorted(pg.instances):
-        mod = graph.node(node)
+    # A node's pools are the same for each of its instances: build them
+    # once, then give every instance its own copy.
+    for node in nodes:
         succs = graph.successors(node)
+        per_context = [[pools.instance_tags[(a, d, succ, down.index)]
+                        for down in pg.instances.get(succ, [])]
+                       for succ in succs]
+        if graph.node(node).delivers:
+            per_context.append([pools.egress_tags[(a, d, node, len(succs))]])
         for inst in pg.instances[node]:
             vm: VmKey = (a, d, node, inst.index)
-            for c, succ in enumerate(succs):
-                pools.pools[(vm, c)] = [
-                    pools.instance_tags[(a, d, succ, down.index)]
-                    for down in pg.instances.get(succ, [])
-                ]
-            if mod.delivers:
-                c = len(succs)
-                pools.pools[(vm, c)] = [pools.egress_tags[(a, d, node, c)]]
+            for c, tags in enumerate(per_context):
+                pools.pools[(vm, c)] = list(tags)
     return pools
 
 
@@ -143,7 +136,9 @@ def tag_space_bound(graphs: list[AnnotatedGraph], l_max: int,
 class ForwardingRule:
     switch: str
     match: tuple[str, object]  # ("flow"|"tunnel"|"tag", value)
-    action: tuple[str, object]  # ("split", [(target, weight)]) | ("vm", key) | ("customer", None)
+    # ("split", [(target, weight)]) | ("vm", key) | ("customer", None); an
+    # ingress tunnel rule's split is a tuple its graph's tunnels share.
+    action: tuple[str, object]
 
     def to_json(self) -> dict:
         return {"switch": self.switch, "match": list(self.match),
@@ -151,9 +146,7 @@ class ForwardingRule:
 
 
 def _jsonable(x):
-    if isinstance(x, tuple):
-        return list(x)
-    if isinstance(x, list):
+    if isinstance(x, (tuple, list)):
         return [_jsonable(v) for v in x]
     return x
 
@@ -204,33 +197,40 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     graphs = ordered_graphs(lib)
     placements = {(r.attack_id, r.dc_id): r.placements for r in ssps}
 
-    # np.nonzero walks the (e, a, d) cells in row-major order, so each
-    # (e, a)'s splits come out in ascending datacenter order.
+    # np.nonzero walks the (e, a, d) cells in row-major order, so wide_area
+    # fills in ascending (e, a) order, each (e, a)'s splits come out in
+    # ascending datacenter order and each (a, d)'s tunnel pops ascend.
     wide_area: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    tunnel_pops: dict[tuple[int, int], list[int]] = {}
     assigned = np.nonzero(dsp.f > 0)
     for e, a, d, w in zip(*(ix.tolist() for ix in assigned), dsp.f[assigned].tolist()):
         wide_area.setdefault((e, a), []).append((d, w))
+        tunnel_pops.setdefault((a, d), []).append(e)
 
     # Egress tags grouped by graph, in (attack, dc, node, context) order.
     egress: dict[tuple[int, int], list[int]] = {}
     for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
         egress.setdefault((ea, ed), []).append(tag)
 
-    # Per switch, its rules keyed by match, in installation order.
+    # Per switch, its rules keyed by match, in installation order. A graph
+    # looks up its switches' tables up front; a table that gets no rule is
+    # dropped at the end.
     tables: dict[str, dict[tuple[str, object], ForwardingRule]] = {}
 
-    def add(rule: ForwardingRule) -> None:
-        table = tables.setdefault(rule.switch, {})
-        if rule.match in table:
-            raise InputError(f"duplicate rule match {rule.match} on {rule.switch}")
-        table[rule.match] = rule
+    def add(table: dict, switch: str, match: tuple[str, object],
+            action: tuple[str, object]) -> None:
+        if match in table:
+            raise InputError(f"duplicate rule match {match} on {switch}")
+        table[match] = ForwardingRule(switch=switch, match=match, action=action)
 
-    for (e, a), splits in sorted(wide_area.items()):
-        add(ForwardingRule(
-            switch=f"pop{e}",
-            match=("flow", f"e{e}-a{a}"),
-            action=("split", [(f"tunnel-e{e}-d{d}", w) for d, w in splits]),
-        ))
+    flow_names: dict[tuple[int, int], str] = {}
+    for e, cells in groupby(wide_area.items(), key=lambda cell: cell[0][0]):
+        sw = f"pop{e}"
+        table = tables.setdefault(sw, {})
+        for (_e, a), splits in cells:
+            flow = flow_names[(e, a)] = f"e{e}-a{a}"
+            add(table, sw, ("flow", flow),
+                ("split", [(f"tunnel-e{e}-d{d}", w) for d, w in splits]))
 
     for (a, d), pg in sorted(dsp.physical.items()):
         if pg.total_vms == 0:
@@ -241,9 +241,8 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
             raise InputError(f"physical graph ({a},{d}) has no server placement")
         sw = f"dc{d}"
         ingress_sw = f"dc{d}-ingress"
-        roots = graph.roots
         root_targets = []
-        for root in roots:
+        for root in graph.roots:
             insts = pg.instances.get(root, [])
             if not insts:
                 continue
@@ -253,12 +252,12 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                 if (root, inst.index) not in placed:
                     raise InputError(f"unplaced VM {key}")
                 root_targets.append((key, frac / len(insts)))
-        for e in np.flatnonzero(dsp.f[:, a, d] > 0).tolist():
-            add(ForwardingRule(
-                switch=ingress_sw,
-                match=("tunnel", f"e{e}-a{a}"),
-                action=("split", list(root_targets)),
-            ))
+        # Every tunnel into the graph splits the same way: one shared action.
+        split = ("split", tuple(root_targets))
+        table = tables.setdefault(ingress_sw, {})
+        for e in tunnel_pops.get((a, d), []):
+            add(table, ingress_sw, ("tunnel", flow_names[(e, a)]), split)
+        table = tables.setdefault(sw, {})
         for node in sorted(pg.instances):
             for inst in pg.instances[node]:
                 key = (a, d, node, inst.index)
@@ -266,16 +265,14 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                     raise InputError(f"unplaced VM {key}")
                 tag = pools.instance_tags.get(key)
                 if tag is not None:
-                    add(ForwardingRule(switch=sw, match=("tag", tag),
-                                       action=("vm", key)))
+                    add(table, sw, ("tag", tag), ("vm", key))
         for tag in egress.get((a, d), []):
-            add(ForwardingRule(switch=sw, match=("tag", tag),
-                               action=("customer", None)))
+            add(table, sw, ("tag", tag), ("customer", None))
 
     max_tag = pools.max_tag
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
     return ForwardingPlan(wide_area=wide_area,
-                          dc_tables={sw: list(t.values()) for sw, t in tables.items()},
+                          dc_tables={sw: list(t.values()) for sw, t in tables.items() if t},
                           tag_bits=tag_bits)
 
 

@@ -81,14 +81,16 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
     factors = [graph_compute_factor(g) for g in graphs]
-    rates = [{n.id: g.share(n.id) / n.capacity_gbps for n in g.nodes}
+    rates = [[(n.id, g.share(n.id) / n.capacity_gbps) for n in g.nodes]
              for g in graphs]
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
+    latency = topo.latency
     # Each pop's datacenters, cheapest first: a stable sort of ascending ids
     # by latency is the (latency, id) order.
-    by_latency = [sorted(range(n_d), key=row.__getitem__) for row in topo.latency]
+    by_latency = np.argsort(np.asarray(latency, dtype=float).reshape(n_e, n_d),
+                            axis=1, kind="stable").tolist()
     volumes = traffic.tolist()
 
     # Max-heap of (volume, pop, attack); ties resolve to lowest (e, a). The
@@ -102,11 +104,12 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
         for a, t in enumerate(row):
             if t > EPS:
                 heap.append((-t, e, a, seq))
-                exhausted[seq] = set()
                 seq += 1
     heapq.heapify(heap)
 
-    f = np.zeros((n_e, n_a, n_d))
+    # f accumulates per (e, a, d) cell in Python floats, the same adds a
+    # float64 array would make, and is written into the array at the end.
+    f_cells: dict[tuple[int, int, int], float] = {}
     demand: dict[tuple[int, int], dict[int, float]] = {}
     charged: dict[tuple[int, int], dict[int, int]] = {}
     wide_area_cost = 0.0
@@ -117,7 +120,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
         cur = demand.get((d, a), {})
         have = charged.get((d, a), {})
         inc = 0
-        for i, r in rates[a].items():
+        for i, r in rates[a]:
             new = math.ceil(cur.get(i, 0.0) + x * r - CEIL_EPS)
             inc += max(0, new - have.get(i, 0))
         return inc
@@ -138,15 +141,14 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     while heap:
         neg_t, e, a, item = heapq.heappop(heap)
         t = -neg_t
-        skip = exhausted[item]
-        d = next((d for d in by_latency[e]
-                  if link_rem[d] > EPS and compute_rem[d] > EPS and d not in skip),
-                 None)
-        if d is None:
+        skip = exhausted.get(item, ())
+        for d in by_latency[e]:
+            if link_rem[d] > EPS and compute_rem[d] > EPS and d not in skip:
+                break
+        else:
             t_left += t
             continue
 
-        g = graphs[a]
         t1 = min(t, link_rem[d])
         if ceil_per_assignment:
             t2 = max_affordable(d, a, t1)
@@ -156,19 +158,19 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
         if t_assigned <= EPS:
             # Whole-VM charging: this datacenter cannot afford the next VM
             # step for this item; retry the rest.
-            exhausted[item].add(d)
+            exhausted.setdefault(item, set()).add(d)
             heapq.heappush(heap, (neg_t, e, a, item))
             continue
 
         node_demand = demand.get((d, a))
         if node_demand is None:
-            node_demand = demand[(d, a)] = {n.id: 0.0 for n in g.nodes}
+            node_demand = demand[(d, a)] = {n.id: 0.0 for n in graphs[a].nodes}
         if ceil_per_assignment:
             have = charged.get((d, a))
             if have is None:
-                have = charged[(d, a)] = {n.id: 0 for n in g.nodes}
+                have = charged[(d, a)] = {n.id: 0 for n in graphs[a].nodes}
             inc = 0
-            for i, r in rates[a].items():
+            for i, r in rates[a]:
                 new = math.ceil(node_demand[i] + t_assigned * r - CEIL_EPS)
                 if new > have[i]:
                     inc += new - have[i]
@@ -176,15 +178,20 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             compute_rem[d] -= inc
         else:
             compute_rem[d] -= t_assigned * factors[a]
-        for i, r in rates[a].items():
+        for i, r in rates[a]:
             node_demand[i] += t_assigned * r
-        f[e, a, d] += t_assigned / volumes[e][a]
-        wide_area_cost += t_assigned * topo.latency[e][d]
+        cell = (e, a, d)
+        f_cells[cell] = f_cells.get(cell, 0.0) + t_assigned / volumes[e][a]
+        wide_area_cost += t_assigned * latency[e][d]
         link_rem[d] -= t_assigned
 
         t_unassigned = t - t_assigned
         if t_unassigned > EPS:
             heapq.heappush(heap, (-t_unassigned, e, a, item))
+
+    f = np.zeros((n_e, n_a, n_d))
+    if f_cells:
+        f[tuple(zip(*f_cells))] = list(f_cells.values())
 
     n_dc: dict[tuple[int, int], dict[int, int]] = {}
     physical: dict[tuple[int, int], PhysicalGraph] = {}

@@ -5,6 +5,7 @@ import signal
 import pytest
 from click.testing import CliRunner
 
+from scrubsim import simulate
 from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library, save_library
@@ -145,6 +146,15 @@ def test_graph_demand_unknown_attack_exit_2():
     runner = CliRunner()
     res = runner.invoke(main, ["graph", "demand", "--attack", "nope", "--gbps", "1"])
     assert res.exit_code == 2
+
+
+@pytest.mark.parametrize("gbps", ["-1", "nan", "inf"])
+def test_graph_demand_bad_volume_exit_2(gbps):
+    res = CliRunner().invoke(main, ["graph", "demand", "--attack", "udp_flood",
+                                    f"--gbps={gbps}"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: t_gbps must be >= 0 and finite")
 
 
 def test_compare_provisioning(tmp_path):
@@ -307,6 +317,45 @@ def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
     assert not (tmp_path / "o").exists()
 
 
+def test_simulate_builds_the_topology_once(tmp_path, monkeypatch):
+    calls = []
+    generate = simulate.generate_topology
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "generate_topology", counted)
+    sc_path = tmp_path / "scenario.json"
+    sc_path.write_text(json.dumps({"version": 1, "epochs": 2, "budget_gbps": 20.0,
+                                   "adversary": "steady", "estimator": "uniform",
+                                   "seed": 1, "topology_nodes": 24}))
+    res = CliRunner().invoke(main, ["simulate", "--scenario", str(sc_path),
+                                    "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == 0, res.output
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("content, message", [
+    (None, "No such file"),
+    (topo_config([["x"]]), "malformed topology"),
+])
+def test_simulate_bad_topology_path_exit_2(tmp_path, content, message):
+    topo_path = tmp_path / "topo.json"
+    if content is not None:
+        topo_path.write_text(content)
+    sc_path = tmp_path / "scenario.json"
+    sc_path.write_text(json.dumps({"version": 1, "epochs": 2, "budget_gbps": 20.0,
+                                   "adversary": "steady", "estimator": "uniform",
+                                   "topology_path": str(topo_path)}))
+    res = CliRunner().invoke(main, ["simulate", "--scenario", str(sc_path),
+                                    "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and message in res.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_infeasible_exit_3(tmp_path):
     # A budget far beyond the single tiny datacenter forces t_left > 0.
     runner = CliRunner()
@@ -343,6 +392,9 @@ def test_oracle_compare_cli(tmp_path):
 @pytest.mark.parametrize("bad, message", [
     (["--instances", "0"], "--instances"),
     (["--delta", "0.3"], "delta 0.3 must be 1/k"),
+    (["--delta", "0"], "delta 0.0 must be 1/k"),
+    (["--delta", "nan"], "delta nan must be 1/k"),
+    (["--delta=-0.05"], "delta -0.05 must be 1/k"),
 ])
 def test_oracle_compare_bad_input_exit_2(tmp_path, bad, message):
     runner = CliRunner()

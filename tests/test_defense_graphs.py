@@ -79,6 +79,13 @@ class TestNodeDemand:
         with pytest.raises(InputError):
             node_demand_vms(single_node(), 7, 1.0)
 
+    @pytest.mark.parametrize("t", [-1.0, float("nan"), float("inf")])
+    def test_volume_must_be_finite_and_nonnegative(self, t):
+        for demand in (lambda: node_demand_vms(single_node(), 0, t),
+                       lambda: monolithic_demand_vms(single_node(), t)):
+            with pytest.raises(InputError, match="t_gbps must be >= 0 and finite"):
+                demand()
+
     def test_udp_graph_against_brute_force(self):
         g = udp_like()
         t = 100.0

@@ -1,20 +1,24 @@
 """Byte-stability goldens for the simulator reports, one forwarding plan, the
-exact oracle, the generated topologies and the adaptation layer's regret.
+exact oracle, the generated topologies, the adaptation layer's regret and
+the control plane of dense epochs.
 
 The files under ``tests/data/`` pin the exact bytes of ``epochs.csv``,
 ``summary.json`` and ``ForwardingPlan.dump()``, the exact reprs of
 ``oracle_exact``'s results on criterion 1's instances, SHA-256 digests of
 the latency, paths and links of generated topologies and of their config
-round trips, and the exact reprs of criterion 8's regret table, of one
+round trips, the exact reprs of criterion 8's regret table, of one
 trace's ``RegretReport`` under every estimator and of one per-epoch regret
-report. A change that alters them on purpose regenerates them and says
-why:
+report, and SHA-256 digests of the DSP, SSP, tag-pool and plan outputs of
+a dense 196-node assignment and of a capacity-bound one, and of five
+``sim-dense`` epochs. A change that alters them on purpose regenerates them
+and says why:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import hashlib
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +33,7 @@ from scrubsim.adaptation import (
     run_estimator_on_trace,
 )
 from scrubsim.defense_graphs import builtin_library
+from scrubsim.errors import PlacementError
 from scrubsim.oracle import OracleInstance, oracle_exact, random_tiny_instance
 from scrubsim.orchestration import (
     build_tag_pools,
@@ -48,6 +53,16 @@ TOPOLOGY_PATH = DATA / "golden_topology.json"
 # (nodes, seed): the 2-node clamp, small and paper-scale graphs, and 400 nodes.
 TOPOLOGY_CASES = [(2, 1), (24, 0), (48, 6), (100, 5), (196, 1), (196, 7), (400, 1)]
 REGRET_PATH = DATA / "golden_regret.json"
+DENSE_PATH = DATA / "golden_dense.json"
+# The sim-dense workload's scenario: every (pop, attack) cell of the fpl
+# estimate is nonzero, so every epoch loads DSP, SSP and rule synthesis.
+DENSE_SCENARIO = Scenario(epochs=5, budget_gbps=1000.0, adversary="randhybrid",
+                          estimator="fpl", seed=5, topology_nodes=196, dc_slots=4000)
+# (nodes, dc slots, dc link Gbps, offered Gbps): five datacenters whose links
+# and slots both bind. Both charging modes spill cells over datacenters;
+# fractional charging then fails placement, and whole-VM charging skips a
+# datacenter that cannot afford the next VM.
+CAPACITY_BOUND = (100, 35, 120.0, 600.0)
 
 # 48 nodes with 150 slots per datacenter and a 1.2 cushion: most epochs fail
 # placement, two also leave volume unassigned (t_left notes), and four
@@ -165,6 +180,80 @@ def write_regret(path: Path) -> None:
         fh.write("\n")
 
 
+def _digest(data: bytes | str) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+def dense_traffic(topo, lib, total_gbps: float, seed: int, zero_share: float = 0.0,
+                  heavy: bool = False) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    shape = (len(topo.pops), len(lib))
+    traffic = rng.pareto(1.0, shape) if heavy else rng.uniform(0.0, 1.0, shape)
+    traffic[rng.uniform(size=shape) < zero_share] = 0.0
+    return traffic * (total_gbps / traffic.sum())
+
+
+def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict[str, str]:
+    """Digests of one assignment's DSP result, SSP placements, tag pools
+    (unseeded and seeded) and ``ForwardingPlan.dump()`` bytes. A failed
+    placement is pinned by its message instead of the SSP and plan."""
+    dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil_per_assignment)
+    out = {"dsp": _digest(dsp.f.tobytes() + repr(
+        (dsp.n_dc, dsp.demand, dsp.t_left, dsp.wide_area_cost)).encode())}
+    for name, seed in (("pools_seeded", 5), ("pools", None)):
+        pools = build_tag_pools(dsp.physical, lib, seed=seed)
+        out[name] = _digest(repr((list(pools.pools.items()),
+                                  list(pools.instance_tags.items()),
+                                  list(pools.egress_tags.items()), pools.next_tag)))
+    try:
+        ssps = place_all(topo, dsp, lib)
+    except PlacementError as exc:
+        out["placement_error"] = str(exc)
+        return out
+    out["ssp"] = _digest(repr([(r.dc_id, r.attack_id, list(r.n_srv.items()),
+                                list(r.placements.items()), r.intra_rack_units,
+                                r.inter_rack_units) for r in ssps]))
+    plan = synthesize_rules(dsp, ssps, pools, topo, lib)  # on the unseeded pools
+    for key in sorted(dsp.physical):
+        pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plan.json"
+        plan.dump(str(path))
+        out["plan"] = _digest(path.read_bytes())
+    return out
+
+
+def capacity_bound_case():
+    nodes, slots, link, offered = CAPACITY_BOUND
+    lib = builtin_library()
+    topo = generate_topology(nodes, dc_slot_capacity=slots, seed=3, dc_link_gbps=link)
+    return topo, dense_traffic(topo, lib, offered, seed=5, zero_share=0.2, heavy=True), lib
+
+
+def dense_digests() -> dict:
+    """A dense 196-node assignment (every cell nonzero, 1 Tbps), the
+    capacity-bound case under both charging modes, and the ``epochs.csv``
+    rows of five ``sim-dense`` epochs."""
+    lib = builtin_library()
+    topo = generate_topology(196, dc_slot_capacity=4000, seed=1)
+    out = {"dense": control_plane_digests(topo, dense_traffic(topo, lib, 1000.0, seed=5),
+                                          lib, False)}
+    for ceil in (False, True):
+        out[f"capacity_bound_ceil_{ceil}"] = control_plane_digests(
+            *capacity_bound_case(), ceil)
+    rows = [rec.csv_row() for rec in run_simulation(DENSE_SCENARIO)]
+    out["sim_dense_epochs"] = _digest(json.dumps(rows))
+    return out
+
+
+def write_dense(path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(dense_digests(), fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
 def test_simulation_reports_byte_identical(tmp_path):
     write_sim_reports(tmp_path)
     for name in ("epochs.csv", "summary.json"):
@@ -196,6 +285,20 @@ def test_regret_bytes():
     assert regret_reprs() == json.loads(REGRET_PATH.read_text())
 
 
+def test_dense_digests():
+    assert dense_digests() == json.loads(DENSE_PATH.read_text())
+
+
+def test_capacity_bound_case_spills_and_fails_placement():
+    topo, traffic, lib = capacity_bound_case()
+    for ceil in (False, True):
+        dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
+        assert ((dsp.f > 0).sum(axis=2) > 1).any()
+    golden = json.loads(DENSE_PATH.read_text())
+    assert "placement_error" in golden["capacity_bound_ceil_False"]
+    assert "plan" in golden["capacity_bound_ceil_True"]
+
+
 if __name__ == "__main__":
     SIM_DIR.mkdir(parents=True, exist_ok=True)
     write_sim_reports(SIM_DIR)
@@ -203,5 +306,6 @@ if __name__ == "__main__":
     write_oracle(ORACLE_PATH)
     write_topology(TOPOLOGY_PATH)
     write_regret(REGRET_PATH)
+    write_dense(DENSE_PATH)
     print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json, {PLAN_PATH}, "
-          f"{ORACLE_PATH}, {TOPOLOGY_PATH} and {REGRET_PATH}")
+          f"{ORACLE_PATH}, {TOPOLOGY_PATH}, {REGRET_PATH} and {DENSE_PATH}")

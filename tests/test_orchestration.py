@@ -1,8 +1,11 @@
 import json
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import (
     ANALYSIS,
@@ -14,8 +17,10 @@ from scrubsim.defense_graphs import (
     build_physical_graph,
     ordered_graphs,
 )
-from scrubsim.errors import CapacityError, InputError, PinConflictError
+from scrubsim.errors import CapacityError, InputError, PinConflictError, PlacementError
 from scrubsim.orchestration import (
+    ForwardingPlan,
+    ForwardingRule,
     TagPool,
     assign_tags,
     build_tag_pools,
@@ -29,6 +34,7 @@ from scrubsim.orchestration import (
 )
 from scrubsim.resource_manager import dsp_greedy, place_all
 from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology
+from test_resource_manager import capacity_bound_cases
 
 ATK = AttackType(0, "atk0")
 
@@ -377,3 +383,174 @@ class TestBidirectionalPins:
         assert got_counts == want_counts
         assert sum(got_counts) > 0
         assert plan.bidi_pins == want
+
+
+# ---------------------------------------------------------------------------
+# Linear references: assign_tags and synthesize_rules as they were written
+# before their per-node and per-graph work was hoisted out of the instance
+# and rule loops. Each walks every instance and rule on its own; the library
+# functions must produce equal pools and equal plans, not close ones.
+
+def reference_assign_tags(pg, lib, seed=None, pools=None, max_bits=None):
+    graph = lib[pg.attack]
+    pools = pools if pools is not None else TagPool()
+    a, d = pg.attack.id, pg.dc_id
+    roots = set(graph.roots)
+    slots_needed = []
+    for node in sorted(pg.instances):
+        if node in roots:
+            continue
+        for inst in pg.instances[node]:
+            slots_needed.append(("vm", (a, d, node, inst.index)))
+    for node in sorted(pg.instances):
+        if graph.node(node).delivers:
+            slots_needed.append(("egress", (a, d, node, len(graph.successors(node)))))
+    values = list(range(pools.next_tag, pools.next_tag + len(slots_needed)))
+    if seed is not None:
+        random.Random(seed).shuffle(values)
+    pools.next_tag += len(slots_needed)
+    if max_bits is not None and values and max(values) >= (1 << max_bits):
+        raise CapacityError(
+            f"tag space exhausted: need tag {max(values)} with only {max_bits} bits")
+    for (kind, key), value in zip(slots_needed, values):
+        if kind == "vm":
+            pools.instance_tags[key] = value
+        else:
+            pools.egress_tags[key] = value
+    for node in sorted(pg.instances):
+        succs = graph.successors(node)
+        for inst in pg.instances[node]:
+            vm = (a, d, node, inst.index)
+            for c, succ in enumerate(succs):
+                pools.pools[(vm, c)] = [pools.instance_tags[(a, d, succ, down.index)]
+                                        for down in pg.instances.get(succ, [])]
+            if graph.node(node).delivers:
+                c = len(succs)
+                pools.pools[(vm, c)] = [pools.egress_tags[(a, d, node, c)]]
+    return pools
+
+
+def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
+    graphs = ordered_graphs(lib)
+    placements = {(r.attack_id, r.dc_id): r.placements for r in ssps}
+    wide_area = {}
+    assigned = np.nonzero(dsp.f > 0)
+    for e, a, d, w in zip(*(ix.tolist() for ix in assigned), dsp.f[assigned].tolist()):
+        wide_area.setdefault((e, a), []).append((d, w))
+    egress = {}
+    for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
+        egress.setdefault((ea, ed), []).append(tag)
+    tables = {}
+
+    def add(rule):
+        table = tables.setdefault(rule.switch, {})
+        if rule.match in table:
+            raise InputError(f"duplicate rule match {rule.match} on {rule.switch}")
+        table[rule.match] = rule
+
+    for (e, a), splits in sorted(wide_area.items()):
+        add(ForwardingRule(switch=f"pop{e}", match=("flow", f"e{e}-a{a}"),
+                           action=("split", [(f"tunnel-e{e}-d{d}", w) for d, w in splits])))
+    for (a, d), pg in sorted(dsp.physical.items()):
+        if pg.total_vms == 0:
+            continue
+        graph = graphs[a]
+        placed = placements.get((a, d))
+        if placed is None:
+            raise InputError(f"physical graph ({a},{d}) has no server placement")
+        root_targets = []
+        for root in graph.roots:
+            insts = pg.instances.get(root, [])
+            if not insts:
+                continue
+            frac = graph.external_fraction(root)
+            for inst in insts:
+                key = (a, d, root, inst.index)
+                if (root, inst.index) not in placed:
+                    raise InputError(f"unplaced VM {key}")
+                root_targets.append((key, frac / len(insts)))
+        for e in np.flatnonzero(dsp.f[:, a, d] > 0).tolist():
+            add(ForwardingRule(switch=f"dc{d}-ingress", match=("tunnel", f"e{e}-a{a}"),
+                               action=("split", list(root_targets))))
+        for node in sorted(pg.instances):
+            for inst in pg.instances[node]:
+                key = (a, d, node, inst.index)
+                if (node, inst.index) not in placed:
+                    raise InputError(f"unplaced VM {key}")
+                tag = pools.instance_tags.get(key)
+                if tag is not None:
+                    add(ForwardingRule(switch=f"dc{d}", match=("tag", tag), action=("vm", key)))
+        for tag in egress.get((a, d), []):
+            add(ForwardingRule(switch=f"dc{d}", match=("tag", tag), action=("customer", None)))
+    max_tag = pools.max_tag
+    tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
+    return ForwardingPlan(wide_area=wide_area,
+                          dc_tables={sw: list(t.values()) for sw, t in tables.items()},
+                          tag_bits=tag_bits)
+
+
+def pool_state(pools):
+    return (list(pools.pools.items()), list(pools.instance_tags.items()),
+            list(pools.egress_tags.items()), pools.next_tag)
+
+
+def plan_state(plan):
+    return (plan.to_json(), json.dumps(plan.to_json(), indent=2, sort_keys=True),
+            plan.rules_by_switch(), list(plan.wide_area.items()))
+
+
+def outcome(fn, *args):
+    """The call's result, or its exception's type and message."""
+    try:
+        return fn(*args)
+    except (InputError, CapacityError) as exc:
+        return (type(exc), str(exc))
+
+
+class TestMatchesLinearReference:
+    @settings(max_examples=120, deadline=None)
+    @given(case=capacity_bound_cases(), ceil=st.booleans(),
+           seed=st.one_of(st.none(), st.integers(0, 2**32)),
+           max_bits=st.sampled_from([None, None, 4, 6, 9]))
+    def test_tag_pools(self, case, ceil, seed, max_bits):
+        topo, traffic, lib = case
+        dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
+        got, want = TagPool(), TagPool()
+        for key in sorted(dsp.physical):
+            got_out = outcome(assign_tags, dsp.physical[key], lib, seed, got, max_bits)
+            want_out = outcome(reference_assign_tags, dsp.physical[key], lib, seed, want,
+                               max_bits)
+            assert got_out == want_out if isinstance(want_out, tuple) else got_out is got
+            assert pool_state(got) == pool_state(want)
+        # Every instance owns its pool lists: editing one edits no other.
+        assert len({id(tags) for tags in got.pools.values()}) == len(got.pools)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=capacity_bound_cases(), ceil=st.booleans(),
+           seed=st.one_of(st.none(), st.integers(0, 2**32)), data=st.data())
+    def test_plans(self, case, ceil, seed, data):
+        topo, traffic, lib = case
+        dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
+        try:
+            ssps = place_all(topo, dsp, lib)
+        except PlacementError:
+            return
+        pools = build_tag_pools(dsp.physical, lib, seed=seed)
+        # Sometimes take away a graph's placement or one VM's, so the
+        # unplaced-VM errors are compared too.
+        if ssps and data.draw(st.booleans()):
+            victim = data.draw(st.sampled_from(ssps))
+            if data.draw(st.booleans()) or not victim.placements:
+                ssps = [r for r in ssps if r is not victim]
+            else:
+                del victim.placements[data.draw(st.sampled_from(sorted(victim.placements)))]
+        got = outcome(synthesize_rules, dsp, ssps, pools, topo, lib)
+        want = outcome(reference_synthesize_rules, dsp, ssps, pools, topo, lib)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert plan_state(got) == plan_state(want)
+            for pg in dsp.physical.values():
+                assert (pin_bidirectional_for_graph(got, pg, pools, lib)
+                        == pin_bidirectional_for_graph(want, pg, pools, lib))
+            assert got.bidi_pins == want.bidi_pins

@@ -30,7 +30,15 @@ from scrubsim.resource_manager import (
     place_all,
     ssp_greedy,
 )
-from scrubsim.topology import CostParams, Datacenter, Pop, Rack, Server, Topology
+from scrubsim.topology import (
+    CostParams,
+    Datacenter,
+    Pop,
+    Rack,
+    Server,
+    Topology,
+    generate_topology,
+)
 
 ATK = AttackType(0, "atk0")
 
@@ -500,7 +508,8 @@ def linear_scan_ssp(dc, pg, graph, used):
 
 
 def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
-    """Returns (f, counts, t_left, wide_area_cost, exhausted_hits)."""
+    """The DSP greedy with a linear datacenter scan and per-cell array adds.
+    Returns (f, counts, demand, t_left, wide_area_cost, exhausted_hits)."""
     graphs = ordered_graphs(lib)
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
@@ -508,8 +517,9 @@ def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
     rates = [{n.id: g.share(n.id) / n.capacity_gbps for n in g.nodes} for g in graphs]
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
-    heap = [(-traffic[e, a], e, a, e * n_a + a)
-            for e in range(n_e) for a in range(n_a) if traffic[e, a] > 1e-9]
+    volumes = traffic.tolist()
+    heap = [(-volumes[e][a], e, a, e * n_a + a)
+            for e in range(n_e) for a in range(n_a) if volumes[e][a] > 1e-9]
     heapq.heapify(heap)
     exhausted = {item: set() for *_rest, item in heap}
     f = np.zeros((n_e, n_a, n_d))
@@ -559,17 +569,33 @@ def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
             compute_rem[d] -= t1 * factors[a]
         for i, r in rates[a].items():
             node_demand[i] += t1 * r
-        f[e, a, d] += t1 / traffic[e, a]
+        f[e, a, d] += t1 / volumes[e][a]
         cost += t1 * topo.latency[e][d]
         link_rem[d] -= t1
         if t - t1 > 1e-9:
             heapq.heappush(heap, (-(t - t1), e, a, item))
     if ceil_per_assignment:
-        counts = charged
+        counts = dict(sorted(charged.items()))
     else:
         counts = {k: {i: math.ceil(v - 1e-9) if v > 1e-9 else 0 for i, v in dm.items()}
-                  for k, dm in demand.items()}
-    return f, counts, t_left, cost, hits
+                  for k, dm in sorted(demand.items())}
+    return f, counts, demand, t_left, cost, hits
+
+
+@st.composite
+def capacity_bound_cases(draw):
+    """A generated topology and traffic whose cells are often zero and whose
+    datacenter links and slots are often small enough to spill cells, fail
+    placement or, under whole-VM charging, skip a datacenter."""
+    lib = builtin_library()
+    topo = generate_topology(draw(st.integers(2, 80)),
+                             dc_slot_capacity=draw(st.sampled_from([10, 30, 100, 4000])),
+                             seed=draw(st.integers(0, 5)),
+                             dc_link_gbps=draw(st.sampled_from([20.0, 60.0, 200.0])))
+    weights = np.array([[draw(st.sampled_from([0.0, 0.0, 1.0, 3.0, 20.0]))
+                         for _ in range(len(lib))] for _ in topo.pops])
+    total = draw(st.sampled_from([30.0, 150.0, 600.0]))
+    return topo, weights * (total / max(weights.sum(), 1.0)), lib
 
 
 @st.composite
@@ -699,9 +725,16 @@ class TestIndexedSelectionMatchesLinearScan:
                for d in range(n_d)]
         latency = [[data.draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(n_d)]
                    for _ in range(n_e)]
-        traffic = np.array([[data.draw(st.sampled_from([0.0, 2.5, 5.0, 10.0, 17.0]))
+        # A scale other than 1 makes the volumes inexact binary fractions.
+        scale = data.draw(st.sampled_from([1.0, 0.7, 1.3]))
+        traffic = np.array([[data.draw(st.sampled_from([0.0, 2.5, 5.0, 10.0, 17.0])) * scale
                              for _ in range(len(lib))] for _ in range(n_e)])
         self._check_dsp(make_topo(n_e, dcs, latency), traffic, lib, ceil)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=capacity_bound_cases(), ceil=st.booleans())
+    def test_dsp_on_generated_topologies(self, case, ceil):
+        self._check_dsp(*case, ceil)
 
     def test_dsp_exhausted_datacenters(self):
         # Whole-VM charging with tied latencies: the cheapest datacenters run
@@ -714,9 +747,9 @@ class TestIndexedSelectionMatchesLinearScan:
 
     @staticmethod
     def _check_dsp(topo, traffic, lib, ceil):
-        f, counts, t_left, cost, hits = linear_scan_dsp(topo, traffic, lib, ceil)
+        f, counts, demand, t_left, cost, hits = linear_scan_dsp(topo, traffic, lib, ceil)
         got = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
-        assert np.array_equal(got.f, f)
-        assert got.n_dc == counts
+        assert got.f.tobytes() == f.tobytes()
+        assert (repr(got.n_dc), repr(got.demand)) == (repr(counts), repr(demand))
         assert (got.t_left, got.wide_area_cost) == (t_left, cost)
         return hits
