@@ -8,11 +8,13 @@ Losses are wastage (overprovisioned Gbps / VM slots) and evasion (attack
 Gbps that found no provision), reported per epoch and as normalized regret
 against the best static provision in hindsight. A replay stacks its trace
 once into an (epochs, pops, attacks) array and runs as whole-array passes
-over it: every estimator's provisions are built at once (only perturbed-mean
-keeps one seeded generator per epoch for its noise), the losses are scored
-in one pass, and the hindsight search prices each cell's candidates in one
-broadcast. Per-epoch scoring is the one-epoch case of it; the simulator's
-online loop uses ``EstimatorState`` and ``estimate`` instead.
+over it: every estimator's provisions are built at once (perturbed-mean's
+noise for epoch t is the stream of ``default_rng([seed, t])``, seeded for
+every epoch in one array pass and drawn from one reused generator), the
+losses are scored in one pass, and the hindsight search prices each cell's
+candidates in one broadcast. Per-epoch scoring is the one-epoch case of it;
+the simulator's online loop uses ``EstimatorState`` and ``estimate``
+instead.
 """
 
 from __future__ import annotations
@@ -332,6 +334,84 @@ def normalized_regret(trace: "list[np.ndarray] | np.ndarray", wastage_gbps: list
     )
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Row t equals ``np.random.default_rng([seed, t]).uniform(0.0, bounds[t],
+    shape)`` bit for bit, for every t < len(bounds).
+
+    ``default_rng`` spends most of its time in ``SeedSequence``'s hash, a
+    fixed sequence of uint32 multiply/xor-shift steps, so it runs here once
+    as whole-array passes over every epoch's entropy (the seed's
+    little-endian uint32 words, then t). Each epoch's PCG64 state follows
+    ``pcg64_set_seed`` in Python ints and is loaded into one reused
+    generator, whose ``random`` draws d; ``uniform`` returns 0.0 + bound * d,
+    which is bound * d exactly.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"fpl seed must be a non-negative integer, got {seed!r}")
+    n_t = len(bounds)
+    seed = int(seed)
+    entropy = [np.full(n_t, seed >> shift & _MASK32, dtype=np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.arange(n_t, dtype=np.uint32))
+
+    def hasher(hash_const: int, mult: int):
+        def step(value: np.ndarray) -> np.ndarray:
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = hash_const * mult & _MASK32
+            value = value * np.uint32(hash_const)
+            return value ^ (value >> np.uint32(16))
+        return step
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    # mix_entropy: the pool takes the first words (zeros past the entropy),
+    # every pool word is mixed into every other, then any further words.
+    hashmix = hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(n_t, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, np.uint64): eight uint32 words, paired low word first.
+    hash_out = hasher(_INIT_B, _MULT_B)
+    state32 = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    state64 = [(state32[2 * k + 1] << np.uint64(32) | state32[2 * k]).tolist()
+               for k in range(4)]
+
+    gen = np.random.Generator(np.random.PCG64(0))
+    bit_gen = gen.bit_generator
+    noise = np.empty((n_t, *shape))
+    for row, w0, w1, w2, w3 in zip(noise, *state64):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128,
+                      "inc": inc},
+            "has_uint32": 0, "uinteger": 0,
+        }
+        gen.random(out=row)
+    noise *= bounds[:, None, None]
+    return noise
+
+
 def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
             gamma: float) -> np.ndarray:
     """The (T, E, A) provisions of an estimator fed the stacked (T, E, A)
@@ -340,7 +420,9 @@ def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
     Row t equals ``estimate`` after observing rows 0..t-1, times gamma, bit
     for bit: the fpl mean is the running sum (``np.cumsum`` adds rows in
     sequence, as ``EstimatorState.observe`` does) over the epoch count, and
-    its noise for row t still comes from its own ``default_rng([seed, t])``.
+    its noise for row t is the stream of ``default_rng([seed, t])``, which
+    ``_seeded_uniform_rows`` reproduces for every epoch at once. fpl needs a
+    non-negative integer seed.
     """
     check_estimator(kind, gamma)
     n_t, n_pops, n_attacks = actual.shape
@@ -353,10 +435,8 @@ def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
     mean = np.zeros(actual.shape)
     mean[1:] = np.cumsum(actual[:-1], axis=0) / np.arange(1, n_t)[:, None, None]
     b = _gbps(budget)
-    noise = np.array([
-        np.random.default_rng([seed, t]).uniform(
-            0.0, perturbation_bound(b, t + 1, n_pops, n_attacks), (n_pops, n_attacks))
-        for t in range(n_t)])
+    bounds = np.array([perturbation_bound(b, t + 1, n_pops, n_attacks) for t in range(n_t)])
+    noise = _seeded_uniform_rows(seed, bounds, (n_pops, n_attacks))
     return np.maximum(mean + noise, 0.0) * gamma
 
 

@@ -260,7 +260,7 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
 
 @orch.command("count")
 @click.option("--plan", "plan_path", type=click.Path(exists=True), required=True)
-@click.option("--flows", type=int, required=True)
+@click.option("--flows", type=click.IntRange(min=0), required=True)
 def orch_count(plan_path, flows):
     try:
         with open(plan_path) as fh:

@@ -76,6 +76,10 @@ class Scenario:
         if self.adversary not in STRATEGIES:
             raise InputError(f"unknown adversary strategy {self.adversary!r}")
         check_estimator(self.estimator, self.gamma)
+        # fpl seeds its noise generators with the run seed, which numpy
+        # needs non-negative.
+        if self.estimator == "fpl" and min([self.seed, *(self.seeds or [])]) < 0:
+            raise InputError("fpl needs non-negative seeds")
 
     def load_topology(self) -> Topology:
         if self.topology_path:
@@ -235,9 +239,16 @@ def provisioning_comparison(demand_series: list[list[float]]) -> tuple[float, fl
         arr = arr[:, None]
     if arr.ndim != 2:
         raise InputError("demand series must be a list of per-epoch demands")
+    if arr.shape[1] == 0:
+        raise InputError("every epoch needs at least one demand value")
+    if not (np.isfinite(arr).all() and (arr >= 0).all()):
+        raise InputError("demands must be >= 0 and finite")
     epochs = arr.shape[0]
-    static_peak = float(epochs * arr.max(axis=0).sum())
-    elastic = float(arr.sum())
+    with np.errstate(over="ignore"):
+        static_peak = float(epochs * arr.max(axis=0).sum())
+        elastic = float(arr.sum())
+    if not np.isfinite([static_peak, elastic]).all():
+        raise InputError("demand totals overflow")
     return static_peak, elastic
 
 

@@ -13,6 +13,7 @@ from scrubsim.adaptation import (
     EstimatorState,
     RegretReport,
     _replay,
+    _seeded_uniform_rows,
     _stack,
     adversary_next,
     best_static_hindsight,
@@ -475,6 +476,41 @@ class TestTraceScoring:
         want = np.array(_loop_provisions(kind, trace, budget, seed, gamma))
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**96, 2**96 + 5, 2**160 - 1)),
+                     st.integers(0, 2**160 - 1)),
+           st.integers(1, 600), st.integers(1, 196), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_seeded_rows_equal_one_generator_per_epoch(self, seed, n_t, n_pops, n_attacks,
+                                                       bound_seed):
+        # Seeds of one to five uint32 words: five words run SeedSequence's
+        # extra-entropy loop, since the epoch adds one more.
+        bounds = np.random.default_rng(bound_seed).uniform(0.0, 100.0, n_t)
+        shape = (n_pops, n_attacks)
+        got = _seeded_uniform_rows(seed, bounds, shape)
+        want = np.array([np.random.default_rng([seed, t]).uniform(0.0, bounds[t], shape)
+                         for t in range(n_t)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_fpl_replay_equals_loop_at_a_multiword_seed(self):
+        strat = AdversaryStrategy("randhybrid", 3)
+        budget = Budget(80.0)
+        trace = [adversary_next(strat, budget, t, 4, 3) for t in range(30)]
+        for seed in (2**32, 2**96 + 5):
+            got = _replay("fpl", _stack(trace), budget, seed, 1.25)
+            want = np.array(_loop_provisions("fpl", trace, budget, seed, 1.25))
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, -2**40, 1.5, "3", None])
+    def test_fpl_replay_rejects_a_bad_seed(self, seed):
+        with pytest.raises(InputError, match="fpl seed must be a non-negative integer"):
+            _replay("fpl", np.ones((3, 1, 2)), Budget(5.0), seed, 1.0)
+
+    def test_other_estimators_take_a_negative_seed(self):
+        trace = toy_trace()
+        for kind in ("prevepoch", "uniform"):
+            assert (run_estimator_on_trace(kind, trace, Budget(30.0), LIB2, seed=-3)
+                    == run_estimator_on_trace(kind, trace, Budget(30.0), LIB2, seed=3))
 
     @settings(max_examples=200, deadline=None)
     @given(_float_traces())

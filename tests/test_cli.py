@@ -57,6 +57,10 @@ def test_topo_gen_and_dsp_pipeline(tmp_path):
     assert counts["per_flow_rules"] == 200000
     assert counts["tag_rules"] > 0
 
+    res = runner.invoke(main, ["orch", "count", "--plan", str(plan_path), "--flows", "-5"])
+    assert res.exit_code == 2, res.output
+    assert "-5 is not in the range" in res.output
+
 
 @pytest.mark.parametrize("field, value, message", [
     ("links", [[0, 5, 100]], "backbone link (0, 5)"),
@@ -168,6 +172,21 @@ def test_compare_provisioning(tmp_path):
     assert data["elastic_total"] == 270.0
 
 
+@pytest.mark.parametrize("series, message", [
+    ([[1, -2], [3, 4]], "demands must be >= 0 and finite"),
+    ([[float("nan"), 1]], "demands must be >= 0 and finite"),  # written as NaN
+    ([["nan"]], "demands must be >= 0 and finite"),
+    ([[1e308], [1e308]], "demand totals overflow"),
+    ([[]], "every epoch needs at least one demand value"),
+])
+def test_compare_provisioning_bad_demands_exit_2(tmp_path, series, message):
+    series_path = tmp_path / "series.json"
+    series_path.write_text(json.dumps(series))
+    res = CliRunner().invoke(main, ["compare", "provisioning", "--series", str(series_path)])
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ") and message in res.output
+
+
 def test_adapt_regret_single_pair_per_epoch(tmp_path):
     runner = CliRunner()
     out = tmp_path / "regret.csv"
@@ -238,6 +257,22 @@ def test_adapt_regret_bad_input_exit_2(tmp_path, pair, bad, message):
     assert res.exit_code == 2, res.output
     assert message in res.output
     assert not (tmp_path / "regret.csv").exists()
+
+
+@pytest.mark.parametrize("pair, code", [
+    ([], 2),
+    (["--strategy", "randhybrid", "--estimator", "fpl"], 2),
+    (["--strategy", "randhybrid", "--estimator", "uniform"], 0),
+    (["--estimator", "prevepoch"], 0),
+])
+def test_adapt_regret_negative_seed(tmp_path, pair, code):
+    out = tmp_path / "regret.csv"
+    res = CliRunner().invoke(main, ["adapt", "regret", *pair, "--seed", "-3", "--seeds", "2",
+                                    "--epochs", "5", "--pops", "3", "--out", str(out)])
+    assert res.exit_code == code, res.output
+    if code:
+        assert res.output.startswith("error: fpl seed must be a non-negative integer")
+        assert not out.exists()
 
 
 def test_simulate_scenario(tmp_path):
@@ -315,6 +350,21 @@ def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ") and message in res.output
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("estimator, code", [("fpl", 2), ("uniform", 0)])
+@pytest.mark.parametrize("seeds", [{"seed": -1}, {"seeds": [2, -1]}])
+def test_simulate_negative_seed(tmp_path, estimator, code, seeds):
+    sc_path = tmp_path / "scenario.json"
+    sc_path.write_text(json.dumps({"version": 1, "epochs": 2, "budget_gbps": 10,
+                                   "adversary": "steady", "estimator": estimator,
+                                   "topology_nodes": 8, **seeds}))
+    res = CliRunner().invoke(main, ["simulate", "--scenario", str(sc_path),
+                                    "--out-dir", str(tmp_path / "o")])
+    assert res.exit_code == code, res.output
+    if code:
+        assert res.output.startswith("error: ") and "fpl needs non-negative seeds" in res.output
+        assert not (tmp_path / "o").exists()
 
 
 def test_simulate_builds_the_topology_once(tmp_path, monkeypatch):

@@ -38,6 +38,19 @@ class TestProvisioningComparison:
         with pytest.raises(InputError):
             provisioning_comparison([])
 
+    @pytest.mark.parametrize("series, message", [
+        ([[1.0, -2.0], [3.0, 4.0]], "demands must be >= 0 and finite"),
+        ([[float("nan")]], "demands must be >= 0 and finite"),
+        ([["nan"]], "demands must be >= 0 and finite"),
+        ([[float("inf"), 1.0]], "demands must be >= 0 and finite"),
+        ([[1e308], [1e308]], "demand totals overflow"),
+        ([[]], "every epoch needs at least one demand value"),
+        ([[], []], "every epoch needs at least one demand value"),
+    ])
+    def test_bad_demands_rejected(self, series, message):
+        with pytest.raises(InputError, match=message):
+            provisioning_comparison(series)
+
 
 class TestRunSimulation:
     def test_cold_start_prevepoch_single_epoch(self):
@@ -174,3 +187,10 @@ class TestScenarioConfig:
                                   "adversary": "steady", "estimator": "fpl"})
         with pytest.raises(InputError):
             tiny_scenario(epochs=0)
+
+    def test_fpl_rejects_negative_seeds(self):
+        for bad in ({"seed": -1}, {"seeds": [2, -1]}):
+            with pytest.raises(InputError, match="fpl needs non-negative seeds"):
+                tiny_scenario(estimator="fpl", **bad)
+            # Only fpl seeds numpy generators with the run seed.
+            assert tiny_scenario(estimator="uniform", **bad).estimator == "uniform"
