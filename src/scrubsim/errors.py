@@ -26,7 +26,9 @@ class PinConflictError(RuntimeError):
 
 
 class OracleSizeError(ValueError):
-    """Raised when an instance exceeds the exhaustive oracle's size bounds.
+    """Raised when the exhaustive oracle cannot take an instance: it exceeds
+    the size bounds, its traffic is off the volume grid or its delta is
+    malformed.
 
-    The message lists the violated bounds so callers know what to shrink.
+    The message lists every problem so callers know what to change.
     """

@@ -12,11 +12,14 @@ grid (grid units per attack, within the datacenter's link and compute
 capacity); fill one dense integer table per datacenter suffix, where
 ``H[d][r]`` is the most units datacenters ``d..`` can take from the
 remaining per-attack supply ``r`` (the box ``prod(supply_a + 1)``, filled
-bottom-up from ``H[n_d] = 0`` with one shifted maximum per feasible tuple);
-then run a depth-first search over the datacenters that keeps only
-assignments reaching ``H[0][supply]`` (a table lookup prunes every node),
-prices the wide-area side with an exact min-cost transport, and prices each
-datacenter with an exact placement search seeded by the greedy placement.
+bottom-up from ``H[n_d] = 0``; the tuple sets are downward closed, so two
+slice maxima per tuple prefix fill a table); then run a depth-first search
+over the datacenters that keeps only assignments reaching ``H[0][supply]``
+(a table lookup prunes every node), prices the wide-area side with an exact
+min-cost transport, and prices each datacenter with an exact placement
+search seeded by the greedy placement, which spreads one logical node's VMs
+over the servers per level and prices each spread from a server-pair kind
+table against the nodes already placed.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ MAX_TOTAL_UNITS = 400
 MAX_SERVERS_PER_DC = 8
 _SEARCH_NODE_BUDGET = 2_000_000
 _PLACEMENT_NODE_BUDGET = 500_000
+_SPREAD_MEMO_ENTRIES = 20_000
 
 
 @dataclass
@@ -97,7 +101,7 @@ class OracleInstance:
             if units > MAX_TOTAL_UNITS:
                 problems.append(f"{units} volume units > {MAX_TOTAL_UNITS}")
         if problems:
-            raise OracleSizeError("oracle instance too large: " + "; ".join(problems))
+            raise OracleSizeError("invalid oracle instance: " + "; ".join(problems))
 
 
 @dataclass
@@ -115,23 +119,65 @@ def _max_handled_tables(tuples_by_dc: list[list[tuple[int, ...]]],
     """Suffix tables ``H`` with ``H[n_d] = 0`` and ``H[d][r]`` the maximum of
     ``sum(c) + H[d + 1][r - c]`` over the tuples ``c <= r`` of datacenter
     ``d``, for every remaining supply ``r`` in the box ``prod(supply + 1)``.
-    Every tuple must fit within ``supply``."""
+
+    Every tuple must fit within ``supply``, and each datacenter's tuple set
+    must be downward closed (every one-step decrement of a member is a
+    member), as link and compute capacity make it. Then one pass per tuple
+    prefix (all coordinates but the last) fills the table: with ``k`` the
+    largest last coordinate under prefix ``p``, the last coordinate ranges
+    over ``0..k``, and since ``H[d + 1]`` gains at most 1 per extra unit of
+    supply, the best choice takes ``min(k, r_last)``. That is two slice
+    maxima per prefix: ``r_last >= k`` reads ``H[d + 1]`` at ``r - (p, k)``,
+    and ``r_last < k`` takes every remaining unit on top of
+    ``H[d + 1][r_prefix - p, 0]``."""
     shape = tuple(s + 1 for s in supply)
     tables = [np.zeros(shape, dtype=np.int64)]
     for feas in reversed(tuples_by_dc):
         nxt = tables[-1]
         h = np.zeros(shape, dtype=np.int64)
+        last: dict[tuple[int, ...], int] = {}
         for combo in feas:
-            # Entries r >= combo read H[d + 1] at r - combo.
-            dst = h[tuple(slice(v, None) for v in combo)]
-            src = nxt[tuple(slice(0, n - v) for n, v in zip(shape, combo))]
-            np.maximum(dst, src + sum(combo), out=dst)
+            last[combo[:-1]] = max(last.get(combo[:-1], 0), combo[-1])
+        # H[d + 1] with the last coordinate at 0, plus 0..k-1 remaining units.
+        floor = nxt[..., :1]
+        ramp = np.arange(shape[-1], dtype=np.int64)
+        for pre, k in last.items():
+            base = sum(pre)
+            dst_pre = tuple(slice(v, None) for v in pre)
+            src_pre = tuple(slice(0, n - v) for n, v in zip(shape, pre))
+            dst = h[dst_pre + (slice(k, None),)]
+            src = nxt[src_pre + (slice(0, shape[-1] - k),)]
+            np.maximum(dst, src + (base + k), out=dst)
+            if k:
+                dst = h[dst_pre + (slice(0, k),)]
+                np.maximum(dst, floor[src_pre] + (ramp[:k] + base), out=dst)
         tables.append(h)
     return tables[::-1]
 
 
 class _BudgetExceeded(Exception):
     pass
+
+
+def _spreads(count: int, free: tuple[int, ...], idx: int = 0,
+             pos: tuple[int, ...] = (), rest: tuple[int, ...] = ()):
+    """Every way to spread `count` VMs over the servers within their free
+    slots, most VMs on the earliest server first. Each spread is given as
+    the VMs' server positions and the free slots it leaves."""
+    last = len(free) - 1
+    if idx == last:
+        if count <= free[idx]:
+            yield pos + (idx,) * count, rest + (free[idx] - count,)
+        return
+    for take in range(min(count, free[idx]), -1, -1):
+        left = count - take
+        if idx + 1 < last:
+            yield from _spreads(left, free, idx + 1, pos + (idx,) * take,
+                                rest + (free[idx] - take,))
+        elif left <= free[last]:
+            # The last server takes what is left.
+            yield (pos + (idx,) * take + (last,) * left,
+                   rest + (free[idx] - take, free[last] - left))
 
 
 class _MinCostFlow:
@@ -251,79 +297,88 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
         incumbent += res.dc_cost(params)
     best = incumbent if feasible else math.inf
 
-    # Exhaustive placement: assign each group's count across servers.
+    # Exhaustive placement: assign each group's count across servers, one
+    # group per level; a group pays for its edges to the groups before it.
     groups.sort(key=lambda g: (-g[2], g[0], g[1]))
-    graph_of = {a: graphs[a] for a, _i, _c in groups}
-    nodes_explored = 0
-
-    free0 = [s[2] for s in servers]
-    locs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    def edge_cost_against_placed(a: int, i: int, my_locs: list[tuple[int, int]]) -> float:
-        g = graph_of[a]
+    level = {(a, i): gi for gi, (a, i, _c) in enumerate(groups)}
+    # Server pairs by position: 0 same server, 1 same rack, 2 other rack.
+    kind = [[0 if s[:2] == t[:2] else 1 if s[0] == t[0] else 2 for t in servers]
+            for s in servers]
+    # Per group, each edge to an earlier group in graph order, with the
+    # per-VM-pair cost of that edge by pair kind.
+    incident: list[list[tuple[int, tuple[float, float, float]]]] = []
+    for gi, (a, i, count) in enumerate(groups):
         vol = vols[a] * q
-        total = 0.0
-        for s, d, w in g.edges:
+        edges = []
+        for s, d, w in graphs[a].edges:
             if s != i and d != i:
                 continue
-            other = d if s == i else s
-            if (a, other) not in locs:
+            other = level.get((a, d if s == i else s), gi)
+            if other >= gi:
                 continue
             ev = vol * w
-            n_s = len(my_locs) if s == i else len(locs[(a, s)])
-            n_d = len(my_locs) if d == i else len(locs[(a, d)])
-            if ev <= _EPS or n_s == 0 or n_d == 0:
+            if ev <= _EPS:
                 continue
-            per_pair = ev / (n_s * n_d)
-            mine = my_locs
-            theirs = locs[(a, other)]
-            for lm in mine:
-                for lt in theirs:
-                    if lm == lt:
-                        continue
-                    total += per_pair * (params.intra_unit_cost if lm[0] == lt[0]
-                                         else params.inter_unit_cost)
-        return total
+            per_pair = ev / (count * groups[other][2])
+            edges.append((other, (0.0, per_pair * params.intra_unit_cost,
+                                  per_pair * params.inter_unit_cost)))
+        incident.append(edges)
 
-    def compositions(count: int, free: list[int]):
-        # All ways to spread `count` VMs over the servers within free slots.
-        n = len(free)
+    # (count, free slots) -> the spreads of `count` VMs over them; about 63%
+    # of lookups hit on criterion 1's instances. The memo never holds more
+    # than 507 spreads on seeds 20000-20999, so its cap only binds on large
+    # datacenters, where a count can have millions of spreads over 8 servers
+    # (an uncapped memo reached 1.96 GB there): a list that would overfill
+    # it is streamed instead.
+    spreads: dict[tuple[int, tuple[int, ...]],
+                  list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
+    memo_room = _SPREAD_MEMO_ENTRIES
 
-        def rec(idx: int, remaining: int, acc: list[int]):
-            if idx == n - 1:
-                if remaining <= free[idx]:
-                    yield acc + [remaining]
-                return
-            for take in range(min(remaining, free[idx]), -1, -1):
-                yield from rec(idx + 1, remaining - take, acc + [take])
+    def compositions(count: int, free: tuple[int, ...]):
+        nonlocal memo_room
+        got = spreads.get((count, free))
+        if got is None:
+            stream = _spreads(count, free)
+            got = list(itertools.islice(stream, memo_room + 1))
+            if len(got) > memo_room:
+                return itertools.chain(got, stream)
+            memo_room -= len(got)
+            spreads[(count, free)] = got
+        return got
 
-        yield from rec(0, count, [])
+    placed: list[tuple[int, ...]] = [()] * len(groups)
+    nodes_explored = 0
 
-    def dfs(gi: int, free: list[int], cost_so_far: float):
+    def dfs(gi: int, free: tuple[int, ...], cost_so_far: float):
         nonlocal best, nodes_explored
         if cost_so_far >= best - 1e-12:
             return
         if gi == len(groups):
             best = cost_so_far
             return
-        a, i, count = groups[gi]
-        for combo in compositions(count, free):
+        edges = incident[gi]
+        for mine, rest in compositions(groups[gi][2], free):
             nodes_explored += 1
             if nodes_explored > _PLACEMENT_NODE_BUDGET:
                 raise _BudgetExceeded()
-            my_locs = []
-            for srv_idx, c in enumerate(combo):
-                my_locs.extend([(servers[srv_idx][0], servers[srv_idx][1])] * c)
-            delta_cost = edge_cost_against_placed(a, i, my_locs)
+            # Same pairs, same products, same summation order as one pass
+            # over every (mine, theirs) VM pair per edge.
+            delta_cost = 0.0
+            for other, pair_cost in edges:
+                theirs = placed[other]
+                for lm in mine:
+                    row = kind[lm]
+                    for lt in theirs:
+                        k = row[lt]
+                        if k:
+                            delta_cost += pair_cost[k]
             if cost_so_far + delta_cost >= best - 1e-12:
                 continue
-            locs[(a, i)] = my_locs
-            new_free = [fr - c for fr, c in zip(free, combo)]
-            dfs(gi + 1, new_free, cost_so_far + delta_cost)
-            del locs[(a, i)]
+            placed[gi] = mine
+            dfs(gi + 1, rest, cost_so_far + delta_cost)
 
     try:
-        dfs(0, free0, 0.0)
+        dfs(0, tuple(s[2] for s in servers), 0.0)
     except _BudgetExceeded:
         # The greedy incumbent keeps the value an upper bound on the optimum
         # achievable by the heuristic, preserving oracle <= greedy.

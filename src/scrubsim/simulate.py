@@ -54,6 +54,13 @@ CSV_COLUMNS = [
 ]
 
 
+def _check_fpl_seeds(estimator: str, seeds: list[int]) -> None:
+    # fpl seeds its noise generators with the run seed, which numpy needs
+    # non-negative.
+    if estimator == "fpl" and min(seeds) < 0:
+        raise InputError("fpl needs non-negative seeds")
+
+
 @dataclass
 class Scenario:
     epochs: int
@@ -76,10 +83,7 @@ class Scenario:
         if self.adversary not in STRATEGIES:
             raise InputError(f"unknown adversary strategy {self.adversary!r}")
         check_estimator(self.estimator, self.gamma)
-        # fpl seeds its noise generators with the run seed, which numpy
-        # needs non-negative.
-        if self.estimator == "fpl" and min([self.seed, *(self.seeds or [])]) < 0:
-            raise InputError("fpl needs non-negative seeds")
+        _check_fpl_seeds(self.estimator, [self.seed, *(self.seeds or [])])
 
     def load_topology(self) -> Topology:
         if self.topology_path:
@@ -158,8 +162,15 @@ class EpochRecord:
 
 def run_simulation(sc: Scenario, seed: int | None = None) -> list[EpochRecord]:
     """One seeded simulation run; fully deterministic per (scenario, seed)."""
-    return _run_epochs(sc, sc.seed if seed is None else seed,
-                       sc.load_topology(), sc.load_library())
+    return _run_epochs(sc, _run_seed(sc, seed), sc.load_topology(), sc.load_library())
+
+
+def _run_seed(sc: Scenario, seed: int | None) -> int:
+    """`seed`, or the scenario's own when it is None, checked as the
+    scenario checks its seeds."""
+    seed = sc.seed if seed is None else seed
+    _check_fpl_seeds(sc.estimator, [seed])
+    return seed
 
 
 def _run_epochs(sc: Scenario, seed: int, topo: Topology,
@@ -289,7 +300,7 @@ def verify_records_feasible(sc: Scenario, seed: int | None = None,
                             epochs: int | None = None) -> int:
     """Re-run a scenario and recheck every epoch's resource assignment with
     the constraint checker; returns the number of violations found."""
-    seed = sc.seed if seed is None else seed
+    seed = _run_seed(sc, seed)
     topo = sc.load_topology()
     lib = sc.load_library()
     budget = Budget(sc.budget_gbps)

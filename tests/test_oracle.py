@@ -7,19 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrubsim import oracle
-from scrubsim.defense_graphs import ANALYSIS, AnnotatedGraph, AttackType, LogicalModule
-from scrubsim.errors import OracleSizeError
+from scrubsim.defense_graphs import (
+    ANALYSIS,
+    AnnotatedGraph,
+    AttackType,
+    LogicalModule,
+    build_physical_graph,
+    node_demand_vms,
+)
+from scrubsim.errors import OracleSizeError, PlacementError
 from scrubsim.oracle import (
     ComparisonRow,
     OracleInstance,
     _max_handled_tables,
     _min_cost_transport,
+    _optimal_dsc,
+    _preset_graph,
     oracle_comparison,
     oracle_exact,
     gap_summary,
     random_tiny_instance,
 )
-from scrubsim.resource_manager import dsp_greedy, evaluate_cost, place_all
+from scrubsim.resource_manager import SlotTable, dsp_greedy, evaluate_cost, place_all, ssp_greedy
 from scrubsim.topology import CostParams, Datacenter, Pop, Rack, Server, Topology
 
 ATK = AttackType(0, "atk0")
@@ -123,6 +132,16 @@ class TestOracleExact:
                            CostParams())
         assert res.handled == 0.0 and res.objective == 0.0
 
+    @pytest.mark.parametrize("delta", [0.0, math.nan, 0.3])
+    def test_malformed_delta_is_not_called_too_large(self, delta):
+        lib = one_node_lib()
+        topo = make_topo(1, [make_dc(0, 99.0, 99)], [[1.0]])
+        with pytest.raises(OracleSizeError,
+                           match=r"^invalid oracle instance: delta .* must be 1/k") as info:
+            oracle_exact(OracleInstance(delta=delta), topo, np.array([[20.0]]), lib,
+                         CostParams())
+        assert "too large" not in str(info.value)
+
     def test_deterministic(self):
         topo, traffic, lib, params = random_tiny_instance(11)
         a = oracle_exact(OracleInstance(), topo, traffic, lib, params)
@@ -194,6 +213,168 @@ class TestMaxHandledTables:
         assert tables[0][0, 0] == 0
         assert not tables[2].any()
         assert_tables_match_reference(tuples_by_dc, (3, 2), tables)
+
+
+class TestDownwardClosedTuples:
+    def test_every_decrement_of_a_built_tuple_is_built(self, monkeypatch):
+        # _max_handled_tables fills one pass per tuple prefix, which is exact
+        # only on downward-closed tuple sets; the sets oracle_exact builds on
+        # criterion 1's instances must be.
+        calls = []
+
+        def spy(tuples_by_dc, supply):
+            calls.append(tuples_by_dc)
+            return _max_handled_tables(tuples_by_dc, supply)
+
+        monkeypatch.setattr(oracle, "_max_handled_tables", spy)
+        for seed in range(20_000, 20_100):
+            topo, traffic, lib, params = random_tiny_instance(seed)
+            oracle_exact(OracleInstance(), topo, traffic, lib, params)
+        assert len(calls) == 100
+        for tuples_by_dc in calls:
+            for feas in tuples_by_dc:
+                members = set(feas)
+                assert (0,) * len(feas[0]) in members
+                for combo in feas:
+                    for a, v in enumerate(combo):
+                        if v:
+                            assert combo[:a] + (v - 1,) + combo[a + 1:] in members
+
+
+DSC_PARAMS = CostParams(alpha=1.0, intra_unit_cost=1.0, inter_unit_cost=5.0, beta=1.0)
+
+
+def brute_force_dsc(dc, graphs, vols, q, params):
+    """Cheapest whole-VM placement, over every way to put every group's VMs
+    on the servers within their slots. Each edge's volume splits evenly over
+    its VM pairs: a pair on one server is free, on one rack it pays the
+    intra-rack unit cost per Gbps, across racks the inter-rack one."""
+    servers = [(rack.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
+    groups = [(a, n.id, c) for a, g in enumerate(graphs) if vols[a] * q > 1e-9
+              for n in g.nodes for c in [node_demand_vms(g, n.id, vols[a] * q)] if c]
+
+    def price(where):
+        total = 0.0
+        for a, g in enumerate(graphs):
+            for s, d, w in g.edges:
+                if (a, s) not in where or (a, d) not in where:
+                    continue
+                cs, cd = where[(a, s)], where[(a, d)]
+                per_pair = vols[a] * q * w / (sum(cs) * sum(cd))
+                for i, x in enumerate(cs):
+                    for j, y in enumerate(cd):
+                        if i != j:
+                            unit = (params.intra_unit_cost if servers[i][0] == servers[j][0]
+                                    else params.inter_unit_cost)
+                            total += x * y * per_pair * unit
+        return total
+
+    best = math.inf
+
+    def place(k, free, where):
+        nonlocal best
+        if k == len(groups):
+            best = min(best, price(where))
+            return
+        a, i, count = groups[k]
+        for combo in itertools.product(*(range(f + 1) for f in free)):
+            if sum(combo) == count:
+                where[(a, i)] = combo
+                place(k + 1, tuple(f - c for f, c in zip(free, combo)), where)
+                del where[(a, i)]
+
+    place(0, tuple(slots for _rack, slots in servers), {})
+    return best
+
+
+def greedy_dsc(dc, graphs, vols, q, params):
+    """What the server-selection greedy pays for the same demand, placing the
+    graphs in attack order on one shared slot table (inf if it fails)."""
+    slots = SlotTable(dc)
+    total = 0.0
+    for a, g in enumerate(graphs):
+        vol = vols[a] * q
+        if vol > 1e-9:
+            counts = {n.id: node_demand_vms(g, n.id, vol) for n in g.nodes}
+            pg = build_physical_graph(g, dc.id, vol, counts)
+            try:
+                total += ssp_greedy(dc, pg, {g.attack: g}, slots).dc_cost(params)
+            except PlacementError:
+                return math.inf
+    return total
+
+
+# (racks, servers per rack, slots per server, graph shapes, grid units per
+# graph); q = 1 Gbps per unit and every node handles 2 Gbps per VM.
+DSC_CASES = [
+    (1, 1, 8, ["chain"], (6,)),
+    (1, 2, 3, ["chain"], (6,)),
+    (2, 1, 3, ["chain"], (6,)),
+    (2, 2, 3, ["chain"], (10,)),
+    (1, 2, 4, ["branch"], (6,)),
+    (2, 1, 4, ["branch"], (8,)),
+    (2, 2, 3, ["branch"], (8,)),
+    (2, 2, 2, ["branch"], (6,)),
+    (2, 2, 3, ["chain", "branch"], (4, 4)),
+    (2, 2, 2, ["chain", "chain"], (2, 4)),
+    (1, 2, 4, ["branch", "chain"], (4, 0)),
+]
+
+
+def dsc_case(racks, per_rack, slots, shapes):
+    dc = Datacenter(id=0, link_capacity_gbps=999.0, attach_pop=0, racks=tuple(
+        Rack(r, tuple(Server(r * per_rack + k, slots) for k in range(per_rack)))
+        for r in range(racks)))
+    graphs = [_preset_graph(AttackType(a, f"atk{a}"), shape, 1.0)
+              for a, shape in enumerate(shapes)]
+    return dc, graphs
+
+
+class TestOptimalDsc:
+    @pytest.mark.parametrize("racks, per_rack, slots, shapes, vols", DSC_CASES)
+    def test_matches_brute_force_and_never_exceeds_greedy(self, racks, per_rack, slots,
+                                                         shapes, vols):
+        dc, graphs = dsc_case(racks, per_rack, slots, shapes)
+        got = _optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+        assert got == pytest.approx(brute_force_dsc(dc, graphs, vols, 1.0, DSC_PARAMS),
+                                    rel=1e-9, abs=1e-12)
+        assert got <= greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+
+    def test_search_beats_the_greedy_somewhere(self):
+        # Otherwise the cases above would not tell the search from its seed.
+        assert any(
+            _optimal_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS) + 1e-9
+            < greedy_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS)
+            for case in DSC_CASES)
+
+    @pytest.mark.parametrize("racks, per_rack, slots, shapes, vols", DSC_CASES)
+    def test_exhausted_node_budget_returns_the_greedy(self, monkeypatch, racks, per_rack,
+                                                     slots, shapes, vols):
+        monkeypatch.setattr(oracle, "_PLACEMENT_NODE_BUDGET", 0)
+        dc, graphs = dsc_case(racks, per_rack, slots, shapes)
+        assert (_optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+                == greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS))
+
+    @pytest.mark.parametrize("budget", [3, 40, 500_000])
+    def test_streamed_spreads_search_like_memoised_ones(self, monkeypatch, budget):
+        # Spread lists that would overfill the memo are streamed; the search
+        # must visit the same nodes either way, so a cut-off search stops at
+        # the same place.
+        monkeypatch.setattr(oracle, "_PLACEMENT_NODE_BUDGET", budget)
+
+        def run_all():
+            return [_optimal_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS)
+                    for case in DSC_CASES]
+
+        memoised = run_all()
+        monkeypatch.setattr(oracle, "_SPREAD_MEMO_ENTRIES", 0)
+        assert run_all() == memoised
+
+    def test_no_demand_and_too_much_demand(self):
+        dc, graphs = dsc_case(1, 2, 2, ["chain"])
+        assert _optimal_dsc(dc, graphs, (0,), 1.0, DSC_PARAMS) == 0.0
+        # Two nodes of 3 VMs each need 6 slots; the datacenter has 4.
+        assert _optimal_dsc(dc, graphs, (6,), 1.0, DSC_PARAMS) == math.inf
 
 
 class TestAgainstNaiveEnumeration:

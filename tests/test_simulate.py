@@ -194,3 +194,12 @@ class TestScenarioConfig:
                 tiny_scenario(estimator="fpl", **bad)
             # Only fpl seeds numpy generators with the run seed.
             assert tiny_scenario(estimator="uniform", **bad).estimator == "uniform"
+
+    @pytest.mark.parametrize("run", [run_simulation, verify_records_feasible])
+    def test_fpl_explicit_negative_seed_rejected(self, run):
+        # An explicit run seed bypasses the scenario's own seed check.
+        sc = tiny_scenario(estimator="fpl", epochs=2)
+        with pytest.raises(InputError, match="fpl needs non-negative seeds"):
+            run(sc, seed=-1)
+        assert len(run_simulation(tiny_scenario(estimator="uniform", epochs=2),
+                                  seed=-1)) == 2
