@@ -45,7 +45,7 @@ class TagPool:
 
     @property
     def max_tag(self) -> int:
-        return max([t for p in self.pools.values() for t in p], default=0)
+        return max((max(p) for p in self.pools.values() if p), default=0)
 
 
 def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
@@ -132,19 +132,6 @@ def tag_space_bound(graphs: list[AnnotatedGraph], l_max: int,
     return max_tags, bits
 
 
-@dataclass
-class ForwardingRule:
-    switch: str
-    match: tuple[str, object]  # ("flow"|"tunnel"|"tag", value)
-    # ("split", [(target, weight)]) | ("vm", key) | ("customer", None); an
-    # ingress tunnel rule's split is a tuple its graph's tunnels share.
-    action: tuple[str, object]
-
-    def to_json(self) -> dict:
-        return {"switch": self.switch, "match": list(self.match),
-                "action": [self.action[0], _jsonable(self.action[1])]}
-
-
 def _jsonable(x):
     if isinstance(x, (tuple, list)):
         return [_jsonable(v) for v in x]
@@ -154,7 +141,11 @@ def _jsonable(x):
 @dataclass
 class ForwardingPlan:
     wide_area: dict[tuple[int, int], list[tuple[int, float]]]  # (e, a) -> [(d, weight)]
-    dc_tables: dict[str, list[ForwardingRule]]
+    # switch -> {match: action} in installation order. A match is ("flow" |
+    # "tunnel" | "tag", value); an action is ("split", ((target, weight), ...)),
+    # ("vm", key) or ("customer", None), and an ingress tunnel rule's split is
+    # one tuple its graph's tunnels share.
+    dc_tables: dict[str, dict[tuple[str, object], tuple[str, object]]]
     tag_bits: int
     bidi_pins: dict[int, tuple[int, VmKey]] = field(default_factory=dict)
 
@@ -171,7 +162,9 @@ class ForwardingPlan:
                 for (e, a), splits in sorted(self.wide_area.items())
             },
             "dc_tables": {
-                sw: [r.to_json() for r in rules]
+                sw: [{"switch": sw, "match": list(match),
+                      "action": [action[0], _jsonable(action[1])]}
+                     for match, action in rules.items()]
                 for sw, rules in sorted(self.dc_tables.items())
             },
             "tag_bits": self.tag_bits,
@@ -212,25 +205,15 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
         egress.setdefault((ea, ed), []).append(tag)
 
-    # Per switch, its rules keyed by match, in installation order. A graph
-    # looks up its switches' tables up front; a table that gets no rule is
-    # dropped at the end.
-    tables: dict[str, dict[tuple[str, object], ForwardingRule]] = {}
-
-    def add(table: dict, switch: str, match: tuple[str, object],
-            action: tuple[str, object]) -> None:
-        if match in table:
-            raise InputError(f"duplicate rule match {match} on {switch}")
-        table[match] = ForwardingRule(switch=switch, match=match, action=action)
-
-    flow_names: dict[tuple[int, int], str] = {}
+    # Per switch, its match -> action table in installation order; a table
+    # that gets no rule is dropped at the end. Pop and ingress matches are
+    # unique by construction (one flow rule per (e, a) cell, one tunnel rule
+    # per (e, a, d) cell); only tag matches come from the pools and can clash.
+    tables: dict[str, dict[tuple[str, object], tuple[str, object]]] = {}
+    flow_names = {(e, a): f"e{e}-a{a}" for e, a in wide_area}
     for e, cells in groupby(wide_area.items(), key=lambda cell: cell[0][0]):
-        sw = f"pop{e}"
-        table = tables.setdefault(sw, {})
-        for (_e, a), splits in cells:
-            flow = flow_names[(e, a)] = f"e{e}-a{a}"
-            add(table, sw, ("flow", flow),
-                ("split", [(f"tunnel-e{e}-d{d}", w) for d, w in splits]))
+        tables[f"pop{e}"] = {("flow", flow_names[cell]): ("split", tuple(
+            (f"tunnel-e{e}-d{d}", w) for d, w in splits)) for cell, splits in cells}
 
     for (a, d), pg in sorted(dsp.physical.items()):
         if pg.total_vms == 0:
@@ -254,9 +237,8 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                 root_targets.append((key, frac / len(insts)))
         # Every tunnel into the graph splits the same way: one shared action.
         split = ("split", tuple(root_targets))
-        table = tables.setdefault(ingress_sw, {})
-        for e in tunnel_pops.get((a, d), []):
-            add(table, ingress_sw, ("tunnel", flow_names[(e, a)]), split)
+        tables.setdefault(ingress_sw, {}).update(
+            (("tunnel", flow_names[(e, a)]), split) for e in tunnel_pops.get((a, d), []))
         table = tables.setdefault(sw, {})
         for node in sorted(pg.instances):
             for inst in pg.instances[node]:
@@ -265,14 +247,20 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                     raise InputError(f"unplaced VM {key}")
                 tag = pools.instance_tags.get(key)
                 if tag is not None:
-                    add(table, sw, ("tag", tag), ("vm", key))
+                    match = ("tag", tag)
+                    if match in table:
+                        raise InputError(f"duplicate rule match {match} on {sw}")
+                    table[match] = ("vm", key)
         for tag in egress.get((a, d), []):
-            add(table, sw, ("tag", tag), ("customer", None))
+            match = ("tag", tag)
+            if match in table:
+                raise InputError(f"duplicate rule match {match} on {sw}")
+            table[match] = ("customer", None)
 
     max_tag = pools.max_tag
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
     return ForwardingPlan(wide_area=wide_area,
-                          dc_tables={sw: list(t.values()) for sw, t in tables.items() if t},
+                          dc_tables={sw: t for sw, t in tables.items() if t},
                           tag_bits=tag_bits)
 
 
@@ -344,7 +332,7 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
     rules. Returns a list of human-readable gaps (empty when complete)."""
     graph = lib[pg.attack]
     a, d = pg.attack.id, pg.dc_id
-    table = {r.match: r for r in plan.dc_tables.get(f"dc{d}", [])}
+    table = plan.dc_tables.get(f"dc{d}", {})
     gaps = []
     for s, dst, w in graph.edges:
         if w <= 0 or not pg.instances.get(s) or not pg.instances.get(dst):
@@ -358,11 +346,11 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
                 continue
             reachable = set()
             for tag in tags:
-                rule = table.get(("tag", tag))
-                if rule is None:
+                action = table.get(("tag", tag))
+                if action is None:
                     gaps.append(f"tag {tag} from vm {vm} has no switch rule")
-                elif rule.action[0] == "vm":
-                    reachable.add(rule.action[1][3])
+                elif action[0] == "vm" and action[1][:3] == (a, d, dst):
+                    reachable.add(action[1][3])
             want = {down.index for down in pg.instances[dst]}
             if reachable != want:
                 gaps.append(

@@ -288,15 +288,10 @@ class SlotTable:
     of positions."""
 
     def __init__(self, dc: Datacenter):
-        self.servers: list[tuple[int, int]] = []  # position -> (rack id, server id)
-        self.free: list[int] = []  # position -> free slots
-        self.rack_spans: dict[int, range] = {}  # rack id -> its positions
-        for rack in sorted(dc.racks, key=lambda r: r.id):
-            start = len(self.servers)
-            for srv in sorted(rack.servers, key=lambda s: s.id):
-                self.servers.append((rack.id, srv.id))
-                self.free.append(srv.vm_slots)
-            self.rack_spans[rack.id] = range(start, len(self.servers))
+        # position -> (rack id, server id), and rack id -> its positions,
+        # are the datacenter's own; only the free slots are this table's.
+        self.servers, slots, self.rack_spans = dc.server_layout
+        self.free: list[int] = list(slots)  # position -> free slots
 
 
 def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
@@ -513,7 +508,7 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
     for (d, rack, srv), count in sorted(per_server.items()):
         dc = topo.datacenters[d]
         if d not in slot_maps:
-            slot_maps[d] = {(rk.id, s.id): s.vm_slots for rk in dc.racks for s in rk.servers}
+            slot_maps[d] = dict(zip(*dc.server_layout[:2]))
         slots = slot_maps[d].get((rack, srv))
         if slots is None:
             raise InputError(f"unknown server ({rack},{srv}) in dc {dc.id}")

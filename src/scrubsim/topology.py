@@ -15,6 +15,7 @@ import random
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InputError
 
@@ -53,10 +54,26 @@ class Datacenter:
     racks: tuple[Rack, ...]
     attach_pop: int
 
-    @property
+    @cached_property
     def compute_capacity(self) -> int:
-        """Total VM slots across all servers."""
+        """Total VM slots across all servers (derived once: racks never change)."""
         return sum(s.vm_slots for r in self.racks for s in r.servers)
+
+    @cached_property
+    def server_layout(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
+                                     dict[int, range]]:
+        """Servers in (rack id, server id) order: each one's (rack id, server
+        id) and VM slots, and each rack's run of positions. Derived once per
+        instance, outside its fields, equality and hash; callers share it and
+        never mutate it."""
+        servers, slots, spans = [], [], {}
+        for rack in sorted(self.racks, key=lambda r: r.id):
+            start = len(servers)
+            for srv in sorted(rack.servers, key=lambda s: s.id):
+                servers.append((rack.id, srv.id))
+                slots.append(srv.vm_slots)
+            spans[rack.id] = range(start, len(servers))
+        return tuple(servers), tuple(slots), spans
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from scrubsim.defense_graphs import (
 from scrubsim.errors import CapacityError, InputError, PinConflictError, PlacementError
 from scrubsim.orchestration import (
     ForwardingPlan,
-    ForwardingRule,
     TagPool,
     assign_tags,
     build_tag_pools,
@@ -244,6 +243,50 @@ class TestSynthesizeRules:
         assert set(data) == {"wide_area", "dc_tables", "tag_bits", "bidi_pins"}
 
 
+class TestPlanRealizesEdges:
+    """Each gap message, from a plan or pool edited by hand. Node 0 has four
+    instances; its context 0 pool holds tags 1 and 2 (node 1's two
+    instances) and its context 1 pool tags 3 and 4 (node 2's); tag 5 is the
+    egress tag."""
+
+    def _setup(self):
+        lib = {ATK: two_branch_graph()}
+        topo = small_topo()
+        dsp = dsp_greedy(topo, np.array([[40.0]]), lib)
+        ssps = place_all(topo, dsp, lib)
+        pools = build_tag_pools(dsp.physical, lib)
+        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        pg = dsp.physical[(0, 0)]
+        assert plan_realizes_edges(plan, pg, pools, lib) == []
+        assert pools.pools[((0, 0, 0, 0), 0)] == [1, 2]
+        assert pools.pools[((0, 0, 0, 0), 1)] == [3, 4]
+        return lib, pools, plan, pg
+
+    def test_missing_pool(self):
+        lib, pools, plan, pg = self._setup()
+        del pools.pools[((0, 0, 0, 1), 0)]
+        assert plan_realizes_edges(plan, pg, pools, lib) == [
+            "vm (0, 0, 0, 1) has no pool for context 0"]
+
+    def test_tag_without_switch_rule(self):
+        lib, pools, plan, pg = self._setup()
+        del plan.dc_tables["dc0"][("tag", 2)]
+        assert plan_realizes_edges(plan, pg, pools, lib) == [
+            gap for i in range(4) for gap in (
+                f"tag 2 from vm (0, 0, 0, {i}) has no switch rule",
+                f"edge 0->1: vm (0, 0, 0, {i}) reaches instances [0] of [0, 1]")]
+
+    def test_edge_reaching_wrong_instances(self):
+        lib, pools, plan, pg = self._setup()
+        # One pool swaps a downstream tag for the egress tag; another holds
+        # the other edge's tags, whose instances have the same indices.
+        pools.pools[((0, 0, 0, 2), 0)] = [1, 5]
+        pools.pools[((0, 0, 0, 3), 1)] = [1, 2]
+        assert plan_realizes_edges(plan, pg, pools, lib) == [
+            "edge 0->1: vm (0, 0, 0, 2) reaches instances [0] of [0, 1]",
+            "edge 0->2: vm (0, 0, 0, 3) reaches instances [] of [0, 1]"]
+
+
 class TestLoadBalancePick:
     def test_single_tag_pool(self):
         g = two_branch_graph()
@@ -442,15 +485,15 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
         egress.setdefault((ea, ed), []).append(tag)
     tables = {}
 
-    def add(rule):
-        table = tables.setdefault(rule.switch, {})
-        if rule.match in table:
-            raise InputError(f"duplicate rule match {rule.match} on {rule.switch}")
-        table[rule.match] = rule
+    def add(switch, match, action):
+        table = tables.setdefault(switch, {})
+        if match in table:
+            raise InputError(f"duplicate rule match {match} on {switch}")
+        table[match] = action
 
     for (e, a), splits in sorted(wide_area.items()):
-        add(ForwardingRule(switch=f"pop{e}", match=("flow", f"e{e}-a{a}"),
-                           action=("split", [(f"tunnel-e{e}-d{d}", w) for d, w in splits])))
+        add(f"pop{e}", ("flow", f"e{e}-a{a}"),
+            ("split", tuple((f"tunnel-e{e}-d{d}", w) for d, w in splits)))
     for (a, d), pg in sorted(dsp.physical.items()):
         if pg.total_vms == 0:
             continue
@@ -470,8 +513,7 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
                     raise InputError(f"unplaced VM {key}")
                 root_targets.append((key, frac / len(insts)))
         for e in np.flatnonzero(dsp.f[:, a, d] > 0).tolist():
-            add(ForwardingRule(switch=f"dc{d}-ingress", match=("tunnel", f"e{e}-a{a}"),
-                               action=("split", list(root_targets))))
+            add(f"dc{d}-ingress", ("tunnel", f"e{e}-a{a}"), ("split", tuple(root_targets)))
         for node in sorted(pg.instances):
             for inst in pg.instances[node]:
                 key = (a, d, node, inst.index)
@@ -479,13 +521,13 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
                     raise InputError(f"unplaced VM {key}")
                 tag = pools.instance_tags.get(key)
                 if tag is not None:
-                    add(ForwardingRule(switch=f"dc{d}", match=("tag", tag), action=("vm", key)))
+                    add(f"dc{d}", ("tag", tag), ("vm", key))
         for tag in egress.get((a, d), []):
-            add(ForwardingRule(switch=f"dc{d}", match=("tag", tag), action=("customer", None)))
-    max_tag = pools.max_tag
+            add(f"dc{d}", ("tag", tag), ("customer", None))
+    max_tag = max([t for p in pools.pools.values() for t in p], default=0)
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
     return ForwardingPlan(wide_area=wide_area,
-                          dc_tables={sw: list(t.values()) for sw, t in tables.items()},
+                          dc_tables=tables,
                           tag_bits=tag_bits)
 
 
@@ -496,7 +538,8 @@ def pool_state(pools):
 
 def plan_state(plan):
     return (plan.to_json(), json.dumps(plan.to_json(), indent=2, sort_keys=True),
-            plan.rules_by_switch(), list(plan.wide_area.items()))
+            plan.rules_by_switch(), list(plan.wide_area.items()),
+            {sw: list(rules.items()) for sw, rules in plan.dc_tables.items()})
 
 
 def outcome(fn, *args):

@@ -219,6 +219,23 @@ class TestSspGreedy:
         assert res.intra_rack_units == 0.0
         assert res.inter_rack_units == pytest.approx(20.0)  # edge volume 20 * w=1.0
 
+    def test_failed_place_all_leaves_next_call_a_full_datacenter(self):
+        g = chain_graph()
+        lib = {ATK: g}
+
+        def dsp_for(counts):
+            pg = build_physical_graph(g, 0, 10.0, counts)
+            return DspResult(f=np.zeros((1, 1, 1)), n_dc={}, demand={},
+                             physical={(0, 0): pg}, t_left=0.0, wide_area_cost=0.0)
+
+        topo = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2]])], [[1.0]])
+        with pytest.raises(PlacementError):
+            place_all(topo, dsp_for({0: 3, 1: 4}), lib)  # takes rack 0, then fails
+        got = place_all(topo, dsp_for({0: 3, 1: 3}), lib)  # all six slots
+        fresh = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2]])], [[1.0]])
+        assert got == place_all(fresh, dsp_for({0: 3, 1: 3}), lib)
+        assert sum(got[0].n_srv.values()) == 6
+
     def test_insufficient_slots_names_node(self):
         g = chain_graph()
         dc = make_dc(0, 999.0, [[2]])
@@ -706,13 +723,17 @@ class TestIndexedSelectionMatchesLinearScan:
             want = [linear_scan_ssp(dc, pg, lib[pg.attack], used)
                     for _key, pg in sorted(physical.items()) if pg.total_vms]
         except PlacementError as exc:
-            with pytest.raises(PlacementError) as err:
-                place_all(topo, dsp, lib)
-            assert (str(err.value), err.value.node) == (str(exc), exc.node)
+            # A failed call leaves the next one a full datacenter too.
+            for _ in range(2):
+                with pytest.raises(PlacementError) as err:
+                    place_all(topo, dsp, lib)
+                assert (str(err.value), err.value.node) == (str(exc), exc.node)
             return
         got = place_all(topo, dsp, lib)
         assert [(list(r.placements.items()), r.n_srv) for r in got] == \
             [(list(p.items()), n) for p, n in want]
+        # The datacenter's layout is derived once; its free slots are not.
+        assert place_all(topo, dsp, lib) == got
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), ceil=st.booleans())

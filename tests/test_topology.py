@@ -271,6 +271,24 @@ class TestConfigRoundTrip:
         loaded = load_topology(str(path))
         assert topology_to_config(loaded) == topology_to_config(topo)
 
+    def test_derived_layout_leaves_equality_and_config_alone(self):
+        topo = generate_topology(20, 64, seed=9)
+        twin = topology_from_config(topology_to_config(topo))
+        before = topology_to_config(topo)
+        for dc in topo.datacenters:
+            _servers, slots, _spans = dc.server_layout
+            assert dc.compute_capacity == sum(slots) == 64
+        assert topology_to_config(topo) == before
+        assert topo.datacenters == twin.datacenters
+        assert [hash(dc) for dc in topo.datacenters] == [hash(dc) for dc in twin.datacenters]
+
+    def test_server_layout_orders_racks_and_servers_by_id(self):
+        racks = (Rack(1, (Server(3, 2), Server(2, 5))), Rack(0, (Server(0, 1),)))
+        dc = Datacenter(id=0, link_capacity_gbps=1.0, racks=racks, attach_pop=0)
+        assert dc.server_layout == (((0, 0), (1, 2), (1, 3)), (1, 5, 2),
+                                    {0: range(0, 1), 1: range(1, 3)})
+        assert dc.compute_capacity == 8
+
     def test_derive_latency(self):
         cfg = {
             "pops": ["a", "b", "c"],
