@@ -294,8 +294,10 @@ class RegretReport:
     regret_g2: float
 
 
-def normalized_regret(trace: "list[np.ndarray] | np.ndarray", wastage_gbps: list[float],
-                      evasion_gbps: list[float], wastage_vm: list[float],
+def normalized_regret(trace: "list[np.ndarray] | np.ndarray",
+                      wastage_gbps: "list[float] | np.ndarray",
+                      evasion_gbps: "list[float] | np.ndarray",
+                      wastage_vm: "list[float] | np.ndarray",
                       lib: dict[AttackType, AnnotatedGraph]) -> RegretReport:
     """Regret of an estimator's realized losses against the best static
     provision in hindsight, normalized by the static strategy's own loss.
@@ -303,16 +305,16 @@ def normalized_regret(trace: "list[np.ndarray] | np.ndarray", wastage_gbps: list
     Reported per goal (G1 wastage, G2 evasion) and combined; the static
     reference minimizes the combined wastage + evasion.
     """
-    if len(trace) != len(wastage_gbps) or len(trace) != len(evasion_gbps):
+    if any(len(x) != len(trace) for x in (wastage_gbps, evasion_gbps, wastage_vm)):
         raise InputError("loss series must align with the trace")
     actual = _stack(trace)
     static, static_loss = best_static_hindsight(actual)
     s_w, s_v, _ = _trace_losses(static, actual, _compute_factors(lib))
+    losses = np.array([wastage_gbps, evasion_gbps, wastage_vm], dtype=float)
     # Totals accumulate epoch by epoch (np.cumsum adds in sequence).
-    s_wast, s_evas, volume = np.cumsum([s_w, s_v, actual.sum(axis=(1, 2))],
-                                       axis=1)[:, -1].tolist()
-    est_w = float(sum(wastage_gbps))
-    est_v = float(sum(evasion_gbps))
+    s_wast, s_evas, volume, est_w, est_v, est_vm = np.cumsum(
+        [s_w, s_v, actual.sum(axis=(1, 2)), *losses], axis=1)[:, -1].tolist()
+    wastage_gbps, evasion_gbps, wastage_vm = losses.tolist()
     combined = est_w + est_v
     floor = _REGRET_FLOOR_FRACTION * volume
 
@@ -320,10 +322,10 @@ def normalized_regret(trace: "list[np.ndarray] | np.ndarray", wastage_gbps: list
         return (loss - ref) / max(ref, floor, 1e-12)
 
     return RegretReport(
-        wastage_gbps=list(wastage_gbps),
-        evasion_gbps=list(evasion_gbps),
-        wastage_vm=list(wastage_vm),
-        cumulative_g1_vm=float(sum(wastage_vm)),
+        wastage_gbps=wastage_gbps,
+        evasion_gbps=evasion_gbps,
+        wastage_vm=wastage_vm,
+        cumulative_g1_vm=est_vm,
         cumulative_g2_gbps=est_v,
         static_loss_combined=static_loss,
         static_wastage_gbps=s_wast,
@@ -449,7 +451,7 @@ def run_estimator_on_trace(kind: str, trace: "list[np.ndarray] | np.ndarray",
     actual = _stack(trace)
     losses = _trace_losses(_replay(kind, actual, budget, seed, gamma), actual,
                            _compute_factors(lib))
-    return normalized_regret(actual, *(x.tolist() for x in losses), lib)
+    return normalized_regret(actual, *losses, lib)
 
 
 _PER_EPOCH_COLUMNS = ("wastage_gbps", "evasion_gbps", "wastage_vm", "cum_g1_vm",
@@ -540,7 +542,8 @@ def regret_experiment(n_pops: int, budget: Budget,
                 mean_regret_combined=float(np.mean([r.regret_combined for r in reports])),
                 mean_regret_g1=float(np.mean([r.regret_g1 for r in reports])),
                 mean_regret_g2=float(np.mean([r.regret_g2 for r in reports])),
-                mean_wastage_gbps=float(np.mean([sum(r.wastage_gbps) for r in reports])),
-                mean_evasion_gbps=float(np.mean([sum(r.evasion_gbps) for r in reports])),
+                mean_wastage_gbps=float(np.mean(np.cumsum(
+                    [r.wastage_gbps for r in reports], axis=1)[:, -1])),
+                mean_evasion_gbps=float(np.mean([r.cumulative_g2_gbps for r in reports])),
             ))
     return rows

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 config error, 3 run finished but recorded runtime
-infeasibilities (unassignable volume or failed placements).
+Exit codes: 0 success, 2 config error, 3 runtime infeasibility: unassignable
+volume or failed placements recorded by a run, or a placement that failed.
 """
 
 from __future__ import annotations
@@ -15,16 +15,24 @@ import click
 import numpy as np
 
 from . import adaptation, defense_graphs, oracle, orchestration, simulate, topology
-from .errors import InputError, OracleSizeError
+from .errors import InputError, OracleSizeError, PlacementError
 from .resource_manager import dsp_greedy, evaluate_cost, place_all
 from .topology import CostParams
 
 SEED_ENV = "BOHATEI_SEED"
 
 
-def _fail(message: str):
+def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
-    sys.exit(2)
+    sys.exit(code)
+
+
+def _place_all(topo, dsp, lib):
+    """place_all, exiting 3 when the assignment does not fit the servers."""
+    try:
+        return place_all(topo, dsp, lib)
+    except PlacementError as exc:
+        _fail(str(exc), 3)
 
 
 def _load_traffic(path: str, topo, lib) -> np.ndarray:
@@ -172,7 +180,7 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
     lib = _load_lib(graphs_path)
     traffic = _load_traffic(traffic_path, t, lib)
     dsp = dsp_greedy(t, traffic, lib)
-    ssps = place_all(t, dsp, lib)
+    ssps = _place_all(t, dsp, lib)
     cost = evaluate_cost(dsp, ssps, CostParams())
     payload = {
         "f": dsp.f.tolist(),
@@ -228,7 +236,7 @@ def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
     click.echo(f"instances={len(rows)} handled_equal={stats['handled_equal']} "
                f"median_gap={stats['median_gap']:.6f} "
                f"p90_gap={stats['p90_gap']:.6f} over_10pct={stats['over_10pct']} "
-               f"max_gap={stats['max_gap']:.6f} dumped={dumped}")
+               f"max_gap={stats['max_gap']:.6f} unproven={stats['unproven']} dumped={dumped}")
 
 
 # -- orch ---------------------------------------------------------------
@@ -248,7 +256,7 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
     lib = _load_lib(graphs_path)
     traffic = _load_traffic(traffic_path, t, lib)
     dsp = dsp_greedy(t, traffic, lib)
-    ssps = place_all(t, dsp, lib)
+    ssps = _place_all(t, dsp, lib)
     pools = orchestration.build_tag_pools(dsp.physical, lib)
     plan = orchestration.synthesize_rules(dsp, ssps, pools, t, lib)
     for pg in dsp.physical.values():

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .errors import InputError
 
@@ -99,7 +101,7 @@ class AnnotatedGraph:
     def share(self, i: int) -> float:
         """Fraction of the graph's total input traffic this node processes."""
         self.node(i)
-        incoming = sum(w for _s, d, w in self.edges if d == i)
+        incoming = sequential_sum(w for _s, d, w in self.edges if d == i)
         return incoming if incoming > 0 or i not in self._roots else self.external_fraction(i)
 
     def validate(self) -> None:
@@ -189,9 +191,15 @@ def node_demand_vms(g: AnnotatedGraph, i: int, t_gbps: float) -> int:
     return math.ceil(load / g.node(i).capacity_gbps - CEIL_EPS)
 
 
+def sequential_sum(items):
+    """Add from 0 in sequence, as builtin `sum` did for floats before Python
+    3.12 compensated it, so that pinned totals do not depend on the interpreter."""
+    return reduce(operator.add, items, 0)
+
+
 def graph_compute_factor(g: AnnotatedGraph) -> float:
     """VM slots required per Gbps of input traffic to the graph."""
-    return sum(g.share(n.id) / n.capacity_gbps for n in g.nodes)
+    return sequential_sum(g.share(n.id) / n.capacity_gbps for n in g.nodes)
 
 
 def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:

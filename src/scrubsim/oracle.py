@@ -112,6 +112,7 @@ class OracleResult:
     volumes: np.ndarray  # (A, D) Gbps per attack per datacenter
     n_dc: dict[tuple[int, int], dict[int, int]]
     search_nodes: int = 0
+    proven: bool = True  # False: a placement search hit its node budget
 
 
 def _max_handled_tables(tuples_by_dc: list[list[tuple[int, ...]]],
@@ -262,9 +263,10 @@ def _min_cost_transport(supplies: list[int], demands: list[int],
 
 
 def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
-                 vols: tuple[int, ...], q: float, params: CostParams) -> float:
+                 vols: tuple[int, ...], q: float, params: CostParams) -> tuple[float, bool]:
     """Minimum intra/inter-rack cost of placing the VM demand implied by
-    per-attack volumes `vols` (grid units) onto this datacenter's servers.
+    per-attack volumes `vols` (grid units) onto this datacenter's servers,
+    and whether the search proved it minimal.
 
     Exhaustive search seeded with the greedy placement; the greedy cost is an
     upper bound, so the result never exceeds what the heuristic would pay.
@@ -278,9 +280,9 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
     groups = [(a, i, c) for a, counts in counts_by_attack.items()
               for i, c in counts.items() if c > 0]
     if not groups:
-        return 0.0
+        return 0.0, True
     if sum(c for _a, _i, c in groups) > sum(s[2] for s in servers):
-        return math.inf
+        return math.inf, True
 
     # Greedy incumbent: run the server-selection heuristic on the same demand.
     slots = SlotTable(dc)
@@ -382,8 +384,8 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
     except _BudgetExceeded:
         # The greedy incumbent keeps the value an upper bound on the optimum
         # achievable by the heuristic, preserving oracle <= greedy.
-        pass
-    return best
+        return best, False
+    return best, True
 
 
 def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
@@ -446,14 +448,14 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
                 aligned = False
             greedy_v[a, d] = round(u)
 
-    dsc_memo: dict[tuple[int, tuple[int, ...]], float] = {}
+    dsc_memo: dict[tuple[int, tuple[int, ...]], tuple[float, bool]] = {}
     transport_memo: dict[tuple[int, tuple[int, ...]], tuple[float, list[list[int]]]] = {}
 
     def dsc(d: int, combo: tuple[int, ...]) -> float:
         key = (d, combo)
         if key not in dsc_memo:
             dsc_memo[key] = _optimal_dsc(topo.datacenters[d], graphs, combo, q, params)
-        return dsc_memo[key]
+        return dsc_memo[key][0]
 
     def transport(a: int, demand: tuple[int, ...]) -> tuple[float, list[list[int]]]:
         key = (a, demand)
@@ -488,7 +490,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
         return OracleResult(objective=best_cost, handled=float(best_v.sum()) * q,
                             f=dsp.f.copy(), volumes=best_v.astype(float) * q,
                             n_dc={k: dict(v) for k, v in dsp.n_dc.items()},
-                            search_nodes=0)
+                            search_nodes=0, proven=all(p for _c, p in dsc_memo.values()))
 
     # Admissible wide-area lower bound for v units of attack a into dc d: the
     # v cheapest unit costs available in that column (supplies may be
@@ -575,7 +577,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
 
     return OracleResult(objective=best_cost, handled=float(best_v.sum()) * q,
                         f=f, volumes=best_v.astype(float) * q, n_dc=n_dc,
-                        search_nodes=nodes)
+                        search_nodes=nodes, proven=all(p for _c, p in dsc_memo.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -682,6 +684,7 @@ class ComparisonRow:
     cost_oracle: float
     gap: float
     runtime_s: float
+    proven: bool = True  # the oracle's OracleResult.proven
     counterexample: dict | None = field(default=None, repr=False)
 
 
@@ -725,7 +728,7 @@ def oracle_comparison(n_instances: int, seed: int,
         rows.append(ComparisonRow(
             seed=s, handled_greedy=handled_g, handled_oracle=res.handled,
             cost_greedy=cost_g, cost_oracle=res.objective, gap=gap,
-            runtime_s=elapsed, counterexample=counterexample))
+            runtime_s=elapsed, proven=res.proven, counterexample=counterexample))
     return rows
 
 
@@ -733,7 +736,8 @@ def gap_summary(rows: list[ComparisonRow]) -> dict[str, float]:
     """Cost-gap distribution of a comparison. The median and max cover every
     gap; the p90 (linear interpolation) covers the finite ones, because an
     oracle cost of 0 under a positive greedy cost reads as an infinite gap,
-    which still counts as over 10%."""
+    which still counts as over 10%. `unproven` counts the instances whose
+    oracle objective is not a proven optimum."""
     gaps = [r.gap for r in rows]
     finite = [g for g in gaps if math.isfinite(g)] or [0.0]
     return {
@@ -743,4 +747,5 @@ def gap_summary(rows: list[ComparisonRow]) -> dict[str, float]:
         "over_10pct": sum(1 for g in gaps if g > 0.10),
         "handled_equal": sum(1 for r in rows
                              if abs(r.handled_greedy - r.handled_oracle) < 1e-6),
+        "unproven": sum(1 for r in rows if not r.proven),
     }

@@ -10,11 +10,11 @@ tables never grow with flow counts.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -177,6 +177,22 @@ class ForwardingPlan:
             fh.write("\n")
 
 
+@functools.lru_cache(maxsize=4)
+def _shape_keys(n_pops: int, n_attacks: int, n_dcs: int) -> tuple:
+    """Rule keys and switch names of a plan shape, and the wide-area pair and
+    pop split of a cell sent whole to one datacenter: immutable, so shared."""
+    pops, dcs = range(n_pops), range(n_dcs)
+    flows = [[f"e{e}-a{a}" for a in range(n_attacks)] for e in pops]
+    tunnels = [[f"tunnel-e{e}-d{d}" for d in dcs] for e in pops]
+    return (tuple(tuple((e, a) for a in range(n_attacks)) for e in pops),
+            tuple(tuple(("flow", name) for name in row) for row in flows),
+            tuple(tuple(("tunnel", name) for name in row) for row in flows),
+            tuple(tunnels), tuple(f"pop{e}" for e in pops),
+            tuple(f"dc{d}" for d in dcs), tuple(f"dc{d}-ingress" for d in dcs),
+            tuple((d, 1.0) for d in dcs),
+            tuple(tuple(("split", ((name, 1.0),)) for name in row) for row in tunnels))
+
+
 def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                      topo: Topology,
                      lib: dict[AttackType, AnnotatedGraph]) -> ForwardingPlan:
@@ -189,31 +205,39 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     """
     graphs = ordered_graphs(lib)
     placements = {(r.attack_id, r.dc_id): r.placements for r in ssps}
-
-    # np.nonzero walks the (e, a, d) cells in row-major order, so wide_area
-    # fills in ascending (e, a) order, each (e, a)'s splits come out in
-    # ascending datacenter order and each (a, d)'s tunnel pops ascend.
-    wide_area: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    tunnel_pops: dict[tuple[int, int], list[int]] = {}
-    assigned = np.nonzero(dsp.f > 0)
-    for e, a, d, w in zip(*(ix.tolist() for ix in assigned), dsp.f[assigned].tolist()):
-        wide_area.setdefault((e, a), []).append((d, w))
-        tunnel_pops.setdefault((a, d), []).append(e)
-
-    # Egress tags grouped by graph, in (attack, dc, node, context) order.
-    egress: dict[tuple[int, int], list[int]] = {}
-    for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
-        egress.setdefault((ea, ed), []).append(tag)
+    n_attacks, n_dcs = dsp.f.shape[1:]
+    (cells, flows, tunnels, tunnel_names, pop_sw, dc_sw, ingress_sw, whole_pairs,
+     whole_splits) = _shape_keys(*dsp.f.shape)
 
     # Per switch, its match -> action table in installation order; a table
     # that gets no rule is dropped at the end. Pop and ingress matches are
     # unique by construction (one flow rule per (e, a) cell, one tunnel rule
     # per (e, a, d) cell); only tag matches come from the pools and can clash.
     tables: dict[str, dict[tuple[str, object], tuple[str, object]]] = {}
-    flow_names = {(e, a): f"e{e}-a{a}" for e, a in wide_area}
-    for e, cells in groupby(wide_area.items(), key=lambda cell: cell[0][0]):
-        tables[f"pop{e}"] = {("flow", flow_names[cell]): ("split", tuple(
-            (f"tunnel-e{e}-d{d}", w) for d, w in splits)) for cell, splits in cells}
+    # np.nonzero walks the (e, a, d) cells in row-major order, so wide_area
+    # and the pop tables fill in ascending (e, a) order, each (e, a)'s splits
+    # come out in ascending datacenter order and each (a, d)'s tunnel pops
+    # ascend. A spilled cell's split action is rebuilt as its splits grow.
+    wide_area: dict[tuple[int, int], list[tuple[int, float]]] = {}
+    tunnel_pops = [[[] for _d in range(n_dcs)] for _a in range(n_attacks)]
+    assigned = np.nonzero(dsp.f > 0)
+    for e, a, d, w in zip(*(ix.tolist() for ix in assigned), dsp.f[assigned].tolist()):
+        splits = wide_area.get(cells[e][a])
+        if splits is None and w == 1.0:
+            wide_area[cells[e][a]] = [whole_pairs[d]]
+            action = whole_splits[e][d]
+        else:
+            if splits is None:
+                splits = wide_area[cells[e][a]] = []
+            splits.append((d, w))
+            action = ("split", tuple((tunnel_names[e][dc], weight) for dc, weight in splits))
+        tables.setdefault(pop_sw[e], {})[flows[e][a]] = action
+        tunnel_pops[a][d].append(e)
+
+    # Egress tags grouped by graph, in (attack, dc, node, context) order.
+    egress: dict[tuple[int, int], list[int]] = {}
+    for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
+        egress.setdefault((ea, ed), []).append(tag)
 
     for (a, d), pg in sorted(dsp.physical.items()):
         if pg.total_vms == 0:
@@ -222,8 +246,7 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         placed = placements.get((a, d))
         if placed is None:
             raise InputError(f"physical graph ({a},{d}) has no server placement")
-        sw = f"dc{d}"
-        ingress_sw = f"dc{d}-ingress"
+        sw = dc_sw[d]
         root_targets = []
         for root in graph.roots:
             insts = pg.instances.get(root, [])
@@ -237,8 +260,9 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                 root_targets.append((key, frac / len(insts)))
         # Every tunnel into the graph splits the same way: one shared action.
         split = ("split", tuple(root_targets))
-        tables.setdefault(ingress_sw, {}).update(
-            (("tunnel", flow_names[(e, a)]), split) for e in tunnel_pops.get((a, d), []))
+        ingress = tables.setdefault(ingress_sw[d], {})
+        for e in tunnel_pops[a][d]:
+            ingress[tunnels[e][a]] = split
         table = tables.setdefault(sw, {})
         for node in sorted(pg.instances):
             for inst in pg.instances[node]:

@@ -24,6 +24,7 @@ from .defense_graphs import (
     build_physical_graph,
     graph_compute_factor,
     ordered_graphs,
+    sequential_sum,
 )
 from .errors import InputError, PlacementError
 from .topology import CostParams, Datacenter, Topology
@@ -424,7 +425,7 @@ def place_all(topo: Topology, dsp: DspResult,
 def evaluate_cost(dsp: DspResult, ssps: list[SspResult], params: CostParams) -> float:
     """Wide-area transfer cost (weighted by alpha) plus every datacenter's
     intra/inter-rack placement cost."""
-    dc_cost = sum(r.dc_cost(params) for r in ssps)
+    dc_cost = sequential_sum(r.dc_cost(params) for r in ssps)
     return params.alpha * dsp.wide_area_cost + dc_cost
 
 

@@ -64,12 +64,12 @@ def test_criterion_1_heuristic_vs_oracle(tmp_path):
                 json.dump(r.counterexample, fh, indent=2, sort_keys=True)
             dumped += 1
     ok = (stats["handled_equal"] == len(rows) and stats["median_gap"] <= 0.01
-          and elapsed <= 300)
+          and stats["unproven"] == 0 and elapsed <= 300)
     report(1, ok,
            f"100 instances: handled equal on {stats['handled_equal']}/100, median cost "
            f"gap {stats['median_gap']:.4%} (p90 {stats['p90_gap']:.2%}, max "
            f"{stats['max_gap']:.2%}, {stats['over_10pct']} above 10%), {dumped} "
-           f"counterexample(s) dumped, {elapsed:.1f}s")
+           f"counterexample(s) dumped, unproven={stats['unproven']}, {elapsed:.1f}s")
 
 
 def test_criterion_2_heuristic_speed():

@@ -254,6 +254,12 @@ class TestNormalizedRegret:
             wvm.append(m)
         rep = normalized_regret(trace, wastage, evasion, wvm, LIB2)
         assert rep.regret_combined == pytest.approx(0.0, abs=1e-12)
+        # Each loss series needs one value per epoch of the trace.
+        for k in range(3):
+            series = [wastage, evasion, wvm]
+            series[k] = series[k][:-1]
+            with pytest.raises(InputError, match="loss series must align"):
+                normalized_regret(trace, *series, LIB2)
 
     def test_prevepoch_positive_on_toy_trace(self):
         rep = run_estimator_on_trace("prevepoch", toy_trace(), Budget(30.0), LIB2)

@@ -10,6 +10,8 @@ from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library, save_library
 from scrubsim.errors import InputError
+from scrubsim.topology import save_topology
+from test_golden import capacity_bound_case
 
 
 def write_traffic(path, matrix):
@@ -426,6 +428,21 @@ def test_simulate_infeasible_exit_3(tmp_path):
     assert res.exit_code == 3, res.output
 
 
+@pytest.mark.parametrize("args", [["rm", "ssp"], ["orch", "rules"]])
+def test_placement_failure_exit_3(tmp_path, args):
+    # DSP's rounding overshoots a datacenter's slots in the capacity-bound
+    # golden case, so server placement fails after DSP succeeds.
+    topo, traffic, _lib = capacity_bound_case()
+    topo_path, traffic_path = tmp_path / "topo.json", tmp_path / "traffic.json"
+    save_topology(topo, str(topo_path))
+    write_traffic(traffic_path, traffic.tolist())
+    res = CliRunner().invoke(main, [*args, "--topo", str(topo_path), "--traffic",
+                                    str(traffic_path), "--out", str(tmp_path / "out.json")])
+    assert res.exit_code == 3, res.output
+    assert res.output == "error: datacenter 0 lacks 4 slots for node a_match_request (2 free)\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_oracle_compare_cli(tmp_path):
     runner = CliRunner()
     report = tmp_path / "report.csv"
@@ -437,6 +454,7 @@ def test_oracle_compare_cli(tmp_path):
     assert len(lines) == 6
     assert "handled_equal=5" in res.output
     assert "p90_gap=" in res.output and "over_10pct=" in res.output
+    assert "unproven=0" in res.output
 
 
 @pytest.mark.parametrize("bad, message", [

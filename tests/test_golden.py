@@ -17,11 +17,16 @@ and says why:
 """
 
 import hashlib
+import importlib
 import json
+import math
+import pkgutil
 import tempfile
 from pathlib import Path
 
 import numpy as np
+
+import scrubsim
 
 from scrubsim.adaptation import (
     ESTIMATORS,
@@ -297,6 +302,32 @@ def test_capacity_bound_case_spills_and_fails_placement():
     golden = json.loads(DENSE_PATH.read_text())
     assert "placement_error" in golden["capacity_bound_ceil_False"]
     assert "plan" in golden["capacity_bound_ceil_True"]
+
+
+def test_goldens_independent_of_float_sum_algorithm(monkeypatch, tmp_path):
+    """From Python 3.12, builtin sum adds floats with compensated summation.
+    Every total the goldens pin adds in sequence instead, so a correctly
+    rounded float sum in every scrubsim module changes no golden."""
+    float_sums = 0
+
+    def correctly_rounded_sum(items, start=0):
+        nonlocal float_sums
+        items = list(items)
+        if any(isinstance(x, float) for x in items):
+            float_sums += 1
+            return math.fsum([start, *items])
+        return sum(items, start)
+
+    for info in pkgutil.iter_modules(scrubsim.__path__):
+        module = importlib.import_module(f"scrubsim.{info.name}")
+        monkeypatch.setattr(module, "sum", correctly_rounded_sum, raising=False)
+    test_simulation_reports_byte_identical(tmp_path)
+    test_forwarding_plan_byte_identical(tmp_path)
+    test_oracle_bytes()
+    test_topology_digests()
+    test_regret_bytes()
+    test_dense_digests()
+    assert float_sums > 0
 
 
 if __name__ == "__main__":

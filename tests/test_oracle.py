@@ -335,7 +335,8 @@ class TestOptimalDsc:
     def test_matches_brute_force_and_never_exceeds_greedy(self, racks, per_rack, slots,
                                                          shapes, vols):
         dc, graphs = dsc_case(racks, per_rack, slots, shapes)
-        got = _optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+        got, proven = _optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+        assert proven
         assert got == pytest.approx(brute_force_dsc(dc, graphs, vols, 1.0, DSC_PARAMS),
                                     rel=1e-9, abs=1e-12)
         assert got <= greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
@@ -343,7 +344,7 @@ class TestOptimalDsc:
     def test_search_beats_the_greedy_somewhere(self):
         # Otherwise the cases above would not tell the search from its seed.
         assert any(
-            _optimal_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS) + 1e-9
+            _optimal_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS)[0] + 1e-9
             < greedy_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS)
             for case in DSC_CASES)
 
@@ -352,8 +353,10 @@ class TestOptimalDsc:
                                                      slots, shapes, vols):
         monkeypatch.setattr(oracle, "_PLACEMENT_NODE_BUDGET", 0)
         dc, graphs = dsc_case(racks, per_rack, slots, shapes)
-        assert (_optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
-                == greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS))
+        cost, proven = _optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+        assert cost == greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+        # A search cut at its first node proves only a free placement optimal.
+        assert proven == (cost == 0.0)
 
     @pytest.mark.parametrize("budget", [3, 40, 500_000])
     def test_streamed_spreads_search_like_memoised_ones(self, monkeypatch, budget):
@@ -372,9 +375,9 @@ class TestOptimalDsc:
 
     def test_no_demand_and_too_much_demand(self):
         dc, graphs = dsc_case(1, 2, 2, ["chain"])
-        assert _optimal_dsc(dc, graphs, (0,), 1.0, DSC_PARAMS) == 0.0
+        assert _optimal_dsc(dc, graphs, (0,), 1.0, DSC_PARAMS) == (0.0, True)
         # Two nodes of 3 VMs each need 6 slots; the datacenter has 4.
-        assert _optimal_dsc(dc, graphs, (6,), 1.0, DSC_PARAMS) == math.inf
+        assert _optimal_dsc(dc, graphs, (6,), 1.0, DSC_PARAMS) == (math.inf, True)
 
 
 class TestAgainstNaiveEnumeration:
@@ -451,3 +454,22 @@ class TestComparisonRunner:
         assert stats["max_gap"] == math.inf
         assert stats["over_10pct"] == 3
         assert stats["handled_equal"] == 4
+        assert stats["unproven"] == 0
+        rows[1].proven = rows[3].proven = False
+        assert gap_summary(rows)["unproven"] == 2
+
+    @pytest.mark.parametrize("budget", [0, 2])
+    def test_exhausted_placement_budget_is_unproven(self, monkeypatch, budget):
+        # Criterion 1's seed 20007 prices datacenters by search (25 oracle
+        # nodes) and is proven at the default budget.
+        topo, traffic, lib, params = random_tiny_instance(20_007)
+        full = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        assert full.search_nodes > 0 and full.proven
+        monkeypatch.setattr(oracle, "_PLACEMENT_NODE_BUDGET", budget)
+        cut = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        assert not cut.proven
+        dsp = dsp_greedy(topo, traffic, lib)
+        assert full.objective <= cut.objective <= evaluate_cost(
+            dsp, place_all(topo, dsp, lib), params) + 1e-9
+        [row] = oracle_comparison(1, seed=20_007)
+        assert not row.proven and gap_summary([row])["unproven"] == 1

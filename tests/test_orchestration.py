@@ -32,7 +32,7 @@ from scrubsim.orchestration import (
     tag_space_bound,
 )
 from scrubsim.resource_manager import dsp_greedy, place_all
-from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology
+from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology, generate_topology
 from test_resource_manager import capacity_bound_cases
 
 ATK = AttackType(0, "atk0")
@@ -597,3 +597,47 @@ class TestMatchesLinearReference:
                 assert (pin_bidirectional_for_graph(got, pg, pools, lib)
                         == pin_bidirectional_for_graph(want, pg, pools, lib))
             assert got.bidi_pins == want.bidi_pins
+
+
+def compile_inputs(nodes, seed):
+    """synthesize_rules' arguments for every builtin graph from every pop of
+    a generated topology, at 0.1-3 Gbps per cell."""
+    topo = generate_topology(nodes, dc_slot_capacity=4000, seed=seed)
+    lib = builtin_library()
+    traffic = np.random.default_rng(seed).uniform(0.1, 3.0, size=(len(topo.pops), len(lib)))
+    dsp = dsp_greedy(topo, traffic, lib)
+    ssps = place_all(topo, dsp, lib)
+    return dsp, ssps, build_tag_pools(dsp.physical, lib), topo, lib
+
+
+def plan_bytes(plan):
+    return json.dumps(plan.to_json(), indent=2, sort_keys=True)
+
+
+class TestSharedShapeKeys:
+    """Plans of one shape share their rule keys and whole-cell split actions;
+    nothing a caller can mutate may be shared."""
+
+    def test_mutating_a_plan_changes_no_later_plan(self):
+        first, second = compile_inputs(24, 1), compile_inputs(24, 2)
+        want_first = plan_bytes(synthesize_rules(*first))
+        want_second = plan_bytes(synthesize_rules(*second))
+        plan = synthesize_rules(*first)
+        assert any(len(splits) == 1 and splits[0][1] == 1.0
+                   for splits in plan.wide_area.values())
+        for splits in plan.wide_area.values():
+            splits.append((99, 0.5))
+        for rules in plan.dc_tables.values():
+            del rules[next(iter(rules))]
+        pin_bidirectional(plan, 12345, 0, (0, 0, 0, 0))
+        for args, want in ((second, want_second), (first, want_first)):
+            fresh = synthesize_rules(*args)
+            assert plan_bytes(fresh) == want
+            assert fresh.bidi_pins == {}
+
+    def test_alternating_shapes_match_reference(self):
+        small, large = compile_inputs(24, 3), compile_inputs(48, 3)
+        assert small[0].f.shape != large[0].f.shape
+        for args in (small, large, small, large):
+            assert (plan_state(synthesize_rules(*args))
+                    == plan_state(reference_synthesize_rules(*args)))
