@@ -79,8 +79,9 @@ def topo():
 
 
 @topo.command("gen")
-@click.option("--nodes", type=int, required=True, help="Backbone switch count.")
-@click.option("--dc-slots", type=int, default=4000, show_default=True)
+@click.option("--nodes", type=click.IntRange(min=1), required=True,
+              help="Backbone switch count.")
+@click.option("--dc-slots", type=click.IntRange(min=1), default=4000, show_default=True)
 @click.option("--seed", type=int, default=0, envvar=SEED_ENV, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def topo_gen(nodes, dc_slots, seed, out):

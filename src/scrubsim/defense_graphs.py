@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InputError
@@ -156,25 +156,19 @@ class AnnotatedGraph:
 
 
 @dataclass
-class VmInstance:
-    node_id: int
-    index: int
-    server: tuple[int, int] | None = None  # (rack id, server id) once placed
-
-
-@dataclass
 class PhysicalGraph:
+    """A graph provisioned in one datacenter: how many VMs run each logical
+    node. The resource manager lists every node, in graph order, zeros
+    included; a node left out runs none. Instance k of node i is the VM
+    (attack id, dc id, i, k), for k below the node's count."""
     attack: AttackType
     dc_id: int
     traffic_gbps: float
-    instances: dict[int, list[VmInstance]] = field(default_factory=dict)
-
-    def vm_count(self, node_id: int) -> int:
-        return len(self.instances.get(node_id, []))
+    counts: dict[int, int]  # node id -> VM count
 
     @property
     def total_vms(self) -> int:
-        return sum(len(v) for v in self.instances.values())
+        return sum(self.counts.values())
 
 
 def _check_volume(t_gbps: float) -> None:
@@ -219,13 +213,8 @@ def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:
 
 def build_physical_graph(g: AnnotatedGraph, dc_id: int, t_gbps: float,
                          counts: dict[int, int]) -> PhysicalGraph:
-    instances = {
-        i: [VmInstance(node_id=i, index=k) for k in range(c)]
-        for i, c in sorted(counts.items())
-        if c > 0
-    }
     return PhysicalGraph(attack=g.attack, dc_id=dc_id, traffic_gbps=t_gbps,
-                         instances=instances)
+                         counts=dict(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -60,12 +60,12 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     """
     graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
-    a, d = pg.attack.id, pg.dc_id
-    nodes = sorted(pg.instances)
+    a, d, counts = pg.attack.id, pg.dc_id, pg.counts
+    nodes = sorted(i for i, c in counts.items() if c)
 
     roots = set(graph.roots)
-    vm_keys = [(a, d, node, inst.index) for node in nodes if node not in roots
-               for inst in pg.instances[node]]
+    vm_keys = [(a, d, node, k) for node in nodes if node not in roots
+               for k in range(counts[node])]
     egress_keys = [(a, d, node, len(graph.successors(node))) for node in nodes
                    if graph.node(node).delivers]
 
@@ -85,13 +85,13 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     # once, then give every instance its own copy.
     for node in nodes:
         succs = graph.successors(node)
-        per_context = [[pools.instance_tags[(a, d, succ, down.index)]
-                        for down in pg.instances.get(succ, [])]
+        per_context = [[pools.instance_tags[(a, d, succ, k)]
+                        for k in range(counts.get(succ, 0))]
                        for succ in succs]
         if graph.node(node).delivers:
             per_context.append([pools.egress_tags[(a, d, node, len(succs))]])
-        for inst in pg.instances[node]:
-            vm: VmKey = (a, d, node, inst.index)
+        for k in range(counts[node]):
+            vm: VmKey = (a, d, node, k)
             for c, tags in enumerate(per_context):
                 pools.pools[(vm, c)] = list(tags)
     return pools
@@ -249,25 +249,25 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         sw = dc_sw[d]
         root_targets = []
         for root in graph.roots:
-            insts = pg.instances.get(root, [])
-            if not insts:
+            n = pg.counts.get(root, 0)
+            if not n:
                 continue
             frac = graph.external_fraction(root)
-            for inst in insts:
-                key = (a, d, root, inst.index)
-                if (root, inst.index) not in placed:
+            for k in range(n):
+                key = (a, d, root, k)
+                if (root, k) not in placed:
                     raise InputError(f"unplaced VM {key}")
-                root_targets.append((key, frac / len(insts)))
+                root_targets.append((key, frac / n))
         # Every tunnel into the graph splits the same way: one shared action.
         split = ("split", tuple(root_targets))
         ingress = tables.setdefault(ingress_sw[d], {})
         for e in tunnel_pops[a][d]:
             ingress[tunnels[e][a]] = split
         table = tables.setdefault(sw, {})
-        for node in sorted(pg.instances):
-            for inst in pg.instances[node]:
-                key = (a, d, node, inst.index)
-                if (node, inst.index) not in placed:
+        for node in sorted(pg.counts):
+            for k in range(pg.counts[node]):
+                key = (a, d, node, k)
+                if (node, k) not in placed:
                     raise InputError(f"unplaced VM {key}")
                 tag = pools.instance_tags.get(key)
                 if tag is not None:
@@ -331,13 +331,13 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     a, d = pg.attack.id, pg.dc_id
     # A pool tag names a VM of this graph's own (attack, dc), and identity
     # tags are unique, so the inverse over the graph's instances is exact.
-    own = ((a, d, node, inst.index) for node, insts in pg.instances.items() for inst in insts)
+    own = ((a, d, node, k) for node, c in pg.counts.items() for k in range(c))
     vm_of_tag = {pools.instance_tags[vm]: vm for vm in own if vm in pools.instance_tags}
-    for node in sorted(pg.instances):
+    for node in sorted(pg.counts):
         if graph.node(node).kind != "analysis":
             continue
-        for inst in pg.instances[node]:
-            vm: VmKey = (a, d, node, inst.index)
+        for k in range(pg.counts[node]):
+            vm: VmKey = (a, d, node, k)
             for c in range(len(graph.successors(node))):
                 for tag in pools.pools.get((vm, c), []):
                     target = vm_of_tag.get(tag)
@@ -355,15 +355,15 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
     instances on both ends must be realizable through pool tags and switch
     rules. Returns a list of human-readable gaps (empty when complete)."""
     graph = lib[pg.attack]
-    a, d = pg.attack.id, pg.dc_id
+    a, d, counts = pg.attack.id, pg.dc_id, pg.counts
     table = plan.dc_tables.get(f"dc{d}", {})
     gaps = []
     for s, dst, w in graph.edges:
-        if w <= 0 or not pg.instances.get(s) or not pg.instances.get(dst):
+        if w <= 0 or not counts.get(s) or not counts.get(dst):
             continue
         c = graph.successors(s).index(dst)
-        for inst in pg.instances[s]:
-            vm: VmKey = (a, d, s, inst.index)
+        for k in range(counts[s]):
+            vm: VmKey = (a, d, s, k)
             tags = pools.pools.get((vm, c), [])
             if not tags:
                 gaps.append(f"vm {vm} has no pool for context {c}")
@@ -375,7 +375,7 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
                     gaps.append(f"tag {tag} from vm {vm} has no switch rule")
                 elif action[0] == "vm" and action[1][:3] == (a, d, dst):
                     reachable.add(action[1][3])
-            want = {down.index for down in pg.instances[dst]}
+            want = set(range(counts[dst]))
             if reachable != want:
                 gaps.append(
                     f"edge {s}->{dst}: vm {vm} reaches instances {sorted(reachable)} "

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,18 +46,19 @@ def validate_traffic(traffic: np.ndarray, topo: Topology,
 @dataclass
 class DspResult:
     f: np.ndarray  # (E, A, D) fraction of T[e][a] sent to datacenter d
-    n_dc: dict[tuple[int, int], dict[int, int]]  # (dc, attack) -> node -> VM count
     demand: dict[tuple[int, int], dict[int, float]]  # fractional VM demand
     physical: dict[tuple[int, int], PhysicalGraph]  # (attack, dc) -> graph
     t_left: float
     wide_area_cost: float  # sum of f * T * L (alpha applied by evaluate_cost)
 
     @property
-    def handled(self) -> float:
-        return sum(pg.traffic_gbps for pg in self.physical.values())
+    def n_dc(self) -> dict[tuple[int, int], dict[int, int]]:
+        """(dc, attack) -> node -> VM count, in (dc, attack) order: a view
+        of the physical graphs' counts."""
+        return dict(sorted(((d, a), pg.counts) for (a, d), pg in self.physical.items()))
 
     def total_vms(self) -> int:
-        return sum(sum(c.values()) for c in self.n_dc.values())
+        return sum(pg.total_vms for pg in self.physical.values())
 
     def dc_attack_volume(self, d: int, a: int, traffic: np.ndarray) -> float:
         return float((self.f[:, a, d] * traffic[:, a]).sum())
@@ -194,46 +195,38 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     if f_cells:
         f[tuple(zip(*f_cells))] = list(f_cells.values())
 
-    n_dc: dict[tuple[int, int], dict[int, int]] = {}
     physical: dict[tuple[int, int], PhysicalGraph] = {}
     for (d, a), node_demand in sorted(demand.items()):
         if ceil_per_assignment:
-            counts = dict(charged[(d, a)])
+            counts = charged[(d, a)]
         else:
             counts = {
                 i: math.ceil(v - CEIL_EPS) if v > EPS else 0
                 for i, v in node_demand.items()
             }
-        n_dc[(d, a)] = counts
         vol = float((f[:, a, d] * traffic[:, a]).sum())
         physical[(a, d)] = build_physical_graph(graphs[a], d, vol, counts)
 
-    return DspResult(f=f, n_dc=n_dc, demand=demand, physical=physical,
+    return DspResult(f=f, demand=demand, physical=physical,
                      t_left=float(t_left), wide_area_cost=float(wide_area_cost))
 
 
-def overprovision(dsp: DspResult, gamma: float,
-                  lib: dict[AttackType, AnnotatedGraph]) -> DspResult:
+def overprovision(dsp: DspResult, gamma: float) -> DspResult:
     """Scale the resource manager's VM counts by a cushion factor >= 1.
 
-    Traffic fractions are untouched; only the provisioned instance counts
-    (and hence the physical graphs) grow.
+    Traffic fractions are untouched; only the physical graphs' VM counts
+    grow.
     """
     if gamma < 1.0:
         raise InputError("gamma must be >= 1")
     if gamma == 1.0:
         return dsp
-    graphs = ordered_graphs(lib)
-    n_dc = {
-        key: {i: math.ceil(c * gamma - CEIL_EPS) if c else 0
-              for i, c in counts.items()}
-        for key, counts in dsp.n_dc.items()
-    }
     physical = {
-        (a, d): build_physical_graph(graphs[a], d, pg.traffic_gbps, n_dc[(d, a)])
-        for (a, d), pg in dsp.physical.items()
+        key: replace(pg, counts={i: math.ceil(c * gamma - CEIL_EPS) if c else 0
+                                 for i, c in pg.counts.items()})
+        for key, pg in dsp.physical.items()
     }
-    return DspResult(f=dsp.f, n_dc=n_dc, demand=dsp.demand, physical=physical,
+    return DspResult(f=dsp.f, demand=dsp.demand, physical=physical,
                      t_left=dsp.t_left, wide_area_cost=dsp.wide_area_cost)
 
 
@@ -315,8 +308,8 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
     placements: dict[tuple[int, int], tuple[int, int]] = {}
     n_srv: dict[tuple[int, int, int], int] = {}
     hosts: dict[int, set[int]] = {}  # node id -> positions of its servers
-    pending = {i for i, insts in pg.instances.items() if insts}
-    # Nodes with no instances are trivially placed.
+    pending = {i for i, c in pg.counts.items() if c}
+    # Nodes with no VMs are trivially placed.
     placed = {n.id for n in graph.nodes if n.id not in pending}
     preds = {i: graph.predecessors(i) for i in pending}
 
@@ -394,12 +387,11 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
     while pending:
         node_id = max((i for i in pending if placed.issuperset(preds[i])),
                       key=lambda i: (graph.node(i).capacity_gbps, -i))
-        localize(node_id, pg.vm_count(node_id))
+        localize(node_id, pg.counts[node_id])
         pending.discard(node_id)
         placed.add(node_id)
 
-    counts = {i: pg.vm_count(i) for i in pg.instances}
-    intra, inter = _edge_units(graph, pg.traffic_gbps, placements, counts)
+    intra, inter = _edge_units(graph, pg.traffic_gbps, placements, pg.counts)
     return SspResult(dc_id=dc.id, attack_id=pg.attack.id, n_srv=n_srv,
                      placements=placements, intra_rack_units=intra,
                      inter_rack_units=inter)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,8 @@ from .defense_graphs import (
 from .errors import InputError, PlacementError
 from .orchestration import build_tag_pools, pin_bidirectional_for_graph, synthesize_rules
 from .resource_manager import (
+    DspResult,
+    SspResult,
     check_feasibility,
     dsp_greedy,
     evaluate_cost,
@@ -177,6 +180,15 @@ def _run_epochs(sc: Scenario, seed: int, topo: Topology,
                 lib: dict[AttackType, AnnotatedGraph]) -> list[EpochRecord]:
     """The epochs of one run on a loaded topology and library, which no
     run changes."""
+    return [record for record, *_ in _epochs(sc, seed, topo, lib)]
+
+
+def _epochs(sc: Scenario, seed: int, topo: Topology,
+            lib: dict[AttackType, AnnotatedGraph],
+            ) -> Iterator[tuple[EpochRecord, np.ndarray, DspResult, list[SspResult] | None]]:
+    """Run the epochs one at a time, yielding each epoch's record, estimate,
+    cushioned resource assignment and server placements (None when
+    placement failed)."""
     graphs = ordered_graphs(lib)
     n_pops, n_attacks = len(topo.pops), len(graphs)
     budget = Budget(sc.budget_gbps)
@@ -184,7 +196,6 @@ def _run_epochs(sc: Scenario, seed: int, topo: Topology,
     state = EstimatorState(kind=sc.estimator, n_pops=n_pops,
                            n_attacks=n_attacks, gamma=sc.gamma)
 
-    records: list[EpochRecord] = []
     for t in range(sc.epochs):
         actual = adversary_next(strategy, budget, t, n_pops, n_attacks)
         rng = np.random.default_rng([seed, 104729, t]) if sc.estimator == "fpl" else None
@@ -194,7 +205,7 @@ def _run_epochs(sc: Scenario, seed: int, topo: Topology,
         provision = est * sc.gamma
 
         infeasible = ""
-        dsp = overprovision(dsp_greedy(topo, est, lib), sc.gamma, lib)
+        dsp = overprovision(dsp_greedy(topo, est, lib), sc.gamma)
         cost = float("nan")
         tag_rules = 0
         try:
@@ -206,21 +217,21 @@ def _run_epochs(sc: Scenario, seed: int, topo: Topology,
                 pin_bidirectional_for_graph(plan, pg, pools, lib)
             tag_rules = plan.max_switch_rules()
         except PlacementError as exc:
+            ssps = None
             infeasible = f"placement: {exc}"
         if dsp.t_left > 1e-9:
             note = f"t_left={dsp.t_left:.3f}"
             infeasible = f"{infeasible}; {note}" if infeasible else note
 
         w, v, wvm = loss_accounting(provision, actual, lib)
-        records.append(EpochRecord(
+        state.observe(actual)
+        yield EpochRecord(
             epoch=t, actual=actual, estimate=est, t_left=dsp.t_left,
             handled_gbps=float(est.sum()) - dsp.t_left, cost=cost,
             vm_total=dsp.total_vms(), tag_rules=tag_rules,
             wastage_gbps=w, evasion_gbps=v, wastage_vm=wvm,
             infeasible=infeasible,
-        ))
-        state.observe(actual)
-    return records
+        ), est, dsp, ssps
 
 
 def run_scenario_sweep(sc: Scenario) -> dict[int, list[EpochRecord]]:
@@ -296,28 +307,11 @@ def emit_report(records: list[EpochRecord], out_dir: str,
     return csv_path, json_path
 
 
-def verify_records_feasible(sc: Scenario, seed: int | None = None,
-                            epochs: int | None = None) -> int:
-    """Re-run a scenario and recheck every epoch's resource assignment with
-    the constraint checker; returns the number of violations found."""
+def verify_records_feasible(sc: Scenario, seed: int | None = None) -> int:
+    """Re-run a scenario and recheck every placed epoch's resource assignment
+    with the constraint checker; returns the number of violations found."""
     seed = _run_seed(sc, seed)
-    topo = sc.load_topology()
-    lib = sc.load_library()
-    budget = Budget(sc.budget_gbps)
-    strategy = AdversaryStrategy(kind=sc.adversary, seed=seed)
-    state = EstimatorState(kind=sc.estimator, n_pops=len(topo.pops),
-                           n_attacks=len(lib), gamma=sc.gamma)
-    n_violations = 0
-    for t in range(epochs if epochs is not None else sc.epochs):
-        actual = adversary_next(strategy, budget, t, len(topo.pops), len(lib))
-        rng = np.random.default_rng([seed, 104729, t]) if sc.estimator == "fpl" else None
-        est = estimate(state, budget, rng)
-        dsp = overprovision(dsp_greedy(topo, est, lib), sc.gamma, lib)
-        try:
-            ssps = place_all(topo, dsp, lib)
-        except PlacementError:
-            state.observe(actual)
-            continue
-        n_violations += len(check_feasibility(topo, est, dsp, ssps, sc.cost, lib))
-        state.observe(actual)
-    return n_violations
+    topo, lib = sc.load_topology(), sc.load_library()
+    return sum(len(check_feasibility(topo, est, dsp, ssps, sc.cost, lib))
+               for _record, est, dsp, ssps in _epochs(sc, seed, topo, lib)
+               if ssps is not None)

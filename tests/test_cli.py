@@ -475,6 +475,27 @@ def test_oracle_compare_bad_input_exit_2(tmp_path, bad, message):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("bad, option", [
+    (["--nodes", "0"], "--nodes"),
+    (["--nodes=-3"], "--nodes"),
+    (["--nodes", "12", "--dc-slots", "0"], "--dc-slots"),
+    (["--nodes", "12", "--dc-slots=-5"], "--dc-slots"),
+])
+def test_topo_gen_bad_size_exit_2(tmp_path, bad, option):
+    out = tmp_path / "topo.json"
+    res = CliRunner().invoke(main, ["topo", "gen", *bad, "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert f"Invalid value for '{option}'" in res.output
+    assert not out.exists()
+
+
+def test_topo_gen_one_node_clamps_to_two_pops(tmp_path):
+    out = tmp_path / "topo.json"
+    res = CliRunner().invoke(main, ["topo", "gen", "--nodes", "1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "2 pops" in res.output
+
+
 def test_seed_env_var(tmp_path, monkeypatch):
     runner = CliRunner()
     monkeypatch.setenv("BOHATEI_SEED", "11")

@@ -31,8 +31,16 @@ from scrubsim.orchestration import (
     synthesize_rules,
     tag_space_bound,
 )
-from scrubsim.resource_manager import dsp_greedy, place_all
-from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology, generate_topology
+from scrubsim.resource_manager import check_feasibility, dsp_greedy, place_all
+from scrubsim.topology import (
+    CostParams,
+    Datacenter,
+    Pop,
+    Rack,
+    Server,
+    Topology,
+    generate_topology,
+)
 from test_resource_manager import capacity_bound_cases
 
 ATK = AttackType(0, "atk0")
@@ -286,6 +294,35 @@ class TestPlanRealizesEdges:
             "edge 0->1: vm (0, 0, 0, 2) reaches instances [0] of [0, 1]",
             "edge 0->2: vm (0, 0, 0, 3) reaches instances [] of [0, 1]"]
 
+    def test_zero_count_delivering_node(self):
+        """A delivering node whose only input edge weighs 0.0 is provisioned
+        with 0 VMs: it is listed with its 0, but gets no tag, pool or rule,
+        and neither check reports it."""
+        g = AnnotatedGraph(
+            attack=ATK,
+            nodes=[LogicalModule(0, "a1", ANALYSIS, 10.0, contexts=2),
+                   LogicalModule(1, "r_ok", RESPONSE, 10.0, contexts=1, delivers=True),
+                   LogicalModule(2, "r_drop", RESPONSE, 10.0, contexts=1)],
+            edges=[(0, 1, 0.0), (0, 2, 1.0)],
+        )
+        lib = {ATK: g}
+        topo = small_topo()
+        traffic = np.array([[20.0]])
+        dsp = dsp_greedy(topo, traffic, lib)
+        assert dsp.n_dc == {(0, 0): {0: 2, 1: 0, 2: 2}}
+        ssps = place_all(topo, dsp, lib)
+        pools = build_tag_pools(dsp.physical, lib)
+        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        assert sorted(pools.instance_tags) == [(0, 0, 2, 0), (0, 0, 2, 1)]
+        assert pools.egress_tags == {}
+        # Only a1 emits tags; its pool toward r_ok is empty.
+        assert pools.pools == {((0, 0, 0, k), c): tags for k in range(2)
+                               for c, tags in enumerate([[], [1, 2]])}
+        assert plan.dc_tables["dc0"] == {
+            ("tag", tag): ("vm", vm) for vm, tag in pools.instance_tags.items()}
+        assert plan_realizes_edges(plan, dsp.physical[(0, 0)], pools, lib) == []
+        assert check_feasibility(topo, traffic, dsp, ssps, CostParams(), lib) == []
+
 
 class TestLoadBalancePick:
     def test_single_tag_pool(self):
@@ -381,11 +418,11 @@ class TestBidirectionalPins:
         # Every analysis VM's outbound tags are pinned for the DNS graph.
         dns_graph = graphs[dns_id]
         pg = dsp.physical[(dns_id, 0)]
-        for node in pg.instances:
+        for node, count in pg.counts.items():
             if dns_graph.node(node).kind != "analysis":
                 continue
-            for inst in pg.instances[node]:
-                vm = (dns_id, 0, node, inst.index)
+            for k in range(count):
+                vm = (dns_id, 0, node, k)
                 for c in range(len(dns_graph.successors(node))):
                     for tag in pools.pools.get((vm, c), []):
                         assert tag in plan.bidi_pins
@@ -407,11 +444,11 @@ class TestBidirectionalPins:
             count = 0
             graph = graphs[a]
             if graph.bidirectional:
-                for node in sorted(pg.instances):
+                for node in sorted(pg.counts):
                     if graph.node(node).kind != "analysis":
                         continue
-                    for inst in pg.instances[node]:
-                        vm = (a, d, node, inst.index)
+                    for k in range(pg.counts[node]):
+                        vm = (a, d, node, k)
                         for c in range(len(graph.successors(node))):
                             for tag in pools.pools.get((vm, c), []):
                                 target = next((v for v, t in pools.instance_tags.items()
@@ -439,13 +476,14 @@ def reference_assign_tags(pg, lib, seed=None, pools=None, max_bits=None):
     pools = pools if pools is not None else TagPool()
     a, d = pg.attack.id, pg.dc_id
     roots = set(graph.roots)
+    placed_nodes = sorted(i for i, c in pg.counts.items() if c > 0)
     slots_needed = []
-    for node in sorted(pg.instances):
+    for node in placed_nodes:
         if node in roots:
             continue
-        for inst in pg.instances[node]:
-            slots_needed.append(("vm", (a, d, node, inst.index)))
-    for node in sorted(pg.instances):
+        for k in range(pg.counts[node]):
+            slots_needed.append(("vm", (a, d, node, k)))
+    for node in placed_nodes:
         if graph.node(node).delivers:
             slots_needed.append(("egress", (a, d, node, len(graph.successors(node)))))
     values = list(range(pools.next_tag, pools.next_tag + len(slots_needed)))
@@ -460,13 +498,13 @@ def reference_assign_tags(pg, lib, seed=None, pools=None, max_bits=None):
             pools.instance_tags[key] = value
         else:
             pools.egress_tags[key] = value
-    for node in sorted(pg.instances):
+    for node in placed_nodes:
         succs = graph.successors(node)
-        for inst in pg.instances[node]:
-            vm = (a, d, node, inst.index)
+        for k in range(pg.counts[node]):
+            vm = (a, d, node, k)
             for c, succ in enumerate(succs):
-                pools.pools[(vm, c)] = [pools.instance_tags[(a, d, succ, down.index)]
-                                        for down in pg.instances.get(succ, [])]
+                pools.pools[(vm, c)] = [pools.instance_tags[(a, d, succ, down)]
+                                        for down in range(pg.counts.get(succ, 0))]
             if graph.node(node).delivers:
                 c = len(succs)
                 pools.pools[(vm, c)] = [pools.egress_tags[(a, d, node, c)]]
@@ -503,21 +541,21 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
             raise InputError(f"physical graph ({a},{d}) has no server placement")
         root_targets = []
         for root in graph.roots:
-            insts = pg.instances.get(root, [])
-            if not insts:
+            n = pg.counts.get(root, 0)
+            if n == 0:
                 continue
             frac = graph.external_fraction(root)
-            for inst in insts:
-                key = (a, d, root, inst.index)
-                if (root, inst.index) not in placed:
+            for k in range(n):
+                key = (a, d, root, k)
+                if (root, k) not in placed:
                     raise InputError(f"unplaced VM {key}")
-                root_targets.append((key, frac / len(insts)))
+                root_targets.append((key, frac / n))
         for e in np.flatnonzero(dsp.f[:, a, d] > 0).tolist():
             add(f"dc{d}-ingress", ("tunnel", f"e{e}-a{a}"), ("split", tuple(root_targets)))
-        for node in sorted(pg.instances):
-            for inst in pg.instances[node]:
-                key = (a, d, node, inst.index)
-                if (node, inst.index) not in placed:
+        for node in sorted(pg.counts):
+            for k in range(pg.counts[node]):
+                key = (a, d, node, k)
+                if (node, k) not in placed:
                     raise InputError(f"unplaced VM {key}")
                 tag = pools.instance_tags.get(key)
                 if tag is not None:

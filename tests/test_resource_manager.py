@@ -187,7 +187,7 @@ class TestOverprovision:
         lib = {ATK: chain_graph()}
         topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[20.0]]), lib)
-        padded = overprovision(dsp, 1.5, lib)
+        padded = overprovision(dsp, 1.5)
         assert padded.n_dc[(0, 0)] == {0: 3, 1: 3}
         assert padded.physical[(0, 0)].total_vms == 6
         assert np.array_equal(padded.f, dsp.f)
@@ -196,7 +196,7 @@ class TestOverprovision:
         lib = {ATK: chain_graph()}
         topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[20.0]]), lib)
-        assert overprovision(dsp, 1.0, lib) is dsp
+        assert overprovision(dsp, 1.0) is dsp
 
 
 class TestSspGreedy:
@@ -225,7 +225,7 @@ class TestSspGreedy:
 
         def dsp_for(counts):
             pg = build_physical_graph(g, 0, 10.0, counts)
-            return DspResult(f=np.zeros((1, 1, 1)), n_dc={}, demand={},
+            return DspResult(f=np.zeros((1, 1, 1)), demand={},
                              physical={(0, 0): pg}, t_left=0.0, wide_area_cost=0.0)
 
         topo = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2]])], [[1.0]])
@@ -480,9 +480,9 @@ def linear_scan_ssp(dc, pg, graph, used):
                              f"for node {name}", node=name)
 
     def localize(node, count):
-        pred_servers = {placements[(p, inst.index)] for p in graph.predecessors(node)
-                        for inst in pg.instances.get(p, [])
-                        if (p, inst.index) in placements}
+        pred_servers = {placements[(p, k)] for p in graph.predecessors(node)
+                        for k in range(pg.counts.get(p, 0))
+                        if (p, k) in placements}
         pred_racks = {rack_id for rack_id, _srv in pred_servers}
         fitting = [s for s in servers if free(*s) >= count]
         if fitting:
@@ -513,12 +513,12 @@ def linear_scan_ssp(dc, pg, graph, used):
             if idx == count:
                 break
 
-    pending = {i for i, insts in pg.instances.items() if insts}
+    pending = {i for i, c in pg.counts.items() if c}
     placed = {n.id for n in graph.nodes if n.id not in pending}
     while pending:
         ready = [i for i in pending if all(p in placed for p in graph.predecessors(i))]
         node = max(ready or pending, key=lambda i: (graph.node(i).capacity_gbps, -i))
-        localize(node, pg.vm_count(node))
+        localize(node, pg.counts[node])
         pending.discard(node)
         placed.add(node)
     return placements, n_srv
@@ -715,7 +715,7 @@ class TestIndexedSelectionMatchesLinearScan:
         for g in attacks:
             counts = {n.id: data.draw(st.integers(0, 4)) for n in g.nodes}
             physical[(g.attack.id, 0)] = build_physical_graph(g, 0, 10.0, counts)
-        dsp = DspResult(f=np.zeros((1, len(lib), 1)), n_dc={}, demand={},
+        dsp = DspResult(f=np.zeros((1, len(lib), 1)), demand={},
                         physical=physical, t_left=0.0, wide_area_cost=0.0)
         topo = make_topo(1, [dc], [[1.0]])
         used = {}
