@@ -31,6 +31,10 @@ from .topology import CostParams, Datacenter, Topology
 
 EPS = 1e-9
 
+# dsp_greedy sends inputs with fewer (pop, attack) cells than this to its
+# heap loop alone: on them the array pass costs more than the whole loop.
+ARRAY_PASS_MIN_CELLS = 32
+
 
 def validate_traffic(traffic: np.ndarray, topo: Topology,
                      lib: dict[AttackType, AnnotatedGraph]) -> np.ndarray:
@@ -64,6 +68,93 @@ class DspResult:
         return float((self.f[:, a, d] * traffic[:, a]).sum())
 
 
+def _running(ufunc: np.ufunc, keys: np.ndarray, n_keys: int, steps: np.ndarray,
+             start) -> tuple[np.ndarray, np.ndarray]:
+    """Each item's key total before its step, and the table whose row c
+    holds every key's total after its first c steps. `ufunc.accumulate`
+    steps in item order as a loop does (`np.sum` would add pairwise); the
+    zero padding past a key's last step leaves its total as it is."""
+    counts = np.bincount(keys, minlength=n_keys)
+    order = np.argsort(keys, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(keys)) - np.repeat(np.cumsum(counts) - counts, counts)
+    table = np.zeros((counts.max() + 1, n_keys) + steps.shape[1:])
+    table[0] = start
+    table[rank + 1, keys] = steps
+    ufunc.accumulate(table, axis=0, out=table)
+    return table[rank, keys], table
+
+
+def _assign_prefix(traffic, rates, factors, latency, ranked, ceil_per_assignment,
+                   link_rem, compute_rem, f, demand, charged):
+    """dsp_greedy's array pass. Assigns the longest prefix of the heap order
+    whose cells all fit whole, updating the loop's state in place, and
+    returns the prefix's wide-area cost and the heap of the cells left."""
+    n_e, n_a, n_d = f.shape
+    vol = traffic.ravel()
+    cells = np.flatnonzero(vol > EPS)
+    # Volume descending, ties by row-major index: the heap's (pop, attack).
+    cells = cells[np.argsort(-vol[cells], kind="stable")]
+    t = vol[cells]
+    e, a = np.divmod(cells, n_a)
+    link0, compute0 = np.array(link_rem, dtype=float), np.array(compute_rem)
+    is_open = (link0 > EPS) & (compute0 > EPS)
+    fac = np.array(factors)[a]
+    # A shortcut, not a rule (the loop alone gives the same result): skip the
+    # pass unless enough of the largest cells fit the open datacenters'
+    # total link and fractional compute.
+    room = min(np.cumsum(t).searchsorted(link0[is_open].sum(), "right"),
+               np.cumsum(t * fac).searchsorted(compute0[is_open].sum(), "right"))
+    if room < ARRAY_PASS_MIN_CELLS:
+        return 0.0, list(zip((-t).tolist(), e.tolist(), a.tolist(), cells.tolist()))
+
+    # Every pop ranks every datacenter, so each has an open one.
+    d = ranked[np.arange(n_e), np.argmax(is_open[ranked], axis=1)][e]
+    rate_rows = np.zeros((n_a, max(map(len, rates))))
+    for row, node_rates in zip(rate_rows, rates):
+        row[:len(node_rates)] = [r for _i, r in node_rates]
+    keys = d * n_a + a
+    step = t[:, None] * rate_rows[a]
+    before, demand_table = _running(np.add, keys, n_d * n_a, step, 0.0)
+    if ceil_per_assignment:
+        def vms(x):
+            return np.maximum(np.ceil(x - CEIL_EPS), 0.0)
+        charge = (vms(before + step) - vms(before)).sum(axis=1)
+    else:
+        charge = t * fac
+    rem, rem_table = _running(np.subtract, d, n_d, np.stack([t, charge], axis=1),
+                              np.stack([link0, compute0], axis=1))
+    link, compute = rem.T
+    fits = (link > EPS) & (compute > EPS) & (t <= link)
+    if ceil_per_assignment:
+        fits &= charge <= compute + EPS
+    else:
+        fits &= t <= np.divide(compute, fac, out=np.full(len(t), np.inf), where=fac > 0)
+    n = len(t) if fits.all() else int(np.argmin(fits))
+
+    wide_area_cost = 0.0
+    if n:
+        e_p, a_p, d_p, t_p, keys_p = e[:n], a[:n], d[:n], t[:n], keys[:n]
+        f[e_p, a_p, d_p] = t_p / t_p
+        wide_area_cost = float(np.cumsum(t_p * latency[e_p, d_p])[-1])
+        rem = rem_table[np.bincount(d_p, minlength=n_d), np.arange(n_d)]
+        link_rem[:], compute_rem[:] = rem[:, 0].tolist(), rem[:, 1].tolist()
+        n_k = n_d * n_a
+        totals = demand_table[np.bincount(keys_p, minlength=n_k), np.arange(n_k)]
+        # `demand` keeps the order in which keys were first assigned.
+        uniq, first = np.unique(keys_p, return_index=True)
+        for key in uniq[np.argsort(first)].tolist():
+            dk, ak = divmod(key, n_a)
+            ids = [i for i, _r in rates[ak]]
+            row = totals[key, :len(ids)]
+            demand[(dk, ak)] = dict(zip(ids, row.tolist()))
+            if ceil_per_assignment:
+                charged[(dk, ak)] = dict(zip(ids, vms(row).astype(int).tolist()))
+    # Sorted, the cells left already form a heap.
+    return wide_area_cost, list(zip((-t[n:]).tolist(), e[n:].tolist(), a[n:].tolist(),
+                                    cells[n:].tolist()))
+
+
 def dsp_greedy(topo: Topology, traffic: np.ndarray,
                lib: dict[AttackType, AnnotatedGraph],
                ceil_per_assignment: bool = False) -> DspResult:
@@ -77,6 +168,14 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     mode: each assignment is charged its whole-VM increment immediately, so
     final counts can never exceed slot budgets at the cost of handling less
     volume.
+
+    Cells go largest first, each to its cheapest open datacenter. Until a
+    cell fails to fit whole or a datacenter runs out of link or compute, the
+    open datacenters stay the same, so no cell's choice depends on those
+    before it. An array pass assigns that prefix at once, taking every
+    running total in the loop's order, and the heap loop goes on from the
+    state it leaves. Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells skip
+    the pass.
     """
     graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
@@ -88,34 +187,29 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
-    latency = topo.latency
+    latency = np.asarray(topo.latency, dtype=float).reshape(n_e, n_d)
     # Each pop's datacenters, cheapest first: a stable sort of ascending ids
     # by latency is the (latency, id) order.
-    by_latency = np.argsort(np.asarray(latency, dtype=float).reshape(n_e, n_d),
-                            axis=1, kind="stable").tolist()
-    volumes = traffic.tolist()
+    ranked = np.argsort(latency, axis=1, kind="stable")
 
-    # Max-heap of (volume, pop, attack); ties resolve to lowest (e, a). The
-    # sequence number both breaks residual ties deterministically and keys
-    # the set of datacenters an item has already found unaffordable (only
-    # reachable under whole-VM charging).
-    heap: list[tuple[float, int, int, int]] = []
-    exhausted: dict[int, set[int]] = {}
-    seq = 0
-    for e, row in enumerate(volumes):
-        for a, t in enumerate(row):
-            if t > EPS:
-                heap.append((-t, e, a, seq))
-                seq += 1
-    heapq.heapify(heap)
-
-    # f accumulates per (e, a, d) cell in Python floats, the same adds a
-    # float64 array would make, and is written into the array at the end.
-    f_cells: dict[tuple[int, int, int], float] = {}
+    f = np.zeros((n_e, n_a, n_d))
     demand: dict[tuple[int, int], dict[int, float]] = {}
     charged: dict[tuple[int, int], dict[int, int]] = {}
-    wide_area_cost = 0.0
     t_left = 0.0
+    # Max-heap of (volume, pop, attack, cell); ties resolve to lowest (e, a).
+    # The cell's row-major index keys the set of datacenters an item has
+    # already found unaffordable (only reachable under whole-VM charging).
+    if traffic.size < ARRAY_PASS_MIN_CELLS:
+        wide_area_cost = 0.0
+        heap = [(-t, e, a, e * n_a + a) for e, row in enumerate(traffic.tolist())
+                for a, t in enumerate(row) if t > EPS]
+        heapq.heapify(heap)
+    else:
+        wide_area_cost, heap = _assign_prefix(
+            traffic, rates, factors, latency, ranked, ceil_per_assignment,
+            link_rem, compute_rem, f, demand, charged)
+    by_latency = ranked.tolist() if heap else []
+    exhausted: dict[int, set[int]] = {}
 
     def vm_increment(d: int, a: int, x: float) -> int:
         """Whole VMs needed to extend (d, a)'s demand by x Gbps."""
@@ -182,18 +276,13 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             compute_rem[d] -= t_assigned * factors[a]
         for i, r in rates[a]:
             node_demand[i] += t_assigned * r
-        cell = (e, a, d)
-        f_cells[cell] = f_cells.get(cell, 0.0) + t_assigned / volumes[e][a]
-        wide_area_cost += t_assigned * latency[e][d]
+        f[e, a, d] += t_assigned / traffic.item(e, a)
+        wide_area_cost += t_assigned * topo.latency[e][d]
         link_rem[d] -= t_assigned
 
         t_unassigned = t - t_assigned
         if t_unassigned > EPS:
             heapq.heappush(heap, (-t_unassigned, e, a, item))
-
-    f = np.zeros((n_e, n_a, n_d))
-    if f_cells:
-        f[tuple(zip(*f_cells))] = list(f_cells.values())
 
     physical: dict[tuple[int, int], PhysicalGraph] = {}
     for (d, a), node_demand in sorted(demand.items()):
@@ -449,13 +538,12 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
     out: list[Violation] = []
 
     # (2) coverage: sum_d f <= 1 per (e, a); t_left matches the shortfall.
-    for e in range(n_e):
-        for a in range(n_a):
-            total = float(dsp.f[e, a, :].sum())
-            if total > 1.0 + tol:
-                out.append(Violation(2, (e, a), total - 1.0,
-                                     f"fractions for pop {e} attack {a} sum to {total:.4f}"))
-    implied_left = float((traffic * (1.0 - dsp.f.sum(axis=2))).sum())
+    covered = dsp.f.sum(axis=2)
+    for e, a in np.argwhere(covered > 1.0 + tol).tolist():
+        total = float(covered[e, a])
+        out.append(Violation(2, (e, a), total - 1.0,
+                             f"fractions for pop {e} attack {a} sum to {total:.4f}"))
+    implied_left = float((traffic * (1.0 - covered)).sum())
     if abs(implied_left - dsp.t_left) > max(tol, tol * traffic.sum()):
         out.append(Violation(2, ("t_left",), implied_left - dsp.t_left,
                              f"t_left {dsp.t_left:.4f} != unassigned volume {implied_left:.4f}"))

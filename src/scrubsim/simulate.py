@@ -80,8 +80,9 @@ class Scenario:
     cost: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InputError("epochs must be >= 1")
+        for name in ("epochs", "topology_nodes", "dc_slots"):
+            if getattr(self, name) < 1:
+                raise InputError(f"{name} must be >= 1")
         Budget(self.budget_gbps)  # rejects a budget that is not finite and > 0
         if self.adversary not in STRATEGIES:
             raise InputError(f"unknown adversary strategy {self.adversary!r}")

@@ -339,6 +339,8 @@ def test_simulate_bad_scenario_exit_2(tmp_path):
     ({"gamma": float("inf")}, "gamma must be >= 1 and finite"),
     ({"budget_gbps": float("nan")}, "budget must be > 0 and finite"),
     ({"budget_gbps": float("inf")}, "budget must be > 0 and finite"),
+    ({"topology_nodes": 0, "dc_slots": -5}, "topology_nodes must be >= 1"),
+    ({"dc_slots": 0}, "dc_slots must be >= 1"),
 ])
 def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
     runner = CliRunner()

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import (
     ANALYSIS,
+    CEIL_EPS,
     RESPONSE,
     AnnotatedGraph,
     AttackType,
     LogicalModule,
+    PhysicalGraph,
     build_physical_graph,
     builtin_library,
     graph_compute_factor,
@@ -21,6 +23,8 @@ from scrubsim.defense_graphs import (
 from scrubsim.errors import InputError, PlacementError
 from scrubsim.oracle import random_tiny_instance
 from scrubsim.resource_manager import (
+    ARRAY_PASS_MIN_CELLS,
+    EPS,
     DspResult,
     SlotTable,
     check_feasibility,
@@ -29,6 +33,7 @@ from scrubsim.resource_manager import (
     overprovision,
     place_all,
     ssp_greedy,
+    validate_traffic,
 )
 from scrubsim.topology import (
     CostParams,
@@ -379,6 +384,30 @@ class TestCheckFeasibility:
         dsp.f[e, a, 0] = 1.2 - dsp.f[e, a, 1:].sum()
         violations = check_feasibility(topo, traffic, dsp, ssps, params, lib)
         assert any(v.constraint == 2 and v.indices == (e, a) for v in violations)
+
+    def test_over_coverage_matches_per_cell_sums(self):
+        # Nine datacenters: numpy adds each cell's nine fractions pairwise,
+        # and the one array pass must report what per-cell sums report.
+        atk1 = AttackType(1, "atk1")
+        lib = {ATK: one_node_graph(), atk1: one_node_graph(attack=atk1)}
+        topo = make_topo(3, [make_dc(d, 999.0, [[99]]) for d in range(9)], [[1.0] * 9] * 3)
+        traffic = np.array([[10.0, 4.0], [0.0, 7.0], [3.0, 3.0]])
+        f = np.random.default_rng(7).random((3, 2, 9)) / 4
+        f[1, 0] = 0.0
+        f[2, 1] = 1.0 / 9
+        dsp = DspResult(f=f, demand={}, physical={}, t_left=0.0, wide_area_cost=0.0)
+        want = []
+        for e in range(3):
+            for a in range(2):
+                total = float(f[e, a, :].sum())
+                if total > 1.0 + 1e-6:
+                    want.append((2, (e, a), total - 1.0,
+                                 f"fractions for pop {e} attack {a} sum to {total:.4f}"))
+        got = [(v.constraint, v.indices, v.slack, v.message)
+               for v in check_feasibility(topo, traffic, dsp, [], CostParams(), lib)
+               if v.constraint == 2 and v.indices != ("t_left",)]
+        assert len(want) == 3
+        assert repr(got) == repr(want)
 
     def test_backbone_beta_violation_with_slack(self):
         # One pop, one dc, a single backbone link on the path; beta=0.5
@@ -774,3 +803,208 @@ class TestIndexedSelectionMatchesLinearScan:
         assert (repr(got.n_dc), repr(got.demand)) == (repr(counts), repr(demand))
         assert (got.t_left, got.wide_area_cost) == (t_left, cost)
         return hits
+
+
+# -- the array pass against the heap loop alone ------------------------
+#
+# reference_dsp_greedy is dsp_greedy as it was before the array pass: a heap
+# loop over every cell. dsp_greedy must return the same bits.
+
+def reference_dsp_greedy(topo: Topology, traffic: np.ndarray,
+                         lib: dict[AttackType, AnnotatedGraph],
+                         ceil_per_assignment: bool = False) -> DspResult:
+    """Assign suspicious traffic volumes to datacenters, largest volume first,
+    each to the cheapest datacenter that still has link and compute capacity.
+
+    Infeasible volume is reported in t_left; this never raises for capacity.
+
+    Default accounting charges compute fractionally and rounds VM counts up
+    once at the end. `ceil_per_assignment` is a conservative sensitivity
+    mode: each assignment is charged its whole-VM increment immediately, so
+    final counts can never exceed slot budgets at the cost of handling less
+    volume.
+    """
+    graphs = ordered_graphs(lib)
+    traffic = validate_traffic(traffic, topo, lib)
+    n_e, n_a = traffic.shape
+    n_d = len(topo.datacenters)
+    factors = [graph_compute_factor(g) for g in graphs]
+    rates = [[(n.id, g.share(n.id) / n.capacity_gbps) for n in g.nodes]
+             for g in graphs]
+
+    link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
+    compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
+    latency = topo.latency
+    # Each pop's datacenters, cheapest first: a stable sort of ascending ids
+    # by latency is the (latency, id) order.
+    by_latency = np.argsort(np.asarray(latency, dtype=float).reshape(n_e, n_d),
+                            axis=1, kind="stable").tolist()
+    volumes = traffic.tolist()
+
+    # Max-heap of (volume, pop, attack); ties resolve to lowest (e, a). The
+    # sequence number both breaks residual ties deterministically and keys
+    # the set of datacenters an item has already found unaffordable (only
+    # reachable under whole-VM charging).
+    heap: list[tuple[float, int, int, int]] = []
+    exhausted: dict[int, set[int]] = {}
+    seq = 0
+    for e, row in enumerate(volumes):
+        for a, t in enumerate(row):
+            if t > EPS:
+                heap.append((-t, e, a, seq))
+                seq += 1
+    heapq.heapify(heap)
+
+    # f accumulates per (e, a, d) cell in Python floats, the same adds a
+    # float64 array would make, and is written into the array at the end.
+    f_cells: dict[tuple[int, int, int], float] = {}
+    demand: dict[tuple[int, int], dict[int, float]] = {}
+    charged: dict[tuple[int, int], dict[int, int]] = {}
+    wide_area_cost = 0.0
+    t_left = 0.0
+
+    def vm_increment(d: int, a: int, x: float) -> int:
+        """Whole VMs needed to extend (d, a)'s demand by x Gbps."""
+        cur = demand.get((d, a), {})
+        have = charged.get((d, a), {})
+        inc = 0
+        for i, r in rates[a]:
+            new = math.ceil(cur.get(i, 0.0) + x * r - CEIL_EPS)
+            inc += max(0, new - have.get(i, 0))
+        return inc
+
+    def max_affordable(d: int, a: int, upper: float) -> float:
+        """Largest volume whose whole-VM increment fits the compute budget."""
+        if vm_increment(d, a, upper) <= compute_rem[d] + EPS:
+            return upper
+        lo, hi = 0.0, upper
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if vm_increment(d, a, mid) <= compute_rem[d] + EPS:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    while heap:
+        neg_t, e, a, item = heapq.heappop(heap)
+        t = -neg_t
+        skip = exhausted.get(item, ())
+        for d in by_latency[e]:
+            if link_rem[d] > EPS and compute_rem[d] > EPS and d not in skip:
+                break
+        else:
+            t_left += t
+            continue
+
+        t1 = min(t, link_rem[d])
+        if ceil_per_assignment:
+            t2 = max_affordable(d, a, t1)
+        else:
+            t2 = compute_rem[d] / factors[a] if factors[a] > 0 else t1
+        t_assigned = min(t1, t2)
+        if t_assigned <= EPS:
+            # Whole-VM charging: this datacenter cannot afford the next VM
+            # step for this item; retry the rest.
+            exhausted.setdefault(item, set()).add(d)
+            heapq.heappush(heap, (neg_t, e, a, item))
+            continue
+
+        node_demand = demand.get((d, a))
+        if node_demand is None:
+            node_demand = demand[(d, a)] = {n.id: 0.0 for n in graphs[a].nodes}
+        if ceil_per_assignment:
+            have = charged.get((d, a))
+            if have is None:
+                have = charged[(d, a)] = {n.id: 0 for n in graphs[a].nodes}
+            inc = 0
+            for i, r in rates[a]:
+                new = math.ceil(node_demand[i] + t_assigned * r - CEIL_EPS)
+                if new > have[i]:
+                    inc += new - have[i]
+                    have[i] = new
+            compute_rem[d] -= inc
+        else:
+            compute_rem[d] -= t_assigned * factors[a]
+        for i, r in rates[a]:
+            node_demand[i] += t_assigned * r
+        cell = (e, a, d)
+        f_cells[cell] = f_cells.get(cell, 0.0) + t_assigned / volumes[e][a]
+        wide_area_cost += t_assigned * latency[e][d]
+        link_rem[d] -= t_assigned
+
+        t_unassigned = t - t_assigned
+        if t_unassigned > EPS:
+            heapq.heappush(heap, (-t_unassigned, e, a, item))
+
+    f = np.zeros((n_e, n_a, n_d))
+    if f_cells:
+        f[tuple(zip(*f_cells))] = list(f_cells.values())
+
+    physical: dict[tuple[int, int], PhysicalGraph] = {}
+    for (d, a), node_demand in sorted(demand.items()):
+        if ceil_per_assignment:
+            counts = charged[(d, a)]
+        else:
+            counts = {
+                i: math.ceil(v - CEIL_EPS) if v > EPS else 0
+                for i, v in node_demand.items()
+            }
+        vol = float((f[:, a, d] * traffic[:, a]).sum())
+        physical[(a, d)] = build_physical_graph(graphs[a], d, vol, counts)
+
+    return DspResult(f=f, demand=demand, physical=physical,
+                     t_left=float(t_left), wide_area_cost=float(wide_area_cost))
+
+
+
+def dsp_fingerprint(dsp):
+    return (dsp.f.tobytes(), repr(dsp.demand), repr(dsp.t_left), repr(dsp.wide_area_cost),
+            [(key, repr(pg.counts), repr(pg.traffic_gbps)) for key, pg in dsp.physical.items()])
+
+
+@st.composite
+def dsp_cases(draw):
+    """The built-in library over 1-16 pops (4 to 64 cells, both sides of
+    ARRAY_PASS_MIN_CELLS) and 1-4 datacenters whose link and slots are
+    ample or tight. Volumes are often zero and, when rounded, often tied."""
+    lib = builtin_library()
+    n_e, n_d = draw(st.integers(1, 16)), draw(st.integers(1, 4))
+    dcs = [make_dc(d, draw(st.sampled_from([15.0, 60.0, 999.0])),
+                   [[draw(st.sampled_from([0, 3, 40, 500]))] * 2])
+           for d in range(n_d)]
+    latency = [[draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(n_d)]
+               for _ in range(n_e)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    weights = rng.exponential(1.0, (n_e, len(lib))) * (rng.random((n_e, len(lib))) > 0.3)
+    traffic = weights * (draw(st.sampled_from([30.0, 150.0, 600.0])) / max(weights.sum(), 1.0))
+    if draw(st.booleans()):
+        traffic = np.round(traffic)
+    return make_topo(n_e, dcs, latency), traffic, lib
+
+
+class TestArrayPassMatchesHeapLoop:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=st.one_of(dsp_cases(), capacity_bound_cases()))
+    def test_bit_identical_to_reference(self, case):
+        topo, traffic, lib = case
+        for ceil in (False, True):
+            assert dsp_fingerprint(dsp_greedy(topo, traffic, lib, ceil)) == \
+                dsp_fingerprint(reference_dsp_greedy(topo, traffic, lib, ceil))
+
+    def test_dense_input_takes_no_heap_step(self, monkeypatch):
+        # 196 pops, 4000 slots, 1 Tbps over every cell: all of it fits, so
+        # the array pass assigns every cell and the heap loop has none left.
+        topo = generate_topology(196, 4000, seed=1)
+        lib = builtin_library()
+        weights = np.random.default_rng(0).random((196, len(lib)))
+        traffic = weights * (1000.0 / weights.sum())
+        assert traffic.size >= ARRAY_PASS_MIN_CELLS
+        want = [dsp_fingerprint(reference_dsp_greedy(topo, traffic, lib, ceil))
+                for ceil in (False, True)]
+
+        def heappop(heap):
+            raise AssertionError("the heap loop ran")
+        monkeypatch.setattr(heapq, "heappop", heappop)
+        assert [dsp_fingerprint(dsp_greedy(topo, traffic, lib, ceil))
+                for ceil in (False, True)] == want
