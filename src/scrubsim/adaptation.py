@@ -80,12 +80,11 @@ def _steady_mix(seed_key: str, budget: float, n_pops: int, n_attacks: int) -> np
 
 
 def adversary_next(strategy: AdversaryStrategy, budget: Budget, epoch: int,
-                   n_pops: int, n_attacks: int,
-                   rng: random.Random | None = None) -> np.ndarray:
+                   n_pops: int, n_attacks: int) -> np.ndarray:
     """The adversary's mix for this epoch; the full budget is always spent.
 
     Deterministic per (strategy seed, epoch): per-epoch randomness derives
-    from the strategy seed unless an explicit rng is supplied.
+    from the strategy seed.
     """
     if epoch < 0:
         raise InputError("epoch must be >= 0")
@@ -102,7 +101,7 @@ def adversary_next(strategy: AdversaryStrategy, budget: Budget, epoch: int,
                 break
         return first if epoch % 2 == 0 else second
 
-    rng = rng if rng is not None else random.Random(f"{strategy.seed}:{epoch}")
+    rng = random.Random(f"{strategy.seed}:{epoch}")
     mix = np.zeros((n_pops, n_attacks))
     if strategy.kind == "randingress":
         ingresses = _subset(rng, n_pops)

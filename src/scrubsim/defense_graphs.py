@@ -58,8 +58,6 @@ class AnnotatedGraph:
     nodes: list[LogicalModule]
     edges: list[tuple[int, int, float]]  # (src node id, dst node id, weight)
     bidirectional: bool = False
-    # External input fraction per root; defaults to an even split over roots.
-    root_fractions: dict[int, float] | None = None
 
     def __post_init__(self):
         # The graph is not changed after construction, so its adjacency is
@@ -92,11 +90,8 @@ class AnnotatedGraph:
         return list(self._roots)
 
     def external_fraction(self, i: int) -> float:
-        if i not in self._roots:
-            return 0.0
-        if self.root_fractions is not None:
-            return self.root_fractions.get(i, 0.0)
-        return 1.0 / len(self._roots)
+        """External input splits evenly over the roots."""
+        return 1.0 / len(self._roots) if i in self._roots else 0.0
 
     def share(self, i: int) -> float:
         """Fraction of the graph's total input traffic this node processes."""
@@ -116,12 +111,8 @@ class AnnotatedGraph:
             if not (0.0 <= w <= 1.0):
                 raise InputError(f"{self.attack.name}: edge ({s},{d}) weight {w} outside [0,1]")
         self._check_acyclic()
-        roots = self.roots
-        if not roots:
+        if not self._roots:
             raise InputError(f"{self.attack.name}: graph has no root (cycle?)")
-        total_root = sum(self.external_fraction(r) for r in roots)
-        if abs(total_root - 1.0) > 1e-9:
-            raise InputError(f"{self.attack.name}: root fractions sum to {total_root}, expected 1.0")
         # Traffic may shrink at a node (drops) but never amplify.
         for n in self.nodes:
             out = sum(w for s, _d, w in self.edges if s == n.id)

@@ -65,6 +65,7 @@ MAX_SERVERS_PER_DC = 8
 _SEARCH_NODE_BUDGET = 2_000_000
 _PLACEMENT_NODE_BUDGET = 500_000
 _SPREAD_MEMO_ENTRIES = 20_000
+GAP_DUMP_THRESHOLD = 0.10
 
 
 @dataclass
@@ -689,10 +690,10 @@ class ComparisonRow:
 
 
 def oracle_comparison(n_instances: int, seed: int,
-                      delta: float = 0.05,
-                      gap_dump_threshold: float = 0.10) -> list[ComparisonRow]:
+                      delta: float = 0.05) -> list[ComparisonRow]:
     """Run greedy and oracle on seeded random tiny instances; instances whose
-    cost gap exceeds the threshold carry a serialized counterexample."""
+    cost gap exceeds `GAP_DUMP_THRESHOLD`, or whose handled volumes differ,
+    carry a serialized counterexample."""
     rows = []
     inst = OracleInstance(delta=delta)
     for k in range(n_instances):
@@ -712,7 +713,7 @@ def oracle_comparison(n_instances: int, seed: int,
             gap = math.inf
         counterexample = None
         handled_mismatch = bool(abs(handled_g - res.handled) > 1e-6)
-        if gap > gap_dump_threshold or handled_mismatch:
+        if gap > GAP_DUMP_THRESHOLD or handled_mismatch:
             counterexample = {
                 "seed": s,
                 "handled_mismatch": handled_mismatch,

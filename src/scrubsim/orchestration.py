@@ -1,11 +1,11 @@
 """Proactive tag-based forwarding: tag pools, rule synthesis, rule counting.
 
-Every VM instance of a non-root logical node gets an identity tag; an
-upstream VM's pool for an output context holds the tags of all downstream
-instances, and picking uniformly from the pool load-balances without a
-dedicated middlebox. Forward-to-customer contexts share one egress tag per
-(node, context). All rules are installed before any traffic arrives, so rule
-tables never grow with flow counts.
+Every VM instance of a non-root logical node gets an identity tag. A
+logical node's pool for an output context holds the tags of all downstream
+instances; every instance of the node picks uniformly from that one pool,
+which load-balances without a dedicated middlebox. Forward-to-customer
+contexts share one egress tag per (node, context). All rules are installed
+before any traffic arrives, so rule tables never grow with flow counts.
 """
 
 from __future__ import annotations
@@ -23,15 +23,18 @@ from .errors import CapacityError, InputError, PinConflictError
 from .resource_manager import DspResult, SspResult
 from .topology import Topology
 
-# A VM instance is identified by (attack id, dc id, node id, instance index).
+# A VM instance is identified by (attack id, dc id, node id, instance index)
+# and its logical node by the first three.
 VmKey = tuple[int, int, int, int]
+NodeKey = tuple[int, int, int]
 
 
 @dataclass
 class TagPool:
-    """Per (VM instance, output context) candidate tags, plus the identity
-    tag of every instance reachable through the pool."""
-    pools: dict[tuple[VmKey, int], list[int]] = field(default_factory=dict)
+    """Per (logical node, output context) candidate tags, which every
+    instance of the node shares, plus the identity tag of every instance
+    reachable through a pool."""
+    pools: dict[tuple[NodeKey, int], list[int]] = field(default_factory=dict)
     instance_tags: dict[VmKey, int] = field(default_factory=dict)
     egress_tags: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
     # egress key: (attack id, dc id, node id, context index)
@@ -39,7 +42,7 @@ class TagPool:
 
     def pool(self, vm: VmKey, context: int) -> list[int]:
         try:
-            return self.pools[(vm, context)]
+            return self.pools[(vm[:3], context)]
         except KeyError:
             raise CapacityError(f"no tag pool for vm {vm} context {context}") from None
 
@@ -81,30 +84,24 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     pools.instance_tags.update(zip(vm_keys, values))
     pools.egress_tags.update(zip(egress_keys, values[len(vm_keys):]))
 
-    # A node's pools are the same for each of its instances: build them
-    # once, then give every instance its own copy.
     for node in nodes:
         succs = graph.successors(node)
-        per_context = [[pools.instance_tags[(a, d, succ, k)]
-                        for k in range(counts.get(succ, 0))]
-                       for succ in succs]
+        for c, succ in enumerate(succs):
+            pools.pools[((a, d, node), c)] = [pools.instance_tags[(a, d, succ, k)]
+                                              for k in range(counts.get(succ, 0))]
         if graph.node(node).delivers:
-            per_context.append([pools.egress_tags[(a, d, node, len(succs))]])
-        for k in range(counts[node]):
-            vm: VmKey = (a, d, node, k)
-            for c, tags in enumerate(per_context):
-                pools.pools[(vm, c)] = list(tags)
+            pools.pools[((a, d, node), len(succs))] = [
+                pools.egress_tags[(a, d, node, len(succs))]]
     return pools
 
 
 def build_tag_pools(physical: dict[tuple[int, int], PhysicalGraph],
                     lib: dict[AttackType, AnnotatedGraph],
-                    seed: int | None = None,
-                    max_bits: int | None = None) -> TagPool:
+                    seed: int | None = None) -> TagPool:
     """One deployment-wide pool covering every (attack, datacenter) graph."""
     pools = TagPool()
     for key in sorted(physical):
-        assign_tags(physical[key], lib, seed=seed, pools=pools, max_bits=max_bits)
+        assign_tags(physical[key], lib, seed=seed, pools=pools)
     return pools
 
 
@@ -204,7 +201,12 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     ever consulted.
     """
     graphs = ordered_graphs(lib)
-    placements = {(r.attack_id, r.dc_id): r.placements for r in ssps}
+    # VMs placed per node of each graph, numbered from 0 in placement order.
+    placed_counts: dict[tuple[int, int], dict[int, int]] = {}
+    for r in ssps:
+        placed = placed_counts[(r.attack_id, r.dc_id)] = {}
+        for (node, _rack, _srv), c in r.n_srv.items():
+            placed[node] = placed.get(node, 0) + c
     n_attacks, n_dcs = dsp.f.shape[1:]
     (cells, flows, tunnels, tunnel_names, pop_sw, dc_sw, ingress_sw, whole_pairs,
      whole_splits) = _shape_keys(*dsp.f.shape)
@@ -243,21 +245,15 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         if pg.total_vms == 0:
             continue
         graph = graphs[a]
-        placed = placements.get((a, d))
+        placed = placed_counts.get((a, d))
         if placed is None:
             raise InputError(f"physical graph ({a},{d}) has no server placement")
+        for node in (*graph.roots, *sorted(pg.counts)):
+            if placed.get(node, 0) < pg.counts.get(node, 0):
+                raise InputError(f"unplaced VM {(a, d, node, placed.get(node, 0))}")
         sw = dc_sw[d]
-        root_targets = []
-        for root in graph.roots:
-            n = pg.counts.get(root, 0)
-            if not n:
-                continue
-            frac = graph.external_fraction(root)
-            for k in range(n):
-                key = (a, d, root, k)
-                if (root, k) not in placed:
-                    raise InputError(f"unplaced VM {key}")
-                root_targets.append((key, frac / n))
+        root_targets = [((a, d, root, k), graph.external_fraction(root) / pg.counts[root])
+                        for root in graph.roots for k in range(pg.counts.get(root, 0))]
         # Every tunnel into the graph splits the same way: one shared action.
         split = ("split", tuple(root_targets))
         ingress = tables.setdefault(ingress_sw[d], {})
@@ -267,8 +263,6 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         for node in sorted(pg.counts):
             for k in range(pg.counts[node]):
                 key = (a, d, node, k)
-                if (node, k) not in placed:
-                    raise InputError(f"unplaced VM {key}")
                 tag = pools.instance_tags.get(key)
                 if tag is not None:
                     match = ("tag", tag)
@@ -334,18 +328,16 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     own = ((a, d, node, k) for node, c in pg.counts.items() for k in range(c))
     vm_of_tag = {pools.instance_tags[vm]: vm for vm in own if vm in pools.instance_tags}
     for node in sorted(pg.counts):
-        if graph.node(node).kind != "analysis":
+        if not pg.counts[node] or graph.node(node).kind != "analysis":
             continue
-        for k in range(pg.counts[node]):
-            vm: VmKey = (a, d, node, k)
-            for c in range(len(graph.successors(node))):
-                for tag in pools.pools.get((vm, c), []):
-                    target = vm_of_tag.get(tag)
-                    if target is not None:
-                        before = tag in plan.bidi_pins
-                        pin_bidirectional(plan, tag, d, target)
-                        if not before:
-                            count += 1
+        for c in range(len(graph.successors(node))):
+            for tag in pools.pools.get(((a, d, node), c), []):
+                target = vm_of_tag.get(tag)
+                if target is not None:
+                    before = tag in plan.bidi_pins
+                    pin_bidirectional(plan, tag, d, target)
+                    if not before:
+                        count += 1
     return count
 
 
@@ -362,22 +354,21 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
         if w <= 0 or not counts.get(s) or not counts.get(dst):
             continue
         c = graph.successors(s).index(dst)
-        for k in range(counts[s]):
-            vm: VmKey = (a, d, s, k)
-            tags = pools.pools.get((vm, c), [])
-            if not tags:
-                gaps.append(f"vm {vm} has no pool for context {c}")
-                continue
-            reachable = set()
-            for tag in tags:
-                action = table.get(("tag", tag))
-                if action is None:
-                    gaps.append(f"tag {tag} from vm {vm} has no switch rule")
-                elif action[0] == "vm" and action[1][:3] == (a, d, dst):
-                    reachable.add(action[1][3])
-            want = set(range(counts[dst]))
-            if reachable != want:
-                gaps.append(
-                    f"edge {s}->{dst}: vm {vm} reaches instances {sorted(reachable)} "
-                    f"of {sorted(want)}")
+        node: NodeKey = (a, d, s)
+        tags = pools.pools.get((node, c), [])
+        if not tags:
+            gaps.append(f"node {node} has no pool for context {c}")
+            continue
+        reachable = set()
+        for tag in tags:
+            action = table.get(("tag", tag))
+            if action is None:
+                gaps.append(f"tag {tag} from node {node} has no switch rule")
+            elif action[0] == "vm" and action[1][:3] == (a, d, dst):
+                reachable.add(action[1][3])
+        want = set(range(counts[dst]))
+        if reachable != want:
+            gaps.append(
+                f"edge {s}->{dst}: node {node} reaches instances {sorted(reachable)} "
+                f"of {sorted(want)}")
     return gaps

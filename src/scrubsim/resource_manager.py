@@ -4,7 +4,8 @@ mirroring the optimal formulation's feasibility conditions.
 
 All operations are pure functions of their inputs and deterministic: ties
 break toward the lowest datacenter/server/node id and the lowest (pop,
-attack) pair.
+attack) pair. Placements are stored per node, as runs of VMs per server;
+the per-VM map is a view of them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import InputError, PlacementError
 from .topology import CostParams, Datacenter, Topology
 
 EPS = 1e-9
+FEASIBILITY_TOL = 1e-6
 
 # dsp_greedy sends inputs with fewer (pop, attack) cells than this to its
 # heap loop alone: on them the array pass costs more than the whole loop.
@@ -42,8 +44,8 @@ def validate_traffic(traffic: np.ndarray, topo: Topology,
     expected = (len(topo.pops), len(lib))
     if traffic.shape != expected:
         raise InputError(f"traffic shape {traffic.shape} != (pops, attacks) {expected}")
-    if (traffic < 0).any():
-        raise InputError("traffic volumes must be >= 0")
+    if not np.isfinite(traffic).all() or (traffic < 0).any():
+        raise InputError("traffic volumes must be finite and >= 0")
     return traffic
 
 
@@ -323,27 +325,41 @@ def overprovision(dsp: DspResult, gamma: float) -> DspResult:
 class SspResult:
     dc_id: int
     attack_id: int
-    # (node id, rack id, server id) -> VM count
+    # (node id, rack id, server id) -> VMs: a node's run per server, in placement order
     n_srv: dict[tuple[int, int, int], int]
-    # (node id, instance index) -> (rack id, server id)
-    placements: dict[tuple[int, int], tuple[int, int]]
     intra_rack_units: float
     inter_rack_units: float
+
+    @property
+    def placements(self) -> dict[tuple[int, int], tuple[int, int]]:
+        """(node id, instance index) -> (rack id, server id): a view of
+        `n_srv`, whose runs number each node's instances in order."""
+        out, placed = {}, {}
+        for (node, rack, srv), c in self.n_srv.items():
+            k = placed.get(node, 0)
+            placed[node] = k + c
+            for i in range(k, k + c):
+                out[(node, i)] = (rack, srv)
+        return out
 
     def dc_cost(self, params: CostParams) -> float:
         return (self.intra_rack_units * params.intra_unit_cost
                 + self.inter_rack_units * params.inter_unit_cost)
 
 
-def _edge_units(graph: AnnotatedGraph, t_gbps: float,
-                placements: dict[tuple[int, int], tuple[int, int]],
+def _edge_units(graph: AnnotatedGraph, t_gbps: float, n_srv: dict[tuple[int, int, int], int],
                 counts: dict[int, int]) -> tuple[float, float]:
     """Intra-rack and inter-rack traffic units under uniform load balancing.
 
     Each annotated edge's volume splits evenly over the instance pairs of its
     endpoint nodes (tags are picked uniformly at random downstream). Pairs on
     the same server are free; same rack costs intra units, across racks inter.
+    Each such pair adds its equal share on its own, so the sums are those of
+    a walk over the pairs.
     """
+    runs: dict[int, list[tuple[int, int, int]]] = {}
+    for (node, rack, srv), c in n_srv.items():
+        runs.setdefault(node, []).append((rack, srv, c))
     intra = inter = 0.0
     for s, d, w in graph.edges:
         vol = t_gbps * w
@@ -351,16 +367,17 @@ def _edge_units(graph: AnnotatedGraph, t_gbps: float,
         if vol <= EPS or n_s == 0 or n_d == 0:
             continue
         per_pair = vol / (n_s * n_d)
-        for ks in range(n_s):
-            loc_s = placements[(s, ks)]
-            for kd in range(n_d):
-                loc_d = placements[(d, kd)]
-                if loc_s == loc_d:
-                    continue
-                if loc_s[0] == loc_d[0]:
-                    intra += per_pair
-                else:
-                    inter += per_pair
+        n_intra = n_inter = 0
+        for rack_s, srv_s, c_s in runs[s]:
+            for rack_d, srv_d, c_d in runs[d]:
+                if rack_s != rack_d:
+                    n_inter += c_s * c_d
+                elif srv_s != srv_d:
+                    n_intra += c_s * c_d
+        for _ in range(n_intra):
+            intra += per_pair
+        for _ in range(n_inter):
+            inter += per_pair
     return intra, inter
 
 
@@ -394,7 +411,6 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         slots = SlotTable(dc)
     servers, free, spans = slots.servers, slots.free, slots.rack_spans
 
-    placements: dict[tuple[int, int], tuple[int, int]] = {}
     n_srv: dict[tuple[int, int, int], int] = {}
     hosts: dict[int, set[int]] = {}  # node id -> positions of its servers
     pending = {i for i, c in pg.counts.items() if c}
@@ -402,14 +418,11 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
     placed = {n.id for n in graph.nodes if n.id not in pending}
     preds = {i: graph.predecessors(i) for i in pending}
 
-    def place_on(node_id: int, start_idx: int, count: int, pos: int) -> None:
-        loc = servers[pos]
-        for k in range(start_idx, start_idx + count):
-            placements[(node_id, k)] = loc
+    def place_on(node_id: int, count: int, pos: int) -> None:
+        """A node's run on one server; it gets at most one per server."""
         free[pos] -= count
         hosts.setdefault(node_id, set()).add(pos)
-        key = (node_id, *loc)
-        n_srv[key] = n_srv.get(key, 0) + count
+        n_srv[(node_id, *servers[pos])] = count
 
     def emptiest_fitting(positions: Iterable[int], count: int) -> int | None:
         """The freest of `positions` that fits `count`, lowest on ties."""
@@ -433,7 +446,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
             if most >= count:
                 pick = free.index(most)
         if pick is not None:
-            place_on(node_id, 0, count, pick)
+            place_on(node_id, count, pick)
             return
         # Else within a single rack, preferring a predecessor's rack.
         rack_free = {r: sum(free[span.start:span.stop]) for r, span in spans.items()}
@@ -441,7 +454,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         if fitting_racks:
             rack_id = max(fitting_racks,
                           key=lambda r: (r in pred_racks, rack_free[r], -r))
-            fill_rack(node_id, 0, count, rack_id)
+            fill_rack(node_id, count, rack_id)
             return
         # Else split across racks, fullest-free first.
         total_free = sum(rack_free.values())
@@ -451,25 +464,22 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                 f"{graph.node(node_id).name} ({total_free} free)",
                 node=graph.node(node_id).name,
             )
-        idx = 0
         for rack_id in sorted(rack_free, key=lambda r: (-rack_free[r], r)):
-            take = min(count - idx, rack_free[rack_id])
-            if take > 0:
-                fill_rack(node_id, idx, take, rack_id)
-                idx += take
-            if idx == count:
+            take = min(count, rack_free[rack_id])
+            fill_rack(node_id, take, rack_id)
+            count -= take
+            if count == 0:
                 break
 
-    def fill_rack(node_id: int, start_idx: int, count: int, rack_id: int) -> None:
+    def fill_rack(node_id: int, count: int, rack_id: int) -> None:
         """Spread `count` instances over the rack, freest server first; the
-        caller has checked that the rack has that many free slots."""
-        end = start_idx + count
+        caller has checked that the rack has that many free slots, so every
+        server visited before they are placed has some."""
         for pos in sorted(spans[rack_id], key=lambda i: (-free[i], i)):
-            take = min(end - start_idx, free[pos])
-            if take > 0:
-                place_on(node_id, start_idx, take, pos)
-                start_idx += take
-            if start_idx == end:
+            take = min(count, free[pos])
+            place_on(node_id, take, pos)
+            count -= take
+            if count == 0:
                 return
 
     # Acyclic graphs (AnnotatedGraph.validate) always have a ready node.
@@ -480,10 +490,9 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         pending.discard(node_id)
         placed.add(node_id)
 
-    intra, inter = _edge_units(graph, pg.traffic_gbps, placements, pg.counts)
+    intra, inter = _edge_units(graph, pg.traffic_gbps, n_srv, pg.counts)
     return SspResult(dc_id=dc.id, attack_id=pg.attack.id, n_srv=n_srv,
-                     placements=placements, intra_rack_units=intra,
-                     inter_rack_units=inter)
+                     intra_rack_units=intra, inter_rack_units=inter)
 
 
 def place_all(topo: Topology, dsp: DspResult,
@@ -523,8 +532,7 @@ class Violation:
 
 def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
                       ssps: list[SspResult], params: CostParams,
-                      lib: dict[AttackType, AnnotatedGraph],
-                      tol: float = 1e-6) -> list[Violation]:
+                      lib: dict[AttackType, AnnotatedGraph]) -> list[Violation]:
     """Check a solution against the optimization's constraint set.
 
     Returns an empty list iff every constraint holds. Traffic coverage is
@@ -535,6 +543,7 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
     traffic = validate_traffic(traffic, topo, lib)
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
+    tol = FEASIBILITY_TOL
     out: list[Violation] = []
 
     # (2) coverage: sum_d f <= 1 per (e, a); t_left matches the shortfall.

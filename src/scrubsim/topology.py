@@ -22,11 +22,11 @@ from .errors import InputError
 log = logging.getLogger(__name__)
 
 # Hop-count latency unit: 10 cost-units per backbone hop (10 ms links).
-DEFAULT_HOP_COST = 10.0
+HOP_COST = 10.0
 DEFAULT_DC_LINK_GBPS = 400.0
 DEFAULT_BACKBONE_GBPS = 100.0
-DEFAULT_RACKS = 10
-DEFAULT_SERVERS_PER_RACK = 10
+RACKS = 10  # per generated datacenter
+SERVERS_PER_RACK = 10
 
 
 @dataclass(frozen=True)
@@ -224,14 +224,13 @@ def _routes(adj: dict[int, list[int]], attach_pops: list[int]
     return hops, paths
 
 
-def _build_racks(total_slots: int, n_racks: int, servers_per_rack: int) -> tuple[Rack, ...]:
-    n_servers = n_racks * servers_per_rack
-    base, extra = divmod(total_slots, n_servers)
+def _build_racks(total_slots: int) -> tuple[Rack, ...]:
+    base, extra = divmod(total_slots, RACKS * SERVERS_PER_RACK)
     racks = []
     sid = 0
-    for r in range(n_racks):
+    for r in range(RACKS):
         servers = []
-        for _ in range(servers_per_rack):
+        for _ in range(SERVERS_PER_RACK):
             slots = base + (1 if sid < extra else 0)
             servers.append(Server(id=sid, vm_slots=slots))
             sid += 1
@@ -244,9 +243,6 @@ def generate_topology(
     dc_slot_capacity: int,
     seed: int,
     dc_link_gbps: float = DEFAULT_DC_LINK_GBPS,
-    n_racks: int = DEFAULT_RACKS,
-    servers_per_rack: int = DEFAULT_SERVERS_PER_RACK,
-    hop_cost: float = DEFAULT_HOP_COST,
 ) -> Topology:
     """Generate a synthetic ISP: every backbone switch is an edge PoP and
     datacenters sit at 5% of the backbone nodes (at least one).
@@ -270,7 +266,7 @@ def generate_topology(
         Datacenter(
             id=d,
             link_capacity_gbps=dc_link_gbps,
-            racks=_build_racks(dc_slot_capacity, n_racks, servers_per_rack),
+            racks=_build_racks(dc_slot_capacity),
             attach_pop=pop,
         )
         for d, pop in enumerate(dc_pops)
@@ -283,7 +279,7 @@ def generate_topology(
         if u < v
     ]
     hops, paths = _routes(_adjacency(n_backbone, links, dc_pops), dc_pops)
-    latency = [[h * hop_cost for h in row] for row in hops]
+    latency = [[h * HOP_COST for h in row] for row in hops]
     topo = Topology(pops=pops, datacenters=dcs, latency=latency,
                     backbone_links=links, paths=paths)
     topo.validate()
@@ -349,22 +345,32 @@ def topology_from_config(cfg: dict) -> Topology:
             racks = []
             sid = 0
             for r, slot_list in enumerate(spec["racks"]):
-                servers = tuple(Server(id=sid + k, vm_slots=int(s)) for k, s in enumerate(slot_list))
+                slots = [int(s) for s in slot_list]
+                if any(n < 0 or n != s for n, s in zip(slots, slot_list)):
+                    raise InputError(f"dc {d} rack {r}: server slots must be whole "
+                                     f"numbers >= 0, not {slot_list}")
+                servers = tuple(Server(id=sid + k, vm_slots=n) for k, n in enumerate(slots))
                 sid += len(slot_list)
                 racks.append(Rack(id=r, servers=servers))
+            link_gbps = float(spec["link_capacity_gbps"])
+            if not link_gbps >= 0:
+                raise InputError(f"dc {d}: link_capacity_gbps must be >= 0, not {link_gbps}")
             dcs.append(Datacenter(
                 id=d,
-                link_capacity_gbps=float(spec["link_capacity_gbps"]),
+                link_capacity_gbps=link_gbps,
                 racks=tuple(racks),
                 attach_pop=int(spec["attach_pop"]),
             ))
         links = [(int(u), int(v), float(cap)) for u, v, cap in cfg.get("links", [])]
+        for u, v, cap in links:
+            if not cap >= 0:
+                raise InputError(f"backbone link ({u}, {v}): capacity must be >= 0, not {cap}")
         lat_cfg = cfg.get("latency", "derive")
         if isinstance(lat_cfg, str) and lat_cfg != "derive":
             raise InputError(f'latency must be "derive" or a matrix, not {lat_cfg!r}')
         if lat_cfg != "derive":
             latency = [[float(v) for v in row] for row in lat_cfg]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed topology config: {exc}") from exc
 
     attach_pops = [dc.attach_pop for dc in dcs]
@@ -375,7 +381,7 @@ def topology_from_config(cfg: dict) -> Topology:
         # Degenerate configs without a backbone still need path entries.
         paths = {(e, d): [] for e in range(len(pops)) for d in range(len(dcs))}
     if lat_cfg == "derive":
-        latency = [[h * DEFAULT_HOP_COST for h in row] for row in hops]
+        latency = [[h * HOP_COST for h in row] for row in hops]
 
     topo = Topology(pops=pops, datacenters=dcs, latency=latency,
                     backbone_links=links, paths=paths)

@@ -10,7 +10,7 @@ from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library, save_library
 from scrubsim.errors import InputError
-from scrubsim.topology import save_topology
+from scrubsim.topology import generate_topology, save_topology
 from test_golden import capacity_bound_case
 
 
@@ -89,9 +89,13 @@ def test_rm_dsp_topology_outside_pop_range_exit_2(tmp_path, field, value, messag
     assert not out.exists()
 
 
-def topo_config(latency):
+def topo_config(latency="derive", link_gbps=10, racks=((4,),)):
     return json.dumps({"pops": ["a"], "latency": latency,
-                       "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 0}]})
+                       "dcs": [{"link_capacity_gbps": link_gbps, "racks": racks,
+                                "attach_pop": 0}]})
+
+
+BAD_TOPO = ["--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"]
 
 
 @pytest.mark.parametrize("args, content, message", [
@@ -115,6 +119,20 @@ def topo_config(latency):
     (["simulate", "--scenario", "{bad}", "--out-dir", "{out}"],
      json.dumps({"epochs": 1, "budget_gbps": 1, "adversary": "steady",
                  "estimator": "fpl", "cost": 5}), "malformed scenario config"),
+    (["rm", "dsp", *BAD_TOPO], topo_config(link_gbps=float("nan")),
+     "dc 0: link_capacity_gbps must be >= 0, not nan"),
+    (["rm", "dsp", *BAD_TOPO], topo_config(link_gbps=-1),
+     "dc 0: link_capacity_gbps must be >= 0, not -1.0"),
+    (["rm", "ssp", *BAD_TOPO], topo_config(racks=[[-3, 4]]),
+     "dc 0 rack 0: server slots must be whole numbers >= 0, not [-3, 4]"),
+    (["rm", "ssp", *BAD_TOPO], topo_config(racks=[[2.7, 4]]),
+     "dc 0 rack 0: server slots must be whole numbers >= 0, not [2.7, 4]"),
+    (["rm", "ssp", *BAD_TOPO], topo_config(link_gbps=float("nan"), racks=[[-3, 4]]),
+     "cannot load topology"),
+    (["rm", "dsp", *BAD_TOPO],
+     json.dumps({"pops": ["a", "b"], "links": [[0, 1, -5]],
+                 "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 1}]}),
+     "backbone link (0, 1): capacity must be >= 0, not -5.0"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, args, content, message):
     bad = tmp_path / "bad.json"
@@ -129,6 +147,24 @@ def test_malformed_input_file_exit_2(tmp_path, args, content, message):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert "error: " in res.output and message in res.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["rm", "dsp"], ["rm", "ssp"], ["orch", "rules"]])
+@pytest.mark.parametrize("volume", [float("nan"), float("inf")])
+def test_non_finite_traffic_exit_2(tmp_path, command, volume):
+    topo = tmp_path / "topo.json"
+    save_topology(generate_topology(24, 400, seed=5), str(topo))
+    matrix = [[1.0, 0.0, 2.0, 0.0] for _ in range(24)]
+    matrix[3][1] = volume
+    traffic = tmp_path / "traffic.json"
+    write_traffic(traffic, matrix)
+    out = tmp_path / "out.json"
+    res = CliRunner().invoke(main, [*command, "--topo", str(topo), "--traffic", str(traffic),
+                                    "--out", str(out)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "error: traffic volumes must be finite and >= 0" in res.output
     assert not out.exists()
 
 

@@ -200,6 +200,20 @@ def dense_traffic(topo, lib, total_gbps: float, seed: int, zero_share: float = 0
     return traffic * (total_gbps / traffic.sum())
 
 
+def per_vm_pools(pools, physical) -> list:
+    """Every VM's pools as one ``((vm, context), tags)`` list, in the order
+    of a per-instance store: graph, node, instance index, context. Each
+    node's pools are repeated for its ``physical`` instance count."""
+    by_node: dict[tuple, list] = {}
+    for (node, c), tags in pools.pools.items():
+        by_node.setdefault(node, []).append((c, tags))
+    out = []
+    for (a, d, node), contexts in by_node.items():
+        for k in range(physical[(a, d)].counts[node]):
+            out.extend((((a, d, node, k), c), tags) for c, tags in contexts)
+    return out
+
+
 def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict[str, str]:
     """Digests of one assignment's DSP result, SSP placements, tag pools
     (unseeded and seeded) and ``ForwardingPlan.dump()`` bytes. A failed
@@ -209,7 +223,7 @@ def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict
         (dsp.n_dc, dsp.demand, dsp.t_left, dsp.wide_area_cost)).encode())}
     for name, seed in (("pools_seeded", 5), ("pools", None)):
         pools = build_tag_pools(dsp.physical, lib, seed=seed)
-        out[name] = _digest(repr((list(pools.pools.items()),
+        out[name] = _digest(repr((per_vm_pools(pools, dsp.physical),
                                   list(pools.instance_tags.items()),
                                   list(pools.egress_tags.items()), pools.next_tag)))
     try:

@@ -41,6 +41,7 @@ from scrubsim.topology import (
     Topology,
     generate_topology,
 )
+from test_golden import per_vm_pools
 from test_resource_manager import capacity_bound_cases
 
 ATK = AttackType(0, "atk0")
@@ -253,8 +254,8 @@ class TestSynthesizeRules:
 
 class TestPlanRealizesEdges:
     """Each gap message, from a plan or pool edited by hand. Node 0 has four
-    instances; its context 0 pool holds tags 1 and 2 (node 1's two
-    instances) and its context 1 pool tags 3 and 4 (node 2's); tag 5 is the
+    instances, which share its pools: context 0 holds tags 1 and 2 (node 1's
+    two instances) and context 1 tags 3 and 4 (node 2's); tag 5 is the
     egress tag."""
 
     def _setup(self):
@@ -266,33 +267,32 @@ class TestPlanRealizesEdges:
         plan = synthesize_rules(dsp, ssps, pools, topo, lib)
         pg = dsp.physical[(0, 0)]
         assert plan_realizes_edges(plan, pg, pools, lib) == []
-        assert pools.pools[((0, 0, 0, 0), 0)] == [1, 2]
-        assert pools.pools[((0, 0, 0, 0), 1)] == [3, 4]
+        assert pools.pools == {((0, 0, 0), 0): [1, 2], ((0, 0, 0), 1): [3, 4],
+                               ((0, 0, 1), 0): [5]}
         return lib, pools, plan, pg
 
     def test_missing_pool(self):
         lib, pools, plan, pg = self._setup()
-        del pools.pools[((0, 0, 0, 1), 0)]
+        del pools.pools[((0, 0, 0), 0)]
         assert plan_realizes_edges(plan, pg, pools, lib) == [
-            "vm (0, 0, 0, 1) has no pool for context 0"]
+            "node (0, 0, 0) has no pool for context 0"]
 
     def test_tag_without_switch_rule(self):
         lib, pools, plan, pg = self._setup()
         del plan.dc_tables["dc0"][("tag", 2)]
         assert plan_realizes_edges(plan, pg, pools, lib) == [
-            gap for i in range(4) for gap in (
-                f"tag 2 from vm (0, 0, 0, {i}) has no switch rule",
-                f"edge 0->1: vm (0, 0, 0, {i}) reaches instances [0] of [0, 1]")]
+            "tag 2 from node (0, 0, 0) has no switch rule",
+            "edge 0->1: node (0, 0, 0) reaches instances [0] of [0, 1]"]
 
     def test_edge_reaching_wrong_instances(self):
         lib, pools, plan, pg = self._setup()
-        # One pool swaps a downstream tag for the egress tag; another holds
-        # the other edge's tags, whose instances have the same indices.
-        pools.pools[((0, 0, 0, 2), 0)] = [1, 5]
-        pools.pools[((0, 0, 0, 3), 1)] = [1, 2]
+        # One pool swaps a downstream tag for the egress tag; the other holds
+        # the first edge's tags, whose instances have the same indices.
+        pools.pools[((0, 0, 0), 0)] = [1, 5]
+        pools.pools[((0, 0, 0), 1)] = [1, 2]
         assert plan_realizes_edges(plan, pg, pools, lib) == [
-            "edge 0->1: vm (0, 0, 0, 2) reaches instances [0] of [0, 1]",
-            "edge 0->2: vm (0, 0, 0, 3) reaches instances [] of [0, 1]"]
+            "edge 0->1: node (0, 0, 0) reaches instances [0] of [0, 1]",
+            "edge 0->2: node (0, 0, 0) reaches instances [] of [0, 1]"]
 
     def test_zero_count_delivering_node(self):
         """A delivering node whose only input edge weighs 0.0 is provisioned
@@ -316,8 +316,7 @@ class TestPlanRealizesEdges:
         assert sorted(pools.instance_tags) == [(0, 0, 2, 0), (0, 0, 2, 1)]
         assert pools.egress_tags == {}
         # Only a1 emits tags; its pool toward r_ok is empty.
-        assert pools.pools == {((0, 0, 0, k), c): tags for k in range(2)
-                               for c, tags in enumerate([[], [1, 2]])}
+        assert pools.pools == {((0, 0, 0), 0): [], ((0, 0, 0), 1): [1, 2]}
         assert plan.dc_tables["dc0"] == {
             ("tag", tag): ("vm", vm) for vm, tag in pools.instance_tags.items()}
         assert plan_realizes_edges(plan, dsp.physical[(0, 0)], pools, lib) == []
@@ -424,7 +423,7 @@ class TestBidirectionalPins:
             for k in range(count):
                 vm = (dns_id, 0, node, k)
                 for c in range(len(dns_graph.successors(node))):
-                    for tag in pools.pools.get((vm, c), []):
+                    for tag in pools.pool(vm, c):
                         assert tag in plan.bidi_pins
 
     def test_pins_match_linear_search_over_instance_tags(self):
@@ -450,7 +449,7 @@ class TestBidirectionalPins:
                     for k in range(pg.counts[node]):
                         vm = (a, d, node, k)
                         for c in range(len(graph.successors(node))):
-                            for tag in pools.pools.get((vm, c), []):
+                            for tag in pools.pool(vm, c):
                                 target = next((v for v, t in pools.instance_tags.items()
                                                if t == tag), None)
                                 if target is not None and tag not in want:
@@ -569,8 +568,12 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
                           tag_bits=tag_bits)
 
 
-def pool_state(pools):
-    return (list(pools.pools.items()), list(pools.instance_tags.items()),
+def pool_state(pools, physical=None):
+    """The tag state with every VM's pools listed per VM: expanded from the
+    library's per-node pools by `physical`'s counts or, without it, the
+    reference's per-VM pools as they are."""
+    vm_pools = list(pools.pools.items()) if physical is None else per_vm_pools(pools, physical)
+    return (vm_pools, list(pools.instance_tags.items()),
             list(pools.egress_tags.items()), pools.next_tag)
 
 
@@ -602,8 +605,8 @@ class TestMatchesLinearReference:
             want_out = outcome(reference_assign_tags, dsp.physical[key], lib, seed, want,
                                max_bits)
             assert got_out == want_out if isinstance(want_out, tuple) else got_out is got
-            assert pool_state(got) == pool_state(want)
-        # Every instance owns its pool lists: editing one edits no other.
+            assert pool_state(got, dsp.physical) == pool_state(want)
+        # Each (node, context) owns its pool list: editing one edits no other.
         assert len({id(tags) for tags in got.pools.values()}) == len(got.pools)
 
     @settings(max_examples=200, deadline=None)
@@ -617,14 +620,14 @@ class TestMatchesLinearReference:
         except PlacementError:
             return
         pools = build_tag_pools(dsp.physical, lib, seed=seed)
-        # Sometimes take away a graph's placement or one VM's, so the
-        # unplaced-VM errors are compared too.
+        # Sometimes take away a graph's placement or one node's run of VMs on
+        # one server, so the unplaced-VM errors are compared too.
         if ssps and data.draw(st.booleans()):
             victim = data.draw(st.sampled_from(ssps))
-            if data.draw(st.booleans()) or not victim.placements:
+            if data.draw(st.booleans()) or not victim.n_srv:
                 ssps = [r for r in ssps if r is not victim]
             else:
-                del victim.placements[data.draw(st.sampled_from(sorted(victim.placements)))]
+                del victim.n_srv[data.draw(st.sampled_from(sorted(victim.n_srv)))]
         got = outcome(synthesize_rules, dsp, ssps, pools, topo, lib)
         want = outcome(reference_synthesize_rules, dsp, ssps, pools, topo, lib)
         if isinstance(want, tuple):

@@ -27,6 +27,7 @@ from scrubsim.resource_manager import (
     EPS,
     DspResult,
     SlotTable,
+    _edge_units,
     check_feasibility,
     dsp_greedy,
     evaluate_cost,
@@ -803,6 +804,60 @@ class TestIndexedSelectionMatchesLinearScan:
         assert (repr(got.n_dc), repr(got.demand)) == (repr(counts), repr(demand))
         assert (got.t_left, got.wide_area_cost) == (t_left, cost)
         return hits
+
+
+# -- placement units from per-server runs ------------------------------
+#
+# SspResult stores each node's placement as one run of VMs per server it
+# uses, and _edge_units counts each edge's cross-server VM pairs from those
+# runs. per_pair_units is the walk over every VM pair of a per-VM location
+# map that it replaces; the bits must be equal. Racks of a few 1-3 slot
+# servers and graphs that fill most of them make rack and cross-rack splits
+# common (in about two in three and one in two examples), which the
+# goldens' dense epochs hardly reach.
+
+def per_pair_units(graph, t_gbps, placements, counts):
+    """Intra- and inter-rack units from a walk over every instance pair."""
+    intra = inter = 0.0
+    for s, d, w in graph.edges:
+        vol = t_gbps * w
+        n_s, n_d = counts.get(s, 0), counts.get(d, 0)
+        if vol <= EPS or n_s == 0 or n_d == 0:
+            continue
+        per_pair = vol / (n_s * n_d)
+        for ks in range(n_s):
+            for kd in range(n_d):
+                loc_s, loc_d = placements[(s, ks)], placements[(d, kd)]
+                if loc_s == loc_d:
+                    continue
+                if loc_s[0] == loc_d[0]:
+                    intra += per_pair
+                else:
+                    inter += per_pair
+    return intra, inter
+
+
+class TestRunsMatchPerVmWalk:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_edge_units_and_placements(self, data):
+        rack_slots = data.draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                                        min_size=2, max_size=5))
+        dc = make_dc(0, 999.0, rack_slots)
+        g = data.draw(st.sampled_from(ordered_graphs(builtin_library())))
+        # At most the datacenter's slots in all, so every graph fits.
+        free, counts = dc.compute_capacity, {}
+        for n in g.nodes:
+            counts[n.id] = data.draw(st.integers(min(2, free), min(8, free)))
+            free -= counts[n.id]
+        pg = build_physical_graph(g, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])),
+                                  counts)
+        want, _n_srv = linear_scan_ssp(dc, pg, g, {})
+        res = ssp_greedy(dc, pg, {g.attack: g})
+        assert list(res.placements.items()) == list(want.items())
+        units = per_pair_units(g, pg.traffic_gbps, want, pg.counts)
+        assert repr(_edge_units(g, pg.traffic_gbps, res.n_srv, pg.counts)) == repr(units)
+        assert repr((res.intra_rack_units, res.inter_rack_units)) == repr(units)
 
 
 # -- the array pass against the heap loop alone ------------------------

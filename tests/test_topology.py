@@ -270,6 +270,8 @@ class TestConfigRoundTrip:
         save_topology(topo, str(path))
         loaded = load_topology(str(path))
         assert topology_to_config(loaded) == topology_to_config(topo)
+        # 64 slots over 100 servers leave some with none, which stays legal.
+        assert 0 in loaded.datacenters[0].server_layout[1]
 
     def test_derived_layout_leaves_equality_and_config_alone(self):
         topo = generate_topology(20, 64, seed=9)
