@@ -9,12 +9,13 @@ Gbps that found no provision), reported per epoch and as normalized regret
 against the best static provision in hindsight. A replay stacks its trace
 once into an (epochs, pops, attacks) array and runs as whole-array passes
 over it: every estimator's provisions are built at once (perturbed-mean's
-noise for epoch t is the stream of ``default_rng([seed, t])``, seeded for
-every epoch in one array pass and drawn from one reused generator), the
-losses are scored in one pass, and the hindsight search prices each cell's
-candidates in one broadcast. Per-epoch scoring is the one-epoch case of it;
-the simulator's online loop uses ``EstimatorState`` and ``estimate``
-instead.
+noise for epoch t is the stream of ``default_rng([seed, t])``: every
+epoch's seed hash and PCG64 state come from one array pass, and the rows
+are drawn from one reused generator), the losses are scored in one pass,
+and the hindsight search sorts every cell's candidates at once, prices
+them in blocked broadcasts and scans them across all cells together.
+Per-epoch scoring is the one-epoch case of it; the simulator's online loop
+uses ``EstimatorState`` and ``estimate`` instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defense_graphs import AnnotatedGraph, AttackType, graph_compute_factor, ordered_graphs
+from .defense_graphs import (AnnotatedGraph, AttackType, graph_compute_factor, ordered_graphs,
+                             sequential_sum)
 from .errors import InputError
 
 STRATEGIES = ("randingress", "randattack", "randhybrid", "steady", "flipprevepoch")
@@ -35,6 +37,10 @@ ESTIMATORS = ("fpl", "prevepoch", "uniform")
 # attack volume so that a perfect static reference (loss ~0, e.g. against a
 # steady adversary) yields large-but-finite normalized regret.
 _REGRET_FLOOR_FRACTION = 0.01
+
+# Elements per broadcast block when pricing hindsight candidates: one block
+# of a few cells stays in cache, where pricing every cell at once does not.
+_LOSS_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -156,7 +162,8 @@ class EstimatorState:
             self._total += mix
 
 
-def perturbation_bound(budget: float, next_epoch: int, n_pops: int, n_attacks: int) -> float:
+def perturbation_bound(budget: float, next_epoch: "int | np.ndarray", n_pops: int,
+                       n_attacks: int) -> "float | np.ndarray":
     return 2.0 * budget / (next_epoch * n_pops * n_attacks)
 
 
@@ -254,9 +261,12 @@ def best_static_hindsight(trace: "list[np.ndarray] | np.ndarray") -> tuple[np.nd
 
     That loss is cellwise L1, so a per-cell search over the observed values
     (the median sits on one) plus the mean is exact; the grid is kept anyway
-    as a guard and for documentation. Each cell prices all its candidates in
-    one broadcast; scanning them in ascending order, it keeps each that beats
-    the best loss so far by more than 1e-12.
+    as a guard and for documentation. All cells are searched at once: each
+    cell's candidates are the distinct values of its row ``[series...,
+    mean]`` (the first of equal values, as a set keeps it), ascending and
+    padded with NaN, priced in broadcast blocks of about ``_LOSS_BLOCK``
+    elements; one scan in ascending order keeps, per cell, each that beats
+    its best loss so far by more than 1e-12.
     """
     stack = _stack(trace)
     n_t, n_e, n_a = stack.shape
@@ -264,18 +274,35 @@ def best_static_hindsight(trace: "list[np.ndarray] | np.ndarray") -> tuple[np.nd
     # row sum below runs over that contiguous axis, pairwise, as a 1-D sum
     # of one cell's series would.
     cells = np.ascontiguousarray(stack.reshape(n_t, n_e * n_a).T)
-    static = np.zeros(n_e * n_a)
-    total = 0.0
-    for i, (series, mean) in enumerate(zip(cells, cells.mean(axis=1).tolist())):
-        candidates = sorted(set(series.tolist()) | {mean})
-        losses = np.abs(series - np.array(candidates)[:, None]).sum(axis=1)
-        best_v, best_loss = 0.0, float("inf")
-        for v, loss in zip(candidates, losses.tolist()):
-            if loss < best_loss - 1e-12:
-                best_v, best_loss = v, loss
-        static[i] = best_v
-        total += best_loss
-    return static.reshape(n_e, n_a), total
+    cand = np.column_stack((cells, cells.mean(axis=1)))
+    # 0.0 and -0.0 are the only equal values with different bits, and the
+    # sort may put either first: each row keeps its first zero.
+    zero = cand == 0
+    has_zero = zero.any(axis=1)
+    first_zero = cand[has_zero, zero[has_zero].argmax(axis=1)]
+    cand.sort(axis=1)
+    repeat = cand[:, 1:] == cand[:, :-1]
+    cand[:, 1:][repeat] = np.nan
+    cand[cand == 0] = first_zero
+    cand.sort(axis=1)  # the NaNs move to the end, past the widest row's candidates
+    cand = cand[:, :n_t + 1 - repeat.sum(axis=1).min()]
+    n_c, n_k = cand.shape
+    step = max(1, _LOSS_BLOCK // (n_k * n_t))
+    block_buf = np.empty((min(step, n_c), n_k, n_t))
+    losses = np.empty(cand.shape)
+    for lo in range(0, n_c, step):
+        hi = min(lo + step, n_c)
+        block = block_buf[:hi - lo]
+        np.subtract(cells[lo:hi, None, :], cand[lo:hi, :, None], out=block)
+        np.abs(block, out=block)
+        block.sum(axis=2, out=losses[lo:hi])
+    static = np.zeros(n_c)
+    best = np.full(n_c, np.inf)
+    for v, loss in zip(cand.T, losses.T):
+        better = loss < best - 1e-12
+        static[better] = v[better]
+        best[better] = loss[better]
+    return static.reshape(n_e, n_a), sequential_sum(best.tolist())
 
 
 @dataclass
@@ -342,7 +369,19 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+
+
+def _mul128(hi: np.ndarray, lo: np.ndarray, const: int) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) * const mod 2**128, on uint64 arrays of the high and low
+    halves. lo times the constant's low half is taken in full from 32-bit
+    halves; the cross terms only reach the high half, where uint64 wraps."""
+    c_hi, c_lo = const >> 64 & _MASK64, const & _MASK64
+    a1, a0, b1, b0 = lo >> 32, lo & _MASK32, c_lo >> 32, c_lo & _MASK32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    return carry + hi * c_lo + lo * c_hi, lo * c_lo
 
 
 def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -352,10 +391,12 @@ def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) 
     ``default_rng`` spends most of its time in ``SeedSequence``'s hash, a
     fixed sequence of uint32 multiply/xor-shift steps, so it runs here once
     as whole-array passes over every epoch's entropy (the seed's
-    little-endian uint32 words, then t). Each epoch's PCG64 state follows
-    ``pcg64_set_seed`` in Python ints and is loaded into one reused
-    generator, whose ``random`` draws d; ``uniform`` returns 0.0 + bound * d,
-    which is bound * d exactly.
+    little-endian uint32 words, then t). Each epoch's PCG64 ``inc`` and
+    ``state`` follow ``pcg64_set_seed`` as whole-array uint64 (high, low)
+    halves, 128-bit products by ``_mul128``. The rows are then drawn from
+    one reused generator, loaded through one reused state dict: its
+    ``random`` draws d, and ``uniform`` returns 0.0 + bound * d, which is
+    bound * d exactly.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputError(f"fpl seed must be a non-negative integer, got {seed!r}")
@@ -394,20 +435,26 @@ def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) 
     # generate_state(4, np.uint64): eight uint32 words, paired low word first.
     hash_out = hasher(_INIT_B, _MULT_B)
     state32 = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    state64 = [(state32[2 * k + 1] << np.uint64(32) | state32[2 * k]).tolist()
-               for k in range(4)]
+    w0, w1, w2, w3 = (state32[2 * k + 1] << 32 | state32[2 * k] for k in range(4))
+
+    # pcg64_set_seed: inc = (w2, w3) << 1 | 1, state = (inc + (w0, w1)) * mult + inc.
+    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    lo = inc_lo + w1
+    hi, lo = _mul128(inc_hi + w0 + (lo < w1), lo, _PCG_MULT)
+    lo += inc_lo
+    hi += inc_hi + (lo < inc_lo)
+
+    def as_ints(high: np.ndarray, low: np.ndarray) -> list[int]:
+        return (high.astype(object) << 64 | low.astype(object)).tolist()
 
     gen = np.random.Generator(np.random.PCG64(0))
     bit_gen = gen.bit_generator
+    pcg = {"state": 0, "inc": 0}
+    loaded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
     noise = np.empty((n_t, *shape))
-    for row, w0, w1, w2, w3 in zip(noise, *state64):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128,
-                      "inc": inc},
-            "has_uint32": 0, "uinteger": 0,
-        }
+    for row, state, inc in zip(noise, as_ints(hi, lo), as_ints(inc_hi, inc_lo)):
+        pcg["state"], pcg["inc"] = state, inc
+        bit_gen.state = loaded
         gen.random(out=row)
     noise *= bounds[:, None, None]
     return noise
@@ -435,8 +482,7 @@ def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
         return np.concatenate((np.zeros((1, n_pops, n_attacks)), actual[:-1])) * gamma
     mean = np.zeros(actual.shape)
     mean[1:] = np.cumsum(actual[:-1], axis=0) / np.arange(1, n_t)[:, None, None]
-    b = _gbps(budget)
-    bounds = np.array([perturbation_bound(b, t + 1, n_pops, n_attacks) for t in range(n_t)])
+    bounds = perturbation_bound(_gbps(budget), np.arange(1, n_t + 1), n_pops, n_attacks)
     noise = _seeded_uniform_rows(seed, bounds, (n_pops, n_attacks))
     return np.maximum(mean + noise, 0.0) * gamma
 

@@ -65,12 +65,18 @@ class AnnotatedGraph:
         self._by_id = {n.id: n for n in self.nodes}
         pred: dict[int, list[int]] = {}
         succ: dict[int, list[int]] = {}
-        for s, d, _w in self.edges:
+        incoming: dict[int, float] = {}
+        for s, d, w in self.edges:
             pred.setdefault(d, []).append(s)
             succ.setdefault(s, []).append(d)
+            incoming[d] = incoming.get(d, 0) + w  # sequential_sum's order
         self._pred = {i: tuple(p) for i, p in pred.items()}
         self._succ = {i: tuple(sorted(c)) for i, c in succ.items()}
         self._roots = tuple(n.id for n in self.nodes if n.id not in pred)
+        # A node's share is its incoming edge weight; roots have none and
+        # split the external input evenly.
+        self._share = {n.id: incoming[n.id] if n.id in pred else self.external_fraction(n.id)
+                       for n in self.nodes}
         self.validate()
 
     def node(self, i: int) -> LogicalModule:
@@ -95,9 +101,9 @@ class AnnotatedGraph:
 
     def share(self, i: int) -> float:
         """Fraction of the graph's total input traffic this node processes."""
-        self.node(i)
-        incoming = sequential_sum(w for _s, d, w in self.edges if d == i)
-        return incoming if incoming > 0 or i not in self._roots else self.external_fraction(i)
+        if i not in self._share:
+            self.node(i)  # raises InputError for an unknown id
+        return self._share[i]
 
     def validate(self) -> None:
         ids = [n.id for n in self.nodes]

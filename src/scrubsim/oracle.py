@@ -46,6 +46,7 @@ from .defense_graphs import (
 from .errors import OracleSizeError, PlacementError
 from .resource_manager import (
     SlotTable,
+    attack_dc_volumes,
     dsp_greedy,
     evaluate_cost,
     place_all,
@@ -441,10 +442,10 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
     best_cost = math.inf
     greedy_v = np.zeros((n_a, n_d), dtype=int)
     aligned = True
+    volumes = attack_dc_volumes(dsp.f, traffic).tolist()
     for a in range(n_a):
         for d in range(n_d):
-            vol = dsp.dc_attack_volume(d, a, traffic)
-            u = vol / q
+            u = volumes[a][d] / q
             if abs(u - round(u)) > 1e-6:
                 aligned = False
             greedy_v[a, d] = round(u)

@@ -66,8 +66,12 @@ class DspResult:
     def total_vms(self) -> int:
         return sum(pg.total_vms for pg in self.physical.values())
 
-    def dc_attack_volume(self, d: int, a: int, traffic: np.ndarray) -> float:
-        return float((self.f[:, a, d] * traffic[:, a]).sum())
+
+def attack_dc_volumes(f: np.ndarray, traffic: np.ndarray) -> np.ndarray:
+    """The (attack, dc) table of Gbps sent, in one pass: with the pop axis
+    made contiguous, entry (a, d) is the pairwise sum that
+    ``(f[:, a, d] * traffic[:, a]).sum()`` takes."""
+    return np.ascontiguousarray((f * traffic[:, :, None]).transpose(1, 2, 0)).sum(axis=2)
 
 
 def _running(ufunc: np.ufunc, keys: np.ndarray, n_keys: int, steps: np.ndarray,
@@ -287,6 +291,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             heapq.heappush(heap, (-t_unassigned, e, a, item))
 
     physical: dict[tuple[int, int], PhysicalGraph] = {}
+    volumes = attack_dc_volumes(f, traffic).tolist()
     for (d, a), node_demand in sorted(demand.items()):
         if ceil_per_assignment:
             counts = charged[(d, a)]
@@ -295,8 +300,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
                 i: math.ceil(v - CEIL_EPS) if v > EPS else 0
                 for i, v in node_demand.items()
             }
-        vol = float((f[:, a, d] * traffic[:, a]).sum())
-        physical[(a, d)] = build_physical_graph(graphs[a], d, vol, counts)
+        physical[(a, d)] = build_physical_graph(graphs[a], d, volumes[a][d], counts)
 
     return DspResult(f=f, demand=demand, physical=physical,
                      t_left=float(t_left), wide_area_cost=float(wide_area_cost))
@@ -572,10 +576,11 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
             placed[(d, a, i)] = placed.get((d, a, i), 0) + c
 
     # (5) sufficient VMs per (d, a, i): placed capacity covers traffic share.
+    volumes = attack_dc_volumes(dsp.f, traffic).tolist()
     for d in range(n_d):
         for a in range(n_a):
             g = graphs[a]
-            vol = dsp.dc_attack_volume(d, a, traffic)
+            vol = volumes[a][d]
             if vol <= tol:
                 continue
             for n in g.nodes:

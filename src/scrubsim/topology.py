@@ -337,6 +337,13 @@ def topology_to_config(topo: Topology) -> dict:
     }
 
 
+def _whole(value, what: str) -> int:
+    """An integer config field; a fraction is refused, not truncated."""
+    if int(value) != value:
+        raise InputError(f"{what} must be a whole number, not {value!r}")
+    return int(value)
+
+
 def topology_from_config(cfg: dict) -> Topology:
     try:
         pops = [Pop(id=i, name=str(name)) for i, name in enumerate(cfg["pops"])]
@@ -359,9 +366,11 @@ def topology_from_config(cfg: dict) -> Topology:
                 id=d,
                 link_capacity_gbps=link_gbps,
                 racks=tuple(racks),
-                attach_pop=int(spec["attach_pop"]),
+                attach_pop=_whole(spec["attach_pop"], f"dc {d}: attach_pop"),
             ))
-        links = [(int(u), int(v), float(cap)) for u, v, cap in cfg.get("links", [])]
+        links = [(_whole(u, f"backbone link ({u}, {v}): endpoint"),
+                  _whole(v, f"backbone link ({u}, {v}): endpoint"), float(cap))
+                 for u, v, cap in cfg.get("links", [])]
         for u, v, cap in links:
             if not cap >= 0:
                 raise InputError(f"backbone link ({u}, {v}): capacity must be >= 0, not {cap}")

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrubsim.adaptation import (
+    _PCG_MULT,
     ESTIMATORS,
     STRATEGIES,
     AdversaryStrategy,
     Budget,
     EstimatorState,
     RegretReport,
+    _mul128,
     _replay,
     _seeded_uniform_rows,
     _stack,
@@ -525,6 +527,53 @@ class TestTraceScoring:
         want_static, want_loss = _grid_hindsight(trace)
         assert static.tobytes() == want_static.tobytes()
         assert repr(loss) == repr(want_loss)
+
+    @pytest.mark.parametrize("kind", STRATEGIES)
+    def test_hindsight_equals_scalar_grid_at_the_sweep_shape(self, kind):
+        # The regret sweep's shape, 6 pops x 4 attacks x 500 epochs: several
+        # cells per loss block, and several blocks.
+        for seed in (7, 8):
+            trace = [adversary_next(AdversaryStrategy(kind, seed), Budget(100.0), t, 6, 4)
+                     for t in range(500)]
+            static, loss = best_static_hindsight(trace)
+            want_static, want_loss = _grid_hindsight(trace)
+            assert static.tobytes() == want_static.tobytes()
+            assert repr(loss) == repr(want_loss)
+
+    def test_hindsight_equals_scalar_grid_with_distinct_values(self):
+        # Every value distinct: 501 candidates per cell, one cell per block.
+        trace = list(np.random.default_rng(4).uniform(0.0, 50.0, (500, 3, 2)))
+        static, loss = best_static_hindsight(trace)
+        want_static, want_loss = _grid_hindsight(trace)
+        assert static.tobytes() == want_static.tobytes()
+        assert repr(loss) == repr(want_loss)
+
+    def test_hindsight_keeps_the_first_signed_zero(self):
+        # A set of a series keeps the first of 0.0 and -0.0, and so must the
+        # hindsight static, whatever order a sort leaves equal zeros in.
+        series = [[-0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0], [0.0, -0.0, -0.0, 5.0, -0.0, -0.0, -0.0]]
+        static, _loss = best_static_hindsight([np.array([[a, b]]) for a, b in zip(*series)])
+        assert np.signbit(static[0]).tolist() == [True, False]
+        assert static.tolist() == [[0.0, 0.0]]
+        rng = np.random.default_rng(11)
+        for n_t in (7, 16, 17, 64, 129):
+            trace = list(rng.choice([0.0, -0.0, 1.0, 5.0], size=(n_t, 6, 4)))
+            static, loss = best_static_hindsight(trace)
+            want_static, want_loss = _grid_hindsight(trace)
+            assert static.tobytes() == want_static.tobytes()
+            assert repr(loss) == repr(want_loss)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from((0, 2**64 - 1, 2**64, 2**128 - 1)),
+                              st.integers(0, 2**128 - 1)), min_size=1, max_size=20),
+           st.one_of(st.sampled_from((0, 1, 2**64 - 1, 2**128 - 1, _PCG_MULT)),
+                     st.integers(0, 2**128 - 1)))
+    def test_mul128_equals_python_ints(self, values, const):
+        hi = np.array([v >> 64 for v in values], dtype=np.uint64)
+        lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
+        got_hi, got_lo = _mul128(hi, lo, const)
+        got = [h << 64 | low for h, low in zip(got_hi.tolist(), got_lo.tolist())]
+        assert got == [v * const % 2**128 for v in values]
 
     def test_stacked_trace_is_used_as_is(self):
         trace = toy_trace()

@@ -133,6 +133,14 @@ BAD_TOPO = ["--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"]
      json.dumps({"pops": ["a", "b"], "links": [[0, 1, -5]],
                  "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 1}]}),
      "backbone link (0, 1): capacity must be >= 0, not -5.0"),
+    (["rm", "dsp", *BAD_TOPO],
+     json.dumps({"pops": ["a", "b"], "links": [[0, 1.6, 100]],
+                 "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 1}]}),
+     "backbone link (0, 1.6): endpoint must be a whole number, not 1.6"),
+    (["rm", "dsp", *BAD_TOPO],
+     json.dumps({"pops": ["a", "b"], "links": [[0, 1, 100]],
+                 "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 1.7}]}),
+     "dc 0: attach_pop must be a whole number, not 1.7"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, args, content, message):
     bad = tmp_path / "bad.json"

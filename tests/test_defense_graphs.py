@@ -17,6 +17,7 @@ from scrubsim.defense_graphs import (
     monolithic_demand_vms,
     node_demand_vms,
     ordered_graphs,
+    sequential_sum,
 )
 from scrubsim.errors import InputError
 
@@ -125,6 +126,24 @@ class TestNodeDemand:
             fine = sum(node_demand_vms(g, n.id, t) for n in g.nodes)
             bound = math.ceil(t * graph_compute_factor(g)) + len(g.nodes)
             assert fine <= bound
+
+
+class TestShare:
+    def test_equals_incoming_edge_scan(self):
+        # Shares are derived once at construction; each must equal the sum
+        # of the node's incoming weights in edge order, or the root's even
+        # part of the external input.
+        rng = random.Random(3)
+        graphs = [random_graph(rng) for _ in range(200)] + ordered_graphs(builtin_library())
+        for g in graphs:
+            for n in g.nodes:
+                incoming = [w for _s, d, w in g.edges if d == n.id]
+                want = sequential_sum(incoming) if incoming else g.external_fraction(n.id)
+                assert repr(g.share(n.id)) == repr(want)
+
+    def test_unknown_node(self):
+        with pytest.raises(InputError, match="unknown node id 7"):
+            udp_like().share(7)
 
 
 class TestComputeFactor:

@@ -28,6 +28,7 @@ from scrubsim.resource_manager import (
     DspResult,
     SlotTable,
     _edge_units,
+    attack_dc_volumes,
     check_feasibility,
     dsp_greedy,
     evaluate_cost,
@@ -145,10 +146,11 @@ class TestDspGreedy:
             dsp = dsp_greedy(topo, traffic, lib)
             graphs = ordered_graphs(lib)
             factors = [graph_compute_factor(g) for g in graphs]
+            volumes = attack_dc_volumes(dsp.f, traffic)
             for d, dc in enumerate(topo.datacenters):
                 vol = float((dsp.f[:, :, d] * traffic).sum())
                 assert vol <= dc.link_capacity_gbps + 1e-6
-                used = sum(dsp.dc_attack_volume(d, a, traffic) * factors[a]
+                used = sum(volumes[a, d] * factors[a]
                            for a in range(len(graphs)))
                 assert used <= dc.compute_capacity + 1e-6
 
@@ -349,7 +351,7 @@ class TestEvaluateCost:
                 counts = {}
                 for (node, _rk, _s), c in r.n_srv.items():
                     counts[node] = counts.get(node, 0) + c
-                vol = dsp.dc_attack_volume(r.dc_id, r.attack_id, traffic)
+                vol = attack_dc_volumes(dsp.f, traffic)[r.attack_id, r.dc_id]
                 dc_cost += pair_cost_oracle(g, vol, counts, r.placements, params)
             assert got == pytest.approx(params.alpha * wide + dc_cost, rel=1e-9)
 
@@ -1046,6 +1048,19 @@ class TestArrayPassMatchesHeapLoop:
         for ceil in (False, True):
             assert dsp_fingerprint(dsp_greedy(topo, traffic, lib, ceil)) == \
                 dsp_fingerprint(reference_dsp_greedy(topo, traffic, lib, ceil))
+
+    @pytest.mark.parametrize("n_e", [1, 7, 9, 196, 300])
+    def test_volume_table_equals_per_key_sums(self, n_e):
+        # Past 8 and 128 pops numpy's pairwise sum changes shape; each
+        # table entry must still be its own key's sum, bit for bit.
+        rng = np.random.default_rng(n_e)
+        f = rng.random((n_e, 4, 5)) * (rng.random((n_e, 4, 5)) < 0.7)
+        traffic = rng.uniform(0.0, 50.0, (n_e, 4))
+        table = attack_dc_volumes(f, traffic)
+        assert table.shape == (4, 5)
+        assert [[repr(v) for v in row] for row in table.tolist()] == \
+            [[repr(float((f[:, a, d] * traffic[:, a]).sum())) for d in range(5)]
+             for a in range(4)]
 
     def test_dense_input_takes_no_heap_step(self, monkeypatch):
         # 196 pops, 4000 slots, 1 Tbps over every cell: all of it fits, so
