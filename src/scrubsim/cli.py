@@ -6,8 +6,10 @@ volume or failed placements recorded by a run, or a placement that failed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
 import sys
 import time
 
@@ -25,6 +27,15 @@ SEED_ENV = "BOHATEI_SEED"
 def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+@contextlib.contextmanager
+def _writing(path: str):
+    """Exit 2 with a message, not a traceback, when writing `path` fails."""
+    try:
+        yield
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc}")
 
 
 def _place_all(topo, dsp, lib):
@@ -86,7 +97,8 @@ def topo():
 @click.option("--out", type=click.Path(), required=True)
 def topo_gen(nodes, dc_slots, seed, out):
     t = topology.generate_topology(nodes, dc_slots, seed=seed)
-    topology.save_topology(t, out)
+    with _writing(out):
+        topology.save_topology(t, out)
     click.echo(f"wrote {out}: {len(t.pops)} pops, {len(t.datacenters)} datacenters")
 
 
@@ -163,7 +175,7 @@ def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
         "total_vms": dsp.total_vms(),
         "runtime_s": elapsed,
     }
-    with open(out, "w") as fh:
+    with _writing(out), open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     click.echo(f"dsp: handled {traffic.sum() - dsp.t_left:.3f} of "
@@ -198,7 +210,7 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
             for r in ssps
         ],
     }
-    with open(out, "w") as fh:
+    with _writing(out), open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     click.echo(f"ssp: placed {sum(len(r.placements) for r in ssps)} VMs; wrote {out}")
@@ -212,11 +224,21 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
 @click.option("--dump-dir", type=click.Path(), default=None,
               help="Directory for >10% gap counterexamples.")
 def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
+    # Both outputs are checked before the comparison, which can take minutes;
+    # the probe leaves no report behind.
+    existed = os.path.lexists(report_path)
+    with _writing(report_path):
+        open(report_path, "a").close()
+    if not existed:
+        os.remove(report_path)
+    if dump_dir:
+        with _writing(dump_dir):
+            os.makedirs(dump_dir, exist_ok=True)
     try:
         rows = oracle.oracle_comparison(instances, seed, delta=delta)
     except OracleSizeError as exc:
         _fail(str(exc))
-    with open(report_path, "w", newline="") as fh:
+    with _writing(report_path), open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "handled_greedy", "handled_oracle",
                          "cost_greedy", "cost_oracle", "gap", "runtime_s"])
@@ -226,11 +248,10 @@ def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
                              f"{r.gap:.6f}", f"{r.runtime_s:.4f}"])
     dumped = 0
     if dump_dir:
-        import os
-        os.makedirs(dump_dir, exist_ok=True)
         for r in rows:
             if r.counterexample:
-                with open(f"{dump_dir}/counterexample_{r.seed}.json", "w") as fh:
+                path = f"{dump_dir}/counterexample_{r.seed}.json"
+                with _writing(path), open(path, "w") as fh:
                     json.dump(r.counterexample, fh, indent=2, sort_keys=True)
                 dumped += 1
     stats = oracle.gap_summary(rows)
@@ -262,7 +283,8 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
     plan = orchestration.synthesize_rules(dsp, ssps, pools, t, lib)
     for pg in dsp.physical.values():
         orchestration.pin_bidirectional_for_graph(plan, pg, pools, lib)
-    plan.dump(out)
+    with _writing(out):
+        plan.dump(out)
     click.echo(f"plan: {plan.max_switch_rules()} rules on the busiest switch, "
                f"{plan.tag_bits} tag bits; wrote {out}")
 
@@ -322,7 +344,7 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
         columns = ["epoch", "wastage_gbps", "evasion_gbps", "wastage_vm",
                    "cum_g1_vm", "cum_g2_gbps", "regret_combined",
                    "regret_g1", "regret_g2"]
-        with open(out, "w", newline="") as fh:
+        with _writing(out), open(out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
             for row in rows:
@@ -341,7 +363,7 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
             seeds=seed_list, strategies=strategies, estimators=estimators)
     except InputError as exc:
         _fail(str(exc))
-    with open(out, "w", newline="") as fh:
+    with _writing(out), open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "estimator", "regret_combined", "regret_g1",
                          "regret_g2", "wastage_gbps", "evasion_gbps"])
@@ -404,7 +426,8 @@ def simulate_cmd(scenario_path, out_dir, seed_override):
     infeasible = 0
     for seed, records in by_seed.items():
         target = out_dir if len(by_seed) == 1 else f"{out_dir}/seed{seed}"
-        simulate.emit_report(records, target, summary_extra={"seed": seed})
+        with _writing(target):
+            simulate.emit_report(records, target, summary_extra={"seed": seed})
         infeasible += sum(1 for r in records if r.infeasible)
     click.echo(f"simulated {len(by_seed)} seed(s) x {sc.epochs} epochs; "
                f"{infeasible} infeasible epoch(s); reports in {out_dir}")

@@ -7,19 +7,20 @@ by alpha, plus intra/inter-rack placement cost). Both the oracle and the
 greedy are scored under the same uniform load-balancing cost model, so their
 objectives are directly comparable.
 
-The search is organized as: enumerate per-datacenter volume tuples on the
+The search is organized as: build each datacenter's volume tuples on the
 grid (grid units per attack, within the datacenter's link and compute
-capacity); fill one dense integer table per datacenter suffix, where
-``H[d][r]`` is the most units datacenters ``d..`` can take from the
-remaining per-attack supply ``r`` (the box ``prod(supply_a + 1)``, filled
-bottom-up from ``H[n_d] = 0``; the tuple sets are downward closed, so two
-slice maxima per tuple prefix fill a table); then run a depth-first search
-over the datacenters that keeps only assignments reaching ``H[0][supply]``
-(a table lookup prunes every node), prices the wide-area side with an exact
-min-cost transport, and prices each datacenter with an exact placement
-search seeded by the greedy placement, which spreads one logical node's VMs
-over the servers per level and prices each spread from a server-pair kind
-table against the nodes already placed.
+capacity) per tuple prefix, as the prefix's largest last coordinate; fill
+one dense integer table per datacenter suffix, where ``H[d][r]`` is the most
+units datacenters ``d..`` can take from the remaining per-attack supply
+``r`` (the box ``prod(supply_a + 1)``, filled bottom-up from ``H[n_d] = 0``;
+the tuple sets are downward closed, so two slice maxima per tuple prefix
+fill a table); then run a depth-first search over the datacenters that
+keeps only assignments reaching ``H[0][supply]``. A table lookup cuts every
+tuple that cannot reach it before the tuple is priced; the rest are priced
+on the wide-area side with an exact min-cost transport, and per datacenter
+with an exact placement search seeded by the greedy placement, which
+spreads one logical node's VMs over the servers per level and prices each
+spread from a server-pair kind table against the nodes already placed.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .defense_graphs import (
     node_demand_vms,
     ordered_graphs,
 )
-from .errors import OracleSizeError, PlacementError
+from .errors import InputError, OracleSizeError, PlacementError
 from .resource_manager import (
     SlotTable,
     attack_dc_volumes,
@@ -117,30 +118,60 @@ class OracleResult:
     proven: bool = True  # False: a placement search hit its node budget
 
 
-def _max_handled_tables(tuples_by_dc: list[list[tuple[int, ...]]],
+def _largest_last(link_units: int, slots: float, supply: tuple[int, ...], q: float,
+                  factors: list[float]) -> dict[tuple[int, ...], int]:
+    """A datacenter's feasible volume tuples as ``{prefix: k}``, the prefixes
+    (all coordinates but the last) in lexicographic order, each with its
+    largest feasible last coordinate ``k``. A tuple ``c <= supply`` is
+    feasible when ``sum(c) <= link_units`` and its VM slots
+    ``sum(v * q * factors[a])`` fit in ``slots``. Both tests only grow with
+    each coordinate, so the tuples under a prefix are exactly its last
+    coordinates ``0..k``, and the set is downward closed."""
+    caps = [min(link_units, s) for s in supply]
+
+    def fits(combo: tuple[int, ...]) -> bool:
+        return sum(v * q * factors[a] for a, v in enumerate(combo)) <= slots + 1e-9
+
+    last: dict[tuple[int, ...], int] = {}
+    for pre in itertools.product(*(range(c + 1) for c in caps[:-1])):
+        lo, hi = -1, min(caps[-1], link_units - sum(pre))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if fits(pre + (mid,)):
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo >= 0:
+            last[pre] = lo
+    return last
+
+
+def _feasible_tuples(last: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
+    """The tuples ``_largest_last`` describes, in lexicographic order."""
+    return [pre + (v,) for pre, k in last.items() for v in range(k + 1)]
+
+
+def _max_handled_tables(last_by_dc: list[dict[tuple[int, ...], int]],
                         supply: tuple[int, ...]) -> list[np.ndarray]:
     """Suffix tables ``H`` with ``H[n_d] = 0`` and ``H[d][r]`` the maximum of
     ``sum(c) + H[d + 1][r - c]`` over the tuples ``c <= r`` of datacenter
     ``d``, for every remaining supply ``r`` in the box ``prod(supply + 1)``.
 
-    Every tuple must fit within ``supply``, and each datacenter's tuple set
-    must be downward closed (every one-step decrement of a member is a
-    member), as link and compute capacity make it. Then one pass per tuple
-    prefix (all coordinates but the last) fills the table: with ``k`` the
-    largest last coordinate under prefix ``p``, the last coordinate ranges
-    over ``0..k``, and since ``H[d + 1]`` gains at most 1 per extra unit of
-    supply, the best choice takes ``min(k, r_last)``. That is two slice
-    maxima per prefix: ``r_last >= k`` reads ``H[d + 1]`` at ``r - (p, k)``,
-    and ``r_last < k`` takes every remaining unit on top of
-    ``H[d + 1][r_prefix - p, 0]``."""
+    Datacenter ``d``'s tuples are given as ``_largest_last`` gives them: each
+    prefix (all coordinates but the last) maps to its largest last
+    coordinate ``k``. Every tuple must fit within ``supply``, and each tuple
+    set must be downward closed (every one-step decrement of a member is a
+    member), as link and compute capacity make it. Then one pass per prefix
+    fills the table: the last coordinate ranges over ``0..k``, and since
+    ``H[d + 1]`` gains at most 1 per extra unit of supply, the best choice
+    takes ``min(k, r_last)``. That is two slice maxima per prefix:
+    ``r_last >= k`` reads ``H[d + 1]`` at ``r - (p, k)``, and ``r_last < k``
+    takes every remaining unit on top of ``H[d + 1][r_prefix - p, 0]``."""
     shape = tuple(s + 1 for s in supply)
     tables = [np.zeros(shape, dtype=np.int64)]
-    for feas in reversed(tuples_by_dc):
+    for last in reversed(last_by_dc):
         nxt = tables[-1]
         h = np.zeros(shape, dtype=np.int64)
-        last: dict[tuple[int, ...], int] = {}
-        for combo in feas:
-            last[combo[:-1]] = max(last.get(combo[:-1], 0), combo[-1])
         # H[d + 1] with the last coordinate at 0, plus 0..k-1 remaining units.
         floor = nxt[..., :1]
         ramp = np.arange(shape[-1], dtype=np.int64)
@@ -416,25 +447,16 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
 
     factors = [graph_compute_factor(g) for g in graphs]
 
-    # Feasible per-DC volume tuples (units per attack).
-    tuples_by_dc: list[list[tuple[int, ...]]] = []
-    for dc in topo.datacenters:
-        link_units = min(int(math.floor(dc.link_capacity_gbps / q + 1e-9)),
-                         int(supplies.sum()))
-        slots = dc.compute_capacity
-        feas = []
-        for combo in itertools.product(
-                *(range(min(link_units, int(s)) + 1) for s in supply_a)):
-            if sum(combo) > link_units:
-                continue
-            if sum(v * q * factors[a] for a, v in enumerate(combo)) > slots + 1e-9:
-                continue
-            feas.append(combo)
-        tuples_by_dc.append(feas)
+    # Feasible per-DC volume tuples (units per attack), by prefix.
+    start = tuple(int(s) for s in supply_a)
+    last_by_dc = [
+        _largest_last(min(int(math.floor(dc.link_capacity_gbps / q + 1e-9)),
+                          int(supplies.sum())),
+                      dc.compute_capacity, start, q, factors)
+        for dc in topo.datacenters]
 
     # Max handled units from datacenter d on, per remaining supply vector.
-    start = tuple(int(s) for s in supply_a)
-    h_tables = _max_handled_tables(tuples_by_dc, start)
+    h_tables = _max_handled_tables(last_by_dc, start)
     h_star = int(h_tables[0][start])
 
     # Greedy incumbent: quantize the greedy's solution onto the grid.
@@ -474,7 +496,8 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
         return params.alpha * wide + dc_cost
 
     if aligned and int(greedy_v.sum()) == h_star:
-        ok = all(tuple(int(greedy_v[a, d]) for a in range(n_a)) in tuples_by_dc[d]
+        ok = all(int(greedy_v[-1, d]) <= last_by_dc[d].get(
+                     tuple(int(x) for x in greedy_v[:-1, d]), -1)
                  for d in range(n_d))
         if ok:
             best_cost = leaf_cost(greedy_v)
@@ -511,7 +534,8 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
 
     col_min_l = [min(topo.latency[e][d] for e in range(n_e)) for d in range(n_d)]
     ordered_tuples = [
-        sorted(tuples_by_dc[d], key=lambda c: (transport_lb(d, c), -sum(c), c))
+        sorted(_feasible_tuples(last_by_dc[d]),
+               key=lambda c: (transport_lb(d, c), -sum(c), c))
         for d in range(n_d)
     ]
 
@@ -527,11 +551,6 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
                 f"search budget exceeded ({_SEARCH_NODE_BUDGET} nodes); "
                 f"shrink the instance (bounds: pops<={MAX_POPS}, dcs<={MAX_DCS}, "
                 f"attacks<={MAX_ATTACKS})")
-        bound = h_lists[d]
-        for r in rem:
-            bound = bound[r]
-        if assigned + bound < h_star:
-            return
         if d == n_d:
             v = np.array(chosen, dtype=int).T if chosen else np.zeros((n_a, 0), dtype=int)
             cost = leaf_cost(v)
@@ -540,18 +559,27 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
                 best_v = v.copy()
             return
         remaining_min_l = min(col_min_l[d + 1:], default=col_min_l[d])
+        h_next = h_lists[d + 1]
         for combo in ordered_tuples[d]:
-            if any(v > r for v, r in zip(combo, rem)):
+            left = tuple(r - v for r, v in zip(rem, combo))
+            if min(left) < 0:
+                continue
+            # A tuple after which no assignment can reach h_star is cut here,
+            # before it is priced, so every leaf handles exactly h_star.
+            taken = assigned + sum(combo)
+            bound = h_next
+            for r in left:
+                bound = bound[r]
+            if taken + bound < h_star:
                 continue
             wide_lb = params.alpha * transport_lb(d, combo)
-            future = params.alpha * q * (h_star - assigned - sum(combo)) * remaining_min_l
+            future = params.alpha * q * (h_star - taken) * remaining_min_l
             if partial + wide_lb + future >= best_cost - 1e-9:
                 continue
             step = wide_lb + dsc(d, combo)
             if partial + step + future >= best_cost - 1e-9:
                 continue
-            dfs(d + 1, tuple(r - v for r, v in zip(rem, combo)),
-                assigned + sum(combo), partial + step, chosen + [combo])
+            dfs(d + 1, left, taken, partial + step, chosen + [combo])
 
     dfs(0, start, 0, 0.0, [])
 
@@ -695,6 +723,8 @@ def oracle_comparison(n_instances: int, seed: int,
     """Run greedy and oracle on seeded random tiny instances; instances whose
     cost gap exceeds `GAP_DUMP_THRESHOLD`, or whose handled volumes differ,
     carry a serialized counterexample."""
+    if n_instances < 1:
+        raise InputError(f"need at least 1 instance, got {n_instances}")
     rows = []
     inst = OracleInstance(delta=delta)
     for k in range(n_instances):
@@ -740,6 +770,8 @@ def gap_summary(rows: list[ComparisonRow]) -> dict[str, float]:
     oracle cost of 0 under a positive greedy cost reads as an infinite gap,
     which still counts as over 10%. `unproven` counts the instances whose
     oracle objective is not a proven optimum."""
+    if not rows:
+        raise InputError("no comparison rows to summarize")
     gaps = [r.gap for r in rows]
     finite = [g for g in gaps if math.isfinite(g)] or [0.0]
     return {

@@ -5,7 +5,7 @@ import signal
 import pytest
 from click.testing import CliRunner
 
-from scrubsim import simulate
+from scrubsim import oracle, simulate
 from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library, save_library
@@ -519,6 +519,49 @@ def test_oracle_compare_bad_input_exit_2(tmp_path, bad, message):
     assert isinstance(res.exception, SystemExit)
     assert message in res.output
     assert not report.exists()
+
+
+RM_INPUTS = ["--topo", "{tmp}/topo.json", "--traffic", "{tmp}/traffic.json"]
+REGRET_ARGS = ["adapt", "regret", "--strategy", "steady", "--epochs", "5", "--seeds", "1",
+               "--pops", "3"]
+
+
+@pytest.mark.parametrize("args, target", [
+    (["topo", "gen", "--nodes", "12", "--out", "{missing}/topo.json"], "{missing}/topo.json"),
+    (["rm", "dsp", *RM_INPUTS, "--out", "{missing}/dsp.json"], "{missing}/dsp.json"),
+    (["rm", "ssp", *RM_INPUTS, "--out", "{missing}/ssp.json"], "{missing}/ssp.json"),
+    (["orch", "rules", *RM_INPUTS, "--out", "{missing}/plan.json"], "{missing}/plan.json"),
+    ([*REGRET_ARGS, "--out", "{missing}/regret.csv"], "{missing}/regret.csv"),
+    ([*REGRET_ARGS, "--estimator", "prevepoch", "--out", "{missing}/regret.csv"],
+     "{missing}/regret.csv"),
+    (["rm", "oracle-compare", "--report", "{missing}/report.csv"], "{missing}/report.csv"),
+    (["rm", "oracle-compare", "--report", "{tmp}/report.csv", "--dump-dir", "{file}"],
+     "{file}"),
+    (["simulate", "--scenario", "{tmp}/scenario.json", "--out-dir", "{file}"], "{file}"),
+], ids=["topo-gen", "rm-dsp", "rm-ssp", "orch-rules", "regret-table", "regret-pair",
+        "oracle-report", "oracle-dump-dir", "simulate"])
+def test_unwritable_output_exit_2(tmp_path, monkeypatch, args, target):
+    # A missing parent directory, or a directory output naming a file.
+    topo = generate_topology(12, dc_slot_capacity=200, seed=1)
+    save_topology(topo, str(tmp_path / "topo.json"))
+    matrix = [[0.0] * 4 for _ in topo.pops]
+    matrix[0][0] = 10.0
+    write_traffic(tmp_path / "traffic.json", matrix)
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "epochs": 2, "budget_gbps": 20.0, "adversary": "steady",
+        "estimator": "prevepoch", "seed": 2, "topology_nodes": 8, "dc_slots": 200}))
+    (tmp_path / "file").write_text("")
+
+    def compare(*_args, **_kwargs):
+        raise AssertionError("oracle-compare ran before checking its outputs")
+
+    monkeypatch.setattr(oracle, "oracle_comparison", compare)
+    paths = {"tmp": tmp_path, "missing": tmp_path / "missing", "file": tmp_path / "file"}
+    res = CliRunner().invoke(main, [a.format(**paths) for a in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"error: cannot write {target.format(**paths)}: ")
+    assert not (tmp_path / "report.csv").exists()
 
 
 @pytest.mark.parametrize("bad, option", [

@@ -4,7 +4,8 @@ the control plane of dense epochs.
 
 The files under ``tests/data/`` pin the exact bytes of ``epochs.csv``,
 ``summary.json`` and ``ForwardingPlan.dump()``, the exact reprs of
-``oracle_exact``'s results on criterion 1's instances, SHA-256 digests of
+``oracle_exact``'s results on criterion 1's instances, one SHA-256 digest
+of its results on 1000 tiny instances, SHA-256 digests of
 the latency, paths and links of generated topologies and of their config
 round trips, the exact reprs of criterion 8's regret table, of one
 trace's ``RegretReport`` under every estimator and of one per-epoch regret
@@ -54,6 +55,8 @@ SIM_DIR = DATA / "golden_sim"
 PLAN_PATH = DATA / "golden_plan.json"
 ORACLE_PATH = DATA / "golden_oracle.json"
 ORACLE_SEEDS = range(20_000, 20_100)  # criterion 1's instances
+ORACLE_DIGEST_PATH = DATA / "golden_oracle_digest.txt"
+ORACLE_DIGEST_SEEDS = range(20_000, 21_000)
 TOPOLOGY_PATH = DATA / "golden_topology.json"
 # (nodes, seed): the 2-node clamp, small and paper-scale graphs, and 400 nodes.
 TOPOLOGY_CASES = [(2, 1), (24, 0), (48, 6), (100, 5), (196, 1), (196, 7), (400, 1)]
@@ -101,28 +104,50 @@ def write_plan(path: Path) -> None:
     plan.dump(str(path))
 
 
+def oracle_result_reprs(res) -> dict[str, str]:
+    """Exact reprs of an ``OracleResult``'s fields but ``search_nodes`` and
+    ``proven``. Arrays go through ``tolist()`` so that each float keeps all
+    of its digits."""
+    return {
+        "objective": repr(res.objective),
+        "handled": repr(res.handled),
+        "volumes": repr(res.volumes.tolist()),
+        "f": repr(res.f.tolist()),
+        "n_dc": repr(res.n_dc),
+    }
+
+
 def oracle_reprs() -> dict[str, dict[str, str]]:
-    """Exact reprs of every ``OracleResult`` field, per seed. Arrays go
-    through ``tolist()`` so that each float keeps all of its digits."""
+    """Per seed, the result's reprs and its search node count."""
     out = {}
     for seed in ORACLE_SEEDS:
         topo, traffic, lib, params = random_tiny_instance(seed)
         res = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
-        out[str(seed)] = {
-            "objective": repr(res.objective),
-            "handled": repr(res.handled),
-            "volumes": repr(res.volumes.tolist()),
-            "f": repr(res.f.tolist()),
-            "n_dc": repr(res.n_dc),
-            "search_nodes": repr(res.search_nodes),
-        }
+        out[str(seed)] = dict(oracle_result_reprs(res), search_nodes=repr(res.search_nodes))
     return out
+
+
+def oracle_digest() -> str:
+    """One SHA-256 over every ``OracleResult`` field but ``search_nodes`` on
+    1000 tiny instances, so that a change to the oracle's search that must
+    not change its results can show that it does not."""
+    h = hashlib.sha256()
+    for seed in ORACLE_DIGEST_SEEDS:
+        topo, traffic, lib, params = random_tiny_instance(seed)
+        res = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        h.update(json.dumps([seed, oracle_result_reprs(res), res.proven],
+                            sort_keys=True).encode())
+    return h.hexdigest()
 
 
 def write_oracle(path: Path) -> None:
     with open(path, "w") as fh:
         json.dump(oracle_reprs(), fh, indent=1, sort_keys=True)
         fh.write("\n")
+
+
+def write_oracle_digest(path: Path) -> None:
+    path.write_text(oracle_digest() + "\n")
 
 
 def _sha(obj) -> str:
@@ -296,6 +321,10 @@ def test_oracle_bytes():
     assert oracle_reprs() == json.loads(ORACLE_PATH.read_text())
 
 
+def test_oracle_digest_over_1000_seeds():
+    assert oracle_digest() == ORACLE_DIGEST_PATH.read_text().strip()
+
+
 def test_topology_digests():
     assert topology_digests() == json.loads(TOPOLOGY_PATH.read_text())
 
@@ -349,8 +378,9 @@ if __name__ == "__main__":
     write_sim_reports(SIM_DIR)
     write_plan(PLAN_PATH)
     write_oracle(ORACLE_PATH)
+    write_oracle_digest(ORACLE_DIGEST_PATH)
     write_topology(TOPOLOGY_PATH)
     write_regret(REGRET_PATH)
     write_dense(DENSE_PATH)
     print(f"wrote {SIM_DIR}/epochs.csv, {SIM_DIR}/summary.json, {PLAN_PATH}, "
-          f"{ORACLE_PATH}, {TOPOLOGY_PATH}, {REGRET_PATH} and {DENSE_PATH}")
+          f"{ORACLE_PATH}, {ORACLE_DIGEST_PATH}, {TOPOLOGY_PATH}, {REGRET_PATH} and {DENSE_PATH}")

@@ -15,10 +15,12 @@ from scrubsim.defense_graphs import (
     build_physical_graph,
     node_demand_vms,
 )
-from scrubsim.errors import OracleSizeError, PlacementError
+from scrubsim.errors import InputError, OracleSizeError, PlacementError
 from scrubsim.oracle import (
     ComparisonRow,
     OracleInstance,
+    _feasible_tuples,
+    _largest_last,
     _max_handled_tables,
     _min_cost_transport,
     _optimal_dsc,
@@ -167,6 +169,15 @@ def reference_max_handled(tuples_by_dc, d, rem, memo):
     return best
 
 
+def largest_last(tuples):
+    """A downward-closed tuple list as ``_max_handled_tables`` takes it: each
+    prefix with its largest last coordinate."""
+    last = {}
+    for combo in tuples:
+        last[combo[:-1]] = max(last.get(combo[:-1], 0), combo[-1])
+    return last
+
+
 def assert_tables_match_reference(tuples_by_dc, supply, tables):
     assert len(tables) == len(tuples_by_dc) + 1
     memo = {}
@@ -199,20 +210,71 @@ class TestMaxHandledTables:
     @given(downward_closed_tuple_sets())
     def test_matches_recursive_memo_at_every_remaining_supply(self, case):
         tuples_by_dc, supply = case
-        assert_tables_match_reference(tuples_by_dc, supply,
-                                      _max_handled_tables(tuples_by_dc, supply))
+        tables = _max_handled_tables([largest_last(t) for t in tuples_by_dc], supply)
+        assert_tables_match_reference(tuples_by_dc, supply, tables)
 
     def test_uneven_attacks_and_datacenters(self):
         # Datacenter 0 takes at most 2 of attack 0 or 1 of attack 1; datacenter
         # 1 takes at most 3 units in all, but only of attack 1.
         tuples_by_dc = [[(0, 0), (0, 1), (1, 0), (2, 0)],
                         [(0, 0), (0, 1), (0, 2), (0, 3)]]
-        tables = _max_handled_tables(tuples_by_dc, (3, 2))
+        tables = _max_handled_tables([largest_last(t) for t in tuples_by_dc], (3, 2))
         assert tables[0][3, 2] == 4  # 2 of attack 0 at dc0, 2 of attack 1 at dc1
         assert tables[1][3, 2] == 2
         assert tables[0][0, 0] == 0
         assert not tables[2].any()
         assert_tables_match_reference(tuples_by_dc, (3, 2), tables)
+
+
+def product_filter(link_units, slots, supply, q, factors):
+    """The enumeration ``_largest_last`` replaced: every grid tuple within
+    the supply, kept when its units fit the link and its VM slots fit."""
+    feas = []
+    for combo in itertools.product(*(range(min(link_units, s) + 1) for s in supply)):
+        if sum(combo) > link_units:
+            continue
+        if sum(v * q * factors[a] for a, v in enumerate(combo)) > slots + 1e-9:
+            continue
+        feas.append(combo)
+    return feas
+
+
+@st.composite
+def tuple_capacities(draw):
+    """1-2 attacks with random supplies, grid unit q and compute factors.
+    Link units and slots are drawn at random, or on the boundary of one
+    drawn tuple: the link exactly filled by it, and its slots exactly
+    ``sum(v * q * factor)``, or that within a few 1e-9 either way."""
+    n_a = draw(st.integers(1, 2))
+    supply = tuple(draw(st.lists(st.integers(0, 20), min_size=n_a, max_size=n_a)))
+    q = draw(st.sampled_from([0.1, 0.25, 1.0, 1.25, 2.0]) | st.floats(0.01, 5.0))
+    factors = draw(st.lists(st.sampled_from([0.1, 0.2, 0.25, 0.5, 1.0]) | st.floats(0.0, 3.0),
+                            min_size=n_a, max_size=n_a))
+    edge = tuple(draw(st.integers(0, s)) for s in supply)
+    link_units = draw(st.just(sum(edge)) | st.integers(0, 45))
+    on_edge = sum(v * q * factors[a] for a, v in enumerate(edge))
+    slots = draw(st.sampled_from([0.0, 1e-9, -1e-9, 2e-9, -2e-9]).map(lambda e: on_edge + e)
+                 | st.integers(0, 40).map(float) | st.floats(0.0, 60.0))
+    return link_units, slots, supply, q, factors
+
+
+class TestLargestLast:
+    @settings(max_examples=400, deadline=None)
+    @given(tuple_capacities())
+    def test_lists_the_product_filter_tuples_in_order(self, case):
+        assert _feasible_tuples(_largest_last(*case)) == product_filter(*case)
+
+    def test_boundaries(self):
+        # Two attacks at 0.1 and 0.5 slots per Gbps, q = 1: the slots of
+        # (3, 2) are exactly 1.3, and (3, 2) fills 5 link units.
+        for link_units, slots in [(5, 1.3), (5, 99.0), (99, 1.3)]:
+            case = (link_units, slots, (4, 3), 1.0, [0.1, 0.5])
+            got = _feasible_tuples(_largest_last(*case))
+            assert (3, 2) in got
+            assert got == product_filter(*case)
+        assert _largest_last(5, 1.3, (4, 3), 1.0, [0.1, 0.5]) == {
+            (0,): 2, (1,): 2, (2,): 2, (3,): 2, (4,): 1}
+        assert _largest_last(0, 0.0, (4,), 1.0, [0.5]) == {(): 0}
 
 
 class TestDownwardClosedTuples:
@@ -222,9 +284,9 @@ class TestDownwardClosedTuples:
         # criterion 1's instances must be.
         calls = []
 
-        def spy(tuples_by_dc, supply):
-            calls.append(tuples_by_dc)
-            return _max_handled_tables(tuples_by_dc, supply)
+        def spy(last_by_dc, supply):
+            calls.append([_feasible_tuples(last) for last in last_by_dc])
+            return _max_handled_tables(last_by_dc, supply)
 
         monkeypatch.setattr(oracle, "_max_handled_tables", spy)
         for seed in range(20_000, 20_100):
@@ -391,9 +453,9 @@ class TestAgainstNaiveEnumeration:
         traffic = np.array([[8.0], [8.0]])
         calls = []
 
-        def spy(tuples_by_dc, supply):
-            tables = _max_handled_tables(tuples_by_dc, supply)
-            calls.append((tuples_by_dc, supply, tables))
+        def spy(last_by_dc, supply):
+            tables = _max_handled_tables(last_by_dc, supply)
+            calls.append(([_feasible_tuples(last) for last in last_by_dc], supply, tables))
             return tables
 
         monkeypatch.setattr(oracle, "_max_handled_tables", spy)
@@ -458,10 +520,19 @@ class TestComparisonRunner:
         rows[1].proven = rows[3].proven = False
         assert gap_summary(rows)["unproven"] == 2
 
+    @pytest.mark.parametrize("n_instances", [0, -3])
+    def test_empty_comparison_rejected(self, n_instances):
+        with pytest.raises(InputError, match="at least 1 instance"):
+            oracle_comparison(n_instances, seed=1)
+
+    def test_empty_gap_summary_rejected(self):
+        with pytest.raises(InputError, match="no comparison rows"):
+            gap_summary([])
+
     @pytest.mark.parametrize("budget", [0, 2])
     def test_exhausted_placement_budget_is_unproven(self, monkeypatch, budget):
-        # Criterion 1's seed 20007 prices datacenters by search (25 oracle
-        # nodes) and is proven at the default budget.
+        # Criterion 1's seed 20007 prices datacenters by search (1 oracle
+        # node) and is proven at the default budget.
         topo, traffic, lib, params = random_tiny_instance(20_007)
         full = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
         assert full.search_nodes > 0 and full.proven
