@@ -10,10 +10,10 @@ against the best static provision in hindsight. A replay stacks its trace
 once into an (epochs, pops, attacks) array and runs as whole-array passes
 over it: every estimator's provisions are built at once (perturbed-mean's
 noise for epoch t is the stream of ``default_rng([seed, t])``: every
-epoch's seed hash and PCG64 state come from one array pass, and the rows
-are drawn from one reused generator), the losses are scored in one pass,
-and the hindsight search sorts every cell's candidates at once, prices
-them in blocked broadcasts and scans them across all cells together.
+epoch's seed hash, PCG64 states and draws come from array passes, with no
+generator built), the losses are scored in one pass, and the hindsight
+search sorts every cell's candidates at once, prices them in blocked
+broadcasts and scans them across all cells together.
 Per-epoch scoring is the one-epoch case of it; the simulator's online loop
 uses ``EstimatorState`` and ``estimate`` instead.
 """
@@ -369,34 +369,45 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64 = (1 << 32) - 1, (1 << 64) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 def _mul128(hi: np.ndarray, lo: np.ndarray, const: int) -> tuple[np.ndarray, np.ndarray]:
     """(hi, lo) * const mod 2**128, on uint64 arrays of the high and low
-    halves. lo times the constant's low half is taken in full from 32-bit
-    halves; the cross terms only reach the high half, where uint64 wraps."""
+    halves. The high word of lo times the constant's low half comes from
+    32-bit halves (Hacker's Delight's ``mulhu``: no partial sum overflows);
+    the cross terms only reach the high half, where uint64 wraps."""
     c_hi, c_lo = const >> 64 & _MASK64, const & _MASK64
     a1, a0, b1, b0 = lo >> 32, lo & _MASK32, c_lo >> 32, c_lo & _MASK32
-    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
-    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
-    carry = a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
-    return carry + hi * c_lo + lo * c_hi, lo * c_lo
+    t = a1 * b0 + (a0 * b0 >> 32)
+    u = a0 * b1 + (t & _MASK32)
+    return a1 * b1 + (t >> 32) + (u >> 32) + hi * c_lo + lo * c_hi, lo * c_lo
+
+
+def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
+            b_lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a_hi, a_lo) + (b_hi, b_lo) mod 2**128, on uint64 halves: the low
+    half wrapped past b_lo exactly when it carries."""
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < b_lo), lo
 
 
 def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Row t equals ``np.random.default_rng([seed, t]).uniform(0.0, bounds[t],
-    shape)`` bit for bit, for every t < len(bounds).
+    shape)`` bit for bit, for every t < len(bounds), with no generator built
+    and no loop over epochs.
 
     ``default_rng`` spends most of its time in ``SeedSequence``'s hash, a
     fixed sequence of uint32 multiply/xor-shift steps, so it runs here once
     as whole-array passes over every epoch's entropy (the seed's
     little-endian uint32 words, then t). Each epoch's PCG64 ``inc`` and
-    ``state`` follow ``pcg64_set_seed`` as whole-array uint64 (high, low)
-    halves, 128-bit products by ``_mul128``. The rows are then drawn from
-    one reused generator, loaded through one reused state dict: its
-    ``random`` draws d, and ``uniform`` returns 0.0 + bound * d, which is
-    bound * d exactly.
+    states follow as whole-array uint64 (high, low) halves, 128-bit products
+    by ``_mul128``. PCG64 steps its state to M * state + inc before each
+    draw, so a row's states come from doubling jumps: once states 1..m are
+    known, state m + j is M^m * state j + (1 + M + ... + M^(m-1)) * inc.
+    Each draw is the XSL-RR output of its state, and ``random`` makes the
+    double d from its top 53 bits; ``uniform`` returns 0.0 + bound * d,
+    which is bound * d exactly.
     """
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InputError(f"fpl seed must be a non-negative integer, got {seed!r}")
@@ -437,27 +448,36 @@ def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) 
     state32 = [hash_out(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
     w0, w1, w2, w3 = (state32[2 * k + 1] << 32 | state32[2 * k] for k in range(4))
 
-    # pcg64_set_seed: inc = (w2, w3) << 1 | 1, state = (inc + (w0, w1)) * mult + inc.
-    inc_hi, inc_lo = w2 << 1 | w3 >> 63, w3 << 1 | 1
-    lo = inc_lo + w1
-    hi, lo = _mul128(inc_hi + w0 + (lo < w1), lo, _PCG_MULT)
-    lo += inc_lo
-    hi += inc_hi + (lo < inc_lo)
+    # pcg64_set_seed: inc = (w2, w3) << 1 | 1, and the seeded state is
+    # inc + (w0, w1) stepped once; each draw steps once more. Row 0 holds an
+    # m-step jump's addend, (1 + M + ... + M^(m-1)) * inc, and row 1 + i the
+    # state after i steps, one epoch per column. The jump's one product of
+    # rows 0..k gives both the next k states and the 2m-step addend,
+    # M^m * addend + addend.
+    n_rows = math.prod(shape) + 3
+    hi = np.empty((n_rows, n_t), dtype=np.uint64)
+    lo = np.empty((n_rows, n_t), dtype=np.uint64)
+    hi[0], lo[0] = w2 << 1 | w3 >> 63, w3 << 1 | 1
+    hi[1], lo[1] = _add128(hi[0], lo[0], w0, w1)
+    mult, m = _PCG_MULT, 1
+    while m + 1 < n_rows:
+        k = min(m, n_rows - 1 - m)
+        jump_hi, jump_lo = _mul128(hi[:k + 1], lo[:k + 1], mult)
+        hi[m + 1:m + k + 1], lo[m + 1:m + k + 1] = _add128(jump_hi[1:], jump_lo[1:],
+                                                           hi[0], lo[0])
+        hi[0], lo[0] = _add128(jump_hi[0], jump_lo[0], hi[0], lo[0])
+        mult = mult * mult & _MASK128
+        m *= 2
 
-    def as_ints(high: np.ndarray, low: np.ndarray) -> list[int]:
-        return (high.astype(object) << 64 | low.astype(object)).tolist()
-
-    gen = np.random.Generator(np.random.PCG64(0))
-    bit_gen = gen.bit_generator
-    pcg = {"state": 0, "inc": 0}
-    loaded = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    noise = np.empty((n_t, *shape))
-    for row, state, inc in zip(noise, as_ints(hi, lo), as_ints(inc_hi, inc_lo)):
-        pcg["state"], pcg["inc"] = state, inc
-        bit_gen.state = loaded
-        gen.random(out=row)
-    noise *= bounds[:, None, None]
-    return noise
+    # Rows 3.. hold the draws' states; each draw is rotr64(hi ^ lo, hi >> 58).
+    hi, lo = hi[3:], lo[3:]
+    xored = hi ^ lo
+    rot = hi >> 58
+    out = xored >> rot | xored << (-rot & 63)
+    noise = (out >> 11).T.astype(np.float64, order="C")
+    noise *= 2.0 ** -53
+    noise *= bounds[:, None]
+    return noise.reshape(n_t, *shape)
 
 
 def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
@@ -469,7 +489,8 @@ def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
     for bit: the fpl mean is the running sum (``np.cumsum`` adds rows in
     sequence, as ``EstimatorState.observe`` does) over the epoch count, and
     its noise for row t is the stream of ``default_rng([seed, t])``, which
-    ``_seeded_uniform_rows`` reproduces for every epoch at once. fpl needs a
+    ``_seeded_uniform_rows`` reproduces for every epoch at once, in array
+    passes over all epochs and draws, without a generator. fpl needs a
     non-negative integer seed.
     """
     check_estimator(kind, gamma)

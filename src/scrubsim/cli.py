@@ -38,6 +38,23 @@ def _writing(path: str):
         _fail(f"cannot write {path}: {exc}")
 
 
+def _check_writable(path: str, directory: bool = False) -> None:
+    """Exit 2 with a message before a long run, not after it, when `path`
+    cannot be written. A file is opened to append and a directory is made;
+    whatever the probe made is removed again."""
+    made, head = [], os.path.normpath(path)
+    while head and not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    with _writing(path):
+        if directory:
+            os.makedirs(path, exist_ok=True)
+        else:
+            open(path, "a").close()
+    for made_path in made:  # deepest first
+        (os.rmdir if directory else os.remove)(made_path)
+
+
 def _place_all(topo, dsp, lib):
     """place_all, exiting 3 when the assignment does not fit the servers."""
     try:
@@ -224,16 +241,10 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
 @click.option("--dump-dir", type=click.Path(), default=None,
               help="Directory for >10% gap counterexamples.")
 def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
-    # Both outputs are checked before the comparison, which can take minutes;
-    # the probe leaves no report behind.
-    existed = os.path.lexists(report_path)
-    with _writing(report_path):
-        open(report_path, "a").close()
-    if not existed:
-        os.remove(report_path)
+    # Both outputs are checked before the comparison, which can take minutes.
+    _check_writable(report_path)
     if dump_dir:
-        with _writing(dump_dir):
-            os.makedirs(dump_dir, exist_ok=True)
+        _check_writable(dump_dir, directory=True)
     try:
         rows = oracle.oracle_comparison(instances, seed, delta=delta)
     except OracleSizeError as exc:
@@ -248,6 +259,8 @@ def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
                              f"{r.gap:.6f}", f"{r.runtime_s:.4f}"])
     dumped = 0
     if dump_dir:
+        with _writing(dump_dir):
+            os.makedirs(dump_dir, exist_ok=True)
         for r in rows:
             if r.counterexample:
                 path = f"{dump_dir}/counterexample_{r.seed}.json"
@@ -331,6 +344,7 @@ def adapt():
 @click.option("--pops", type=int, default=6, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
+    _check_writable(out)
     lib = defense_graphs.builtin_library()
     seed_list = [seed + k for k in range(seeds)]
     if strategy != "all" and estimator != "all":
@@ -418,6 +432,13 @@ def simulate_cmd(scenario_path, out_dir, seed_override):
         if isinstance(cfg, dict) and "seed" not in cfg and seed_override is not None:
             cfg["seed"] = seed_override
         sc = simulate.Scenario.from_config(cfg)
+    except (OSError, InputError, json.JSONDecodeError) as exc:
+        _fail(str(exc))
+    seeds = sc.run_seeds()
+    targets = {seed: out_dir if len(seeds) == 1 else f"{out_dir}/seed{seed}" for seed in seeds}
+    for target in targets.values():
+        _check_writable(target, directory=True)
+    try:
         # The sweep loads the topology and library once, before epoch 0, so
         # a problem with either exits with code 2 instead of a traceback.
         by_seed = simulate.run_scenario_sweep(sc)
@@ -425,9 +446,8 @@ def simulate_cmd(scenario_path, out_dir, seed_override):
         _fail(str(exc))
     infeasible = 0
     for seed, records in by_seed.items():
-        target = out_dir if len(by_seed) == 1 else f"{out_dir}/seed{seed}"
-        with _writing(target):
-            simulate.emit_report(records, target, summary_extra={"seed": seed})
+        with _writing(targets[seed]):
+            simulate.emit_report(records, targets[seed], summary_extra={"seed": seed})
         infeasible += sum(1 for r in records if r.infeasible)
     click.echo(f"simulated {len(by_seed)} seed(s) x {sc.epochs} epochs; "
                f"{infeasible} infeasible epoch(s); reports in {out_dir}")

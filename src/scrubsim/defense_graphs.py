@@ -60,8 +60,9 @@ class AnnotatedGraph:
     bidirectional: bool = False
 
     def __post_init__(self):
-        # The graph is not changed after construction, so its adjacency is
-        # derived once here; the accessors hand out copies.
+        # The graph is not changed after construction, so its adjacency,
+        # shares and compute factor are derived once here; the accessors hand
+        # out copies.
         self._by_id = {n.id: n for n in self.nodes}
         pred: dict[int, list[int]] = {}
         succ: dict[int, list[int]] = {}
@@ -78,6 +79,8 @@ class AnnotatedGraph:
         self._share = {n.id: incoming[n.id] if n.id in pred else self.external_fraction(n.id)
                        for n in self.nodes}
         self.validate()
+        self._compute_factor = sequential_sum(self._share[n.id] / n.capacity_gbps
+                                              for n in self.nodes)
 
     def node(self, i: int) -> LogicalModule:
         try:
@@ -189,8 +192,10 @@ def sequential_sum(items):
 
 
 def graph_compute_factor(g: AnnotatedGraph) -> float:
-    """VM slots required per Gbps of input traffic to the graph."""
-    return sequential_sum(g.share(n.id) / n.capacity_gbps for n in g.nodes)
+    """VM slots required per Gbps of input traffic to the graph: each node's
+    share over its per-VM capacity, summed in node order once, when the
+    graph is built."""
+    return g._compute_factor
 
 
 def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:

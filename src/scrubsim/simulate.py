@@ -46,7 +46,7 @@ from .resource_manager import (
     overprovision,
     place_all,
 )
-from .topology import CostParams, Topology, generate_topology, load_topology
+from .topology import CostParams, Topology, _whole, generate_topology, load_topology
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -89,6 +89,10 @@ class Scenario:
         check_estimator(self.estimator, self.gamma)
         _check_fpl_seeds(self.estimator, [self.seed, *(self.seeds or [])])
 
+    def run_seeds(self) -> list[int]:
+        """The distinct run seeds, ascending: ``seeds``, or else ``seed``."""
+        return sorted(set(self.seeds or [self.seed]))
+
     def load_topology(self) -> Topology:
         if self.topology_path:
             return load_topology(self.topology_path)
@@ -110,15 +114,15 @@ class Scenario:
         cost_cfg = cfg.get("cost", {})
         try:
             return cls(
-                epochs=int(cfg["epochs"]),
+                epochs=_whole(cfg["epochs"], "epochs"),
                 budget_gbps=float(cfg["budget_gbps"]),
                 adversary=str(cfg["adversary"]),
                 estimator=str(cfg["estimator"]),
-                seed=int(cfg.get("seed", 0)),
-                seeds=[int(s) for s in cfg["seeds"]] if "seeds" in cfg else None,
+                seed=_whole(cfg.get("seed", 0), "seed"),
+                seeds=[_whole(s, "seeds entry") for s in cfg["seeds"]] if "seeds" in cfg else None,
                 gamma=float(cfg.get("gamma", 1.0)),
-                topology_nodes=int(cfg.get("topology_nodes", 24)),
-                dc_slots=int(cfg.get("dc_slots", 4000)),
+                topology_nodes=_whole(cfg.get("topology_nodes", 24), "topology_nodes"),
+                dc_slots=_whole(cfg.get("dc_slots", 4000), "dc_slots"),
                 topology_path=cfg.get("topology_path"),
                 graphs_path=cfg.get("graphs_path"),
                 cost=CostParams(
@@ -128,7 +132,7 @@ class Scenario:
                     beta=float(cost_cfg.get("beta", 1.0)),
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed scenario config: {exc}") from exc
 
 
@@ -240,9 +244,8 @@ def run_scenario_sweep(sc: Scenario) -> dict[int, list[EpochRecord]]:
     library do not depend on the run seed, so they are loaded once and
     shared. The runs are CPU-bound Python, so they run serially: threads
     would only contend for the interpreter lock."""
-    seeds = sc.seeds if sc.seeds else [sc.seed]
     topo, lib = sc.load_topology(), sc.load_library()
-    return {seed: _run_epochs(sc, seed, topo, lib) for seed in sorted(set(seeds))}
+    return {seed: _run_epochs(sc, seed, topo, lib) for seed in sc.run_seeds()}
 
 
 def provisioning_comparison(demand_series: list[list[float]]) -> tuple[float, float]:

@@ -500,6 +500,20 @@ class TestTraceScoring:
                          for t in range(n_t)])
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**96 + 5])
+    @pytest.mark.parametrize("n_t", [1, 2, 37])
+    def test_seeded_rows_at_each_doubling_block(self, seed, n_t):
+        # The states come from doubling jumps: 1, 2, 4, 8, 16 and 32 draws
+        # fill their blocks exactly, the others end in a partial block.
+        bounds = np.random.default_rng(n_t).uniform(0.0, 100.0, n_t)
+        for n_draws in (1, 2, 3, 4, 5, 8, 9, 16, 17, 24, 32, 33):
+            got = _seeded_uniform_rows(seed, bounds, (n_draws, 1))
+            want = np.array([np.random.default_rng([seed, t]).uniform(0.0, bounds[t],
+                                                                      (n_draws, 1))
+                             for t in range(n_t)])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), n_draws
+
     def test_fpl_replay_equals_loop_at_a_multiword_seed(self):
         strat = AdversaryStrategy("randhybrid", 3)
         budget = Budget(80.0)
@@ -573,6 +587,23 @@ class TestTraceScoring:
         lo = np.array([v & (2**64 - 1) for v in values], dtype=np.uint64)
         got_hi, got_lo = _mul128(hi, lo, const)
         got = [h << 64 | low for h, low in zip(got_hi.tolist(), got_lo.tolist())]
+        assert got == [v * const % 2**128 for v in values]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 9), st.integers(0, 2**32 - 1),
+           st.one_of(st.sampled_from((0, 1, 2**64 - 1, 2**128 - 1, _PCG_MULT)),
+                     st.integers(0, 2**128 - 1)))
+    def test_mul128_on_column_slices(self, n_rows, n_cols, data_seed, const):
+        # 2-D, non-contiguous operands: every other column of a wider array.
+        rng = np.random.default_rng(data_seed)
+        hi = rng.integers(0, 2**64, (n_rows, 2 * n_cols), dtype=np.uint64, endpoint=False)
+        lo = rng.integers(0, 2**64, (n_rows, 2 * n_cols), dtype=np.uint64, endpoint=False)
+        hi[0, 0], lo[0, 0] = 2**64 - 1, 2**64 - 1
+        got_hi, got_lo = _mul128(hi[:, ::2], lo[:, ::2], const)
+        assert got_hi.shape == got_lo.shape == (n_rows, n_cols)
+        values = [h << 64 | low for h, low in zip(hi[:, ::2].ravel().tolist(),
+                                                   lo[:, ::2].ravel().tolist())]
+        got = [h << 64 | low for h, low in zip(got_hi.ravel().tolist(), got_lo.ravel().tolist())]
         assert got == [v * const % 2**128 for v in values]
 
     def test_stacked_trace_is_used_as_is(self):

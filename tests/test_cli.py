@@ -5,11 +5,11 @@ import signal
 import pytest
 from click.testing import CliRunner
 
-from scrubsim import oracle, simulate
+from scrubsim import adaptation, oracle, simulate
 from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library, save_library
-from scrubsim.errors import InputError
+from scrubsim.errors import InputError, OracleSizeError
 from scrubsim.topology import generate_topology, save_topology
 from test_golden import capacity_bound_case
 
@@ -400,6 +400,29 @@ def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bad, message", [
+    ({"epochs": 2.5}, "epochs must be a whole number, not 2.5"),
+    ({"epochs": "2"}, "epochs must be a whole number, not '2'"),
+    ({"epochs": float("inf")}, "cannot convert float infinity to integer"),
+    ({"seed": 2.5}, "seed must be a whole number, not 2.5"),
+    ({"seeds": [1, 2.5]}, "seeds entry must be a whole number, not 2.5"),
+    ({"topology_nodes": 8.5}, "topology_nodes must be a whole number, not 8.5"),
+    ({"dc_slots": "99"}, "dc_slots must be a whole number, not '99'"),
+    ({"dc_slots": None}, "malformed scenario config"),
+])
+def test_simulate_non_whole_integer_field_exit_2(tmp_path, bad, message):
+    sc_path = tmp_path / "scenario.json"
+    sc_path.write_text(json.dumps({"version": 1, "epochs": 2, "budget_gbps": 10,
+                                   "adversary": "steady", "estimator": "uniform",
+                                   "topology_nodes": 8, **bad}))
+    res = CliRunner().invoke(main, ["simulate", "--scenario", str(sc_path),
+                                    "--out-dir", str(tmp_path / "o")])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: malformed scenario config: ") and message in res.output
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("estimator, code", [("fpl", 2), ("uniform", 0)])
 @pytest.mark.parametrize("seeds", [{"seed": -1}, {"seeds": [2, -1]}])
 def test_simulate_negative_seed(tmp_path, estimator, code, seeds):
@@ -538,8 +561,9 @@ REGRET_ARGS = ["adapt", "regret", "--strategy", "steady", "--epochs", "5", "--se
     (["rm", "oracle-compare", "--report", "{tmp}/report.csv", "--dump-dir", "{file}"],
      "{file}"),
     (["simulate", "--scenario", "{tmp}/scenario.json", "--out-dir", "{file}"], "{file}"),
+    (["simulate", "--scenario", "{tmp}/sweep.json", "--out-dir", "{file}"], "{file}/seed2"),
 ], ids=["topo-gen", "rm-dsp", "rm-ssp", "orch-rules", "regret-table", "regret-pair",
-        "oracle-report", "oracle-dump-dir", "simulate"])
+        "oracle-report", "oracle-dump-dir", "simulate", "simulate-sweep"])
 def test_unwritable_output_exit_2(tmp_path, monkeypatch, args, target):
     # A missing parent directory, or a directory output naming a file.
     topo = generate_topology(12, dc_slot_capacity=200, seed=1)
@@ -547,21 +571,54 @@ def test_unwritable_output_exit_2(tmp_path, monkeypatch, args, target):
     matrix = [[0.0] * 4 for _ in topo.pops]
     matrix[0][0] = 10.0
     write_traffic(tmp_path / "traffic.json", matrix)
-    (tmp_path / "scenario.json").write_text(json.dumps({
-        "epochs": 2, "budget_gbps": 20.0, "adversary": "steady",
-        "estimator": "prevepoch", "seed": 2, "topology_nodes": 8, "dc_slots": 200}))
+    scenario = {"epochs": 2, "budget_gbps": 20.0, "adversary": "steady",
+                "estimator": "prevepoch", "seed": 2, "topology_nodes": 8, "dc_slots": 200}
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    (tmp_path / "sweep.json").write_text(json.dumps({**scenario, "seeds": [3, 2]}))
     (tmp_path / "file").write_text("")
 
-    def compare(*_args, **_kwargs):
-        raise AssertionError("oracle-compare ran before checking its outputs")
+    # The commands that run for long check their outputs before they start.
+    for module, name in ((oracle, "oracle_comparison"), (simulate, "run_scenario_sweep"),
+                         (adaptation, "regret_experiment"),
+                         (adaptation, "per_epoch_regret_report")):
+        def ran(*_args, _name=name, **_kwargs):
+            raise AssertionError(f"{_name} ran before its outputs were checked")
 
-    monkeypatch.setattr(oracle, "oracle_comparison", compare)
+        monkeypatch.setattr(module, name, ran)
     paths = {"tmp": tmp_path, "missing": tmp_path / "missing", "file": tmp_path / "file"}
     res = CliRunner().invoke(main, [a.format(**paths) for a in args])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith(f"error: cannot write {target.format(**paths)}: ")
     assert not (tmp_path / "report.csv").exists()
+    assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["rm", "oracle-compare", "--instances", "1", "--report", "{tmp}/new/report.csv",
+     "--dump-dir", "{tmp}/new/dumps"],
+    ["simulate", "--scenario", "{tmp}/scenario.json", "--out-dir", "{tmp}/new/a/b"],
+    [*REGRET_ARGS, "--out", "{tmp}/new/regret.csv"],
+], ids=["oracle-compare", "simulate", "adapt-regret"])
+def test_output_probe_leaves_nothing_behind(tmp_path, monkeypatch, args):
+    # A writable output is probed before the run and the probe's files and
+    # directories are removed again; an input error then leaves nothing.
+    (tmp_path / "new").mkdir()
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "epochs": 2, "budget_gbps": 20.0, "adversary": "steady", "estimator": "uniform",
+        "topology_path": str(tmp_path / "absent.json")}))
+
+    for module, name, error in ((oracle, "oracle_comparison", OracleSizeError),
+                                (adaptation, "regret_experiment", InputError),
+                                (adaptation, "per_epoch_regret_report", InputError)):
+        def fail(*_args, _error=error, **_kwargs):
+            raise _error("stopped after the probe")
+
+        monkeypatch.setattr(module, name, fail)
+    res = CliRunner().invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert list((tmp_path / "new").iterdir()) == []
 
 
 @pytest.mark.parametrize("bad, option", [
