@@ -46,7 +46,7 @@ from .resource_manager import (
     overprovision,
     place_all,
 )
-from .topology import CostParams, Topology, _whole, generate_topology, load_topology
+from .topology import CostParams, Topology, _real, _whole, generate_topology, load_topology
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -55,6 +55,13 @@ CSV_COLUMNS = [
     "cost", "vm_total", "tag_rules", "wastage_gbps", "evasion_gbps",
     "wastage_vm", "infeasible",
 ]
+
+
+def _path(value, what: str) -> str | None:
+    # JSON true would reach open() as file descriptor 1.
+    if value is not None and not isinstance(value, str):
+        raise InputError(f"{what} must be a string, not {value!r}")
+    return value
 
 
 def _check_fpl_seeds(estimator: str, seeds: list[int]) -> None:
@@ -115,21 +122,23 @@ class Scenario:
         try:
             return cls(
                 epochs=_whole(cfg["epochs"], "epochs"),
-                budget_gbps=float(cfg["budget_gbps"]),
+                budget_gbps=_real(cfg["budget_gbps"], "budget_gbps"),
                 adversary=str(cfg["adversary"]),
                 estimator=str(cfg["estimator"]),
                 seed=_whole(cfg.get("seed", 0), "seed"),
                 seeds=[_whole(s, "seeds entry") for s in cfg["seeds"]] if "seeds" in cfg else None,
-                gamma=float(cfg.get("gamma", 1.0)),
+                gamma=_real(cfg.get("gamma", 1.0), "gamma"),
                 topology_nodes=_whole(cfg.get("topology_nodes", 24), "topology_nodes"),
                 dc_slots=_whole(cfg.get("dc_slots", 4000), "dc_slots"),
-                topology_path=cfg.get("topology_path"),
-                graphs_path=cfg.get("graphs_path"),
+                topology_path=_path(cfg.get("topology_path"), "topology_path"),
+                graphs_path=_path(cfg.get("graphs_path"), "graphs_path"),
                 cost=CostParams(
-                    alpha=float(cost_cfg.get("alpha", 1.0)),
-                    intra_unit_cost=float(cost_cfg.get("intra_unit_cost", 1.0)),
-                    inter_unit_cost=float(cost_cfg.get("inter_unit_cost", 5.0)),
-                    beta=float(cost_cfg.get("beta", 1.0)),
+                    alpha=_real(cost_cfg.get("alpha", 1.0), "cost alpha"),
+                    intra_unit_cost=_real(cost_cfg.get("intra_unit_cost", 1.0),
+                                          "cost intra_unit_cost"),
+                    inter_unit_cost=_real(cost_cfg.get("inter_unit_cost", 5.0),
+                                          "cost inter_unit_cost"),
+                    beta=_real(cost_cfg.get("beta", 1.0), "cost beta"),
                 ),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

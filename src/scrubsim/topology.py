@@ -338,10 +338,19 @@ def topology_to_config(topo: Topology) -> dict:
 
 
 def _whole(value, what: str) -> int:
-    """An integer config field; a fraction is refused, not truncated."""
-    if int(value) != value:
+    """An integer config field; a fraction or a boolean is refused, not
+    truncated or read as 0 or 1."""
+    if isinstance(value, bool) or int(value) != value:
         raise InputError(f"{what} must be a whole number, not {value!r}")
     return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A numeric config field; a boolean or a string is refused, not read
+    as 0 or 1 or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a number, not {value!r}")
+    return float(value)
 
 
 def topology_from_config(cfg: dict) -> Topology:
@@ -353,13 +362,14 @@ def topology_from_config(cfg: dict) -> Topology:
             sid = 0
             for r, slot_list in enumerate(spec["racks"]):
                 slots = [int(s) for s in slot_list]
-                if any(n < 0 or n != s for n, s in zip(slots, slot_list)):
+                if any(n < 0 or n != s or isinstance(s, bool)
+                       for n, s in zip(slots, slot_list)):
                     raise InputError(f"dc {d} rack {r}: server slots must be whole "
                                      f"numbers >= 0, not {slot_list}")
                 servers = tuple(Server(id=sid + k, vm_slots=n) for k, n in enumerate(slots))
                 sid += len(slot_list)
                 racks.append(Rack(id=r, servers=servers))
-            link_gbps = float(spec["link_capacity_gbps"])
+            link_gbps = _real(spec["link_capacity_gbps"], f"dc {d}: link_capacity_gbps")
             if not link_gbps >= 0:
                 raise InputError(f"dc {d}: link_capacity_gbps must be >= 0, not {link_gbps}")
             dcs.append(Datacenter(
@@ -369,7 +379,8 @@ def topology_from_config(cfg: dict) -> Topology:
                 attach_pop=_whole(spec["attach_pop"], f"dc {d}: attach_pop"),
             ))
         links = [(_whole(u, f"backbone link ({u}, {v}): endpoint"),
-                  _whole(v, f"backbone link ({u}, {v}): endpoint"), float(cap))
+                  _whole(v, f"backbone link ({u}, {v}): endpoint"),
+                  _real(cap, f"backbone link ({u}, {v}): capacity"))
                  for u, v, cap in cfg.get("links", [])]
         for u, v, cap in links:
             if not cap >= 0:
@@ -378,7 +389,7 @@ def topology_from_config(cfg: dict) -> Topology:
         if isinstance(lat_cfg, str) and lat_cfg != "derive":
             raise InputError(f'latency must be "derive" or a matrix, not {lat_cfg!r}')
         if lat_cfg != "derive":
-            latency = [[float(v) for v in row] for row in lat_cfg]
+            latency = [[_real(v, "latency") for v in row] for row in lat_cfg]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed topology config: {exc}") from exc
 

@@ -476,7 +476,7 @@ def _float_traces(draw):
 
 
 class TestTraceScoring:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(_traces(), st.sampled_from(ESTIMATORS), st.floats(1.0, 4.0))
     def test_replay_equals_estimator_state_loop(self, case, kind, gamma):
         trace, budget, _lib, seed = case
@@ -485,7 +485,7 @@ class TestTraceScoring:
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(st.one_of(st.sampled_from((0, 2**32 - 1, 2**32, 2**96, 2**96 + 5, 2**160 - 1)),
                      st.integers(0, 2**160 - 1)),
            st.integers(1, 600), st.integers(1, 196), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -534,7 +534,7 @@ class TestTraceScoring:
             assert (run_estimator_on_trace(kind, trace, Budget(30.0), LIB2, seed=-3)
                     == run_estimator_on_trace(kind, trace, Budget(30.0), LIB2, seed=3))
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(_float_traces())
     def test_hindsight_equals_scalar_grid(self, trace):
         static, loss = best_static_hindsight(trace)
@@ -577,7 +577,7 @@ class TestTraceScoring:
             assert static.tobytes() == want_static.tobytes()
             assert repr(loss) == repr(want_loss)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.one_of(st.sampled_from((0, 2**64 - 1, 2**64, 2**128 - 1)),
                               st.integers(0, 2**128 - 1)), min_size=1, max_size=20),
            st.one_of(st.sampled_from((0, 1, 2**64 - 1, 2**128 - 1, _PCG_MULT)),
@@ -589,7 +589,7 @@ class TestTraceScoring:
         got = [h << 64 | low for h, low in zip(got_hi.tolist(), got_lo.tolist())]
         assert got == [v * const % 2**128 for v in values]
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     @given(st.integers(1, 6), st.integers(2, 9), st.integers(0, 2**32 - 1),
            st.one_of(st.sampled_from((0, 1, 2**64 - 1, 2**128 - 1, _PCG_MULT)),
                      st.integers(0, 2**128 - 1)))
@@ -617,14 +617,14 @@ class TestTraceScoring:
         with pytest.raises(InputError, match="trace must be nonempty"):
             run_estimator_on_trace("uniform", np.zeros((0, 1, 2)), Budget(30.0), LIB2)
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     @given(_traces(), st.sampled_from(ESTIMATORS), st.sampled_from((1.0, 1.25)))
     def test_replay_equals_per_epoch_loop(self, case, kind, gamma):
         trace, budget, lib, seed = case
         got = run_estimator_on_trace(kind, trace, budget, lib, seed=seed, gamma=gamma)
         assert got == _loop_report(kind, trace, budget, lib, seed, gamma)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     @given(st.sampled_from(STRATEGIES), st.sampled_from(ESTIMATORS), st.integers(1, 6),
            _picks, st.integers(1, 40), st.lists(st.integers(0, 999), min_size=1, max_size=10),
            st.sampled_from((1.0, 1.25)))
@@ -634,7 +634,7 @@ class TestTraceScoring:
         args = (strategy, kind, n_pops, Budget(50.0), lib, epochs, seeds, gamma)
         assert per_epoch_regret_report(*args) == _loop_per_epoch(*args)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(_traces())
     def test_running_mean_equals_np_mean(self, case):
         # Zero budget, zero perturbation: the fpl estimate is the mean. numpy

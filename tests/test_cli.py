@@ -10,8 +10,9 @@ from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library, save_library
 from scrubsim.errors import InputError, OracleSizeError
+from scrubsim.resource_manager import dsp_greedy
 from scrubsim.topology import generate_topology, save_topology
-from test_golden import capacity_bound_case
+from reference import capacity_bound_case
 
 
 def write_traffic(path, matrix):
@@ -141,6 +142,10 @@ BAD_TOPO = ["--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"]
      json.dumps({"pops": ["a", "b"], "links": [[0, 1, 100]],
                  "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 1.7}]}),
      "dc 0: attach_pop must be a whole number, not 1.7"),
+    (["rm", "dsp", *BAD_TOPO],
+     json.dumps({"pops": ["a", "b"], "links": [[0, 1, 100]],
+                 "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": True}]}),
+     "dc 0: attach_pop must be a whole number, not True"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, args, content, message):
     bad = tmp_path / "bad.json"
@@ -385,6 +390,14 @@ def test_simulate_bad_scenario_exit_2(tmp_path):
     ({"budget_gbps": float("inf")}, "budget must be > 0 and finite"),
     ({"topology_nodes": 0, "dc_slots": -5}, "topology_nodes must be >= 1"),
     ({"dc_slots": 0}, "dc_slots must be >= 1"),
+    ({"epochs": True, "seed": False}, "epochs must be a whole number, not True"),
+    ({"seed": False}, "seed must be a whole number, not False"),
+    ({"budget_gbps": True}, "budget_gbps must be a number, not True"),
+    ({"budget_gbps": "20"}, "budget_gbps must be a number, not '20'"),
+    ({"gamma": "1.5"}, "gamma must be a number, not '1.5'"),
+    ({"cost": {"beta": True}}, "cost beta must be a number, not True"),
+    ({"graphs_path": True}, "graphs_path must be a string, not True"),
+    ({"topology_path": 5}, "topology_path must be a string, not 5"),
 ])
 def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
     runner = CliRunner()
@@ -495,6 +508,27 @@ def test_simulate_infeasible_exit_3(tmp_path):
     res = runner.invoke(main, ["simulate", "--scenario", str(sc_path),
                                "--out-dir", str(tmp_path / "out")])
     assert res.exit_code == 3, res.output
+
+
+def test_rm_dsp_ceil_per_assignment(tmp_path):
+    # Whole-VM charging keeps the capacity-bound case within every
+    # datacenter's slots, where fractional charging overfills one
+    # (test_placement_failure_exit_3).
+    topo, traffic, lib = capacity_bound_case()
+    topo_path, traffic_path, out = (tmp_path / n for n in ("topo.json", "traffic.json", "o.json"))
+    save_topology(topo, str(topo_path))
+    write_traffic(traffic_path, traffic.tolist())
+    res = CliRunner().invoke(main, ["rm", "dsp", "--topo", str(topo_path), "--traffic",
+                                    str(traffic_path), "--ceil-per-assignment", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    payload = json.loads(out.read_text())
+    want = dsp_greedy(topo, traffic, lib, ceil_per_assignment=True)
+    assert payload["t_left"] == want.t_left
+    assert payload["n_dc"] == {f"{d}:{a}": {str(i): c for i, c in counts.items()}
+                               for (d, a), counts in want.n_dc.items()}
+    for d, dc in enumerate(topo.datacenters):
+        assert sum(sum(counts.values()) for key, counts in payload["n_dc"].items()
+                   if key.startswith(f"{d}:")) <= dc.compute_capacity
 
 
 @pytest.mark.parametrize("args", [["rm", "ssp"], ["orch", "rules"]])

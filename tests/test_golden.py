@@ -49,6 +49,7 @@ from scrubsim.orchestration import (
 from scrubsim.resource_manager import dsp_greedy, place_all
 from scrubsim.simulate import Scenario, emit_report, run_simulation
 from scrubsim.topology import generate_topology, topology_from_config, topology_to_config
+from reference import capacity_bound_case, dense_traffic, per_vm_pools
 
 DATA = Path(__file__).parent / "data"
 SIM_DIR = DATA / "golden_sim"
@@ -66,11 +67,6 @@ DENSE_PATH = DATA / "golden_dense.json"
 # estimate is nonzero, so every epoch loads DSP, SSP and rule synthesis.
 DENSE_SCENARIO = Scenario(epochs=5, budget_gbps=1000.0, adversary="randhybrid",
                           estimator="fpl", seed=5, topology_nodes=196, dc_slots=4000)
-# (nodes, dc slots, dc link Gbps, offered Gbps): five datacenters whose links
-# and slots both bind. Both charging modes spill cells over datacenters;
-# fractional charging then fails placement, and whole-VM charging skips a
-# datacenter that cannot afford the next VM.
-CAPACITY_BOUND = (100, 35, 120.0, 600.0)
 
 # 48 nodes with 150 slots per datacenter and a 1.2 cushion: most epochs fail
 # placement, two also leave volume unassigned (t_left notes), and four
@@ -216,29 +212,6 @@ def _digest(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def dense_traffic(topo, lib, total_gbps: float, seed: int, zero_share: float = 0.0,
-                  heavy: bool = False) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    shape = (len(topo.pops), len(lib))
-    traffic = rng.pareto(1.0, shape) if heavy else rng.uniform(0.0, 1.0, shape)
-    traffic[rng.uniform(size=shape) < zero_share] = 0.0
-    return traffic * (total_gbps / traffic.sum())
-
-
-def per_vm_pools(pools, physical) -> list:
-    """Every VM's pools as one ``((vm, context), tags)`` list, in the order
-    of a per-instance store: graph, node, instance index, context. Each
-    node's pools are repeated for its ``physical`` instance count."""
-    by_node: dict[tuple, list] = {}
-    for (node, c), tags in pools.pools.items():
-        by_node.setdefault(node, []).append((c, tags))
-    out = []
-    for (a, d, node), contexts in by_node.items():
-        for k in range(physical[(a, d)].counts[node]):
-            out.extend((((a, d, node, k), c), tags) for c, tags in contexts)
-    return out
-
-
 def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict[str, str]:
     """Digests of one assignment's DSP result, SSP placements, tag pools
     (unseeded and seeded) and ``ForwardingPlan.dump()`` bytes. A failed
@@ -267,13 +240,6 @@ def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict
         plan.dump(str(path))
         out["plan"] = _digest(path.read_bytes())
     return out
-
-
-def capacity_bound_case():
-    nodes, slots, link, offered = CAPACITY_BOUND
-    lib = builtin_library()
-    topo = generate_topology(nodes, dc_slot_capacity=slots, seed=3, dc_link_gbps=link)
-    return topo, dense_traffic(topo, lib, offered, seed=5, zero_share=0.2, heavy=True), lib
 
 
 def dense_digests() -> dict:

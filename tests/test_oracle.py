@@ -31,7 +31,8 @@ from scrubsim.oracle import (
     random_tiny_instance,
 )
 from scrubsim.resource_manager import SlotTable, dsp_greedy, evaluate_cost, place_all, ssp_greedy
-from scrubsim.topology import CostParams, Datacenter, Pop, Rack, Server, Topology
+from scrubsim.topology import CostParams
+from reference import make_dc, make_topo
 
 ATK = AttackType(0, "atk0")
 
@@ -41,18 +42,6 @@ def one_node_lib(p=10.0):
                        nodes=[LogicalModule(0, "m0", ANALYSIS, p, contexts=1)],
                        edges=[])
     return {ATK: g}
-
-
-def make_topo(n_pops, dcs, latency):
-    paths = {(e, d): [] for e in range(n_pops) for d in range(len(dcs))}
-    return Topology(pops=[Pop(i, f"p{i}") for i in range(n_pops)],
-                    datacenters=dcs, latency=latency, backbone_links=[],
-                    paths=paths)
-
-
-def make_dc(dc_id, link, slots):
-    return Datacenter(id=dc_id, link_capacity_gbps=link,
-                      racks=(Rack(0, (Server(0, slots),)),), attach_pop=0)
 
 
 class TestTransport:
@@ -80,7 +69,7 @@ class TestTransport:
 class TestOracleExact:
     def test_unconstrained_matches_greedy(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 999.0, 99)], [[3.0]])
+        topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[3.0]])
         traffic = np.array([[10.0]])
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
@@ -91,7 +80,7 @@ class TestOracleExact:
 
     def test_capacity_split_oracle_not_worse(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 6.0, 99), make_dc(1, 99.0, 99)],
+        topo = make_topo(1, [make_dc(0, 6.0, [[99]]), make_dc(1, 99.0, [[99]])],
                          [[1.0, 5.0]])
         traffic = np.array([[10.0]])
         dsp = dsp_greedy(topo, traffic, lib)
@@ -103,7 +92,7 @@ class TestOracleExact:
 
     def test_finer_delta_never_worse(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 7.0, 99), make_dc(1, 99.0, 99)],
+        topo = make_topo(1, [make_dc(0, 7.0, [[99]]), make_dc(1, 99.0, [[99]])],
                          [[1.0, 4.0]])
         traffic = np.array([[20.0]])
         coarse = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, CostParams())
@@ -114,7 +103,7 @@ class TestOracleExact:
 
     def test_size_bounds_enforced(self):
         lib = one_node_lib()
-        dcs = [make_dc(0, 99.0, 99)]
+        dcs = [make_dc(0, 99.0, [[99]])]
         topo = make_topo(4, dcs, [[1.0]] * 4)
         with pytest.raises(OracleSizeError):
             oracle_exact(OracleInstance(), topo, np.full((4, 1), 20.0), lib,
@@ -122,14 +111,14 @@ class TestOracleExact:
 
     def test_unequal_cells_refused(self):
         lib = one_node_lib()
-        topo = make_topo(2, [make_dc(0, 99.0, 99)], [[1.0], [1.0]])
+        topo = make_topo(2, [make_dc(0, 99.0, [[99]])], [[1.0], [1.0]])
         with pytest.raises(OracleSizeError):
             oracle_exact(OracleInstance(), topo, np.array([[20.0], [10.0]]),
                          lib, CostParams())
 
     def test_zero_traffic(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 99.0, 99)], [[1.0]])
+        topo = make_topo(1, [make_dc(0, 99.0, [[99]])], [[1.0]])
         res = oracle_exact(OracleInstance(), topo, np.array([[0.0]]), lib,
                            CostParams())
         assert res.handled == 0.0 and res.objective == 0.0
@@ -137,7 +126,7 @@ class TestOracleExact:
     @pytest.mark.parametrize("delta", [0.0, math.nan, 0.3])
     def test_malformed_delta_is_not_called_too_large(self, delta):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 99.0, 99)], [[1.0]])
+        topo = make_topo(1, [make_dc(0, 99.0, [[99]])], [[1.0]])
         with pytest.raises(OracleSizeError,
                            match=r"^invalid oracle instance: delta .* must be 1/k") as info:
             oracle_exact(OracleInstance(delta=delta), topo, np.array([[20.0]]), lib,
@@ -206,7 +195,7 @@ def downward_closed_tuple_sets(draw):
 
 
 class TestMaxHandledTables:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(downward_closed_tuple_sets())
     def test_matches_recursive_memo_at_every_remaining_supply(self, case):
         tuples_by_dc, supply = case
@@ -259,7 +248,7 @@ def tuple_capacities(draw):
 
 
 class TestLargestLast:
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=400)
     @given(tuple_capacities())
     def test_lists_the_product_filter_tuples_in_order(self, case):
         assert _feasible_tuples(_largest_last(*case)) == product_filter(*case)
@@ -384,9 +373,7 @@ DSC_CASES = [
 
 
 def dsc_case(racks, per_rack, slots, shapes):
-    dc = Datacenter(id=0, link_capacity_gbps=999.0, attach_pop=0, racks=tuple(
-        Rack(r, tuple(Server(r * per_rack + k, slots) for k in range(per_rack)))
-        for r in range(racks)))
+    dc = make_dc(0, 999.0, [[slots] * per_rack] * racks)
     graphs = [_preset_graph(AttackType(a, f"atk{a}"), shape, 1.0)
               for a, shape in enumerate(shapes)]
     return dc, graphs
@@ -448,7 +435,7 @@ class TestAgainstNaiveEnumeration:
         # pops, two datacenters, delta=0.25: small enough to enumerate every
         # grid assignment directly and replay the lexicographic objective.
         lib = one_node_lib(p=10.0)
-        topo = make_topo(2, [make_dc(0, 6.0, 99), make_dc(1, 99.0, 99)],
+        topo = make_topo(2, [make_dc(0, 6.0, [[99]]), make_dc(1, 99.0, [[99]])],
                          [[1.0, 5.0], [4.0, 2.0]])
         traffic = np.array([[8.0], [8.0]])
         calls = []

@@ -32,17 +32,8 @@ from scrubsim.orchestration import (
     tag_space_bound,
 )
 from scrubsim.resource_manager import check_feasibility, dsp_greedy, place_all
-from scrubsim.topology import (
-    CostParams,
-    Datacenter,
-    Pop,
-    Rack,
-    Server,
-    Topology,
-    generate_topology,
-)
-from test_golden import per_vm_pools
-from test_resource_manager import capacity_bound_cases
+from scrubsim.topology import CostParams, generate_topology
+from reference import capacity_bound_cases, make_dc, make_topo, per_vm_pools
 
 ATK = AttackType(0, "atk0")
 
@@ -68,13 +59,8 @@ def two_branch_graph():
 
 
 def small_topo(n_dcs=1):
-    racks = (Rack(0, (Server(0, 50), Server(1, 50))),)
-    dcs = [Datacenter(id=d, link_capacity_gbps=999.0, racks=racks, attach_pop=0)
-           for d in range(n_dcs)]
-    return Topology(pops=[Pop(0, "p0")], datacenters=dcs,
-                    latency=[[1.0 + d for d in range(n_dcs)]],
-                    backbone_links=[],
-                    paths={(0, d): [] for d in range(n_dcs)})
+    return make_topo(1, [make_dc(d, 999.0, [[50, 50]]) for d in range(n_dcs)],
+                     [[1.0 + d for d in range(n_dcs)]])
 
 
 class TestAssignTags:
@@ -592,7 +578,7 @@ def outcome(fn, *args):
 
 
 class TestMatchesLinearReference:
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     @given(case=capacity_bound_cases(), ceil=st.booleans(),
            seed=st.one_of(st.none(), st.integers(0, 2**32)),
            max_bits=st.sampled_from([None, None, 4, 6, 9]))
@@ -606,10 +592,11 @@ class TestMatchesLinearReference:
                                max_bits)
             assert got_out == want_out if isinstance(want_out, tuple) else got_out is got
             assert pool_state(got, dsp.physical) == pool_state(want)
+            assert got.max_tag == max([t for p in want.pools.values() for t in p], default=0)
         # Each (node, context) owns its pool list: editing one edits no other.
         assert len({id(tags) for tags in got.pools.values()}) == len(got.pools)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(case=capacity_bound_cases(), ceil=st.booleans(),
            seed=st.one_of(st.none(), st.integers(0, 2**32)), data=st.data())
     def test_plans(self, case, ceil, seed, data):

@@ -26,23 +26,12 @@ from scrubsim.topology import (
 )
 
 
-def bfs_hops_oracle(links, src):
-    """Independent BFS shortest-hop oracle for the generated backbone."""
-    adj = {}
+def neighbour_sets(n, links):
+    adj = {i: set() for i in range(n)}
     for u, v, _cap in links:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    dist = {src: 0}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in adj.get(u, ()):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def per_pair_bfs_path(adj, src, dst):
@@ -120,10 +109,11 @@ class TestGenerateTopology:
 
     def test_latency_matches_independent_bfs(self):
         topo = generate_topology(40, 100, seed=3)
+        adj = neighbour_sets(len(topo.pops), topo.backbone_links)
         for d, dc in enumerate(topo.datacenters):
-            dist = bfs_hops_oracle(topo.backbone_links, dc.attach_pop)
             for e in range(len(topo.pops)):
-                assert topo.latency[e][d] == pytest.approx(dist[e] * 10.0)
+                hops = len(per_pair_bfs_path(adj, e, dc.attach_pop))
+                assert topo.latency[e][d] == pytest.approx(hops * 10.0)
 
     def test_latency_nonnegative_finite(self):
         topo = generate_topology(30, 50, seed=11)
@@ -177,10 +167,7 @@ class TestPathCostComparison:
                  if rng.random() < 0.45]
         links += [(i, i + 1, 100.0) for i in range(n - 1)
                   if not any({u, v} == {i, i + 1} for u, v, _ in links)]
-        adj = {i: set() for i in range(n)}
-        for u, v, _ in links:
-            adj[u].add(v)
-            adj[v].add(u)
+        adj = neighbour_sets(n, links)
 
         def all_paths_min(src, dst):
             best = math.inf
@@ -213,30 +200,29 @@ class TestPathCostComparison:
 
 
 class TestRoutes:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(backbones())
     def test_matches_per_pair_searches(self, backbone):
         n, links, attach = backbone
-        sets = {i: set() for i in range(n)}
-        for u, v, _cap in links:
-            sets[u].add(v)
-            sets[v].add(u)
-        reach = [bfs_hops_oracle(links, pop) for pop in attach]
+        sets = neighbour_sets(n, links)
         adj = _adjacency(n, links, attach)
         cfg = {"pops": [f"p{i}" for i in range(n)], "latency": "derive",
                "dcs": [{"link_capacity_gbps": 10, "racks": [[1]], "attach_pop": pop}
                        for pop in attach],
                "links": [list(link) for link in links]}
-        if any(e not in hops for hops in reach for e in range(n)):
+        try:
+            want_paths = {(e, d): per_pair_bfs_path(sets, e, pop)
+                          for d, pop in enumerate(attach) for e in range(n)}
+        except InputError:
             with pytest.raises(InputError):
                 _routes(adj, attach)
             with pytest.raises(InputError):
                 topology_from_config(cfg)
             return
-        want_paths = {(e, d): per_pair_bfs_path(sets, e, pop)
-                      for d, pop in enumerate(attach) for e in range(n)}
         hops, paths = _routes(adj, attach)
-        assert hops == [[reach[d][e] for d in range(len(attach))] for e in range(n)]
+        # A hop count is the length of a shortest path.
+        assert hops == [[len(want_paths[(e, d)]) for d in range(len(attach))]
+                        for e in range(n)]
         assert paths == want_paths
         topo = topology_from_config(cfg)
         assert topo.latency == [[h * 10.0 for h in row] for row in hops]
