@@ -61,8 +61,8 @@ class AnnotatedGraph:
 
     def __post_init__(self):
         # The graph is not changed after construction, so its adjacency,
-        # shares and compute factor are derived once here; the accessors hand
-        # out copies.
+        # shares, compute factor and SSP node orders (`ssp_order`) are
+        # derived once; the accessors hand out copies.
         self._by_id = {n.id: n for n in self.nodes}
         pred: dict[int, list[int]] = {}
         succ: dict[int, list[int]] = {}
@@ -81,6 +81,7 @@ class AnnotatedGraph:
         self.validate()
         self._compute_factor = sequential_sum(self._share[n.id] / n.capacity_gbps
                                               for n in self.nodes)
+        self._ssp_orders: dict[frozenset[int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
     def node(self, i: int) -> LogicalModule:
         try:
@@ -97,6 +98,26 @@ class AnnotatedGraph:
     @property
     def roots(self) -> list[int]:
         return list(self._roots)
+
+    def ssp_order(self, provisioned: frozenset[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(node id, predecessor ids) for each node in `provisioned`, the
+        nodes given VMs, in the order SSP places them: next is always the
+        ready node (each predecessor placed or given no VMs) of highest
+        per-VM capacity, lowest id on ties. Memoised per set; an id the
+        graph lacks raises InputError."""
+        order = self._ssp_orders.get(provisioned)
+        if order is None:
+            pending, order = set(provisioned), []
+            placed = {n.id for n in self.nodes} - pending
+            # Acyclic graphs (validate) always have a ready node.
+            while pending:
+                i = max((i for i in pending if placed.issuperset(self._pred.get(i, ()))),
+                        key=lambda i: (self.node(i).capacity_gbps, -i))
+                order.append((i, self._pred.get(i, ())))
+                pending.remove(i)
+                placed.add(i)
+            order = self._ssp_orders[provisioned] = tuple(order)
+        return order
 
     def external_fraction(self, i: int) -> float:
         """External input splits evenly over the roots."""

@@ -66,10 +66,15 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     a, d, counts = pg.attack.id, pg.dc_id, pg.counts
     nodes = sorted(i for i, c in counts.items() if c)
 
-    roots = set(graph.roots)
-    vm_keys = [(a, d, node, k) for node in nodes if node not in roots
-               for k in range(counts[node])]
-    egress_keys = [(a, d, node, len(graph.successors(node))) for node in nodes
+    roots, succ = graph._roots, graph._succ
+    runs: dict[int, slice] = {}  # non-root node -> its instances' run of `values`
+    vm_keys = []
+    for node in nodes:
+        if node not in roots:
+            start = len(vm_keys)
+            vm_keys += [(a, d, node, k) for k in range(counts[node])]
+            runs[node] = slice(start, len(vm_keys))
+    egress_keys = [(a, d, node, len(succ.get(node, ()))) for node in nodes
                    if graph.node(node).delivers]
 
     n_slots = len(vm_keys) + len(egress_keys)
@@ -84,12 +89,13 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     pools.instance_tags.update(zip(vm_keys, values))
     pools.egress_tags.update(zip(egress_keys, values[len(vm_keys):]))
 
+    # A successor's pool is a copy of its run of `values`, empty without VMs.
     for node in nodes:
-        succs = graph.successors(node)
-        for c, succ in enumerate(succs):
-            pools.pools[((a, d, node), c)] = [pools.instance_tags[(a, d, succ, k)]
-                                              for k in range(counts.get(succ, 0))]
-        if graph.node(node).delivers:
+        succs = succ.get(node, ())
+        for c, s in enumerate(succs):
+            run = runs.get(s)
+            pools.pools[((a, d, node), c)] = [] if run is None else values[run]
+        if graph._by_id[node].delivers:
             pools.pools[((a, d, node), len(succs))] = [
                 pools.egress_tags[(a, d, node, len(succs))]]
     return pools
@@ -252,8 +258,11 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
             if placed.get(node, 0) < pg.counts.get(node, 0):
                 raise InputError(f"unplaced VM {(a, d, node, placed.get(node, 0))}")
         sw = dc_sw[d]
-        root_targets = [((a, d, root, k), graph.external_fraction(root) / pg.counts[root])
-                        for root in graph.roots for k in range(pg.counts.get(root, 0))]
+        root_targets = []
+        for root in graph.roots:
+            n_root = pg.counts.get(root, 0)
+            weight = graph.external_fraction(root) / n_root if n_root else 0.0
+            root_targets += [((a, d, root, k), weight) for k in range(n_root)]
         # Every tunnel into the graph splits the same way: one shared action.
         split = ("split", tuple(root_targets))
         ingress = tables.setdefault(ingress_sw[d], {})

@@ -193,10 +193,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
-    latency = np.asarray(topo.latency, dtype=float).reshape(n_e, n_d)
-    # Each pop's datacenters, cheapest first: a stable sort of ascending ids
-    # by latency is the (latency, id) order.
-    ranked = np.argsort(latency, axis=1, kind="stable")
+    latency, ranked = topo.latency_array, topo.latency_ranking
 
     f = np.zeros((n_e, n_a, n_d))
     demand: dict[tuple[int, int], dict[int, float]] = {}
@@ -415,26 +412,32 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         slots = SlotTable(dc)
     servers, free, spans = slots.servers, slots.free, slots.rack_spans
 
+    # A node's run per server: it reaches each server at most once.
     n_srv: dict[tuple[int, int, int], int] = {}
     hosts: dict[int, set[int]] = {}  # node id -> positions of its servers
-    pending = {i for i, c in pg.counts.items() if c}
-    # Nodes with no VMs are trivially placed.
-    placed = {n.id for n in graph.nodes if n.id not in pending}
-    preds = {i: graph.predecessors(i) for i in pending}
-
-    def place_on(node_id: int, count: int, pos: int) -> None:
-        """A node's run on one server; it gets at most one per server."""
-        free[pos] -= count
-        hosts.setdefault(node_id, set()).add(pos)
-        n_srv[(node_id, *servers[pos])] = count
 
     def emptiest_fitting(positions: Iterable[int], count: int) -> int | None:
         """The freest of `positions` that fits `count`, lowest on ties."""
         best = max(((free[i], -i) for i in positions if free[i] >= count), default=None)
         return None if best is None else -best[1]
 
-    def localize(node_id: int, count: int) -> None:
-        pred_pos = set().union(*(hosts.get(p, ()) for p in preds[node_id]))
+    def fill_rack(node_id: int, count: int, rack_id: int) -> None:
+        """Spread `count` instances over the rack, freest server first; the
+        caller has checked that the rack has that many free slots, so every
+        server visited before they are placed has some."""
+        for pos in sorted(spans[rack_id], key=lambda i: (-free[i], i)):
+            take = min(count, free[pos])
+            free[pos] -= take
+            hosts.setdefault(node_id, set()).add(pos)
+            n_srv[(node_id, *servers[pos])] = take
+            count -= take
+            if count == 0:
+                return
+
+    for node_id, preds in graph.ssp_order(frozenset(i for i, c in pg.counts.items() if c)):
+        count = pg.counts[node_id]
+        # Predecessors' servers; one may appear twice, which no pick minds.
+        pred_pos = [i for p in preds for i in hosts.get(p, ())]
         pred_racks = {servers[i][0] for i in pred_pos}
 
         # Whole node on a single server if one fits it: prefer a server
@@ -450,8 +453,10 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
             if most >= count:
                 pick = free.index(most)
         if pick is not None:
-            place_on(node_id, count, pick)
-            return
+            free[pick] -= count
+            hosts[node_id] = {pick}
+            n_srv[(node_id, *servers[pick])] = count
+            continue
         # Else within a single rack, preferring a predecessor's rack.
         rack_free = {r: sum(free[span.start:span.stop]) for r, span in spans.items()}
         fitting_racks = [r for r, fr in rack_free.items() if fr >= count]
@@ -459,7 +464,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
             rack_id = max(fitting_racks,
                           key=lambda r: (r in pred_racks, rack_free[r], -r))
             fill_rack(node_id, count, rack_id)
-            return
+            continue
         # Else split across racks, fullest-free first.
         total_free = sum(rack_free.values())
         if total_free < count:
@@ -474,25 +479,6 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
             count -= take
             if count == 0:
                 break
-
-    def fill_rack(node_id: int, count: int, rack_id: int) -> None:
-        """Spread `count` instances over the rack, freest server first; the
-        caller has checked that the rack has that many free slots, so every
-        server visited before they are placed has some."""
-        for pos in sorted(spans[rack_id], key=lambda i: (-free[i], i)):
-            take = min(count, free[pos])
-            place_on(node_id, take, pos)
-            count -= take
-            if count == 0:
-                return
-
-    # Acyclic graphs (AnnotatedGraph.validate) always have a ready node.
-    while pending:
-        node_id = max((i for i in pending if placed.issuperset(preds[i])),
-                      key=lambda i: (graph.node(i).capacity_gbps, -i))
-        localize(node_id, pg.counts[node_id])
-        pending.discard(node_id)
-        placed.add(node_id)
 
     intra, inter = _edge_units(graph, pg.traffic_gbps, n_srv, pg.counts)
     return SspResult(dc_id=dc.id, attack_id=pg.attack.id, n_srv=n_srv,

@@ -17,6 +17,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
+import numpy as np
+
 from .errors import InputError
 
 log = logging.getLogger(__name__)
@@ -102,6 +104,21 @@ class Topology:
     backbone_links: list[tuple[int, int, float]] = field(default_factory=list)
     # paths[(e, d)] -> ordered list of backbone link endpoints (u, v), u < v
     paths: dict[tuple[int, int], list[tuple[int, int]]] = field(default_factory=dict)
+
+    @cached_property
+    def latency_array(self) -> np.ndarray:
+        """`latency` as a read-only (pops, datacenters) float array."""
+        arr = np.asarray(self.latency, dtype=float).reshape(len(self.pops), len(self.datacenters))
+        arr.flags.writeable = False
+        return arr
+
+    @cached_property
+    def latency_ranking(self) -> np.ndarray:
+        """Each pop's datacenter ids, cheapest first, read-only: a stable sort
+        of ascending ids by latency is the (latency, id) order."""
+        ranked = np.argsort(self.latency_array, axis=1, kind="stable")
+        ranked.flags.writeable = False
+        return ranked
 
     def validate(self) -> None:
         n_e, n_d = len(self.pops), len(self.datacenters)

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import (
@@ -633,6 +633,44 @@ def node_counts(draw, graph, free):
     return counts
 
 
+def dag(parents, caps):
+    """A graph over nodes 0..n-1 with an edge p -> j for each p in
+    parents[j]; each node sends half its share, evenly, to its children,
+    and each leaf delivers."""
+    n = len(parents)
+    children = [[j for j in range(n) if i in parents[j]] for i in range(n)]
+    n_roots = sum(not p for p in parents)
+    share, edges = [], []
+    for j in range(n):
+        share.append(sum(w for _s, d, w in edges if d == j) if parents[j] else 1.0 / n_roots)
+        edges += [(j, c, share[j] / (2 * len(children[j]))) for c in children[j]]
+    return AnnotatedGraph(
+        attack=ATK,
+        nodes=[LogicalModule(i, f"m{i}", ANALYSIS if children[i] else RESPONSE, caps[i],
+                             contexts=max(len(children[i]), 1), delivers=not children[i])
+               for i in range(n)],
+        edges=edges,
+    )
+
+
+@st.composite
+def random_dags(draw):
+    """(parents, capacities, counts, counts) for `dag`: one to six nodes,
+    edges only from lower to higher ids, so nodes with two or more parents
+    are common, and capacities from {5, 10}, so ready nodes often tie. A
+    node with no VMs lets a successor become ready before its turn in id
+    order. The second count dict mostly gives no VMs to the same nodes as
+    the first, which repeats the first's set of provisioned nodes."""
+    n = draw(st.integers(1, 6))
+    parents = [sorted(draw(st.sets(st.integers(0, j - 1), max_size=j))) if j else []
+               for j in range(n)]
+    caps = draw(st.lists(st.sampled_from([5.0, 10.0]), min_size=n, max_size=n))
+    first = {i: draw(st.sampled_from([0, 1, 2, 3, 0, 4])) for i in range(n)}
+    second = {i: draw(st.integers(1, 4)) if c else draw(st.sampled_from([0, 0, 0, 2]))
+              for i, c in first.items()}
+    return parents, caps, first, second
+
+
 def free_slots(dc, used):
     return dc.compute_capacity - sum(used.values())
 
@@ -728,6 +766,24 @@ class TestIndexedSelectionMatchesLinearScan:
             spare = data.draw(st.sampled_from([0, 0, 2]))
             counts = data.draw(node_counts(g, free_slots(dc, used) + spare))
             assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, gbps, counts), g,
+                                           used, table)
+
+    @settings(max_examples=200)
+    @given(dc_used=datacenters(), case=random_dags())
+    # Node 1 has no VMs, so node 2, its only child, is ready at once and
+    # goes before the root on its higher capacity.
+    @example(dc_used=(make_dc(0, 999.0, [[4, 3], [3, 2]]), {}),
+             case=([[], [0], [1], [0]], [5.0, 10.0, 10.0, 5.0],
+                   {0: 2, 1: 0, 2: 3, 3: 1}, {0: 1, 1: 0, 2: 2, 3: 2}))
+    def test_random_dags_share_one_table(self, dc_used, case):
+        # One graph object placed twice on one table: the second placement
+        # reuses the node order derived for the first.
+        dc, used = dc_used
+        parents, caps, *counts = case
+        g = dag(parents, caps)
+        table = slot_table(dc, used)
+        for gbps, c in zip((20.0, 5.0), counts):
+            assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, gbps, c), g,
                                            used, table)
 
     @settings(max_examples=150)

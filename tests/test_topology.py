@@ -2,6 +2,7 @@ import math
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +237,42 @@ class TestRoutes:
         assert hops[0] == [2]
         assert paths[(0, 0)] == [(0, 1), (1, 3)]
         assert paths[(3, 0)] == []
+
+
+class TestDerivedLatency:
+    @staticmethod
+    def assert_derived_once(topo):
+        twin = topology_from_config(topology_to_config(topo))
+        before = topology_to_config(topo)
+        fresh = np.asarray(topo.latency, dtype=float).reshape(len(topo.pops),
+                                                              len(topo.datacenters))
+        ranked = np.argsort(fresh, axis=1, kind="stable")
+        for got, want in ((topo.latency_array, fresh), (topo.latency_ranking, ranked)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape,
+                                                             want.tobytes())
+            with pytest.raises(ValueError):
+                got[0, 0] = 1
+        assert topo.latency_array is topo.latency_array
+        assert topo.latency_ranking is topo.latency_ranking
+        assert topology_to_config(topo) == before
+        assert topo == twin
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (20, 9), (60, 3), (196, 1)])
+    def test_generated(self, n, seed):
+        # Hop-count latencies tie often, so the ranking's tie order shows.
+        self.assert_derived_once(generate_topology(n, 100, seed=seed))
+
+    @settings(max_examples=100)
+    @given(data=st.data())
+    def test_from_config(self, data):
+        n_e, n_d = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 5))
+        cfg = {
+            "pops": [f"p{e}" for e in range(n_e)],
+            "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 0}] * n_d,
+            "latency": [[data.draw(st.sampled_from([0.0, 2.5, 7.3, 10.0, 10.0]))
+                         for _d in range(n_d)] for _e in range(n_e)],
+        }
+        self.assert_derived_once(topology_from_config(cfg))
 
 
 class TestCostParams:
