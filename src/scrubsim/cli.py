@@ -16,10 +16,9 @@ import time
 import click
 import numpy as np
 
-from . import adaptation, defense_graphs, oracle, orchestration, simulate, topology
-from .errors import InputError, OracleSizeError, PlacementError
-from .resource_manager import dsp_greedy, evaluate_cost, place_all
-from .topology import CostParams
+from . import adaptation, defense_graphs, oracle, simulate, topology
+from .errors import InputError, OracleSizeError
+from .resource_manager import dsp_greedy
 
 SEED_ENV = "BOHATEI_SEED"
 
@@ -53,14 +52,6 @@ def _check_writable(path: str, directory: bool = False) -> None:
             open(path, "a").close()
     for made_path in made:  # deepest first
         (os.rmdir if directory else os.remove)(made_path)
-
-
-def _place_all(topo, dsp, lib):
-    """place_all, exiting 3 when the assignment does not fit the servers."""
-    try:
-        return place_all(topo, dsp, lib)
-    except PlacementError as exc:
-        _fail(str(exc), 3)
 
 
 def _load_traffic(path: str, topo, lib) -> np.ndarray:
@@ -208,14 +199,13 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
     """Run datacenter selection, then place every physical graph onto servers."""
     t = _load_topo(topo_path)
     lib = _load_lib(graphs_path)
-    traffic = _load_traffic(traffic_path, t, lib)
-    dsp = dsp_greedy(t, traffic, lib)
-    ssps = _place_all(t, dsp, lib)
-    cost = evaluate_cost(dsp, ssps, CostParams())
+    step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
+    if step.ssps is None:
+        _fail(step.error, 3)
     payload = {
-        "f": dsp.f.tolist(),
-        "t_left": dsp.t_left,
-        "cost": cost,
+        "f": step.dsp.f.tolist(),
+        "t_left": step.dsp.t_left,
+        "cost": step.cost,
         "placements": [
             {
                 "dc": r.dc_id,
@@ -224,13 +214,13 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
                 "inter_rack_units": r.inter_rack_units,
                 "vms": {f"{n}:{k}": list(loc) for (n, k), loc in sorted(r.placements.items())},
             }
-            for r in ssps
+            for r in step.ssps
         ],
     }
     with _writing(out), open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    click.echo(f"ssp: placed {sum(len(r.placements) for r in ssps)} VMs; wrote {out}")
+    click.echo(f"ssp: placed {sum(len(r.placements) for r in step.ssps)} VMs; wrote {out}")
 
 
 @rm.command("oracle-compare")
@@ -289,17 +279,13 @@ def orch():
 def orch_rules(topo_path, traffic_path, graphs_path, out):
     t = _load_topo(topo_path)
     lib = _load_lib(graphs_path)
-    traffic = _load_traffic(traffic_path, t, lib)
-    dsp = dsp_greedy(t, traffic, lib)
-    ssps = _place_all(t, dsp, lib)
-    pools = orchestration.build_tag_pools(dsp.physical, lib)
-    plan = orchestration.synthesize_rules(dsp, ssps, pools, t, lib)
-    for pg in dsp.physical.values():
-        orchestration.pin_bidirectional_for_graph(plan, pg, pools, lib)
+    step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
+    if step.plan is None:
+        _fail(step.error, 3)
     with _writing(out):
-        plan.dump(out)
-    click.echo(f"plan: {plan.max_switch_rules()} rules on the busiest switch, "
-               f"{plan.tag_bits} tag bits; wrote {out}")
+        step.plan.dump(out)
+    click.echo(f"plan: {step.plan.max_switch_rules()} rules on the busiest switch, "
+               f"{step.plan.tag_bits} tag bits; wrote {out}")
 
 
 @orch.command("count")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import InputError
+from .topology import _flag, _real, _whole
 
 ANALYSIS = "analysis"
 RESPONSE = "response"
@@ -46,8 +47,8 @@ class LogicalModule:
     def __post_init__(self):
         if self.kind not in (ANALYSIS, RESPONSE):
             raise InputError(f"module {self.name}: unknown kind {self.kind!r}")
-        if self.capacity_gbps <= 0:
-            raise InputError(f"module {self.name}: capacity must be > 0")
+        if not (math.isfinite(self.capacity_gbps) and self.capacity_gbps > 0):
+            raise InputError(f"module {self.name}: capacity must be finite and > 0")
         if self.contexts < 1:
             raise InputError(f"module {self.name}: contexts must be >= 1")
 
@@ -333,21 +334,22 @@ def graph_to_config(g: AnnotatedGraph) -> dict:
 
 def graph_from_config(cfg: dict) -> AnnotatedGraph:
     try:
-        attack = AttackType(int(cfg["attack"]["id"]), str(cfg["attack"]["name"]))
+        attack = AttackType(_whole(cfg["attack"]["id"], "attack id"), str(cfg["attack"]["name"]))
         nodes = [
             LogicalModule(
-                id=int(n["id"]), name=str(n["name"]), kind=str(n["kind"]),
-                capacity_gbps=float(n["capacity_gbps"]),
-                contexts=int(n.get("contexts", 1)),
-                delivers=bool(n.get("delivers", False)),
+                id=_whole(n["id"], "node id"), name=str(n["name"]), kind=str(n["kind"]),
+                capacity_gbps=_real(n["capacity_gbps"], "capacity_gbps"),
+                contexts=_whole(n.get("contexts", 1), "contexts"),
+                delivers=_flag(n.get("delivers", False), "delivers"),
             )
             for n in cfg["nodes"]
         ]
-        edges = [(int(e["from"]), int(e["to"]), float(e["weight"])) for e in cfg["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        edges = [(_whole(e["from"], "edge from"), _whole(e["to"], "edge to"),
+                  _real(e["weight"], "edge weight")) for e in cfg["edges"]]
+        bidirectional = _flag(cfg.get("bidirectional", False), "bidirectional")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed graph config: {exc}") from exc
-    return AnnotatedGraph(attack=attack, nodes=nodes, edges=edges,
-                          bidirectional=bool(cfg.get("bidirectional", False)))
+    return AnnotatedGraph(attack=attack, nodes=nodes, edges=edges, bidirectional=bidirectional)
 
 
 def load_library(path: str) -> dict[AttackType, AnnotatedGraph]:
@@ -358,9 +360,3 @@ def load_library(path: str) -> dict[AttackType, AnnotatedGraph]:
     graphs = [graph_from_config(item) for item in data["graphs"]]
     return {g.attack: g for g in graphs}
 
-
-def save_library(lib: dict[AttackType, AnnotatedGraph], path: str) -> None:
-    data = {"graphs": [graph_to_config(g) for g in ordered_graphs(lib)]}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -298,15 +298,6 @@ def rule_count_comparison(plan: ForwardingPlan, n_flows: int) -> tuple[int, int]
     return plan.max_switch_rules(), n_flows
 
 
-def load_balance_pick(pool: TagPool, vm: VmKey, context: int,
-                      rng: random.Random) -> int:
-    """Uniform random tag choice; this is the in-VM load balancer."""
-    candidates = pool.pool(vm, context)
-    if not candidates:
-        raise CapacityError(f"empty tag pool for vm {vm} context {context}")
-    return candidates[rng.randrange(len(candidates))]
-
-
 def pin_bidirectional(plan: ForwardingPlan, outbound_tag: int, dc: int,
                       vm: VmKey) -> ForwardingPlan:
     """Steer reverse-direction traffic carrying `outbound_tag` to the VM that

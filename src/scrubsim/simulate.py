@@ -1,11 +1,13 @@
 """Epoch-driven simulation: adversary -> lagged observation -> estimator ->
-resource manager -> orchestration -> losses, with CSV/JSON report emitters.
+control plane -> losses, with CSV/JSON report emitters.
 
 Each epoch the adversary emits a mix, the estimator sees only strictly
-earlier epochs, the resource manager provisions for the estimate, the
-orchestrator compiles the forwarding plan, and losses are scored against
-the actual mix. Placement or capacity shortfalls are recorded in the epoch
-record; they never abort a run.
+earlier epochs, `control_plane` runs the resource manager and the
+orchestrator on the estimate, and losses are scored against the actual mix.
+`control_plane` is the paper's per-epoch step (DSP, cushion, SSP, cost, tag
+pools, rules, pins) and returns an `EpochPlan`; the CLI's `rm ssp` and
+`orch rules` make the same single call. Placement or capacity shortfalls
+are recorded in the epoch record; they never abort a run.
 """
 
 from __future__ import annotations
@@ -14,38 +16,19 @@ import csv
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .adaptation import (
-    STRATEGIES,
-    AdversaryStrategy,
-    Budget,
-    EstimatorState,
-    adversary_next,
-    check_estimator,
-    estimate,
-    loss_accounting,
-)
-from .defense_graphs import (
-    AnnotatedGraph,
-    AttackType,
-    builtin_library,
-    load_library,
-    ordered_graphs,
-)
+from .adaptation import (STRATEGIES, AdversaryStrategy, Budget, EstimatorState, adversary_next,
+                         check_estimator, estimate, loss_accounting)
+from .defense_graphs import (AnnotatedGraph, AttackType, builtin_library, load_library,
+                             ordered_graphs)
 from .errors import InputError, PlacementError
-from .orchestration import build_tag_pools, pin_bidirectional_for_graph, synthesize_rules
-from .resource_manager import (
-    DspResult,
-    SspResult,
-    check_feasibility,
-    dsp_greedy,
-    evaluate_cost,
-    overprovision,
-    place_all,
-)
+from .orchestration import (ForwardingPlan, build_tag_pools, pin_bidirectional_for_graph,
+                            synthesize_rules)
+from .resource_manager import (DspResult, SspResult, check_feasibility, dsp_greedy, evaluate_cost,
+                               overprovision, place_all)
 from .topology import CostParams, Topology, _real, _whole, generate_topology, load_topology
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -132,14 +115,8 @@ class Scenario:
                 dc_slots=_whole(cfg.get("dc_slots", 4000), "dc_slots"),
                 topology_path=_path(cfg.get("topology_path"), "topology_path"),
                 graphs_path=_path(cfg.get("graphs_path"), "graphs_path"),
-                cost=CostParams(
-                    alpha=_real(cost_cfg.get("alpha", 1.0), "cost alpha"),
-                    intra_unit_cost=_real(cost_cfg.get("intra_unit_cost", 1.0),
-                                          "cost intra_unit_cost"),
-                    inter_unit_cost=_real(cost_cfg.get("inter_unit_cost", 5.0),
-                                          "cost inter_unit_cost"),
-                    beta=_real(cost_cfg.get("beta", 1.0), "cost beta"),
-                ),
+                cost=CostParams(**{f.name: _real(cost_cfg[f.name], f"cost {f.name}")
+                                   for f in fields(CostParams) if f.name in cost_cfg}),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed scenario config: {exc}") from exc
@@ -194,15 +171,47 @@ def _run_epochs(sc: Scenario, seed: int, topo: Topology,
                 lib: dict[AttackType, AnnotatedGraph]) -> list[EpochRecord]:
     """The epochs of one run on a loaded topology and library, which no
     run changes."""
-    return [record for record, *_ in _epochs(sc, seed, topo, lib)]
+    return [record for record, _plan in _epochs(sc, seed, topo, lib)]
+
+
+@dataclass
+class EpochPlan:
+    """One control-plane step: the cushioned resource assignment and, when
+    placement succeeded, its server placements, cost and forwarding plan.
+    On a placement failure `ssps` and `plan` are None, `cost` is NaN and
+    `error` holds the failure's message."""
+    dsp: DspResult
+    ssps: list[SspResult] | None = None
+    plan: ForwardingPlan | None = None
+    cost: float = float("nan")
+    error: str = ""
+
+
+def control_plane(topo: Topology, lib: dict[AttackType, AnnotatedGraph],
+                  traffic: np.ndarray, gamma: float = 1.0,
+                  cost: CostParams = CostParams()) -> EpochPlan:
+    """Provision for `traffic` (pop x attack Gbps) with cushion `gamma`,
+    place every physical graph on servers, price it and compile its
+    forwarding plan. The steps are called through this module's names,
+    which the benchmark wraps."""
+    dsp = overprovision(dsp_greedy(topo, traffic, lib), gamma)
+    try:
+        ssps = place_all(topo, dsp, lib)
+    except PlacementError as exc:
+        return EpochPlan(dsp, error=str(exc))
+    price = evaluate_cost(dsp, ssps, cost)
+    pools = build_tag_pools(dsp.physical, lib)
+    plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+    for pg in dsp.physical.values():
+        pin_bidirectional_for_graph(plan, pg, pools, lib)
+    return EpochPlan(dsp, ssps, plan, price)
 
 
 def _epochs(sc: Scenario, seed: int, topo: Topology,
             lib: dict[AttackType, AnnotatedGraph],
-            ) -> Iterator[tuple[EpochRecord, np.ndarray, DspResult, list[SspResult] | None]]:
-    """Run the epochs one at a time, yielding each epoch's record, estimate,
-    cushioned resource assignment and server placements (None when
-    placement failed)."""
+            ) -> Iterator[tuple[EpochRecord, EpochPlan]]:
+    """Run the epochs one at a time, yielding each epoch's record and
+    control-plane step."""
     graphs = ordered_graphs(lib)
     n_pops, n_attacks = len(topo.pops), len(graphs)
     budget = Budget(sc.budget_gbps)
@@ -214,38 +223,25 @@ def _epochs(sc: Scenario, seed: int, topo: Topology,
         actual = adversary_next(strategy, budget, t, n_pops, n_attacks)
         rng = np.random.default_rng([seed, 104729, t]) if sc.estimator == "fpl" else None
         est = estimate(state, budget, rng)
-        # The overprovision cushion multiplies the resource manager's VM
-        # counts; losses are scored against the cushioned capacity.
-        provision = est * sc.gamma
-
-        infeasible = ""
-        dsp = overprovision(dsp_greedy(topo, est, lib), sc.gamma)
-        cost = float("nan")
-        tag_rules = 0
-        try:
-            ssps = place_all(topo, dsp, lib)
-            cost = evaluate_cost(dsp, ssps, sc.cost)
-            pools = build_tag_pools(dsp.physical, lib)
-            plan = synthesize_rules(dsp, ssps, pools, topo, lib)
-            for pg in dsp.physical.values():
-                pin_bidirectional_for_graph(plan, pg, pools, lib)
-            tag_rules = plan.max_switch_rules()
-        except PlacementError as exc:
-            ssps = None
-            infeasible = f"placement: {exc}"
+        step = control_plane(topo, lib, est, sc.gamma, sc.cost)
+        dsp = step.dsp
+        infeasible = "" if step.ssps is not None else f"placement: {step.error}"
         if dsp.t_left > 1e-9:
             note = f"t_left={dsp.t_left:.3f}"
             infeasible = f"{infeasible}; {note}" if infeasible else note
 
-        w, v, wvm = loss_accounting(provision, actual, lib)
+        # The overprovision cushion multiplies the resource manager's VM
+        # counts; losses are scored against the cushioned capacity.
+        w, v, wvm = loss_accounting(est * sc.gamma, actual, lib)
         state.observe(actual)
         yield EpochRecord(
             epoch=t, actual=actual, estimate=est, t_left=dsp.t_left,
-            handled_gbps=float(est.sum()) - dsp.t_left, cost=cost,
-            vm_total=dsp.total_vms(), tag_rules=tag_rules,
+            handled_gbps=float(est.sum()) - dsp.t_left, cost=step.cost,
+            vm_total=dsp.total_vms(),
+            tag_rules=0 if step.plan is None else step.plan.max_switch_rules(),
             wastage_gbps=w, evasion_gbps=v, wastage_vm=wvm,
             infeasible=infeasible,
-        ), est, dsp, ssps
+        ), step
 
 
 def run_scenario_sweep(sc: Scenario) -> dict[int, list[EpochRecord]]:
@@ -325,6 +321,7 @@ def verify_records_feasible(sc: Scenario, seed: int | None = None) -> int:
     with the constraint checker; returns the number of violations found."""
     seed = _run_seed(sc, seed)
     topo, lib = sc.load_topology(), sc.load_library()
-    return sum(len(check_feasibility(topo, est, dsp, ssps, sc.cost, lib))
-               for _record, est, dsp, ssps in _epochs(sc, seed, topo, lib)
-               if ssps is not None)
+    return sum(len(check_feasibility(topo, record.estimate, step.dsp, step.ssps,
+                                     sc.cost, lib))
+               for record, step in _epochs(sc, seed, topo, lib)
+               if step.ssps is not None)

@@ -370,6 +370,14 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _flag(value, what: str) -> bool:
+    """A boolean config field: only JSON true or false, so that "false" or
+    0 is refused, not read by truthiness."""
+    if not isinstance(value, bool):
+        raise InputError(f"{what} must be true or false, not {value!r}")
+    return value
+
+
 def topology_from_config(cfg: dict) -> Topology:
     try:
         pops = [Pop(id=i, name=str(name)) for i, name in enumerate(cfg["pops"])]

@@ -1,10 +1,13 @@
 """Inputs and reference views that more than one test module uses. Test
 modules import from here, never from each other."""
 
+import random
+
 import numpy as np
 from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import builtin_library
+from scrubsim.errors import CapacityError
 from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology, generate_topology
 
 
@@ -79,3 +82,12 @@ def per_vm_pools(pools, physical) -> list:
         for k in range(physical[(a, d)].counts[node]):
             out.extend((((a, d, node, k), c), tags) for c, tags in contexts)
     return out
+
+
+def load_balance_pick(pools, vm, context: int, rng: random.Random) -> int:
+    """Uniform random choice from a VM's tag pool for one context: the
+    in-VM load balancer the orchestration's pools are built for."""
+    candidates = pools.pool(vm, context)
+    if not candidates:
+        raise CapacityError(f"empty tag pool for vm {vm} context {context}")
+    return candidates[rng.randrange(len(candidates))]

@@ -8,11 +8,19 @@ from click.testing import CliRunner
 from scrubsim import adaptation, oracle, simulate
 from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
-from scrubsim.defense_graphs import builtin_library, save_library
+from scrubsim.defense_graphs import builtin_library, graph_to_config, ordered_graphs
 from scrubsim.errors import InputError, OracleSizeError
 from scrubsim.resource_manager import dsp_greedy
 from scrubsim.topology import generate_topology, save_topology
 from reference import capacity_bound_case
+
+
+def write_library(path, edit=lambda graphs: None):
+    """Write the builtin library as a graph file, after `edit` has changed
+    its list of graph configs in place."""
+    graphs = [graph_to_config(g) for g in ordered_graphs(builtin_library())]
+    edit(graphs)
+    path.write_text(json.dumps({"graphs": graphs}))
 
 
 def write_traffic(path, matrix):
@@ -184,7 +192,7 @@ def test_non_finite_traffic_exit_2(tmp_path, command, volume):
 def test_graph_validate_and_demand(tmp_path):
     runner = CliRunner()
     lib_path = tmp_path / "graphs.json"
-    save_library(builtin_library(), str(lib_path))
+    write_library(lib_path)
     res = runner.invoke(main, ["graph", "validate", str(lib_path)])
     assert res.exit_code == 0, res.output
     assert "ok" in res.output
@@ -195,6 +203,35 @@ def test_graph_validate_and_demand(tmp_path):
     data = json.loads(res.output)
     assert data["fine_grained_total"] > 0
     assert data["monolithic_total_vms"] >= data["fine_grained_total"]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda g: g[0].update(bidirectional="false"),
+     "bidirectional must be true or false, not 'false'"),
+    (lambda g: g[0]["nodes"][1].update(delivers=1), "delivers must be true or false, not 1"),
+    (lambda g: g[0]["attack"].update(id=0.4), "attack id must be a whole number, not 0.4"),
+    (lambda g: g[0]["nodes"][0].update(capacity_gbps="10"),
+     "capacity_gbps must be a number, not '10'"),
+    (lambda g: g[0]["nodes"][0].update(contexts=True), "contexts must be a whole number"),
+    (lambda g: g[0]["edges"][0].update(to=1.5), "edge to must be a whole number, not 1.5"),
+    (lambda g: g[0]["edges"][0].update(weight="0.5"), "edge weight must be a number"),
+    (lambda g: g[0]["nodes"][0].update(capacity_gbps=float("nan")),
+     "capacity must be finite and > 0"),
+    (lambda g: g[0]["nodes"][0].update(id=float("inf")), "malformed graph config"),
+], ids=["bidirectional-string", "delivers-int", "fractional-attack-id", "capacity-string",
+        "contexts-bool", "fractional-edge-end", "weight-string", "nan-capacity",
+        "infinite-node-id"])
+def test_graph_validate_refuses_mistyped_fields(tmp_path, edit, message):
+    """The graph library reader refuses what JSON did not spell as the
+    field's kind, as the scenario and topology readers do: no "false" read
+    as true, no fractional id truncated, no numeric string parsed."""
+    path = tmp_path / "graphs.json"
+    write_library(path, edit)
+    res = CliRunner().invoke(main, ["graph", "validate", str(path)])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output.startswith(f"error: cannot load graph library {path}: ")
+    assert message in res.output
 
 
 def test_graph_demand_unknown_attack_exit_2():

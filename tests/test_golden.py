@@ -26,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from click.testing import CliRunner
 
 import scrubsim
 
@@ -38,6 +39,7 @@ from scrubsim.adaptation import (
     regret_experiment,
     run_estimator_on_trace,
 )
+from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library
 from scrubsim.errors import PlacementError
 from scrubsim.oracle import OracleInstance, oracle_exact, random_tiny_instance
@@ -48,7 +50,8 @@ from scrubsim.orchestration import (
 )
 from scrubsim.resource_manager import dsp_greedy, place_all
 from scrubsim.simulate import Scenario, emit_report, run_simulation
-from scrubsim.topology import generate_topology, topology_from_config, topology_to_config
+from scrubsim.topology import (generate_topology, save_topology, topology_from_config,
+                               topology_to_config)
 from reference import capacity_bound_case, dense_traffic, per_vm_pools
 
 DATA = Path(__file__).parent / "data"
@@ -81,16 +84,23 @@ def write_sim_reports(out_dir: Path) -> None:
     emit_report(records, str(out_dir), summary_extra={"seed": GOLDEN_SCENARIO.seed})
 
 
-def write_plan(path: Path) -> None:
-    """All four builtin graphs from six pops into both datacenters of a
-    30-node topology. The 150 Gbps uplinks split one cell over the two
-    datacenters and leave 18 Gbps unassigned; the DNS graph is
-    bidirectional, so the plan carries pins."""
+def plan_case():
+    """The golden plan's inputs as (topology, traffic, library): all four
+    builtin graphs from six pops into both datacenters of a 30-node
+    topology. The 150 Gbps uplinks split one cell over the two datacenters
+    and leave 18 Gbps unassigned; the DNS graph is bidirectional, so the
+    plan carries pins."""
     topo = generate_topology(30, dc_slot_capacity=4000, seed=7, dc_link_gbps=150.0)
     lib = builtin_library()
     traffic = np.zeros((len(topo.pops), len(lib)))
     for e in range(6):
         traffic[e, :] = [12.0 + 2 * e, 10.0 + e, 20.0 - 2 * e, 6.0 + e]
+    return topo, traffic, lib
+
+
+def write_plan(path: Path) -> None:
+    """The forwarding plan of ``plan_case``, compiled step by step."""
+    topo, traffic, lib = plan_case()
     dsp = dsp_greedy(topo, traffic, lib)
     ssps = place_all(topo, dsp, lib)
     pools = build_tag_pools(dsp.physical, lib)
@@ -281,6 +291,20 @@ def test_forwarding_plan_byte_identical(tmp_path):
     path = tmp_path / "plan.json"
     write_plan(path)
     assert path.read_bytes() == PLAN_PATH.read_bytes()
+
+
+def test_cli_plan_byte_identical(tmp_path):
+    """``scrubsim orch rules`` on the golden plan's topology and traffic,
+    read back from files, writes the golden plan's bytes."""
+    topo, traffic, _lib = plan_case()
+    save_topology(topo, str(tmp_path / "topo.json"))
+    (tmp_path / "traffic.json").write_text(json.dumps(traffic.tolist()))
+    out = tmp_path / "plan.json"
+    res = CliRunner().invoke(main, ["orch", "rules", "--topo", str(tmp_path / "topo.json"),
+                                    "--traffic", str(tmp_path / "traffic.json"),
+                                    "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert out.read_bytes() == PLAN_PATH.read_bytes()
 
 
 def test_oracle_bytes():

@@ -23,7 +23,6 @@ from scrubsim.orchestration import (
     TagPool,
     assign_tags,
     build_tag_pools,
-    load_balance_pick,
     pin_bidirectional,
     pin_bidirectional_for_graph,
     plan_realizes_edges,
@@ -33,7 +32,8 @@ from scrubsim.orchestration import (
 )
 from scrubsim.resource_manager import check_feasibility, dsp_greedy, place_all
 from scrubsim.topology import CostParams, generate_topology
-from reference import capacity_bound_cases, make_dc, make_topo, per_vm_pools
+from reference import (capacity_bound_cases, load_balance_pick, make_dc, make_topo,
+                       per_vm_pools)
 
 ATK = AttackType(0, "atk0")
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import math
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from scrubsim import simulate
-from scrubsim.errors import InputError
+from scrubsim.errors import InputError, PlacementError
+from scrubsim.resource_manager import place_all
 from scrubsim.simulate import (
     Scenario,
     emit_report,
@@ -13,6 +18,9 @@ from scrubsim.simulate import (
     run_simulation,
     verify_records_feasible,
 )
+from reference import capacity_bound_case
+
+RUN_BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def tiny_scenario(**overrides):
@@ -164,6 +172,38 @@ def test_epochs_call_the_benchmark_hooks_in_order(monkeypatch):
         if not (name == "pin_bidirectional_for_graph" and epochs[-1][-1] == name):
             epochs[-1].append(name)  # one entry for all of an epoch's pins
     assert epochs == [list(BENCH_HOOKS)] * 3
+
+
+# Spans that only the epoch loop's hooks fill on a traced sim-dense run.
+HOOKED_SPANS = ("resource_manager.dsp_s", "resource_manager.ssp_s",
+                "orchestration.tag_pools_s", "orchestration.rules_s", "orchestration.pins_s",
+                "adaptation.estimate_s", "adaptation.loss_s")
+
+
+def test_traced_sim_dense_reads_every_hooked_span():
+    """A traced sim-dense smoke run passes its output checks, and each span
+    timed through a hook on `simulate`'s names reads above 0. A hook that
+    no longer fires reads 0 here rather than only in the benchmark."""
+    proc = subprocess.run([sys.executable, str(RUN_BENCH), "--workload", "sim-dense",
+                           "--smoke", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    for name in HOOKED_SPANS:
+        assert result["metrics"][name]["value"] > 0, name
+
+
+def test_control_plane_reports_a_failed_placement():
+    """A placement failure leaves the cushioned assignment, no placements
+    or plan, a NaN cost and the failure's message."""
+    topo, traffic, lib = capacity_bound_case()
+    step = simulate.control_plane(topo, lib, traffic)
+    assert step.ssps is None and step.plan is None
+    assert math.isnan(step.cost)
+    with pytest.raises(PlacementError) as exc:
+        place_all(topo, step.dsp, lib)
+    assert step.error == str(exc.value) != ""
 
 
 class TestEmitReport:
