@@ -16,9 +16,9 @@ import time
 import click
 import numpy as np
 
-from . import adaptation, defense_graphs, oracle, simulate, topology
+from . import adaptation, config, defense_graphs, oracle, simulate, topology
 from .errors import InputError, OracleSizeError
-from .resource_manager import dsp_greedy
+from .resource_manager import dsp_greedy, validate_traffic
 
 SEED_ENV = "BOHATEI_SEED"
 
@@ -54,38 +54,41 @@ def _check_writable(path: str, directory: bool = False) -> None:
         (os.rmdir if directory else os.remove)(made_path)
 
 
+def _traffic(data) -> np.ndarray:
+    """A traffic file holds {"traffic": matrix} or the bare matrix."""
+    if isinstance(data, dict):
+        data = config.record(data, "traffic file", ("traffic",))["traffic"]
+    return config.matrix(data, "traffic")
+
+
 def _load_traffic(path: str, topo, lib) -> np.ndarray:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        matrix = np.asarray(data["traffic"] if isinstance(data, dict) else data,
-                            dtype=float)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        _fail(f"cannot read traffic file {path}: {exc}")
-    try:
-        from .resource_manager import validate_traffic
-        return validate_traffic(matrix, topo, lib)
-    except InputError as exc:
-        _fail(str(exc))
-
-
-def _load_topo(path: str):
-    try:
-        return topology.load_topology(path)
-    except (OSError, InputError, json.JSONDecodeError) as exc:
-        _fail(f"cannot load topology {path}: {exc}")
+    return validate_traffic(config.read_json(path, "cannot read traffic file", _traffic),
+                            topo, lib)
 
 
 def _load_lib(path: str | None):
-    if path is None:
-        return defense_graphs.builtin_library()
-    try:
-        return defense_graphs.load_library(path)
-    except (OSError, InputError, json.JSONDecodeError) as exc:
-        _fail(f"cannot load graph library {path}: {exc}")
+    return defense_graphs.builtin_library() if path is None else defense_graphs.load_library(path)
 
 
-@click.group()
+def _rule_counts(plan) -> dict:
+    """Rules per switch of a plan's dc_tables (switch -> rule list)."""
+    tables = config.record(plan, "plan", optional=None).get("dc_tables", {})
+    tables = config.record(tables, "dc_tables", optional=None)
+    return {sw: len(config.items(rules, f"dc_tables {sw}")) for sw, rules in tables.items()}
+
+
+class _Main(click.Group):
+    """Every command ends an InputError or OracleSizeError with an `error:`
+    line and exit code 2, not a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (InputError, OracleSizeError) as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Main)
 def main():
     """Elastic DDoS-scrubbing control-plane simulator."""
 
@@ -138,12 +141,9 @@ def graph_demand(attack_name, gbps, graphs_path):
         _fail(f"unknown attack {attack_name!r}; have "
               f"{sorted(g.attack.name for g in lib.values())}")
     g = match[0]
-    try:
-        fine = {g.node(n.id).name: defense_graphs.node_demand_vms(g, n.id, gbps)
-                for n in g.nodes}
-        mono = defense_graphs.monolithic_demand_vms(g, gbps)
-    except InputError as exc:
-        _fail(str(exc))
+    fine = {g.node(n.id).name: defense_graphs.node_demand_vms(g, n.id, gbps)
+            for n in g.nodes}
+    mono = defense_graphs.monolithic_demand_vms(g, gbps)
     click.echo(json.dumps({
         "attack": attack_name,
         "gbps": gbps,
@@ -169,7 +169,7 @@ def rm():
               help="Charge whole VMs per assignment instead of fractionally.")
 @click.option("--out", type=click.Path(), required=True)
 def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
-    t = _load_topo(topo_path)
+    t = topology.load_topology(topo_path)
     lib = _load_lib(graphs_path)
     traffic = _load_traffic(traffic_path, t, lib)
     started = time.perf_counter()
@@ -197,7 +197,7 @@ def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
 @click.option("--out", type=click.Path(), required=True)
 def rm_ssp(topo_path, traffic_path, graphs_path, out):
     """Run datacenter selection, then place every physical graph onto servers."""
-    t = _load_topo(topo_path)
+    t = topology.load_topology(topo_path)
     lib = _load_lib(graphs_path)
     step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
     if step.ssps is None:
@@ -235,10 +235,7 @@ def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
     _check_writable(report_path)
     if dump_dir:
         _check_writable(dump_dir, directory=True)
-    try:
-        rows = oracle.oracle_comparison(instances, seed, delta=delta)
-    except OracleSizeError as exc:
-        _fail(str(exc))
+    rows = oracle.oracle_comparison(instances, seed, delta=delta)
     with _writing(report_path), open(report_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["seed", "handled_greedy", "handled_oracle",
@@ -277,7 +274,7 @@ def orch():
 @click.option("--graphs", "graphs_path", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), required=True)
 def orch_rules(topo_path, traffic_path, graphs_path, out):
-    t = _load_topo(topo_path)
+    t = topology.load_topology(topo_path)
     lib = _load_lib(graphs_path)
     step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
     if step.plan is None:
@@ -292,16 +289,7 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
 @click.option("--plan", "plan_path", type=click.Path(exists=True), required=True)
 @click.option("--flows", type=click.IntRange(min=0), required=True)
 def orch_count(plan_path, flows):
-    try:
-        with open(plan_path) as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        _fail(f"cannot read plan {plan_path}: {exc}")
-    tables = data.get("dc_tables", {}) if isinstance(data, dict) else None
-    if not (isinstance(tables, dict) and all(isinstance(r, list) for r in tables.values())):
-        _fail(f"cannot read plan {plan_path}: expected an object whose dc_tables "
-              f"maps switches to rule lists")
-    per_switch = {sw: len(rules) for sw, rules in tables.items()}
+    per_switch = config.read_json(plan_path, "cannot read plan", _rule_counts)
     tag_rules = max(per_switch.values(), default=0)
     click.echo(json.dumps({
         "tag_rules": tag_rules,
@@ -335,12 +323,9 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
     seed_list = [seed + k for k in range(seeds)]
     if strategy != "all" and estimator != "all":
         # Single pair: per-epoch series with running cumulatives and regret.
-        try:
-            rows = adaptation.per_epoch_regret_report(
-                strategy, estimator, n_pops=pops, budget=adaptation.Budget(budget),
-                lib=lib, epochs=epochs, seeds=seed_list)
-        except InputError as exc:
-            _fail(str(exc))
+        rows = adaptation.per_epoch_regret_report(
+            strategy, estimator, n_pops=pops, budget=adaptation.Budget(budget),
+            lib=lib, epochs=epochs, seeds=seed_list)
         columns = ["epoch", "wastage_gbps", "evasion_gbps", "wastage_vm",
                    "cum_g1_vm", "cum_g2_gbps", "regret_combined",
                    "regret_g1", "regret_g2"]
@@ -357,12 +342,9 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
         return
     strategies = adaptation.STRATEGIES if strategy == "all" else (strategy,)
     estimators = adaptation.ESTIMATORS if estimator == "all" else (estimator,)
-    try:
-        rows = adaptation.regret_experiment(
-            n_pops=pops, budget=adaptation.Budget(budget), lib=lib, epochs=epochs,
-            seeds=seed_list, strategies=strategies, estimators=estimators)
-    except InputError as exc:
-        _fail(str(exc))
+    rows = adaptation.regret_experiment(
+        n_pops=pops, budget=adaptation.Budget(budget), lib=lib, epochs=epochs,
+        seeds=seed_list, strategies=strategies, estimators=estimators)
     with _writing(out), open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "estimator", "regret_combined", "regret_g1",
@@ -389,12 +371,8 @@ def compare():
 @click.option("--series", "series_path", type=click.Path(exists=True), required=True,
               help="JSON: list of per-epoch demand lists (one value per attack).")
 def compare_provisioning(series_path):
-    try:
-        with open(series_path) as fh:
-            series = json.load(fh)
-        static_peak, elastic = simulate.provisioning_comparison(series)
-    except (OSError, ValueError, InputError) as exc:
-        _fail(str(exc))
+    series = config.read_json(series_path, "cannot read demand series")
+    static_peak, elastic = simulate.provisioning_comparison(series)
     saving = 1.0 - elastic / static_peak if static_peak else 0.0
     click.echo(json.dumps({
         "static_peak_total": static_peak,
@@ -412,24 +390,15 @@ def compare_provisioning(series_path):
               help="Default seed when the scenario file omits one.")
 def simulate_cmd(scenario_path, out_dir, seed_override):
     """Run an epoch-driven scenario and write per-epoch reports."""
-    try:
-        with open(scenario_path) as fh:
-            cfg = json.load(fh)
-        if isinstance(cfg, dict) and "seed" not in cfg and seed_override is not None:
-            cfg["seed"] = seed_override
-        sc = simulate.Scenario.from_config(cfg)
-    except (OSError, InputError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
+    sc = simulate.Scenario.from_config(config.read_json(scenario_path, "cannot read scenario"),
+                                       default_seed=seed_override)
     seeds = sc.run_seeds()
     targets = {seed: out_dir if len(seeds) == 1 else f"{out_dir}/seed{seed}" for seed in seeds}
     for target in targets.values():
         _check_writable(target, directory=True)
-    try:
-        # The sweep loads the topology and library once, before epoch 0, so
-        # a problem with either exits with code 2 instead of a traceback.
-        by_seed = simulate.run_scenario_sweep(sc)
-    except (OSError, InputError, json.JSONDecodeError) as exc:
-        _fail(str(exc))
+    # The sweep loads the topology and library once, before epoch 0, so a
+    # problem with either exits with code 2 before any epoch runs.
+    by_seed = simulate.run_scenario_sweep(sc)
     infeasible = 0
     for seed, records in by_seed.items():
         with _writing(targets[seed]):

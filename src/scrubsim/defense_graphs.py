@@ -8,14 +8,13 @@ whole graph as a unit (monolithic scaling).
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
 
+from . import config
 from .errors import InputError
-from .topology import _flag, _real, _whole
 
 ANALYSIS = "analysis"
 RESPONSE = "response"
@@ -332,31 +331,38 @@ def graph_to_config(g: AnnotatedGraph) -> dict:
     }
 
 
-def graph_from_config(cfg: dict) -> AnnotatedGraph:
+def graph_from_config(cfg) -> AnnotatedGraph:
     try:
-        attack = AttackType(_whole(cfg["attack"]["id"], "attack id"), str(cfg["attack"]["name"]))
-        nodes = [
-            LogicalModule(
-                id=_whole(n["id"], "node id"), name=str(n["name"]), kind=str(n["kind"]),
-                capacity_gbps=_real(n["capacity_gbps"], "capacity_gbps"),
-                contexts=_whole(n.get("contexts", 1), "contexts"),
-                delivers=_flag(n.get("delivers", False), "delivers"),
-            )
-            for n in cfg["nodes"]
-        ]
-        edges = [(_whole(e["from"], "edge from"), _whole(e["to"], "edge to"),
-                  _real(e["weight"], "edge weight")) for e in cfg["edges"]]
-        bidirectional = _flag(cfg.get("bidirectional", False), "bidirectional")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        cfg = config.record(cfg, "graph", ("attack", "nodes", "edges"), ("bidirectional",))
+        attack_cfg = config.record(cfg["attack"], "attack", ("id", "name"))
+        attack = AttackType(config.whole(attack_cfg["id"], "attack id"),
+                            config.string(attack_cfg["name"], "attack name"))
+        nodes = []
+        for k, n in enumerate(config.items(cfg["nodes"], "nodes")):
+            n = config.record(n, f"node {k}", ("id", "name", "kind", "capacity_gbps"),
+                              ("contexts", "delivers"))
+            nodes.append(LogicalModule(
+                id=config.whole(n["id"], "node id"), name=config.string(n["name"], "node name"),
+                kind=config.string(n["kind"], "node kind"),
+                capacity_gbps=config.real(n["capacity_gbps"], "capacity_gbps"),
+                contexts=config.whole(n.get("contexts", 1), "contexts"),
+                delivers=config.flag(n.get("delivers", False), "delivers"),
+            ))
+        edges = []
+        for k, e in enumerate(config.items(cfg["edges"], "edges")):
+            e = config.record(e, f"edge {k}", ("from", "to", "weight"))
+            edges.append((config.whole(e["from"], "edge from"), config.whole(e["to"], "edge to"),
+                          config.real(e["weight"], "edge weight")))
+        bidirectional = config.flag(cfg.get("bidirectional", False), "bidirectional")
+    except InputError as exc:
         raise InputError(f"malformed graph config: {exc}") from exc
     return AnnotatedGraph(attack=attack, nodes=nodes, edges=edges, bidirectional=bidirectional)
 
 
-def load_library(path: str) -> dict[AttackType, AnnotatedGraph]:
-    with open(path) as fh:
-        data = json.load(fh)
-    if not (isinstance(data, dict) and isinstance(data.get("graphs"), list)):
-        raise InputError('a graph library is a JSON object with a "graphs" list')
-    graphs = [graph_from_config(item) for item in data["graphs"]]
-    return {g.attack: g for g in graphs}
+def _library(cfg) -> dict[AttackType, AnnotatedGraph]:
+    graphs = config.record(cfg, "graph library", ("graphs",))["graphs"]
+    return {g.attack: g for g in map(graph_from_config, config.items(graphs, "graphs"))}
 
+
+def load_library(path: str) -> dict[AttackType, AnnotatedGraph]:
+    return config.read_json(path, "cannot load graph library", _library)

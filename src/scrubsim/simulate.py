@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from . import config
 from .adaptation import (STRATEGIES, AdversaryStrategy, Budget, EstimatorState, adversary_next,
                          check_estimator, estimate, loss_accounting)
 from .defense_graphs import (AnnotatedGraph, AttackType, builtin_library, load_library,
@@ -29,7 +30,7 @@ from .orchestration import (ForwardingPlan, build_tag_pools, pin_bidirectional_f
                             synthesize_rules)
 from .resource_manager import (DspResult, SspResult, check_feasibility, dsp_greedy, evaluate_cost,
                                overprovision, place_all)
-from .topology import CostParams, Topology, _real, _whole, generate_topology, load_topology
+from .topology import CostParams, Topology, generate_topology, load_topology
 
 SCENARIO_SCHEMA_VERSION = 1
 
@@ -38,13 +39,6 @@ CSV_COLUMNS = [
     "cost", "vm_total", "tag_rules", "wastage_gbps", "evasion_gbps",
     "wastage_vm", "infeasible",
 ]
-
-
-def _path(value, what: str) -> str | None:
-    # JSON true would reach open() as file descriptor 1.
-    if value is not None and not isinstance(value, str):
-        raise InputError(f"{what} must be a string, not {value!r}")
-    return value
 
 
 def _check_fpl_seeds(estimator: str, seeds: list[int]) -> None:
@@ -77,6 +71,8 @@ class Scenario:
         if self.adversary not in STRATEGIES:
             raise InputError(f"unknown adversary strategy {self.adversary!r}")
         check_estimator(self.estimator, self.gamma)
+        if self.seeds is not None and not self.seeds:
+            raise InputError("seeds must be nonempty")
         _check_fpl_seeds(self.estimator, [self.seed, *(self.seeds or [])])
 
     def run_seeds(self) -> list[int]:
@@ -84,42 +80,48 @@ class Scenario:
         return sorted(set(self.seeds or [self.seed]))
 
     def load_topology(self) -> Topology:
-        if self.topology_path:
+        if self.topology_path is not None:
             return load_topology(self.topology_path)
         return generate_topology(self.topology_nodes, self.dc_slots, seed=self.seed)
 
     def load_library(self) -> dict[AttackType, AnnotatedGraph]:
-        if self.graphs_path:
+        if self.graphs_path is not None:
             return load_library(self.graphs_path)
         return builtin_library()
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "Scenario":
-        if not (isinstance(cfg, dict) and isinstance(cfg.get("cost", {}), dict)):
-            raise InputError("malformed scenario config: the scenario and its cost "
-                             "must be JSON objects")
-        version = cfg.get("version", SCENARIO_SCHEMA_VERSION)
-        if version != SCENARIO_SCHEMA_VERSION:
-            raise InputError(f"unsupported scenario schema version {version}")
-        cost_cfg = cfg.get("cost", {})
+    def from_config(cls, cfg, default_seed: int | None = None) -> "Scenario":
+        """The scenario a parsed config file describes, with `default_seed`
+        as its seed when the file gives none."""
         try:
-            return cls(
-                epochs=_whole(cfg["epochs"], "epochs"),
-                budget_gbps=_real(cfg["budget_gbps"], "budget_gbps"),
-                adversary=str(cfg["adversary"]),
-                estimator=str(cfg["estimator"]),
-                seed=_whole(cfg.get("seed", 0), "seed"),
-                seeds=[_whole(s, "seeds entry") for s in cfg["seeds"]] if "seeds" in cfg else None,
-                gamma=_real(cfg.get("gamma", 1.0), "gamma"),
-                topology_nodes=_whole(cfg.get("topology_nodes", 24), "topology_nodes"),
-                dc_slots=_whole(cfg.get("dc_slots", 4000), "dc_slots"),
-                topology_path=_path(cfg.get("topology_path"), "topology_path"),
-                graphs_path=_path(cfg.get("graphs_path"), "graphs_path"),
-                cost=CostParams(**{f.name: _real(cost_cfg[f.name], f"cost {f.name}")
-                                   for f in fields(CostParams) if f.name in cost_cfg}),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            config.record(cfg, "scenario", ("epochs", "budget_gbps", "adversary", "estimator"),
+                          ("version", *_SCENARIO_READERS))
+            if default_seed is not None:
+                cfg = {"seed": default_seed, **cfg}
+            version = config.whole(cfg.get("version", SCENARIO_SCHEMA_VERSION), "version")
+            if version != SCENARIO_SCHEMA_VERSION:
+                raise InputError(f"unsupported scenario schema version {version}")
+            return cls(**{key: read(cfg[key], key)
+                          for key, read in _SCENARIO_READERS.items() if key in cfg})
+        except InputError as exc:
             raise InputError(f"malformed scenario config: {exc}") from exc
+
+
+def _cost(value, what: str) -> CostParams:
+    cfg = config.record(value, what, optional=[f.name for f in fields(CostParams)])
+    return CostParams(**{key: config.real(v, f"cost {key}") for key, v in cfg.items()})
+
+
+# How each scenario key is read; a key the file leaves out keeps its
+# Scenario default.
+_SCENARIO_READERS = {
+    "epochs": config.whole, "budget_gbps": config.real,
+    "adversary": config.string, "estimator": config.string, "seed": config.whole,
+    "seeds": lambda value, what: [config.whole(s, "seeds entry")
+                                  for s in config.items(value, what)],
+    "gamma": config.real, "topology_nodes": config.whole, "dc_slots": config.whole,
+    "topology_path": config.path, "graphs_path": config.path, "cost": _cost,
+}
 
 
 @dataclass
@@ -260,16 +262,9 @@ def provisioning_comparison(demand_series: list[list[float]]) -> tuple[float, fl
     provisions exactly what each epoch needs. Both totals are in
     Gbps-epochs.
     """
-    if not demand_series:
+    arr = config.matrix(demand_series, "demand series")
+    if not len(arr):
         raise InputError("demand series must be nonempty")
-    try:
-        arr = np.asarray(demand_series, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"demand series must be a list of per-epoch demands: {exc}") from exc
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise InputError("demand series must be a list of per-epoch demands")
     if arr.shape[1] == 0:
         raise InputError("every epoch needs at least one demand value")
     if not (np.isfinite(arr).all() and (arr >= 0).all()):

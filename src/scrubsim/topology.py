@@ -19,6 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import config
 from .errors import InputError
 
 log = logging.getLogger(__name__)
@@ -86,12 +87,13 @@ class CostParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise InputError("alpha must be > 0")
-        if self.intra_unit_cost < 0:
-            raise InputError("intra_unit_cost must be >= 0")
-        if self.inter_unit_cost < self.intra_unit_cost:
-            raise InputError("inter_unit_cost must be >= intra_unit_cost")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise InputError("alpha must be > 0 and finite")
+        if not (math.isfinite(self.intra_unit_cost) and self.intra_unit_cost >= 0):
+            raise InputError("intra_unit_cost must be >= 0 and finite")
+        if not (math.isfinite(self.inter_unit_cost)
+                and self.inter_unit_cost >= self.intra_unit_cost):
+            raise InputError("inter_unit_cost must be >= intra_unit_cost and finite")
         if not (0 < self.beta <= 1.0):
             raise InputError("beta must be in (0, 1]")
 
@@ -354,59 +356,40 @@ def topology_to_config(topo: Topology) -> dict:
     }
 
 
-def _whole(value, what: str) -> int:
-    """An integer config field; a fraction or a boolean is refused, not
-    truncated or read as 0 or 1."""
-    if isinstance(value, bool) or int(value) != value:
-        raise InputError(f"{what} must be a whole number, not {value!r}")
-    return int(value)
-
-
-def _real(value, what: str) -> float:
-    """A numeric config field; a boolean or a string is refused, not read
-    as 0 or 1 or parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{what} must be a number, not {value!r}")
-    return float(value)
-
-
-def _flag(value, what: str) -> bool:
-    """A boolean config field: only JSON true or false, so that "false" or
-    0 is refused, not read by truthiness."""
-    if not isinstance(value, bool):
-        raise InputError(f"{what} must be true or false, not {value!r}")
-    return value
-
-
-def topology_from_config(cfg: dict) -> Topology:
+def topology_from_config(cfg) -> Topology:
     try:
-        pops = [Pop(id=i, name=str(name)) for i, name in enumerate(cfg["pops"])]
+        cfg = config.record(cfg, "topology", ("pops", "dcs"), ("latency", "links"))
+        pops = [Pop(id=i, name=config.string(name, f"pop {i} name"))
+                for i, name in enumerate(config.items(cfg["pops"], "pops"))]
         dcs = []
-        for d, spec in enumerate(cfg["dcs"]):
+        for d, spec in enumerate(config.items(cfg["dcs"], "dcs")):
+            spec = config.record(spec, f"dc {d}", ("link_capacity_gbps", "racks", "attach_pop"))
             racks = []
             sid = 0
-            for r, slot_list in enumerate(spec["racks"]):
-                slots = [int(s) for s in slot_list]
-                if any(n < 0 or n != s or isinstance(s, bool)
-                       for n, s in zip(slots, slot_list)):
+            for r, slot_list in enumerate(config.items(spec["racks"], f"dc {d} racks")):
+                slots = [config.whole(s, f"dc {d} rack {r}: server slots")
+                         for s in config.items(slot_list, f"dc {d} rack {r}")]
+                if any(n < 0 for n in slots):
                     raise InputError(f"dc {d} rack {r}: server slots must be whole "
                                      f"numbers >= 0, not {slot_list}")
                 servers = tuple(Server(id=sid + k, vm_slots=n) for k, n in enumerate(slots))
                 sid += len(slot_list)
                 racks.append(Rack(id=r, servers=servers))
-            link_gbps = _real(spec["link_capacity_gbps"], f"dc {d}: link_capacity_gbps")
+            link_gbps = config.real(spec["link_capacity_gbps"], f"dc {d}: link_capacity_gbps")
             if not link_gbps >= 0:
                 raise InputError(f"dc {d}: link_capacity_gbps must be >= 0, not {link_gbps}")
             dcs.append(Datacenter(
                 id=d,
                 link_capacity_gbps=link_gbps,
                 racks=tuple(racks),
-                attach_pop=_whole(spec["attach_pop"], f"dc {d}: attach_pop"),
+                attach_pop=config.whole(spec["attach_pop"], f"dc {d}: attach_pop"),
             ))
-        links = [(_whole(u, f"backbone link ({u}, {v}): endpoint"),
-                  _whole(v, f"backbone link ({u}, {v}): endpoint"),
-                  _real(cap, f"backbone link ({u}, {v}): capacity"))
-                 for u, v, cap in cfg.get("links", [])]
+        links = []
+        for k, link in enumerate(config.items(cfg.get("links", []), "links")):
+            u, v, cap = config.items(link, f"backbone link {k}", size=3)
+            links.append((config.whole(u, f"backbone link ({u}, {v}): endpoint"),
+                          config.whole(v, f"backbone link ({u}, {v}): endpoint"),
+                          config.real(cap, f"backbone link ({u}, {v}): capacity")))
         for u, v, cap in links:
             if not cap >= 0:
                 raise InputError(f"backbone link ({u}, {v}): capacity must be >= 0, not {cap}")
@@ -414,8 +397,8 @@ def topology_from_config(cfg: dict) -> Topology:
         if isinstance(lat_cfg, str) and lat_cfg != "derive":
             raise InputError(f'latency must be "derive" or a matrix, not {lat_cfg!r}')
         if lat_cfg != "derive":
-            latency = [[_real(v, "latency") for v in row] for row in lat_cfg]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            latency = config.matrix(lat_cfg, "latency").tolist()
+    except InputError as exc:
         raise InputError(f"malformed topology config: {exc}") from exc
 
     attach_pops = [dc.attach_pop for dc in dcs]
@@ -435,8 +418,7 @@ def topology_from_config(cfg: dict) -> Topology:
 
 
 def load_topology(path: str) -> Topology:
-    with open(path) as fh:
-        return topology_from_config(json.load(fh))
+    return config.read_json(path, "cannot load topology", topology_from_config)
 
 
 def save_topology(topo: Topology, path: str) -> None:

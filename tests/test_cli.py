@@ -15,12 +15,16 @@ from scrubsim.topology import generate_topology, save_topology
 from reference import capacity_bound_case
 
 
-def write_library(path, edit=lambda graphs: None):
-    """Write the builtin library as a graph file, after `edit` has changed
-    its list of graph configs in place."""
+def library_text(edit=lambda graphs: None):
+    """The builtin library as graph file text, after `edit` has changed its
+    list of graph configs in place."""
     graphs = [graph_to_config(g) for g in ordered_graphs(builtin_library())]
     edit(graphs)
-    path.write_text(json.dumps({"graphs": graphs}))
+    return json.dumps({"graphs": graphs})
+
+
+def write_library(path, edit=lambda graphs: None):
+    path.write_text(library_text(edit))
 
 
 def write_traffic(path, matrix):
@@ -135,7 +139,7 @@ BAD_TOPO = ["--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"]
     (["rm", "ssp", *BAD_TOPO], topo_config(racks=[[-3, 4]]),
      "dc 0 rack 0: server slots must be whole numbers >= 0, not [-3, 4]"),
     (["rm", "ssp", *BAD_TOPO], topo_config(racks=[[2.7, 4]]),
-     "dc 0 rack 0: server slots must be whole numbers >= 0, not [2.7, 4]"),
+     "dc 0 rack 0: server slots must be a whole number, not 2.7"),
     (["rm", "ssp", *BAD_TOPO], topo_config(link_gbps=float("nan"), racks=[[-3, 4]]),
      "cannot load topology"),
     (["rm", "dsp", *BAD_TOPO],
@@ -154,6 +158,24 @@ BAD_TOPO = ["--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"]
      json.dumps({"pops": ["a", "b"], "links": [[0, 1, 100]],
                  "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": True}]}),
      "dc 0: attach_pop must be a whole number, not True"),
+    (["graph", "validate", "{bad}"], library_text(lambda g: g[0]["attack"].update(name=None)),
+     "attack name must be a string, not None"),
+    (["graph", "validate", "{bad}"], library_text(lambda g: g[0]["nodes"][1].update(name=7)),
+     "node name must be a string, not 7"),
+    (["rm", "dsp", "--topo", "{topo}", "--traffic", "{bad}", "--out", "{out}"],
+     json.dumps({"traffic": [[True, 0, 0, "5"]]}), "traffic[0][0] must be a number, not True"),
+    (["compare", "provisioning", "--series", "{bad}"], json.dumps([[True, "5"], [1, 2]]),
+     "demand series[0][0] must be a number, not True"),
+    (["rm", "dsp", *BAD_TOPO],
+     json.dumps({"pops": "abcdefgh", "dcs": [{"link_capacity_gbps": 10, "racks": [[4]],
+                                               "attach_pop": 0}]}),
+     "pops must be a list, not 'abcdefgh'"),
+    (["rm", "dsp", *BAD_TOPO],
+     json.dumps({"pops": {"0": 0, "1": 1}, "dcs": [{"link_capacity_gbps": 10, "racks": [[4]],
+                                                     "attach_pop": 0}]}),
+     "pops must be a list, not {'0': 0, '1': 1}"),
+    (["graph", "validate", "{bad}"], library_text(lambda g: g[3].update(edges={})),
+     "edges must be a list, not {}"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, args, content, message):
     bad = tmp_path / "bad.json"
@@ -263,7 +285,7 @@ def test_compare_provisioning(tmp_path):
 @pytest.mark.parametrize("series, message", [
     ([[1, -2], [3, 4]], "demands must be >= 0 and finite"),
     ([[float("nan"), 1]], "demands must be >= 0 and finite"),  # written as NaN
-    ([["nan"]], "demands must be >= 0 and finite"),
+    ([["nan"]], "demand series[0][0] must be a number, not 'nan'"),
     ([[1e308], [1e308]], "demand totals overflow"),
     ([[]], "every epoch needs at least one demand value"),
 ])
@@ -435,6 +457,18 @@ def test_simulate_bad_scenario_exit_2(tmp_path):
     ({"cost": {"beta": True}}, "cost beta must be a number, not True"),
     ({"graphs_path": True}, "graphs_path must be a string, not True"),
     ({"topology_path": 5}, "topology_path must be a string, not 5"),
+    ({"cost": {"alpha": float("nan")}}, "alpha must be > 0 and finite"),
+    ({"cost": {"alpha": float("inf")}}, "alpha must be > 0 and finite"),
+    ({"cost": {"intra_unit_cost": float("nan")}}, "intra_unit_cost must be >= 0 and finite"),
+    ({"cost": {"intra_unit_cost": float("inf"), "inter_unit_cost": float("inf")}},
+     "intra_unit_cost must be >= 0 and finite"),
+    ({"cost": {"inter_unit_cost": float("nan")}},
+     "inter_unit_cost must be >= intra_unit_cost and finite"),
+    ({"cost": {"inter_unit_cost": float("inf")}},
+     "inter_unit_cost must be >= intra_unit_cost and finite"),
+    ({"gama": 1.5, "dc_slot": 150}, "scenario has unknown key 'gama'"),
+    ({"cost": {"alpha": 1.0, "betta": 0.5}}, "cost has unknown key 'betta'"),
+    ({"seeds": []}, "seeds must be nonempty"),
 ])
 def test_simulate_bad_scenario_field_exit_2(tmp_path, bad, message):
     runner = CliRunner()

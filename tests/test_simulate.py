@@ -49,7 +49,7 @@ class TestProvisioningComparison:
     @pytest.mark.parametrize("series, message", [
         ([[1.0, -2.0], [3.0, 4.0]], "demands must be >= 0 and finite"),
         ([[float("nan")]], "demands must be >= 0 and finite"),
-        ([["nan"]], "demands must be >= 0 and finite"),
+        ([["nan"]], "must be a number, not 'nan'"),
         ([[float("inf"), 1.0]], "demands must be >= 0 and finite"),
         ([[1e308], [1e308]], "demand totals overflow"),
         ([[]], "every epoch needs at least one demand value"),
