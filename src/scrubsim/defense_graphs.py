@@ -361,7 +361,11 @@ def graph_from_config(cfg) -> AnnotatedGraph:
 
 def _library(cfg) -> dict[AttackType, AnnotatedGraph]:
     graphs = config.record(cfg, "graph library", ("graphs",))["graphs"]
-    return {g.attack: g for g in map(graph_from_config, config.items(graphs, "graphs"))}
+    lib: dict[AttackType, AnnotatedGraph] = {}
+    for g in map(graph_from_config, config.items(graphs, "graphs")):
+        if lib.setdefault(g.attack, g) is not g:
+            raise InputError(f"two graphs for attack {g.attack.name} (id {g.attack.id})")
+    return lib
 
 
 def load_library(path: str) -> dict[AttackType, AnnotatedGraph]:

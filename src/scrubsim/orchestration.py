@@ -10,7 +10,6 @@ before any traffic arrives, so rule tables never grow with flow counts.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import random
@@ -141,22 +140,85 @@ def _jsonable(x):
     return x
 
 
-@dataclass
+# A switch's rules map match -> action in installation order. A match is
+# ("flow" | "tunnel" | "tag", value); an action is ("split", ((target,
+# weight), ...)), ("vm", key) or ("customer", None).
+Match = tuple[str, object]
+Action = tuple[str, object]
+
+
+@dataclass(eq=False)  # plans compare by identity: numpy arrays have no truth value
 class ForwardingPlan:
-    wide_area: dict[tuple[int, int], list[tuple[int, float]]]  # (e, a) -> [(d, weight)]
-    # switch -> {match: action} in installation order. A match is ("flow" |
-    # "tunnel" | "tag", value); an action is ("split", ((target, weight), ...)),
-    # ("vm", key) or ("customer", None), and an ingress tunnel rule's split is
-    # one tuple its graph's tunnels share.
-    dc_tables: dict[str, dict[tuple[str, object], tuple[str, object]]]
+    """Proactive forwarding state with each split stored once: the positive
+    cells as read-only (pop, attack, datacenter, weight) arrays in row-major
+    order, which give every pop flow rule and ingress tunnel rule; per placed
+    (attack, datacenter) graph, in sorted order, the split all its tunnels
+    share; and the tag tables, kept as rules because only tag matches can
+    clash. Rule counts are read from this state; `wide_area` and `dc_tables`
+    render it afresh on every read."""
+    shape: tuple[int, int, int]  # (pops, attacks, datacenters) of the assignment
+    cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    ingress: dict[tuple[int, int], Action]
+    tag_tables: dict[int, dict[Match, Action]]  # datacenter id -> tag rules
     tag_bits: int
     bidi_pins: dict[int, tuple[int, VmKey]] = field(default_factory=dict)
 
+    def _counts(self) -> tuple[list[int], dict[int, int]]:
+        """Flow rules per pop, and tunnel rules per ingress switch by
+        datacenter in the order graphs are placed: one per positive cell."""
+        e, a, d, _w = self.cells
+        n_pops, n_attacks, n_dcs = self.shape
+        # Row-major order puts a spilled cell's splits side by side.
+        first = np.ones(len(e), dtype=bool)
+        first[1:] = (e[1:] != e[:-1]) | (a[1:] != a[:-1])
+        flows = np.bincount(e[first], minlength=n_pops).tolist()
+        tunnels = np.bincount(a * n_dcs + d, minlength=n_attacks * n_dcs).tolist()
+        ingress: dict[int, int] = {}
+        for ga, gd in self.ingress:
+            ingress[gd] = ingress.get(gd, 0) + tunnels[ga * n_dcs + gd]
+        return flows, ingress
+
     def rules_by_switch(self) -> dict[str, int]:
-        return {sw: len(rules) for sw, rules in self.dc_tables.items()}
+        """Rules per switch in the order of `dc_tables`, counted without
+        rendering them."""
+        flows, ingress = self._counts()
+        counts = {f"pop{p}": n for p, n in enumerate(flows) if n}
+        for d, n in ingress.items():
+            counts[f"dc{d}-ingress"] = n
+            counts[f"dc{d}"] = len(self.tag_tables[d])
+        return {sw: n for sw, n in counts.items() if n}
 
     def max_switch_rules(self) -> int:
-        return max(self.rules_by_switch().values(), default=0)
+        flows, ingress = self._counts()
+        return max([*flows, *ingress.values(), *map(len, self.tag_tables.values())], default=0)
+
+    @property
+    def wide_area(self) -> dict[tuple[int, int], list[tuple[int, float]]]:
+        """(e, a) -> [(d, weight)] in ascending order, rendered afresh."""
+        out: dict[tuple[int, int], list[tuple[int, float]]] = {}
+        for e, a, d, w in zip(*(x.tolist() for x in self.cells)):
+            out.setdefault((e, a), []).append((d, w))
+        return out
+
+    @property
+    def dc_tables(self) -> dict[str, dict[Match, Action]]:
+        """Every switch's rules, rendered afresh in installation order: the
+        pop switches, then per placed graph its datacenter's ingress switch
+        and tag switch; a switch without rules is left out."""
+        tables: dict[str, dict[Match, Action]] = {}
+        tunnel_pops: dict[tuple[int, int], list[int]] = {}
+        for (e, a), splits in self.wide_area.items():
+            tables.setdefault(f"pop{e}", {})[("flow", f"e{e}-a{a}")] = (
+                "split", tuple((f"tunnel-e{e}-d{d}", w) for d, w in splits))
+            for d, _w in splits:
+                tunnel_pops.setdefault((a, d), []).append(e)
+        for (a, d), split in self.ingress.items():
+            ingress = tables.setdefault(f"dc{d}-ingress", {})
+            for e in tunnel_pops.get((a, d), ()):
+                ingress[("tunnel", f"e{e}-a{a}")] = split
+            if f"dc{d}" not in tables:
+                tables[f"dc{d}"] = dict(self.tag_tables[d])
+        return {sw: t for sw, t in tables.items() if t}
 
     def to_json(self) -> dict:
         return {
@@ -180,22 +242,6 @@ class ForwardingPlan:
             fh.write("\n")
 
 
-@functools.lru_cache(maxsize=4)
-def _shape_keys(n_pops: int, n_attacks: int, n_dcs: int) -> tuple:
-    """Rule keys and switch names of a plan shape, and the wide-area pair and
-    pop split of a cell sent whole to one datacenter: immutable, so shared."""
-    pops, dcs = range(n_pops), range(n_dcs)
-    flows = [[f"e{e}-a{a}" for a in range(n_attacks)] for e in pops]
-    tunnels = [[f"tunnel-e{e}-d{d}" for d in dcs] for e in pops]
-    return (tuple(tuple((e, a) for a in range(n_attacks)) for e in pops),
-            tuple(tuple(("flow", name) for name in row) for row in flows),
-            tuple(tuple(("tunnel", name) for name in row) for row in flows),
-            tuple(tunnels), tuple(f"pop{e}" for e in pops),
-            tuple(f"dc{d}" for d in dcs), tuple(f"dc{d}-ingress" for d in dcs),
-            tuple((d, 1.0) for d in dcs),
-            tuple(tuple(("split", ((name, 1.0),)) for name in row) for row in tunnels))
-
-
 def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                      topo: Topology,
                      lib: dict[AttackType, AnnotatedGraph]) -> ForwardingPlan:
@@ -213,40 +259,22 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         placed = placed_counts[(r.attack_id, r.dc_id)] = {}
         for (node, _rack, _srv), c in r.n_srv.items():
             placed[node] = placed.get(node, 0) + c
-    n_attacks, n_dcs = dsp.f.shape[1:]
-    (cells, flows, tunnels, tunnel_names, pop_sw, dc_sw, ingress_sw, whole_pairs,
-     whole_splits) = _shape_keys(*dsp.f.shape)
 
-    # Per switch, its match -> action table in installation order; a table
-    # that gets no rule is dropped at the end. Pop and ingress matches are
-    # unique by construction (one flow rule per (e, a) cell, one tunnel rule
-    # per (e, a, d) cell); only tag matches come from the pools and can clash.
-    tables: dict[str, dict[tuple[str, object], tuple[str, object]]] = {}
-    # np.nonzero walks the (e, a, d) cells in row-major order, so wide_area
-    # and the pop tables fill in ascending (e, a) order, each (e, a)'s splits
-    # come out in ascending datacenter order and each (a, d)'s tunnel pops
-    # ascend. A spilled cell's split action is rebuilt as its splits grow.
-    wide_area: dict[tuple[int, int], list[tuple[int, float]]] = {}
-    tunnel_pops = [[[] for _d in range(n_dcs)] for _a in range(n_attacks)]
+    # np.nonzero walks the (e, a, d) cells in row-major order, so the cells
+    # ascend by (e, a) and each (e, a)'s splits by datacenter. The weights
+    # are a copy, so a later edit of dsp.f leaves the plan alone.
     assigned = np.nonzero(dsp.f > 0)
-    for e, a, d, w in zip(*(ix.tolist() for ix in assigned), dsp.f[assigned].tolist()):
-        splits = wide_area.get(cells[e][a])
-        if splits is None and w == 1.0:
-            wide_area[cells[e][a]] = [whole_pairs[d]]
-            action = whole_splits[e][d]
-        else:
-            if splits is None:
-                splits = wide_area[cells[e][a]] = []
-            splits.append((d, w))
-            action = ("split", tuple((tunnel_names[e][dc], weight) for dc, weight in splits))
-        tables.setdefault(pop_sw[e], {})[flows[e][a]] = action
-        tunnel_pops[a][d].append(e)
+    cells = (*assigned, dsp.f[assigned])
+    for x in cells:
+        x.flags.writeable = False
 
     # Egress tags grouped by graph, in (attack, dc, node, context) order.
     egress: dict[tuple[int, int], list[int]] = {}
     for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
         egress.setdefault((ea, ed), []).append(tag)
 
+    ingress: dict[tuple[int, int], Action] = {}
+    tag_tables: dict[int, dict[Match, Action]] = {}
     for (a, d), pg in sorted(dsp.physical.items()):
         if pg.total_vms == 0:
             continue
@@ -257,38 +285,28 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         for node in (*graph.roots, *sorted(pg.counts)):
             if placed.get(node, 0) < pg.counts.get(node, 0):
                 raise InputError(f"unplaced VM {(a, d, node, placed.get(node, 0))}")
-        sw = dc_sw[d]
         root_targets = []
         for root in graph.roots:
             n_root = pg.counts.get(root, 0)
             weight = graph.external_fraction(root) / n_root if n_root else 0.0
             root_targets += [((a, d, root, k), weight) for k in range(n_root)]
         # Every tunnel into the graph splits the same way: one shared action.
-        split = ("split", tuple(root_targets))
-        ingress = tables.setdefault(ingress_sw[d], {})
-        for e in tunnel_pops[a][d]:
-            ingress[tunnels[e][a]] = split
-        table = tables.setdefault(sw, {})
-        for node in sorted(pg.counts):
-            for k in range(pg.counts[node]):
-                key = (a, d, node, k)
-                tag = pools.instance_tags.get(key)
-                if tag is not None:
-                    match = ("tag", tag)
-                    if match in table:
-                        raise InputError(f"duplicate rule match {match} on {sw}")
-                    table[match] = ("vm", key)
-        for tag in egress.get((a, d), []):
-            match = ("tag", tag)
-            if match in table:
-                raise InputError(f"duplicate rule match {match} on {sw}")
-            table[match] = ("customer", None)
+        ingress[(a, d)] = ("split", tuple(root_targets))
+        table = tag_tables.setdefault(d, {})
+        rules = [(pools.instance_tags.get((a, d, node, k)), ("vm", (a, d, node, k)))
+                 for node in sorted(pg.counts) for k in range(pg.counts[node])]
+        rules += [(tag, ("customer", None)) for tag in egress.get((a, d), [])]
+        for tag, action in rules:
+            if tag is not None:
+                match = ("tag", tag)
+                if match in table:
+                    raise InputError(f"duplicate rule match {match} on dc{d}")
+                table[match] = action
 
     max_tag = pools.max_tag
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
-    return ForwardingPlan(wide_area=wide_area,
-                          dc_tables={sw: t for sw, t in tables.items() if t},
-                          tag_bits=tag_bits)
+    return ForwardingPlan(shape=dsp.f.shape, cells=cells, ingress=ingress,
+                          tag_tables=tag_tables, tag_bits=tag_bits)
 
 
 def rule_count_comparison(plan: ForwardingPlan, n_flows: int) -> tuple[int, int]:
@@ -323,21 +341,18 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
         return 0
     count = 0
     a, d = pg.attack.id, pg.dc_id
-    # A pool tag names a VM of this graph's own (attack, dc), and identity
-    # tags are unique, so the inverse over the graph's instances is exact.
-    own = ((a, d, node, k) for node, c in pg.counts.items() for k in range(c))
-    vm_of_tag = {pools.instance_tags[vm]: vm for vm in own if vm in pools.instance_tags}
+    # The datacenter's tag table maps each identity tag to its VM; an
+    # egress tag's customer action is no pin target.
+    table = plan.tag_tables.get(d, {})
     for node in sorted(pg.counts):
         if not pg.counts[node] or graph.node(node).kind != "analysis":
             continue
         for c in range(len(graph.successors(node))):
             for tag in pools.pools.get(((a, d, node), c), []):
-                target = vm_of_tag.get(tag)
-                if target is not None:
-                    before = tag in plan.bidi_pins
-                    pin_bidirectional(plan, tag, d, target)
-                    if not before:
-                        count += 1
+                action = table.get(("tag", tag), ("customer", None))
+                if action[0] == "vm":
+                    count += tag not in plan.bidi_pins
+                    pin_bidirectional(plan, tag, d, action[1])
     return count
 
 
@@ -348,7 +363,7 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
     rules. Returns a list of human-readable gaps (empty when complete)."""
     graph = lib[pg.attack]
     a, d, counts = pg.attack.id, pg.dc_id, pg.counts
-    table = plan.dc_tables.get(f"dc{d}", {})
+    table = plan.tag_tables.get(d, {})
     gaps = []
     for s, dst, w in graph.edges:
         if w <= 0 or not counts.get(s) or not counts.get(dst):

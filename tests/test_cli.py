@@ -176,6 +176,9 @@ BAD_TOPO = ["--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"]
      "pops must be a list, not {'0': 0, '1': 1}"),
     (["graph", "validate", "{bad}"], library_text(lambda g: g[3].update(edges={})),
      "edges must be a list, not {}"),
+    (["graph", "validate", "{bad}"],
+     library_text(lambda g: g.append(dict(g[0], edges=g[0]["edges"][:1]))),
+     "two graphs for attack syn_flood (id 0)"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, args, content, message):
     bad = tmp_path / "bad.json"

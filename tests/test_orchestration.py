@@ -19,7 +19,6 @@ from scrubsim.defense_graphs import (
 )
 from scrubsim.errors import CapacityError, InputError, PinConflictError, PlacementError
 from scrubsim.orchestration import (
-    ForwardingPlan,
     TagPool,
     assign_tags,
     build_tag_pools,
@@ -265,7 +264,7 @@ class TestPlanRealizesEdges:
 
     def test_tag_without_switch_rule(self):
         lib, pools, plan, pg = self._setup()
-        del plan.dc_tables["dc0"][("tag", 2)]
+        del plan.tag_tables[0][("tag", 2)]
         assert plan_realizes_edges(plan, pg, pools, lib) == [
             "tag 2 from node (0, 0, 0) has no switch rule",
             "edge 0->1: node (0, 0, 0) reaches instances [0] of [0, 1]"]
@@ -421,28 +420,7 @@ class TestBidirectionalPins:
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib, seed=3)
         plan = synthesize_rules(dsp, ssps, pools, topo, lib)
-        graphs = ordered_graphs(lib)
-
-        want: dict[int, tuple[int, tuple]] = {}
-        want_counts = []
-        for (a, d), pg in sorted(dsp.physical.items()):
-            count = 0
-            graph = graphs[a]
-            if graph.bidirectional:
-                for node in sorted(pg.counts):
-                    if graph.node(node).kind != "analysis":
-                        continue
-                    for k in range(pg.counts[node]):
-                        vm = (a, d, node, k)
-                        for c in range(len(graph.successors(node))):
-                            for tag in pools.pool(vm, c):
-                                target = next((v for v, t in pools.instance_tags.items()
-                                               if t == tag), None)
-                                if target is not None and tag not in want:
-                                    want[tag] = (d, target)
-                                    count += 1
-            want_counts.append(count)
-
+        want, want_counts = reference_pins(dsp.physical, pools, lib)
         got_counts = [pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
                       for key in sorted(dsp.physical)]
         assert got_counts == want_counts
@@ -451,10 +429,11 @@ class TestBidirectionalPins:
 
 
 # ---------------------------------------------------------------------------
-# Linear references: assign_tags and synthesize_rules as they were written
-# before their per-node and per-graph work was hoisted out of the instance
-# and rule loops. Each walks every instance and rule on its own; the library
-# functions must produce equal pools and equal plans, not close ones.
+# Linear references: assign_tags, synthesize_rules and the bidirectional pins
+# as they were written before their per-node and per-graph work was hoisted
+# out of the instance and rule loops, and before the plan stored each split
+# once. Each walks every instance and rule on its own; the library functions
+# must produce equal pools, equal plans and equal pins, not close ones.
 
 def reference_assign_tags(pg, lib, seed=None, pools=None, max_bits=None):
     graph = lib[pg.attack]
@@ -549,9 +528,51 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
             add(f"dc{d}", ("tag", tag), ("customer", None))
     max_tag = max([t for p in pools.pools.values() for t in p], default=0)
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
-    return ForwardingPlan(wide_area=wide_area,
-                          dc_tables=tables,
-                          tag_bits=tag_bits)
+    return wide_area, tables, tag_bits
+
+
+def reference_pins(physical, pools, lib):
+    """Every bidirectional graph's pins by a linear search of the identity
+    tags, and the number of new pins per graph in sorted order."""
+    graphs = ordered_graphs(lib)
+    pins: dict[int, tuple[int, tuple]] = {}
+    counts = []
+    for (a, d), pg in sorted(physical.items()):
+        count = 0
+        graph = graphs[a]
+        if graph.bidirectional:
+            for node in sorted(pg.counts):
+                if graph.node(node).kind != "analysis":
+                    continue
+                for k in range(pg.counts[node]):
+                    vm = (a, d, node, k)
+                    for c in range(len(graph.successors(node))):
+                        for tag in pools.pool(vm, c):
+                            target = next((v for v, t in pools.instance_tags.items()
+                                           if t == tag), None)
+                            if target is not None and tag not in pins:
+                                pins[tag] = (d, target)
+                                count += 1
+        counts.append(count)
+    return pins, counts
+
+
+def reference_state(wide_area, tables, tag_bits):
+    """`plan_state` of a pin-free plan that stores `wide_area` and every
+    switch's `tables`, with its file written one rule at a time."""
+    data = {
+        "wide_area": {f"e{e}-a{a}": [[d, w] for d, w in sorted(splits)]
+                      for (e, a), splits in sorted(wide_area.items())},
+        "dc_tables": {sw: [{"switch": sw, "match": list(match),
+                            "action": json.loads(json.dumps(action))}
+                           for match, action in rules.items()]
+                      for sw, rules in sorted(tables.items())},
+        "tag_bits": tag_bits,
+        "bidi_pins": {},
+    }
+    return (data, json.dumps(data, indent=2, sort_keys=True),
+            {sw: len(rules) for sw, rules in tables.items()}, list(wide_area.items()),
+            {sw: list(rules.items()) for sw, rules in tables.items()})
 
 
 def pool_state(pools, physical=None):
@@ -567,6 +588,27 @@ def plan_state(plan):
     return (plan.to_json(), json.dumps(plan.to_json(), indent=2, sort_keys=True),
             plan.rules_by_switch(), list(plan.wide_area.items()),
             {sw: list(rules.items()) for sw, rules in plan.dc_tables.items()})
+
+
+def assert_counts_and_renders_stand(plan, dsp):
+    """The switch counts list the rendered tables' lengths in their order,
+    and editing the assignment or a rendering after compiling changes no
+    later rendering and no plan file."""
+    want = plan_state(plan)
+    assert list(plan.rules_by_switch().items()) == [
+        (sw, len(rules)) for sw, rules in plan.dc_tables.items()]
+    dsp.f[...] = 0.5
+    for splits in plan.wide_area.values():
+        splits.append((99, 0.5))
+    wide_area, tables = plan.wide_area, plan.dc_tables
+    for splits in wide_area.values():
+        splits.clear()
+    for rules in tables.values():
+        rules.clear()
+    assert plan_state(plan) == want
+    for x in plan.cells:
+        with pytest.raises(ValueError):
+            x[...] = 0
 
 
 def outcome(fn, *args):
@@ -617,14 +659,15 @@ class TestMatchesLinearReference:
                 del victim.n_srv[data.draw(st.sampled_from(sorted(victim.n_srv)))]
         got = outcome(synthesize_rules, dsp, ssps, pools, topo, lib)
         want = outcome(reference_synthesize_rules, dsp, ssps, pools, topo, lib)
-        if isinstance(want, tuple):
+        if isinstance(want[0], type):
             assert got == want
         else:
-            assert plan_state(got) == plan_state(want)
-            for pg in dsp.physical.values():
-                assert (pin_bidirectional_for_graph(got, pg, pools, lib)
-                        == pin_bidirectional_for_graph(want, pg, pools, lib))
-            assert got.bidi_pins == want.bidi_pins
+            assert plan_state(got) == reference_state(*want)
+            want_pins, want_counts = reference_pins(dsp.physical, pools, lib)
+            assert [pin_bidirectional_for_graph(got, dsp.physical[key], pools, lib)
+                    for key in sorted(dsp.physical)] == want_counts
+            assert list(got.bidi_pins.items()) == list(want_pins.items())
+            assert_counts_and_renders_stand(got, dsp)
 
 
 def compile_inputs(nodes, seed):
@@ -643,8 +686,8 @@ def plan_bytes(plan):
 
 
 class TestSharedShapeKeys:
-    """Plans of one shape share their rule keys and whole-cell split actions;
-    nothing a caller can mutate may be shared."""
+    """Plans of every shape compile alike, and nothing a caller can mutate is
+    shared between plans or between a plan and its renderings."""
 
     def test_mutating_a_plan_changes_no_later_plan(self):
         first, second = compile_inputs(24, 1), compile_inputs(24, 2)
@@ -653,19 +696,18 @@ class TestSharedShapeKeys:
         plan = synthesize_rules(*first)
         assert any(len(splits) == 1 and splits[0][1] == 1.0
                    for splits in plan.wide_area.values())
-        for splits in plan.wide_area.values():
-            splits.append((99, 0.5))
-        for rules in plan.dc_tables.values():
+        for rules in plan.tag_tables.values():
             del rules[next(iter(rules))]
         pin_bidirectional(plan, 12345, 0, (0, 0, 0, 0))
         for args, want in ((second, want_second), (first, want_first)):
             fresh = synthesize_rules(*args)
             assert plan_bytes(fresh) == want
             assert fresh.bidi_pins == {}
+            assert_counts_and_renders_stand(fresh, args[0])
 
     def test_alternating_shapes_match_reference(self):
         small, large = compile_inputs(24, 3), compile_inputs(48, 3)
         assert small[0].f.shape != large[0].f.shape
         for args in (small, large, small, large):
             assert (plan_state(synthesize_rules(*args))
-                    == plan_state(reference_synthesize_rules(*args)))
+                    == reference_state(*reference_synthesize_rules(*args)))

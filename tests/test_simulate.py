@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from scrubsim import simulate
+from scrubsim.defense_graphs import builtin_library
 from scrubsim.errors import InputError, PlacementError
+from scrubsim.orchestration import ForwardingPlan
 from scrubsim.resource_manager import place_all
 from scrubsim.simulate import (
     Scenario,
@@ -18,6 +20,7 @@ from scrubsim.simulate import (
     run_simulation,
     verify_records_feasible,
 )
+from scrubsim.topology import generate_topology
 from reference import capacity_bound_case
 
 RUN_BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
@@ -204,6 +207,38 @@ def test_control_plane_reports_a_failed_placement():
     with pytest.raises(PlacementError) as exc:
         place_all(topo, step.dsp, lib)
     assert step.error == str(exc.value) != ""
+
+
+def test_epochs_count_rules_without_rendering_tables(monkeypatch):
+    """An epoch reads only the plan's rule counts: with every rendering of
+    the plan made to raise, a run still completes and counts its rules."""
+    def refuse(_plan):
+        raise AssertionError("an epoch rendered a forwarding plan")
+    for name in ("wide_area", "dc_tables"):
+        monkeypatch.setattr(ForwardingPlan, name, property(refuse))
+    monkeypatch.setattr(ForwardingPlan, "to_json", refuse)
+    records = run_simulation(tiny_scenario(epochs=3, adversary="randhybrid",
+                                           estimator="fpl"))
+    assert [r.infeasible for r in records] == [""] * 3
+    assert all(r.tag_rules > 0 for r in records)
+
+
+def test_sim_dense_rule_counts():
+    """sim-dense's scenario at run seeds 3555-3559 (the benchmark's seed
+    711): 100 epochs of 196 pops at 1 Tbps, randhybrid, fpl, topology seed
+    1. The summed switch counts, the busiest switch and the summed VMs are
+    those the per-rule tables gave before the plan stored each split once."""
+    topo, lib = generate_topology(196, dc_slot_capacity=4000, seed=1), builtin_library()
+    sc = Scenario(epochs=20, budget_gbps=1000.0, adversary="randhybrid", estimator="fpl",
+                  topology_nodes=196)
+    rules = busiest = vms = 0
+    for run_seed in range(3555, 3560):
+        for record, step in simulate._epochs(sc, run_seed, topo, lib):
+            per_switch = step.plan.rules_by_switch()
+            rules += sum(per_switch.values())
+            busiest = max(busiest, *per_switch.values())
+            vms += record.vm_total
+    assert (rules, busiest, vms) == (184_484, 240, 46_276)
 
 
 class TestEmitReport:
