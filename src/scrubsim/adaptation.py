@@ -129,12 +129,9 @@ def adversary_next(strategy: AdversaryStrategy, budget: Budget, epoch: int,
     return mix
 
 
-def check_estimator(kind: str, gamma: float) -> None:
-    """An estimator name and an overprovision cushion (finite, >= 1)."""
+def check_estimator(kind: str) -> None:
     if kind not in ESTIMATORS:
         raise InputError(f"unknown estimator {kind!r}")
-    if not (1.0 <= gamma < math.inf):
-        raise InputError("gamma must be >= 1 and finite")
 
 
 @dataclass
@@ -142,16 +139,12 @@ class EstimatorState:
     kind: str
     n_pops: int
     n_attacks: int
-    gamma: float = 1.0
-    history: list[np.ndarray] = field(default_factory=list)
+    history: list[np.ndarray] = field(default_factory=list, init=False)
     # Running sum of ``history``, kept by observe() (the only way to grow it).
     _total: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_estimator(self.kind, self.gamma)
-        given, self.history = self.history, []
-        for mix in given:
-            self.observe(mix)
+        check_estimator(self.kind)
 
     def observe(self, mix: np.ndarray) -> None:
         mix = np.array(mix, dtype=float)
@@ -167,8 +160,8 @@ def perturbation_bound(budget: float, next_epoch: "int | np.ndarray", n_pops: in
     return 2.0 * budget / (next_epoch * n_pops * n_attacks)
 
 
-def fpl_estimate(state: EstimatorState, budget: "Budget | float", n_pops: int,
-                 n_attacks: int, rng: np.random.Generator) -> np.ndarray:
+def fpl_estimate(state: EstimatorState, budget: "Budget | float",
+                 rng: np.random.Generator) -> np.ndarray:
     """Empirical mean of past mixes plus an independent uniform perturbation
     per cell, drawn from [0, 2B / (nextEpoch * |E| * |A|)].
 
@@ -176,6 +169,7 @@ def fpl_estimate(state: EstimatorState, budget: "Budget | float", n_pops: int,
     additions as ``np.mean(history, axis=0)``, so the same bits, except for a
     single-cell mix, where numpy sums the history pairwise instead.
     """
+    n_pops, n_attacks = state.n_pops, state.n_attacks
     next_epoch = len(state.history) + 1
     if state.history:
         mean = state._total / len(state.history)
@@ -204,7 +198,7 @@ def estimate(state: EstimatorState, budget: Budget,
     if state.kind == "fpl":
         if rng is None:
             raise InputError("fpl estimator needs an rng")
-        return fpl_estimate(state, budget, state.n_pops, state.n_attacks, rng)
+        return fpl_estimate(state, budget, rng)
     if state.kind == "prevepoch":
         return prev_epoch_estimate(state)
     return uniform_estimate(budget, state.n_pops, state.n_attacks)
@@ -480,43 +474,40 @@ def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) 
     return noise.reshape(n_t, *shape)
 
 
-def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int,
-            gamma: float) -> np.ndarray:
+def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int) -> np.ndarray:
     """The (T, E, A) provisions of an estimator fed the stacked (T, E, A)
     trace with the one-epoch observation lag, built in whole-array passes.
 
-    Row t equals ``estimate`` after observing rows 0..t-1, times gamma, bit
-    for bit: the fpl mean is the running sum (``np.cumsum`` adds rows in
-    sequence, as ``EstimatorState.observe`` does) over the epoch count, and
-    its noise for row t is the stream of ``default_rng([seed, t])``, which
+    Row t equals ``estimate`` after observing rows 0..t-1, bit for bit: the
+    fpl mean is the running sum (``np.cumsum`` adds rows in sequence, as
+    ``EstimatorState.observe`` does) over the epoch count, and its noise for
+    row t is the stream of ``default_rng([seed, t])``, which
     ``_seeded_uniform_rows`` reproduces for every epoch at once, in array
     passes over all epochs and draws, without a generator. fpl needs a
     non-negative integer seed.
     """
-    check_estimator(kind, gamma)
+    check_estimator(kind)
     n_t, n_pops, n_attacks = actual.shape
     if kind == "uniform":
-        return np.broadcast_to(uniform_estimate(budget, n_pops, n_attacks) * gamma,
-                               actual.shape)
+        return np.broadcast_to(uniform_estimate(budget, n_pops, n_attacks), actual.shape)
     # Row t holds what was observed before epoch t: nothing at t = 0.
     if kind == "prevepoch":
-        return np.concatenate((np.zeros((1, n_pops, n_attacks)), actual[:-1])) * gamma
+        return np.concatenate((np.zeros((1, n_pops, n_attacks)), actual[:-1]))
     mean = np.zeros(actual.shape)
     mean[1:] = np.cumsum(actual[:-1], axis=0) / np.arange(1, n_t)[:, None, None]
     bounds = perturbation_bound(_gbps(budget), np.arange(1, n_t + 1), n_pops, n_attacks)
     noise = _seeded_uniform_rows(seed, bounds, (n_pops, n_attacks))
-    return np.maximum(mean + noise, 0.0) * gamma
+    return np.maximum(mean + noise, 0.0)
 
 
 def run_estimator_on_trace(kind: str, trace: "list[np.ndarray] | np.ndarray",
                            budget: Budget, lib: dict[AttackType, AnnotatedGraph],
-                           seed: int = 0, gamma: float = 1.0) -> RegretReport:
+                           seed: int = 0) -> RegretReport:
     """Feed a fixed adversary trace through an estimator with the one-epoch
     observation lag and account the losses. The trace is stacked once; the
     replay, its scoring and the hindsight reference all read that array."""
     actual = _stack(trace)
-    losses = _trace_losses(_replay(kind, actual, budget, seed, gamma), actual,
-                           _compute_factors(lib))
+    losses = _trace_losses(_replay(kind, actual, budget, seed), actual, _compute_factors(lib))
     return normalized_regret(actual, *losses, lib)
 
 
@@ -527,8 +518,7 @@ _PER_EPOCH_COLUMNS = ("wastage_gbps", "evasion_gbps", "wastage_vm", "cum_g1_vm",
 def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
                             n_pops: int, budget: Budget,
                             lib: dict[AttackType, AnnotatedGraph], epochs: int,
-                            seeds: list[int],
-                            gamma: float = 1.0) -> list[dict[str, float]]:
+                            seeds: list[int]) -> list[dict[str, float]]:
     """Per-epoch loss series for one strategy/estimator pair, averaged over
     seeds: wastage, evasion, VM wastage, per-goal running cumulatives, and
     regret accruing against the full-trace hindsight static (so the final
@@ -543,8 +533,7 @@ def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
         actual = _stack([adversary_next(strat, budget, t, n_pops, n_attacks)
                          for t in range(epochs)])
         static, _static_loss = best_static_hindsight(actual)
-        w, v, m = _trace_losses(_replay(estimator_kind, actual, budget, seed, gamma),
-                                actual, factors)
+        w, v, m = _trace_losses(_replay(estimator_kind, actual, budget, seed), actual, factors)
         pw, pv, _pm = _trace_losses(static, actual, factors)
         cum_w, cum_v, cum_vm, s_w, s_v, volume = np.cumsum(
             [w, v, m, pw, pv, actual.sum(axis=(1, 2))], axis=1)
@@ -581,8 +570,7 @@ def regret_experiment(n_pops: int, budget: Budget,
                       lib: dict[AttackType, AnnotatedGraph], epochs: int,
                       seeds: list[int],
                       strategies: tuple[str, ...] = STRATEGIES,
-                      estimators: tuple[str, ...] = ESTIMATORS,
-                      gamma: float = 1.0) -> list[RegretTableRow]:
+                      estimators: tuple[str, ...] = ESTIMATORS) -> list[RegretTableRow]:
     """Sweep adversary strategies x estimators; each seed fixes one adversary
     trace that every estimator replays, so regrets share the same hindsight
     reference."""
@@ -598,8 +586,7 @@ def regret_experiment(n_pops: int, budget: Budget,
                             for t in range(epochs)])
             for est_kind in estimators:
                 per_estimator[est_kind].append(
-                    run_estimator_on_trace(est_kind, trace, budget, lib,
-                                           seed=seed, gamma=gamma))
+                    run_estimator_on_trace(est_kind, trace, budget, lib, seed=seed))
         for est_kind in estimators:
             reports = per_estimator[est_kind]
             rows.append(RegretTableRow(

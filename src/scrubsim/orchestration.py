@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,14 +50,12 @@ class TagPool:
 
 
 def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
-                seed: int | None = None, pools: TagPool | None = None,
-                max_bits: int | None = None) -> TagPool:
+                pools: TagPool | None = None) -> TagPool:
     """Allocate tags for one placed physical graph.
 
     Tag values are consecutive integers from the pool's counter (canonical
-    order: node id, then instance index); a seed shuffles the numbering
-    deterministically. Passing an existing TagPool keeps values unique
-    across graphs and datacenters.
+    order: node id, then instance index). Passing an existing TagPool keeps
+    values unique across graphs and datacenters.
     """
     graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
@@ -78,12 +75,7 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
 
     n_slots = len(vm_keys) + len(egress_keys)
     values = list(range(pools.next_tag, pools.next_tag + n_slots))
-    if seed is not None:
-        random.Random(seed).shuffle(values)
     pools.next_tag += n_slots
-    if max_bits is not None and values and max(values) >= (1 << max_bits):
-        raise CapacityError(
-            f"tag space exhausted: need tag {max(values)} with only {max_bits} bits")
 
     pools.instance_tags.update(zip(vm_keys, values))
     pools.egress_tags.update(zip(egress_keys, values[len(vm_keys):]))
@@ -101,12 +93,11 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
 
 
 def build_tag_pools(physical: dict[tuple[int, int], PhysicalGraph],
-                    lib: dict[AttackType, AnnotatedGraph],
-                    seed: int | None = None) -> TagPool:
+                    lib: dict[AttackType, AnnotatedGraph]) -> TagPool:
     """One deployment-wide pool covering every (attack, datacenter) graph."""
     pools = TagPool()
     for key in sorted(physical):
-        assign_tags(physical[key], lib, seed=seed, pools=pools)
+        assign_tags(physical[key], lib, pools=pools)
     return pools
 
 
@@ -307,13 +298,6 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
     return ForwardingPlan(shape=dsp.f.shape, cells=cells, ingress=ingress,
                           tag_tables=tag_tables, tag_bits=tag_bits)
-
-
-def rule_count_comparison(plan: ForwardingPlan, n_flows: int) -> tuple[int, int]:
-    """Largest per-switch table in the plan versus one rule per flow."""
-    if n_flows < 0:
-        raise InputError("n_flows must be >= 0")
-    return plan.max_switch_rules(), n_flows
 
 
 def pin_bidirectional(plan: ForwardingPlan, outbound_tag: int, dc: int,

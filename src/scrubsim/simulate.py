@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
@@ -70,7 +71,9 @@ class Scenario:
         Budget(self.budget_gbps)  # rejects a budget that is not finite and > 0
         if self.adversary not in STRATEGIES:
             raise InputError(f"unknown adversary strategy {self.adversary!r}")
-        check_estimator(self.estimator, self.gamma)
+        check_estimator(self.estimator)
+        if not (1.0 <= self.gamma < math.inf):
+            raise InputError("gamma must be >= 1 and finite")
         if self.seeds is not None and not self.seeds:
             raise InputError("seeds must be nonempty")
         _check_fpl_seeds(self.estimator, [self.seed, *(self.seeds or [])])
@@ -101,8 +104,14 @@ class Scenario:
             version = config.whole(cfg.get("version", SCENARIO_SCHEMA_VERSION), "version")
             if version != SCENARIO_SCHEMA_VERSION:
                 raise InputError(f"unsupported scenario schema version {version}")
-            return cls(**{key: read(cfg[key], key)
-                          for key, read in _SCENARIO_READERS.items() if key in cfg})
+            values = {key: read(cfg[key], key)
+                      for key, read in _SCENARIO_READERS.items() if key in cfg}
+            if values.get("topology_path") is not None:
+                for key in ("topology_nodes", "dc_slots"):
+                    if key in values:
+                        raise InputError(f"{key} cannot be set with a topology_path, "
+                                         "which fixes the topology")
+            return cls(**values)
         except InputError as exc:
             raise InputError(f"malformed scenario config: {exc}") from exc
 
@@ -218,8 +227,7 @@ def _epochs(sc: Scenario, seed: int, topo: Topology,
     n_pops, n_attacks = len(topo.pops), len(graphs)
     budget = Budget(sc.budget_gbps)
     strategy = AdversaryStrategy(kind=sc.adversary, seed=seed)
-    state = EstimatorState(kind=sc.estimator, n_pops=n_pops,
-                           n_attacks=n_attacks, gamma=sc.gamma)
+    state = EstimatorState(kind=sc.estimator, n_pops=n_pops, n_attacks=n_attacks)
 
     for t in range(sc.epochs):
         actual = adversary_next(strategy, budget, t, n_pops, n_attacks)

@@ -135,13 +135,6 @@ class Topology:
                 raise InputError(f"missing backbone path for pop {e} -> dc {d}")
 
 
-def latency_cost(topo: Topology, e: int, d: int) -> float:
-    """Unit cost of steering traffic from ingress `e` to datacenter `d`."""
-    if not (0 <= e < len(topo.pops)) or not (0 <= d < len(topo.datacenters)):
-        raise InputError(f"latency_cost: index out of range (e={e}, d={d})")
-    return topo.latency[e][d]
-
-
 def _geometric_graph(n: int, rng: random.Random) -> dict[int, set[int]]:
     """Connected random geometric graph on n nodes in the unit square."""
     coords = [(rng.random(), rng.random()) for _ in range(n)]

@@ -32,7 +32,6 @@ from scrubsim.defense_graphs import (
 from scrubsim.oracle import gap_summary, oracle_comparison, random_tiny_instance
 from scrubsim.orchestration import (
     build_tag_pools,
-    rule_count_comparison,
     synthesize_rules,
     tag_space_bound,
 )
@@ -102,8 +101,8 @@ def test_criterion_3_rule_count_separation():
     pools = build_tag_pools(dsp.physical, lib)
     plan = synthesize_rules(dsp, ssps, pools, topo, lib)
     vms = dsp.total_vms()
-    tag_rules, per_flow = rule_count_comparison(plan, 200_000)
-    ratio = per_flow / tag_rules
+    tag_rules = plan.max_switch_rules()
+    ratio = 200_000 / tag_rules
 
     # (b) a 1 Tbps attack across the full topology.
     topo_big = generate_topology(196, 4000, seed=1)
@@ -317,7 +316,7 @@ def test_criterion_10_fpl_perturbation_properties():
         bound = perturbation_bound(budget, next_epoch, n_pops, n_attacks)
         rng = np.random.default_rng([next_epoch, 99])
         draws = np.concatenate([
-            fpl_estimate(state, budget, n_pops, n_attacks, rng).ravel()
+            fpl_estimate(state, budget, rng).ravel()
             for _ in range(math.ceil(100_000 / cells))
         ])
         assert draws.size >= 100_000

@@ -37,6 +37,7 @@ from scrubsim.defense_graphs import (
     ordered_graphs,
 )
 from scrubsim.errors import InputError
+from scrubsim.simulate import Scenario
 
 LIB = builtin_library()
 LIB2 = {g.attack: g for g in ordered_graphs(LIB)[:2]}
@@ -104,7 +105,7 @@ class TestFpl:
         state = EstimatorState("fpl", 1, 2)
         assert perturbation_bound(30.0, 1, 1, 2) == pytest.approx(30.0)
         for seed in range(50):
-            est = fpl_estimate(state, Budget(30.0), 1, 2, np.random.default_rng(seed))
+            est = fpl_estimate(state, Budget(30.0), np.random.default_rng(seed))
             assert (est >= 0).all() and (est <= 30.0 + 1e-12).all()
 
     def test_converges_on_constant_history(self):
@@ -112,7 +113,7 @@ class TestFpl:
         state = EstimatorState("fpl", 2, 2)
         for _ in range(200):
             state.observe(target)
-        est = fpl_estimate(state, Budget(10.0), 2, 2, np.random.default_rng(0))
+        est = fpl_estimate(state, Budget(10.0), np.random.default_rng(0))
         bound = perturbation_bound(10.0, 201, 2, 2)
         assert bound < 0.025
         assert np.all(est >= target - 1e-12)
@@ -121,8 +122,8 @@ class TestFpl:
     def test_deterministic_per_seed(self):
         state = EstimatorState("fpl", 2, 2)
         state.observe(np.ones((2, 2)))
-        a = fpl_estimate(state, Budget(8.0), 2, 2, np.random.default_rng(42))
-        b = fpl_estimate(state, Budget(8.0), 2, 2, np.random.default_rng(42))
+        a = fpl_estimate(state, Budget(8.0), np.random.default_rng(42))
+        b = fpl_estimate(state, Budget(8.0), np.random.default_rng(42))
         assert np.array_equal(a, b)
 
 
@@ -312,7 +313,7 @@ class TestLagContract:
             state = EstimatorState("fpl", 3, 2)
             out = []
             for t, mix in enumerate(trace):
-                out.append(fpl_estimate(state, b, 3, 2, np.random.default_rng([7, t])))
+                out.append(fpl_estimate(state, b, np.random.default_rng([7, t])))
                 state.observe(mix)
             return out
 
@@ -322,8 +323,9 @@ class TestLagContract:
 
 class TestEstimatorDispatch:
     def test_gamma_validation(self):
-        with pytest.raises(InputError):
-            EstimatorState("fpl", 1, 1, gamma=0.5)
+        with pytest.raises(InputError, match="gamma must be >= 1"):
+            Scenario(epochs=1, budget_gbps=1.0, adversary="steady", estimator="fpl",
+                     gamma=0.5)
 
     def test_unknown_kind(self):
         with pytest.raises(InputError):
@@ -339,9 +341,8 @@ class TestEstimatorDispatch:
         with pytest.raises(InputError, match="budget must be > 0 and finite"):
             Budget(value)
         with pytest.raises(InputError, match="gamma must be >= 1 and finite"):
-            EstimatorState("fpl", 1, 1, gamma=value)
-        with pytest.raises(InputError, match="gamma must be >= 1 and finite"):
-            _replay("uniform", np.zeros((2, 1, 1)), Budget(1.0), 0, value)
+            Scenario(epochs=1, budget_gbps=1.0, adversary="steady", estimator="fpl",
+                     gamma=value)
 
 
 # ---------------------------------------------------------------------------
@@ -357,24 +358,24 @@ def _loop_losses(provisioned, actual, lib):
     return float(wast.sum()), float(evas.sum()), float((wast.sum(axis=0) * factors).sum())
 
 
-def _loop_provisions(kind, trace, budget, seed, gamma):
+def _loop_provisions(kind, trace, budget, seed):
     """The estimator's provision for each epoch, epoch by epoch: estimate
     from what was observed so far, then observe the epoch's mix."""
     n_pops, n_attacks = trace[0].shape
-    state = EstimatorState(kind, n_pops, n_attacks, gamma=gamma)
+    state = EstimatorState(kind, n_pops, n_attacks)
     provisions = []
     for t, mix in enumerate(trace):
         rng = np.random.default_rng([seed, t]) if kind == "fpl" else None
-        provisions.append(estimate(state, budget, rng) * gamma)
+        provisions.append(estimate(state, budget, rng))
         state.observe(mix)
     return provisions
 
 
-def _loop_series(kind, trace, budget, lib, seed, gamma):
+def _loop_series(kind, trace, budget, lib, seed):
     """Per-epoch estimator losses and the hindsight static's losses, epoch by
     epoch: estimate, score, then observe."""
     est = [_loop_losses(prov, mix, lib)
-           for prov, mix in zip(_loop_provisions(kind, trace, budget, seed, gamma), trace)]
+           for prov, mix in zip(_loop_provisions(kind, trace, budget, seed), trace)]
     static, static_loss = best_static_hindsight(trace)
     return est, [_loop_losses(static, mix, lib) for mix in trace], static_loss
 
@@ -400,8 +401,8 @@ def _grid_hindsight(trace):
     return static, total
 
 
-def _loop_report(kind, trace, budget, lib, seed, gamma):
-    est, stat, static_loss = _loop_series(kind, trace, budget, lib, seed, gamma)
+def _loop_report(kind, trace, budget, lib, seed):
+    est, stat, static_loss = _loop_series(kind, trace, budget, lib, seed)
     wast, evas, wvm = (list(col) for col in zip(*est))
     s_wast = s_evas = 0.0
     for w, v, _m in stat:
@@ -421,12 +422,12 @@ def _loop_report(kind, trace, budget, lib, seed, gamma):
         regret_g1=ratio(est_w, s_wast), regret_g2=ratio(est_v, s_evas))
 
 
-def _loop_per_epoch(strategy_kind, kind, n_pops, budget, lib, epochs, seeds, gamma):
+def _loop_per_epoch(strategy_kind, kind, n_pops, budget, lib, epochs, seeds):
     per_seed = []
     for seed in seeds:
         strat = AdversaryStrategy(strategy_kind, seed)
         trace = [adversary_next(strat, budget, t, n_pops, len(lib)) for t in range(epochs)]
-        est, stat, _ = _loop_series(kind, trace, budget, lib, seed, gamma)
+        est, stat, _ = _loop_series(kind, trace, budget, lib, seed)
         rows = []
         cum_w = cum_v = cum_vm = s_w = s_v = volume = 0.0
         for t, ((w, v, m), (pw, pv, _pm), mix) in enumerate(zip(est, stat, trace)):
@@ -497,11 +498,11 @@ def _float_traces(draw):
 
 class TestTraceScoring:
     @settings(max_examples=200)
-    @given(_traces(), st.sampled_from(ESTIMATORS), st.floats(1.0, 4.0))
-    def test_replay_equals_estimator_state_loop(self, case, kind, gamma):
+    @given(_traces(), st.sampled_from(ESTIMATORS))
+    def test_replay_equals_estimator_state_loop(self, case, kind):
         trace, budget, _lib, seed = case
-        got = _replay(kind, _stack(trace), budget, seed, gamma)
-        want = np.array(_loop_provisions(kind, trace, budget, seed, gamma))
+        got = _replay(kind, _stack(trace), budget, seed)
+        want = np.array(_loop_provisions(kind, trace, budget, seed))
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
@@ -539,14 +540,14 @@ class TestTraceScoring:
         budget = Budget(80.0)
         trace = [adversary_next(strat, budget, t, 4, 3) for t in range(30)]
         for seed in (2**32, 2**96 + 5):
-            got = _replay("fpl", _stack(trace), budget, seed, 1.25)
-            want = np.array(_loop_provisions("fpl", trace, budget, seed, 1.25))
+            got = _replay("fpl", _stack(trace), budget, seed)
+            want = np.array(_loop_provisions("fpl", trace, budget, seed))
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", [-1, -2**40, 1.5, "3", None])
     def test_fpl_replay_rejects_a_bad_seed(self, seed):
         with pytest.raises(InputError, match="fpl seed must be a non-negative integer"):
-            _replay("fpl", np.ones((3, 1, 2)), Budget(5.0), seed, 1.0)
+            _replay("fpl", np.ones((3, 1, 2)), Budget(5.0), seed)
 
     def test_other_estimators_take_a_negative_seed(self):
         trace = toy_trace()
@@ -638,20 +639,18 @@ class TestTraceScoring:
             run_estimator_on_trace("uniform", np.zeros((0, 1, 2)), Budget(30.0), LIB2)
 
     @settings(max_examples=150)
-    @given(_traces(), st.sampled_from(ESTIMATORS), st.sampled_from((1.0, 1.25)))
-    def test_replay_equals_per_epoch_loop(self, case, kind, gamma):
+    @given(_traces(), st.sampled_from(ESTIMATORS))
+    def test_replay_equals_per_epoch_loop(self, case, kind):
         trace, budget, lib, seed = case
-        got = run_estimator_on_trace(kind, trace, budget, lib, seed=seed, gamma=gamma)
-        assert got == _loop_report(kind, trace, budget, lib, seed, gamma)
+        got = run_estimator_on_trace(kind, trace, budget, lib, seed=seed)
+        assert got == _loop_report(kind, trace, budget, lib, seed)
 
     @settings(max_examples=40)
     @given(st.sampled_from(STRATEGIES), st.sampled_from(ESTIMATORS), st.integers(1, 6),
-           _picks, st.integers(1, 40), st.lists(st.integers(0, 999), min_size=1, max_size=10),
-           st.sampled_from((1.0, 1.25)))
-    def test_per_epoch_report_equals_loop(self, strategy, kind, n_pops, picks, epochs,
-                                          seeds, gamma):
+           _picks, st.integers(1, 40), st.lists(st.integers(0, 999), min_size=1, max_size=10))
+    def test_per_epoch_report_equals_loop(self, strategy, kind, n_pops, picks, epochs, seeds):
         lib = _library(picks)
-        args = (strategy, kind, n_pops, Budget(50.0), lib, epochs, seeds, gamma)
+        args = (strategy, kind, n_pops, Budget(50.0), lib, epochs, seeds)
         assert per_epoch_regret_report(*args) == _loop_per_epoch(*args)
 
     @settings(max_examples=100)
@@ -666,16 +665,10 @@ class TestTraceScoring:
         state = EstimatorState("fpl", n_pops, n_attacks)
         for mix in trace:
             state.observe(mix)
-            mean = fpl_estimate(state, 0.0, n_pops, n_attacks, np.random.default_rng(0))
+            mean = fpl_estimate(state, 0.0, np.random.default_rng(0))
             want = np.mean(state.history, axis=0)
             if n_pops * n_attacks > 1:
                 assert np.array_equal(mean, want)
             else:
                 eps = np.finfo(float).eps
                 assert np.allclose(mean, want, rtol=len(state.history) * eps, atol=0.0)
-
-    def test_history_given_at_construction_is_observed(self):
-        mixes = [np.array([[1.0, 2.0]]), np.array([[3.0, 5.0]])]
-        state = EstimatorState("fpl", 1, 2, history=mixes)
-        mean = fpl_estimate(state, 0.0, 1, 2, np.random.default_rng(0))
-        assert np.array_equal(mean, np.array([[2.0, 3.5]]))

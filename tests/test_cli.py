@@ -259,6 +259,25 @@ def test_graph_validate_refuses_mistyped_fields(tmp_path, edit, message):
     assert message in res.output
 
 
+@pytest.mark.parametrize("command", [["rm", "dsp"], ["rm", "ssp"], ["orch", "rules"]])
+def test_graphs_option_replaces_the_builtin_library(tmp_path, command):
+    """`--graphs` reads the library the traffic's columns are checked
+    against: one attack column fits a one-graph library, not the builtin
+    four."""
+    topo_path, lib_path = tmp_path / "topo.json", tmp_path / "graphs.json"
+    save_topology(generate_topology(8, 400, seed=1), str(topo_path))
+    write_library(lib_path, lambda graphs: graphs.__delitem__(slice(1, None)))
+    traffic_path = tmp_path / "traffic.json"
+    write_traffic(traffic_path, [[5.0]] + [[0.0]] * 7)
+    args = [*command, "--topo", str(topo_path), "--traffic", str(traffic_path),
+            "--out", str(tmp_path / "out.json")]
+    res = CliRunner().invoke(main, [*args, "--graphs", str(lib_path)])
+    assert res.exit_code == 0, res.output
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("error: ")
+
+
 def test_graph_demand_unknown_attack_exit_2():
     runner = CliRunner()
     res = runner.invoke(main, ["graph", "demand", "--attack", "nope", "--gbps", "1"])
@@ -562,6 +581,34 @@ def test_simulate_bad_topology_path_exit_2(tmp_path, content, message):
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith("error: ") and message in res.output
     assert not (tmp_path / "out").exists()
+
+
+# 5 slots per datacenter cannot hold 100 Gbps, so that generated run exits 3.
+@pytest.mark.parametrize("key, value, generated_exit", [("dc_slots", 5, 3),
+                                                        ("topology_nodes", 99, 0)])
+def test_simulate_topology_path_refuses_generator_sizes(tmp_path, key, value,
+                                                        generated_exit):
+    """A topology file fixes the topology, so a size for the generated one
+    next to it would be ignored: the run exits 2 naming the key. A null
+    path leaves the size in force."""
+    topo_path = tmp_path / "topo.json"
+    save_topology(generate_topology(8, 4000, seed=1), str(topo_path))
+    scenario = {"version": 1, "epochs": 3, "budget_gbps": 100.0, "adversary": "randhybrid",
+                "estimator": "uniform", key: value}
+
+    def run(path, out):
+        sc_path = tmp_path / "scenario.json"
+        sc_path.write_text(json.dumps({**scenario, "topology_path": path}))
+        return CliRunner().invoke(main, ["simulate", "--scenario", str(sc_path),
+                                         "--out-dir", str(tmp_path / out)])
+
+    res = run(str(topo_path), "out")
+    assert res.exit_code == 2, res.output
+    assert res.output == (f"error: malformed scenario config: {key} cannot be set with a "
+                          "topology_path, which fixes the topology\n")
+    assert not (tmp_path / "out").exists()
+    res = run(None, "generated")
+    assert res.exit_code == generated_exit, res.output
 
 
 def test_simulate_infeasible_exit_3(tmp_path):

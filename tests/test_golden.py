@@ -194,15 +194,14 @@ def write_topology(path: Path) -> None:
 
 def regret_reprs() -> dict:
     """Criterion 8's regret table; the reports of one 60-epoch randhybrid
-    trace under every estimator with a 1.25 cushion; and one per-epoch
-    report averaged over three seeds."""
+    trace under every estimator; and one per-epoch report averaged over
+    three seeds."""
     lib = builtin_library()
     budget = Budget(100.0)
     table = regret_experiment(6, budget, lib, 500, list(range(10)))
     trace = [adversary_next(AdversaryStrategy("randhybrid", 3), budget, t, 6, len(lib))
              for t in range(60)]
-    reports = {kind: repr(run_estimator_on_trace(kind, trace, budget, lib, seed=3,
-                                                 gamma=1.25))
+    reports = {kind: repr(run_estimator_on_trace(kind, trace, budget, lib, seed=3))
                for kind in ESTIMATORS}
     per_epoch = per_epoch_regret_report("randhybrid", "fpl", 6, budget, lib, 40, [0, 1, 2])
     return {"regret_experiment": [repr(row) for row in table],
@@ -224,16 +223,15 @@ def _digest(data: bytes | str) -> str:
 
 def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict[str, str]:
     """Digests of one assignment's DSP result, SSP placements, tag pools
-    (unseeded and seeded) and ``ForwardingPlan.dump()`` bytes. A failed
-    placement is pinned by its message instead of the SSP and plan."""
+    and ``ForwardingPlan.dump()`` bytes. A failed placement is pinned by
+    its message instead of the SSP and plan."""
     dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil_per_assignment)
     out = {"dsp": _digest(dsp.f.tobytes() + repr(
         (dsp.n_dc, dsp.demand, dsp.t_left, dsp.wide_area_cost)).encode())}
-    for name, seed in (("pools_seeded", 5), ("pools", None)):
-        pools = build_tag_pools(dsp.physical, lib, seed=seed)
-        out[name] = _digest(repr((per_vm_pools(pools, dsp.physical),
-                                  list(pools.instance_tags.items()),
-                                  list(pools.egress_tags.items()), pools.next_tag)))
+    pools = build_tag_pools(dsp.physical, lib)
+    out["pools"] = _digest(repr((per_vm_pools(pools, dsp.physical),
+                                 list(pools.instance_tags.items()),
+                                 list(pools.egress_tags.items()), pools.next_tag)))
     try:
         ssps = place_all(topo, dsp, lib)
     except PlacementError as exc:
@@ -242,7 +240,7 @@ def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict
     out["ssp"] = _digest(repr([(r.dc_id, r.attack_id, list(r.n_srv.items()),
                                 list(r.placements.items()), r.intra_rack_units,
                                 r.inter_rack_units) for r in ssps]))
-    plan = synthesize_rules(dsp, ssps, pools, topo, lib)  # on the unseeded pools
+    plan = synthesize_rules(dsp, ssps, pools, topo, lib)
     for key in sorted(dsp.physical):
         pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
     with tempfile.TemporaryDirectory() as tmp:

@@ -25,7 +25,6 @@ from scrubsim.orchestration import (
     pin_bidirectional,
     pin_bidirectional_for_graph,
     plan_realizes_edges,
-    rule_count_comparison,
     synthesize_rules,
     tag_space_bound,
 )
@@ -93,22 +92,6 @@ class TestAssignTags:
         pools = assign_tags(pg, {ATK: g})
         assert len(pools.pool((0, 0, 0, 0), 0)) == 1
 
-    def test_deterministic_per_seed(self):
-        g = two_branch_graph()
-        lib = {ATK: g}
-        pg = build_physical_graph(g, 0, 40.0, {0: 2, 1: 3, 2: 2})
-        a = assign_tags(pg, lib, seed=5)
-        b = assign_tags(pg, lib, seed=5)
-        assert a.pools == b.pools
-        c = assign_tags(pg, lib, seed=6)
-        assert a.pools != c.pools  # different numbering, same structure
-
-    def test_tag_space_exhaustion(self):
-        g = two_branch_graph()
-        pg = build_physical_graph(g, 0, 100.0, {0: 4, 1: 4, 2: 4})
-        with pytest.raises(CapacityError):
-            assign_tags(pg, {ATK: g}, max_bits=2)
-
     def test_shared_pool_keeps_tags_unique(self):
         lib = builtin_library()
         topo = small_topo(2)
@@ -174,10 +157,11 @@ class TestSynthesizeRules:
         assert len(plan.dc_tables["dc0"]) == 2
 
     def test_rule_counts_flow_independent(self):
-        _dsp, _pools, plan = self._plan(two_branch_graph())
-        counts = [rule_count_comparison(plan, n)[0] for n in (0, 100, 200000)]
-        assert counts[0] == counts[1] == counts[2]
-        assert rule_count_comparison(plan, 0) == (counts[0], 0)
+        # The plan is compiled from the assignment alone, with no flow input:
+        # one rule per tag value on the busiest switch, whatever the flows.
+        _dsp, pools, plan = self._plan(two_branch_graph())
+        assert plan.max_switch_rules() == max(map(len, plan.dc_tables.values()))
+        assert plan.max_switch_rules() == len(pools.instance_tags) + len(pools.egress_tags)
 
     def test_empty_assignment_zero_rules(self):
         g = two_branch_graph()
@@ -418,7 +402,7 @@ class TestBidirectionalPins:
         traffic[0, :] = [30.0, 45.0, 20.0, 10.0]
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
-        pools = build_tag_pools(dsp.physical, lib, seed=3)
+        pools = build_tag_pools(dsp.physical, lib)
         plan = synthesize_rules(dsp, ssps, pools, topo, lib)
         want, want_counts = reference_pins(dsp.physical, pools, lib)
         got_counts = [pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
@@ -435,7 +419,7 @@ class TestBidirectionalPins:
 # once. Each walks every instance and rule on its own; the library functions
 # must produce equal pools, equal plans and equal pins, not close ones.
 
-def reference_assign_tags(pg, lib, seed=None, pools=None, max_bits=None):
+def reference_assign_tags(pg, lib, pools=None):
     graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
     a, d = pg.attack.id, pg.dc_id
@@ -451,12 +435,7 @@ def reference_assign_tags(pg, lib, seed=None, pools=None, max_bits=None):
         if graph.node(node).delivers:
             slots_needed.append(("egress", (a, d, node, len(graph.successors(node)))))
     values = list(range(pools.next_tag, pools.next_tag + len(slots_needed)))
-    if seed is not None:
-        random.Random(seed).shuffle(values)
     pools.next_tag += len(slots_needed)
-    if max_bits is not None and values and max(values) >= (1 << max_bits):
-        raise CapacityError(
-            f"tag space exhausted: need tag {max(values)} with only {max_bits} bits")
     for (kind, key), value in zip(slots_needed, values):
         if kind == "vm":
             pools.instance_tags[key] = value
@@ -615,40 +594,35 @@ def outcome(fn, *args):
     """The call's result, or its exception's type and message."""
     try:
         return fn(*args)
-    except (InputError, CapacityError) as exc:
+    except InputError as exc:
         return (type(exc), str(exc))
 
 
 class TestMatchesLinearReference:
     @settings(max_examples=120)
-    @given(case=capacity_bound_cases(), ceil=st.booleans(),
-           seed=st.one_of(st.none(), st.integers(0, 2**32)),
-           max_bits=st.sampled_from([None, None, 4, 6, 9]))
-    def test_tag_pools(self, case, ceil, seed, max_bits):
+    @given(case=capacity_bound_cases(), ceil=st.booleans())
+    def test_tag_pools(self, case, ceil):
         topo, traffic, lib = case
         dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
         got, want = TagPool(), TagPool()
         for key in sorted(dsp.physical):
-            got_out = outcome(assign_tags, dsp.physical[key], lib, seed, got, max_bits)
-            want_out = outcome(reference_assign_tags, dsp.physical[key], lib, seed, want,
-                               max_bits)
-            assert got_out == want_out if isinstance(want_out, tuple) else got_out is got
+            assert assign_tags(dsp.physical[key], lib, got) is got
+            reference_assign_tags(dsp.physical[key], lib, want)
             assert pool_state(got, dsp.physical) == pool_state(want)
             assert got.max_tag == max([t for p in want.pools.values() for t in p], default=0)
         # Each (node, context) owns its pool list: editing one edits no other.
         assert len({id(tags) for tags in got.pools.values()}) == len(got.pools)
 
     @settings(max_examples=200)
-    @given(case=capacity_bound_cases(), ceil=st.booleans(),
-           seed=st.one_of(st.none(), st.integers(0, 2**32)), data=st.data())
-    def test_plans(self, case, ceil, seed, data):
+    @given(case=capacity_bound_cases(), ceil=st.booleans(), data=st.data())
+    def test_plans(self, case, ceil, data):
         topo, traffic, lib = case
         dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
         try:
             ssps = place_all(topo, dsp, lib)
         except PlacementError:
             return
-        pools = build_tag_pools(dsp.physical, lib, seed=seed)
+        pools = build_tag_pools(dsp.physical, lib)
         # Sometimes take away a graph's placement or one node's run of VMs on
         # one server, so the unplaced-VM errors are compared too.
         if ssps and data.draw(st.booleans()):

@@ -18,7 +18,6 @@ from scrubsim.topology import (
     Server,
     Topology,
     generate_topology,
-    latency_cost,
     path_cost_comparison,
     save_topology,
     load_topology,
@@ -128,14 +127,7 @@ class TestLatencyCost:
         topo = generate_topology(30, 50, seed=2)
         d = 0
         e = topo.datacenters[d].attach_pop
-        assert latency_cost(topo, e, d) == 0.0
-
-    def test_index_out_of_range(self):
-        topo = generate_topology(10, 50, seed=2)
-        with pytest.raises(InputError):
-            latency_cost(topo, 99, 0)
-        with pytest.raises(InputError):
-            latency_cost(topo, 0, 99)
+        assert topo.latency[e][d] == 0.0
 
 
 class TestPathCostComparison:
