@@ -139,8 +139,10 @@ class EstimatorState:
     kind: str
     n_pops: int
     n_attacks: int
-    history: list[np.ndarray] = field(default_factory=list, init=False)
-    # Running sum of ``history``, kept by observe() (the only way to grow it).
+    # What the estimators read of the mixes observed so far: their count,
+    # the last of them and their running sum, all kept by observe().
+    observed: int = field(default=0, init=False)
+    last: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
     _total: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,7 +150,8 @@ class EstimatorState:
 
     def observe(self, mix: np.ndarray) -> None:
         mix = np.array(mix, dtype=float)
-        self.history.append(mix)
+        self.observed += 1
+        self.last = mix
         if self._total is None:
             self._total = mix.copy()
         else:
@@ -165,14 +168,14 @@ def fpl_estimate(state: EstimatorState, budget: "Budget | float",
     """Empirical mean of past mixes plus an independent uniform perturbation
     per cell, drawn from [0, 2B / (nextEpoch * |E| * |A|)].
 
-    The mean is the running sum over the history count: the same row-by-row
-    additions as ``np.mean(history, axis=0)``, so the same bits, except for a
-    single-cell mix, where numpy sums the history pairwise instead.
+    The mean is the running sum over the observed count: the same row-by-row
+    additions as ``np.mean`` over the stacked mixes, so the same bits, except
+    for a single-cell mix, where numpy sums the mixes pairwise instead.
     """
     n_pops, n_attacks = state.n_pops, state.n_attacks
-    next_epoch = len(state.history) + 1
-    if state.history:
-        mean = state._total / len(state.history)
+    next_epoch = state.observed + 1
+    if state.observed:
+        mean = state._total / state.observed
     else:
         mean = np.zeros((n_pops, n_attacks))
     bound = perturbation_bound(_gbps(budget), next_epoch, n_pops, n_attacks)
@@ -182,9 +185,9 @@ def fpl_estimate(state: EstimatorState, budget: "Budget | float",
 
 def prev_epoch_estimate(state: EstimatorState) -> np.ndarray:
     """Replay the last observed mix; all zeros before the first observation."""
-    if not state.history:
+    if state.last is None:
         return np.zeros((state.n_pops, state.n_attacks))
-    return np.array(state.history[-1], dtype=float)
+    return np.array(state.last, dtype=float)
 
 
 def uniform_estimate(budget: "Budget | float", n_pops: int, n_attacks: int) -> np.ndarray:

@@ -33,8 +33,11 @@ from .topology import CostParams, Datacenter, Topology
 EPS = 1e-9
 FEASIBILITY_TOL = 1e-6
 
-# dsp_greedy sends inputs with fewer (pop, attack) cells than this to its
-# heap loop alone: on them the array pass costs more than the whole loop.
+# dsp_greedy runs its array pass on inputs of at least this many (pop, attack)
+# cells and the heap loop alone on smaller ones, where numpy's per-call cost
+# outweighs the work. On a 2-core Xeon, numpy took 9.4 µs to sort 6 cells where
+# sorted() took 2.2 µs, and criterion 1's calls ran 1.37x slower when they
+# sorted in numpy and then declined the pass.
 ARRAY_PASS_MIN_CELLS = 32
 
 
@@ -74,6 +77,60 @@ def attack_dc_volumes(f: np.ndarray, traffic: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((f * traffic[:, :, None]).transpose(1, 2, 0)).sum(axis=2)
 
 
+# -- DSP's rules, read by the array pass (on numpy columns) and the heap loop (on floats).
+
+def _heap_order(traffic: np.ndarray):
+    """The nonzero cells as heap items ``(-volume, cell, pop, attack)``, sorted:
+    volume descending, ties by (pop, attack), the order of the row-major `cell`.
+    As a list under `ARRAY_PASS_MIN_CELLS` cells, else as four columns."""
+    n_a = traffic.shape[1]
+    if traffic.size < ARRAY_PASS_MIN_CELLS:
+        return sorted([(-t, e * n_a + a, e, a) for e, row in enumerate(traffic.tolist())
+                       for a, t in enumerate(row) if t > EPS])
+    cells = np.flatnonzero(traffic > EPS)
+    neg_t = -traffic.ravel()[cells]
+    order = np.lexsort((cells, neg_t))
+    return (neg_t[order], cells[order], *np.divmod(cells[order], n_a))
+
+
+def _is_open(link, compute):
+    """Whether a datacenter with this much link and compute left takes traffic."""
+    return (link > EPS) & (compute > EPS)
+
+
+def _vms(demand):
+    """A node's whole VMs for its VM demand: ceil(demand - CEIL_EPS), as a floor
+    division, which takes arrays, and floats without numpy's per-call cost."""
+    return -((CEIL_EPS - demand) // 1)
+
+
+def _charge(x, fac, nodes, whole_vms):
+    """The slots that x Gbps more of one (datacenter, attack) cost: x times
+    the graph's compute factor `fac` or, charging whole VMs, the VMs gained
+    by its `nodes`, each given as (VM demand before the x, VMs per Gbps)."""
+    if whole_vms:
+        return sum(_vms(demand + x * rate) - _vms(demand) for demand, rate in nodes)
+    return x * fac
+
+
+def _fits(x, slots, fac, compute, whole_vms):
+    """Whether x Gbps charged `slots` fit in `compute` slots."""
+    return slots <= compute + EPS if whole_vms else x <= compute / fac
+
+
+def _largest_fit(x, fac, nodes, compute, whole_vms):
+    """The largest volume under x, which does not fit, that fits: exact under
+    fractional charging, by bisection under whole-VM charging."""
+    if not whole_vms:
+        return compute / fac
+    lo, hi = 0.0, x
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        fits = _fits(mid, _charge(mid, fac, nodes, True), fac, compute, True)
+        lo, hi = (mid, hi) if fits else (lo, mid)
+    return lo
+
+
 def _running(ufunc: np.ufunc, keys: np.ndarray, n_keys: int, steps: np.ndarray,
              start) -> tuple[np.ndarray, np.ndarray]:
     """Each item's key total before its step, and the table whose row c
@@ -91,20 +148,17 @@ def _running(ufunc: np.ufunc, keys: np.ndarray, n_keys: int, steps: np.ndarray,
     return table[rank, keys], table
 
 
-def _assign_prefix(traffic, rates, factors, latency, ranked, ceil_per_assignment,
-                   link_rem, compute_rem, f, demand, charged):
-    """dsp_greedy's array pass. Assigns the longest prefix of the heap order
-    whose cells all fit whole, updating the loop's state in place, and
-    returns the prefix's wide-area cost and the heap of the cells left."""
+def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms,
+                   link_rem, compute_rem, f, demand):
+    """dsp_greedy's array pass over `_heap_order`'s cells. Assigns the
+    longest prefix of the heap order whose cells all fit whole, updating the
+    loop's state in place, and returns the prefix's wide-area cost and the
+    heap of the cells left."""
     n_e, n_a, n_d = f.shape
-    vol = traffic.ravel()
-    cells = np.flatnonzero(vol > EPS)
-    # Volume descending, ties by row-major index: the heap's (pop, attack).
-    cells = cells[np.argsort(-vol[cells], kind="stable")]
-    t = vol[cells]
-    e, a = np.divmod(cells, n_a)
+    neg_t, _cell, e, a = cells
+    t = -neg_t
     link0, compute0 = np.array(link_rem, dtype=float), np.array(compute_rem)
-    is_open = (link0 > EPS) & (compute0 > EPS)
+    is_open = _is_open(link0, compute0)
     fac = np.array(factors)[a]
     # A shortcut, not a rule (the loop alone gives the same result): skip the
     # pass unless enough of the largest cells fit the open datacenters'
@@ -112,53 +166,35 @@ def _assign_prefix(traffic, rates, factors, latency, ranked, ceil_per_assignment
     room = min(np.cumsum(t).searchsorted(link0[is_open].sum(), "right"),
                np.cumsum(t * fac).searchsorted(compute0[is_open].sum(), "right"))
     if room < ARRAY_PASS_MIN_CELLS:
-        return 0.0, list(zip((-t).tolist(), e.tolist(), a.tolist(), cells.tolist()))
+        return 0.0, list(zip(*(column.tolist() for column in cells)))
 
     # Every pop ranks every datacenter, so each has an open one.
     d = ranked[np.arange(n_e), np.argmax(is_open[ranked], axis=1)][e]
-    rate_rows = np.zeros((n_a, max(map(len, rates))))
-    for row, node_rates in zip(rate_rows, rates):
-        row[:len(node_rates)] = [r for _i, r in node_rates]
-    keys = d * n_a + a
-    step = t[:, None] * rate_rows[a]
-    before, demand_table = _running(np.add, keys, n_d * n_a, step, 0.0)
-    if ceil_per_assignment:
-        def vms(x):
-            return np.maximum(np.ceil(x - CEIL_EPS), 0.0)
-        charge = (vms(before + step) - vms(before)).sum(axis=1)
-    else:
-        charge = t * fac
+    width = max(map(len, rates))
+    rate_rows = np.array([[r for _i, r in nr] + [0.0] * (width - len(nr)) for nr in rates])
+    keys, rate = d * n_a + a, rate_rows[a]
+    before, demand_table = _running(np.add, keys, n_d * n_a, t[:, None] * rate, 0.0)
+    charge = _charge(t, fac, zip(before.T, rate.T), whole_vms)
     rem, rem_table = _running(np.subtract, d, n_d, np.stack([t, charge], axis=1),
                               np.stack([link0, compute0], axis=1))
     link, compute = rem.T
-    fits = (link > EPS) & (compute > EPS) & (t <= link)
-    if ceil_per_assignment:
-        fits &= charge <= compute + EPS
-    else:
-        fits &= t <= np.divide(compute, fac, out=np.full(len(t), np.inf), where=fac > 0)
+    fits = _is_open(link, compute) & (t <= link) & _fits(t, charge, fac, compute, whole_vms)
     n = len(t) if fits.all() else int(np.argmin(fits))
 
-    wide_area_cost = 0.0
-    if n:
-        e_p, a_p, d_p, t_p, keys_p = e[:n], a[:n], d[:n], t[:n], keys[:n]
-        f[e_p, a_p, d_p] = t_p / t_p
-        wide_area_cost = float(np.cumsum(t_p * latency[e_p, d_p])[-1])
-        rem = rem_table[np.bincount(d_p, minlength=n_d), np.arange(n_d)]
-        link_rem[:], compute_rem[:] = rem[:, 0].tolist(), rem[:, 1].tolist()
-        n_k = n_d * n_a
-        totals = demand_table[np.bincount(keys_p, minlength=n_k), np.arange(n_k)]
-        # `demand` keeps the order in which keys were first assigned.
-        uniq, first = np.unique(keys_p, return_index=True)
-        for key in uniq[np.argsort(first)].tolist():
-            dk, ak = divmod(key, n_a)
-            ids = [i for i, _r in rates[ak]]
-            row = totals[key, :len(ids)]
-            demand[(dk, ak)] = dict(zip(ids, row.tolist()))
-            if ceil_per_assignment:
-                charged[(dk, ak)] = dict(zip(ids, vms(row).astype(int).tolist()))
+    e_p, a_p, d_p, t_p, keys_p = e[:n], a[:n], d[:n], t[:n], keys[:n]
+    f[e_p, a_p, d_p] = t_p / t_p
+    wide_area_cost = float(np.cumsum(t_p * latency[e_p, d_p])[-1]) if n else 0.0
+    rem = rem_table[np.bincount(d_p, minlength=n_d), np.arange(n_d)]
+    link_rem[:], compute_rem[:] = rem[:, 0].tolist(), rem[:, 1].tolist()
+    n_k = n_d * n_a
+    totals = demand_table[np.bincount(keys_p, minlength=n_k), np.arange(n_k)]
+    # `demand` keeps the order in which keys were first assigned.
+    uniq, first = np.unique(keys_p, return_index=True)
+    for key in uniq[np.argsort(first)].tolist():
+        dk, ak = divmod(key, n_a)
+        demand[(dk, ak)] = {i: v for (i, _r), v in zip(rates[ak], totals[key].tolist())}
     # Sorted, the cells left already form a heap.
-    return wide_area_cost, list(zip((-t[n:]).tolist(), e[n:].tolist(), a[n:].tolist(),
-                                    cells[n:].tolist()))
+    return wide_area_cost, list(zip(*(column[n:].tolist() for column in cells)))
 
 
 def dsp_greedy(topo: Topology, traffic: np.ndarray,
@@ -185,118 +221,67 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     """
     graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
-    n_e, n_a = traffic.shape
-    n_d = len(topo.datacenters)
     factors = [graph_compute_factor(g) for g in graphs]
-    rates = [[(n.id, g.share(n.id) / n.capacity_gbps) for n in g.nodes]
-             for g in graphs]
+    rates = [[(n.id, g.share(n.id) / n.capacity_gbps) for n in g.nodes] for g in graphs]
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
     latency, ranked = topo.latency_array, topo.latency_ranking
 
-    f = np.zeros((n_e, n_a, n_d))
+    f = np.zeros(traffic.shape + (len(topo.datacenters),))
     demand: dict[tuple[int, int], dict[int, float]] = {}
-    charged: dict[tuple[int, int], dict[int, int]] = {}
     t_left = 0.0
-    # Max-heap of (volume, pop, attack, cell); ties resolve to lowest (e, a).
-    # The cell's row-major index keys the set of datacenters an item has
-    # already found unaffordable (only reachable under whole-VM charging).
-    if traffic.size < ARRAY_PASS_MIN_CELLS:
-        wide_area_cost = 0.0
-        heap = [(-t, e, a, e * n_a + a) for e, row in enumerate(traffic.tolist())
-                for a, t in enumerate(row) if t > EPS]
-        heapq.heapify(heap)
-    else:
-        wide_area_cost, heap = _assign_prefix(
-            traffic, rates, factors, latency, ranked, ceil_per_assignment,
-            link_rem, compute_rem, f, demand, charged)
+    wide_area_cost, heap = 0.0, _heap_order(traffic)
+    if not isinstance(heap, list):
+        wide_area_cost, heap = _assign_prefix(heap, rates, factors, latency, ranked,
+                                              ceil_per_assignment, link_rem, compute_rem,
+                                              f, demand)
     by_latency = ranked.tolist() if heap else []
+    # Per cell, the datacenters that could afford none of it: under whole-VM
+    # charging not the next VM, under fractional charging no more than EPS Gbps.
     exhausted: dict[int, set[int]] = {}
 
-    def vm_increment(d: int, a: int, x: float) -> int:
-        """Whole VMs needed to extend (d, a)'s demand by x Gbps."""
-        cur = demand.get((d, a), {})
-        have = charged.get((d, a), {})
-        inc = 0
-        for i, r in rates[a]:
-            new = math.ceil(cur.get(i, 0.0) + x * r - CEIL_EPS)
-            inc += max(0, new - have.get(i, 0))
-        return inc
-
-    def max_affordable(d: int, a: int, upper: float) -> float:
-        """Largest volume whose whole-VM increment fits the compute budget."""
-        if vm_increment(d, a, upper) <= compute_rem[d] + EPS:
-            return upper
-        lo, hi = 0.0, upper
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if vm_increment(d, a, mid) <= compute_rem[d] + EPS:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
     while heap:
-        neg_t, e, a, item = heapq.heappop(heap)
+        neg_t, cell, e, a = heapq.heappop(heap)
         t = -neg_t
-        skip = exhausted.get(item, ())
+        skip = exhausted.get(cell, ())
         for d in by_latency[e]:
-            if link_rem[d] > EPS and compute_rem[d] > EPS and d not in skip:
+            if _is_open(link_rem[d], compute_rem[d]) and d not in skip:
                 break
         else:
             t_left += t
             continue
 
-        t1 = min(t, link_rem[d])
-        if ceil_per_assignment:
-            t2 = max_affordable(d, a, t1)
-        else:
-            t2 = compute_rem[d] / factors[a] if factors[a] > 0 else t1
-        t_assigned = min(t1, t2)
-        if t_assigned <= EPS:
-            # Whole-VM charging: this datacenter cannot afford the next VM
-            # step for this item; retry the rest.
-            exhausted.setdefault(item, set()).add(d)
-            heapq.heappush(heap, (neg_t, e, a, item))
+        node_demand = demand.get((d, a))
+        nodes = [(node_demand[i] if node_demand else 0.0, r) for i, r in rates[a]] \
+            if ceil_per_assignment else None
+        x, fac, compute = min(t, link_rem[d]), factors[a], compute_rem[d]
+        slots = _charge(x, fac, nodes, ceil_per_assignment)
+        if not _fits(x, slots, fac, compute, ceil_per_assignment):
+            x = _largest_fit(x, fac, nodes, compute, ceil_per_assignment)
+            slots = _charge(x, fac, nodes, ceil_per_assignment)
+        if x <= EPS:
+            exhausted.setdefault(cell, set()).add(d)
+            heapq.heappush(heap, (neg_t, cell, e, a))
             continue
 
-        node_demand = demand.get((d, a))
         if node_demand is None:
             node_demand = demand[(d, a)] = {n.id: 0.0 for n in graphs[a].nodes}
-        if ceil_per_assignment:
-            have = charged.get((d, a))
-            if have is None:
-                have = charged[(d, a)] = {n.id: 0 for n in graphs[a].nodes}
-            inc = 0
-            for i, r in rates[a]:
-                new = math.ceil(node_demand[i] + t_assigned * r - CEIL_EPS)
-                if new > have[i]:
-                    inc += new - have[i]
-                    have[i] = new
-            compute_rem[d] -= inc
-        else:
-            compute_rem[d] -= t_assigned * factors[a]
+        compute_rem[d] -= slots
         for i, r in rates[a]:
-            node_demand[i] += t_assigned * r
-        f[e, a, d] += t_assigned / traffic.item(e, a)
-        wide_area_cost += t_assigned * topo.latency[e][d]
-        link_rem[d] -= t_assigned
+            node_demand[i] += x * r
+        f[e, a, d] += x / traffic.item(e, a)
+        wide_area_cost += x * topo.latency[e][d]
+        link_rem[d] -= x
 
-        t_unassigned = t - t_assigned
-        if t_unassigned > EPS:
-            heapq.heappush(heap, (-t_unassigned, e, a, item))
+        rest = t - x
+        if rest > EPS:
+            heapq.heappush(heap, (-rest, cell, e, a))
 
     physical: dict[tuple[int, int], PhysicalGraph] = {}
     volumes = attack_dc_volumes(f, traffic).tolist()
     for (d, a), node_demand in sorted(demand.items()):
-        if ceil_per_assignment:
-            counts = charged[(d, a)]
-        else:
-            counts = {
-                i: math.ceil(v - CEIL_EPS) if v > EPS else 0
-                for i, v in node_demand.items()
-            }
+        counts = {i: int(_vms(v)) for i, v in node_demand.items()}
         physical[(a, d)] = build_physical_graph(graphs[a], d, volumes[a][d], counts)
 
     return DspResult(f=f, demand=demand, physical=physical,

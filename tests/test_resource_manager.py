@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import (
     ANALYSIS,
+    CEIL_EPS,
     RESPONSE,
     AnnotatedGraph,
     AttackType,
@@ -849,6 +850,18 @@ class TestIndexedSelectionMatchesLinearScan:
         traffic = np.array([[4.0, 3.0, 6.0, 2.0], [5.0, 0.0, 3.0, 7.0]])
         assert check_dsp(topo, traffic, lib, ceil=True) > 0
 
+    def test_dsp_exhausted_datacenter_fractional(self):
+        # Fractional charging reaches the retry too. At 2 slots per Gbps the
+        # first cell leaves datacenter 0 with 1.5e-9 slots: still open, but
+        # worth 7.5e-10 Gbps, no more than EPS. The 3 Gbps cell skips it
+        # whole and lands on datacenter 1.
+        lib = {ATK: one_node_graph(0.5)}
+        topo = make_topo(2, [make_dc(0, 999.0, [[10]]), make_dc(1, 999.0, [[50]])],
+                         [[1.0, 2.0], [1.0, 2.0]])
+        traffic = np.array([[5.0 - 7.5e-10], [3.0]])
+        assert check_dsp(topo, traffic, lib, ceil=False) >= 1
+        assert dsp_greedy(topo, traffic, lib).f[1, 0].tolist() == [0.0, 1.0]
+
 
 # -- placement units from per-server runs ------------------------------
 #
@@ -903,6 +916,17 @@ class TestArrayPassMatchesHeapLoop:
     def test_bit_identical_to_reference(self, case):
         for ceil in (False, True):
             check_dsp(*case, ceil)
+
+    @settings(max_examples=100, derandomize=True)
+    @given(case=st.one_of(dsp_cases(), capacity_bound_cases()))
+    def test_counts_round_final_demand(self, case):
+        # Under both accountings each node's VM count is its final demand
+        # rounded up once, as linear_scan_dsp rounds it.
+        for ceil in (False, True):
+            res = dsp_greedy(*case, ceil_per_assignment=ceil)
+            assert res.n_dc == {key: {i: math.ceil(v - CEIL_EPS) if v > EPS else 0
+                                      for i, v in node_demand.items()}
+                                for key, node_demand in res.demand.items()}
 
     @pytest.mark.parametrize("n_e", [1, 7, 9, 196, 300])
     def test_volume_table_equals_per_key_sums(self, n_e):
