@@ -514,8 +514,8 @@ def run_estimator_on_trace(kind: str, trace: "list[np.ndarray] | np.ndarray",
     return normalized_regret(actual, *losses, lib)
 
 
-_PER_EPOCH_COLUMNS = ("wastage_gbps", "evasion_gbps", "wastage_vm", "cum_g1_vm",
-                      "cum_g2_gbps", "regret_combined", "regret_g1", "regret_g2")
+PER_EPOCH_COLUMNS = ("wastage_gbps", "evasion_gbps", "wastage_vm", "cum_g1_vm",
+                     "cum_g2_gbps", "regret_combined", "regret_g1", "regret_g2")
 
 
 def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
@@ -554,7 +554,7 @@ def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
     # Stacked as (columns, epochs, seeds), each cell's seed values form one
     # contiguous row, which np.mean sums as it sums a list of those values.
     averaged = np.mean(np.stack(per_seed, axis=-1), axis=-1)
-    return [{"epoch": float(t), **dict(zip(_PER_EPOCH_COLUMNS, row))}
+    return [{"epoch": float(t), **dict(zip(PER_EPOCH_COLUMNS, row))}
             for t, row in enumerate(averaged.T.tolist())]
 
 

@@ -6,10 +6,6 @@ volume or failed placements recorded by a run, or a placement that failed.
 
 from __future__ import annotations
 
-import contextlib
-import csv
-import json
-import os
 import sys
 import time
 
@@ -26,32 +22,6 @@ SEED_ENV = "BOHATEI_SEED"
 def _fail(message: str, code: int = 2):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
-
-
-@contextlib.contextmanager
-def _writing(path: str):
-    """Exit 2 with a message, not a traceback, when writing `path` fails."""
-    try:
-        yield
-    except OSError as exc:
-        _fail(f"cannot write {path}: {exc}")
-
-
-def _check_writable(path: str, directory: bool = False) -> None:
-    """Exit 2 with a message before a long run, not after it, when `path`
-    cannot be written. A file is opened to append and a directory is made;
-    whatever the probe made is removed again."""
-    made, head = [], os.path.normpath(path)
-    while head and not os.path.lexists(head):
-        made.append(head)
-        head = os.path.dirname(head)
-    with _writing(path):
-        if directory:
-            os.makedirs(path, exist_ok=True)
-        else:
-            open(path, "a").close()
-    for made_path in made:  # deepest first
-        (os.rmdir if directory else os.remove)(made_path)
 
 
 def _traffic(data) -> np.ndarray:
@@ -108,8 +78,7 @@ def topo():
 @click.option("--out", type=click.Path(), required=True)
 def topo_gen(nodes, dc_slots, seed, out):
     t = topology.generate_topology(nodes, dc_slots, seed=seed)
-    with _writing(out):
-        topology.save_topology(t, out)
+    topology.save_topology(t, out)
     click.echo(f"wrote {out}: {len(t.pops)} pops, {len(t.datacenters)} datacenters")
 
 
@@ -144,14 +113,14 @@ def graph_demand(attack_name, gbps, graphs_path):
     fine = {g.node(n.id).name: defense_graphs.node_demand_vms(g, n.id, gbps)
             for n in g.nodes}
     mono = defense_graphs.monolithic_demand_vms(g, gbps)
-    click.echo(json.dumps({
+    click.echo(config.json_text({
         "attack": attack_name,
         "gbps": gbps,
         "fine_grained": fine,
         "fine_grained_total": sum(fine.values()),
         "monolithic_replicas": mono,
         "monolithic_total_vms": mono * len(g.nodes),
-    }, indent=2, sort_keys=True))
+    }), nl=False)
 
 
 # -- rm -----------------------------------------------------------------
@@ -183,9 +152,7 @@ def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
         "total_vms": dsp.total_vms(),
         "runtime_s": elapsed,
     }
-    with _writing(out), open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    config.write_json(out, payload)
     click.echo(f"dsp: handled {traffic.sum() - dsp.t_left:.3f} of "
                f"{traffic.sum():.3f} Gbps in {elapsed * 1e3:.2f} ms; wrote {out}")
 
@@ -217,9 +184,7 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
             for r in step.ssps
         ],
     }
-    with _writing(out), open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    config.write_json(out, payload)
     click.echo(f"ssp: placed {sum(len(r.placements) for r in step.ssps)} VMs; wrote {out}")
 
 
@@ -231,28 +196,23 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
 @click.option("--dump-dir", type=click.Path(), default=None,
               help="Directory for >10% gap counterexamples.")
 def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
-    # Both outputs are checked before the comparison, which can take minutes.
-    _check_writable(report_path)
+    # Both outputs are checked before the comparison, whose time grows with
+    # --instances and has a heavy tail.
+    config.check_writable(report_path)
     if dump_dir:
-        _check_writable(dump_dir, directory=True)
+        config.check_writable(dump_dir, directory=True)
     rows = oracle.oracle_comparison(instances, seed, delta=delta)
-    with _writing(report_path), open(report_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["seed", "handled_greedy", "handled_oracle",
-                         "cost_greedy", "cost_oracle", "gap", "runtime_s"])
-        for r in rows:
-            writer.writerow([r.seed, f"{r.handled_greedy:.6f}", f"{r.handled_oracle:.6f}",
-                             f"{r.cost_greedy:.6f}", f"{r.cost_oracle:.6f}",
-                             f"{r.gap:.6f}", f"{r.runtime_s:.4f}"])
+    config.write_csv(report_path, ["seed", "handled_greedy", "handled_oracle",
+                                   "cost_greedy", "cost_oracle", "gap", "runtime_s"],
+                     ([r.seed, f"{r.handled_greedy:.6f}", f"{r.handled_oracle:.6f}",
+                       f"{r.cost_greedy:.6f}", f"{r.cost_oracle:.6f}",
+                       f"{r.gap:.6f}", f"{r.runtime_s:.4f}"] for r in rows))
     dumped = 0
     if dump_dir:
-        with _writing(dump_dir):
-            os.makedirs(dump_dir, exist_ok=True)
+        config.make_dirs(dump_dir)
         for r in rows:
             if r.counterexample:
-                path = f"{dump_dir}/counterexample_{r.seed}.json"
-                with _writing(path), open(path, "w") as fh:
-                    json.dump(r.counterexample, fh, indent=2, sort_keys=True)
+                config.write_json(f"{dump_dir}/counterexample_{r.seed}.json", r.counterexample)
                 dumped += 1
     stats = oracle.gap_summary(rows)
     click.echo(f"instances={len(rows)} handled_equal={stats['handled_equal']} "
@@ -279,8 +239,7 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
     step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
     if step.plan is None:
         _fail(step.error, 3)
-    with _writing(out):
-        step.plan.dump(out)
+    step.plan.dump(out)
     click.echo(f"plan: {step.plan.max_switch_rules()} rules on the busiest switch, "
                f"{step.plan.tag_bits} tag bits; wrote {out}")
 
@@ -291,11 +250,11 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
 def orch_count(plan_path, flows):
     per_switch = config.read_json(plan_path, "cannot read plan", _rule_counts)
     tag_rules = max(per_switch.values(), default=0)
-    click.echo(json.dumps({
+    click.echo(config.json_text({
         "tag_rules": tag_rules,
         "per_flow_rules": flows,
         "ratio": (flows / tag_rules) if tag_rules else None,
-    }, indent=2, sort_keys=True))
+    }), nl=False)
 
 
 # -- adapt --------------------------------------------------------------
@@ -318,7 +277,7 @@ def adapt():
 @click.option("--pops", type=int, default=6, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
-    _check_writable(out)
+    config.check_writable(out)
     lib = defense_graphs.builtin_library()
     seed_list = [seed + k for k in range(seeds)]
     if strategy != "all" and estimator != "all":
@@ -326,15 +285,10 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
         rows = adaptation.per_epoch_regret_report(
             strategy, estimator, n_pops=pops, budget=adaptation.Budget(budget),
             lib=lib, epochs=epochs, seeds=seed_list)
-        columns = ["epoch", "wastage_gbps", "evasion_gbps", "wastage_vm",
-                   "cum_g1_vm", "cum_g2_gbps", "regret_combined",
-                   "regret_g1", "regret_g2"]
-        with _writing(out), open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([int(row["epoch"])]
-                                + [f"{row[c]:.6f}" for c in columns[1:]])
+        columns = adaptation.PER_EPOCH_COLUMNS
+        config.write_csv(out, ["epoch", *columns],
+                         ([int(row["epoch"]), *(f"{row[c]:.6f}" for c in columns)]
+                          for row in rows))
         last = rows[-1]
         click.echo(f"{strategy}/{estimator}: final regret combined "
                    f"{last['regret_combined']:.4f}, g1 {last['regret_g1']:.4f}, "
@@ -345,15 +299,12 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
     rows = adaptation.regret_experiment(
         n_pops=pops, budget=adaptation.Budget(budget), lib=lib, epochs=epochs,
         seeds=seed_list, strategies=strategies, estimators=estimators)
-    with _writing(out), open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "estimator", "regret_combined", "regret_g1",
-                         "regret_g2", "wastage_gbps", "evasion_gbps"])
-        for r in rows:
-            writer.writerow([r.strategy, r.estimator,
-                             f"{r.mean_regret_combined:.6f}", f"{r.mean_regret_g1:.6f}",
-                             f"{r.mean_regret_g2:.6f}", f"{r.mean_wastage_gbps:.6f}",
-                             f"{r.mean_evasion_gbps:.6f}"])
+    config.write_csv(out, ["strategy", "estimator", "regret_combined", "regret_g1",
+                           "regret_g2", "wastage_gbps", "evasion_gbps"],
+                     ([r.strategy, r.estimator,
+                       f"{r.mean_regret_combined:.6f}", f"{r.mean_regret_g1:.6f}",
+                       f"{r.mean_regret_g2:.6f}", f"{r.mean_wastage_gbps:.6f}",
+                       f"{r.mean_evasion_gbps:.6f}"] for r in rows))
     for r in rows:
         click.echo(f"{r.strategy:>14} {r.estimator:>9}  combined={r.mean_regret_combined:8.4f}"
                    f"  g1={r.mean_regret_g1:8.4f}  g2={r.mean_regret_g2:8.4f}")
@@ -374,11 +325,11 @@ def compare_provisioning(series_path):
     series = config.read_json(series_path, "cannot read demand series")
     static_peak, elastic = simulate.provisioning_comparison(series)
     saving = 1.0 - elastic / static_peak if static_peak else 0.0
-    click.echo(json.dumps({
+    click.echo(config.json_text({
         "static_peak_total": static_peak,
         "elastic_total": elastic,
         "reduction": round(saving, 6),
-    }, indent=2, sort_keys=True))
+    }), nl=False)
 
 
 # -- simulate -----------------------------------------------------------
@@ -395,14 +346,13 @@ def simulate_cmd(scenario_path, out_dir, seed_override):
     seeds = sc.run_seeds()
     targets = {seed: out_dir if len(seeds) == 1 else f"{out_dir}/seed{seed}" for seed in seeds}
     for target in targets.values():
-        _check_writable(target, directory=True)
+        config.check_writable(target, directory=True)
     # The sweep loads the topology and library once, before epoch 0, so a
     # problem with either exits with code 2 before any epoch runs.
     by_seed = simulate.run_scenario_sweep(sc)
     infeasible = 0
     for seed, records in by_seed.items():
-        with _writing(targets[seed]):
-            simulate.emit_report(records, targets[seed], summary_extra={"seed": seed})
+        simulate.emit_report(records, targets[seed], summary_extra={"seed": seed})
         infeasible += sum(1 for r in records if r.infeasible)
     click.echo(f"simulated {len(by_seed)} seed(s) x {sc.epochs} epochs; "
                f"{infeasible} infeasible epoch(s); reports in {out_dir}")

@@ -28,6 +28,12 @@ DEFAULT_P = {ANALYSIS: 5.0, RESPONSE: 10.0}
 CEIL_EPS = 1e-9
 
 
+def vms(demand):
+    """Whole VMs for a VM demand: ceil(demand - CEIL_EPS), as a floor
+    division, which takes arrays, and floats without numpy's per-call cost."""
+    return -((CEIL_EPS - demand) // 1)
+
+
 @dataclass(frozen=True)
 class AttackType:
     id: int
@@ -200,10 +206,7 @@ def _check_volume(t_gbps: float) -> None:
 def node_demand_vms(g: AnnotatedGraph, i: int, t_gbps: float) -> int:
     """Minimum VM count so aggregate capacity covers the node's traffic share."""
     _check_volume(t_gbps)
-    load = t_gbps * g.share(i)
-    if load <= 0:
-        return 0
-    return math.ceil(load / g.node(i).capacity_gbps - CEIL_EPS)
+    return int(vms(t_gbps * g.share(i) / g.node(i).capacity_gbps))
 
 
 def sequential_sum(items):
@@ -226,12 +229,10 @@ def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:
     deploys every module, so total VMs are this count times len(g.nodes).
     """
     _check_volume(t_gbps)
-    if t_gbps == 0:
-        return 0
     bottleneck = min(
         n.capacity_gbps / g.share(n.id) for n in g.nodes if g.share(n.id) > 0
     )
-    return math.ceil(t_gbps / bottleneck - CEIL_EPS)
+    return int(vms(t_gbps / bottleneck))
 
 
 def build_physical_graph(g: AnnotatedGraph, dc_id: int, t_gbps: float,

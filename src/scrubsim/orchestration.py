@@ -10,12 +10,12 @@ before any traffic arrives, so rule tables never grow with flow counts.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import config
 from .defense_graphs import AnnotatedGraph, AttackType, PhysicalGraph, ordered_graphs
 from .errors import CapacityError, InputError, PinConflictError
 from .resource_manager import DspResult, SspResult
@@ -228,9 +228,7 @@ class ForwardingPlan:
         }
 
     def dump(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        config.write_json(path, self.to_json())
 
 
 def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,

@@ -11,14 +11,12 @@ the per-VM map is a view of them.
 from __future__ import annotations
 
 import heapq
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .defense_graphs import (
-    CEIL_EPS,
     AnnotatedGraph,
     AttackType,
     PhysicalGraph,
@@ -26,6 +24,7 @@ from .defense_graphs import (
     graph_compute_factor,
     ordered_graphs,
     sequential_sum,
+    vms,
 )
 from .errors import InputError, PlacementError
 from .topology import CostParams, Datacenter, Topology
@@ -98,18 +97,12 @@ def _is_open(link, compute):
     return (link > EPS) & (compute > EPS)
 
 
-def _vms(demand):
-    """A node's whole VMs for its VM demand: ceil(demand - CEIL_EPS), as a floor
-    division, which takes arrays, and floats without numpy's per-call cost."""
-    return -((CEIL_EPS - demand) // 1)
-
-
 def _charge(x, fac, nodes, whole_vms):
     """The slots that x Gbps more of one (datacenter, attack) cost: x times
     the graph's compute factor `fac` or, charging whole VMs, the VMs gained
     by its `nodes`, each given as (VM demand before the x, VMs per Gbps)."""
     if whole_vms:
-        return sum(_vms(demand + x * rate) - _vms(demand) for demand, rate in nodes)
+        return sum(vms(demand + x * rate) - vms(demand) for demand, rate in nodes)
     return x * fac
 
 
@@ -281,7 +274,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     physical: dict[tuple[int, int], PhysicalGraph] = {}
     volumes = attack_dc_volumes(f, traffic).tolist()
     for (d, a), node_demand in sorted(demand.items()):
-        counts = {i: int(_vms(v)) for i, v in node_demand.items()}
+        counts = {i: int(vms(v)) for i, v in node_demand.items()}
         physical[(a, d)] = build_physical_graph(graphs[a], d, volumes[a][d], counts)
 
     return DspResult(f=f, demand=demand, physical=physical,
@@ -299,8 +292,7 @@ def overprovision(dsp: DspResult, gamma: float) -> DspResult:
     if gamma == 1.0:
         return dsp
     physical = {
-        key: replace(pg, counts={i: math.ceil(c * gamma - CEIL_EPS) if c else 0
-                                 for i, c in pg.counts.items()})
+        key: replace(pg, counts={i: int(vms(c * gamma)) for i, c in pg.counts.items()})
         for key, pg in dsp.physical.items()
     }
     return DspResult(f=dsp.f, demand=dsp.demand, physical=physical,

@@ -12,8 +12,6 @@ are recorded in the epoch record; they never abort a run.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import os
 from collections.abc import Iterator
@@ -292,14 +290,10 @@ def emit_report(records: list[EpochRecord], out_dir: str,
     plus optional extras). Output is byte-stable for a fixed record list."""
     if not records:
         raise InputError("no records to report")
-    os.makedirs(out_dir, exist_ok=True)
+    config.make_dirs(out_dir)
     csv_path = os.path.join(out_dir, "epochs.csv")
     json_path = os.path.join(out_dir, "summary.json")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+    config.write_csv(csv_path, CSV_COLUMNS, (rec.csv_row() for rec in records))
     totals = {
         "epochs": len(records),
         "actual_gbps": round(sum(float(r.actual.sum()) for r in records), 6),
@@ -313,9 +307,7 @@ def emit_report(records: list[EpochRecord], out_dir: str,
     summary = {"totals": totals}
     if summary_extra:
         summary.update(summary_extra)
-    with open(json_path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    config.write_json(json_path, summary)
     return csv_path, json_path
 
 

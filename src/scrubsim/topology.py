@@ -8,7 +8,6 @@ from one breadth-first search per PoP.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import random
@@ -415,6 +414,4 @@ def load_topology(path: str) -> Topology:
 
 
 def save_topology(topo: Topology, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(topology_to_config(topo), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    config.write_json(path, topology_to_config(topo))

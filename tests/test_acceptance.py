@@ -2,7 +2,6 @@
 PASS/FAIL line (run with `pytest -s tests/test_acceptance.py -v`).
 """
 
-import json
 import math
 import random
 import time
@@ -18,6 +17,7 @@ from scrubsim.adaptation import (
     perturbation_bound,
     regret_experiment,
 )
+from scrubsim.config import write_json
 from scrubsim.defense_graphs import (
     ANALYSIS,
     RESPONSE,
@@ -59,8 +59,7 @@ def test_criterion_1_heuristic_vs_oracle(tmp_path):
     dumped = 0
     for r in rows:
         if r.counterexample is not None:
-            with open(dump_dir / f"counterexample_{r.seed}.json", "w") as fh:
-                json.dump(r.counterexample, fh, indent=2, sort_keys=True)
+            write_json(str(dump_dir / f"counterexample_{r.seed}.json"), r.counterexample)
             dumped += 1
     ok = (stats["handled_equal"] == len(rows) and stats["median_gap"] <= 0.01
           and stats["unproven"] == 0 and elapsed <= 300)

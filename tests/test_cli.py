@@ -1,5 +1,6 @@
 import contextlib
 import json
+import os
 import signal
 
 import pytest
@@ -774,6 +775,71 @@ def test_output_probe_leaves_nothing_behind(tmp_path, monkeypatch, args):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert list((tmp_path / "new").iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["topo", "gen", "--nodes", "12", "--out", "/dev/full"],
+    ["rm", "dsp", *RM_INPUTS, "--out", "/dev/full"],
+    ["rm", "ssp", *RM_INPUTS, "--out", "/dev/full"],
+    ["orch", "rules", *RM_INPUTS, "--out", "/dev/full"],
+    [*REGRET_ARGS, "--out", "/dev/full"],
+    [*REGRET_ARGS, "--estimator", "prevepoch", "--out", "/dev/full"],
+    ["rm", "oracle-compare", "--instances", "2", "--report", "/dev/full"],
+], ids=["topo-gen", "rm-dsp", "rm-ssp", "orch-rules", "regret-table", "regret-pair",
+        "oracle-report"])
+def test_full_disk_exit_2(tmp_path, args):
+    # /dev/full opens, and every write to it fails with ENOSPC.
+    topo = generate_topology(12, dc_slot_capacity=200, seed=1)
+    save_topology(topo, str(tmp_path / "topo.json"))
+    matrix = [[0.0] * 4 for _ in topo.pops]
+    matrix[0][0] = 10.0
+    write_traffic(tmp_path / "traffic.json", matrix)
+    res = CliRunner().invoke(main, [a.format(tmp=tmp_path) for a in args])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert res.output == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+def test_every_json_output_ends_in_one_newline(tmp_path):
+    """Every JSON file the CLI writes, and every JSON it prints, parses and
+    ends in exactly one newline."""
+    out = tmp_path / "out"
+    pops = generate_topology(12, dc_slot_capacity=200, seed=1).pops
+    matrix = [[0.0] * 4 for _ in pops]
+    matrix[0][0] = 10.0
+    write_traffic(tmp_path / "traffic.json", matrix)
+    (tmp_path / "series.json").write_text("[[40.0, 20.0], [80.0, 40.0]]")
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "epochs": 2, "budget_gbps": 20.0, "adversary": "steady", "estimator": "uniform",
+        "topology_nodes": 8, "dc_slots": 200}))
+    inputs = ["--topo", f"{out}/topo.json", "--traffic", f"{tmp_path}/traffic.json"]
+    out.mkdir()
+    printed = []
+    for args in (
+        ["topo", "gen", "--nodes", "12", "--dc-slots", "200", "--seed", "1",
+         "--out", f"{out}/topo.json"],
+        ["rm", "dsp", *inputs, "--out", f"{out}/dsp.json"],
+        ["rm", "ssp", *inputs, "--out", f"{out}/ssp.json"],
+        ["orch", "rules", *inputs, "--out", f"{out}/plan.json"],
+        ["orch", "count", "--plan", f"{out}/plan.json", "--flows", "10"],
+        ["graph", "demand", "--attack", "syn_flood", "--gbps", "12.5"],
+        ["compare", "provisioning", "--series", f"{tmp_path}/series.json"],
+        # Instance 20001's gap is over 10%, so it is dumped.
+        ["rm", "oracle-compare", "--instances", "2", "--seed", "20000",
+         "--report", f"{tmp_path}/report.csv", "--dump-dir", f"{out}/dumps"],
+        ["simulate", "--scenario", f"{tmp_path}/scenario.json", "--out-dir", f"{out}/sim"],
+    ):
+        res = CliRunner().invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)
+        if res.output.startswith("{"):
+            printed.append(res.output)
+    files = sorted(out.rglob("*.json"))
+    assert len(printed) == 3
+    assert [p.name for p in files if p.parent.name == "dumps"] == ["counterexample_20001.json"]
+    for text in printed + [p.read_text() for p in files]:
+        assert text.endswith("\n") and not text.endswith("\n\n"), text[-40:]
+        json.loads(text)
 
 
 @pytest.mark.parametrize("bad, option", [

@@ -1,6 +1,6 @@
 """Input files through the typed readers of `scrubsim.config`: a fuzz over
 every field of small fixtures, run through the CLI, and a guard that keeps
-the readers in that one module."""
+the readers and writers in that one module."""
 
 import ast
 import copy
@@ -79,13 +79,21 @@ def replaced(doc, path, value):
     return doc
 
 
-def run(name, doc, tmp):
-    """Run `name`'s command with `doc` as its file; every other input is the
-    intact fixture."""
+def spelled(doc, path, text):
+    """The JSON text of `doc` with the value at `path` spelled as `text`."""
+    mark = "@spelled@"
+    return json.dumps(replaced(doc, path, mark)).replace(json.dumps(mark), text)
+
+
+def run(name, doc, tmp, text=None):
+    """Run `name`'s command with `doc`, or the JSON `text` when given, as its
+    file; every other input is the intact fixture."""
     files = {"out": f"{tmp}/{name}.out"}
     for other, (fixture, _args) in FIXTURES.items():
         files[other] = f"{tmp}/{other}.json"
         Path(files[other]).write_text(json.dumps(doc if other == name else fixture))
+    if text is not None:
+        Path(files[name]).write_text(text)
     return CliRunner().invoke(main, [a.format(**files) for a in FIXTURES[name][1]])
 
 
@@ -113,8 +121,9 @@ def test_every_field_refuses_another_kind(name, value):
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_every_object_refuses_an_unknown_key(tmp_path, name):
-    """The intact fixture runs, and one unknown key in any of its objects
-    is an error that names the key."""
+    """The intact fixture runs, and one unknown key in any of its objects,
+    or its first key given twice with the same value, is an error that
+    names the key."""
     fixture = FIXTURES[name][0]
     res = run(name, fixture, tmp_path)
     assert res.exit_code == 0, res.output
@@ -124,11 +133,36 @@ def test_every_object_refuses_an_unknown_key(tmp_path, name):
         res = run(name, replaced(fixture, path, {**at(fixture, path), "bogus": 1}), tmp_path)
         assert res.exit_code == 2, (path, res.output)
         assert "unknown key 'bogus'" in res.output, (path, res.output)
+        obj = at(fixture, path)
+        key = next(iter(obj))
+        twice = f"{json.dumps(obj)[:-1]}, {json.dumps(key)}: {json.dumps(obj[key])}}}"
+        res = run(name, fixture, tmp_path, text=spelled(fixture, path, twice))
+        assert res.exit_code == 2, (path, res.output)
+        assert f"repeats key {key!r}" in res.output, (path, res.output)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_undecodable_json_names_the_file(tmp_path, name):
+    """Nesting deeper than the decoder recurses, and an integer longer than
+    Python converts, exit 2 naming the file: the whole file nested 100 000
+    lists deep, and the fixture's first number given 5 000 digits."""
+    fixture = FIXTURES[name][0]
+    number = next(path for path in paths(fixture) if type(at(fixture, path)) in (int, float))
+    for text in ("[" * 100_000 + "]" * 100_000, spelled(fixture, number, "1" * 5_000)):
+        res = run(name, fixture, tmp_path, text=text)
+        assert res.exit_code == 2, (text[:20], res.output)
+        assert isinstance(res.exception, SystemExit), (text[:20], res.exception)
+        assert res.output.startswith("error: ") and f"{tmp_path}/{name}.json: " in res.output
+
+
+# The calls besides `open` that read or write a file or spell its JSON.
+FILE_CALLS = {("json", "load"), ("json", "loads"), ("json", "dump"), ("json", "dumps"),
+              ("csv", "writer"), ("os", "makedirs")}
 
 
 def test_readers_stay_in_one_place():
-    """No scrubsim module imports another's private name, and only the
-    reader module parses JSON."""
+    """No scrubsim module imports another's private name, and only
+    `config` reads or writes a file or spells JSON."""
     problems = []
     for source in sorted((Path(__file__).parents[1] / "src" / "scrubsim").glob("*.py")):
         for node in ast.walk(ast.parse(source.read_text())):
@@ -136,8 +170,12 @@ def test_readers_stay_in_one_place():
                                                      or node.module.startswith("scrubsim.")):
                 problems += [f"{source.name}:{node.lineno} imports {alias.name}"
                              for alias in node.names if alias.name.startswith("_")]
-            if (source.name != "config.py" and isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name) and node.value.id == "json"
-                    and node.attr in ("load", "loads")):
-                problems.append(f"{source.name}:{node.lineno} calls json.{node.attr}")
+            if source.name == "config.py":
+                continue
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and (node.value.id, node.attr) in FILE_CALLS):
+                problems.append(f"{source.name}:{node.lineno} calls "
+                                f"{node.value.id}.{node.attr}")
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                problems.append(f"{source.name}:{node.lineno} calls open")
     assert problems == []

@@ -2,10 +2,13 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from scrubsim.defense_graphs import (
     ANALYSIS,
+    CEIL_EPS,
     RESPONSE,
     AnnotatedGraph,
     AttackType,
@@ -18,6 +21,7 @@ from scrubsim.defense_graphs import (
     node_demand_vms,
     ordered_graphs,
     sequential_sum,
+    vms,
 )
 from scrubsim.errors import InputError
 
@@ -67,6 +71,18 @@ def random_graph(rng):
         edges.append((parent, i, w))
         shares[i] = w
     return AnnotatedGraph(attack=ATK, nodes=nodes, edges=edges)
+
+
+# Any finite float, and whole numbers off by about the slack either way.
+DEMANDS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.builds(lambda n, d: n + d, st.integers(-10**6, 10**6), st.floats(-3e-9, 3e-9)))
+
+
+@given(DEMANDS)
+def test_vms_is_the_ceiling_less_the_slack(demand):
+    assert int(vms(demand)) == math.ceil(demand - CEIL_EPS)
+    assert vms(np.array([demand]))[0] == vms(demand)
 
 
 class TestNodeDemand:
