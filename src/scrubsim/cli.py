@@ -24,6 +24,15 @@ def _fail(message: str, code: int = 2):
     sys.exit(code)
 
 
+def _echo(text: str, nl: bool = True) -> None:
+    """Print to stdout. A failed write, such as to a full disk, is an
+    InputError naming <stdout>."""
+    try:
+        click.echo(text, nl=nl)
+    except OSError as exc:
+        raise InputError(f"cannot write <stdout>: {exc}") from exc
+
+
 def _traffic(data) -> np.ndarray:
     """A traffic file holds {"traffic": matrix} or the bare matrix."""
     if isinstance(data, dict):
@@ -79,7 +88,7 @@ def topo():
 def topo_gen(nodes, dc_slots, seed, out):
     t = topology.generate_topology(nodes, dc_slots, seed=seed)
     topology.save_topology(t, out)
-    click.echo(f"wrote {out}: {len(t.pops)} pops, {len(t.datacenters)} datacenters")
+    _echo(f"wrote {out}: {len(t.pops)} pops, {len(t.datacenters)} datacenters")
 
 
 # -- graph --------------------------------------------------------------
@@ -94,9 +103,9 @@ def graph():
 def graph_validate(path):
     lib = _load_lib(path)
     for g in defense_graphs.ordered_graphs(lib):
-        click.echo(f"{g.attack.name}: {len(g.nodes)} nodes, "
-                   f"factor {defense_graphs.graph_compute_factor(g):.4f} slots/Gbps")
-    click.echo("ok")
+        _echo(f"{g.attack.name}: {len(g.nodes)} nodes, "
+              f"factor {defense_graphs.graph_compute_factor(g):.4f} slots/Gbps")
+    _echo("ok")
 
 
 @graph.command("demand")
@@ -113,7 +122,7 @@ def graph_demand(attack_name, gbps, graphs_path):
     fine = {g.node(n.id).name: defense_graphs.node_demand_vms(g, n.id, gbps)
             for n in g.nodes}
     mono = defense_graphs.monolithic_demand_vms(g, gbps)
-    click.echo(config.json_text({
+    _echo(config.json_text({
         "attack": attack_name,
         "gbps": gbps,
         "fine_grained": fine,
@@ -153,8 +162,8 @@ def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
         "runtime_s": elapsed,
     }
     config.write_json(out, payload)
-    click.echo(f"dsp: handled {traffic.sum() - dsp.t_left:.3f} of "
-               f"{traffic.sum():.3f} Gbps in {elapsed * 1e3:.2f} ms; wrote {out}")
+    _echo(f"dsp: handled {traffic.sum() - dsp.t_left:.3f} of "
+          f"{traffic.sum():.3f} Gbps in {elapsed * 1e3:.2f} ms; wrote {out}")
 
 
 @rm.command("ssp")
@@ -185,7 +194,7 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
         ],
     }
     config.write_json(out, payload)
-    click.echo(f"ssp: placed {sum(len(r.placements) for r in step.ssps)} VMs; wrote {out}")
+    _echo(f"ssp: placed {sum(len(r.placements) for r in step.ssps)} VMs; wrote {out}")
 
 
 @rm.command("oracle-compare")
@@ -215,10 +224,10 @@ def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
                 config.write_json(f"{dump_dir}/counterexample_{r.seed}.json", r.counterexample)
                 dumped += 1
     stats = oracle.gap_summary(rows)
-    click.echo(f"instances={len(rows)} handled_equal={stats['handled_equal']} "
-               f"median_gap={stats['median_gap']:.6f} "
-               f"p90_gap={stats['p90_gap']:.6f} over_10pct={stats['over_10pct']} "
-               f"max_gap={stats['max_gap']:.6f} unproven={stats['unproven']} dumped={dumped}")
+    _echo(f"instances={len(rows)} handled_equal={stats['handled_equal']} "
+          f"median_gap={stats['median_gap']:.6f} "
+          f"p90_gap={stats['p90_gap']:.6f} over_10pct={stats['over_10pct']} "
+          f"max_gap={stats['max_gap']:.6f} unproven={stats['unproven']} dumped={dumped}")
 
 
 # -- orch ---------------------------------------------------------------
@@ -240,8 +249,8 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
     if step.plan is None:
         _fail(step.error, 3)
     step.plan.dump(out)
-    click.echo(f"plan: {step.plan.max_switch_rules()} rules on the busiest switch, "
-               f"{step.plan.tag_bits} tag bits; wrote {out}")
+    _echo(f"plan: {step.plan.max_switch_rules()} rules on the busiest switch, "
+          f"{step.plan.tag_bits} tag bits; wrote {out}")
 
 
 @orch.command("count")
@@ -250,7 +259,7 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
 def orch_count(plan_path, flows):
     per_switch = config.read_json(plan_path, "cannot read plan", _rule_counts)
     tag_rules = max(per_switch.values(), default=0)
-    click.echo(config.json_text({
+    _echo(config.json_text({
         "tag_rules": tag_rules,
         "per_flow_rules": flows,
         "ratio": (flows / tag_rules) if tag_rules else None,
@@ -290,9 +299,9 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
                          ([int(row["epoch"]), *(f"{row[c]:.6f}" for c in columns)]
                           for row in rows))
         last = rows[-1]
-        click.echo(f"{strategy}/{estimator}: final regret combined "
-                   f"{last['regret_combined']:.4f}, g1 {last['regret_g1']:.4f}, "
-                   f"g2 {last['regret_g2']:.4f}; wrote {out}")
+        _echo(f"{strategy}/{estimator}: final regret combined "
+              f"{last['regret_combined']:.4f}, g1 {last['regret_g1']:.4f}, "
+              f"g2 {last['regret_g2']:.4f}; wrote {out}")
         return
     strategies = adaptation.STRATEGIES if strategy == "all" else (strategy,)
     estimators = adaptation.ESTIMATORS if estimator == "all" else (estimator,)
@@ -306,9 +315,9 @@ def adapt_regret(strategy, estimator, epochs, seeds, seed, budget, pops, out):
                        f"{r.mean_regret_g2:.6f}", f"{r.mean_wastage_gbps:.6f}",
                        f"{r.mean_evasion_gbps:.6f}"] for r in rows))
     for r in rows:
-        click.echo(f"{r.strategy:>14} {r.estimator:>9}  combined={r.mean_regret_combined:8.4f}"
-                   f"  g1={r.mean_regret_g1:8.4f}  g2={r.mean_regret_g2:8.4f}")
-    click.echo(f"wrote {out}")
+        _echo(f"{r.strategy:>14} {r.estimator:>9}  combined={r.mean_regret_combined:8.4f}"
+              f"  g1={r.mean_regret_g1:8.4f}  g2={r.mean_regret_g2:8.4f}")
+    _echo(f"wrote {out}")
 
 
 # -- compare ------------------------------------------------------------
@@ -325,7 +334,7 @@ def compare_provisioning(series_path):
     series = config.read_json(series_path, "cannot read demand series")
     static_peak, elastic = simulate.provisioning_comparison(series)
     saving = 1.0 - elastic / static_peak if static_peak else 0.0
-    click.echo(config.json_text({
+    _echo(config.json_text({
         "static_peak_total": static_peak,
         "elastic_total": elastic,
         "reduction": round(saving, 6),
@@ -354,8 +363,8 @@ def simulate_cmd(scenario_path, out_dir, seed_override):
     for seed, records in by_seed.items():
         simulate.emit_report(records, targets[seed], summary_extra={"seed": seed})
         infeasible += sum(1 for r in records if r.infeasible)
-    click.echo(f"simulated {len(by_seed)} seed(s) x {sc.epochs} epochs; "
-               f"{infeasible} infeasible epoch(s); reports in {out_dir}")
+    _echo(f"simulated {len(by_seed)} seed(s) x {sc.epochs} epochs; "
+          f"{infeasible} infeasible epoch(s); reports in {out_dir}")
     if infeasible:
         sys.exit(3)
 

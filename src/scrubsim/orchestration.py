@@ -6,12 +6,15 @@ instances; every instance of the node picks uniformly from that one pool,
 which load-balances without a dedicated middlebox. Forward-to-customer
 contexts share one egress tag per (node, context). All rules are installed
 before any traffic arrives, so rule tables never grow with flow counts.
+A node's instances hold consecutive tags, so pools and tag rules are stored
+as runs, and a tag's VM is found by arithmetic on them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,68 +30,101 @@ VmKey = tuple[int, int, int, int]
 NodeKey = tuple[int, int, int]
 
 
+class GraphTags(NamedTuple):
+    """One placed graph's tags. Each non-root node with VMs holds one run of
+    consecutive identity tags, instance k holding the run's first tag plus
+    k, and each delivering node with VMs one egress tag."""
+    graph: AnnotatedGraph
+    nodes: tuple[int, ...]  # the nodes with VMs, ascending
+    runs: dict[int, tuple[int, int]]  # non-root node -> (first tag, VMs)
+    egress: dict[int, int]  # delivering node -> its egress tag
+
+    def run(self, node: int, context: int) -> tuple[int, int] | None:
+        """The node's pool for an output context as (first tag, tags): a
+        successor's run, empty when the successor has no VMs, or the egress
+        tag; None when the node has no such pool."""
+        if node not in self.nodes:
+            return None
+        succs = self.graph._succ.get(node, ())
+        if 0 <= context < len(succs):
+            return self.runs.get(succs[context], (0, 0))
+        if context == len(succs) and node in self.egress:
+            return self.egress[node], 1
+        return None
+
+
 @dataclass
 class TagPool:
-    """Per (logical node, output context) candidate tags, which every
-    instance of the node shares, plus the identity tag of every instance
-    reachable through a pool."""
-    pools: dict[tuple[NodeKey, int], list[int]] = field(default_factory=dict)
-    instance_tags: dict[VmKey, int] = field(default_factory=dict)
-    egress_tags: dict[tuple[int, int, int, int], int] = field(default_factory=dict)
-    # egress key: (attack id, dc id, node id, context index)
+    """Every placed (attack, datacenter) graph's tags in allocation order,
+    stored as runs. A logical node's pool for an output context is one run,
+    which every instance of the node shares. `instance_tags`, `egress_tags`
+    and `pools` render the per-VM and per-node maps afresh on every read."""
+    graphs: dict[tuple[int, int], GraphTags] = field(default_factory=dict)
     next_tag: int = 1
+    max_tag: int = 0  # the largest tag any pool holds
 
     def pool(self, vm: VmKey, context: int) -> list[int]:
-        try:
-            return self.pools[(vm[:3], context)]
-        except KeyError:
-            raise CapacityError(f"no tag pool for vm {vm} context {context}") from None
+        g = self.graphs.get(vm[:2])
+        run = None if g is None else g.run(vm[2], context)
+        if run is None:
+            raise CapacityError(f"no tag pool for vm {vm} context {context}")
+        return list(range(run[0], run[0] + run[1]))
 
     @property
-    def max_tag(self) -> int:
-        return max((max(p) for p in self.pools.values() if p), default=0)
+    def instance_tags(self) -> dict[VmKey, int]:
+        return {(a, d, node, k): first + k for (a, d), g in self.graphs.items()
+                for node, (first, n) in g.runs.items() for k in range(n)}
+
+    @property
+    def egress_tags(self) -> dict[tuple[int, int, int, int], int]:
+        """(attack id, dc id, node id, context index) -> egress tag."""
+        return {(a, d, node, len(g.graph._succ.get(node, ()))): tag
+                for (a, d), g in self.graphs.items() for node, tag in g.egress.items()}
+
+    @property
+    def pools(self) -> dict[tuple[NodeKey, int], list[int]]:
+        out: dict[tuple[NodeKey, int], list[int]] = {}
+        for (a, d), g in self.graphs.items():
+            for node in g.nodes:
+                contexts = len(g.graph._succ.get(node, ())) + (node in g.egress)
+                for c in range(contexts):
+                    first, n = g.run(node, c)
+                    out[((a, d, node), c)] = list(range(first, first + n))
+        return out
 
 
 def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
                 pools: TagPool | None = None) -> TagPool:
     """Allocate tags for one placed physical graph.
 
-    Tag values are consecutive integers from the pool's counter (canonical
-    order: node id, then instance index). Passing an existing TagPool keeps
-    values unique across graphs and datacenters.
+    Tag values are consecutive integers from the pool's counter: the
+    non-root nodes' runs by node id, then the egress tags by node id.
+    Passing an existing TagPool keeps values unique across graphs and
+    datacenters.
     """
     graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
-    a, d, counts = pg.attack.id, pg.dc_id, pg.counts
-    nodes = sorted(i for i, c in counts.items() if c)
-
-    roots, succ = graph._roots, graph._succ
-    runs: dict[int, slice] = {}  # non-root node -> its instances' run of `values`
-    vm_keys = []
+    counts = pg.counts
+    nodes = tuple([i for i in sorted(counts) if counts[i]])
+    tag = pools.next_tag
+    runs: dict[int, tuple[int, int]] = {}
     for node in nodes:
-        if node not in roots:
-            start = len(vm_keys)
-            vm_keys += [(a, d, node, k) for k in range(counts[node])]
-            runs[node] = slice(start, len(vm_keys))
-    egress_keys = [(a, d, node, len(succ.get(node, ()))) for node in nodes
-                   if graph.node(node).delivers]
-
-    n_slots = len(vm_keys) + len(egress_keys)
-    values = list(range(pools.next_tag, pools.next_tag + n_slots))
-    pools.next_tag += n_slots
-
-    pools.instance_tags.update(zip(vm_keys, values))
-    pools.egress_tags.update(zip(egress_keys, values[len(vm_keys):]))
-
-    # A successor's pool is a copy of its run of `values`, empty without VMs.
+        if node not in graph._roots:
+            runs[node] = (tag, counts[node])
+            tag += counts[node]
+    egress: dict[int, int] = {}
     for node in nodes:
-        succs = succ.get(node, ())
-        for c, s in enumerate(succs):
-            run = runs.get(s)
-            pools.pools[((a, d, node), c)] = [] if run is None else values[run]
-        if graph._by_id[node].delivers:
-            pools.pools[((a, d, node), len(succs))] = [
-                pools.egress_tags[(a, d, node, len(succs))]]
+        if graph.node(node).delivers:
+            egress[node] = tag
+            tag += 1
+    # The graph's largest pool tag: its last egress tag, or else the end of
+    # the last run that some node's pool holds.
+    top = tag - 1 if egress else max(
+        (sum(runs[s]) - 1 for node in nodes for s in graph._succ.get(node, ()) if s in runs),
+        default=0)
+    pools.graphs[(pg.attack.id, pg.dc_id)] = GraphTags(graph, nodes, runs, egress)
+    pools.next_tag = tag
+    pools.max_tag = max(pools.max_tag, top)
     return pools
 
 
@@ -136,6 +172,10 @@ def _jsonable(x):
 # weight), ...)), ("vm", key) or ("customer", None).
 Match = tuple[str, object]
 Action = tuple[str, object]
+# A datacenter's tag rules as runs keyed by first tag, in installation
+# order: first -> (stop, node) steers tags first..stop-1 to the node's
+# instances 0, 1, ... in turn, or to the customer when the node is None.
+TagRuns = dict[int, tuple[int, NodeKey | None]]
 
 
 @dataclass(eq=False)  # plans compare by identity: numpy arrays have no truth value
@@ -143,20 +183,22 @@ class ForwardingPlan:
     """Proactive forwarding state with each split stored once: the positive
     cells as read-only (pop, attack, datacenter, weight) arrays in row-major
     order, which give every pop flow rule and ingress tunnel rule; per placed
-    (attack, datacenter) graph, in sorted order, the split all its tunnels
-    share; and the tag tables, kept as rules because only tag matches can
-    clash. Rule counts are read from this state; `wide_area` and `dc_tables`
-    render it afresh on every read."""
+    (attack, datacenter) graph, in sorted order, its roots' VM counts, which
+    give the split all its tunnels share; and per datacenter its tag rules as
+    runs. Rule counts are read from this state; `wide_area`, `ingress`,
+    `tag_tables` and `dc_tables` render it afresh on every read."""
     shape: tuple[int, int, int]  # (pops, attacks, datacenters) of the assignment
     cells: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    ingress: dict[tuple[int, int], Action]
-    tag_tables: dict[int, dict[Match, Action]]  # datacenter id -> tag rules
+    # (attack id, dc id) -> the graph and the VMs of each of its roots
+    roots: dict[tuple[int, int], tuple[AnnotatedGraph, tuple[int, ...]]]
+    tag_runs: dict[int, TagRuns]  # datacenter id -> its tag rules
     tag_bits: int
     bidi_pins: dict[int, tuple[int, VmKey]] = field(default_factory=dict)
 
-    def _counts(self) -> tuple[list[int], dict[int, int]]:
-        """Flow rules per pop, and tunnel rules per ingress switch by
-        datacenter in the order graphs are placed: one per positive cell."""
+    def _counts(self) -> tuple[list[int], dict[int, int], dict[int, int]]:
+        """Flow rules per pop, tunnel rules per ingress switch by datacenter
+        in the order graphs are placed (one per positive cell), and tag rules
+        per datacenter."""
         e, a, d, _w = self.cells
         n_pops, n_attacks, n_dcs = self.shape
         # Row-major order puts a spilled cell's splits side by side.
@@ -165,23 +207,47 @@ class ForwardingPlan:
         flows = np.bincount(e[first], minlength=n_pops).tolist()
         tunnels = np.bincount(a * n_dcs + d, minlength=n_attacks * n_dcs).tolist()
         ingress: dict[int, int] = {}
-        for ga, gd in self.ingress:
+        for ga, gd in self.roots:
             ingress[gd] = ingress.get(gd, 0) + tunnels[ga * n_dcs + gd]
-        return flows, ingress
+        tags = {gd: sum(stop - start for start, (stop, _node) in runs.items())
+                for gd, runs in self.tag_runs.items()}
+        return flows, ingress, tags
 
     def rules_by_switch(self) -> dict[str, int]:
         """Rules per switch in the order of `dc_tables`, counted without
         rendering them."""
-        flows, ingress = self._counts()
+        flows, ingress, tags = self._counts()
         counts = {f"pop{p}": n for p, n in enumerate(flows) if n}
         for d, n in ingress.items():
             counts[f"dc{d}-ingress"] = n
-            counts[f"dc{d}"] = len(self.tag_tables[d])
+            counts[f"dc{d}"] = tags[d]
         return {sw: n for sw, n in counts.items() if n}
 
     def max_switch_rules(self) -> int:
-        flows, ingress = self._counts()
-        return max([*flows, *ingress.values(), *map(len, self.tag_tables.values())], default=0)
+        flows, ingress, tags = self._counts()
+        return max([*flows, *ingress.values(), *tags.values()], default=0)
+
+    def _tag_rules(self, dc: int, first: int, stop: int) -> list[tuple[int, int, int | None]]:
+        """The datacenter's rules for tags first..stop-1, ascending, as
+        (first, stop, run) pieces: the first tag of the run whose rules match
+        those tags, or None where no rule matches."""
+        runs = self.tag_runs.get(dc, {})
+        pieces = []
+        while first < stop:
+            end, hit = stop, None
+            run = runs.get(first)
+            if run is not None and run[0] > first:  # the tags start a run
+                end, hit = min(run[0], stop), first
+            else:
+                for start, (run_stop, _node) in runs.items():
+                    if start <= first < run_stop:
+                        end, hit = min(run_stop, stop), start
+                        break
+                    if first < start < end:
+                        end = start
+            pieces.append((first, end, hit))
+            first = end
+        return pieces
 
     @property
     def wide_area(self) -> dict[tuple[int, int], list[tuple[int, float]]]:
@@ -190,6 +256,23 @@ class ForwardingPlan:
         for e, a, d, w in zip(*(x.tolist() for x in self.cells)):
             out.setdefault((e, a), []).append((d, w))
         return out
+
+    @property
+    def ingress(self) -> dict[tuple[int, int], Action]:
+        """(a, d) -> the split every tunnel into the graph shares, rendered
+        afresh: each root's share over its VMs."""
+        return {(a, d): ("split", tuple(((a, d, root, k), graph.external_fraction(root) / n)
+                                        for root, n in zip(graph._roots, counts)
+                                        for k in range(n)))
+                for (a, d), (graph, counts) in self.roots.items()}
+
+    @property
+    def tag_tables(self) -> dict[int, dict[Match, Action]]:
+        """Datacenter id -> its tag rules in installation order, rendered
+        afresh."""
+        return {d: {("tag", t): ("customer", None) if node is None else ("vm", (*node, t - first))
+                    for first, (stop, node) in runs.items() for t in range(first, stop)}
+                for d, runs in self.tag_runs.items()}
 
     @property
     def dc_tables(self) -> dict[str, dict[Match, Action]]:
@@ -203,12 +286,13 @@ class ForwardingPlan:
                 "split", tuple((f"tunnel-e{e}-d{d}", w) for d, w in splits))
             for d, _w in splits:
                 tunnel_pops.setdefault((a, d), []).append(e)
+        tag_tables = self.tag_tables
         for (a, d), split in self.ingress.items():
             ingress = tables.setdefault(f"dc{d}-ingress", {})
             for e in tunnel_pops.get((a, d), ()):
                 ingress[("tunnel", f"e{e}-a{a}")] = split
             if f"dc{d}" not in tables:
-                tables[f"dc{d}"] = dict(self.tag_tables[d])
+                tables[f"dc{d}"] = tag_tables[d]
         return {sw: t for sw, t in tables.items() if t}
 
     def to_json(self) -> dict:
@@ -231,6 +315,15 @@ class ForwardingPlan:
         config.write_json(path, self.to_json())
 
 
+def _refuse_clash(runs: TagRuns, first: int, stop: int, dc: int) -> None:
+    """Refuse tags first..stop-1 when an earlier run at the datacenter holds
+    one of them, naming the first such tag."""
+    clash = min((max(first, start) for start, (end, _node) in runs.items()
+                 if start < stop and first < end), default=None)
+    if clash is not None:
+        raise InputError(f"duplicate rule match {('tag', clash)} on dc{dc}")
+
+
 def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                      topo: Topology,
                      lib: dict[AttackType, AnnotatedGraph]) -> ForwardingPlan:
@@ -249,53 +342,58 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         for (node, _rack, _srv), c in r.n_srv.items():
             placed[node] = placed.get(node, 0) + c
 
-    # np.nonzero walks the (e, a, d) cells in row-major order, so the cells
-    # ascend by (e, a) and each (e, a)'s splits by datacenter. The weights
-    # are a copy, so a later edit of dsp.f leaves the plan alone.
-    assigned = np.nonzero(dsp.f > 0)
-    cells = (*assigned, dsp.f[assigned])
+    # The flat index walks the (e, a, d) cells in row-major order, so the
+    # cells ascend by (e, a) and each (e, a)'s splits by datacenter. The
+    # weights are a copy, so a later edit of dsp.f leaves the plan alone.
+    flat = dsp.f.ravel()
+    assigned = np.flatnonzero(flat > 0)
+    cells = (*np.unravel_index(assigned, dsp.f.shape), flat[assigned])
     for x in cells:
         x.flags.writeable = False
 
-    # Egress tags grouped by graph, in (attack, dc, node, context) order.
-    egress: dict[tuple[int, int], list[int]] = {}
-    for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
-        egress.setdefault((ea, ed), []).append(tag)
-
-    ingress: dict[tuple[int, int], Action] = {}
-    tag_tables: dict[int, dict[Match, Action]] = {}
+    roots: dict[tuple[int, int], tuple[AnnotatedGraph, tuple[int, ...]]] = {}
+    tag_runs: dict[int, TagRuns] = {}
+    tops: dict[int, int] = {}  # datacenter id -> the end of its highest run
     for (a, d), pg in sorted(dsp.physical.items()):
+        counts = pg.counts
         if pg.total_vms == 0:
             continue
         graph = graphs[a]
         placed = placed_counts.get((a, d))
         if placed is None:
             raise InputError(f"physical graph ({a},{d}) has no server placement")
-        for node in (*graph.roots, *sorted(pg.counts)):
-            if placed.get(node, 0) < pg.counts.get(node, 0):
-                raise InputError(f"unplaced VM {(a, d, node, placed.get(node, 0))}")
-        root_targets = []
-        for root in graph.roots:
-            n_root = pg.counts.get(root, 0)
-            weight = graph.external_fraction(root) / n_root if n_root else 0.0
-            root_targets += [((a, d, root, k), weight) for k in range(n_root)]
-        # Every tunnel into the graph splits the same way: one shared action.
-        ingress[(a, d)] = ("split", tuple(root_targets))
-        table = tag_tables.setdefault(d, {})
-        rules = [(pools.instance_tags.get((a, d, node, k)), ("vm", (a, d, node, k)))
-                 for node in sorted(pg.counts) for k in range(pg.counts[node])]
-        rules += [(tag, ("customer", None)) for tag in egress.get((a, d), [])]
-        for tag, action in rules:
-            if tag is not None:
-                match = ("tag", tag)
-                if match in table:
-                    raise InputError(f"duplicate rule match {match} on dc{d}")
-                table[match] = action
+        for node, n in counts.items():
+            if placed.get(node, 0) < n:  # name the first short node, roots first
+                short = next(i for i in (*graph.roots, *sorted(counts))
+                             if placed.get(i, 0) < counts.get(i, 0))
+                raise InputError(f"unplaced VM {(a, d, short, placed.get(short, 0))}")
+        roots[(a, d)] = (graph, tuple([counts.get(root, 0) for root in graph._roots]))
+        runs = tag_runs.setdefault(d, {})
+        g = pools.graphs.get((a, d))
+        if g is None:
+            continue
+        # A VM gets a rule when the pools tagged it; each egress tag steers
+        # to the customer. Tags are drawn ascending, so a run that starts at
+        # or above every earlier run at the datacenter cannot clash.
+        top = tops.get(d, 0)
+        for node, (first, n) in g.runs.items():
+            stop = first + min(n, counts.get(node, 0))
+            if first < stop:
+                if first < top:
+                    _refuse_clash(runs, first, stop, d)
+                runs[first] = (stop, (a, d, node))
+                top = max(top, stop)
+        for tag in g.egress.values():
+            if tag < top:
+                _refuse_clash(runs, tag, tag + 1, d)
+            runs[tag] = (tag + 1, None)
+            top = max(top, tag + 1)
+        tops[d] = top
 
     max_tag = pools.max_tag
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
-    return ForwardingPlan(shape=dsp.f.shape, cells=cells, ingress=ingress,
-                          tag_tables=tag_tables, tag_bits=tag_bits)
+    return ForwardingPlan(shape=dsp.f.shape, cells=cells, roots=roots,
+                          tag_runs=tag_runs, tag_bits=tag_bits)
 
 
 def pin_bidirectional(plan: ForwardingPlan, outbound_tag: int, dc: int,
@@ -321,20 +419,30 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     graph = lib[pg.attack]
     if not graph.bidirectional:
         return 0
+    g = pools.graphs.get((pg.attack.id, pg.dc_id))
+    if g is None:
+        return 0
     count = 0
-    a, d = pg.attack.id, pg.dc_id
-    # The datacenter's tag table maps each identity tag to its VM; an
-    # egress tag's customer action is no pin target.
-    table = plan.tag_tables.get(d, {})
-    for node in sorted(pg.counts):
-        if not pg.counts[node] or graph.node(node).kind != "analysis":
+    d = pg.dc_id
+    # An analysis node's pools are its successors' runs. The datacenter's
+    # tag rules map each identity tag to its VM; an egress tag's customer
+    # rule is no pin target.
+    runs, pins = plan.tag_runs.get(d, {}), plan.bidi_pins
+    for node in g.nodes:
+        if not pg.counts.get(node) or graph.node(node).kind != "analysis":
             continue
-        for c in range(len(graph.successors(node))):
-            for tag in pools.pools.get(((a, d, node), c), []):
-                action = table.get(("tag", tag), ("customer", None))
-                if action[0] == "vm":
-                    count += tag not in plan.bidi_pins
-                    pin_bidirectional(plan, tag, d, action[1])
+        for s in graph._succ.get(node, ()):
+            lo, n = g.runs.get(s, (0, 0))
+            for first, stop, start in plan._tag_rules(d, lo, lo + n):
+                target = None if start is None else runs[start][1]
+                if target is None:
+                    continue
+                for tag in range(first, stop):
+                    pin = (d, (*target, tag - start))
+                    if pins.setdefault(tag, pin) is pin:
+                        count += 1
+                    else:  # pinned before: the same pin again, or a conflict
+                        pin_bidirectional(plan, tag, *pin)
     return count
 
 
@@ -345,24 +453,25 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
     rules. Returns a list of human-readable gaps (empty when complete)."""
     graph = lib[pg.attack]
     a, d, counts = pg.attack.id, pg.dc_id, pg.counts
-    table = plan.tag_tables.get(d, {})
+    g = pools.graphs.get((a, d))
+    runs = plan.tag_runs.get(d, {})
     gaps = []
     for s, dst, w in graph.edges:
         if w <= 0 or not counts.get(s) or not counts.get(dst):
             continue
         c = graph.successors(s).index(dst)
         node: NodeKey = (a, d, s)
-        tags = pools.pools.get((node, c), [])
-        if not tags:
+        run = None if g is None else g.run(s, c)
+        if not run or not run[1]:
             gaps.append(f"node {node} has no pool for context {c}")
             continue
         reachable = set()
-        for tag in tags:
-            action = table.get(("tag", tag))
-            if action is None:
-                gaps.append(f"tag {tag} from node {node} has no switch rule")
-            elif action[0] == "vm" and action[1][:3] == (a, d, dst):
-                reachable.add(action[1][3])
+        for first, stop, start in plan._tag_rules(d, run[0], run[0] + run[1]):
+            if start is None:
+                gaps += [f"tag {tag} from node {node} has no switch rule"
+                         for tag in range(first, stop)]
+            elif runs[start][1] == (a, d, dst):
+                reachable.update(range(first - start, stop - start))
         want = set(range(counts[dst]))
         if reachable != want:
             gaps.append(

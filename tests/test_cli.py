@@ -2,10 +2,14 @@ import contextlib
 import json
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import scrubsim
 from scrubsim import adaptation, oracle, simulate
 from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
@@ -799,6 +803,51 @@ def test_full_disk_exit_2(tmp_path, args):
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
     assert res.output == "error: cannot write /dev/full: [Errno 28] No space left on device\n"
+
+
+PRINTING_COMMANDS = {
+    "topo-gen": ["topo", "gen", "--nodes", "8", "--out", "{tmp}/out.json"],
+    "graph-validate": ["graph", "validate", "{tmp}/graphs.json"],
+    "graph-demand": ["graph", "demand", "--attack", "syn_flood", "--gbps", "1"],
+    "rm-dsp": ["rm", "dsp", *RM_INPUTS, "--out", "{tmp}/out.json"],
+    "rm-ssp": ["rm", "ssp", *RM_INPUTS, "--out", "{tmp}/out.json"],
+    "rm-oracle-compare": ["rm", "oracle-compare", "--instances", "1",
+                          "--report", "{tmp}/report.csv"],
+    "orch-rules": ["orch", "rules", *RM_INPUTS, "--out", "{tmp}/out.json"],
+    "orch-count": ["orch", "count", "--plan", "{tmp}/plan.json", "--flows", "10"],
+    "adapt-regret-table": [*REGRET_ARGS, "--out", "{tmp}/regret.csv"],
+    "adapt-regret-pair": [*REGRET_ARGS, "--estimator", "prevepoch", "--out", "{tmp}/regret.csv"],
+    "compare-provisioning": ["compare", "provisioning", "--series", "{tmp}/series.json"],
+    "simulate": ["simulate", "--scenario", "{tmp}/scenario.json", "--out-dir", "{tmp}/sim"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", PRINTING_COMMANDS.values(), ids=PRINTING_COMMANDS.keys())
+def test_full_stdout_exit_2(tmp_path, args):
+    """A command whose stdout cannot be written exits 2 with one `error:`
+    line naming <stdout>, and the interpreter's flush at exit adds nothing."""
+    topo = generate_topology(8, dc_slot_capacity=200, seed=1)
+    save_topology(topo, str(tmp_path / "topo.json"))
+    matrix = [[0.0] * 4 for _ in topo.pops]
+    matrix[0][0] = 10.0
+    write_traffic(tmp_path / "traffic.json", matrix)
+    write_library(tmp_path / "graphs.json")
+    (tmp_path / "plan.json").write_text('{"dc_tables": {"dc0": [{}, {}]}}')
+    (tmp_path / "series.json").write_text("[[40.0, 20.0], [80.0, 40.0]]")
+    (tmp_path / "scenario.json").write_text(json.dumps({
+        "epochs": 2, "budget_gbps": 20.0, "adversary": "steady", "estimator": "uniform",
+        "topology_nodes": 8, "dc_slots": 200}))
+    src = Path(scrubsim.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "scrubsim.cli",
+                               *(a.format(tmp=tmp_path) for a in args)],
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=300)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: cannot write <stdout>: [Errno 28] No space left on device\n")
 
 
 def test_every_json_output_ends_in_one_newline(tmp_path):

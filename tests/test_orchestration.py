@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -197,19 +198,32 @@ class TestSynthesizeRules:
             assert plan_realizes_edges(plan, pg, pools, lib) == []
 
     def test_shared_instance_tag_is_a_duplicate_match(self):
-        g = two_branch_graph()
-        lib = {ATK: g}
+        lib = builtin_library()
         topo = small_topo()
-        dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
+        dsp = dsp_greedy(topo, np.array([[10.0, 10.0, 0.0, 0.0]]), lib)
         ssps = place_all(topo, dsp, lib)
-        pools = build_tag_pools(dsp.physical, lib)
-        # Hand-edit the pool so two VMs carry one identity tag.
-        first, second = sorted(pools.instance_tags)[:2]
-        shared = pools.instance_tags[first]
-        pools.instance_tags[second] = shared
+        first, second = sorted(dsp.physical)
+        # Number the second graph from the first graph's first tag, so two
+        # VMs at one datacenter carry one identity tag.
+        pools = assign_tags(dsp.physical[first], lib)
+        shared = pools.next_tag = min(pools.instance_tags.values())
+        assign_tags(dsp.physical[second], lib, pools)
         with pytest.raises(InputError) as err:
             synthesize_rules(dsp, ssps, pools, topo, lib)
         assert str(err.value) == f"duplicate rule match ('tag', {shared}) on dc0"
+
+    def test_clash_inside_a_run_names_its_first_shared_tag(self):
+        lib = {ATK: two_branch_graph()}
+        topo = small_topo()
+        dsp = dsp_greedy(topo, np.array([[40.0]]), lib)
+        ssps = place_all(topo, dsp, lib)
+        pools = build_tag_pools(dsp.physical, lib)
+        # Node 2's run, tags 2 and 3, starts below node 1's run, tags 3 and
+        # 4, and ends inside it.
+        pools.graphs[(0, 0)].runs.update({1: (3, 2), 2: (2, 2)})
+        with pytest.raises(InputError) as err:
+            synthesize_rules(dsp, ssps, pools, topo, lib)
+        assert str(err.value) == "duplicate rule match ('tag', 3) on dc0"
 
     def test_golden_stable_serialization(self, tmp_path):
         _dsp, _pools, plan = self._plan(two_branch_graph())
@@ -222,10 +236,10 @@ class TestSynthesizeRules:
 
 
 class TestPlanRealizesEdges:
-    """Each gap message, from a plan or pool edited by hand. Node 0 has four
-    instances, which share its pools: context 0 holds tags 1 and 2 (node 1's
-    two instances) and context 1 tags 3 and 4 (node 2's); tag 5 is the
-    egress tag."""
+    """Each gap message, from a plan or pool whose runs are edited by hand.
+    Node 0 has four instances, which share its pools: context 0 holds tags 1
+    and 2 (node 1's two instances) and context 1 tags 3 and 4 (node 2's);
+    tag 5 is the egress tag."""
 
     def _setup(self):
         lib = {ATK: two_branch_graph()}
@@ -238,27 +252,30 @@ class TestPlanRealizesEdges:
         assert plan_realizes_edges(plan, pg, pools, lib) == []
         assert pools.pools == {((0, 0, 0), 0): [1, 2], ((0, 0, 0), 1): [3, 4],
                                ((0, 0, 1), 0): [5]}
+        assert pools.graphs[(0, 0)].runs == {1: (1, 2), 2: (3, 2)}
+        assert plan.tag_runs == {0: {1: (3, (0, 0, 1)), 3: (5, (0, 0, 2)), 5: (6, None)}}
         return lib, pools, plan, pg
 
     def test_missing_pool(self):
         lib, pools, plan, pg = self._setup()
-        del pools.pools[((0, 0, 0), 0)]
+        # The pools no longer number node 1's instances.
+        del pools.graphs[(0, 0)].runs[1]
         assert plan_realizes_edges(plan, pg, pools, lib) == [
             "node (0, 0, 0) has no pool for context 0"]
 
     def test_tag_without_switch_rule(self):
         lib, pools, plan, pg = self._setup()
-        del plan.tag_tables[0][("tag", 2)]
+        # Node 1's run of rules ends before its second instance's tag.
+        plan.tag_runs[0][1] = (2, (0, 0, 1))
         assert plan_realizes_edges(plan, pg, pools, lib) == [
             "tag 2 from node (0, 0, 0) has no switch rule",
             "edge 0->1: node (0, 0, 0) reaches instances [0] of [0, 1]"]
 
     def test_edge_reaching_wrong_instances(self):
         lib, pools, plan, pg = self._setup()
-        # One pool swaps a downstream tag for the egress tag; the other holds
-        # the first edge's tags, whose instances have the same indices.
-        pools.pools[((0, 0, 0), 0)] = [1, 5]
-        pools.pools[((0, 0, 0), 1)] = [1, 2]
+        # One pool loses node 1's second tag; the other holds node 1's tags,
+        # whose instances have node 2's indices.
+        pools.graphs[(0, 0)].runs.update({1: (1, 1), 2: (1, 2)})
         assert plan_realizes_edges(plan, pg, pools, lib) == [
             "edge 0->1: node (0, 0, 0) reaches instances [0] of [0, 1]",
             "edge 0->2: node (0, 0, 0) reaches instances [] of [0, 1]"]
@@ -404,24 +421,38 @@ class TestBidirectionalPins:
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
         plan = synthesize_rules(dsp, ssps, pools, topo, lib)
-        want, want_counts = reference_pins(dsp.physical, pools, lib)
-        got_counts = [pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
-                      for key in sorted(dsp.physical)]
-        assert got_counts == want_counts
-        assert sum(got_counts) > 0
-        assert plan.bidi_pins == want
+        want = reference_pins(dsp.physical, pools, lib)
+        assert library_pins(plan, dsp.physical, pools, lib) == want
+        assert sum(want[0]) > 0
 
 
 # ---------------------------------------------------------------------------
 # Linear references: assign_tags, synthesize_rules and the bidirectional pins
 # as they were written before their per-node and per-graph work was hoisted
-# out of the instance and rule loops, and before the plan stored each split
-# once. Each walks every instance and rule on its own; the library functions
-# must produce equal pools, equal plans and equal pins, not close ones.
+# out of the instance and rule loops, and before the pools and the plan
+# stored runs. Each walks every instance and rule on its own; the library
+# functions must produce equal pools, equal plans and equal pins, not close
+# ones.
+
+@dataclass
+class ReferencePools:
+    """The tag state as a per-VM store: every VM's pools keyed (vm, context),
+    and every identity and egress tag."""
+    pools: dict = field(default_factory=dict)
+    instance_tags: dict = field(default_factory=dict)
+    egress_tags: dict = field(default_factory=dict)
+    next_tag: int = 1
+
+    def pool(self, vm, context):
+        try:
+            return self.pools[(vm, context)]
+        except KeyError:
+            raise CapacityError(f"no tag pool for vm {vm} context {context}") from None
+
 
 def reference_assign_tags(pg, lib, pools=None):
     graph = lib[pg.attack]
-    pools = pools if pools is not None else TagPool()
+    pools = pools if pools is not None else ReferencePools()
     a, d = pg.attack.id, pg.dc_id
     roots = set(graph.roots)
     placed_nodes = sorted(i for i, c in pg.counts.items() if c > 0)
@@ -464,7 +495,7 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
     egress = {}
     for (ea, ed, _node, _ctx), tag in sorted(pools.egress_tags.items()):
         egress.setdefault((ea, ed), []).append(tag)
-    tables = {}
+    tables, ingress, tag_tables = {}, {}, {}
 
     def add(switch, match, action):
         table = tables.setdefault(switch, {})
@@ -493,8 +524,10 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
                 if (root, k) not in placed:
                     raise InputError(f"unplaced VM {key}")
                 root_targets.append((key, frac / n))
+        ingress[(a, d)] = ("split", tuple(root_targets))
         for e in np.flatnonzero(dsp.f[:, a, d] > 0).tolist():
-            add(f"dc{d}-ingress", ("tunnel", f"e{e}-a{a}"), ("split", tuple(root_targets)))
+            add(f"dc{d}-ingress", ("tunnel", f"e{e}-a{a}"), ingress[(a, d)])
+        tag_table = tag_tables.setdefault(d, {})
         for node in sorted(pg.counts):
             for k in range(pg.counts[node]):
                 key = (a, d, node, k)
@@ -503,16 +536,19 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
                 tag = pools.instance_tags.get(key)
                 if tag is not None:
                     add(f"dc{d}", ("tag", tag), ("vm", key))
+                    tag_table[("tag", tag)] = ("vm", key)
         for tag in egress.get((a, d), []):
             add(f"dc{d}", ("tag", tag), ("customer", None))
+            tag_table[("tag", tag)] = ("customer", None)
     max_tag = max([t for p in pools.pools.values() for t in p], default=0)
     tag_bits = math.ceil(math.log2(max_tag + 1)) if max_tag > 0 else 0
-    return wide_area, tables, tag_bits
+    return wide_area, tables, tag_bits, ingress, tag_tables
 
 
 def reference_pins(physical, pools, lib):
     """Every bidirectional graph's pins by a linear search of the identity
-    tags, and the number of new pins per graph in sorted order."""
+    tags at its datacenter, and the number of new pins per graph in sorted
+    order; or the message of the first pin that remaps a tag."""
     graphs = ordered_graphs(lib)
     pins: dict[int, tuple[int, tuple]] = {}
     counts = []
@@ -528,15 +564,30 @@ def reference_pins(physical, pools, lib):
                     for c in range(len(graph.successors(node))):
                         for tag in pools.pool(vm, c):
                             target = next((v for v, t in pools.instance_tags.items()
-                                           if t == tag), None)
-                            if target is not None and tag not in pins:
+                                           if t == tag and v[1] == d), None)
+                            if target is None:
+                                continue
+                            if tag not in pins:
                                 pins[tag] = (d, target)
                                 count += 1
+                            elif pins[tag] != (d, target):
+                                return (f"tag {tag} already pinned to {pins[tag]}, "
+                                        f"not ({d}, {target})")
         counts.append(count)
-    return pins, counts
+    return counts, list(pins.items())
 
 
-def reference_state(wide_area, tables, tag_bits):
+def library_pins(plan, physical, pools, lib):
+    """`reference_pins` of the library: pin every graph in sorted order."""
+    try:
+        counts = [pin_bidirectional_for_graph(plan, physical[key], pools, lib)
+                  for key in sorted(physical)]
+    except PinConflictError as exc:
+        return str(exc)
+    return counts, list(plan.bidi_pins.items())
+
+
+def reference_state(wide_area, tables, tag_bits, ingress, tag_tables):
     """`plan_state` of a pin-free plan that stores `wide_area` and every
     switch's `tables`, with its file written one rule at a time."""
     data = {
@@ -551,7 +602,9 @@ def reference_state(wide_area, tables, tag_bits):
     }
     return (data, json.dumps(data, indent=2, sort_keys=True),
             {sw: len(rules) for sw, rules in tables.items()}, list(wide_area.items()),
-            {sw: list(rules.items()) for sw, rules in tables.items()})
+            {sw: list(rules.items()) for sw, rules in tables.items()},
+            list(ingress.items()), [(d, list(t.items())) for d, t in tag_tables.items()],
+            tag_bits)
 
 
 def pool_state(pools, physical=None):
@@ -566,7 +619,9 @@ def pool_state(pools, physical=None):
 def plan_state(plan):
     return (plan.to_json(), json.dumps(plan.to_json(), indent=2, sort_keys=True),
             plan.rules_by_switch(), list(plan.wide_area.items()),
-            {sw: list(rules.items()) for sw, rules in plan.dc_tables.items()})
+            {sw: list(rules.items()) for sw, rules in plan.dc_tables.items()},
+            list(plan.ingress.items()),
+            [(d, list(t.items())) for d, t in plan.tag_tables.items()], plan.tag_bits)
 
 
 def assert_counts_and_renders_stand(plan, dsp):
@@ -576,14 +631,14 @@ def assert_counts_and_renders_stand(plan, dsp):
     want = plan_state(plan)
     assert list(plan.rules_by_switch().items()) == [
         (sw, len(rules)) for sw, rules in plan.dc_tables.items()]
+    assert plan.max_switch_rules() == max(map(len, plan.dc_tables.values()), default=0)
     dsp.f[...] = 0.5
     for splits in plan.wide_area.values():
         splits.append((99, 0.5))
-    wide_area, tables = plan.wide_area, plan.dc_tables
-    for splits in wide_area.values():
-        splits.clear()
-    for rules in tables.values():
-        rules.clear()
+    for render in (plan.wide_area, plan.dc_tables, plan.tag_tables):
+        for value in render.values():
+            value.clear()
+    plan.ingress.clear()
     assert plan_state(plan) == want
     for x in plan.cells:
         with pytest.raises(ValueError):
@@ -598,49 +653,89 @@ def outcome(fn, *args):
         return (type(exc), str(exc))
 
 
+def numbered_pools(assign, physical, lib, pools, rewind):
+    """`assign` every graph in sorted order into `pools`. With `rewind`
+    (i, tag), the counter is set back before graph i % graphs to a tag in 1
+    .. the counter, so two graphs' tags may overlap."""
+    keys = sorted(physical)
+    for i, key in enumerate(keys):
+        if rewind is not None and i == rewind[0] % len(keys):
+            pools.next_tag = 1 + rewind[1] % pools.next_tag
+        assign(physical[key], lib, pools)
+    return pools
+
+
+REWINDS = st.none() | st.tuples(st.integers(0, 200), st.integers(0, 10**6))
+
+
 class TestMatchesLinearReference:
     @settings(max_examples=120)
-    @given(case=capacity_bound_cases(), ceil=st.booleans())
-    def test_tag_pools(self, case, ceil):
+    @given(case=capacity_bound_cases(), ceil=st.booleans(), rewind=REWINDS)
+    def test_tag_pools(self, case, ceil, rewind):
         topo, traffic, lib = case
         dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
-        got, want = TagPool(), TagPool()
-        for key in sorted(dsp.physical):
+        got, want = TagPool(), ReferencePools()
+        keys = sorted(dsp.physical)
+        for i, key in enumerate(keys):
+            if rewind is not None and i == rewind[0] % len(keys):
+                got.next_tag = want.next_tag = 1 + rewind[1] % got.next_tag
             assert assign_tags(dsp.physical[key], lib, got) is got
             reference_assign_tags(dsp.physical[key], lib, want)
             assert pool_state(got, dsp.physical) == pool_state(want)
             assert got.max_tag == max([t for p in want.pools.values() for t in p], default=0)
+        for (vm, c), tags in want.pools.items():
+            assert got.pool(vm, c) == tags
+        for vm in {vm for vm, _c in want.pools}:
+            top = max(c for v, c in want.pools if v == vm)
+            for c in (-1, top + 1):
+                with pytest.raises(CapacityError):
+                    got.pool(vm, c)
         # Each (node, context) owns its pool list: editing one edits no other.
         assert len({id(tags) for tags in got.pools.values()}) == len(got.pools)
 
+    def test_pools_for_more_vms_give_rules_to_the_placed_ones(self):
+        lib = {ATK: two_branch_graph()}
+        topo = small_topo()
+        dsp = dsp_greedy(topo, np.array([[40.0]]), lib)
+        ssps = place_all(topo, dsp, lib)
+        pg = dsp.physical[(0, 0)]
+        more = replace(pg, counts={node: n + 1 for node, n in pg.counts.items()})
+        plan = synthesize_rules(dsp, ssps, assign_tags(more, lib), topo, lib)
+        want = reference_synthesize_rules(dsp, ssps, reference_assign_tags(more, lib), topo, lib)
+        assert plan_state(plan) == reference_state(*want)
+        assert plan.tag_runs == {0: {1: (3, (0, 0, 1)), 4: (6, (0, 0, 2)), 7: (8, None)}}
+
     @settings(max_examples=200)
-    @given(case=capacity_bound_cases(), ceil=st.booleans(), data=st.data())
-    def test_plans(self, case, ceil, data):
+    @given(case=capacity_bound_cases(), ceil=st.booleans(), rewind=REWINDS, data=st.data())
+    def test_plans(self, case, ceil, rewind, data):
         topo, traffic, lib = case
         dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
         try:
             ssps = place_all(topo, dsp, lib)
         except PlacementError:
             return
-        pools = build_tag_pools(dsp.physical, lib)
-        # Sometimes take away a graph's placement or one node's run of VMs on
-        # one server, so the unplaced-VM errors are compared too.
-        if ssps and data.draw(st.booleans()):
+        pools = numbered_pools(assign_tags, dsp.physical, lib, TagPool(), rewind)
+        ref_pools = numbered_pools(reference_assign_tags, dsp.physical, lib,
+                                   ReferencePools(), rewind)
+        # Without a rewind, sometimes take away a graph's placement or one
+        # node's run of VMs on one server, so the unplaced-VM errors are
+        # compared too. The library checks a graph's placement before its
+        # tags, and the reference checks them VM by VM, so their first error
+        # may differ when both faults are present.
+        if rewind is None and ssps and data.draw(st.booleans()):
             victim = data.draw(st.sampled_from(ssps))
             if data.draw(st.booleans()) or not victim.n_srv:
                 ssps = [r for r in ssps if r is not victim]
             else:
                 del victim.n_srv[data.draw(st.sampled_from(sorted(victim.n_srv)))]
         got = outcome(synthesize_rules, dsp, ssps, pools, topo, lib)
-        want = outcome(reference_synthesize_rules, dsp, ssps, pools, topo, lib)
+        want = outcome(reference_synthesize_rules, dsp, ssps, ref_pools, topo, lib)
         if isinstance(want[0], type):
             assert got == want
         else:
             assert plan_state(got) == reference_state(*want)
-            want_pins, want_counts = reference_pins(dsp.physical, pools, lib)
-            assert [pin_bidirectional_for_graph(got, dsp.physical[key], pools, lib)
-                    for key in sorted(dsp.physical)] == want_counts
-            assert list(got.bidi_pins.items()) == list(want_pins.items())
+            assert (library_pins(got, dsp.physical, pools, lib)
+                    == reference_pins(dsp.physical, ref_pools, lib))
             assert_counts_and_renders_stand(got, dsp)
 
 

@@ -10,7 +10,7 @@ import pytest
 from scrubsim import simulate
 from scrubsim.defense_graphs import builtin_library
 from scrubsim.errors import InputError, PlacementError
-from scrubsim.orchestration import ForwardingPlan
+from scrubsim.orchestration import ForwardingPlan, TagPool
 from scrubsim.resource_manager import place_all
 from scrubsim.simulate import (
     Scenario,
@@ -181,19 +181,24 @@ def test_epochs_call_the_benchmark_hooks_in_order(monkeypatch):
 HOOKED_SPANS = ("resource_manager.dsp_s", "resource_manager.ssp_s",
                 "orchestration.tag_pools_s", "orchestration.rules_s", "orchestration.pins_s",
                 "adaptation.estimate_s", "adaptation.loss_s")
+# Counters that those hooks read from the tag pools, pins and plan.
+HOOKED_COUNTERS = ("orchestration.tags", "orchestration.pins", "orchestration.rules_total",
+                   "orchestration.rules_max_switch")
 
 
 def test_traced_sim_dense_reads_every_hooked_span():
     """A traced sim-dense smoke run passes its output checks, and each span
-    timed through a hook on `simulate`'s names reads above 0. A hook that
-    no longer fires reads 0 here rather than only in the benchmark."""
+    timed through a hook on `simulate`'s names, and each counter those hooks
+    read, is above 0. A hook that no longer fires, or a tag pool or plan
+    view that no longer counts, reads 0 here rather than only in the
+    benchmark."""
     proc = subprocess.run([sys.executable, str(RUN_BENCH), "--workload", "sim-dense",
                            "--smoke", "--trace", "1"],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
-    for name in HOOKED_SPANS:
+    for name in HOOKED_SPANS + HOOKED_COUNTERS:
         assert result["metrics"][name]["value"] > 0, name
 
 
@@ -210,12 +215,15 @@ def test_control_plane_reports_a_failed_placement():
 
 
 def test_epochs_count_rules_without_rendering_tables(monkeypatch):
-    """An epoch reads only the plan's rule counts: with every rendering of
-    the plan made to raise, a run still completes and counts its rules."""
-    def refuse(_plan):
-        raise AssertionError("an epoch rendered a forwarding plan")
-    for name in ("wide_area", "dc_tables"):
-        monkeypatch.setattr(ForwardingPlan, name, property(refuse))
+    """An epoch reads only the plan's rule counts and the pools' runs: with
+    every rendering of the plan and of the tag pools made to raise, a run
+    still completes and counts its rules."""
+    def refuse(_self):
+        raise AssertionError("an epoch rendered a forwarding plan or tag pool")
+    for cls, names in ((ForwardingPlan, ("wide_area", "dc_tables", "ingress", "tag_tables")),
+                       (TagPool, ("instance_tags", "egress_tags", "pools"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, property(refuse))
     monkeypatch.setattr(ForwardingPlan, "to_json", refuse)
     records = run_simulation(tiny_scenario(epochs=3, adversary="randhybrid",
                                            estimator="fpl"))
@@ -223,22 +231,34 @@ def test_epochs_count_rules_without_rendering_tables(monkeypatch):
     assert all(r.tag_rules > 0 for r in records)
 
 
-def test_sim_dense_rule_counts():
+def test_sim_dense_rule_counts(monkeypatch):
     """sim-dense's scenario at run seeds 3555-3559 (the benchmark's seed
     711): 100 epochs of 196 pops at 1 Tbps, randhybrid, fpl, topology seed
-    1. The summed switch counts, the busiest switch and the summed VMs are
-    those the per-rule tables gave before the plan stored each split once."""
+    1. The summed switch counts, the busiest switch, the summed VMs, the
+    summed identity and egress tags, the summed pins and the widest tag are
+    those the per-rule tables and per-VM tag maps gave before the plan and
+    the pools stored runs."""
     topo, lib = generate_topology(196, dc_slot_capacity=4000, seed=1), builtin_library()
     sc = Scenario(epochs=20, budget_gbps=1000.0, adversary="randhybrid", estimator="fpl",
                   topology_nodes=196)
-    rules = busiest = vms = 0
+    made = {"pools": [], "pins": []}
+    for name, key in (("build_tag_pools", "pools"), ("pin_bidirectional_for_graph", "pins")):
+        def keep(*args, _original=getattr(simulate, name), _made=made[key]):
+            _made.append(_original(*args))
+            return _made[-1]
+        monkeypatch.setattr(simulate, name, keep)
+    rules = busiest = vms = bits = 0
     for run_seed in range(3555, 3560):
         for record, step in simulate._epochs(sc, run_seed, topo, lib):
             per_switch = step.plan.rules_by_switch()
             rules += sum(per_switch.values())
             busiest = max(busiest, *per_switch.values())
             vms += record.vm_total
+            bits = max(bits, step.plan.tag_bits)
+    tags = sum(len(p.instance_tags) + len(p.egress_tags) for p in made["pools"])
+    assert len(made["pools"]) == 100
     assert (rules, busiest, vms) == (184_484, 240, 46_276)
+    assert (tags, sum(made["pins"]), bits) == (27_677, 8_041, 9)
 
 
 class TestEmitReport:
