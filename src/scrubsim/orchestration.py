@@ -38,6 +38,7 @@ class GraphTags(NamedTuple):
     nodes: tuple[int, ...]  # the nodes with VMs, ascending
     runs: dict[int, tuple[int, int]]  # non-root node -> (first tag, VMs)
     egress: dict[int, int]  # delivering node -> its egress tag
+    top: int  # the largest tag any of the graph's pools holds, or 0
 
     def run(self, node: int, context: int) -> tuple[int, int] | None:
         """The node's pool for an output context as (first tag, tags): a
@@ -57,11 +58,15 @@ class GraphTags(NamedTuple):
 class TagPool:
     """Every placed (attack, datacenter) graph's tags in allocation order,
     stored as runs. A logical node's pool for an output context is one run,
-    which every instance of the node shares. `instance_tags`, `egress_tags`
-    and `pools` render the per-VM and per-node maps afresh on every read."""
+    which every instance of the node shares. `instance_tags` and
+    `egress_tags` render the per-VM maps afresh on every read."""
     graphs: dict[tuple[int, int], GraphTags] = field(default_factory=dict)
     next_tag: int = 1
-    max_tag: int = 0  # the largest tag any pool holds
+
+    @property
+    def max_tag(self) -> int:
+        """The largest tag any pool holds, or 0."""
+        return max((g.top for g in self.graphs.values()), default=0)
 
     def pool(self, vm: VmKey, context: int) -> list[int]:
         g = self.graphs.get(vm[:2])
@@ -80,17 +85,6 @@ class TagPool:
         """(attack id, dc id, node id, context index) -> egress tag."""
         return {(a, d, node, len(g.graph._succ.get(node, ()))): tag
                 for (a, d), g in self.graphs.items() for node, tag in g.egress.items()}
-
-    @property
-    def pools(self) -> dict[tuple[NodeKey, int], list[int]]:
-        out: dict[tuple[NodeKey, int], list[int]] = {}
-        for (a, d), g in self.graphs.items():
-            for node in g.nodes:
-                contexts = len(g.graph._succ.get(node, ())) + (node in g.egress)
-                for c in range(contexts):
-                    first, n = g.run(node, c)
-                    out[((a, d, node), c)] = list(range(first, first + n))
-        return out
 
 
 def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
@@ -122,9 +116,8 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     top = tag - 1 if egress else max(
         (sum(runs[s]) - 1 for node in nodes for s in graph._succ.get(node, ()) if s in runs),
         default=0)
-    pools.graphs[(pg.attack.id, pg.dc_id)] = GraphTags(graph, nodes, runs, egress)
+    pools.graphs[(pg.attack.id, pg.dc_id)] = GraphTags(graph, nodes, runs, egress, top)
     pools.next_tag = tag
-    pools.max_tag = max(pools.max_tag, top)
     return pools
 
 
@@ -375,19 +368,24 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         # A VM gets a rule when the pools tagged it; each egress tag steers
         # to the customer. Tags are drawn ascending, so a run that starts at
         # or above every earlier run at the datacenter cannot clash.
+        # Plain comparisons stand in for min() and max() here: on a dense
+        # epoch their calls took about a fifth of synthesize_rules' time.
         top = tops.get(d, 0)
         for node, (first, n) in g.runs.items():
-            stop = first + min(n, counts.get(node, 0))
+            placed_vms = counts.get(node, 0)
+            stop = first + (n if n < placed_vms else placed_vms)
             if first < stop:
                 if first < top:
                     _refuse_clash(runs, first, stop, d)
                 runs[first] = (stop, (a, d, node))
-                top = max(top, stop)
+                if stop > top:
+                    top = stop
         for tag in g.egress.values():
             if tag < top:
                 _refuse_clash(runs, tag, tag + 1, d)
             runs[tag] = (tag + 1, None)
-            top = max(top, tag + 1)
+            if tag >= top:
+                top = tag + 1
         tops[d] = top
 
     max_tag = pools.max_tag
@@ -438,11 +436,8 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
                 if target is None:
                     continue
                 for tag in range(first, stop):
-                    pin = (d, (*target, tag - start))
-                    if pins.setdefault(tag, pin) is pin:
-                        count += 1
-                    else:  # pinned before: the same pin again, or a conflict
-                        pin_bidirectional(plan, tag, *pin)
+                    count += tag not in pins
+                    pin_bidirectional(plan, tag, d, (*target, tag - start))
     return count
 
 

@@ -70,12 +70,25 @@ def capacity_bound_cases(draw):
     return topo, weights * (total / max(weights.sum(), 1.0)), lib
 
 
+def node_pools(pools) -> dict:
+    """Every logical node's pools as ``{(node key, context): tags}``, in
+    allocation order: graph, node, context. A node with VMs has one pool per
+    successor, and a delivering node one more, holding its egress tag."""
+    out = {}
+    for (a, d), g in pools.graphs.items():
+        for node in g.nodes:
+            contexts = len(g.graph.successors(node)) + (node in g.egress)
+            for c in range(contexts):
+                out[((a, d, node), c)] = pools.pool((a, d, node, 0), c)
+    return out
+
+
 def per_vm_pools(pools, physical) -> list:
     """Every VM's pools as one ``((vm, context), tags)`` list, in the order
     of a per-instance store: graph, node, instance index, context. Each
     node's pools are repeated for its ``physical`` instance count."""
     by_node: dict[tuple, list] = {}
-    for (node, c), tags in pools.pools.items():
+    for (node, c), tags in node_pools(pools).items():
         by_node.setdefault(node, []).append((c, tags))
     out = []
     for (a, d, node), contexts in by_node.items():

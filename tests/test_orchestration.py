@@ -32,7 +32,7 @@ from scrubsim.orchestration import (
 from scrubsim.resource_manager import check_feasibility, dsp_greedy, place_all
 from scrubsim.topology import CostParams, generate_topology
 from reference import (capacity_bound_cases, load_balance_pick, make_dc, make_topo,
-                       per_vm_pools)
+                       node_pools, per_vm_pools)
 
 ATK = AttackType(0, "atk0")
 
@@ -250,7 +250,7 @@ class TestPlanRealizesEdges:
         plan = synthesize_rules(dsp, ssps, pools, topo, lib)
         pg = dsp.physical[(0, 0)]
         assert plan_realizes_edges(plan, pg, pools, lib) == []
-        assert pools.pools == {((0, 0, 0), 0): [1, 2], ((0, 0, 0), 1): [3, 4],
+        assert node_pools(pools) == {((0, 0, 0), 0): [1, 2], ((0, 0, 0), 1): [3, 4],
                                ((0, 0, 1), 0): [5]}
         assert pools.graphs[(0, 0)].runs == {1: (1, 2), 2: (3, 2)}
         assert plan.tag_runs == {0: {1: (3, (0, 0, 1)), 3: (5, (0, 0, 2)), 5: (6, None)}}
@@ -273,9 +273,10 @@ class TestPlanRealizesEdges:
 
     def test_edge_reaching_wrong_instances(self):
         lib, pools, plan, pg = self._setup()
-        # One pool loses node 1's second tag; the other holds node 1's tags,
-        # whose instances have node 2's indices.
-        pools.graphs[(0, 0)].runs.update({1: (1, 1), 2: (1, 2)})
+        # Tag 2 steers to the customer, not to node 1's second instance, and
+        # node 2's pool holds node 1's tags instead of its own.
+        plan.tag_runs[0] = {1: (2, (0, 0, 1)), 2: (3, None), 3: (5, (0, 0, 2)), 5: (6, None)}
+        pools.graphs[(0, 0)].runs[2] = (1, 2)
         assert plan_realizes_edges(plan, pg, pools, lib) == [
             "edge 0->1: node (0, 0, 0) reaches instances [0] of [0, 1]",
             "edge 0->2: node (0, 0, 0) reaches instances [] of [0, 1]"]
@@ -302,7 +303,7 @@ class TestPlanRealizesEdges:
         assert sorted(pools.instance_tags) == [(0, 0, 2, 0), (0, 0, 2, 1)]
         assert pools.egress_tags == {}
         # Only a1 emits tags; its pool toward r_ok is empty.
-        assert pools.pools == {((0, 0, 0), 0): [], ((0, 0, 0), 1): [1, 2]}
+        assert node_pools(pools) == {((0, 0, 0), 0): [], ((0, 0, 0), 1): [1, 2]}
         assert plan.dc_tables["dc0"] == {
             ("tag", tag): ("vm", vm) for vm, tag in pools.instance_tags.items()}
         assert plan_realizes_edges(plan, dsp.physical[(0, 0)], pools, lib) == []
@@ -690,8 +691,11 @@ class TestMatchesLinearReference:
             for c in (-1, top + 1):
                 with pytest.raises(CapacityError):
                     got.pool(vm, c)
-        # Each (node, context) owns its pool list: editing one edits no other.
-        assert len({id(tags) for tags in got.pools.values()}) == len(got.pools)
+        # Each read of a pool is a list of its own: editing one edits no
+        # other pool and no later read.
+        for (vm, c), tags in want.pools.items():
+            got.pool(vm, c).append(-1)
+            assert got.pool(vm, c) == tags
 
     def test_pools_for_more_vms_give_rules_to_the_placed_ones(self):
         lib = {ATK: two_branch_graph()}
@@ -778,5 +782,8 @@ class TestSharedShapeKeys:
         small, large = compile_inputs(24, 3), compile_inputs(48, 3)
         assert small[0].f.shape != large[0].f.shape
         for args in (small, large, small, large):
-            assert (plan_state(synthesize_rules(*args))
-                    == reference_state(*reference_synthesize_rules(*args)))
+            dsp, ssps, _pools, topo, lib = args
+            ref_pools = numbered_pools(reference_assign_tags, dsp.physical, lib,
+                                       ReferencePools(), None)
+            assert (plan_state(synthesize_rules(*args)) == reference_state(
+                *reference_synthesize_rules(dsp, ssps, ref_pools, topo, lib)))

@@ -221,7 +221,7 @@ def test_epochs_count_rules_without_rendering_tables(monkeypatch):
     def refuse(_self):
         raise AssertionError("an epoch rendered a forwarding plan or tag pool")
     for cls, names in ((ForwardingPlan, ("wide_area", "dc_tables", "ingress", "tag_tables")),
-                       (TagPool, ("instance_tags", "egress_tags", "pools"))):
+                       (TagPool, ("instance_tags", "egress_tags"))):
         for name in names:
             monkeypatch.setattr(cls, name, property(refuse))
     monkeypatch.setattr(ForwardingPlan, "to_json", refuse)
