@@ -35,7 +35,7 @@ class GraphTags(NamedTuple):
     consecutive identity tags, instance k holding the run's first tag plus
     k, and each delivering node with VMs one egress tag."""
     graph: AnnotatedGraph
-    nodes: tuple[int, ...]  # the nodes with VMs, ascending
+    counts: dict[int, int]  # node with VMs -> its VMs, ascending by node
     runs: dict[int, tuple[int, int]]  # non-root node -> (first tag, VMs)
     egress: dict[int, int]  # delivering node -> its egress tag
     top: int  # the largest tag any of the graph's pools holds, or 0
@@ -44,7 +44,7 @@ class GraphTags(NamedTuple):
         """The node's pool for an output context as (first tag, tags): a
         successor's run, empty when the successor has no VMs, or the egress
         tag; None when the node has no such pool."""
-        if node not in self.nodes:
+        if node not in self.counts:
             return None
         succs = self.graph._succ.get(node, ())
         if 0 <= context < len(succs):
@@ -70,7 +70,8 @@ class TagPool:
 
     def pool(self, vm: VmKey, context: int) -> list[int]:
         g = self.graphs.get(vm[:2])
-        run = None if g is None else g.run(vm[2], context)
+        placed = g is not None and 0 <= vm[3] < g.counts.get(vm[2], 0)
+        run = g.run(vm[2], context) if placed else None
         if run is None:
             raise CapacityError(f"no tag pool for vm {vm} context {context}")
         return list(range(run[0], run[0] + run[1]))
@@ -98,25 +99,24 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     """
     graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
-    counts = pg.counts
-    nodes = tuple([i for i in sorted(counts) if counts[i]])
+    counts = {i: pg.counts[i] for i in sorted(pg.counts) if pg.counts[i]}
     tag = pools.next_tag
     runs: dict[int, tuple[int, int]] = {}
-    for node in nodes:
+    for node, n in counts.items():
         if node not in graph._roots:
-            runs[node] = (tag, counts[node])
-            tag += counts[node]
+            runs[node] = (tag, n)
+            tag += n
     egress: dict[int, int] = {}
-    for node in nodes:
+    for node in counts:
         if graph.node(node).delivers:
             egress[node] = tag
             tag += 1
     # The graph's largest pool tag: its last egress tag, or else the end of
     # the last run that some node's pool holds.
     top = tag - 1 if egress else max(
-        (sum(runs[s]) - 1 for node in nodes for s in graph._succ.get(node, ()) if s in runs),
+        (sum(runs[s]) - 1 for node in counts for s in graph._succ.get(node, ()) if s in runs),
         default=0)
-    pools.graphs[(pg.attack.id, pg.dc_id)] = GraphTags(graph, nodes, runs, egress, top)
+    pools.graphs[(pg.attack.id, pg.dc_id)] = GraphTags(graph, counts, runs, egress, top)
     pools.next_tag = tag
     return pools
 
@@ -426,7 +426,7 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     # tag rules map each identity tag to its VM; an egress tag's customer
     # rule is no pin target.
     runs, pins = plan.tag_runs.get(d, {}), plan.bidi_pins
-    for node in g.nodes:
+    for node in g.counts:
         if not pg.counts.get(node) or graph.node(node).kind != "analysis":
             continue
         for s in graph._succ.get(node, ()):

@@ -333,8 +333,11 @@ def _edge_units(graph: AnnotatedGraph, t_gbps: float, n_srv: dict[tuple[int, int
     endpoint nodes (tags are picked uniformly at random downstream). Pairs on
     the same server are free; same rack costs intra units, across racks inter.
     Each such pair adds its equal share on its own, so the sums are those of
-    a walk over the pairs.
+    a walk over the pairs; a graph on one server has only free pairs and
+    skips the walk.
     """
+    if len({key[1:] for key in n_srv}) < 2:
+        return 0.0, 0.0
     runs: dict[int, list[tuple[int, int, int]]] = {}
     for (node, rack, srv), c in n_srv.items():
         runs.setdefault(node, []).append((rack, srv, c))
@@ -357,6 +360,16 @@ def _edge_units(graph: AnnotatedGraph, t_gbps: float, n_srv: dict[tuple[int, int
         for _ in range(n_inter):
             inter += per_pair
     return intra, inter
+
+
+def _emptiest_fitting(free: list[int], positions: Iterable[int], count: int) -> int | None:
+    """The freest of `positions` that fits `count`, lowest on ties."""
+    pick, most = None, count
+    for i in positions:
+        f = free[i]
+        if f > most or f == most and (pick is None or i < pick):
+            pick, most = i, f
+    return pick
 
 
 class SlotTable:
@@ -391,12 +404,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
 
     # A node's run per server: it reaches each server at most once.
     n_srv: dict[tuple[int, int, int], int] = {}
-    hosts: dict[int, set[int]] = {}  # node id -> positions of its servers
-
-    def emptiest_fitting(positions: Iterable[int], count: int) -> int | None:
-        """The freest of `positions` that fits `count`, lowest on ties."""
-        best = max(((free[i], -i) for i in positions if free[i] >= count), default=None)
-        return None if best is None else -best[1]
+    hosts: dict[int, list[int]] = {}  # node id -> positions of its servers
 
     def fill_rack(node_id: int, count: int, rack_id: int) -> None:
         """Spread `count` instances over the rack, freest server first; the
@@ -405,7 +413,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         for pos in sorted(spans[rack_id], key=lambda i: (-free[i], i)):
             take = min(count, free[pos])
             free[pos] -= take
-            hosts.setdefault(node_id, set()).add(pos)
+            hosts.setdefault(node_id, []).append(pos)
             n_srv[(node_id, *servers[pos])] = take
             count -= take
             if count == 0:
@@ -413,25 +421,25 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
 
     for node_id, preds in graph.ssp_order(frozenset(i for i, c in pg.counts.items() if c)):
         count = pg.counts[node_id]
-        # Predecessors' servers; one may appear twice, which no pick minds.
-        pred_pos = [i for p in preds for i in hosts.get(p, ())]
-        pred_racks = {servers[i][0] for i in pred_pos}
+        # Predecessors' servers, skipping those given no VMs; one may appear
+        # twice, which no pick minds.
+        pred_pos = [i for p in preds if p in hosts for i in hosts[p]]
 
         # Whole node on a single server if one fits it: prefer a server
         # already hosting a predecessor, then one in a predecessor's rack,
         # then the emptiest server anywhere.
-        pick = None
-        if pred_pos:
-            pick = emptiest_fitting(pred_pos, count)
-            if pick is None:
-                pick = emptiest_fitting([i for r in pred_racks for i in spans[r]], count)
+        pick = _emptiest_fitting(free, pred_pos, count) if pred_pos else None
+        if pick is None:
+            pred_racks = {servers[i][0] for i in pred_pos}
+            if pred_racks:
+                pick = _emptiest_fitting(free, [i for r in pred_racks for i in spans[r]], count)
         if pick is None and free:
             most = max(free)
             if most >= count:
                 pick = free.index(most)
         if pick is not None:
             free[pick] -= count
-            hosts[node_id] = {pick}
+            hosts[node_id] = [pick]
             n_srv[(node_id, *servers[pick])] = count
             continue
         # Else within a single rack, preferring a predecessor's rack.

@@ -76,7 +76,7 @@ def node_pools(pools) -> dict:
     successor, and a delivering node one more, holding its egress tag."""
     out = {}
     for (a, d), g in pools.graphs.items():
-        for node in g.nodes:
+        for node in g.counts:
             contexts = len(g.graph.successors(node)) + (node in g.egress)
             for c in range(contexts):
                 out[((a, d, node), c)] = pools.pool((a, d, node, 0), c)

@@ -256,6 +256,14 @@ class TestPlanRealizesEdges:
         assert plan.tag_runs == {0: {1: (3, (0, 0, 1)), 3: (5, (0, 0, 2)), 5: (6, None)}}
         return lib, pools, plan, pg
 
+    def test_pool_refuses_instances_the_node_lacks(self):
+        _lib, pools, _plan, _pg = self._setup()
+        # Node 0 runs 4 instances and node 1 runs 2.
+        for vm, c in (((0, 0, 0, 99), 0), ((0, 0, 0, -5), 1), ((0, 0, 1, 7), 0)):
+            with pytest.raises(CapacityError) as err:
+                pools.pool(vm, c)
+            assert str(err.value) == f"no tag pool for vm {vm} context {c}"
+
     def test_missing_pool(self):
         lib, pools, plan, pg = self._setup()
         # The pools no longer number node 1's instances.
@@ -686,6 +694,11 @@ class TestMatchesLinearReference:
             assert got.max_tag == max([t for p in want.pools.values() for t in p], default=0)
         for (vm, c), tags in want.pools.items():
             assert got.pool(vm, c) == tags
+        # One index past each node's last instance has no pool in either.
+        for vm, c in {((*vm[:3], dsp.physical[vm[:2]].counts[vm[2]]), c) for vm, c in want.pools}:
+            for pools in (got, want):
+                with pytest.raises(CapacityError):
+                    pools.pool(vm, c)
         for vm in {vm for vm, _c in want.pools}:
             top = max(c for v, c in want.pools if v == vm)
             for c in (-1, top + 1):

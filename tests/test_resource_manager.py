@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scrubsim.defense_graphs import (
     ANALYSIS,
     CEIL_EPS,
+    DNS_AMPLIFICATION,
     RESPONSE,
     AnnotatedGraph,
     AttackType,
@@ -220,6 +221,60 @@ class TestSspGreedy:
         fresh = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2]])], [[1.0]])
         assert got == place_all(fresh, dsp_for({0: 3, 1: 3}), lib)
         assert sum(got[0].n_srv.values()) == 6
+
+    @pytest.mark.parametrize("rack_slots, counts, want", [
+        # Roots a and b take one 5-slot server each, 2 free left on both.
+        ([[5, 5]], {0: 3, 1: 3, 2: 2}, (0, 0)),
+        # a takes position 1, b position 0: the later predecessor's server
+        # is the lower one, 3 free left on both.
+        ([[5, 6]], {0: 3, 1: 2, 2: 2}, (0, 0)),
+        # a spans positions 0 and 1 and leaves them 0 and 1 free; in a's
+        # rack positions 2 and 3 tie at 2 free, and position 4 in rack 1,
+        # the freest anywhere, is passed over.
+        ([[4, 2, 2, 2], [3]], {0: 5, 2: 2}, (0, 2)),
+    ])
+    def test_tied_predecessor_servers_pick_the_lowest_position(self, rack_slots, counts, want):
+        g = AnnotatedGraph(
+            attack=ATK,
+            nodes=[LogicalModule(0, "a", ANALYSIS, 10.0, contexts=1),
+                   LogicalModule(1, "b", ANALYSIS, 10.0, contexts=1),
+                   LogicalModule(2, "r", RESPONSE, 10.0, contexts=1, delivers=True)],
+            edges=[(0, 2, 0.5), (1, 2, 0.5)],
+        )
+        res = ssp_greedy(make_dc(0, 999.0, rack_slots), build_physical_graph(g, 0, 10.0, counts),
+                         {ATK: g})
+        assert [key[1:] for key in res.n_srv if key[0] == 2] == [want]
+
+    def test_predecessor_without_vms_leaves_successor_to_the_emptiest_server(self):
+        g = AnnotatedGraph(
+            attack=ATK,
+            nodes=[LogicalModule(0, "a", ANALYSIS, 10.0, contexts=1),
+                   LogicalModule(1, "b", ANALYSIS, 10.0, contexts=1),
+                   LogicalModule(2, "r", RESPONSE, 10.0, contexts=1, delivers=True)],
+            edges=[(0, 1, 1.0), (1, 2, 1.0)],
+        )
+        pg = build_physical_graph(g, 0, 10.0, {0: 3, 1: 0, 2: 2})
+        res = ssp_greedy(make_dc(0, 999.0, [[10, 10]]), pg, {ATK: g})
+        assert res.n_srv == {(0, 0, 0): 3, (2, 0, 1): 2}
+
+    def test_one_server_graph_prices_zero(self):
+        g = builtin_library()[DNS_AMPLIFICATION]
+        pg = build_physical_graph(g, 0, 100 / 3, {n.id: 2 for n in g.nodes})
+        res = ssp_greedy(make_dc(0, 999.0, [[4], [40]]), pg, {DNS_AMPLIFICATION: g})
+        assert len({key[1:] for key in res.n_srv}) == 1
+        assert repr((res.intra_rack_units, res.inter_rack_units)) == "(0.0, 0.0)"
+
+    def test_rack_split_graph_prices_the_pair_walk_bits(self):
+        g = builtin_library()[DNS_AMPLIFICATION]
+        counts = {n.id: 3 for n in g.nodes}
+        pg = build_physical_graph(g, 0, 100 / 3, counts)
+        res = ssp_greedy(make_dc(0, 999.0, [[3, 2], [3, 2], [3, 2]]), pg, {DNS_AMPLIFICATION: g})
+        # r_log and r_drop each span two racks.
+        assert len({(node, rack) for node, rack, _srv in res.n_srv}) == 7
+        units = (res.intra_rack_units, res.inter_rack_units)
+        assert units[0] > 0 and units[1] > 0
+        want = pair_units(g, pg.traffic_gbps, counts, res.placements)
+        assert [u.hex() for u in units] == [u.hex() for u in want]
 
     def test_insufficient_slots_names_node(self):
         g = chain_graph()

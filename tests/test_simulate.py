@@ -237,7 +237,10 @@ def test_sim_dense_rule_counts(monkeypatch):
     1. The summed switch counts, the busiest switch, the summed VMs, the
     summed identity and egress tags, the summed pins and the widest tag are
     those the per-rule tables and per-VM tag maps gave before the plan and
-    the pools stored runs."""
+    the pools stored runs. The nodes placed on one server, on one rack and
+    split over racks, and the placement units summed in epoch and placement
+    order, are those SSP gave before it priced one-server graphs without a
+    pair walk."""
     topo, lib = generate_topology(196, dc_slot_capacity=4000, seed=1), builtin_library()
     sc = Scenario(epochs=20, budget_gbps=1000.0, adversary="randhybrid", estimator="fpl",
                   topology_nodes=196)
@@ -248,8 +251,18 @@ def test_sim_dense_rule_counts(monkeypatch):
             return _made[-1]
         monkeypatch.setattr(simulate, name, keep)
     rules = busiest = vms = bits = 0
+    kinds = [0, 0, 0]  # nodes on one server, on one rack, split over racks
+    intra = inter = 0.0
     for run_seed in range(3555, 3560):
         for record, step in simulate._epochs(sc, run_seed, topo, lib):
+            for ssp in step.ssps:
+                servers = {}
+                for node, rack, srv in ssp.n_srv:
+                    servers.setdefault(node, set()).add((rack, srv))
+                for used in servers.values():
+                    kinds[0 if len(used) == 1 else 1 if len({r for r, _ in used}) == 1 else 2] += 1
+                intra += ssp.intra_rack_units
+                inter += ssp.inter_rack_units
             per_switch = step.plan.rules_by_switch()
             rules += sum(per_switch.values())
             busiest = max(busiest, *per_switch.values())
@@ -259,6 +272,8 @@ def test_sim_dense_rule_counts(monkeypatch):
     assert len(made["pools"]) == 100
     assert (rules, busiest, vms) == (184_484, 240, 46_276)
     assert (tags, sum(made["pins"]), bits) == (27_677, 8_041, 9)
+    assert kinds == [15_996, 4, 0]
+    assert (intra, inter) == (6822.171979581613, 0.0)
 
 
 class TestEmitReport:
