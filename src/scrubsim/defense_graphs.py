@@ -67,8 +67,8 @@ class AnnotatedGraph:
 
     def __post_init__(self):
         # The graph is not changed after construction, so its adjacency,
-        # shares, compute factor and SSP node orders (`ssp_order`) are
-        # derived once; the accessors hand out copies.
+        # shares, VM rates, compute factor and SSP node orders (`ssp_order`)
+        # are derived once; the accessors hand out copies.
         self._by_id = {n.id: n for n in self.nodes}
         pred: dict[int, list[int]] = {}
         succ: dict[int, list[int]] = {}
@@ -85,8 +85,10 @@ class AnnotatedGraph:
         self._share = {n.id: incoming[n.id] if n.id in pred else self.external_fraction(n.id)
                        for n in self.nodes}
         self.validate()
-        self._compute_factor = sequential_sum(self._share[n.id] / n.capacity_gbps
-                                              for n in self.nodes)
+        # (node id, VMs per Gbps of graph input) in node order: the node's
+        # share over its per-VM capacity.
+        self.vm_rates = tuple((n.id, self._share[n.id] / n.capacity_gbps) for n in self.nodes)
+        self._compute_factor = sequential_sum(r for _i, r in self.vm_rates)
         self._ssp_orders: dict[frozenset[int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
     def node(self, i: int) -> LogicalModule:
@@ -216,9 +218,8 @@ def sequential_sum(items):
 
 
 def graph_compute_factor(g: AnnotatedGraph) -> float:
-    """VM slots required per Gbps of input traffic to the graph: each node's
-    share over its per-VM capacity, summed in node order once, when the
-    graph is built."""
+    """VM slots required per Gbps of input traffic to the graph: its nodes'
+    VM rates, summed in node order once, when the graph is built."""
     return g._compute_factor
 
 

@@ -54,7 +54,7 @@ from .resource_manager import (
     ssp_greedy,
     validate_traffic,
 )
-from .topology import CostParams, Datacenter, Pop, Rack, Server, Topology
+from .topology import CostParams, Datacenter, Pop, Topology, build_racks
 
 _EPS = 1e-9
 
@@ -304,7 +304,7 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
     Exhaustive search seeded with the greedy placement; the greedy cost is an
     upper bound, so the result never exceeds what the heuristic would pay.
     """
-    servers = [(rack.id, srv.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
+    servers, slots, _spans = dc.server_layout
     counts_by_attack = {
         a: {n.id: node_demand_vms(g, n.id, vols[a] * q) for n in g.nodes}
         for a, g in enumerate(graphs) if vols[a] * q > _EPS
@@ -314,18 +314,18 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
               for i, c in counts.items() if c > 0]
     if not groups:
         return 0.0, True
-    if sum(c for _a, _i, c in groups) > sum(s[2] for s in servers):
+    if sum(c for _a, _i, c in groups) > dc.compute_capacity:
         return math.inf, True
 
     # Greedy incumbent: run the server-selection heuristic on the same demand.
-    slots = SlotTable(dc)
+    table = SlotTable(dc)
     incumbent = 0.0
     feasible = True
     for a, counts in counts_by_attack.items():
         g = graphs[a]
         pg = build_physical_graph(g, dc.id, vols[a] * q, counts)
         try:
-            res = ssp_greedy(dc, pg, {g.attack: g}, slots)
+            res = ssp_greedy(dc, pg, {g.attack: g}, table)
         except PlacementError:
             feasible = False
             break
@@ -337,8 +337,7 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
     groups.sort(key=lambda g: (-g[2], g[0], g[1]))
     level = {(a, i): gi for gi, (a, i, _c) in enumerate(groups)}
     # Server pairs by position: 0 same server, 1 same rack, 2 other rack.
-    kind = [[0 if s[:2] == t[:2] else 1 if s[0] == t[0] else 2 for t in servers]
-            for s in servers]
+    kind = [[0 if s == t else 1 if s[0] == t[0] else 2 for t in servers] for s in servers]
     # Per group, each edge to an earlier group in graph order, with the
     # per-VM-pair cost of that edge by pair kind.
     incident: list[list[tuple[int, tuple[float, float, float]]]] = []
@@ -413,7 +412,7 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
             dfs(gi + 1, rest, cost_so_far + delta_cost)
 
     try:
-        dfs(0, tuple(s[2] for s in servers), 0.0)
+        dfs(0, slots, 0.0)
     except _BudgetExceeded:
         # The greedy incumbent keeps the value an upper bound on the optimum
         # achievable by the heuristic, preserving oracle <= greedy.
@@ -681,19 +680,9 @@ def random_tiny_instance(seed: int) -> tuple[Topology, np.ndarray,
             slots = rng.choice([4, 8, 12])
         else:
             slots = 999
-        n_racks = rng.choice([1, 2])
-        per_rack = rng.choice([1, 2])
-        racks = []
-        sid = 0
-        n_servers = n_racks * per_rack
-        base, extra = divmod(slots, n_servers)
-        for r in range(n_racks):
-            servers = []
-            for _k in range(per_rack):
-                servers.append(Server(id=sid, vm_slots=base + (1 if sid < extra else 0)))
-                sid += 1
-            racks.append(Rack(id=r, servers=tuple(servers)))
-        dcs.append(Datacenter(id=d, link_capacity_gbps=link, racks=tuple(racks),
+        # 1-2 racks of 1-2 servers, drawn in that order.
+        racks = build_racks(slots, rng.choice([1, 2]), rng.choice([1, 2]))
+        dcs.append(Datacenter(id=d, link_capacity_gbps=link, racks=racks,
                               attach_pop=rng.randrange(n_e)))
 
     pops = [Pop(id=e, name=f"pop{e}") for e in range(n_e)]

@@ -329,11 +329,7 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     """
     graphs = ordered_graphs(lib)
     # VMs placed per node of each graph, numbered from 0 in placement order.
-    placed_counts: dict[tuple[int, int], dict[int, int]] = {}
-    for r in ssps:
-        placed = placed_counts[(r.attack_id, r.dc_id)] = {}
-        for (node, _rack, _srv), c in r.n_srv.items():
-            placed[node] = placed.get(node, 0) + c
+    placed_counts = {(r.attack_id, r.dc_id): r.placed for r in ssps}
 
     # The flat index walks the (e, a, d) cells in row-major order, so the
     # cells ascend by (e, a) and each (e, a)'s splits by datacenter. The

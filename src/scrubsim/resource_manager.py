@@ -152,17 +152,12 @@ def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms,
     t = -neg_t
     link0, compute0 = np.array(link_rem, dtype=float), np.array(compute_rem)
     is_open = _is_open(link0, compute0)
-    fac = np.array(factors)[a]
-    # A shortcut, not a rule (the loop alone gives the same result): skip the
-    # pass unless enough of the largest cells fit the open datacenters'
-    # total link and fractional compute.
-    room = min(np.cumsum(t).searchsorted(link0[is_open].sum(), "right"),
-               np.cumsum(t * fac).searchsorted(compute0[is_open].sum(), "right"))
-    if room < ARRAY_PASS_MIN_CELLS:
+    if not is_open.any():  # the loop tallies every cell in t_left
         return 0.0, list(zip(*(column.tolist() for column in cells)))
 
     # Every pop ranks every datacenter, so each has an open one.
     d = ranked[np.arange(n_e), np.argmax(is_open[ranked], axis=1)][e]
+    fac = np.array(factors)[a]
     width = max(map(len, rates))
     rate_rows = np.array([[r for _i, r in nr] + [0.0] * (width - len(nr)) for nr in rates])
     keys, rate = d * n_a + a, rate_rows[a]
@@ -209,13 +204,13 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     open datacenters stay the same, so no cell's choice depends on those
     before it. An array pass assigns that prefix at once, taking every
     running total in the loop's order, and the heap loop goes on from the
-    state it leaves. Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells skip
-    the pass.
+    state it leaves. Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells, or
+    with no open datacenter, skip the pass.
     """
     graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
     factors = [graph_compute_factor(g) for g in graphs]
-    rates = [[(n.id, g.share(n.id) / n.capacity_gbps) for n in g.nodes] for g in graphs]
+    rates = [g.vm_rates for g in graphs]
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
@@ -307,6 +302,14 @@ class SspResult:
     n_srv: dict[tuple[int, int, int], int]
     intra_rack_units: float
     inter_rack_units: float
+
+    @property
+    def placed(self) -> dict[int, int]:
+        """Node id -> VMs placed: a view of `n_srv`, summing each node's runs."""
+        out: dict[int, int] = {}
+        for (node, _rack, _srv), c in self.n_srv.items():
+            out[node] = out.get(node, 0) + c
+        return out
 
     @property
     def placements(self) -> dict[tuple[int, int], tuple[int, int]]:
@@ -406,19 +409,6 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
     n_srv: dict[tuple[int, int, int], int] = {}
     hosts: dict[int, list[int]] = {}  # node id -> positions of its servers
 
-    def fill_rack(node_id: int, count: int, rack_id: int) -> None:
-        """Spread `count` instances over the rack, freest server first; the
-        caller has checked that the rack has that many free slots, so every
-        server visited before they are placed has some."""
-        for pos in sorted(spans[rack_id], key=lambda i: (-free[i], i)):
-            take = min(count, free[pos])
-            free[pos] -= take
-            hosts.setdefault(node_id, []).append(pos)
-            n_srv[(node_id, *servers[pos])] = take
-            count -= take
-            if count == 0:
-                return
-
     for node_id, preds in graph.ssp_order(frozenset(i for i, c in pg.counts.items() if c)):
         count = pg.counts[node_id]
         # Predecessors' servers, skipping those given no VMs; one may appear
@@ -442,15 +432,12 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
             hosts[node_id] = [pick]
             n_srv[(node_id, *servers[pick])] = count
             continue
-        # Else within a single rack, preferring a predecessor's rack.
+        # Else rack by rack, each rack's freest server first (lowest position
+        # on ties): the racks that hold the node come first, a predecessor's
+        # first among them, then the freest rack, lowest id on ties. So the
+        # node fills one rack if any holds it, and else splits over the
+        # freest racks.
         rack_free = {r: sum(free[span.start:span.stop]) for r, span in spans.items()}
-        fitting_racks = [r for r, fr in rack_free.items() if fr >= count]
-        if fitting_racks:
-            rack_id = max(fitting_racks,
-                          key=lambda r: (r in pred_racks, rack_free[r], -r))
-            fill_rack(node_id, count, rack_id)
-            continue
-        # Else split across racks, fullest-free first.
         total_free = sum(rack_free.values())
         if total_free < count:
             raise PlacementError(
@@ -458,12 +445,18 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                 f"{graph.node(node_id).name} ({total_free} free)",
                 node=graph.node(node_id).name,
             )
-        for rack_id in sorted(rack_free, key=lambda r: (-rack_free[r], r)):
-            take = min(count, rack_free[rack_id])
-            fill_rack(node_id, take, rack_id)
-            count -= take
-            if count == 0:
-                break
+        racks = sorted(rack_free, reverse=True, key=lambda r: (
+            rack_free[r] >= count and r in pred_racks, rack_free[r] >= count, rack_free[r], -r))
+        hosts[node_id] = used = []
+        for pos in (p for r in racks for p in sorted(spans[r], key=lambda p: (-free[p], p))):
+            take = min(count, free[pos])
+            if take:  # a drained server gets no run
+                free[pos] -= take
+                used.append(pos)
+                n_srv[(node_id, *servers[pos])] = take
+                count -= take
+                if count == 0:
+                    break
 
     intra, inter = _edge_units(graph, pg.traffic_gbps, n_srv, pg.counts)
     return SspResult(dc_id=dc.id, attack_id=pg.attack.id, n_srv=n_srv,
@@ -539,12 +532,8 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
             out.append(Violation(4, (d,), load - dc.link_capacity_gbps,
                                  f"dc {d} link load {load:.4f} > {dc.link_capacity_gbps}"))
 
-    # VMs placed per (d, a, i), read by (5) and (11).
-    by_da: dict[tuple[int, int], SspResult] = {(r.dc_id, r.attack_id): r for r in ssps}
-    placed: dict[tuple[int, int, int], int] = {}
-    for (d, a), r in by_da.items():
-        for (i, _rack, _srv), c in r.n_srv.items():
-            placed[(d, a, i)] = placed.get((d, a, i), 0) + c
+    # VMs placed per node of each (d, a), read by (5) and (11).
+    placed = {(r.dc_id, r.attack_id): r.placed for r in ssps}
 
     # (5) sufficient VMs per (d, a, i): placed capacity covers traffic share.
     volumes = attack_dc_volumes(dsp.f, traffic).tolist()
@@ -554,11 +543,12 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
             vol = volumes[a][d]
             if vol <= tol:
                 continue
+            vms_of = placed.get((d, a), {})
             for n in g.nodes:
                 need = vol * g.share(n.id)
                 if need <= tol:
                     continue
-                have = placed.get((d, a, n.id), 0) * n.capacity_gbps
+                have = vms_of.get(n.id, 0) * n.capacity_gbps
                 if have + tol < need:
                     out.append(Violation(5, (d, a, n.id), need - have,
                                          f"dc {d} attack {a} node {n.name}: capacity "
@@ -585,8 +575,9 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
 
     # (11) placement counts match the datacenter-level VM counts.
     for (d, a), counts in dsp.n_dc.items():
+        vms_of = placed.get((d, a), {})
         for i, want in counts.items():
-            got = placed.get((d, a, i), 0)
+            got = vms_of.get(i, 0)
             if got != want:
                 out.append(Violation(11, (d, a, i), float(got - want),
                                      f"dc {d} attack {a} node {i}: placed {got} != {want}"))

@@ -235,18 +235,14 @@ def _routes(adj: dict[int, list[int]], attach_pops: list[int]
     return hops, paths
 
 
-def _build_racks(total_slots: int) -> tuple[Rack, ...]:
-    base, extra = divmod(total_slots, RACKS * SERVERS_PER_RACK)
-    racks = []
-    sid = 0
-    for r in range(RACKS):
-        servers = []
-        for _ in range(SERVERS_PER_RACK):
-            slots = base + (1 if sid < extra else 0)
-            servers.append(Server(id=sid, vm_slots=slots))
-            sid += 1
-        racks.append(Rack(id=r, servers=tuple(servers)))
-    return tuple(racks)
+def build_racks(total_slots: int, n_racks: int, per_rack: int) -> tuple[Rack, ...]:
+    """`n_racks` racks of `per_rack` servers, numbered from 0, splitting
+    `total_slots` evenly with the remainder on the lowest server ids."""
+    base, extra = divmod(total_slots, n_racks * per_rack)
+    servers = [Server(id=sid, vm_slots=base + (1 if sid < extra else 0))
+               for sid in range(n_racks * per_rack)]
+    return tuple(Rack(id=r, servers=tuple(servers[r * per_rack:(r + 1) * per_rack]))
+                 for r in range(n_racks))
 
 
 def generate_topology(
@@ -277,7 +273,7 @@ def generate_topology(
         Datacenter(
             id=d,
             link_capacity_gbps=dc_link_gbps,
-            racks=_build_racks(dc_slot_capacity),
+            racks=build_racks(dc_slot_capacity, RACKS, SERVERS_PER_RACK),
             attach_pop=pop,
         )
         for d, pop in enumerate(dc_pops)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import builtin_library
 from scrubsim.errors import CapacityError
+from scrubsim.resource_manager import EPS
 from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology, generate_topology
 
 
@@ -29,6 +30,32 @@ def make_topo(n_pops, dcs, latency):
     return Topology(pops=[Pop(i, f"p{i}") for i in range(n_pops)],
                     datacenters=dcs, latency=latency, backbone_links=[],
                     paths=paths)
+
+
+def pair_units(graph, t_gbps, counts, locations):
+    """Independent uniform-split placement units, from a walk over every
+    instance pair: edge volume spread evenly over the pairs, free on one
+    server, intra within a rack, inter across racks."""
+    intra = inter = 0.0
+    for s, d, w in graph.edges:
+        vol = t_gbps * w
+        n_s, n_d = counts.get(s, 0), counts.get(d, 0)
+        if vol <= EPS or n_s == 0 or n_d == 0:
+            continue
+        per_pair = vol / (n_s * n_d)
+        for ks in range(n_s):
+            for kd in range(n_d):
+                ls, ld = locations[(s, ks)], locations[(d, kd)]
+                if ls[0] != ld[0]:
+                    inter += per_pair
+                elif ls != ld:
+                    intra += per_pair
+    return intra, inter
+
+
+def units_cost(units, params):
+    intra, inter = units
+    return intra * params.intra_unit_cost + inter * params.inter_unit_cost
 
 
 # (nodes, dc slots, dc link Gbps, offered Gbps): five datacenters whose links

@@ -657,6 +657,24 @@ def test_rm_dsp_ceil_per_assignment(tmp_path):
                    if key.startswith(f"{d}:")) <= dc.compute_capacity
 
 
+@pytest.mark.parametrize("args, line", [
+    (["rm", "dsp"], "dsp: handled 0.000 of 528.000 Gbps"),
+    (["rm", "ssp"], "ssp: placed 0 VMs;"),
+    (["orch", "rules"], "plan: 0 rules on the busiest switch"),
+])
+def test_topology_without_datacenters_handles_nothing(tmp_path, args, line):
+    # 8 pops by 4 attacks is 32 nonzero cells, enough for DSP's array pass,
+    # which must leave every cell to the loop when no datacenter is open.
+    topo_path, traffic_path = tmp_path / "topo.json", tmp_path / "traffic.json"
+    topo_path.write_text(json.dumps({"pops": [f"p{i}" for i in range(8)], "dcs": [],
+                                     "links": [[i, i + 1, 100] for i in range(7)]}))
+    write_traffic(traffic_path, [[float(4 * e + a + 1) for a in range(4)] for e in range(8)])
+    res = CliRunner().invoke(main, [*args, "--topo", str(topo_path), "--traffic",
+                                    str(traffic_path), "--out", str(tmp_path / "out.json")])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith(line), res.output
+
+
 @pytest.mark.parametrize("args", [["rm", "ssp"], ["orch", "rules"]])
 def test_placement_failure_exit_3(tmp_path, args):
     # DSP's rounding overshoots a datacenter's slots in the capacity-bound

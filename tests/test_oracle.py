@@ -32,7 +32,7 @@ from scrubsim.oracle import (
 )
 from scrubsim.resource_manager import SlotTable, dsp_greedy, evaluate_cost, place_all, ssp_greedy
 from scrubsim.topology import CostParams
-from reference import make_dc, make_topo
+from reference import make_dc, make_topo, pair_units, units_cost
 
 ATK = AttackType(0, "atk0")
 
@@ -297,27 +297,22 @@ DSC_PARAMS = CostParams(alpha=1.0, intra_unit_cost=1.0, inter_unit_cost=5.0, bet
 
 def brute_force_dsc(dc, graphs, vols, q, params):
     """Cheapest whole-VM placement, over every way to put every group's VMs
-    on the servers within their slots. Each edge's volume splits evenly over
-    its VM pairs: a pair on one server is free, on one rack it pays the
-    intra-rack unit cost per Gbps, across racks the inter-rack one."""
-    servers = [(rack.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
+    on the servers within their slots, each priced by `pair_units` from its
+    VMs' (rack, server) locations."""
+    servers = [(rack.id, srv.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
     groups = [(a, n.id, c) for a, g in enumerate(graphs) if vols[a] * q > 1e-9
               for n in g.nodes for c in [node_demand_vms(g, n.id, vols[a] * q)] if c]
 
     def price(where):
         total = 0.0
         for a, g in enumerate(graphs):
-            for s, d, w in g.edges:
-                if (a, s) not in where or (a, d) not in where:
-                    continue
-                cs, cd = where[(a, s)], where[(a, d)]
-                per_pair = vols[a] * q * w / (sum(cs) * sum(cd))
-                for i, x in enumerate(cs):
-                    for j, y in enumerate(cd):
-                        if i != j:
-                            unit = (params.intra_unit_cost if servers[i][0] == servers[j][0]
-                                    else params.inter_unit_cost)
-                            total += x * y * per_pair * unit
+            counts, locations = {}, {}
+            for (ga, i), combo in where.items():
+                if ga == a:
+                    at = [servers[pos][:2] for pos, c in enumerate(combo) for _ in range(c)]
+                    counts[i] = len(at)
+                    locations.update(((i, k), loc) for k, loc in enumerate(at))
+            total += units_cost(pair_units(g, vols[a] * q, counts, locations), params)
         return total
 
     best = math.inf
@@ -334,7 +329,7 @@ def brute_force_dsc(dc, graphs, vols, q, params):
                 place(k + 1, tuple(f - c for f, c in zip(free, combo)), where)
                 del where[(a, i)]
 
-    place(0, tuple(slots for _rack, slots in servers), {})
+    place(0, tuple(slots for _rack, _srv, slots in servers), {})
     return best
 
 

@@ -36,7 +36,7 @@ from scrubsim.resource_manager import (
     ssp_greedy,
 )
 from scrubsim.topology import CostParams, Pop, Topology, generate_topology
-from reference import capacity_bound_cases, make_dc, make_topo
+from reference import capacity_bound_cases, make_dc, make_topo, pair_units, units_cost
 
 ATK = AttackType(0, "atk0")
 
@@ -56,32 +56,6 @@ def chain_graph(attack=ATK, p=(10.0, 10.0), w=1.0):
                LogicalModule(1, "r", RESPONSE, p[1], contexts=1, delivers=True)],
         edges=[(0, 1, w)],
     )
-
-
-def pair_units(graph, t_gbps, counts, locations):
-    """Independent uniform-split placement units, from a walk over every
-    instance pair: edge volume spread evenly over the pairs, free on one
-    server, intra within a rack, inter across racks."""
-    intra = inter = 0.0
-    for s, d, w in graph.edges:
-        vol = t_gbps * w
-        n_s, n_d = counts.get(s, 0), counts.get(d, 0)
-        if vol <= EPS or n_s == 0 or n_d == 0:
-            continue
-        per_pair = vol / (n_s * n_d)
-        for ks in range(n_s):
-            for kd in range(n_d):
-                ls, ld = locations[(s, ks)], locations[(d, kd)]
-                if ls[0] != ld[0]:
-                    inter += per_pair
-                elif ls != ld:
-                    intra += per_pair
-    return intra, inter
-
-
-def units_cost(units, params):
-    intra, inter = units
-    return intra * params.intra_unit_cost + inter * params.inter_unit_cost
 
 
 class TestDspGreedy:

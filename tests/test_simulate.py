@@ -276,6 +276,36 @@ def test_sim_dense_rule_counts(monkeypatch):
     assert (intra, inter) == (6822.171979581613, 0.0)
 
 
+def test_split_heavy_placement_units():
+    """48 pops at 600 Gbps on 150-slot datacenters, randingress, prevepoch,
+    run seeds 1-3: SSP puts nodes on one server, on one rack and split over
+    racks, and every placement succeeds. The node counts per kind, the
+    placement units summed in epoch and placement order and the summed VMs
+    are those SSP gave when it filled a single rack and a split in two
+    loops."""
+    topo, lib = generate_topology(48, dc_slot_capacity=150, seed=1), builtin_library()
+    sc = Scenario(epochs=10, budget_gbps=600.0, adversary="randingress",
+                  estimator="prevepoch", topology_nodes=48, dc_slots=150)
+    kinds = [0, 0, 0]  # nodes on one server, on one rack, split over racks
+    intra = inter = 0.0
+    vms = 0
+    for run_seed in range(1, 4):
+        for record, step in simulate._epochs(sc, run_seed, topo, lib):
+            assert step.ssps is not None, step.error
+            for ssp in step.ssps:
+                servers = {}
+                for node, rack, srv in ssp.n_srv:
+                    servers.setdefault(node, set()).add((rack, srv))
+                for used in servers.values():
+                    kinds[0 if len(used) == 1 else 1 if len({r for r, _ in used}) == 1 else 2] += 1
+                intra += ssp.intra_rack_units
+                inter += ssp.inter_rack_units
+            vms += record.vm_total
+    assert kinds == [135, 639, 90]
+    assert (intra, inter) == (8127.519701383941, 12016.486318682953)
+    assert vms == 5_795
+
+
 class TestEmitReport:
     def test_rows_and_summary_totals(self, tmp_path):
         records = run_simulation(tiny_scenario(epochs=3))
