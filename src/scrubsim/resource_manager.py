@@ -419,10 +419,10 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         # already hosting a predecessor, then one in a predecessor's rack,
         # then the emptiest server anywhere.
         pick = _emptiest_fitting(free, pred_pos, count) if pred_pos else None
-        if pick is None:
+        pred_racks = ()
+        if pick is None and pred_pos:
             pred_racks = {servers[i][0] for i in pred_pos}
-            if pred_racks:
-                pick = _emptiest_fitting(free, [i for r in pred_racks for i in spans[r]], count)
+            pick = _emptiest_fitting(free, [i for r in pred_racks for i in spans[r]], count)
         if pick is None and free:
             most = max(free)
             if most >= count:
@@ -433,10 +433,10 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
             n_srv[(node_id, *servers[pick])] = count
             continue
         # Else rack by rack, each rack's freest server first (lowest position
-        # on ties): the racks that hold the node come first, a predecessor's
-        # first among them, then the freest rack, lowest id on ties. So the
-        # node fills one rack if any holds it, and else splits over the
-        # freest racks.
+        # on ties): a predecessor's rack that holds the node comes first, then
+        # the freest rack, lowest id on ties. The freest rack holds the node
+        # if any rack does, so the node fills one rack if any holds it, and
+        # else splits over the freest racks.
         rack_free = {r: sum(free[span.start:span.stop]) for r, span in spans.items()}
         total_free = sum(rack_free.values())
         if total_free < count:
@@ -446,7 +446,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                 node=graph.node(node_id).name,
             )
         racks = sorted(rack_free, reverse=True, key=lambda r: (
-            rack_free[r] >= count and r in pred_racks, rack_free[r] >= count, rack_free[r], -r))
+            rack_free[r] >= count and r in pred_racks, rack_free[r], -r))
         hosts[node_id] = used = []
         for pos in (p for r in racks for p in sorted(spans[r], key=lambda p: (-free[p], p))):
             take = min(count, free[pos])
