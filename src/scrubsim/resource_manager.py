@@ -32,11 +32,11 @@ from .topology import CostParams, Datacenter, Topology
 EPS = 1e-9
 FEASIBILITY_TOL = 1e-6
 
-# dsp_greedy runs its array pass on inputs of at least this many (pop, attack)
-# cells and the heap loop alone on smaller ones, where numpy's per-call cost
-# outweighs the work. On a 2-core Xeon, numpy took 9.4 µs to sort 6 cells where
-# sorted() took 2.2 µs, and criterion 1's calls ran 1.37x slower when they
-# sorted in numpy and then declined the pass.
+# dsp_greedy runs an array pass on at least this many (pop, attack) cells, at
+# the start or left after a closing, and the heap loop alone on fewer, where
+# numpy's per-call cost outweighs the work. On a 2-core Xeon, numpy took
+# 9.4 µs to sort 6 cells where sorted() took 2.2 µs, and criterion 1's calls
+# ran 1.37x slower when they sorted in numpy and then declined the pass.
 ARRAY_PASS_MIN_CELLS = 32
 
 
@@ -88,7 +88,7 @@ def _heap_order(traffic: np.ndarray):
                        for a, t in enumerate(row) if t > EPS])
     cells = np.flatnonzero(traffic > EPS)
     neg_t = -traffic.ravel()[cells]
-    order = np.lexsort((cells, neg_t))
+    order = np.argsort(neg_t, kind="stable")  # `cells` ascend, so ties keep cell order
     return (neg_t[order], cells[order], *np.divmod(cells[order], n_a))
 
 
@@ -141,44 +141,64 @@ def _running(ufunc: np.ufunc, keys: np.ndarray, n_keys: int, steps: np.ndarray,
     return table[rank, keys], table
 
 
-def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms,
-                   link_rem, compute_rem, f, demand):
-    """dsp_greedy's array pass over `_heap_order`'s cells. Assigns the
-    longest prefix of the heap order whose cells all fit whole, updating the
-    loop's state in place, and returns the prefix's wide-area cost and the
-    heap of the cells left."""
+def _scatter(ufunc: np.ufunc, start: np.ndarray, keys, steps) -> np.ndarray:
+    """`start` with each item's step applied to its key's row one at a time,
+    in item order as a loop applies them (`ufunc.at` on the flat table)."""
+    table, width = start.copy(), start.shape[1]
+    ufunc.at(table.ravel(), (width * keys[:, None] + np.arange(width)).ravel(), steps.ravel())
+    return table
+
+
+def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms, traffic,
+                   link_rem, compute_rem, f, demand, wide_area_cost):
+    """dsp_greedy's array pass over cells in heap order, from the loop's
+    state. Assigns the longest prefix of the order whose cells all fit whole,
+    updating that state in place, and returns the wide-area cost so far and
+    the heap of the cells left."""
     n_e, n_a, n_d = f.shape
-    neg_t, _cell, e, a = cells
+    neg_t, cell, e, a = cells
     t = -neg_t
-    link0, compute0 = np.array(link_rem, dtype=float), np.array(compute_rem)
-    is_open = _is_open(link0, compute0)
+    rem0 = np.array([link_rem, compute_rem], dtype=float).T
+    is_open = _is_open(*rem0.T)
     if not is_open.any():  # the loop tallies every cell in t_left
-        return 0.0, list(zip(*(column.tolist() for column in cells)))
+        return wide_area_cost, list(zip(*(column.tolist() for column in cells)))
 
     # Every pop ranks every datacenter, so each has an open one.
     d = ranked[np.arange(n_e), np.argmax(is_open[ranked], axis=1)][e]
     fac = np.array(factors)[a]
     width = max(map(len, rates))
     rate_rows = np.array([[r for _i, r in nr] + [0.0] * (width - len(nr)) for nr in rates])
-    keys, rate = d * n_a + a, rate_rows[a]
-    before, demand_table = _running(np.add, keys, n_d * n_a, t[:, None] * rate, 0.0)
-    charge = _charge(t, fac, zip(before.T, rate.T), whole_vms)
-    rem, rem_table = _running(np.subtract, d, n_d, np.stack([t, charge], axis=1),
-                              np.stack([link0, compute0], axis=1))
-    link, compute = rem.T
-    fits = _is_open(link, compute) & (t <= link) & _fits(t, charge, fac, compute, whole_vms)
-    n = len(t) if fits.all() else int(np.argmin(fits))
+    n_k, rate = n_d * n_a, rate_rows.take(a, axis=0)
+    keys, steps = d * n_a + a, t[:, None] * rate
+    start = np.zeros((n_k, width))
+    for (dk, ak), node_demand in demand.items():
+        start[dk * n_a + ak, :len(node_demand)] = list(node_demand.values())
+    if whole_vms:  # the charge reads each cell's running demand
+        before = _running(np.add, keys, n_k, steps, start)[0]
+    charge = _charge(t, fac, zip(before.T, rate.T) if whole_vms else None, whole_vms)
 
-    e_p, a_p, d_p, t_p, keys_p = e[:n], a[:n], d[:n], t[:n], keys[:n]
-    f[e_p, a_p, d_p] = t_p / t_p
-    wide_area_cost = float(np.cumsum(t_p * latency[e_p, d_p])[-1]) if n else 0.0
-    rem = rem_table[np.bincount(d_p, minlength=n_d), np.arange(n_d)]
+    def fits(rem):  # each cell against its datacenter's (link, compute) left
+        link, compute = rem.T
+        return _is_open(link, compute) & (t <= link) & _fits(t, charge, fac, compute, whole_vms)
+
+    # Remainders only fall, so if every cell fits its datacenter's end
+    # remainders, every cell fits when its turn comes.
+    rem_steps, n = np.stack([t, charge], axis=1), len(t)
+    rem = _scatter(np.subtract, rem0, d, rem_steps)
+    if not fits(rem.take(d, axis=0)).all():
+        rem_before, rem_table = _running(np.subtract, d, n_d, rem_steps, rem0)
+        n = int(np.argmin(np.append(fits(rem_before), False)))  # the first misfit
+        rem = rem_table[np.bincount(d[:n], minlength=n_d), np.arange(n_d)]
+
+    cell_p, e_p, d_p, t_p, keys_p = cell[:n], e[:n], d[:n], t[:n], keys[:n]
+    f.reshape(-1)[cell_p * n_d + d_p] += t_p / traffic.ravel()[cell_p]
+    wide_area_cost = float(np.cumsum(np.append(wide_area_cost, t_p * latency[e_p, d_p]))[-1])
     link_rem[:], compute_rem[:] = rem[:, 0].tolist(), rem[:, 1].tolist()
-    n_k = n_d * n_a
-    totals = demand_table[np.bincount(keys_p, minlength=n_k), np.arange(n_k)]
+    totals = _scatter(np.add, start, keys_p, steps[:n])
     # `demand` keeps the order in which keys were first assigned.
-    uniq, first = np.unique(keys_p, return_index=True)
-    for key in uniq[np.argsort(first)].tolist():
+    first = np.full(n_k, n)
+    np.minimum.at(first, keys_p, np.arange(n))
+    for key in np.argsort(first)[:np.count_nonzero(first < n)].tolist():
         dk, ak = divmod(key, n_a)
         demand[(dk, ak)] = {i: v for (i, _r), v in zip(rates[ak], totals[key].tolist())}
     # Sorted, the cells left already form a heap.
@@ -199,13 +219,14 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     final counts can never exceed slot budgets at the cost of handling less
     volume.
 
-    Cells go largest first, each to its cheapest open datacenter. Until a
-    cell fails to fit whole or a datacenter runs out of link or compute, the
-    open datacenters stay the same, so no cell's choice depends on those
-    before it. An array pass assigns that prefix at once, taking every
-    running total in the loop's order, and the heap loop goes on from the
-    state it leaves. Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells, or
-    with no open datacenter, skip the pass.
+    Cells go largest first, each to its cheapest open datacenter. Until one
+    fails to fit whole or a datacenter closes, no cell's choice depends on
+    those before it, and an array pass assigns them at once. Remainders only
+    fall, so if every cell fits its datacenter's end remainders, which
+    ordered scatters total in the loop's order, all fit; else per-cell
+    running totals find the first misfit. The heap loop goes on from there
+    and, after a closing with no cell barred, hands the heap to a new pass.
+    Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells take no pass.
     """
     graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
@@ -219,11 +240,14 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     f = np.zeros(traffic.shape + (len(topo.datacenters),))
     demand: dict[tuple[int, int], dict[int, float]] = {}
     t_left = 0.0
+
+    def array_pass(cells, wide_area_cost):
+        return _assign_prefix(cells, rates, factors, latency, ranked, ceil_per_assignment,
+                              traffic, link_rem, compute_rem, f, demand, wide_area_cost)
+
     wide_area_cost, heap = 0.0, _heap_order(traffic)
     if not isinstance(heap, list):
-        wide_area_cost, heap = _assign_prefix(heap, rates, factors, latency, ranked,
-                                              ceil_per_assignment, link_rem, compute_rem,
-                                              f, demand)
+        wide_area_cost, heap = array_pass(heap, 0.0)
     by_latency = ranked.tolist() if heap else []
     # Per cell, the datacenters that could afford none of it: under whole-VM
     # charging not the next VM, under fractional charging no more than EPS Gbps.
@@ -265,6 +289,12 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
         rest = t - x
         if rest > EPS:
             heapq.heappush(heap, (-rest, cell, e, a))
+        # A closing changes the open datacenters: a new pass takes the heap,
+        # unless a cell is barred from a datacenter, which a pass cannot skip.
+        if len(heap) >= ARRAY_PASS_MIN_CELLS and not exhausted \
+                and not _is_open(link_rem[d], compute_rem[d]):
+            wide_area_cost, heap = array_pass(tuple(map(np.array, zip(*sorted(heap)))),
+                                              wide_area_cost)
 
     physical: dict[tuple[int, int], PhysicalGraph] = {}
     volumes = attack_dc_volumes(f, traffic).tolist()

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scrubsim import resource_manager
 from scrubsim.defense_graphs import (
     ANALYSIS,
     CEIL_EPS,
@@ -35,6 +36,7 @@ from scrubsim.resource_manager import (
     place_all,
     ssp_greedy,
 )
+from scrubsim.simulate import Scenario, run_scenario_sweep
 from scrubsim.topology import CostParams, Pop, Topology, generate_topology
 from reference import capacity_bound_cases, make_dc, make_topo, pair_units, units_cost
 
@@ -939,12 +941,64 @@ def dsp_cases(draw):
     return make_topo(n_e, dcs, latency), traffic, lib
 
 
+@st.composite
+def closing_cases(draw):
+    """The built-in library over 24-48 pops (96 to 192 cells) and 2-5
+    datacenters with 15-60 Gbps links, more traffic than some of them carry
+    and, mostly, ample slots. Links close one by one: a cell spills, so the
+    end-total check fails, and its heap step closes a datacenter and hands
+    the heap back to a pass, which often adds to keys assigned before."""
+    lib = builtin_library()
+    n_e, n_d = draw(st.integers(24, 48)), draw(st.integers(2, 5))
+    dcs = [make_dc(d, float(draw(st.integers(15, 60))),
+                   [[draw(st.sampled_from([20, 500, 500]))] * 2]) for d in range(n_d)]
+    latency = [[draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(n_d)]
+               for _ in range(n_e)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    weights = rng.exponential(1.0, (n_e, len(lib))) * (rng.random((n_e, len(lib))) > 0.1)
+    traffic = weights * (draw(st.sampled_from([40.0, 120.0, 300.0])) / max(weights.sum(), 1.0))
+    return make_topo(n_e, dcs, latency), traffic, lib
+
+
 class TestArrayPassMatchesHeapLoop:
-    @settings(max_examples=150, derandomize=True)
-    @given(case=st.one_of(dsp_cases(), capacity_bound_cases()))
+    @settings(max_examples=200, derandomize=True)
+    @given(case=st.one_of(dsp_cases(), capacity_bound_cases(), closing_cases()))
     def test_bit_identical_to_reference(self, case):
         for ceil in (False, True):
             check_dsp(*case, ceil)
+
+    def test_closing_cases_reach_each_pass_path(self, monkeypatch):
+        # closing_cases is there for three paths of the pass; each comes up.
+        reached = set()
+        assign_prefix, running = resource_manager._assign_prefix, resource_manager._running
+
+        def tracked_pass(cells, *args):
+            demand = args[9]  # the loop's demand, which the pass updates
+            before = {key: dict(node_demand) for key, node_demand in demand.items()}
+            result = assign_prefix(cells, *args)
+            if before:
+                reached.add("resumed pass")
+            if any(demand[key] != node_demand for key, node_demand in before.items()):
+                reached.add("key assigned before and after a closing")
+            return result
+
+        def tracked_running(ufunc, *args):
+            if ufunc is np.subtract:
+                reached.add("failed end-total check")
+            return running(ufunc, *args)
+
+        monkeypatch.setattr(resource_manager, "_assign_prefix", tracked_pass)
+        monkeypatch.setattr(resource_manager, "_running", tracked_running)
+
+        @settings(max_examples=20, derandomize=True)
+        @given(case=closing_cases())
+        def run(case):
+            for ceil in (False, True):
+                dsp_greedy(*case, ceil_per_assignment=ceil)
+
+        run()
+        assert reached == {"resumed pass", "failed end-total check",
+                           "key assigned before and after a closing"}
 
     @settings(max_examples=100, derandomize=True)
     @given(case=st.one_of(dsp_cases(), capacity_bound_cases()))
@@ -985,3 +1039,40 @@ class TestArrayPassMatchesHeapLoop:
         monkeypatch.setattr(heapq, "heappop", heappop)
         for ceil, ref in zip((False, True), want):
             assert_dsp_matches(dsp_greedy(topo, traffic, lib, ceil), ref, traffic)
+
+    def test_closed_datacenter_takes_no_cell(self):
+        # Under whole-VM charging the first cell's VM takes datacenter 0's
+        # one slot and closes it, though each of the 31 cells after it would
+        # add no VM there. The loop sends them to datacenter 1; so must the
+        # pass, whose end-total check reads the closing.
+        lib = {ATK: one_node_graph(10.0)}
+        topo = make_topo(32, [make_dc(0, 999.0, [[1]]), make_dc(1, 999.0, [[999]])],
+                         [[1.0, 2.0]] * 32)
+        traffic = np.array([[4.0]] + [[0.1]] * 31)
+        for ceil in (False, True):
+            check_dsp(topo, traffic, lib, ceil)
+        assert dsp_greedy(topo, traffic, lib, True).f[1:, 0].tolist() == [[0.0, 1.0]] * 31
+
+    def test_sim_dense_epochs_take_at_most_one_heap_step(self, monkeypatch):
+        # The sim-dense benchmark's inputs: fpl's estimates of 1 Tbps
+        # randhybrid on the 196-pop, 4000-slot topology, run seeds 5-9. In 9
+        # of the 100 epochs one datacenter's link binds on one cell; that
+        # cell's heap step closes the datacenter, and a second pass takes
+        # every cell left. The heap loop alone took 3 123 steps.
+        sc = Scenario(epochs=20, budget_gbps=1000.0, adversary="randhybrid", estimator="fpl",
+                      seed=1, seeds=list(range(5, 10)), topology_nodes=196, dc_slots=4000)
+        topo, lib = sc.load_topology(), builtin_library()
+        estimates = [r.estimate for _seed, runs in sorted(run_scenario_sweep(sc).items())
+                     for r in runs]
+        want = [[linear_scan_dsp(topo, x, lib, ceil) for x in estimates] for ceil in (False, True)]
+
+        pops = []
+        heappop = heapq.heappop
+        monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
+        for ceil, refs in zip((False, True), want):
+            per_epoch = []
+            for x, ref in zip(estimates, refs):
+                before = len(pops)
+                assert_dsp_matches(dsp_greedy(topo, x, lib, ceil), ref, x)
+                per_epoch.append(len(pops) - before)
+            assert (len(per_epoch), max(per_epoch), sum(per_epoch)) == (100, 1, 9)
