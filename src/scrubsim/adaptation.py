@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defense_graphs import (AnnotatedGraph, AttackType, graph_compute_factor, ordered_graphs,
-                             sequential_sum)
+from .defense_graphs import AnnotatedGraph, AttackType, ordered_graphs, sequential_sum
 from .errors import InputError
 
 STRATEGIES = ("randingress", "randattack", "randhybrid", "steady", "flipprevepoch")
@@ -209,7 +208,7 @@ def estimate(state: EstimatorState, budget: Budget,
 
 def _compute_factors(lib: dict[AttackType, AnnotatedGraph]) -> np.ndarray:
     """VM slots per Gbps for each attack column, in attack-id order."""
-    return np.array([graph_compute_factor(g) for g in ordered_graphs(lib)])
+    return np.array([g.compute_factor for g in ordered_graphs(lib)])
 
 
 def _stack(trace: "list[np.ndarray] | np.ndarray") -> np.ndarray:

@@ -45,10 +45,6 @@ def _load_traffic(path: str, topo, lib) -> np.ndarray:
                             topo, lib)
 
 
-def _load_lib(path: str | None):
-    return defense_graphs.builtin_library() if path is None else defense_graphs.load_library(path)
-
-
 def _rule_counts(plan) -> dict:
     """Rules per switch of a plan's dc_tables (switch -> rule list)."""
     tables = config.record(plan, "plan", optional=None).get("dc_tables", {})
@@ -101,10 +97,10 @@ def graph():
 @graph.command("validate")
 @click.argument("path", type=click.Path(exists=True))
 def graph_validate(path):
-    lib = _load_lib(path)
+    lib = defense_graphs.load_library(path)
     for g in defense_graphs.ordered_graphs(lib):
         _echo(f"{g.attack.name}: {len(g.nodes)} nodes, "
-              f"factor {defense_graphs.graph_compute_factor(g):.4f} slots/Gbps")
+              f"factor {g.compute_factor:.4f} slots/Gbps")
     _echo("ok")
 
 
@@ -113,7 +109,7 @@ def graph_validate(path):
 @click.option("--gbps", type=float, required=True)
 @click.option("--graphs", "graphs_path", type=click.Path(exists=True), default=None)
 def graph_demand(attack_name, gbps, graphs_path):
-    lib = _load_lib(graphs_path)
+    lib = defense_graphs.load_library(graphs_path)
     match = [g for g in lib.values() if g.attack.name == attack_name]
     if not match:
         _fail(f"unknown attack {attack_name!r}; have "
@@ -148,7 +144,7 @@ def rm():
 @click.option("--out", type=click.Path(), required=True)
 def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
     t = topology.load_topology(topo_path)
-    lib = _load_lib(graphs_path)
+    lib = defense_graphs.load_library(graphs_path)
     traffic = _load_traffic(traffic_path, t, lib)
     started = time.perf_counter()
     dsp = dsp_greedy(t, traffic, lib, ceil_per_assignment=ceil_per_assignment)
@@ -174,7 +170,7 @@ def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
 def rm_ssp(topo_path, traffic_path, graphs_path, out):
     """Run datacenter selection, then place every physical graph onto servers."""
     t = topology.load_topology(topo_path)
-    lib = _load_lib(graphs_path)
+    lib = defense_graphs.load_library(graphs_path)
     step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
     if step.ssps is None:
         _fail(step.error, 3)
@@ -244,7 +240,7 @@ def orch():
 @click.option("--out", type=click.Path(), required=True)
 def orch_rules(topo_path, traffic_path, graphs_path, out):
     t = topology.load_topology(topo_path)
-    lib = _load_lib(graphs_path)
+    lib = defense_graphs.load_library(graphs_path)
     step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
     if step.plan is None:
         _fail(step.error, 3)

@@ -88,7 +88,9 @@ class AnnotatedGraph:
         # (node id, VMs per Gbps of graph input) in node order: the node's
         # share over its per-VM capacity.
         self.vm_rates = tuple((n.id, self._share[n.id] / n.capacity_gbps) for n in self.nodes)
-        self._compute_factor = sequential_sum(r for _i, r in self.vm_rates)
+        # VM slots required per Gbps of graph input: the VM rates summed in
+        # node order.
+        self.compute_factor = sequential_sum(r for _i, r in self.vm_rates)
         self._ssp_orders: dict[frozenset[int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
 
     def node(self, i: int) -> LogicalModule:
@@ -149,8 +151,6 @@ class AnnotatedGraph:
             if not (0.0 <= w <= 1.0):
                 raise InputError(f"{self.attack.name}: edge ({s},{d}) weight {w} outside [0,1]")
         self._check_acyclic()
-        if not self._roots:
-            raise InputError(f"{self.attack.name}: graph has no root (cycle?)")
         # Traffic may shrink at a node (drops) but never amplify.
         for n in self.nodes:
             out = sum(w for s, _d, w in self.edges if s == n.id)
@@ -217,12 +217,6 @@ def sequential_sum(items):
     return reduce(operator.add, items, 0)
 
 
-def graph_compute_factor(g: AnnotatedGraph) -> float:
-    """VM slots required per Gbps of input traffic to the graph: its nodes'
-    VM rates, summed in node order once, when the graph is built."""
-    return g._compute_factor
-
-
 def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:
     """Number of whole-graph replicas needed when the graph scales as a unit.
 
@@ -234,12 +228,6 @@ def monolithic_demand_vms(g: AnnotatedGraph, t_gbps: float) -> int:
         n.capacity_gbps / g.share(n.id) for n in g.nodes if g.share(n.id) > 0
     )
     return int(vms(t_gbps / bottleneck))
-
-
-def build_physical_graph(g: AnnotatedGraph, dc_id: int, t_gbps: float,
-                         counts: dict[int, int]) -> PhysicalGraph:
-    return PhysicalGraph(attack=g.attack, dc_id=dc_id, traffic_gbps=t_gbps,
-                         counts=dict(counts))
 
 
 # ---------------------------------------------------------------------------
@@ -370,5 +358,8 @@ def _library(cfg) -> dict[AttackType, AnnotatedGraph]:
     return lib
 
 
-def load_library(path: str) -> dict[AttackType, AnnotatedGraph]:
+def load_library(path: str | None) -> dict[AttackType, AnnotatedGraph]:
+    """The defense graphs in a JSON file, or the built-in library without one."""
+    if path is None:
+        return builtin_library()
     return config.read_json(path, "cannot load graph library", _library)

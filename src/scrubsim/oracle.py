@@ -39,14 +39,12 @@ from .defense_graphs import (
     AnnotatedGraph,
     AttackType,
     LogicalModule,
-    build_physical_graph,
-    graph_compute_factor,
+    PhysicalGraph,
     node_demand_vms,
     ordered_graphs,
 )
 from .errors import InputError, OracleSizeError, PlacementError
 from .resource_manager import (
-    SlotTable,
     attack_dc_volumes,
     dsp_greedy,
     evaluate_cost,
@@ -318,14 +316,14 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
         return math.inf, True
 
     # Greedy incumbent: run the server-selection heuristic on the same demand.
-    table = SlotTable(dc)
+    free = list(slots)
     incumbent = 0.0
     feasible = True
     for a, counts in counts_by_attack.items():
         g = graphs[a]
-        pg = build_physical_graph(g, dc.id, vols[a] * q, counts)
+        pg = PhysicalGraph(g.attack, dc.id, vols[a] * q, counts)
         try:
-            res = ssp_greedy(dc, pg, {g.attack: g}, table)
+            res = ssp_greedy(dc, pg, {g.attack: g}, free)
         except PlacementError:
             feasible = False
             break
@@ -444,7 +442,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
     supplies[traffic > _EPS] = units_per_cell
     supply_a = supplies.sum(axis=0)  # units per attack
 
-    factors = [graph_compute_factor(g) for g in graphs]
+    factors = [g.compute_factor for g in graphs]
 
     # Feasible per-DC volume tuples (units per attack), by prefix.
     start = tuple(int(s) for s in supply_a)

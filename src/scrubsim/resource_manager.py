@@ -20,8 +20,6 @@ from .defense_graphs import (
     AnnotatedGraph,
     AttackType,
     PhysicalGraph,
-    build_physical_graph,
-    graph_compute_factor,
     ordered_graphs,
     sequential_sum,
     vms,
@@ -230,7 +228,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     """
     graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
-    factors = [graph_compute_factor(g) for g in graphs]
+    factors = [g.compute_factor for g in graphs]
     rates = [g.vm_rates for g in graphs]
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
@@ -300,7 +298,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     volumes = attack_dc_volumes(f, traffic).tolist()
     for (d, a), node_demand in sorted(demand.items()):
         counts = {i: int(vms(v)) for i, v in node_demand.items()}
-        physical[(a, d)] = build_physical_graph(graphs[a], d, volumes[a][d], counts)
+        physical[(a, d)] = PhysicalGraph(graphs[a].attack, d, volumes[a][d], counts)
 
     return DspResult(f=f, demand=demand, physical=physical,
                      t_left=float(t_left), wide_area_cost=float(wide_area_cost))
@@ -405,35 +403,23 @@ def _emptiest_fitting(free: list[int], positions: Iterable[int], count: int) -> 
     return pick
 
 
-class SlotTable:
-    """Free VM slots of one datacenter's servers, shared by every graph
-    placed there. Servers sit in (rack id, server id) order, so a server's
-    position ranks it among equally free ones and each rack spans one run
-    of positions."""
-
-    def __init__(self, dc: Datacenter):
-        # position -> (rack id, server id), and rack id -> its positions,
-        # are the datacenter's own; only the free slots are this table's.
-        self.servers, slots, self.rack_spans = dc.server_layout
-        self.free: list[int] = list(slots)  # position -> free slots
-
-
 def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                lib: dict[AttackType, AnnotatedGraph],
-               slots: SlotTable | None = None) -> SspResult:
+               free: list[int] | None = None) -> SspResult:
     """Place a physical graph's VM instances onto the datacenter's servers,
     keeping each logical node's replicas (and, transitively, its
     predecessors) on one server or at least one rack where possible.
 
-    `slots` is the datacenter's free-slot table; callers placing several
-    graphs into one datacenter pass the same table to each, and every
-    placement, including those made before a `PlacementError`, is taken
-    from it. Without one, the graph gets an empty datacenter.
+    `free` holds the free VM slots of each server position in
+    `dc.server_layout`; callers placing several graphs into one datacenter
+    pass the same list to each, and every placement, including those made
+    before a `PlacementError`, is taken from it. Without one, the graph gets
+    an empty datacenter.
     """
     graph = lib[pg.attack]
-    if slots is None:
-        slots = SlotTable(dc)
-    servers, free, spans = slots.servers, slots.free, slots.rack_spans
+    servers, slots, spans = dc.server_layout
+    if free is None:
+        free = list(slots)
 
     # A node's run per server: it reaches each server at most once.
     n_srv: dict[tuple[int, int, int], int] = {}
@@ -496,17 +482,18 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
 def place_all(topo: Topology, dsp: DspResult,
               lib: dict[AttackType, AnnotatedGraph]) -> list[SspResult]:
     """Run SSP for every (attack, datacenter) physical graph in attack-id
-    order, passing each datacenter's graphs one shared `SlotTable`."""
+    order, passing each datacenter's graphs one shared list of free slots
+    per server position."""
     results = []
-    tables: dict[int, SlotTable] = {}
+    free: dict[int, list[int]] = {}
     for (a, d) in sorted(dsp.physical):
         pg = dsp.physical[(a, d)]
         if pg.total_vms == 0:
             continue
         dc = topo.datacenters[d]
-        if d not in tables:
-            tables[d] = SlotTable(dc)
-        results.append(ssp_greedy(dc, pg, lib, tables[d]))
+        if d not in free:
+            free[d] = list(dc.server_layout[1])
+        results.append(ssp_greedy(dc, pg, lib, free[d]))
     return results
 
 

@@ -22,8 +22,7 @@ import numpy as np
 from . import config
 from .adaptation import (STRATEGIES, AdversaryStrategy, Budget, EstimatorState, adversary_next,
                          check_estimator, estimate, loss_accounting)
-from .defense_graphs import (AnnotatedGraph, AttackType, builtin_library, load_library,
-                             ordered_graphs)
+from .defense_graphs import AnnotatedGraph, AttackType, load_library, ordered_graphs
 from .errors import InputError, PlacementError
 from .orchestration import (ForwardingPlan, build_tag_pools, pin_bidirectional_for_graph,
                             synthesize_rules)
@@ -86,9 +85,7 @@ class Scenario:
         return generate_topology(self.topology_nodes, self.dc_slots, seed=self.seed)
 
     def load_library(self) -> dict[AttackType, AnnotatedGraph]:
-        if self.graphs_path is not None:
-            return load_library(self.graphs_path)
-        return builtin_library()
+        return load_library(self.graphs_path)
 
     @classmethod
     def from_config(cls, cfg, default_seed: int | None = None) -> "Scenario":

@@ -131,3 +131,45 @@ def load_balance_pick(pools, vm, context: int, rng: random.Random) -> int:
     if not candidates:
         raise CapacityError(f"empty tag pool for vm {vm} context {context}")
     return candidates[rng.randrange(len(candidates))]
+
+
+def _reference_subset(rng: random.Random, n: int) -> list[int]:
+    """Each of range(n) in with probability 1/2, redrawn while empty."""
+    while True:
+        picked = [i for i in range(n) if rng.random() < 0.5]
+        if picked:
+            return picked
+
+
+def reference_adversary_next(strategy, budget, epoch: int, n_pops: int,
+                             n_attacks: int) -> np.ndarray:
+    """adversary_next pair by pair: each strategy picks its pops and attacks
+    from the same seeds and draws, then one double loop gives every picked
+    (pop, attack) pair an equal share of the budget."""
+
+    def steady(key):
+        rng = random.Random(key)
+        attacks = [rng.randrange(n_attacks)]
+        return _reference_subset(rng, n_pops), attacks
+
+    if strategy.kind == "steady":
+        pops, attacks = steady(f"{strategy.seed}:steady")
+    elif strategy.kind == "flipprevepoch":
+        # The second mix is redrawn, up to 100 times, while it equals the first.
+        first = steady(f"{strategy.seed}:flip0")
+        for retry in range(100):
+            second = steady(f"{strategy.seed}:flip1:{retry}")
+            if second != first:
+                break
+        pops, attacks = first if epoch % 2 == 0 else second
+    else:
+        rng = random.Random(f"{strategy.seed}:{epoch}")
+        pops = list(range(n_pops)) if strategy.kind == "randattack" \
+            else _reference_subset(rng, n_pops)
+        attacks = list(range(n_attacks)) if strategy.kind == "randingress" \
+            else _reference_subset(rng, n_attacks)
+    mix = np.zeros((n_pops, n_attacks))
+    for e in pops:
+        for a in attacks:
+            mix[e, a] = budget.b_gbps / (len(pops) * len(attacks))
+    return mix

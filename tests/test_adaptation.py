@@ -33,11 +33,11 @@ from scrubsim.adaptation import (
 from scrubsim.defense_graphs import (
     AttackType,
     builtin_library,
-    graph_compute_factor,
     ordered_graphs,
 )
 from scrubsim.errors import InputError
 from scrubsim.simulate import Scenario
+from reference import reference_adversary_next
 
 LIB = builtin_library()
 LIB2 = {g.attack: g for g in ordered_graphs(LIB)[:2]}
@@ -97,6 +97,16 @@ class TestAdversary:
             mix = adversary_next(strat, Budget(9.0), t, 1, 1)
             assert mix.shape == (1, 1)
             assert mix[0, 0] == pytest.approx(9.0)
+
+    @settings(max_examples=300, derandomize=True)
+    @given(kind=st.sampled_from(STRATEGIES), seed=st.integers(0, 10**6),
+           budget=st.sampled_from([1.0, 37.5, 100.0, 1000 / 3]), epoch=st.integers(0, 7),
+           n_pops=st.integers(1, 12), n_attacks=st.integers(1, 5))
+    def test_mix_matches_pair_by_pair_reference(self, kind, seed, budget, epoch, n_pops,
+                                                n_attacks):
+        strat, b = AdversaryStrategy(kind, seed), Budget(budget)
+        assert adversary_next(strat, b, epoch, n_pops, n_attacks).tobytes() == \
+            reference_adversary_next(strat, b, epoch, n_pops, n_attacks).tobytes()
 
 
 class TestFpl:
@@ -185,7 +195,7 @@ class TestLossAccounting:
         prov = np.array([[7.0, 0.0]])
         act = np.zeros((1, 2))
         _w, _v, wvm = loss_accounting(prov, act, LIB2)
-        assert wvm == pytest.approx(7.0 * graph_compute_factor(graphs[0]))
+        assert wvm == pytest.approx(7.0 * graphs[0].compute_factor)
 
 
 class TestBestStaticHindsight:
@@ -354,7 +364,7 @@ def _loop_losses(provisioned, actual, lib):
     """One epoch's (wastage, evasion, VM wastage), summed cell by cell."""
     wast = np.maximum(provisioned - actual, 0.0)
     evas = np.maximum(actual - provisioned, 0.0)
-    factors = np.array([graph_compute_factor(g) for g in ordered_graphs(lib)])
+    factors = np.array([g.compute_factor for g in ordered_graphs(lib)])
     return float(wast.sum()), float(evas.sum()), float((wast.sum(axis=0) * factors).sum())
 
 

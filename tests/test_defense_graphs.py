@@ -14,7 +14,6 @@ from scrubsim.defense_graphs import (
     AttackType,
     LogicalModule,
     builtin_library,
-    graph_compute_factor,
     graph_from_config,
     graph_to_config,
     monolithic_demand_vms,
@@ -140,7 +139,7 @@ class TestNodeDemand:
             g = random_graph(rng)
             t = rng.uniform(0, 250)
             fine = sum(node_demand_vms(g, n.id, t) for n in g.nodes)
-            bound = math.ceil(t * graph_compute_factor(g)) + len(g.nodes)
+            bound = math.ceil(t * g.compute_factor) + len(g.nodes)
             assert fine <= bound
 
 
@@ -164,7 +163,7 @@ class TestShare:
 
 class TestComputeFactor:
     def test_single_node(self):
-        assert graph_compute_factor(single_node(p=10.0)) == pytest.approx(0.1)
+        assert single_node(p=10.0).compute_factor == pytest.approx(0.1)
 
     def test_two_children_hand_sum(self):
         g = AnnotatedGraph(
@@ -178,7 +177,7 @@ class TestComputeFactor:
         )
         # Independent exact fold with rationals.
         expect = Fraction(1, 10) + Fraction(1, 2) / 5 + Fraction(1, 2) / 5
-        assert graph_compute_factor(g) == pytest.approx(float(expect))
+        assert g.compute_factor == pytest.approx(float(expect))
         assert float(expect) == pytest.approx(0.3)
 
     def test_halves_when_capacity_doubles(self):
@@ -190,7 +189,7 @@ class TestComputeFactor:
                    for n in g1.nodes],
             edges=list(g1.edges),
         )
-        assert graph_compute_factor(doubled) == pytest.approx(graph_compute_factor(g1) / 2)
+        assert doubled.compute_factor == pytest.approx(g1.compute_factor / 2)
 
 
 class TestMonolithic:
@@ -242,7 +241,8 @@ class TestBuiltinLibrary:
 
 class TestValidation:
     def test_rejects_cycle(self):
-        with pytest.raises(InputError):
+        # No node is a root, and the acyclicity check says so first.
+        with pytest.raises(InputError, match="contains a cycle"):
             AnnotatedGraph(
                 attack=ATK,
                 nodes=[LogicalModule(0, "a", ANALYSIS, 5.0, contexts=1),

@@ -12,7 +12,7 @@ from scrubsim.defense_graphs import (
     AnnotatedGraph,
     AttackType,
     LogicalModule,
-    build_physical_graph,
+    PhysicalGraph,
     node_demand_vms,
 )
 from scrubsim.errors import InputError, OracleSizeError, PlacementError
@@ -30,7 +30,7 @@ from scrubsim.oracle import (
     gap_summary,
     random_tiny_instance,
 )
-from scrubsim.resource_manager import SlotTable, dsp_greedy, evaluate_cost, place_all, ssp_greedy
+from scrubsim.resource_manager import dsp_greedy, evaluate_cost, place_all, ssp_greedy
 from scrubsim.topology import CostParams
 from reference import make_dc, make_topo, pair_units, units_cost
 
@@ -335,16 +335,17 @@ def brute_force_dsc(dc, graphs, vols, q, params):
 
 def greedy_dsc(dc, graphs, vols, q, params):
     """What the server-selection greedy pays for the same demand, placing the
-    graphs in attack order on one shared slot table (inf if it fails)."""
-    slots = SlotTable(dc)
+    graphs in attack order on one shared list of free slots (inf if it
+    fails)."""
+    free = list(dc.server_layout[1])
     total = 0.0
     for a, g in enumerate(graphs):
         vol = vols[a] * q
         if vol > 1e-9:
             counts = {n.id: node_demand_vms(g, n.id, vol) for n in g.nodes}
-            pg = build_physical_graph(g, dc.id, vol, counts)
+            pg = PhysicalGraph(g.attack, dc.id, vol, counts)
             try:
-                total += ssp_greedy(dc, pg, {g.attack: g}, slots).dc_cost(params)
+                total += ssp_greedy(dc, pg, {g.attack: g}, free).dc_cost(params)
             except PlacementError:
                 return math.inf
     return total

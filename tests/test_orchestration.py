@@ -14,8 +14,8 @@ from scrubsim.defense_graphs import (
     AnnotatedGraph,
     AttackType,
     LogicalModule,
+    PhysicalGraph,
     builtin_library,
-    build_physical_graph,
     ordered_graphs,
 )
 from scrubsim.errors import CapacityError, InputError, PinConflictError, PlacementError
@@ -66,7 +66,7 @@ class TestAssignTags:
     def test_one_downstream_per_context(self):
         g = two_branch_graph()
         lib = {ATK: g}
-        pg = build_physical_graph(g, 0, 10.0, {0: 1, 1: 1, 2: 1})
+        pg = PhysicalGraph(g.attack, 0, 10.0, {0: 1, 1: 1, 2: 1})
         pools = assign_tags(pg, lib)
         a1 = (0, 0, 0, 0)
         assert pools.pool(a1, 0) == [1]  # context 0 -> r_ok's instance
@@ -75,7 +75,7 @@ class TestAssignTags:
     def test_pool_has_one_tag_per_downstream_instance(self):
         g = two_context_graph()
         lib = {ATK: g}
-        pg = build_physical_graph(g, 0, 40.0, {0: 2, 1: 2})
+        pg = PhysicalGraph(g.attack, 0, 40.0, {0: 2, 1: 2})
         pools = assign_tags(pg, lib)
         for idx in range(2):
             pool = pools.pool((0, 0, 0, idx), 0)
@@ -89,7 +89,7 @@ class TestAssignTags:
                            nodes=[LogicalModule(0, "m", ANALYSIS, 10.0,
                                                 contexts=1, delivers=True)],
                            edges=[])
-        pg = build_physical_graph(g, 0, 5.0, {0: 1})
+        pg = PhysicalGraph(g.attack, 0, 5.0, {0: 1})
         pools = assign_tags(pg, {ATK: g})
         assert len(pools.pool((0, 0, 0, 0), 0)) == 1
 
@@ -321,7 +321,7 @@ class TestPlanRealizesEdges:
 class TestLoadBalancePick:
     def test_single_tag_pool(self):
         g = two_branch_graph()
-        pg = build_physical_graph(g, 0, 10.0, {0: 1, 1: 1, 2: 1})
+        pg = PhysicalGraph(g.attack, 0, 10.0, {0: 1, 1: 1, 2: 1})
         pools = assign_tags(pg, {ATK: g})
         rng = random.Random(1)
         vm = (0, 0, 0, 0)
@@ -331,7 +331,7 @@ class TestLoadBalancePick:
 
     def test_uniform_over_two_tags(self):
         g = two_context_graph()
-        pg = build_physical_graph(g, 0, 40.0, {0: 1, 1: 2})
+        pg = PhysicalGraph(g.attack, 0, 40.0, {0: 1, 1: 2})
         pools = assign_tags(pg, {ATK: g})
         rng = random.Random(123)
         vm = (0, 0, 0, 0)
@@ -345,7 +345,7 @@ class TestLoadBalancePick:
 
     def test_reproducible_per_seed(self):
         g = two_context_graph()
-        pg = build_physical_graph(g, 0, 40.0, {0: 1, 1: 2})
+        pg = PhysicalGraph(g.attack, 0, 40.0, {0: 1, 1: 2})
         pools = assign_tags(pg, {ATK: g})
         vm = (0, 0, 0, 0)
 

@@ -16,9 +16,8 @@ from scrubsim.defense_graphs import (
     AnnotatedGraph,
     AttackType,
     LogicalModule,
-    build_physical_graph,
+    PhysicalGraph,
     builtin_library,
-    graph_compute_factor,
     ordered_graphs,
 )
 from scrubsim.errors import InputError, PlacementError
@@ -27,7 +26,6 @@ from scrubsim.resource_manager import (
     ARRAY_PASS_MIN_CELLS,
     EPS,
     DspResult,
-    SlotTable,
     attack_dc_volumes,
     check_feasibility,
     dsp_greedy,
@@ -99,7 +97,7 @@ class TestDspGreedy:
             topo, traffic, lib, _params = random_tiny_instance(seed)
             dsp = dsp_greedy(topo, traffic, lib)
             graphs = ordered_graphs(lib)
-            factors = [graph_compute_factor(g) for g in graphs]
+            factors = [g.compute_factor for g in graphs]
             volumes = attack_dc_volumes(dsp.f, traffic)
             for d, dc in enumerate(topo.datacenters):
                 vol = float((dsp.f[:, :, d] * traffic).sum())
@@ -165,7 +163,7 @@ class TestSspGreedy:
     def test_whole_graph_on_one_server(self):
         g = chain_graph()
         dc = make_dc(0, 999.0, [[10, 10], [10, 10]])
-        pg = build_physical_graph(g, 0, 20.0, {0: 2, 1: 2})
+        pg = PhysicalGraph(g.attack, 0, 20.0, {0: 2, 1: 2})
         res = ssp_greedy(dc, pg, {ATK: g})
         assert res.intra_rack_units == 0.0
         assert res.inter_rack_units == 0.0
@@ -176,7 +174,7 @@ class TestSspGreedy:
         g = chain_graph()
         # Two racks, one server each, two slots each: node a fills rack 0.
         dc = make_dc(0, 999.0, [[2], [2]])
-        pg = build_physical_graph(g, 0, 20.0, {0: 2, 1: 2})
+        pg = PhysicalGraph(g.attack, 0, 20.0, {0: 2, 1: 2})
         res = ssp_greedy(dc, pg, {ATK: g})
         assert res.intra_rack_units == 0.0
         assert res.inter_rack_units == pytest.approx(20.0)  # edge volume 20 * w=1.0
@@ -186,7 +184,7 @@ class TestSspGreedy:
         lib = {ATK: g}
 
         def dsp_for(counts):
-            pg = build_physical_graph(g, 0, 10.0, counts)
+            pg = PhysicalGraph(g.attack, 0, 10.0, counts)
             return DspResult(f=np.zeros((1, 1, 1)), demand={},
                              physical={(0, 0): pg}, t_left=0.0, wide_area_cost=0.0)
 
@@ -217,7 +215,7 @@ class TestSspGreedy:
                    LogicalModule(2, "r", RESPONSE, 10.0, contexts=1, delivers=True)],
             edges=[(0, 2, 0.5), (1, 2, 0.5)],
         )
-        res = ssp_greedy(make_dc(0, 999.0, rack_slots), build_physical_graph(g, 0, 10.0, counts),
+        res = ssp_greedy(make_dc(0, 999.0, rack_slots), PhysicalGraph(g.attack, 0, 10.0, counts),
                          {ATK: g})
         assert [key[1:] for key in res.n_srv if key[0] == 2] == [want]
 
@@ -229,13 +227,13 @@ class TestSspGreedy:
                    LogicalModule(2, "r", RESPONSE, 10.0, contexts=1, delivers=True)],
             edges=[(0, 1, 1.0), (1, 2, 1.0)],
         )
-        pg = build_physical_graph(g, 0, 10.0, {0: 3, 1: 0, 2: 2})
+        pg = PhysicalGraph(g.attack, 0, 10.0, {0: 3, 1: 0, 2: 2})
         res = ssp_greedy(make_dc(0, 999.0, [[10, 10]]), pg, {ATK: g})
         assert res.n_srv == {(0, 0, 0): 3, (2, 0, 1): 2}
 
     def test_one_server_graph_prices_zero(self):
         g = builtin_library()[DNS_AMPLIFICATION]
-        pg = build_physical_graph(g, 0, 100 / 3, {n.id: 2 for n in g.nodes})
+        pg = PhysicalGraph(g.attack, 0, 100 / 3, {n.id: 2 for n in g.nodes})
         res = ssp_greedy(make_dc(0, 999.0, [[4], [40]]), pg, {DNS_AMPLIFICATION: g})
         assert len({key[1:] for key in res.n_srv}) == 1
         assert repr((res.intra_rack_units, res.inter_rack_units)) == "(0.0, 0.0)"
@@ -243,7 +241,7 @@ class TestSspGreedy:
     def test_rack_split_graph_prices_the_pair_walk_bits(self):
         g = builtin_library()[DNS_AMPLIFICATION]
         counts = {n.id: 3 for n in g.nodes}
-        pg = build_physical_graph(g, 0, 100 / 3, counts)
+        pg = PhysicalGraph(g.attack, 0, 100 / 3, counts)
         res = ssp_greedy(make_dc(0, 999.0, [[3, 2], [3, 2], [3, 2]]), pg, {DNS_AMPLIFICATION: g})
         # r_log and r_drop each span two racks.
         assert len({(node, rack) for node, rack, _srv in res.n_srv}) == 7
@@ -255,7 +253,7 @@ class TestSspGreedy:
     def test_insufficient_slots_names_node(self):
         g = chain_graph()
         dc = make_dc(0, 999.0, [[2]])
-        pg = build_physical_graph(g, 0, 30.0, {0: 3, 1: 3})
+        pg = PhysicalGraph(g.attack, 0, 30.0, {0: 3, 1: 3})
         with pytest.raises(PlacementError) as err:
             ssp_greedy(dc, pg, {ATK: g})
         assert err.value.node in ("a", "r")
@@ -297,7 +295,7 @@ class TestSspGreedy:
             if n0 + n1 > total:
                 continue
             counts = {0: n0, 1: n1}
-            pg = build_physical_graph(g, 0, float(rng.randint(5, 40)), counts)
+            pg = PhysicalGraph(g.attack, 0, float(rng.randint(5, 40)), counts)
             res = ssp_greedy(dc, pg, {ATK: g})
             greedy_cost = res.dc_cost(params)
             server_list = [(rk.id, s.id, s.vm_slots) for rk in dc.racks
@@ -573,7 +571,7 @@ def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
     graphs = ordered_graphs(lib)
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
-    factors = [graph_compute_factor(g) for g in graphs]
+    factors = [g.compute_factor for g in graphs]
     rates = [{n.id: g.share(n.id) / n.capacity_gbps for n in g.nodes} for g in graphs]
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
@@ -718,17 +716,17 @@ def chain(n_nodes, caps):
 
 
 def slot_table(dc, used):
-    """The datacenter's SlotTable with `used` slots already taken."""
-    table = SlotTable(dc)
-    for pos, srv in enumerate(table.servers):
-        table.free[pos] -= used.get(srv, 0)
-    return table
+    """The free slots per position of `dc.server_layout`, with `used` slots
+    already taken."""
+    servers, slots, _spans = dc.server_layout
+    return [n - used.get(srv, 0) for srv, n in zip(servers, slots)]
 
 
-def occupancy(dc, table):
-    """`table`'s taken slots as a (rack, server) -> used dict, zeros left out."""
-    full = SlotTable(dc).free
-    return {srv: n - f for srv, n, f in zip(table.servers, full, table.free) if n != f}
+def occupancy(dc, free):
+    """The slots taken in `free` as a (rack, server) -> used dict, zeros
+    left out."""
+    servers, slots, _spans = dc.server_layout
+    return {srv: n - f for srv, n, f in zip(servers, slots, free) if n != f}
 
 
 def ssp_outcome(placements, n_srv, intra, inter):
@@ -782,7 +780,7 @@ class TestIndexedSelectionMatchesLinearScan:
                                   min_size=n_nodes, max_size=n_nodes))
         counts = {i: data.draw(st.integers(1, 3)) for i in range(n_nodes)}
         g = chain(n_nodes, caps)
-        assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, 10.0, counts), g,
+        assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack, 0, 10.0, counts), g,
                                        used, slot_table(dc, used))
 
     @settings(max_examples=200)
@@ -797,7 +795,7 @@ class TestIndexedSelectionMatchesLinearScan:
             g = data.draw(st.sampled_from(graphs))
             spare = data.draw(st.sampled_from([0, 0, 2]))
             counts = data.draw(node_counts(g, free_slots(dc, used) + spare))
-            assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, gbps, counts), g,
+            assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack, 0, gbps, counts), g,
                                            used, table)
 
     @settings(max_examples=200)
@@ -815,7 +813,7 @@ class TestIndexedSelectionMatchesLinearScan:
         g = dag(parents, caps)
         table = slot_table(dc, used)
         for gbps, c in zip((20.0, 5.0), counts):
-            assert_ssp_matches_linear_scan(dc, build_physical_graph(g, 0, gbps, c), g,
+            assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack, 0, gbps, c), g,
                                            used, table)
 
     @settings(max_examples=150)
@@ -829,7 +827,7 @@ class TestIndexedSelectionMatchesLinearScan:
         for g in attacks:
             counts = data.draw(node_counts(g, free))
             free -= sum(counts.values())
-            physical[(g.attack.id, 0)] = build_physical_graph(g, 0, 10.0, counts)
+            physical[(g.attack.id, 0)] = PhysicalGraph(g.attack, 0, 10.0, counts)
         dsp = DspResult(f=np.zeros((1, len(lib), 1)), demand={},
                         physical=physical, t_left=0.0, wide_area_cost=0.0)
         topo = make_topo(1, [dc], [[1.0]])
@@ -910,8 +908,7 @@ class TestRunsMatchPerVmWalk:
         g = data.draw(st.sampled_from(ordered_graphs(builtin_library())))
         # At most the free slots in all, so every graph fits.
         counts = data.draw(node_counts(g, free_slots(dc, used)))
-        pg = build_physical_graph(g, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])),
-                                  counts)
+        pg = PhysicalGraph(g.attack, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])), counts)
         assert_ssp_matches_linear_scan(dc, pg, g, used, slot_table(dc, used))
 
 
