@@ -58,6 +58,10 @@ class LogicalModule:
             raise InputError(f"module {self.name}: contexts must be >= 1")
 
 
+# SSP's node order: (node id, predecessor ids) for each node it places.
+SspOrder = tuple[tuple[int, tuple[int, ...]], ...]
+
+
 @dataclass
 class AnnotatedGraph:
     attack: AttackType
@@ -67,8 +71,9 @@ class AnnotatedGraph:
 
     def __post_init__(self):
         # The graph is not changed after construction, so its adjacency,
-        # shares, VM rates, compute factor and SSP node orders (`ssp_order`)
-        # are derived once; the accessors hand out copies.
+        # shares, VM rates, compute factor, delivering nodes, analysis nodes'
+        # successors and SSP node orders (`ssp_order`) are derived once; the
+        # accessors hand out copies.
         self._by_id = {n.id: n for n in self.nodes}
         pred: dict[int, list[int]] = {}
         succ: dict[int, list[int]] = {}
@@ -80,6 +85,10 @@ class AnnotatedGraph:
         self._pred = {i: tuple(p) for i, p in pred.items()}
         self._succ = {i: tuple(sorted(c)) for i, c in succ.items()}
         self._roots = tuple(n.id for n in self.nodes if n.id not in pred)
+        # By ascending id, the order in which tags and pins visit nodes.
+        by_id = sorted(self._by_id.items())
+        self._delivering = tuple(i for i, n in by_id if n.delivers)
+        self._analysis_succ = {i: self._succ.get(i, ()) for i, n in by_id if n.kind == ANALYSIS}
         # A node's share is its incoming edge weight; roots have none and
         # split the external input evenly.
         self._share = {n.id: incoming[n.id] if n.id in pred else self.external_fraction(n.id)
@@ -91,7 +100,7 @@ class AnnotatedGraph:
         # VM slots required per Gbps of graph input: the VM rates summed in
         # node order.
         self.compute_factor = sequential_sum(r for _i, r in self.vm_rates)
-        self._ssp_orders: dict[frozenset[int], tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        self._ssp_orders: dict[frozenset[int], tuple[SspOrder, bool]] = {}
 
     def node(self, i: int) -> LogicalModule:
         try:
@@ -109,14 +118,15 @@ class AnnotatedGraph:
     def roots(self) -> list[int]:
         return list(self._roots)
 
-    def ssp_order(self, provisioned: frozenset[int]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    def ssp_order(self, provisioned: frozenset[int]) -> tuple[SspOrder, bool]:
         """(node id, predecessor ids) for each node in `provisioned`, the
         nodes given VMs, in the order SSP places them: next is always the
         ready node (each predecessor placed or given no VMs) of highest
-        per-VM capacity, lowest id on ties. Memoised per set; an id the
-        graph lacks raises InputError."""
-        order = self._ssp_orders.get(provisioned)
-        if order is None:
+        per-VM capacity, lowest id on ties. Also whether the order is
+        chained: every node after the first has a provisioned predecessor.
+        Memoised per set; an id the graph lacks raises InputError."""
+        memo = self._ssp_orders.get(provisioned)
+        if memo is None:
             pending, order = set(provisioned), []
             placed = {n.id for n in self.nodes} - pending
             # Acyclic graphs (validate) always have a ready node.
@@ -126,8 +136,9 @@ class AnnotatedGraph:
                 order.append((i, self._pred.get(i, ())))
                 pending.remove(i)
                 placed.add(i)
-            order = self._ssp_orders[provisioned] = tuple(order)
-        return order
+            chained = all(provisioned.intersection(preds) for _i, preds in order[1:])
+            memo = self._ssp_orders[provisioned] = (tuple(order), chained)
+        return memo
 
     def external_fraction(self, i: int) -> float:
         """External input splits evenly over the roots."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -99,7 +100,10 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     """
     graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
-    counts = {i: pg.counts[i] for i in sorted(pg.counts) if pg.counts[i]}
+    all_counts = pg.counts
+    counts = {i: all_counts[i] for i in sorted(all_counts) if all_counts[i]}
+    if not counts.keys() <= graph._by_id.keys():
+        graph.node(next(i for i in counts if i not in graph._by_id))  # raises InputError
     tag = pools.next_tag
     runs: dict[int, tuple[int, int]] = {}
     for node, n in counts.items():
@@ -107,8 +111,8 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
             runs[node] = (tag, n)
             tag += n
     egress: dict[int, int] = {}
-    for node in counts:
-        if graph.node(node).delivers:
+    for node in graph._delivering:
+        if node in counts:
             egress[node] = tag
             tag += 1
     # The graph's largest pool tag: its last egress tag, or else the end of
@@ -202,7 +206,8 @@ class ForwardingPlan:
         ingress: dict[int, int] = {}
         for ga, gd in self.roots:
             ingress[gd] = ingress.get(gd, 0) + tunnels[ga * n_dcs + gd]
-        tags = {gd: sum(stop - start for start, (stop, _node) in runs.items())
+        # A datacenter's tag rules: its runs' stops less their starts.
+        tags = {gd: sum(map(itemgetter(0), runs.values())) - sum(runs)
                 for gd, runs in self.tag_runs.items()}
         return flows, ingress, tags
 
@@ -343,7 +348,7 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     roots: dict[tuple[int, int], tuple[AnnotatedGraph, tuple[int, ...]]] = {}
     tag_runs: dict[int, TagRuns] = {}
     tops: dict[int, int] = {}  # datacenter id -> the end of its highest run
-    for (a, d), pg in sorted(dsp.physical.items()):
+    for (a, d), pg in sorted(dsp.physical.items(), key=itemgetter(0)):
         counts = pg.counts
         if pg.total_vms == 0:
             continue
@@ -416,25 +421,26 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     g = pools.graphs.get((pg.attack.id, pg.dc_id))
     if g is None:
         return 0
-    count = 0
     d = pg.dc_id
     # An analysis node's pools are its successors' runs. The datacenter's
     # tag rules map each identity tag to its VM; an egress tag's customer
     # rule is no pin target.
     runs, pins = plan.tag_runs.get(d, {}), plan.bidi_pins
-    for node in g.counts:
-        if not pg.counts.get(node) or graph.node(node).kind != "analysis":
+    before = len(pins)
+    for node, succs in graph._analysis_succ.items():
+        if node not in g.counts or not pg.counts.get(node):
             continue
-        for s in graph._succ.get(node, ()):
+        for s in succs:
             lo, n = g.runs.get(s, (0, 0))
             for first, stop, start in plan._tag_rules(d, lo, lo + n):
                 target = None if start is None else runs[start][1]
                 if target is None:
                     continue
                 for tag in range(first, stop):
-                    count += tag not in pins
-                    pin_bidirectional(plan, tag, d, (*target, tag - start))
-    return count
+                    pin = (d, (*target, tag - start))
+                    if pins.setdefault(tag, pin) != pin:
+                        pin_bidirectional(plan, tag, *pin)  # raises PinConflictError
+    return len(pins) - before
 
 
 def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,

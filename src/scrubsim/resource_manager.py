@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -86,8 +87,16 @@ def _heap_order(traffic: np.ndarray):
                        for a, t in enumerate(row) if t > EPS])
     cells = np.flatnonzero(traffic > EPS)
     neg_t = -traffic.ravel()[cells]
-    order = np.argsort(neg_t, kind="stable")  # `cells` ascend, so ties keep cell order
-    return (neg_t[order], cells[order], *np.divmod(cells[order], n_a))
+    # `cells` ascend, so a stable sort keeps tied volumes in cell order. With
+    # no ties every sort gives that order, and numpy's default sort is the
+    # faster: on a 2-core Xeon it took 16 µs against the stable sort's 64 µs
+    # on sim-dense's 784 cells, whose volumes tie in none of its epochs.
+    order = np.argsort(neg_t)
+    ranked = neg_t[order]  # the same whichever sort ordered it
+    if (ranked[1:] == ranked[:-1]).any():
+        order = np.argsort(neg_t, kind="stable")
+    cells = cells[order]
+    return (ranked, cells, *np.divmod(cells, n_a))
 
 
 def _is_open(link, compute):
@@ -141,9 +150,10 @@ def _running(ufunc: np.ufunc, keys: np.ndarray, n_keys: int, steps: np.ndarray,
 
 def _scatter(ufunc: np.ufunc, start: np.ndarray, keys, steps) -> np.ndarray:
     """`start` with each item's step applied to its key's row one at a time,
-    in item order as a loop applies them (`ufunc.at` on the flat table)."""
-    table, width = start.copy(), start.shape[1]
-    ufunc.at(table.ravel(), (width * keys[:, None] + np.arange(width)).ravel(), steps.ravel())
+    in item order as a loop applies them (`ufunc.at`, a column at a time)."""
+    table = start.copy()
+    for column, step in zip(table.T, steps.T):
+        ufunc.at(column, keys, step)
     return table
 
 
@@ -161,8 +171,11 @@ def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms, traffic,
     if not is_open.any():  # the loop tallies every cell in t_left
         return wide_area_cost, list(zip(*(column.tolist() for column in cells)))
 
-    # Every pop ranks every datacenter, so each has an open one.
-    d = ranked[np.arange(n_e), np.argmax(is_open[ranked], axis=1)][e]
+    # Every pop ranks every datacenter, so each has an open one: with every
+    # datacenter open, its first.
+    first_open = ranked[:, 0] if is_open.all() else \
+        ranked[np.arange(n_e), np.argmax(is_open[ranked], axis=1)]
+    d = first_open[e]
     fac = np.array(factors)[a]
     width = max(map(len, rates))
     rate_rows = np.array([[r for _i, r in nr] + [0.0] * (width - len(nr)) for nr in rates])
@@ -196,9 +209,11 @@ def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms, traffic,
     # `demand` keeps the order in which keys were first assigned.
     first = np.full(n_k, n)
     np.minimum.at(first, keys_p, np.arange(n))
-    for key in np.argsort(first)[:np.count_nonzero(first < n)].tolist():
+    order = np.argsort(first)[:np.count_nonzero(first < n)]
+    ids = [[i for i, _r in nr] for nr in rates]
+    for key, row in zip(order.tolist(), totals[order].tolist()):
         dk, ak = divmod(key, n_a)
-        demand[(dk, ak)] = {i: v for (i, _r), v in zip(rates[ak], totals[key].tolist())}
+        demand[(dk, ak)] = dict(zip(ids[ak], row))  # a row is as wide as the widest graph
     # Sorted, the cells left already form a heap.
     return wide_area_cost, list(zip(*(column[n:].tolist() for column in cells)))
 
@@ -246,7 +261,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     wide_area_cost, heap = 0.0, _heap_order(traffic)
     if not isinstance(heap, list):
         wide_area_cost, heap = array_pass(heap, 0.0)
-    by_latency = ranked.tolist() if heap else []
+    by_latency = topo.latency_ranking_rows
     # Per cell, the datacenters that could afford none of it: under whole-VM
     # charging not the next VM, under fractional charging no more than EPS Gbps.
     exhausted: dict[int, set[int]] = {}
@@ -294,10 +309,17 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             wide_area_cost, heap = array_pass(tuple(map(np.array, zip(*sorted(heap)))),
                                               wide_area_cost)
 
+    # Every node's count is its demand rounded up: all in one `vms` call on
+    # an array or, on inputs too small for the array pass, one call per
+    # float, which gives the same bits without numpy's per-call cost.
     physical: dict[tuple[int, int], PhysicalGraph] = {}
     volumes = attack_dc_volumes(f, traffic).tolist()
-    for (d, a), node_demand in sorted(demand.items()):
-        counts = {i: int(vms(v)) for i, v in node_demand.items()}
+    items = sorted(demand.items(), key=itemgetter(0))
+    demands = [v for _key, node_demand in items for v in node_demand.values()]
+    rounded = map(int, map(vms, demands) if traffic.size < ARRAY_PASS_MIN_CELLS
+                  else vms(np.array(demands)).tolist())
+    for (d, a), node_demand in items:
+        counts = dict(zip(node_demand, rounded))  # zip stops at the key's last node
         physical[(a, d)] = PhysicalGraph(graphs[a].attack, d, volumes[a][d], counts)
 
     return DspResult(f=f, demand=demand, physical=physical,
@@ -421,12 +443,25 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
     if free is None:
         free = list(slots)
 
+    counts = pg.counts
+    order, chained = graph.ssp_order(frozenset(i for i, c in counts.items() if c))
+    most = max(free, default=0)  # the freest server's slots; the first node reads them too
+    # A chained graph that fits the freest server goes there whole: the
+    # first node takes that server and every later node a predecessor's,
+    # which still fits it, so the walk below would place it the same way.
+    if chained and free and pg.total_vms <= most:
+        pick = free.index(most)
+        free[pick] -= pg.total_vms
+        rack, srv = servers[pick]
+        return SspResult(dc.id, pg.attack.id,
+                         {(i, rack, srv): counts[i] for i, _preds in order}, 0.0, 0.0)
+
     # A node's run per server: it reaches each server at most once.
     n_srv: dict[tuple[int, int, int], int] = {}
     hosts: dict[int, list[int]] = {}  # node id -> positions of its servers
 
-    for node_id, preds in graph.ssp_order(frozenset(i for i, c in pg.counts.items() if c)):
-        count = pg.counts[node_id]
+    for node_id, preds in order:
+        count = counts[node_id]
         # Predecessors' servers, skipping those given no VMs; one may appear
         # twice, which no pick minds.
         pred_pos = [i for p in preds if p in hosts for i in hosts[p]]
@@ -440,7 +475,8 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
             pred_racks = {servers[i][0] for i in pred_pos}
             pick = _emptiest_fitting(free, [i for r in pred_racks for i in spans[r]], count)
         if pick is None and free:
-            most = max(free)
+            if hosts:  # a node before this one took slots since `most` was read
+                most = max(free)
             if most >= count:
                 pick = free.index(most)
         if pick is not None:
@@ -474,7 +510,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                 if count == 0:
                     break
 
-    intra, inter = _edge_units(graph, pg.traffic_gbps, n_srv, pg.counts)
+    intra, inter = _edge_units(graph, pg.traffic_gbps, n_srv, counts)
     return SspResult(dc_id=dc.id, attack_id=pg.attack.id, n_srv=n_srv,
                      intra_rack_units=intra, inter_rack_units=inter)
 

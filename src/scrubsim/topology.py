@@ -121,6 +121,12 @@ class Topology:
         ranked.flags.writeable = False
         return ranked
 
+    @cached_property
+    def latency_ranking_rows(self) -> tuple[tuple[int, ...], ...]:
+        """`latency_ranking` as a tuple of per-pop tuples, for loops that
+        read one entry at a time."""
+        return tuple(map(tuple, self.latency_ranking.tolist()))
+
     def validate(self) -> None:
         n_e, n_d = len(self.pops), len(self.datacenters)
         if len(self.latency) != n_e or any(len(row) != n_d for row in self.latency):

@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import builtin_library
-from scrubsim.errors import CapacityError
+from scrubsim.errors import CapacityError, PlacementError
 from scrubsim.resource_manager import EPS
 from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology, generate_topology
 
@@ -51,6 +51,71 @@ def pair_units(graph, t_gbps, counts, locations):
                 elif ls != ld:
                     intra += per_pair
     return intra, inter
+
+
+def _emptiest_fitting(free, positions, count):
+    """The freest of `positions` that fits `count`, lowest on ties."""
+    pick, most = None, count
+    for i in positions:
+        f = free[i]
+        if f > most or f == most and (pick is None or i < pick):
+            pick, most = i, f
+    return pick
+
+
+def reference_ssp(dc, pg, graph, free):
+    """ssp_greedy's node walk alone, with no one-step path: each node with
+    VMs in `graph.ssp_order`, whole on a predecessor's server, else in a
+    predecessor's rack, else on the freest server, else rack by rack. Takes
+    its slots from `free`, raises PlacementError as ssp_greedy does, and
+    returns the runs `(node, rack, server) -> VMs` in placement order and
+    the (intra, inter) units of `pair_units`."""
+    servers, _slots, spans = dc.server_layout
+    n_srv, hosts = {}, {}
+    order, _chained = graph.ssp_order(frozenset(i for i, c in pg.counts.items() if c))
+    for node_id, preds in order:
+        count = pg.counts[node_id]
+        pred_pos = [i for p in preds if p in hosts for i in hosts[p]]
+        pick = _emptiest_fitting(free, pred_pos, count) if pred_pos else None
+        pred_racks = ()
+        if pick is None and pred_pos:
+            pred_racks = {servers[i][0] for i in pred_pos}
+            pick = _emptiest_fitting(free, [i for r in pred_racks for i in spans[r]], count)
+        if pick is None and free:
+            most = max(free)
+            if most >= count:
+                pick = free.index(most)
+        if pick is not None:
+            free[pick] -= count
+            hosts[node_id] = [pick]
+            n_srv[(node_id, *servers[pick])] = count
+            continue
+        rack_free = {r: sum(free[span.start:span.stop]) for r, span in spans.items()}
+        total_free = sum(rack_free.values())
+        if total_free < count:
+            raise PlacementError(
+                f"datacenter {dc.id} lacks {count} slots for node "
+                f"{graph.node(node_id).name} ({total_free} free)",
+                node=graph.node(node_id).name,
+            )
+        racks = sorted(rack_free, reverse=True, key=lambda r: (
+            rack_free[r] >= count and r in pred_racks, rack_free[r], -r))
+        hosts[node_id] = used = []
+        for pos in (p for r in racks for p in sorted(spans[r], key=lambda p: (-free[p], p))):
+            take = min(count, free[pos])
+            if take:
+                free[pos] -= take
+                used.append(pos)
+                n_srv[(node_id, *servers[pos])] = take
+                count -= take
+                if count == 0:
+                    break
+    locations, placed = {}, {}
+    for (node, rack, srv), c in n_srv.items():
+        k = placed.get(node, 0)
+        placed[node] = k + c
+        locations.update(((node, i), (rack, srv)) for i in range(k, k + c))
+    return n_srv, pair_units(graph, pg.traffic_gbps, pg.counts, locations)
 
 
 def units_cost(units, params):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from scrubsim.defense_graphs import (
     ANALYSIS,
@@ -82,6 +82,25 @@ DEMANDS = st.one_of(
 def test_vms_is_the_ceiling_less_the_slack(demand):
     assert int(vms(demand)) == math.ceil(demand - CEIL_EPS)
     assert vms(np.array([demand]))[0] == vms(demand)
+
+
+# Whole numbers k at the slack's edge, k ± CEIL_EPS, and one ulp from k and
+# from those edges, plus both zeros.
+EDGE_DEMANDS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda k, off, ulps: math.nextafter(k + off, math.inf) if ulps > 0
+              else math.nextafter(k + off, -math.inf) if ulps < 0 else k + off,
+              st.integers(0, 10**4).map(float), st.sampled_from([0.0, CEIL_EPS, -CEIL_EPS]),
+              st.integers(-1, 1)))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.one_of(EDGE_DEMANDS, DEMANDS), max_size=40))
+def test_vms_on_an_array_is_vms_on_each_float(demands):
+    # dsp_greedy rounds every node's demand with one call on an array; each
+    # count must be the bits a call on its float gives, -0.0 included.
+    assert [x.hex() for x in vms(np.array(demands, dtype=float)).tolist()] == \
+        [vms(x).hex() for x in demands]
 
 
 class TestNodeDemand:

@@ -84,6 +84,18 @@ class TestAssignTags:
         # Both upstream instances share the downstream identity tags.
         assert pools.pool((0, 0, 0, 0), 0) == pools.pool((0, 0, 0, 1), 0)
 
+    def test_unknown_node_raises_and_leaves_the_pool(self):
+        # An id the graph lacks is refused by name, the lowest such id first,
+        # before the pool's counter or graphs change.
+        g = two_branch_graph()
+        pools = assign_tags(PhysicalGraph(g.attack, 0, 10.0, {0: 1, 1: 1}), {ATK: g})
+        before = (pools.next_tag, dict(pools.graphs))
+        with pytest.raises(InputError) as err:
+            assign_tags(PhysicalGraph(g.attack, 1, 10.0, {0: 1, 9: 2, 7: 1, 2: 0}),
+                        {ATK: g}, pools)
+        assert str(err.value) == "unknown node id 7 in atk0 graph"
+        assert (pools.next_tag, pools.graphs) == before
+
     def test_single_node_single_context(self):
         g = AnnotatedGraph(attack=ATK,
                            nodes=[LogicalModule(0, "m", ANALYSIS, 10.0,

@@ -19,9 +19,10 @@ from scrubsim.defense_graphs import (
     PhysicalGraph,
     builtin_library,
     ordered_graphs,
+    vms,
 )
 from scrubsim.errors import InputError, PlacementError
-from scrubsim.oracle import random_tiny_instance
+from scrubsim.oracle import _preset_graph, random_tiny_instance
 from scrubsim.resource_manager import (
     ARRAY_PASS_MIN_CELLS,
     EPS,
@@ -36,7 +37,14 @@ from scrubsim.resource_manager import (
 )
 from scrubsim.simulate import Scenario, run_scenario_sweep
 from scrubsim.topology import CostParams, Pop, Topology, generate_topology
-from reference import capacity_bound_cases, make_dc, make_topo, pair_units, units_cost
+from reference import (
+    capacity_bound_cases,
+    make_dc,
+    make_topo,
+    pair_units,
+    reference_ssp,
+    units_cost,
+)
 
 ATK = AttackType(0, "atk0")
 
@@ -912,6 +920,77 @@ class TestRunsMatchPerVmWalk:
         assert_ssp_matches_linear_scan(dc, pg, g, used, slot_table(dc, used))
 
 
+# -- one-step placement against the node walk --------------------------
+#
+# ssp_greedy places a chained graph that fits the freest server in one
+# step; reference_ssp walks its nodes one by one, and both must give the
+# same runs, units, errors and free slots.
+
+# The built-in graphs and the oracle's single, chain and branch presets.
+WALK_GRAPHS = ordered_graphs(builtin_library()) + [
+    _preset_graph(AttackType(a, f"atk{a}"), shape, 0.5)
+    for a, shape in enumerate(("single", "chain", "branch"))]
+
+
+@st.composite
+def uneven_datacenters(draw):
+    """One to four racks of one to four servers with 1-12 slots each, and
+    its free list with slots already taken on some servers."""
+    dc = make_dc(0, 999.0, draw(st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+                                         min_size=1, max_size=4)))
+    free = [n - draw(st.integers(0, n)) if draw(st.booleans()) else n
+            for n in dc.server_layout[1]]
+    return dc, free
+
+
+@st.composite
+def vm_counts(draw, graph, total):
+    """`total` VMs over the graph's nodes, at least one per node given any.
+    A node gets none one time in three, which often leaves a later node
+    with no provisioned predecessor and breaks the chain."""
+    ids = [n.id for n in graph.nodes]
+    given = ([i for i in ids if draw(st.integers(0, 2))] or ids[:1])[:total]
+    counts, left = dict.fromkeys(ids, 0), total - len(given)
+    for i in given[:-1]:
+        extra = draw(st.integers(0, left))
+        counts[i], left = 1 + extra, left - extra
+    if given:
+        counts[given[-1]] = 1 + left
+    return counts
+
+
+class TestOneStepMatchesNodeWalk:
+    @settings(max_examples=400, derandomize=True)
+    @given(data=st.data())
+    def test_graphs_placed_in_turn(self, data):
+        # One to three graphs share a free list, as place_all's do. Each
+        # asks for the freest server's slots less one, exactly or plus one,
+        # or for any number up to two more than are free.
+        dc, free = data.draw(uneven_datacenters())
+        want_free = list(free)
+        for _ in range(data.draw(st.integers(1, 3))):
+            graph = data.draw(st.sampled_from(WALK_GRAPHS))
+            most = max(free)
+            total = data.draw(st.sampled_from([most - 1, most, most + 1])
+                              | st.integers(0, sum(free) + 2))
+            counts = data.draw(vm_counts(graph, max(total, 0)))
+            pg = PhysicalGraph(graph.attack, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])),
+                               counts)
+            try:
+                n_srv, units = reference_ssp(dc, pg, graph, want_free)
+            except PlacementError as exc:
+                with pytest.raises(PlacementError) as err:
+                    ssp_greedy(dc, pg, {graph.attack: graph}, free)
+                assert (str(err.value), err.value.node) == (str(exc), exc.node)
+                assert free == want_free
+                return
+            got = ssp_greedy(dc, pg, {graph.attack: graph}, free)
+            assert list(got.n_srv.items()) == list(n_srv.items())
+            assert [u.hex() for u in (got.intra_rack_units, got.inter_rack_units)] == \
+                [u.hex() for u in units]
+            assert free == want_free
+
+
 # -- the array pass against the heap loop alone ------------------------
 #
 # linear_scan_dsp takes one heap step per assignment; dsp_greedy assigns the
@@ -1007,6 +1086,17 @@ class TestArrayPassMatchesHeapLoop:
             assert res.n_dc == {key: {i: math.ceil(v - CEIL_EPS) if v > EPS else 0
                                       for i, v in node_demand.items()}
                                 for key, node_demand in res.demand.items()}
+
+    @settings(max_examples=100, derandomize=True)
+    @given(case=st.one_of(dsp_cases(), closing_cases(), capacity_bound_cases()))
+    def test_counts_are_vms_of_each_demand(self, case):
+        # One vms call on an array rounds every node's demand; each count
+        # is the int of a call on that demand alone, in node order.
+        for ceil in (False, True):
+            res = dsp_greedy(*case, ceil_per_assignment=ceil)
+            assert [(key, list(counts.items())) for key, counts in res.n_dc.items()] == \
+                [(key, [(i, int(vms(v))) for i, v in node_demand.items()])
+                 for key, node_demand in sorted(res.demand.items())]
 
     @pytest.mark.parametrize("n_e", [1, 7, 9, 196, 300])
     def test_volume_table_equals_per_key_sums(self, n_e):

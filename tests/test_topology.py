@@ -246,6 +246,11 @@ class TestDerivedLatency:
                 got[0, 0] = 1
         assert topo.latency_array is topo.latency_array
         assert topo.latency_ranking is topo.latency_ranking
+        # The ranking's rows as tuples, derived once for per-entry reads.
+        rows = topo.latency_ranking_rows
+        assert rows == tuple(map(tuple, ranked.tolist()))
+        assert all(type(row) is tuple and all(type(d) is int for d in row) for row in rows)
+        assert topo.latency_ranking_rows is rows
         assert topology_to_config(topo) == before
         assert topo == twin
 
