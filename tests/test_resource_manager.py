@@ -1077,23 +1077,17 @@ class TestArrayPassMatchesHeapLoop:
                            "key assigned before and after a closing"}
 
     @settings(max_examples=100, derandomize=True)
-    @given(case=st.one_of(dsp_cases(), capacity_bound_cases()))
+    @given(case=st.one_of(dsp_cases(), closing_cases(), capacity_bound_cases()))
     def test_counts_round_final_demand(self, case):
         # Under both accountings each node's VM count is its final demand
-        # rounded up once, as linear_scan_dsp rounds it.
+        # rounded up once, as linear_scan_dsp rounds it, and, in node order,
+        # the int of a vms call on that demand alone, though dsp_greedy
+        # rounds them all in one call on an array.
         for ceil in (False, True):
             res = dsp_greedy(*case, ceil_per_assignment=ceil)
             assert res.n_dc == {key: {i: math.ceil(v - CEIL_EPS) if v > EPS else 0
                                       for i, v in node_demand.items()}
                                 for key, node_demand in res.demand.items()}
-
-    @settings(max_examples=100, derandomize=True)
-    @given(case=st.one_of(dsp_cases(), closing_cases(), capacity_bound_cases()))
-    def test_counts_are_vms_of_each_demand(self, case):
-        # One vms call on an array rounds every node's demand; each count
-        # is the int of a call on that demand alone, in node order.
-        for ceil in (False, True):
-            res = dsp_greedy(*case, ceil_per_assignment=ceil)
             assert [(key, list(counts.items())) for key, counts in res.n_dc.items()] == \
                 [(key, [(i, int(vms(v))) for i, v in node_demand.items()])
                  for key, node_demand in sorted(res.demand.items())]
