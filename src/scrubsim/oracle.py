@@ -43,7 +43,7 @@ from .defense_graphs import (
     node_demand_vms,
     ordered_graphs,
 )
-from .errors import InputError, OracleSizeError, PlacementError
+from .errors import InputError, OracleSizeError
 from .resource_manager import (
     attack_dc_volumes,
     dsp_greedy,
@@ -52,7 +52,7 @@ from .resource_manager import (
     ssp_greedy,
     validate_traffic,
 )
-from .topology import CostParams, Datacenter, Pop, Topology, build_racks
+from .topology import CostParams, Datacenter, Topology, build_racks
 
 _EPS = 1e-9
 
@@ -84,10 +84,10 @@ class OracleInstance:
         for g in lib.values():
             if len(g.nodes) > MAX_GRAPH_NODES:
                 problems.append(f"graph {g.attack.name} has {len(g.nodes)} nodes > {MAX_GRAPH_NODES}")
-        for dc in topo.datacenters:
-            n_srv = sum(len(r.servers) for r in dc.racks)
+        for d, dc in enumerate(topo.datacenters):
+            n_srv = sum(map(len, dc.racks))
             if n_srv > MAX_SERVERS_PER_DC:
-                problems.append(f"dc {dc.id} has {n_srv} servers > {MAX_SERVERS_PER_DC}")
+                problems.append(f"dc {d} has {n_srv} servers > {MAX_SERVERS_PER_DC}")
         # A delta that is not finite and positive has no grid to round to.
         inv = 1.0 / self.delta if self.delta > 0 else math.nan
         gridded = math.isfinite(inv)
@@ -293,11 +293,11 @@ def _min_cost_transport(supplies: list[int], demands: list[int],
     return value, flow
 
 
-def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
+def _optimal_dsc(dc: Datacenter, dc_id: int, graphs: list[AnnotatedGraph],
                  vols: tuple[int, ...], q: float, params: CostParams) -> tuple[float, bool]:
     """Minimum intra/inter-rack cost of placing the VM demand implied by
-    per-attack volumes `vols` (grid units) onto this datacenter's servers,
-    and whether the search proved it minimal.
+    per-attack volumes `vols` (grid units) onto the servers of `dc`,
+    datacenter `dc_id`, and whether the search proved it minimal.
 
     Exhaustive search seeded with the greedy placement; the greedy cost is an
     upper bound, so the result never exceeds what the heuristic would pay.
@@ -316,19 +316,14 @@ def _optimal_dsc(dc: Datacenter, graphs: list[AnnotatedGraph],
         return math.inf, True
 
     # Greedy incumbent: run the server-selection heuristic on the same demand.
+    # It always places: the demand fits the datacenter's slots, and SSP only
+    # fails a node that exceeds the slots left free.
     free = list(slots)
-    incumbent = 0.0
-    feasible = True
+    best = 0.0
     for a, counts in counts_by_attack.items():
         g = graphs[a]
-        pg = PhysicalGraph(g.attack, dc.id, vols[a] * q, counts)
-        try:
-            res = ssp_greedy(dc, pg, {g.attack: g}, free)
-        except PlacementError:
-            feasible = False
-            break
-        incumbent += res.dc_cost(params)
-    best = incumbent if feasible else math.inf
+        pg = PhysicalGraph(g.attack, dc_id, vols[a] * q, counts)
+        best += ssp_greedy(dc, pg, {g.attack: g}, free).dc_cost(params)
 
     # Exhaustive placement: assign each group's count across servers, one
     # group per level; a group pays for its edges to the groups before it.
@@ -475,7 +470,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
     def dsc(d: int, combo: tuple[int, ...]) -> float:
         key = (d, combo)
         if key not in dsc_memo:
-            dsc_memo[key] = _optimal_dsc(topo.datacenters[d], graphs, combo, q, params)
+            dsc_memo[key] = _optimal_dsc(topo.datacenters[d], d, graphs, combo, q, params)
         return dsc_memo[key][0]
 
     def transport(a: int, demand: tuple[int, ...]) -> tuple[float, list[list[int]]]:
@@ -680,10 +675,10 @@ def random_tiny_instance(seed: int) -> tuple[Topology, np.ndarray,
             slots = 999
         # 1-2 racks of 1-2 servers, drawn in that order.
         racks = build_racks(slots, rng.choice([1, 2]), rng.choice([1, 2]))
-        dcs.append(Datacenter(id=d, link_capacity_gbps=link, racks=racks,
+        dcs.append(Datacenter(link_capacity_gbps=link, racks=racks,
                               attach_pop=rng.randrange(n_e)))
 
-    pops = [Pop(id=e, name=f"pop{e}") for e in range(n_e)]
+    pops = [f"pop{e}" for e in range(n_e)]
     latency = [[float(rng.randint(1, 9)) for _ in range(n_d)] for _ in range(n_e)]
     paths = {(e, d): [] for e in range(n_e) for d in range(n_d)}
     topo = Topology(pops=pops, datacenters=dcs, latency=latency,

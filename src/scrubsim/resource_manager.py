@@ -453,7 +453,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         pick = free.index(most)
         free[pick] -= pg.total_vms
         rack, srv = servers[pick]
-        return SspResult(dc.id, pg.attack.id,
+        return SspResult(pg.dc_id, pg.attack.id,
                          {(i, rack, srv): counts[i] for i, _preds in order}, 0.0, 0.0)
 
     # A node's run per server: it reaches each server at most once.
@@ -493,7 +493,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         total_free = sum(rack_free.values())
         if total_free < count:
             raise PlacementError(
-                f"datacenter {dc.id} lacks {count} slots for node "
+                f"datacenter {pg.dc_id} lacks {count} slots for node "
                 f"{graph.node(node_id).name} ({total_free} free)",
                 node=graph.node(node_id).name,
             )
@@ -511,7 +511,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                     break
 
     intra, inter = _edge_units(graph, pg.traffic_gbps, n_srv, counts)
-    return SspResult(dc_id=dc.id, attack_id=pg.attack.id, n_srv=n_srv,
+    return SspResult(dc_id=pg.dc_id, attack_id=pg.attack.id, n_srv=n_srv,
                      intra_rack_units=intra, inter_rack_units=inter)
 
 
@@ -615,12 +615,11 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
             per_server[key] = per_server.get(key, 0) + c
     slot_maps: dict[int, dict[tuple[int, int], int]] = {}
     for (d, rack, srv), count in sorted(per_server.items()):
-        dc = topo.datacenters[d]
         if d not in slot_maps:
-            slot_maps[d] = dict(zip(*dc.server_layout[:2]))
+            slot_maps[d] = dict(zip(*topo.datacenters[d].server_layout[:2]))
         slots = slot_maps[d].get((rack, srv))
         if slots is None:
-            raise InputError(f"unknown server ({rack},{srv}) in dc {dc.id}")
+            raise InputError(f"unknown server ({rack},{srv}) in dc {d}")
         if count > slots:
             out.append(Violation(6, (d, rack, srv), float(count - slots),
                                  f"server ({d},{rack},{srv}) holds {count} VMs "

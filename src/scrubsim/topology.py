@@ -4,6 +4,11 @@ The synthetic generator builds a connected random geometric graph over the
 backbone switches, attaches datacenters to a subset of PoPs (5% of backbone
 nodes), and derives the PoP-to-datacenter latency matrix and backbone paths
 from one breadth-first search per PoP.
+
+A topology holds what its config file holds, and every id is a list
+position: pop `e` is `pops[e]`, datacenter `d` is `datacenters[d]`, rack `r`
+is `racks[r]`, and a server's id is its position among all of its
+datacenter's servers, counted in rack order.
 """
 
 from __future__ import annotations
@@ -32,49 +37,29 @@ SERVERS_PER_RACK = 10
 
 
 @dataclass(frozen=True)
-class Pop:
-    id: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Server:
-    id: int
-    vm_slots: int
-
-
-@dataclass(frozen=True)
-class Rack:
-    id: int
-    servers: tuple[Server, ...]
-
-
-@dataclass(frozen=True)
 class Datacenter:
-    id: int
     link_capacity_gbps: float
-    racks: tuple[Rack, ...]
+    racks: tuple[tuple[int, ...], ...]  # each rack's servers' VM slots
     attach_pop: int
 
     @cached_property
     def compute_capacity(self) -> int:
         """Total VM slots across all servers (derived once: racks never change)."""
-        return sum(s.vm_slots for r in self.racks for s in r.servers)
+        return sum(map(sum, self.racks))
 
     @cached_property
     def server_layout(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...],
                                      dict[int, range]]:
-        """Servers in (rack id, server id) order: each one's (rack id, server
-        id) and VM slots, and each rack's run of positions. Derived once per
-        instance, outside its fields, equality and hash; callers share it and
-        never mutate it."""
+        """Servers in rack order: each one's (rack, overall position) and VM
+        slots, and each rack's run of positions. Derived once per instance,
+        outside its fields, equality and hash; callers share it and never
+        mutate it."""
         servers, slots, spans = [], [], {}
-        for rack in sorted(self.racks, key=lambda r: r.id):
+        for r, rack in enumerate(self.racks):
             start = len(servers)
-            for srv in sorted(rack.servers, key=lambda s: s.id):
-                servers.append((rack.id, srv.id))
-                slots.append(srv.vm_slots)
-            spans[rack.id] = range(start, len(servers))
+            servers.extend((r, i) for i in range(start, start + len(rack)))
+            slots.extend(rack)
+            spans[r] = range(start, len(servers))
         return tuple(servers), tuple(slots), spans
 
 
@@ -99,7 +84,7 @@ class CostParams:
 
 @dataclass
 class Topology:
-    pops: list[Pop]
+    pops: list[str]  # pop names
     datacenters: list[Datacenter]
     latency: list[list[float]]  # latency[e][d], cost-units per Gbps
     backbone_links: list[tuple[int, int, float]] = field(default_factory=list)
@@ -241,14 +226,12 @@ def _routes(adj: dict[int, list[int]], attach_pops: list[int]
     return hops, paths
 
 
-def build_racks(total_slots: int, n_racks: int, per_rack: int) -> tuple[Rack, ...]:
-    """`n_racks` racks of `per_rack` servers, numbered from 0, splitting
-    `total_slots` evenly with the remainder on the lowest server ids."""
+def build_racks(total_slots: int, n_racks: int, per_rack: int) -> tuple[tuple[int, ...], ...]:
+    """`n_racks` racks of `per_rack` servers' slots, splitting `total_slots`
+    evenly with the remainder on the lowest server positions."""
     base, extra = divmod(total_slots, n_racks * per_rack)
-    servers = [Server(id=sid, vm_slots=base + (1 if sid < extra else 0))
-               for sid in range(n_racks * per_rack)]
-    return tuple(Rack(id=r, servers=tuple(servers[r * per_rack:(r + 1) * per_rack]))
-                 for r in range(n_racks))
+    slots = [base + (1 if i < extra else 0) for i in range(n_racks * per_rack)]
+    return tuple(tuple(slots[r * per_rack:(r + 1) * per_rack]) for r in range(n_racks))
 
 
 def generate_topology(
@@ -274,15 +257,14 @@ def generate_topology(
     n_dcs = max(1, round(0.05 * n_backbone))
     dc_pops = sorted(rng.sample(range(n_backbone), n_dcs))
 
-    pops = [Pop(id=i, name=f"pop{i}") for i in range(n_backbone)]
+    pops = [f"pop{i}" for i in range(n_backbone)]
     dcs = [
         Datacenter(
-            id=d,
             link_capacity_gbps=dc_link_gbps,
             racks=build_racks(dc_slot_capacity, RACKS, SERVERS_PER_RACK),
             attach_pop=pop,
         )
-        for d, pop in enumerate(dc_pops)
+        for pop in dc_pops
     ]
 
     links = [
@@ -336,11 +318,11 @@ def path_cost_comparison(
 
 def topology_to_config(topo: Topology) -> dict:
     return {
-        "pops": [p.name for p in topo.pops],
+        "pops": list(topo.pops),
         "dcs": [
             {
                 "link_capacity_gbps": dc.link_capacity_gbps,
-                "racks": [[s.vm_slots for s in rack.servers] for rack in dc.racks],
+                "racks": [list(rack) for rack in dc.racks],
                 "attach_pop": dc.attach_pop,
             }
             for dc in topo.datacenters
@@ -353,27 +335,23 @@ def topology_to_config(topo: Topology) -> dict:
 def topology_from_config(cfg) -> Topology:
     try:
         cfg = config.record(cfg, "topology", ("pops", "dcs"), ("latency", "links"))
-        pops = [Pop(id=i, name=config.string(name, f"pop {i} name"))
+        pops = [config.string(name, f"pop {i} name")
                 for i, name in enumerate(config.items(cfg["pops"], "pops"))]
         dcs = []
         for d, spec in enumerate(config.items(cfg["dcs"], "dcs")):
             spec = config.record(spec, f"dc {d}", ("link_capacity_gbps", "racks", "attach_pop"))
             racks = []
-            sid = 0
             for r, slot_list in enumerate(config.items(spec["racks"], f"dc {d} racks")):
-                slots = [config.whole(s, f"dc {d} rack {r}: server slots")
-                         for s in config.items(slot_list, f"dc {d} rack {r}")]
+                slots = tuple(config.whole(s, f"dc {d} rack {r}: server slots")
+                              for s in config.items(slot_list, f"dc {d} rack {r}"))
                 if any(n < 0 for n in slots):
                     raise InputError(f"dc {d} rack {r}: server slots must be whole "
                                      f"numbers >= 0, not {slot_list}")
-                servers = tuple(Server(id=sid + k, vm_slots=n) for k, n in enumerate(slots))
-                sid += len(slot_list)
-                racks.append(Rack(id=r, servers=servers))
+                racks.append(slots)
             link_gbps = config.real(spec["link_capacity_gbps"], f"dc {d}: link_capacity_gbps")
             if not link_gbps >= 0:
                 raise InputError(f"dc {d}: link_capacity_gbps must be >= 0, not {link_gbps}")
             dcs.append(Datacenter(
-                id=d,
                 link_capacity_gbps=link_gbps,
                 racks=tuple(racks),
                 attach_pop=config.whole(spec["attach_pop"], f"dc {d}: attach_pop"),

@@ -9,25 +9,20 @@ from hypothesis import strategies as st
 from scrubsim.defense_graphs import builtin_library
 from scrubsim.errors import CapacityError, PlacementError
 from scrubsim.resource_manager import EPS
-from scrubsim.topology import Datacenter, Pop, Rack, Server, Topology, generate_topology
+from scrubsim.topology import Datacenter, Topology, generate_topology
 
 
-def make_dc(dc_id, link, rack_slots, attach=0):
-    """rack_slots: list of per-rack server slot lists."""
-    racks = []
-    sid = 0
-    for r, slot_list in enumerate(rack_slots):
-        servers = tuple(Server(sid + k, s) for k, s in enumerate(slot_list))
-        sid += len(slot_list)
-        racks.append(Rack(r, servers))
-    return Datacenter(id=dc_id, link_capacity_gbps=link, racks=tuple(racks),
+def make_dc(link, rack_slots, attach=0):
+    """A datacenter from a list of per-rack server slot lists; its id is
+    its position in the topology's list."""
+    return Datacenter(link_capacity_gbps=link, racks=tuple(map(tuple, rack_slots)),
                       attach_pop=attach)
 
 
 def make_topo(n_pops, dcs, latency):
     """Pops with the given latency to each datacenter and no backbone."""
     paths = {(e, d): [] for e in range(n_pops) for d in range(len(dcs))}
-    return Topology(pops=[Pop(i, f"p{i}") for i in range(n_pops)],
+    return Topology(pops=[f"p{i}" for i in range(n_pops)],
                     datacenters=dcs, latency=latency, backbone_links=[],
                     paths=paths)
 
@@ -94,7 +89,7 @@ def reference_ssp(dc, pg, graph, free):
         total_free = sum(rack_free.values())
         if total_free < count:
             raise PlacementError(
-                f"datacenter {dc.id} lacks {count} slots for node "
+                f"datacenter {pg.dc_id} lacks {count} slots for node "
                 f"{graph.node(node_id).name} ({total_free} free)",
                 node=graph.node(node_id).name,
             )

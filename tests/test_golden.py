@@ -19,6 +19,7 @@ and says why:
 
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import pkgutil
@@ -98,7 +99,7 @@ def plan_case():
     return topo, traffic, lib
 
 
-def write_plan(path: Path) -> None:
+def golden_plan():
     """The forwarding plan of ``plan_case``, compiled step by step."""
     topo, traffic, lib = plan_case()
     dsp = dsp_greedy(topo, traffic, lib)
@@ -107,7 +108,11 @@ def write_plan(path: Path) -> None:
     plan = synthesize_rules(dsp, ssps, pools, topo, lib)
     for key in sorted(dsp.physical):
         pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
-    plan.dump(str(path))
+    return plan
+
+
+def write_plan(path: Path) -> None:
+    golden_plan().dump(str(path))
 
 
 def oracle_result_reprs(res) -> dict[str, str]:
@@ -289,6 +294,30 @@ def test_forwarding_plan_byte_identical(tmp_path):
     path = tmp_path / "plan.json"
     write_plan(path)
     assert path.read_bytes() == PLAN_PATH.read_bytes()
+
+
+def test_tag_rules_match_the_rendered_tag_tables():
+    """``_tag_rules`` on every tag range of both datacenters of the golden
+    plan, up to 3 tags past the last rule, against pieces grouped from the
+    rendered tag tables. A tag's run starts at ``t - k`` for a rule to VM
+    instance ``k`` and at ``t`` for a customer rule (an egress run holds one
+    tag); a tag without a rule has no run. The ranges include ones that
+    start inside a run and gaps that end at a later run's start."""
+    plan = golden_plan()
+    assert len(plan.tag_tables) == 2
+    for d, table in plan.tag_tables.items():
+        top = max(t for _tag, t in table) + 4
+        starts = []
+        for t in range(top + 1):
+            kind, target = table.get(("tag", t), (None, None))
+            starts.append(t - target[-1] if kind == "vm" else t if kind else None)
+        for lo in range(top + 1):
+            for hi in range(lo, top + 1):
+                want = []
+                for start, run in itertools.groupby(range(lo, hi), key=starts.__getitem__):
+                    tags = list(run)
+                    want.append((tags[0], tags[-1] + 1, start))
+                assert plan._tag_rules(d, lo, hi) == want, (d, lo, hi)
 
 
 def test_cli_plan_byte_identical(tmp_path):

@@ -69,7 +69,7 @@ class TestTransport:
 class TestOracleExact:
     def test_unconstrained_matches_greedy(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[3.0]])
+        topo = make_topo(1, [make_dc(999.0, [[99]])], [[3.0]])
         traffic = np.array([[10.0]])
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
@@ -80,7 +80,7 @@ class TestOracleExact:
 
     def test_capacity_split_oracle_not_worse(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 6.0, [[99]]), make_dc(1, 99.0, [[99]])],
+        topo = make_topo(1, [make_dc(6.0, [[99]]), make_dc(99.0, [[99]])],
                          [[1.0, 5.0]])
         traffic = np.array([[10.0]])
         dsp = dsp_greedy(topo, traffic, lib)
@@ -92,7 +92,7 @@ class TestOracleExact:
 
     def test_finer_delta_never_worse(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 7.0, [[99]]), make_dc(1, 99.0, [[99]])],
+        topo = make_topo(1, [make_dc(7.0, [[99]]), make_dc(99.0, [[99]])],
                          [[1.0, 4.0]])
         traffic = np.array([[20.0]])
         coarse = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, CostParams())
@@ -103,7 +103,7 @@ class TestOracleExact:
 
     def test_size_bounds_enforced(self):
         lib = one_node_lib()
-        dcs = [make_dc(0, 99.0, [[99]])]
+        dcs = [make_dc(99.0, [[99]])]
         topo = make_topo(4, dcs, [[1.0]] * 4)
         with pytest.raises(OracleSizeError):
             oracle_exact(OracleInstance(), topo, np.full((4, 1), 20.0), lib,
@@ -111,14 +111,14 @@ class TestOracleExact:
 
     def test_unequal_cells_refused(self):
         lib = one_node_lib()
-        topo = make_topo(2, [make_dc(0, 99.0, [[99]])], [[1.0], [1.0]])
+        topo = make_topo(2, [make_dc(99.0, [[99]])], [[1.0], [1.0]])
         with pytest.raises(OracleSizeError):
             oracle_exact(OracleInstance(), topo, np.array([[20.0], [10.0]]),
                          lib, CostParams())
 
     def test_zero_traffic(self):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 99.0, [[99]])], [[1.0]])
+        topo = make_topo(1, [make_dc(99.0, [[99]])], [[1.0]])
         res = oracle_exact(OracleInstance(), topo, np.array([[0.0]]), lib,
                            CostParams())
         assert res.handled == 0.0 and res.objective == 0.0
@@ -126,7 +126,7 @@ class TestOracleExact:
     @pytest.mark.parametrize("delta", [0.0, math.nan, 0.3])
     def test_malformed_delta_is_not_called_too_large(self, delta):
         lib = one_node_lib()
-        topo = make_topo(1, [make_dc(0, 99.0, [[99]])], [[1.0]])
+        topo = make_topo(1, [make_dc(99.0, [[99]])], [[1.0]])
         with pytest.raises(OracleSizeError,
                            match=r"^invalid oracle instance: delta .* must be 1/k") as info:
             oracle_exact(OracleInstance(delta=delta), topo, np.array([[20.0]]), lib,
@@ -299,7 +299,7 @@ def brute_force_dsc(dc, graphs, vols, q, params):
     """Cheapest whole-VM placement, over every way to put every group's VMs
     on the servers within their slots, each priced by `pair_units` from its
     VMs' (rack, server) locations."""
-    servers = [(rack.id, srv.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
+    servers, slots, _spans = dc.server_layout
     groups = [(a, n.id, c) for a, g in enumerate(graphs) if vols[a] * q > 1e-9
               for n in g.nodes for c in [node_demand_vms(g, n.id, vols[a] * q)] if c]
 
@@ -309,7 +309,7 @@ def brute_force_dsc(dc, graphs, vols, q, params):
             counts, locations = {}, {}
             for (ga, i), combo in where.items():
                 if ga == a:
-                    at = [servers[pos][:2] for pos, c in enumerate(combo) for _ in range(c)]
+                    at = [servers[pos] for pos, c in enumerate(combo) for _ in range(c)]
                     counts[i] = len(at)
                     locations.update(((i, k), loc) for k, loc in enumerate(at))
             total += units_cost(pair_units(g, vols[a] * q, counts, locations), params)
@@ -329,7 +329,7 @@ def brute_force_dsc(dc, graphs, vols, q, params):
                 place(k + 1, tuple(f - c for f, c in zip(free, combo)), where)
                 del where[(a, i)]
 
-    place(0, tuple(slots for _rack, _srv, slots in servers), {})
+    place(0, slots, {})
     return best
 
 
@@ -343,7 +343,7 @@ def greedy_dsc(dc, graphs, vols, q, params):
         vol = vols[a] * q
         if vol > 1e-9:
             counts = {n.id: node_demand_vms(g, n.id, vol) for n in g.nodes}
-            pg = PhysicalGraph(g.attack, dc.id, vol, counts)
+            pg = PhysicalGraph(g.attack, 0, vol, counts)
             try:
                 total += ssp_greedy(dc, pg, {g.attack: g}, free).dc_cost(params)
             except PlacementError:
@@ -369,7 +369,7 @@ DSC_CASES = [
 
 
 def dsc_case(racks, per_rack, slots, shapes):
-    dc = make_dc(0, 999.0, [[slots] * per_rack] * racks)
+    dc = make_dc(999.0, [[slots] * per_rack] * racks)
     graphs = [_preset_graph(AttackType(a, f"atk{a}"), shape, 1.0)
               for a, shape in enumerate(shapes)]
     return dc, graphs
@@ -380,7 +380,7 @@ class TestOptimalDsc:
     def test_matches_brute_force_and_never_exceeds_greedy(self, racks, per_rack, slots,
                                                          shapes, vols):
         dc, graphs = dsc_case(racks, per_rack, slots, shapes)
-        got, proven = _optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+        got, proven = _optimal_dsc(dc, 0, graphs, vols, 1.0, DSC_PARAMS)
         assert proven
         assert got == pytest.approx(brute_force_dsc(dc, graphs, vols, 1.0, DSC_PARAMS),
                                     rel=1e-9, abs=1e-12)
@@ -389,16 +389,16 @@ class TestOptimalDsc:
     def test_search_beats_the_greedy_somewhere(self):
         # Otherwise the cases above would not tell the search from its seed.
         assert any(
-            _optimal_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS)[0] + 1e-9
-            < greedy_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS)
-            for case in DSC_CASES)
+            _optimal_dsc(dc, 0, graphs, vols, 1.0, DSC_PARAMS)[0] + 1e-9
+            < greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+            for *shape, vols in DSC_CASES for dc, graphs in [dsc_case(*shape)])
 
     @pytest.mark.parametrize("racks, per_rack, slots, shapes, vols", DSC_CASES)
     def test_exhausted_node_budget_returns_the_greedy(self, monkeypatch, racks, per_rack,
                                                      slots, shapes, vols):
         monkeypatch.setattr(oracle, "_PLACEMENT_NODE_BUDGET", 0)
         dc, graphs = dsc_case(racks, per_rack, slots, shapes)
-        cost, proven = _optimal_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
+        cost, proven = _optimal_dsc(dc, 0, graphs, vols, 1.0, DSC_PARAMS)
         assert cost == greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
         # A search cut at its first node proves only a free placement optimal.
         assert proven == (cost == 0.0)
@@ -411,8 +411,8 @@ class TestOptimalDsc:
         monkeypatch.setattr(oracle, "_PLACEMENT_NODE_BUDGET", budget)
 
         def run_all():
-            return [_optimal_dsc(*dsc_case(*case[:4]), case[4], 1.0, DSC_PARAMS)
-                    for case in DSC_CASES]
+            return [_optimal_dsc(dc, 0, graphs, vols, 1.0, DSC_PARAMS)
+                    for *shape, vols in DSC_CASES for dc, graphs in [dsc_case(*shape)]]
 
         memoised = run_all()
         monkeypatch.setattr(oracle, "_SPREAD_MEMO_ENTRIES", 0)
@@ -420,9 +420,9 @@ class TestOptimalDsc:
 
     def test_no_demand_and_too_much_demand(self):
         dc, graphs = dsc_case(1, 2, 2, ["chain"])
-        assert _optimal_dsc(dc, graphs, (0,), 1.0, DSC_PARAMS) == (0.0, True)
+        assert _optimal_dsc(dc, 0, graphs, (0,), 1.0, DSC_PARAMS) == (0.0, True)
         # Two nodes of 3 VMs each need 6 slots; the datacenter has 4.
-        assert _optimal_dsc(dc, graphs, (6,), 1.0, DSC_PARAMS) == (math.inf, True)
+        assert _optimal_dsc(dc, 0, graphs, (6,), 1.0, DSC_PARAMS) == (math.inf, True)
 
 
 class TestAgainstNaiveEnumeration:
@@ -431,7 +431,7 @@ class TestAgainstNaiveEnumeration:
         # pops, two datacenters, delta=0.25: small enough to enumerate every
         # grid assignment directly and replay the lexicographic objective.
         lib = one_node_lib(p=10.0)
-        topo = make_topo(2, [make_dc(0, 6.0, [[99]]), make_dc(1, 99.0, [[99]])],
+        topo = make_topo(2, [make_dc(6.0, [[99]]), make_dc(99.0, [[99]])],
                          [[1.0, 5.0], [4.0, 2.0]])
         traffic = np.array([[8.0], [8.0]])
         calls = []

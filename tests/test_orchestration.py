@@ -58,7 +58,7 @@ def two_branch_graph():
 
 
 def small_topo(n_dcs=1):
-    return make_topo(1, [make_dc(d, 999.0, [[50, 50]]) for d in range(n_dcs)],
+    return make_topo(1, [make_dc(999.0, [[50, 50]]) for _ in range(n_dcs)],
                      [[1.0 + d for d in range(n_dcs)]])
 
 

@@ -36,7 +36,7 @@ from scrubsim.resource_manager import (
     ssp_greedy,
 )
 from scrubsim.simulate import Scenario, run_scenario_sweep
-from scrubsim.topology import CostParams, Pop, Topology, generate_topology
+from scrubsim.topology import CostParams, Topology, generate_topology
 from reference import (
     capacity_bound_cases,
     make_dc,
@@ -69,7 +69,7 @@ def chain_graph(attack=ATK, p=(10.0, 10.0), w=1.0):
 class TestDspGreedy:
     def test_unconstrained_single_dc(self):
         lib = {ATK: one_node_graph()}
-        topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[3.0]])
+        topo = make_topo(1, [make_dc(999.0, [[99]])], [[3.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
         assert dsp.f[0, 0, 0] == pytest.approx(1.0)
         assert dsp.t_left == 0.0
@@ -79,7 +79,7 @@ class TestDspGreedy:
         # Nearest datacenter can only take 6 of 10 Gbps; the rest overflows
         # to the farther one.
         lib = {ATK: one_node_graph()}
-        topo = make_topo(1, [make_dc(0, 6.0, [[99]]), make_dc(1, 99.0, [[99]])],
+        topo = make_topo(1, [make_dc(6.0, [[99]]), make_dc(99.0, [[99]])],
                          [[1.0, 5.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
         assert dsp.f[0, 0, 0] == pytest.approx(0.6)
@@ -88,7 +88,7 @@ class TestDspGreedy:
 
     def test_overflow_lands_in_t_left(self):
         lib = {ATK: one_node_graph()}
-        topo = make_topo(1, [make_dc(0, 4.0, [[99]])], [[1.0]])
+        topo = make_topo(1, [make_dc(4.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
         assert dsp.t_left == pytest.approx(6.0)
         assert dsp.f[0, 0, 0] == pytest.approx(0.4)
@@ -123,7 +123,7 @@ class TestDspGreedy:
 
     def test_vm_counts_ceil_fractional_demand(self):
         lib = {ATK: chain_graph()}
-        topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[1.0]])
+        topo = make_topo(1, [make_dc(999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[15.0]]), lib)
         assert dsp.n_dc[(0, 0)] == {0: 2, 1: 2}  # ceil(15/10) each
 
@@ -131,7 +131,7 @@ class TestDspGreedy:
         # Fractional accounting on a 3-slot datacenter admits 15 Gbps but
         # rounds to 4 VMs; whole-VM charging stops at 10 Gbps and 2 VMs.
         lib = {ATK: chain_graph()}
-        topo = make_topo(1, [make_dc(0, 999.0, [[3]])], [[1.0]])
+        topo = make_topo(1, [make_dc(999.0, [[3]])], [[1.0]])
         traffic = np.array([[15.0]])
         frac = dsp_greedy(topo, traffic, lib)
         assert sum(frac.n_dc[(0, 0)].values()) == 4  # exceeds the 3 slots
@@ -153,7 +153,7 @@ class TestDspGreedy:
 class TestOverprovision:
     def test_gamma_scales_counts(self):
         lib = {ATK: chain_graph()}
-        topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[1.0]])
+        topo = make_topo(1, [make_dc(999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[20.0]]), lib)
         padded = overprovision(dsp, 1.5)
         assert padded.n_dc[(0, 0)] == {0: 3, 1: 3}
@@ -162,7 +162,7 @@ class TestOverprovision:
 
     def test_gamma_one_is_identity(self):
         lib = {ATK: chain_graph()}
-        topo = make_topo(1, [make_dc(0, 999.0, [[99]])], [[1.0]])
+        topo = make_topo(1, [make_dc(999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[20.0]]), lib)
         assert overprovision(dsp, 1.0) is dsp
 
@@ -170,7 +170,7 @@ class TestOverprovision:
 class TestSspGreedy:
     def test_whole_graph_on_one_server(self):
         g = chain_graph()
-        dc = make_dc(0, 999.0, [[10, 10], [10, 10]])
+        dc = make_dc(999.0, [[10, 10], [10, 10]])
         pg = PhysicalGraph(g.attack, 0, 20.0, {0: 2, 1: 2})
         res = ssp_greedy(dc, pg, {ATK: g})
         assert res.intra_rack_units == 0.0
@@ -181,7 +181,7 @@ class TestSspGreedy:
     def test_forced_rack_split_counts_edge_traffic(self):
         g = chain_graph()
         # Two racks, one server each, two slots each: node a fills rack 0.
-        dc = make_dc(0, 999.0, [[2], [2]])
+        dc = make_dc(999.0, [[2], [2]])
         pg = PhysicalGraph(g.attack, 0, 20.0, {0: 2, 1: 2})
         res = ssp_greedy(dc, pg, {ATK: g})
         assert res.intra_rack_units == 0.0
@@ -196,11 +196,11 @@ class TestSspGreedy:
             return DspResult(f=np.zeros((1, 1, 1)), demand={},
                              physical={(0, 0): pg}, t_left=0.0, wide_area_cost=0.0)
 
-        topo = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2]])], [[1.0]])
+        topo = make_topo(1, [make_dc(999.0, [[2, 2], [2]])], [[1.0]])
         with pytest.raises(PlacementError):
             place_all(topo, dsp_for({0: 3, 1: 4}), lib)  # takes rack 0, then fails
         got = place_all(topo, dsp_for({0: 3, 1: 3}), lib)  # all six slots
-        fresh = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2]])], [[1.0]])
+        fresh = make_topo(1, [make_dc(999.0, [[2, 2], [2]])], [[1.0]])
         assert got == place_all(fresh, dsp_for({0: 3, 1: 3}), lib)
         assert sum(got[0].n_srv.values()) == 6
 
@@ -223,7 +223,7 @@ class TestSspGreedy:
                    LogicalModule(2, "r", RESPONSE, 10.0, contexts=1, delivers=True)],
             edges=[(0, 2, 0.5), (1, 2, 0.5)],
         )
-        res = ssp_greedy(make_dc(0, 999.0, rack_slots), PhysicalGraph(g.attack, 0, 10.0, counts),
+        res = ssp_greedy(make_dc(999.0, rack_slots), PhysicalGraph(g.attack, 0, 10.0, counts),
                          {ATK: g})
         assert [key[1:] for key in res.n_srv if key[0] == 2] == [want]
 
@@ -236,13 +236,13 @@ class TestSspGreedy:
             edges=[(0, 1, 1.0), (1, 2, 1.0)],
         )
         pg = PhysicalGraph(g.attack, 0, 10.0, {0: 3, 1: 0, 2: 2})
-        res = ssp_greedy(make_dc(0, 999.0, [[10, 10]]), pg, {ATK: g})
+        res = ssp_greedy(make_dc(999.0, [[10, 10]]), pg, {ATK: g})
         assert res.n_srv == {(0, 0, 0): 3, (2, 0, 1): 2}
 
     def test_one_server_graph_prices_zero(self):
         g = builtin_library()[DNS_AMPLIFICATION]
         pg = PhysicalGraph(g.attack, 0, 100 / 3, {n.id: 2 for n in g.nodes})
-        res = ssp_greedy(make_dc(0, 999.0, [[4], [40]]), pg, {DNS_AMPLIFICATION: g})
+        res = ssp_greedy(make_dc(999.0, [[4], [40]]), pg, {DNS_AMPLIFICATION: g})
         assert len({key[1:] for key in res.n_srv}) == 1
         assert repr((res.intra_rack_units, res.inter_rack_units)) == "(0.0, 0.0)"
 
@@ -250,7 +250,7 @@ class TestSspGreedy:
         g = builtin_library()[DNS_AMPLIFICATION]
         counts = {n.id: 3 for n in g.nodes}
         pg = PhysicalGraph(g.attack, 0, 100 / 3, counts)
-        res = ssp_greedy(make_dc(0, 999.0, [[3, 2], [3, 2], [3, 2]]), pg, {DNS_AMPLIFICATION: g})
+        res = ssp_greedy(make_dc(999.0, [[3, 2], [3, 2], [3, 2]]), pg, {DNS_AMPLIFICATION: g})
         # r_log and r_drop each span two racks.
         assert len({(node, rack) for node, rack, _srv in res.n_srv}) == 7
         units = (res.intra_rack_units, res.inter_rack_units)
@@ -260,7 +260,7 @@ class TestSspGreedy:
 
     def test_insufficient_slots_names_node(self):
         g = chain_graph()
-        dc = make_dc(0, 999.0, [[2]])
+        dc = make_dc(999.0, [[2]])
         pg = PhysicalGraph(g.attack, 0, 30.0, {0: 3, 1: 3})
         with pytest.raises(PlacementError) as err:
             ssp_greedy(dc, pg, {ATK: g})
@@ -285,10 +285,8 @@ class TestSspGreedy:
                 for (node, rack, srv), c in r.n_srv.items():
                     used[(r.dc_id, rack, srv)] = used.get((r.dc_id, rack, srv), 0) + c
             for (d, rack, srv), c in used.items():
-                dc = topo.datacenters[d]
-                slots = [s.vm_slots for rk in dc.racks if rk.id == rack
-                         for s in rk.servers if s.id == srv][0]
-                assert c <= slots
+                layout = topo.datacenters[d].server_layout
+                assert c <= dict(zip(*layout[:2]))[(rack, srv)]
 
     def test_beats_worst_random_placement(self):
         rng = random.Random(0)
@@ -296,7 +294,7 @@ class TestSspGreedy:
         for trial in range(50):
             g = chain_graph(p=(rng.choice([5.0, 10.0]), 10.0))
             slots = [[rng.randint(2, 4) for _ in range(2)] for _ in range(2)]
-            dc = make_dc(0, 999.0, slots)
+            dc = make_dc(999.0, slots)
             total = sum(sum(r) for r in slots)
             n0 = rng.randint(1, max(1, total // 3))
             n1 = rng.randint(1, max(1, total - n0 - 1))
@@ -306,11 +304,9 @@ class TestSspGreedy:
             pg = PhysicalGraph(g.attack, 0, float(rng.randint(5, 40)), counts)
             res = ssp_greedy(dc, pg, {ATK: g})
             greedy_cost = res.dc_cost(params)
-            server_list = [(rk.id, s.id, s.vm_slots) for rk in dc.racks
-                           for s in rk.servers]
             worst = greedy_cost
             for _ in range(1000):
-                free = {(r, s): sl for r, s, sl in server_list}
+                free = dict(zip(*dc.server_layout[:2]))
                 locs = {}
                 ok = True
                 for node, cnt in counts.items():
@@ -334,13 +330,13 @@ class TestSspGreedy:
 class TestEvaluateCost:
     def test_zero_traffic(self):
         lib = {ATK: one_node_graph()}
-        topo = make_topo(1, [make_dc(0, 10.0, [[4]])], [[2.0]])
+        topo = make_topo(1, [make_dc(10.0, [[4]])], [[2.0]])
         dsp = dsp_greedy(topo, np.array([[0.0]]), lib)
         assert evaluate_cost(dsp, [], CostParams()) == 0.0
 
     def test_colocated_single_placement(self):
         lib = {ATK: one_node_graph()}
-        topo = make_topo(1, [make_dc(0, 999.0, [[8]])], [[2.0]])
+        topo = make_topo(1, [make_dc(999.0, [[8]])], [[2.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
         ssps = place_all(topo, dsp, lib)
         params = CostParams(alpha=2.0)
@@ -371,13 +367,13 @@ class TestEvaluateCost:
 
     def test_invariant_under_dc_relabeling(self):
         lib = {ATK: one_node_graph()}
-        dcs = [make_dc(0, 6.0, [[9]]), make_dc(1, 99.0, [[9]])]
+        dcs = [make_dc(6.0, [[9]]), make_dc(99.0, [[9]])]
         topo = make_topo(1, dcs, [[1.0, 5.0]])
         traffic = np.array([[10.0]])
         dsp = dsp_greedy(topo, traffic, lib)
         cost = evaluate_cost(dsp, place_all(topo, dsp, lib), CostParams())
         # Swap datacenter order (relabel) and rerun.
-        dcs2 = [make_dc(0, 99.0, [[9]]), make_dc(1, 6.0, [[9]])]
+        dcs2 = [make_dc(99.0, [[9]]), make_dc(6.0, [[9]])]
         topo2 = make_topo(1, dcs2, [[5.0, 1.0]])
         dsp2 = dsp_greedy(topo2, traffic, lib)
         cost2 = evaluate_cost(dsp2, place_all(topo2, dsp2, lib), CostParams())
@@ -407,7 +403,7 @@ class TestCheckFeasibility:
         # and the one array pass must report what per-cell sums report.
         atk1 = AttackType(1, "atk1")
         lib = {ATK: one_node_graph(), atk1: one_node_graph(attack=atk1)}
-        topo = make_topo(3, [make_dc(d, 999.0, [[99]]) for d in range(9)], [[1.0] * 9] * 3)
+        topo = make_topo(3, [make_dc(999.0, [[99]]) for _ in range(9)], [[1.0] * 9] * 3)
         traffic = np.array([[10.0, 4.0], [0.0, 7.0], [3.0, 3.0]])
         f = np.random.default_rng(7).random((3, 2, 9)) / 4
         f[1, 0] = 0.0
@@ -430,9 +426,9 @@ class TestCheckFeasibility:
         # One pop, one dc, a single backbone link on the path; beta=0.5
         # caps the 10 Gbps link at 5 while f routes 8 through it.
         lib = {ATK: one_node_graph()}
-        dc = make_dc(0, 999.0, [[99]])
+        dc = make_dc(999.0, [[99]])
         topo = Topology(
-            pops=[Pop(0, "p0"), Pop(1, "p1")],
+            pops=["p0", "p1"],
             datacenters=[dc],
             latency=[[1.0], [1.0]],
             backbone_links=[(0, 1, 10.0)],
@@ -452,7 +448,7 @@ class TestCheckFeasibility:
     def test_tampered_placement_exact_violations(self):
         atk1 = AttackType(1, "atk1")
         lib = {ATK: chain_graph(), atk1: one_node_graph(attack=atk1)}
-        topo = make_topo(1, [make_dc(0, 999.0, [[2, 2], [2, 3]])], [[1.0]])
+        topo = make_topo(1, [make_dc(999.0, [[2, 2], [2, 3]])], [[1.0]])
         traffic = np.array([[20.0, 10.0]])
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
@@ -504,7 +500,7 @@ def linear_scan_ssp(dc, pg, graph, used):
     def free(rack_id, srv_id, slots):
         return slots - used.get((rack_id, srv_id), 0)
 
-    servers = [(rack.id, srv.id, srv.vm_slots) for rack in dc.racks for srv in rack.servers]
+    servers = [(rack, srv, slots) for (rack, srv), slots in zip(*dc.server_layout[:2])]
     placements, n_srv = {}, {}
 
     def place_on(node, start, count, rack_id, srv_id):
@@ -515,17 +511,17 @@ def linear_scan_ssp(dc, pg, graph, used):
 
     def fill_rack(node, start, count, rack_id):
         remaining = count
-        for srv in sorted(dc.racks[rack_id].servers,
-                          key=lambda s: (-free(rack_id, s.id, s.vm_slots), s.id)):
-            take = min(remaining, free(rack_id, srv.id, srv.vm_slots))
+        for s in sorted((s for s in servers if s[0] == rack_id),
+                        key=lambda s: (-free(*s), s[1])):
+            take = min(remaining, free(*s))
             if take > 0:
-                place_on(node, start, take, rack_id, srv.id)
+                place_on(node, start, take, rack_id, s[1])
                 start += take
                 remaining -= take
             if remaining == 0:
                 return
         name = graph.node(node).name
-        raise PlacementError(f"rack {rack_id} in datacenter {dc.id} ran out of slots "
+        raise PlacementError(f"rack {rack_id} in datacenter {pg.dc_id} ran out of slots "
                              f"for node {name}", node=name)
 
     def localize(node, count):
@@ -541,8 +537,8 @@ def linear_scan_ssp(dc, pg, graph, used):
                                free(*s), -s[0], -s[1]))
             place_on(node, 0, count, rack_id, srv_id)
             return
-        rack_free = {rack.id: sum(free(rack.id, s.id, s.vm_slots) for s in rack.servers)
-                     for rack in dc.racks}
+        rack_free = {r: sum(free(*s) for s in servers if s[0] == r)
+                     for r in range(len(dc.racks))}
         fitting_racks = [r for r, fr in rack_free.items() if fr >= count]
         if fitting_racks:
             fill_rack(node, 0, count,
@@ -551,7 +547,7 @@ def linear_scan_ssp(dc, pg, graph, used):
         total_free = sum(rack_free.values())
         if total_free < count:
             name = graph.node(node).name
-            raise PlacementError(f"datacenter {dc.id} lacks {count} slots for node "
+            raise PlacementError(f"datacenter {pg.dc_id} lacks {count} slots for node "
                                  f"{name} ({total_free} free)", node=name)
         idx = 0
         for rack_id in sorted(rack_free, key=lambda r: (-rack_free[r], r)):
@@ -652,10 +648,10 @@ def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
 def datacenters(draw):
     """Two to five racks of one to three servers with 1-3 slots each, and
     the slots already taken on some of them, per (rack, server)."""
-    dc = make_dc(0, 999.0, draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
-                                         min_size=2, max_size=5)))
-    return dc, {(rack.id, srv.id): draw(st.integers(0, srv.vm_slots))
-                for rack in dc.racks for srv in rack.servers if draw(st.booleans())}
+    dc = make_dc(999.0, draw(st.lists(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                                      min_size=2, max_size=5)))
+    return dc, {srv: draw(st.integers(0, slots))
+                for srv, slots in zip(*dc.server_layout[:2]) if draw(st.booleans())}
 
 
 @st.composite
@@ -810,7 +806,7 @@ class TestIndexedSelectionMatchesLinearScan:
     @given(dc_used=datacenters(), case=random_dags())
     # Node 1 has no VMs, so node 2, its only child, is ready at once and
     # goes before the root on its higher capacity.
-    @example(dc_used=(make_dc(0, 999.0, [[4, 3], [3, 2]]), {}),
+    @example(dc_used=(make_dc(999.0, [[4, 3], [3, 2]]), {}),
              case=([[], [0], [1], [0]], [5.0, 10.0, 10.0, 5.0],
                    {0: 2, 1: 0, 2: 3, 3: 1}, {0: 1, 1: 0, 2: 2, 3: 2}))
     def test_random_dags_share_one_table(self, dc_used, case):
@@ -862,9 +858,9 @@ class TestIndexedSelectionMatchesLinearScan:
         lib = builtin_library()
         n_e = data.draw(st.integers(1, 4))
         n_d = data.draw(st.integers(1, 4))
-        dcs = [make_dc(d, data.draw(st.sampled_from([5.0, 12.0, 30.0, 999.0])),
-                       [[data.draw(st.sampled_from([0, 1, 2, 5, 20]))] * 2])
-               for d in range(n_d)]
+        dcs = [make_dc(data.draw(st.sampled_from([5.0, 12.0, 30.0, 999.0])),
+                    [[data.draw(st.sampled_from([0, 1, 2, 5, 20]))] * 2])
+               for _ in range(n_d)]
         latency = [[data.draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(n_d)]
                    for _ in range(n_e)]
         # A scale other than 1 makes the volumes inexact binary fractions.
@@ -882,7 +878,7 @@ class TestIndexedSelectionMatchesLinearScan:
         # Whole-VM charging with tied latencies: the cheapest datacenters run
         # out of affordable VM steps, so items skip them and retry elsewhere.
         lib = builtin_library()
-        dcs = [make_dc(d, 999.0, [[1, 1]]) for d in range(3)]
+        dcs = [make_dc(999.0, [[1, 1]]) for _ in range(3)]
         topo = make_topo(2, dcs, [[1.0, 1.0, 2.0], [2.0, 1.0, 1.0]])
         traffic = np.array([[4.0, 3.0, 6.0, 2.0], [5.0, 0.0, 3.0, 7.0]])
         assert check_dsp(topo, traffic, lib, ceil=True) > 0
@@ -893,7 +889,7 @@ class TestIndexedSelectionMatchesLinearScan:
         # worth 7.5e-10 Gbps, no more than EPS. The 3 Gbps cell skips it
         # whole and lands on datacenter 1.
         lib = {ATK: one_node_graph(0.5)}
-        topo = make_topo(2, [make_dc(0, 999.0, [[10]]), make_dc(1, 999.0, [[50]])],
+        topo = make_topo(2, [make_dc(999.0, [[10]]), make_dc(999.0, [[50]])],
                          [[1.0, 2.0], [1.0, 2.0]])
         traffic = np.array([[5.0 - 7.5e-10], [3.0]])
         assert check_dsp(topo, traffic, lib, ceil=False) >= 1
@@ -936,8 +932,8 @@ WALK_GRAPHS = ordered_graphs(builtin_library()) + [
 def uneven_datacenters(draw):
     """One to four racks of one to four servers with 1-12 slots each, and
     its free list with slots already taken on some servers."""
-    dc = make_dc(0, 999.0, draw(st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=4),
-                                         min_size=1, max_size=4)))
+    dc = make_dc(999.0, draw(st.lists(st.lists(st.integers(1, 12), min_size=1, max_size=4),
+                                      min_size=1, max_size=4)))
     free = [n - draw(st.integers(0, n)) if draw(st.booleans()) else n
             for n in dc.server_layout[1]]
     return dc, free
@@ -1004,9 +1000,9 @@ def dsp_cases(draw):
     ample or tight. Volumes are often zero and, when rounded, often tied."""
     lib = builtin_library()
     n_e, n_d = draw(st.integers(1, 16)), draw(st.integers(1, 4))
-    dcs = [make_dc(d, draw(st.sampled_from([15.0, 60.0, 999.0])),
-                   [[draw(st.sampled_from([0, 3, 40, 500]))] * 2])
-           for d in range(n_d)]
+    dcs = [make_dc(draw(st.sampled_from([15.0, 60.0, 999.0])),
+                [[draw(st.sampled_from([0, 3, 40, 500]))] * 2])
+           for _ in range(n_d)]
     latency = [[draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(n_d)]
                for _ in range(n_e)]
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1026,8 +1022,8 @@ def closing_cases(draw):
     the heap back to a pass, which often adds to keys assigned before."""
     lib = builtin_library()
     n_e, n_d = draw(st.integers(24, 48)), draw(st.integers(2, 5))
-    dcs = [make_dc(d, float(draw(st.integers(15, 60))),
-                   [[draw(st.sampled_from([20, 500, 500]))] * 2]) for d in range(n_d)]
+    dcs = [make_dc(float(draw(st.integers(15, 60))),
+                [[draw(st.sampled_from([20, 500, 500]))] * 2]) for _ in range(n_d)]
     latency = [[draw(st.sampled_from([1.0, 2.0, 3.0])) for _ in range(n_d)]
                for _ in range(n_e)]
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
@@ -1127,7 +1123,7 @@ class TestArrayPassMatchesHeapLoop:
         # add no VM there. The loop sends them to datacenter 1; so must the
         # pass, whose end-total check reads the closing.
         lib = {ATK: one_node_graph(10.0)}
-        topo = make_topo(32, [make_dc(0, 999.0, [[1]]), make_dc(1, 999.0, [[999]])],
+        topo = make_topo(32, [make_dc(999.0, [[1]]), make_dc(999.0, [[999]])],
                          [[1.0, 2.0]] * 32)
         traffic = np.array([[4.0]] + [[0.1]] * 31)
         for ceil in (False, True):

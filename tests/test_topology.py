@@ -13,9 +13,6 @@ from scrubsim.topology import (
     _routes,
     CostParams,
     Datacenter,
-    Pop,
-    Rack,
-    Server,
     Topology,
     generate_topology,
     path_cost_comparison,
@@ -76,11 +73,11 @@ def backbones(draw):
 
 
 def triangle_topology():
-    pops = [Pop(0, "x"), Pop(1, "y"), Pop(2, "z")]
-    racks = (Rack(0, (Server(0, 10),)),)
+    pops = ["x", "y", "z"]
+    racks = ((10,),)
     dcs = [
-        Datacenter(id=0, link_capacity_gbps=10.0, racks=racks, attach_pop=0),
-        Datacenter(id=1, link_capacity_gbps=10.0, racks=racks, attach_pop=2),
+        Datacenter(link_capacity_gbps=10.0, racks=racks, attach_pop=0),
+        Datacenter(link_capacity_gbps=10.0, racks=racks, attach_pop=2),
     ]
     links = [(0, 1, 100.0), (1, 2, 100.0), (0, 2, 100.0)]
     paths = {(e, d): [] for e in range(3) for d in range(2)}
@@ -94,7 +91,7 @@ class TestGenerateTopology:
         assert len(topo.datacenters) == 10
         for dc in topo.datacenters:
             assert dc.compute_capacity == 4000
-            assert sum(s.vm_slots for r in dc.racks for s in r.servers) == 4000
+            assert sum(dc.server_layout[1]) == 4000
 
     def test_min_clamp_single_dc(self):
         topo = generate_topology(2, 10, seed=1)
@@ -148,7 +145,7 @@ class TestPathCostComparison:
 
     def test_disconnected_node_rejected(self):
         topo = triangle_topology()
-        topo.pops.append(Pop(3, "island"))
+        topo.pops.append("island")
         with pytest.raises(InputError):
             path_cost_comparison(topo, [(3, 0)], chokepoint=0)
 
@@ -175,9 +172,8 @@ class TestPathCostComparison:
                         stack.append((nb, seen | {nb}, hops + 1))
             return best
 
-        pops = [Pop(i, f"p{i}") for i in range(n)]
-        racks = (Rack(0, (Server(0, 1),)),)
-        dcs = [Datacenter(0, 1.0, racks, attach_pop=0)]
+        pops = [f"p{i}" for i in range(n)]
+        dcs = [Datacenter(1.0, ((1,),), attach_pop=0)]
         topo = Topology(pops=pops, datacenters=dcs,
                         latency=[[0.0]] * n, backbone_links=links,
                         paths={(e, 0): [] for e in range(n)})
@@ -304,12 +300,24 @@ class TestConfigRoundTrip:
         assert topo.datacenters == twin.datacenters
         assert [hash(dc) for dc in topo.datacenters] == [hash(dc) for dc in twin.datacenters]
 
-    def test_server_layout_orders_racks_and_servers_by_id(self):
-        racks = (Rack(1, (Server(3, 2), Server(2, 5))), Rack(0, (Server(0, 1),)))
-        dc = Datacenter(id=0, link_capacity_gbps=1.0, racks=racks, attach_pop=0)
-        assert dc.server_layout == (((0, 0), (1, 2), (1, 3)), (1, 5, 2),
-                                    {0: range(0, 1), 1: range(1, 3)})
+    def test_server_layout_numbers_racks_and_servers_by_position(self):
+        dc = Datacenter(link_capacity_gbps=1.0, racks=((2, 5), (1,)), attach_pop=0)
+        assert dc.server_layout == (((0, 0), (0, 1), (1, 2)), (2, 5, 1),
+                                    {0: range(0, 2), 1: range(2, 3)})
         assert dc.compute_capacity == 8
+
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.lists(st.integers(0, 9), max_size=4), max_size=4))
+    def test_config_round_trip_keeps_any_rack_shape(self, rack_slots):
+        dc = Datacenter(link_capacity_gbps=1.0, racks=tuple(map(tuple, rack_slots)),
+                        attach_pop=0)
+        topo = Topology(pops=["a"], datacenters=[dc], latency=[[0.0]],
+                        paths={(0, 0): []})
+        twin = topology_from_config(topology_to_config(topo))
+        assert twin.datacenters == topo.datacenters
+        assert twin.datacenters[0].server_layout == dc.server_layout
+        assert dc.compute_capacity == twin.datacenters[0].compute_capacity \
+            == sum(map(sum, rack_slots))
 
     def test_derive_latency(self):
         cfg = {
