@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .defense_graphs import AnnotatedGraph, AttackType, ordered_graphs, sequential_sum
+from .defense_graphs import Library, sequential_sum
 from .errors import InputError
 
 STRATEGIES = ("randingress", "randattack", "randhybrid", "steady", "flipprevepoch")
@@ -206,9 +206,9 @@ def estimate(state: EstimatorState, budget: Budget,
     return uniform_estimate(budget, state.n_pops, state.n_attacks)
 
 
-def _compute_factors(lib: dict[AttackType, AnnotatedGraph]) -> np.ndarray:
+def _compute_factors(lib: Library) -> np.ndarray:
     """VM slots per Gbps for each attack column, in attack-id order."""
-    return np.array([g.compute_factor for g in ordered_graphs(lib)])
+    return np.array([g.compute_factor for g in lib])
 
 
 def _stack(trace: "list[np.ndarray] | np.ndarray") -> np.ndarray:
@@ -240,7 +240,7 @@ def _trace_losses(prov: np.ndarray, actual: np.ndarray,
 
 
 def loss_accounting(provisioned: np.ndarray, actual: np.ndarray,
-                    lib: dict[AttackType, AnnotatedGraph]) -> tuple[float, float, float]:
+                    lib: Library) -> tuple[float, float, float]:
     """One epoch's losses, (wastage_gbps, evasion_gbps, wastage_vm_slots):
     the one-epoch case of ``_trace_losses``, which defines them."""
     provisioned = np.asarray(provisioned, dtype=float)
@@ -320,7 +320,7 @@ def normalized_regret(trace: "list[np.ndarray] | np.ndarray",
                       wastage_gbps: "list[float] | np.ndarray",
                       evasion_gbps: "list[float] | np.ndarray",
                       wastage_vm: "list[float] | np.ndarray",
-                      lib: dict[AttackType, AnnotatedGraph]) -> RegretReport:
+                      lib: Library) -> RegretReport:
     """Regret of an estimator's realized losses against the best static
     provision in hindsight, normalized by the static strategy's own loss.
 
@@ -503,7 +503,7 @@ def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int) 
 
 
 def run_estimator_on_trace(kind: str, trace: "list[np.ndarray] | np.ndarray",
-                           budget: Budget, lib: dict[AttackType, AnnotatedGraph],
+                           budget: Budget, lib: Library,
                            seed: int = 0) -> RegretReport:
     """Feed a fixed adversary trace through an estimator with the one-epoch
     observation lag and account the losses. The trace is stacked once; the
@@ -519,7 +519,7 @@ PER_EPOCH_COLUMNS = ("wastage_gbps", "evasion_gbps", "wastage_vm", "cum_g1_vm",
 
 def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
                             n_pops: int, budget: Budget,
-                            lib: dict[AttackType, AnnotatedGraph], epochs: int,
+                            lib: Library, epochs: int,
                             seeds: list[int]) -> list[dict[str, float]]:
     """Per-epoch loss series for one strategy/estimator pair, averaged over
     seeds: wastage, evasion, VM wastage, per-goal running cumulatives, and
@@ -569,7 +569,7 @@ class RegretTableRow:
 
 
 def regret_experiment(n_pops: int, budget: Budget,
-                      lib: dict[AttackType, AnnotatedGraph], epochs: int,
+                      lib: Library, epochs: int,
                       seeds: list[int],
                       strategies: tuple[str, ...] = STRATEGIES,
                       estimators: tuple[str, ...] = ESTIMATORS) -> list[RegretTableRow]:

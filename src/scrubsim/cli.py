@@ -98,7 +98,7 @@ def graph():
 @click.argument("path", type=click.Path(exists=True))
 def graph_validate(path):
     lib = defense_graphs.load_library(path)
-    for g in defense_graphs.ordered_graphs(lib):
+    for g in lib:
         _echo(f"{g.attack.name}: {len(g.nodes)} nodes, "
               f"factor {g.compute_factor:.4f} slots/Gbps")
     _echo("ok")
@@ -110,10 +110,10 @@ def graph_validate(path):
 @click.option("--graphs", "graphs_path", type=click.Path(exists=True), default=None)
 def graph_demand(attack_name, gbps, graphs_path):
     lib = defense_graphs.load_library(graphs_path)
-    match = [g for g in lib.values() if g.attack.name == attack_name]
+    match = [g for g in lib if g.attack.name == attack_name]
     if not match:
         _fail(f"unknown attack {attack_name!r}; have "
-              f"{sorted(g.attack.name for g in lib.values())}")
+              f"{sorted(g.attack.name for g in lib)}")
     g = match[0]
     fine = {g.node(n.id).name: defense_graphs.node_demand_vms(g, n.id, gbps)
             for n in g.nodes}

@@ -93,6 +93,7 @@ class AnnotatedGraph:
         # split the external input evenly.
         self._share = {n.id: incoming[n.id] if n.id in pred else self.external_fraction(n.id)
                        for n in self.nodes}
+        self._ssp_orders: dict[frozenset[int], tuple[SspOrder, bool]] = {}
         self.validate()
         # (node id, VMs per Gbps of graph input) in node order: the node's
         # share over its per-VM capacity.
@@ -100,7 +101,6 @@ class AnnotatedGraph:
         # VM slots required per Gbps of graph input: the VM rates summed in
         # node order.
         self.compute_factor = sequential_sum(r for _i, r in self.vm_rates)
-        self._ssp_orders: dict[frozenset[int], tuple[SspOrder, bool]] = {}
 
     def node(self, i: int) -> LogicalModule:
         try:
@@ -124,15 +124,17 @@ class AnnotatedGraph:
         ready node (each predecessor placed or given no VMs) of highest
         per-VM capacity, lowest id on ties. Also whether the order is
         chained: every node after the first has a provisioned predecessor.
-        Memoised per set; an id the graph lacks raises InputError."""
+        Memoised per set; an id the graph lacks, or a cycle that leaves no
+        node ready, raises InputError."""
         memo = self._ssp_orders.get(provisioned)
         if memo is None:
             pending, order = set(provisioned), []
             placed = {n.id for n in self.nodes} - pending
-            # Acyclic graphs (validate) always have a ready node.
             while pending:
                 i = max((i for i in pending if placed.issuperset(self._pred.get(i, ()))),
-                        key=lambda i: (self.node(i).capacity_gbps, -i))
+                        key=lambda i: (self.node(i).capacity_gbps, -i), default=None)
+                if i is None:
+                    raise InputError(f"{self.attack.name}: graph contains a cycle")
                 order.append((i, self._pred.get(i, ())))
                 pending.remove(i)
                 placed.add(i)
@@ -161,7 +163,7 @@ class AnnotatedGraph:
                 raise InputError(f"{self.attack.name}: edge ({s},{d}) references unknown node")
             if not (0.0 <= w <= 1.0):
                 raise InputError(f"{self.attack.name}: edge ({s},{d}) weight {w} outside [0,1]")
-        self._check_acyclic()
+        self.ssp_order(frozenset(self._by_id))  # raises InputError on a cycle
         # Traffic may shrink at a node (drops) but never amplify.
         for n in self.nodes:
             out = sum(w for s, _d, w in self.edges if s == n.id)
@@ -177,23 +179,6 @@ class AnnotatedGraph:
                     f"{self.attack.name}: node {n.name} needs >= {needed} contexts, has {n.contexts}"
                 )
 
-    def _check_acyclic(self) -> None:
-        indeg = {n.id: 0 for n in self.nodes}
-        for _s, d, _w in self.edges:
-            indeg[d] += 1
-        queue = sorted(i for i, k in indeg.items() if k == 0)
-        seen = 0
-        while queue:
-            u = queue.pop(0)
-            seen += 1
-            for s, d, _w in self.edges:
-                if s == u:
-                    indeg[d] -= 1
-                    if indeg[d] == 0:
-                        queue.append(d)
-        if seen != len(self.nodes):
-            raise InputError(f"{self.attack.name}: graph contains a cycle")
-
 
 @dataclass
 class PhysicalGraph:
@@ -201,7 +186,7 @@ class PhysicalGraph:
     node. The resource manager lists every node, in graph order, zeros
     included; a node left out runs none. Instance k of node i is the VM
     (attack id, dc id, i, k), for k below the node's count."""
-    attack: AttackType
+    attack_id: int
     dc_id: int
     traffic_gbps: float
     counts: dict[int, int]  # node id -> VM count
@@ -251,8 +236,11 @@ ELEPHANT_FLOW = AttackType(3, "elephant_flow")
 
 BUILTIN_ATTACKS = (SYN_FLOOD, DNS_AMPLIFICATION, UDP_FLOOD, ELEPHANT_FLOW)
 
+# A defense library: graph a defends attack id a.
+Library = tuple[AnnotatedGraph, ...]
 
-def builtin_library() -> dict[AttackType, AnnotatedGraph]:
+
+def builtin_library() -> Library:
     """Four stock defense graphs with documented default weights and
     capacities (analysis 5 Gbps/VM, response 10 Gbps/VM; splits even unless
     a published figure gives the fraction, e.g. 0.52/0.48 for UDP).
@@ -301,16 +289,7 @@ def builtin_library() -> dict[AttackType, AnnotatedGraph]:
         ],
         edges=[(0, 1, 0.5), (0, 2, 0.5)],
     )
-    return {g.attack: g for g in (syn, dns, udp, elephant)}
-
-
-def ordered_graphs(lib: dict[AttackType, AnnotatedGraph]) -> list[AnnotatedGraph]:
-    """Graphs sorted by attack id; attack ids must be dense from 0."""
-    graphs = sorted(lib.values(), key=lambda g: g.attack.id)
-    for k, g in enumerate(graphs):
-        if g.attack.id != k:
-            raise InputError("attack ids must be dense from 0")
-    return graphs
+    return (syn, dns, udp, elephant)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +339,19 @@ def graph_from_config(cfg) -> AnnotatedGraph:
     return AnnotatedGraph(attack=attack, nodes=nodes, edges=edges, bidirectional=bidirectional)
 
 
-def _library(cfg) -> dict[AttackType, AnnotatedGraph]:
+def _library(cfg) -> Library:
+    """The file's graphs in attack-id order; the ids must be 0, 1, ... once each."""
     graphs = config.record(cfg, "graph library", ("graphs",))["graphs"]
-    lib: dict[AttackType, AnnotatedGraph] = {}
-    for g in map(graph_from_config, config.items(graphs, "graphs")):
-        if lib.setdefault(g.attack, g) is not g:
+    lib = sorted(map(graph_from_config, config.items(graphs, "graphs")), key=lambda g: g.attack.id)
+    for k, g in enumerate(lib):
+        if k and g.attack.id == lib[k - 1].attack.id:
             raise InputError(f"two graphs for attack {g.attack.name} (id {g.attack.id})")
-    return lib
+        if g.attack.id != k:
+            raise InputError("attack ids must be dense from 0")
+    return tuple(lib)
 
 
-def load_library(path: str | None) -> dict[AttackType, AnnotatedGraph]:
+def load_library(path: str | None) -> Library:
     """The defense graphs in a JSON file, or the built-in library without one."""
     if path is None:
         return builtin_library()

@@ -38,10 +38,10 @@ from .defense_graphs import (
     RESPONSE,
     AnnotatedGraph,
     AttackType,
+    Library,
     LogicalModule,
     PhysicalGraph,
     node_demand_vms,
-    ordered_graphs,
 )
 from .errors import InputError, OracleSizeError
 from .resource_manager import (
@@ -72,8 +72,7 @@ GAP_DUMP_THRESHOLD = 0.10
 class OracleInstance:
     delta: float = 0.05
 
-    def check(self, topo: Topology, traffic: np.ndarray,
-              lib: dict[AttackType, AnnotatedGraph]) -> None:
+    def check(self, topo: Topology, traffic: np.ndarray, lib: Library) -> None:
         problems = []
         if len(topo.pops) > MAX_POPS:
             problems.append(f"{len(topo.pops)} pops > {MAX_POPS}")
@@ -81,7 +80,7 @@ class OracleInstance:
             problems.append(f"{len(topo.datacenters)} datacenters > {MAX_DCS}")
         if len(lib) > MAX_ATTACKS:
             problems.append(f"{len(lib)} attacks > {MAX_ATTACKS}")
-        for g in lib.values():
+        for g in lib:
             if len(g.nodes) > MAX_GRAPH_NODES:
                 problems.append(f"graph {g.attack.name} has {len(g.nodes)} nodes > {MAX_GRAPH_NODES}")
         for d, dc in enumerate(topo.datacenters):
@@ -293,7 +292,7 @@ def _min_cost_transport(supplies: list[int], demands: list[int],
     return value, flow
 
 
-def _optimal_dsc(dc: Datacenter, dc_id: int, graphs: list[AnnotatedGraph],
+def _optimal_dsc(dc: Datacenter, dc_id: int, graphs: Library,
                  vols: tuple[int, ...], q: float, params: CostParams) -> tuple[float, bool]:
     """Minimum intra/inter-rack cost of placing the VM demand implied by
     per-attack volumes `vols` (grid units) onto the servers of `dc`,
@@ -321,9 +320,8 @@ def _optimal_dsc(dc: Datacenter, dc_id: int, graphs: list[AnnotatedGraph],
     free = list(slots)
     best = 0.0
     for a, counts in counts_by_attack.items():
-        g = graphs[a]
-        pg = PhysicalGraph(g.attack, dc_id, vols[a] * q, counts)
-        best += ssp_greedy(dc, pg, {g.attack: g}, free).dc_cost(params)
+        pg = PhysicalGraph(a, dc_id, vols[a] * q, counts)
+        best += ssp_greedy(dc, pg, graphs[a], free).dc_cost(params)
 
     # Exhaustive placement: assign each group's count across servers, one
     # group per level; a group pays for its edges to the groups before it.
@@ -414,12 +412,10 @@ def _optimal_dsc(dc: Datacenter, dc_id: int, graphs: list[AnnotatedGraph],
 
 
 def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
-                 lib: dict[AttackType, AnnotatedGraph],
-                 params: CostParams) -> OracleResult:
+                 lib: Library, params: CostParams) -> OracleResult:
     """Globally optimal (over the delta grid) assignment: maximize handled
     volume, then minimize alpha * wide-area cost + datacenter placement cost.
     """
-    graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
     inst.check(topo, traffic, lib)
 
@@ -437,7 +433,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
     supplies[traffic > _EPS] = units_per_cell
     supply_a = supplies.sum(axis=0)  # units per attack
 
-    factors = [g.compute_factor for g in graphs]
+    factors = [g.compute_factor for g in lib]
 
     # Feasible per-DC volume tuples (units per attack), by prefix.
     start = tuple(int(s) for s in supply_a)
@@ -470,7 +466,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
     def dsc(d: int, combo: tuple[int, ...]) -> float:
         key = (d, combo)
         if key not in dsc_memo:
-            dsc_memo[key] = _optimal_dsc(topo.datacenters[d], d, graphs, combo, q, params)
+            dsc_memo[key] = _optimal_dsc(topo.datacenters[d], d, lib, combo, q, params)
         return dsc_memo[key][0]
 
     def transport(a: int, demand: tuple[int, ...]) -> tuple[float, list[list[int]]]:
@@ -594,7 +590,7 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
             vol = best_v[a, d] * q
             if vol <= _EPS:
                 continue
-            g = graphs[a]
+            g = lib[a]
             n_dc[(d, a)] = {n.id: node_demand_vms(g, n.id, vol) for n in g.nodes}
 
     return OracleResult(objective=best_cost, handled=float(best_v.sum()) * q,
@@ -629,8 +625,7 @@ def _preset_graph(attack: AttackType, shape: str, scale: float) -> AnnotatedGrap
     return AnnotatedGraph(attack=attack, nodes=nodes, edges=edges)
 
 
-def random_tiny_instance(seed: int) -> tuple[Topology, np.ndarray,
-                                             dict[AttackType, AnnotatedGraph], CostParams]:
+def random_tiny_instance(seed: int) -> tuple[Topology, np.ndarray, Library, CostParams]:
     """Random oracle-sized instance whose capacities sit on the volume grid,
     so the greedy's handled volume is directly comparable to the oracle's.
 
@@ -650,10 +645,8 @@ def random_tiny_instance(seed: int) -> tuple[Topology, np.ndarray,
 
     shapes = ["single", "chain", "branch"]
     scales = [rng.choice([0.1, 0.2, 0.25, 0.5]) for _ in range(n_a)]
-    lib = {}
-    for a in range(n_a):
-        atk = AttackType(a, f"atk{a}")
-        lib[atk] = _preset_graph(atk, rng.choice(shapes), scales[a])
+    lib = tuple(_preset_graph(AttackType(a, f"atk{a}"), rng.choice(shapes), scales[a])
+                for a in range(n_a))
 
     traffic = np.zeros((n_e, n_a))
     while traffic.sum() == 0:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import config
-from .defense_graphs import AnnotatedGraph, AttackType, PhysicalGraph, ordered_graphs
+from .defense_graphs import AnnotatedGraph, Library, PhysicalGraph
 from .errors import CapacityError, InputError, PinConflictError
 from .resource_manager import DspResult, SspResult
 from .topology import Topology
@@ -89,16 +89,15 @@ class TagPool:
                 for (a, d), g in self.graphs.items() for node, tag in g.egress.items()}
 
 
-def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
+def assign_tags(pg: PhysicalGraph, graph: AnnotatedGraph,
                 pools: TagPool | None = None) -> TagPool:
-    """Allocate tags for one placed physical graph.
+    """Allocate tags for one placed physical graph of `graph`.
 
     Tag values are consecutive integers from the pool's counter: the
     non-root nodes' runs by node id, then the egress tags by node id.
     Passing an existing TagPool keeps values unique across graphs and
     datacenters.
     """
-    graph = lib[pg.attack]
     pools = pools if pools is not None else TagPool()
     all_counts = pg.counts
     counts = {i: all_counts[i] for i in sorted(all_counts) if all_counts[i]}
@@ -120,17 +119,16 @@ def assign_tags(pg: PhysicalGraph, lib: dict[AttackType, AnnotatedGraph],
     top = tag - 1 if egress else max(
         (sum(runs[s]) - 1 for node in counts for s in graph._succ.get(node, ()) if s in runs),
         default=0)
-    pools.graphs[(pg.attack.id, pg.dc_id)] = GraphTags(graph, counts, runs, egress, top)
+    pools.graphs[(pg.attack_id, pg.dc_id)] = GraphTags(graph, counts, runs, egress, top)
     pools.next_tag = tag
     return pools
 
 
-def build_tag_pools(physical: dict[tuple[int, int], PhysicalGraph],
-                    lib: dict[AttackType, AnnotatedGraph]) -> TagPool:
+def build_tag_pools(physical: dict[tuple[int, int], PhysicalGraph], lib: Library) -> TagPool:
     """One deployment-wide pool covering every (attack, datacenter) graph."""
     pools = TagPool()
-    for key in sorted(physical):
-        assign_tags(physical[key], lib, pools=pools)
+    for a, d in sorted(physical):
+        assign_tags(physical[(a, d)], lib[a], pools=pools)
     return pools
 
 
@@ -323,8 +321,7 @@ def _refuse_clash(runs: TagRuns, first: int, stop: int, dc: int) -> None:
 
 
 def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
-                     topo: Topology,
-                     lib: dict[AttackType, AnnotatedGraph]) -> ForwardingPlan:
+                     topo: Topology, lib: Library) -> ForwardingPlan:
     """Compile the resource assignment into proactive forwarding state:
     ingress flow-spec rules splitting over tunnels, per-datacenter tag rules
     steering between VM instances, and egress rules toward the customer.
@@ -332,7 +329,6 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
     Construction is a pure function of the assignment; no per-flow input is
     ever consulted.
     """
-    graphs = ordered_graphs(lib)
     # VMs placed per node of each graph, numbered from 0 in placement order.
     placed_counts = {(r.attack_id, r.dc_id): r.placed for r in ssps}
 
@@ -352,7 +348,7 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
         counts = pg.counts
         if pg.total_vms == 0:
             continue
-        graph = graphs[a]
+        graph = lib[a]
         placed = placed_counts.get((a, d))
         if placed is None:
             raise InputError(f"physical graph ({a},{d}) has no server placement")
@@ -410,15 +406,14 @@ def pin_bidirectional(plan: ForwardingPlan, outbound_tag: int, dc: int,
 
 
 def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
-                                pools: TagPool,
-                                lib: dict[AttackType, AnnotatedGraph]) -> int:
-    """Pin every outbound tag emitted by the graph's analysis VMs, mapping
-    each tag to the downstream VM that will process the return traffic.
-    No-op for unidirectional defense graphs. Returns the number of pins."""
-    graph = lib[pg.attack]
+                                pools: TagPool, graph: AnnotatedGraph) -> int:
+    """Pin every outbound tag emitted by the analysis VMs of a physical graph
+    of `graph`, mapping each tag to the downstream VM that will process the
+    return traffic. No-op for unidirectional defense graphs. Returns the
+    number of pins."""
     if not graph.bidirectional:
         return 0
-    g = pools.graphs.get((pg.attack.id, pg.dc_id))
+    g = pools.graphs.get((pg.attack_id, pg.dc_id))
     if g is None:
         return 0
     d = pg.dc_id
@@ -444,12 +439,12 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
 
 
 def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
-                        lib: dict[AttackType, AnnotatedGraph]) -> list[str]:
+                        lib: Library) -> list[str]:
     """Reachability check: every positive-weight annotated edge with
     instances on both ends must be realizable through pool tags and switch
     rules. Returns a list of human-readable gaps (empty when complete)."""
-    graph = lib[pg.attack]
-    a, d, counts = pg.attack.id, pg.dc_id, pg.counts
+    a, d, counts = pg.attack_id, pg.dc_id, pg.counts
+    graph = lib[a]
     g = pools.graphs.get((a, d))
     runs = plan.tag_runs.get(d, {})
     gaps = []

@@ -17,14 +17,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .defense_graphs import (
-    AnnotatedGraph,
-    AttackType,
-    PhysicalGraph,
-    ordered_graphs,
-    sequential_sum,
-    vms,
-)
+from .defense_graphs import AnnotatedGraph, Library, PhysicalGraph, sequential_sum, vms
 from .errors import InputError, PlacementError
 from .topology import CostParams, Datacenter, Topology
 
@@ -39,8 +32,7 @@ FEASIBILITY_TOL = 1e-6
 ARRAY_PASS_MIN_CELLS = 32
 
 
-def validate_traffic(traffic: np.ndarray, topo: Topology,
-                     lib: dict[AttackType, AnnotatedGraph]) -> np.ndarray:
+def validate_traffic(traffic: np.ndarray, topo: Topology, lib: Library) -> np.ndarray:
     traffic = np.asarray(traffic, dtype=float)
     expected = (len(topo.pops), len(lib))
     if traffic.shape != expected:
@@ -218,8 +210,7 @@ def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms, traffic,
     return wide_area_cost, list(zip(*(column[n:].tolist() for column in cells)))
 
 
-def dsp_greedy(topo: Topology, traffic: np.ndarray,
-               lib: dict[AttackType, AnnotatedGraph],
+def dsp_greedy(topo: Topology, traffic: np.ndarray, lib: Library,
                ceil_per_assignment: bool = False) -> DspResult:
     """Assign suspicious traffic volumes to datacenters, largest volume first,
     each to the cheapest datacenter that still has link and compute capacity.
@@ -241,10 +232,9 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
     and, after a closing with no cell barred, hands the heap to a new pass.
     Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells take no pass.
     """
-    graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
-    factors = [g.compute_factor for g in graphs]
-    rates = [g.vm_rates for g in graphs]
+    factors = [g.compute_factor for g in lib]
+    rates = [g.vm_rates for g in lib]
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
@@ -291,7 +281,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
             continue
 
         if node_demand is None:
-            node_demand = demand[(d, a)] = {n.id: 0.0 for n in graphs[a].nodes}
+            node_demand = demand[(d, a)] = {n.id: 0.0 for n in lib[a].nodes}
         compute_rem[d] -= slots
         for i, r in rates[a]:
             node_demand[i] += x * r
@@ -320,7 +310,7 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray,
                   else vms(np.array(demands)).tolist())
     for (d, a), node_demand in items:
         counts = dict(zip(node_demand, rounded))  # zip stops at the key's last node
-        physical[(a, d)] = PhysicalGraph(graphs[a].attack, d, volumes[a][d], counts)
+        physical[(a, d)] = PhysicalGraph(a, d, volumes[a][d], counts)
 
     return DspResult(f=f, demand=demand, physical=physical,
                      t_left=float(t_left), wide_area_cost=float(wide_area_cost))
@@ -425,12 +415,12 @@ def _emptiest_fitting(free: list[int], positions: Iterable[int], count: int) -> 
     return pick
 
 
-def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
-               lib: dict[AttackType, AnnotatedGraph],
+def ssp_greedy(dc: Datacenter, pg: PhysicalGraph, graph: AnnotatedGraph,
                free: list[int] | None = None) -> SspResult:
-    """Place a physical graph's VM instances onto the datacenter's servers,
-    keeping each logical node's replicas (and, transitively, its
-    predecessors) on one server or at least one rack where possible.
+    """Place the VM instances of a physical graph of `graph` onto the
+    datacenter's servers, keeping each logical node's replicas (and,
+    transitively, its predecessors) on one server or at least one rack where
+    possible.
 
     `free` holds the free VM slots of each server position in
     `dc.server_layout`; callers placing several graphs into one datacenter
@@ -438,7 +428,6 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
     before a `PlacementError`, is taken from it. Without one, the graph gets
     an empty datacenter.
     """
-    graph = lib[pg.attack]
     servers, slots, spans = dc.server_layout
     if free is None:
         free = list(slots)
@@ -453,7 +442,7 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
         pick = free.index(most)
         free[pick] -= pg.total_vms
         rack, srv = servers[pick]
-        return SspResult(pg.dc_id, pg.attack.id,
+        return SspResult(pg.dc_id, pg.attack_id,
                          {(i, rack, srv): counts[i] for i, _preds in order}, 0.0, 0.0)
 
     # A node's run per server: it reaches each server at most once.
@@ -511,12 +500,11 @@ def ssp_greedy(dc: Datacenter, pg: PhysicalGraph,
                     break
 
     intra, inter = _edge_units(graph, pg.traffic_gbps, n_srv, counts)
-    return SspResult(dc_id=pg.dc_id, attack_id=pg.attack.id, n_srv=n_srv,
+    return SspResult(dc_id=pg.dc_id, attack_id=pg.attack_id, n_srv=n_srv,
                      intra_rack_units=intra, inter_rack_units=inter)
 
 
-def place_all(topo: Topology, dsp: DspResult,
-              lib: dict[AttackType, AnnotatedGraph]) -> list[SspResult]:
+def place_all(topo: Topology, dsp: DspResult, lib: Library) -> list[SspResult]:
     """Run SSP for every (attack, datacenter) physical graph in attack-id
     order, passing each datacenter's graphs one shared list of free slots
     per server position."""
@@ -529,7 +517,7 @@ def place_all(topo: Topology, dsp: DspResult,
         dc = topo.datacenters[d]
         if d not in free:
             free[d] = list(dc.server_layout[1])
-        results.append(ssp_greedy(dc, pg, lib, free[d]))
+        results.append(ssp_greedy(dc, pg, lib[a], free[d]))
     return results
 
 
@@ -553,14 +541,13 @@ class Violation:
 
 def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
                       ssps: list[SspResult], params: CostParams,
-                      lib: dict[AttackType, AnnotatedGraph]) -> list[Violation]:
+                      lib: Library) -> list[Violation]:
     """Check a solution against the optimization's constraint set.
 
     Returns an empty list iff every constraint holds. Traffic coverage is
     relaxed: fractions may sum below 1 provided t_left accounts for the
     remainder.
     """
-    graphs = ordered_graphs(lib)
     traffic = validate_traffic(traffic, topo, lib)
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
@@ -592,7 +579,7 @@ def check_feasibility(topo: Topology, traffic: np.ndarray, dsp: DspResult,
     volumes = attack_dc_volumes(dsp.f, traffic).tolist()
     for d in range(n_d):
         for a in range(n_a):
-            g = graphs[a]
+            g = lib[a]
             vol = volumes[a][d]
             if vol <= tol:
                 continue

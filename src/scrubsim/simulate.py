@@ -22,7 +22,7 @@ import numpy as np
 from . import config
 from .adaptation import (STRATEGIES, AdversaryStrategy, Budget, EstimatorState, adversary_next,
                          check_estimator, estimate, loss_accounting)
-from .defense_graphs import AnnotatedGraph, AttackType, load_library, ordered_graphs
+from .defense_graphs import Library, load_library
 from .errors import InputError, PlacementError
 from .orchestration import (ForwardingPlan, build_tag_pools, pin_bidirectional_for_graph,
                             synthesize_rules)
@@ -84,7 +84,7 @@ class Scenario:
             return load_topology(self.topology_path)
         return generate_topology(self.topology_nodes, self.dc_slots, seed=self.seed)
 
-    def load_library(self) -> dict[AttackType, AnnotatedGraph]:
+    def load_library(self) -> Library:
         return load_library(self.graphs_path)
 
     @classmethod
@@ -173,8 +173,7 @@ def _run_seed(sc: Scenario, seed: int | None) -> int:
     return seed
 
 
-def _run_epochs(sc: Scenario, seed: int, topo: Topology,
-                lib: dict[AttackType, AnnotatedGraph]) -> list[EpochRecord]:
+def _run_epochs(sc: Scenario, seed: int, topo: Topology, lib: Library) -> list[EpochRecord]:
     """The epochs of one run on a loaded topology and library, which no
     run changes."""
     return [record for record, _plan in _epochs(sc, seed, topo, lib)]
@@ -193,7 +192,7 @@ class EpochPlan:
     error: str = ""
 
 
-def control_plane(topo: Topology, lib: dict[AttackType, AnnotatedGraph],
+def control_plane(topo: Topology, lib: Library,
                   traffic: np.ndarray, gamma: float = 1.0,
                   cost: CostParams = CostParams()) -> EpochPlan:
     """Provision for `traffic` (pop x attack Gbps) with cushion `gamma`,
@@ -208,18 +207,16 @@ def control_plane(topo: Topology, lib: dict[AttackType, AnnotatedGraph],
     price = evaluate_cost(dsp, ssps, cost)
     pools = build_tag_pools(dsp.physical, lib)
     plan = synthesize_rules(dsp, ssps, pools, topo, lib)
-    for pg in dsp.physical.values():
-        pin_bidirectional_for_graph(plan, pg, pools, lib)
+    for (a, _d), pg in dsp.physical.items():
+        pin_bidirectional_for_graph(plan, pg, pools, lib[a])
     return EpochPlan(dsp, ssps, plan, price)
 
 
-def _epochs(sc: Scenario, seed: int, topo: Topology,
-            lib: dict[AttackType, AnnotatedGraph],
+def _epochs(sc: Scenario, seed: int, topo: Topology, lib: Library,
             ) -> Iterator[tuple[EpochRecord, EpochPlan]]:
     """Run the epochs one at a time, yielding each epoch's record and
     control-plane step."""
-    graphs = ordered_graphs(lib)
-    n_pops, n_attacks = len(topo.pops), len(graphs)
+    n_pops, n_attacks = len(topo.pops), len(lib)
     budget = Budget(sc.budget_gbps)
     strategy = AdversaryStrategy(kind=sc.adversary, seed=seed)
     state = EstimatorState(kind=sc.estimator, n_pops=n_pops, n_attacks=n_attacks)

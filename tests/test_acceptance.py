@@ -27,7 +27,6 @@ from scrubsim.defense_graphs import (
     builtin_library,
     monolithic_demand_vms,
     node_demand_vms,
-    ordered_graphs,
 )
 from scrubsim.oracle import gap_summary, oracle_comparison, random_tiny_instance
 from scrubsim.orchestration import (
@@ -131,7 +130,7 @@ def test_criterion_4_tag_bit_bound():
     )
     max_tags, bits = tag_space_bound([chain, chain], l_max=50, k_max=2)
     builtin_tags, builtin_bits = tag_space_bound(
-        list(builtin_library().values()), l_max=50, k_max=2)
+        list(builtin_library()), l_max=50, k_max=2)
     ok = (max_tags, bits) == (800, 10) and builtin_tags <= 800
     report(4, ok,
            f"bound 800 → {bits} bits; builtin library at l_max=50, k_max=2 → "
@@ -179,7 +178,7 @@ def test_criterion_6_fine_grained_vs_monolithic():
     fine_total = 0
     mono_total = 0
     per_attack = {}
-    for g in ordered_graphs(lib):
+    for g in lib:
         fine = sum(node_demand_vms(g, node.id, t) for node in g.nodes)
         mono = monolithic_demand_vms(g, t) * len(g.nodes)
         fine_total += fine
@@ -195,7 +194,7 @@ def test_criterion_6_fine_grained_vs_monolithic():
 
 
 def test_criterion_7_strategy_layer_toy_trace():
-    lib = {g.attack: g for g in ordered_graphs(builtin_library())[:2]}
+    lib = builtin_library()[:2]
     trace = [np.array([[10.0, 0.0]]), np.array([[20.0, 0.0]]),
              np.array([[0.0, 30.0]])]
     state = EstimatorState("prevepoch", 1, 2)

@@ -30,17 +30,13 @@ from scrubsim.adaptation import (
     run_estimator_on_trace,
     uniform_estimate,
 )
-from scrubsim.defense_graphs import (
-    AttackType,
-    builtin_library,
-    ordered_graphs,
-)
+from scrubsim.defense_graphs import AttackType, builtin_library
 from scrubsim.errors import InputError
 from scrubsim.simulate import Scenario
 from reference import reference_adversary_next
 
 LIB = builtin_library()
-LIB2 = {g.attack: g for g in ordered_graphs(LIB)[:2]}
+LIB2 = LIB[:2]
 
 
 def toy_trace():
@@ -191,11 +187,10 @@ class TestLossAccounting:
             assert w - v == pytest.approx(float((prov - act).sum()))
 
     def test_vm_conversion_uses_compute_factor(self):
-        graphs = ordered_graphs(LIB2)
         prov = np.array([[7.0, 0.0]])
         act = np.zeros((1, 2))
         _w, _v, wvm = loss_accounting(prov, act, LIB2)
-        assert wvm == pytest.approx(7.0 * graphs[0].compute_factor)
+        assert wvm == pytest.approx(7.0 * LIB2[0].compute_factor)
 
 
 class TestBestStaticHindsight:
@@ -364,7 +359,7 @@ def _loop_losses(provisioned, actual, lib):
     """One epoch's (wastage, evasion, VM wastage), summed cell by cell."""
     wast = np.maximum(provisioned - actual, 0.0)
     evas = np.maximum(actual - provisioned, 0.0)
-    factors = np.array([g.compute_factor for g in ordered_graphs(lib)])
+    factors = np.array([g.compute_factor for g in lib])
     return float(wast.sum()), float(evas.sum()), float((wast.sum(axis=0) * factors).sum())
 
 
@@ -462,12 +457,8 @@ def _loop_per_epoch(strategy_kind, kind, n_pops, budget, lib, epochs, seeds):
 
 def _library(picks):
     """The built-in graphs at ``picks``, renumbered densely in that order."""
-    graphs = ordered_graphs(LIB)
-    lib = {}
-    for k, i in enumerate(picks):
-        attack = AttackType(k, graphs[i].attack.name)
-        lib[attack] = replace(graphs[i], attack=attack)
-    return lib
+    return tuple(replace(LIB[i], attack=AttackType(k, LIB[i].attack.name))
+                 for k, i in enumerate(picks))
 
 
 _picks = st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True)

@@ -13,7 +13,7 @@ import scrubsim
 from scrubsim import adaptation, oracle, simulate
 from scrubsim.adaptation import AdversaryStrategy, Budget, adversary_next
 from scrubsim.cli import main
-from scrubsim.defense_graphs import builtin_library, graph_to_config, ordered_graphs
+from scrubsim.defense_graphs import builtin_library, graph_to_config
 from scrubsim.errors import InputError, OracleSizeError
 from scrubsim.resource_manager import dsp_greedy
 from scrubsim.topology import generate_topology, save_topology
@@ -23,7 +23,7 @@ from reference import capacity_bound_case
 def library_text(edit=lambda graphs: None):
     """The builtin library as graph file text, after `edit` has changed its
     list of graph configs in place."""
-    graphs = [graph_to_config(g) for g in ordered_graphs(builtin_library())]
+    graphs = [graph_to_config(g) for g in builtin_library()]
     edit(graphs)
     return json.dumps({"graphs": graphs})
 
@@ -262,6 +262,32 @@ def test_graph_validate_refuses_mistyped_fields(tmp_path, edit, message):
     assert isinstance(res.exception, SystemExit)
     assert res.output.startswith(f"error: cannot load graph library {path}: ")
     assert message in res.output
+
+
+@pytest.mark.parametrize("command", [
+    ["graph", "validate", "{lib}"],
+    ["graph", "demand", "--attack", "syn_flood", "--gbps", "1", "--graphs", "{lib}"],
+    ["simulate", "--scenario", "{scenario}", "--out-dir", "{out}"],
+], ids=["validate", "demand", "simulate"])
+@pytest.mark.parametrize("edit, message", [
+    (lambda g: g.__delitem__(1), "attack ids must be dense from 0"),
+    (lambda g: g[1]["attack"].update(id=0), "two graphs for attack dns_amplification (id 0)"),
+], ids=["ids-0-and-2", "two-id-0"])
+def test_library_ids_are_checked_at_load(tmp_path, command, edit, message):
+    """A library whose attack ids are not 0, 1, ... once each is refused
+    when its file is loaded, whichever command reads it."""
+    lib = tmp_path / "graphs.json"
+    write_library(lib, edit)
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps({"epochs": 1, "budget_gbps": 10.0, "adversary": "steady",
+                                    "estimator": "uniform", "topology_nodes": 8,
+                                    "dc_slots": 200, "graphs_path": str(lib)}))
+    out = tmp_path / "out"
+    paths = {"lib": str(lib), "scenario": str(scenario), "out": str(out)}
+    res = CliRunner().invoke(main, [a.format(**paths) for a in command])
+    assert res.exit_code == 2, res.output
+    assert res.output == f"error: cannot load graph library {lib}: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["rm", "dsp"], ["rm", "ssp"], ["orch", "rules"]])

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,9 +17,9 @@ from scrubsim.defense_graphs import (
     builtin_library,
     graph_from_config,
     graph_to_config,
+    load_library,
     monolithic_demand_vms,
     node_demand_vms,
-    ordered_graphs,
     sequential_sum,
     vms,
 )
@@ -168,7 +169,7 @@ class TestShare:
         # of the node's incoming weights in edge order, or the root's even
         # part of the external input.
         rng = random.Random(3)
-        graphs = [random_graph(rng) for _ in range(200)] + ordered_graphs(builtin_library())
+        graphs = [random_graph(rng) for _ in range(200)] + list(builtin_library())
         for g in graphs:
             for n in g.nodes:
                 incoming = [w for _s, d, w in g.edges if d == n.id]
@@ -239,34 +240,39 @@ class TestMonolithic:
 class TestBuiltinLibrary:
     def test_udp_flood_has_four_modules(self):
         lib = builtin_library()
-        udp = [g for g in lib.values() if g.attack.name == "udp_flood"][0]
+        udp = [g for g in lib if g.attack.name == "udp_flood"][0]
         assert len(udp.nodes) == 4
 
     def test_all_graphs_validate(self):
-        for g in builtin_library().values():
+        for g in builtin_library():
             g.validate()
             assert sum(g.external_fraction(r) for r in g.roots) == pytest.approx(1.0)
 
     def test_attack_ids_dense(self):
-        graphs = ordered_graphs(builtin_library())
-        assert [g.attack.id for g in graphs] == list(range(4))
+        assert [g.attack.id for g in builtin_library()] == list(range(4))
 
     def test_only_dns_is_bidirectional(self):
         lib = builtin_library()
-        flags = {g.attack.name: g.bidirectional for g in lib.values()}
+        flags = {g.attack.name: g.bidirectional for g in lib}
         assert flags["dns_amplification"] is True
         assert flags["udp_flood"] is False
 
 
 class TestValidation:
-    def test_rejects_cycle(self):
-        # No node is a root, and the acyclicity check says so first.
+    @pytest.mark.parametrize("n_nodes, edges", [
+        (2, [(0, 1, 0.5), (1, 0, 0.5)]),
+        (1, [(0, 0, 0.5)]),
+        (3, [(0, 1, 0.5), (1, 2, 0.5), (2, 1, 0.5)]),
+    ], ids=["no-root", "self-loop", "behind-a-root"])
+    def test_rejects_cycle(self, n_nodes, edges):
+        # With no root, the acyclicity check says so first.
         with pytest.raises(InputError, match="contains a cycle"):
             AnnotatedGraph(
                 attack=ATK,
                 nodes=[LogicalModule(0, "a", ANALYSIS, 5.0, contexts=1),
-                       LogicalModule(1, "b", RESPONSE, 5.0, contexts=1)],
-                edges=[(0, 1, 0.5), (1, 0, 0.5)],
+                       LogicalModule(1, "b", RESPONSE, 5.0, contexts=1),
+                       LogicalModule(2, "c", RESPONSE, 5.0, contexts=1)][:n_nodes],
+                edges=edges,
             )
 
     def test_rejects_weight_above_one(self):
@@ -299,7 +305,12 @@ class TestValidation:
 
 
 class TestConfigRoundTrip:
-    def test_round_trip(self):
-        for g in builtin_library().values():
+    def test_round_trip(self, tmp_path):
+        for g in builtin_library():
             again = graph_from_config(graph_to_config(g))
             assert graph_to_config(again) == graph_to_config(g)
+        # A file may list the graphs in any order; the library is in id order.
+        path = tmp_path / "graphs.json"
+        path.write_text(json.dumps({"graphs": [graph_to_config(g)
+                                               for g in reversed(builtin_library())]}))
+        assert load_library(str(path)) == builtin_library()

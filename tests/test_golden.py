@@ -107,7 +107,7 @@ def golden_plan():
     pools = build_tag_pools(dsp.physical, lib)
     plan = synthesize_rules(dsp, ssps, pools, topo, lib)
     for key in sorted(dsp.physical):
-        pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
+        pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib[key[0]])
     return plan
 
 
@@ -247,7 +247,7 @@ def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict
                                 r.inter_rack_units) for r in ssps]))
     plan = synthesize_rules(dsp, ssps, pools, topo, lib)
     for key in sorted(dsp.physical):
-        pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib)
+        pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib[key[0]])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "plan.json"
         plan.dump(str(path))

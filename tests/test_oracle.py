@@ -41,7 +41,7 @@ def one_node_lib(p=10.0):
     g = AnnotatedGraph(attack=ATK,
                        nodes=[LogicalModule(0, "m0", ANALYSIS, p, contexts=1)],
                        edges=[])
-    return {ATK: g}
+    return (g,)
 
 
 class TestTransport:
@@ -343,9 +343,9 @@ def greedy_dsc(dc, graphs, vols, q, params):
         vol = vols[a] * q
         if vol > 1e-9:
             counts = {n.id: node_demand_vms(g, n.id, vol) for n in g.nodes}
-            pg = PhysicalGraph(g.attack, 0, vol, counts)
+            pg = PhysicalGraph(g.attack.id, 0, vol, counts)
             try:
-                total += ssp_greedy(dc, pg, {g.attack: g}, free).dc_cost(params)
+                total += ssp_greedy(dc, pg, g, free).dc_cost(params)
             except PlacementError:
                 return math.inf
     return total

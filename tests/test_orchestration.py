@@ -16,7 +16,6 @@ from scrubsim.defense_graphs import (
     LogicalModule,
     PhysicalGraph,
     builtin_library,
-    ordered_graphs,
 )
 from scrubsim.errors import CapacityError, InputError, PinConflictError, PlacementError
 from scrubsim.orchestration import (
@@ -65,18 +64,16 @@ def small_topo(n_dcs=1):
 class TestAssignTags:
     def test_one_downstream_per_context(self):
         g = two_branch_graph()
-        lib = {ATK: g}
-        pg = PhysicalGraph(g.attack, 0, 10.0, {0: 1, 1: 1, 2: 1})
-        pools = assign_tags(pg, lib)
+        pg = PhysicalGraph(g.attack.id, 0, 10.0, {0: 1, 1: 1, 2: 1})
+        pools = assign_tags(pg, g)
         a1 = (0, 0, 0, 0)
         assert pools.pool(a1, 0) == [1]  # context 0 -> r_ok's instance
         assert pools.pool(a1, 1) == [2]  # context 1 -> r_log's instance
 
     def test_pool_has_one_tag_per_downstream_instance(self):
         g = two_context_graph()
-        lib = {ATK: g}
-        pg = PhysicalGraph(g.attack, 0, 40.0, {0: 2, 1: 2})
-        pools = assign_tags(pg, lib)
+        pg = PhysicalGraph(g.attack.id, 0, 40.0, {0: 2, 1: 2})
+        pools = assign_tags(pg, g)
         for idx in range(2):
             pool = pools.pool((0, 0, 0, idx), 0)
             assert len(pool) == 2
@@ -88,11 +85,10 @@ class TestAssignTags:
         # An id the graph lacks is refused by name, the lowest such id first,
         # before the pool's counter or graphs change.
         g = two_branch_graph()
-        pools = assign_tags(PhysicalGraph(g.attack, 0, 10.0, {0: 1, 1: 1}), {ATK: g})
+        pools = assign_tags(PhysicalGraph(g.attack.id, 0, 10.0, {0: 1, 1: 1}), g)
         before = (pools.next_tag, dict(pools.graphs))
         with pytest.raises(InputError) as err:
-            assign_tags(PhysicalGraph(g.attack, 1, 10.0, {0: 1, 9: 2, 7: 1, 2: 0}),
-                        {ATK: g}, pools)
+            assign_tags(PhysicalGraph(g.attack.id, 1, 10.0, {0: 1, 9: 2, 7: 1, 2: 0}), g, pools)
         assert str(err.value) == "unknown node id 7 in atk0 graph"
         assert (pools.next_tag, pools.graphs) == before
 
@@ -101,15 +97,14 @@ class TestAssignTags:
                            nodes=[LogicalModule(0, "m", ANALYSIS, 10.0,
                                                 contexts=1, delivers=True)],
                            edges=[])
-        pg = PhysicalGraph(g.attack, 0, 5.0, {0: 1})
-        pools = assign_tags(pg, {ATK: g})
+        pg = PhysicalGraph(g.attack.id, 0, 5.0, {0: 1})
+        pools = assign_tags(pg, g)
         assert len(pools.pool((0, 0, 0, 0), 0)) == 1
 
     def test_shared_pool_keeps_tags_unique(self):
         lib = builtin_library()
         topo = small_topo(2)
-        graphs = ordered_graphs(lib)
-        traffic = np.zeros((1, len(graphs)))
+        traffic = np.zeros((1, len(lib)))
         traffic[0, :] = 20.0
         dsp = dsp_greedy(topo, traffic, lib)
         pools = build_tag_pools(dsp.physical, lib)
@@ -140,13 +135,13 @@ class TestTagSpaceBound:
         assert tag_space_bound([g], l_max=1, k_max=1) == (1, 0)
 
     def test_linear_in_l_max(self):
-        graphs = list(builtin_library().values())
+        graphs = list(builtin_library())
         m1, _ = tag_space_bound(graphs, l_max=10)
         m2, _ = tag_space_bound(graphs, l_max=20)
         assert m2 == 2 * m1
 
     def test_builtin_within_budget(self):
-        graphs = list(builtin_library().values())
+        graphs = list(builtin_library())
         max_tags, bits = tag_space_bound(graphs, l_max=50, k_max=2)
         assert max_tags <= 800
         assert bits <= 10
@@ -154,7 +149,7 @@ class TestTagSpaceBound:
 
 class TestSynthesizeRules:
     def _plan(self, g, traffic_gbps=10.0):
-        lib = {g.attack: g}
+        lib = (g,)
         topo = small_topo()
         traffic = np.array([[traffic_gbps]])
         dsp = dsp_greedy(topo, traffic, lib)
@@ -177,8 +172,7 @@ class TestSynthesizeRules:
         assert plan.max_switch_rules() == len(pools.instance_tags) + len(pools.egress_tags)
 
     def test_empty_assignment_zero_rules(self):
-        g = two_branch_graph()
-        lib = {ATK: g}
+        lib = (two_branch_graph(),)
         topo = small_topo()
         dsp = dsp_greedy(topo, np.array([[0.0]]), lib)
         plan = synthesize_rules(dsp, [], TagPool(), topo, lib)
@@ -217,15 +211,15 @@ class TestSynthesizeRules:
         first, second = sorted(dsp.physical)
         # Number the second graph from the first graph's first tag, so two
         # VMs at one datacenter carry one identity tag.
-        pools = assign_tags(dsp.physical[first], lib)
+        pools = assign_tags(dsp.physical[first], lib[first[0]])
         shared = pools.next_tag = min(pools.instance_tags.values())
-        assign_tags(dsp.physical[second], lib, pools)
+        assign_tags(dsp.physical[second], lib[second[0]], pools)
         with pytest.raises(InputError) as err:
             synthesize_rules(dsp, ssps, pools, topo, lib)
         assert str(err.value) == f"duplicate rule match ('tag', {shared}) on dc0"
 
     def test_clash_inside_a_run_names_its_first_shared_tag(self):
-        lib = {ATK: two_branch_graph()}
+        lib = (two_branch_graph(),)
         topo = small_topo()
         dsp = dsp_greedy(topo, np.array([[40.0]]), lib)
         ssps = place_all(topo, dsp, lib)
@@ -254,7 +248,7 @@ class TestPlanRealizesEdges:
     tag 5 is the egress tag."""
 
     def _setup(self):
-        lib = {ATK: two_branch_graph()}
+        lib = (two_branch_graph(),)
         topo = small_topo()
         dsp = dsp_greedy(topo, np.array([[40.0]]), lib)
         ssps = place_all(topo, dsp, lib)
@@ -312,7 +306,7 @@ class TestPlanRealizesEdges:
                    LogicalModule(2, "r_drop", RESPONSE, 10.0, contexts=1)],
             edges=[(0, 1, 0.0), (0, 2, 1.0)],
         )
-        lib = {ATK: g}
+        lib = (g,)
         topo = small_topo()
         traffic = np.array([[20.0]])
         dsp = dsp_greedy(topo, traffic, lib)
@@ -333,8 +327,8 @@ class TestPlanRealizesEdges:
 class TestLoadBalancePick:
     def test_single_tag_pool(self):
         g = two_branch_graph()
-        pg = PhysicalGraph(g.attack, 0, 10.0, {0: 1, 1: 1, 2: 1})
-        pools = assign_tags(pg, {ATK: g})
+        pg = PhysicalGraph(g.attack.id, 0, 10.0, {0: 1, 1: 1, 2: 1})
+        pools = assign_tags(pg, g)
         rng = random.Random(1)
         vm = (0, 0, 0, 0)
         tags = {load_balance_pick(pools, vm, 0, rng) for _ in range(50)}
@@ -343,8 +337,8 @@ class TestLoadBalancePick:
 
     def test_uniform_over_two_tags(self):
         g = two_context_graph()
-        pg = PhysicalGraph(g.attack, 0, 40.0, {0: 1, 1: 2})
-        pools = assign_tags(pg, {ATK: g})
+        pg = PhysicalGraph(g.attack.id, 0, 40.0, {0: 1, 1: 2})
+        pools = assign_tags(pg, g)
         rng = random.Random(123)
         vm = (0, 0, 0, 0)
         pool = pools.pool(vm, 0)
@@ -357,8 +351,8 @@ class TestLoadBalancePick:
 
     def test_reproducible_per_seed(self):
         g = two_context_graph()
-        pg = PhysicalGraph(g.attack, 0, 40.0, {0: 1, 1: 2})
-        pools = assign_tags(pg, {ATK: g})
+        pg = PhysicalGraph(g.attack.id, 0, 40.0, {0: 1, 1: 2})
+        pools = assign_tags(pg, g)
         vm = (0, 0, 0, 0)
 
         def draws(seed):
@@ -377,7 +371,7 @@ class TestLoadBalancePick:
 class TestBidirectionalPins:
     def _dns_setup(self):
         lib = builtin_library()
-        dns = [g for g in lib.values() if g.attack.name == "dns_amplification"][0]
+        dns = [g for g in lib if g.attack.name == "dns_amplification"][0]
         topo = small_topo()
         traffic = np.zeros((1, 4))
         traffic[0, dns.attack.id] = 20.0
@@ -406,9 +400,9 @@ class TestBidirectionalPins:
         lib = builtin_library()
         topo = small_topo()
         traffic = np.zeros((1, 4))
-        dns_id = [g.attack.id for g in lib.values()
+        dns_id = [g.attack.id for g in lib
                   if g.attack.name == "dns_amplification"][0]
-        udp_id = [g.attack.id for g in lib.values()
+        udp_id = [g.attack.id for g in lib
                   if g.attack.name == "udp_flood"][0]
         traffic[0, dns_id] = 20.0
         traffic[0, udp_id] = 20.0
@@ -416,13 +410,12 @@ class TestBidirectionalPins:
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
         plan = synthesize_rules(dsp, ssps, pools, topo, lib)
-        graphs = ordered_graphs(lib)
-        pins = {a: pin_bidirectional_for_graph(plan, pg, pools, lib)
+        pins = {a: pin_bidirectional_for_graph(plan, pg, pools, lib[a])
                 for (a, d), pg in dsp.physical.items()}
         assert pins[dns_id] > 0
         assert pins[udp_id] == 0
         # Every analysis VM's outbound tags are pinned for the DNS graph.
-        dns_graph = graphs[dns_id]
+        dns_graph = lib[dns_id]
         pg = dsp.physical[(dns_id, 0)]
         for node, count in pg.counts.items():
             if dns_graph.node(node).kind != "analysis":
@@ -471,10 +464,9 @@ class ReferencePools:
             raise CapacityError(f"no tag pool for vm {vm} context {context}") from None
 
 
-def reference_assign_tags(pg, lib, pools=None):
-    graph = lib[pg.attack]
+def reference_assign_tags(pg, graph, pools=None):
     pools = pools if pools is not None else ReferencePools()
-    a, d = pg.attack.id, pg.dc_id
+    a, d = pg.attack_id, pg.dc_id
     roots = set(graph.roots)
     placed_nodes = sorted(i for i, c in pg.counts.items() if c > 0)
     slots_needed = []
@@ -507,7 +499,6 @@ def reference_assign_tags(pg, lib, pools=None):
 
 
 def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
-    graphs = ordered_graphs(lib)
     placements = {(r.attack_id, r.dc_id): r.placements for r in ssps}
     wide_area = {}
     assigned = np.nonzero(dsp.f > 0)
@@ -530,7 +521,7 @@ def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
     for (a, d), pg in sorted(dsp.physical.items()):
         if pg.total_vms == 0:
             continue
-        graph = graphs[a]
+        graph = lib[a]
         placed = placements.get((a, d))
         if placed is None:
             raise InputError(f"physical graph ({a},{d}) has no server placement")
@@ -570,12 +561,11 @@ def reference_pins(physical, pools, lib):
     """Every bidirectional graph's pins by a linear search of the identity
     tags at its datacenter, and the number of new pins per graph in sorted
     order; or the message of the first pin that remaps a tag."""
-    graphs = ordered_graphs(lib)
     pins: dict[int, tuple[int, tuple]] = {}
     counts = []
     for (a, d), pg in sorted(physical.items()):
         count = 0
-        graph = graphs[a]
+        graph = lib[a]
         if graph.bidirectional:
             for node in sorted(pg.counts):
                 if graph.node(node).kind != "analysis":
@@ -601,7 +591,7 @@ def reference_pins(physical, pools, lib):
 def library_pins(plan, physical, pools, lib):
     """`reference_pins` of the library: pin every graph in sorted order."""
     try:
-        counts = [pin_bidirectional_for_graph(plan, physical[key], pools, lib)
+        counts = [pin_bidirectional_for_graph(plan, physical[key], pools, lib[key[0]])
                   for key in sorted(physical)]
     except PinConflictError as exc:
         return str(exc)
@@ -682,7 +672,7 @@ def numbered_pools(assign, physical, lib, pools, rewind):
     for i, key in enumerate(keys):
         if rewind is not None and i == rewind[0] % len(keys):
             pools.next_tag = 1 + rewind[1] % pools.next_tag
-        assign(physical[key], lib, pools)
+        assign(physical[key], lib[key[0]], pools)
     return pools
 
 
@@ -700,8 +690,8 @@ class TestMatchesLinearReference:
         for i, key in enumerate(keys):
             if rewind is not None and i == rewind[0] % len(keys):
                 got.next_tag = want.next_tag = 1 + rewind[1] % got.next_tag
-            assert assign_tags(dsp.physical[key], lib, got) is got
-            reference_assign_tags(dsp.physical[key], lib, want)
+            assert assign_tags(dsp.physical[key], lib[key[0]], got) is got
+            reference_assign_tags(dsp.physical[key], lib[key[0]], want)
             assert pool_state(got, dsp.physical) == pool_state(want)
             assert got.max_tag == max([t for p in want.pools.values() for t in p], default=0)
         for (vm, c), tags in want.pools.items():
@@ -723,14 +713,15 @@ class TestMatchesLinearReference:
             assert got.pool(vm, c) == tags
 
     def test_pools_for_more_vms_give_rules_to_the_placed_ones(self):
-        lib = {ATK: two_branch_graph()}
+        lib = (two_branch_graph(),)
         topo = small_topo()
         dsp = dsp_greedy(topo, np.array([[40.0]]), lib)
         ssps = place_all(topo, dsp, lib)
         pg = dsp.physical[(0, 0)]
         more = replace(pg, counts={node: n + 1 for node, n in pg.counts.items()})
-        plan = synthesize_rules(dsp, ssps, assign_tags(more, lib), topo, lib)
-        want = reference_synthesize_rules(dsp, ssps, reference_assign_tags(more, lib), topo, lib)
+        plan = synthesize_rules(dsp, ssps, assign_tags(more, lib[0]), topo, lib)
+        want = reference_synthesize_rules(dsp, ssps, reference_assign_tags(more, lib[0]), topo,
+                                          lib)
         assert plan_state(plan) == reference_state(*want)
         assert plan.tag_runs == {0: {1: (3, (0, 0, 1)), 4: (6, (0, 0, 2)), 7: (8, None)}}
 

@@ -18,7 +18,6 @@ from scrubsim.defense_graphs import (
     LogicalModule,
     PhysicalGraph,
     builtin_library,
-    ordered_graphs,
     vms,
 )
 from scrubsim.errors import InputError, PlacementError
@@ -68,7 +67,7 @@ def chain_graph(attack=ATK, p=(10.0, 10.0), w=1.0):
 
 class TestDspGreedy:
     def test_unconstrained_single_dc(self):
-        lib = {ATK: one_node_graph()}
+        lib = (one_node_graph(),)
         topo = make_topo(1, [make_dc(999.0, [[99]])], [[3.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
         assert dsp.f[0, 0, 0] == pytest.approx(1.0)
@@ -78,7 +77,7 @@ class TestDspGreedy:
     def test_link_capacity_split(self):
         # Nearest datacenter can only take 6 of 10 Gbps; the rest overflows
         # to the farther one.
-        lib = {ATK: one_node_graph()}
+        lib = (one_node_graph(),)
         topo = make_topo(1, [make_dc(6.0, [[99]]), make_dc(99.0, [[99]])],
                          [[1.0, 5.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
@@ -87,7 +86,7 @@ class TestDspGreedy:
         assert dsp.t_left == 0.0
 
     def test_overflow_lands_in_t_left(self):
-        lib = {ATK: one_node_graph()}
+        lib = (one_node_graph(),)
         topo = make_topo(1, [make_dc(4.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
         assert dsp.t_left == pytest.approx(6.0)
@@ -104,14 +103,13 @@ class TestDspGreedy:
         for seed in range(25):
             topo, traffic, lib, _params = random_tiny_instance(seed)
             dsp = dsp_greedy(topo, traffic, lib)
-            graphs = ordered_graphs(lib)
-            factors = [g.compute_factor for g in graphs]
+            factors = [g.compute_factor for g in lib]
             volumes = attack_dc_volumes(dsp.f, traffic)
             for d, dc in enumerate(topo.datacenters):
                 vol = float((dsp.f[:, :, d] * traffic).sum())
                 assert vol <= dc.link_capacity_gbps + 1e-6
                 used = sum(volumes[a, d] * factors[a]
-                           for a in range(len(graphs)))
+                           for a in range(len(lib)))
                 assert used <= dc.compute_capacity + 1e-6
 
     def test_deterministic(self):
@@ -122,7 +120,7 @@ class TestDspGreedy:
         assert a.n_dc == b.n_dc
 
     def test_vm_counts_ceil_fractional_demand(self):
-        lib = {ATK: chain_graph()}
+        lib = (chain_graph(),)
         topo = make_topo(1, [make_dc(999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[15.0]]), lib)
         assert dsp.n_dc[(0, 0)] == {0: 2, 1: 2}  # ceil(15/10) each
@@ -130,7 +128,7 @@ class TestDspGreedy:
     def test_ceil_per_assignment_respects_slot_budget(self):
         # Fractional accounting on a 3-slot datacenter admits 15 Gbps but
         # rounds to 4 VMs; whole-VM charging stops at 10 Gbps and 2 VMs.
-        lib = {ATK: chain_graph()}
+        lib = (chain_graph(),)
         topo = make_topo(1, [make_dc(999.0, [[3]])], [[1.0]])
         traffic = np.array([[15.0]])
         frac = dsp_greedy(topo, traffic, lib)
@@ -152,7 +150,7 @@ class TestDspGreedy:
 
 class TestOverprovision:
     def test_gamma_scales_counts(self):
-        lib = {ATK: chain_graph()}
+        lib = (chain_graph(),)
         topo = make_topo(1, [make_dc(999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[20.0]]), lib)
         padded = overprovision(dsp, 1.5)
@@ -161,7 +159,7 @@ class TestOverprovision:
         assert np.array_equal(padded.f, dsp.f)
 
     def test_gamma_one_is_identity(self):
-        lib = {ATK: chain_graph()}
+        lib = (chain_graph(),)
         topo = make_topo(1, [make_dc(999.0, [[99]])], [[1.0]])
         dsp = dsp_greedy(topo, np.array([[20.0]]), lib)
         assert overprovision(dsp, 1.0) is dsp
@@ -171,8 +169,8 @@ class TestSspGreedy:
     def test_whole_graph_on_one_server(self):
         g = chain_graph()
         dc = make_dc(999.0, [[10, 10], [10, 10]])
-        pg = PhysicalGraph(g.attack, 0, 20.0, {0: 2, 1: 2})
-        res = ssp_greedy(dc, pg, {ATK: g})
+        pg = PhysicalGraph(g.attack.id, 0, 20.0, {0: 2, 1: 2})
+        res = ssp_greedy(dc, pg, g)
         assert res.intra_rack_units == 0.0
         assert res.inter_rack_units == 0.0
         servers = set(res.placements.values())
@@ -182,17 +180,17 @@ class TestSspGreedy:
         g = chain_graph()
         # Two racks, one server each, two slots each: node a fills rack 0.
         dc = make_dc(999.0, [[2], [2]])
-        pg = PhysicalGraph(g.attack, 0, 20.0, {0: 2, 1: 2})
-        res = ssp_greedy(dc, pg, {ATK: g})
+        pg = PhysicalGraph(g.attack.id, 0, 20.0, {0: 2, 1: 2})
+        res = ssp_greedy(dc, pg, g)
         assert res.intra_rack_units == 0.0
         assert res.inter_rack_units == pytest.approx(20.0)  # edge volume 20 * w=1.0
 
     def test_failed_place_all_leaves_next_call_a_full_datacenter(self):
         g = chain_graph()
-        lib = {ATK: g}
+        lib = (g,)
 
         def dsp_for(counts):
-            pg = PhysicalGraph(g.attack, 0, 10.0, counts)
+            pg = PhysicalGraph(g.attack.id, 0, 10.0, counts)
             return DspResult(f=np.zeros((1, 1, 1)), demand={},
                              physical={(0, 0): pg}, t_left=0.0, wide_area_cost=0.0)
 
@@ -223,8 +221,8 @@ class TestSspGreedy:
                    LogicalModule(2, "r", RESPONSE, 10.0, contexts=1, delivers=True)],
             edges=[(0, 2, 0.5), (1, 2, 0.5)],
         )
-        res = ssp_greedy(make_dc(999.0, rack_slots), PhysicalGraph(g.attack, 0, 10.0, counts),
-                         {ATK: g})
+        res = ssp_greedy(make_dc(999.0, rack_slots), PhysicalGraph(g.attack.id, 0, 10.0, counts),
+                         g)
         assert [key[1:] for key in res.n_srv if key[0] == 2] == [want]
 
     def test_predecessor_without_vms_leaves_successor_to_the_emptiest_server(self):
@@ -235,22 +233,22 @@ class TestSspGreedy:
                    LogicalModule(2, "r", RESPONSE, 10.0, contexts=1, delivers=True)],
             edges=[(0, 1, 1.0), (1, 2, 1.0)],
         )
-        pg = PhysicalGraph(g.attack, 0, 10.0, {0: 3, 1: 0, 2: 2})
-        res = ssp_greedy(make_dc(999.0, [[10, 10]]), pg, {ATK: g})
+        pg = PhysicalGraph(g.attack.id, 0, 10.0, {0: 3, 1: 0, 2: 2})
+        res = ssp_greedy(make_dc(999.0, [[10, 10]]), pg, g)
         assert res.n_srv == {(0, 0, 0): 3, (2, 0, 1): 2}
 
     def test_one_server_graph_prices_zero(self):
-        g = builtin_library()[DNS_AMPLIFICATION]
-        pg = PhysicalGraph(g.attack, 0, 100 / 3, {n.id: 2 for n in g.nodes})
-        res = ssp_greedy(make_dc(999.0, [[4], [40]]), pg, {DNS_AMPLIFICATION: g})
+        g = builtin_library()[DNS_AMPLIFICATION.id]
+        pg = PhysicalGraph(g.attack.id, 0, 100 / 3, {n.id: 2 for n in g.nodes})
+        res = ssp_greedy(make_dc(999.0, [[4], [40]]), pg, g)
         assert len({key[1:] for key in res.n_srv}) == 1
         assert repr((res.intra_rack_units, res.inter_rack_units)) == "(0.0, 0.0)"
 
     def test_rack_split_graph_prices_the_pair_walk_bits(self):
-        g = builtin_library()[DNS_AMPLIFICATION]
+        g = builtin_library()[DNS_AMPLIFICATION.id]
         counts = {n.id: 3 for n in g.nodes}
-        pg = PhysicalGraph(g.attack, 0, 100 / 3, counts)
-        res = ssp_greedy(make_dc(999.0, [[3, 2], [3, 2], [3, 2]]), pg, {DNS_AMPLIFICATION: g})
+        pg = PhysicalGraph(g.attack.id, 0, 100 / 3, counts)
+        res = ssp_greedy(make_dc(999.0, [[3, 2], [3, 2], [3, 2]]), pg, g)
         # r_log and r_drop each span two racks.
         assert len({(node, rack) for node, rack, _srv in res.n_srv}) == 7
         units = (res.intra_rack_units, res.inter_rack_units)
@@ -261,9 +259,9 @@ class TestSspGreedy:
     def test_insufficient_slots_names_node(self):
         g = chain_graph()
         dc = make_dc(999.0, [[2]])
-        pg = PhysicalGraph(g.attack, 0, 30.0, {0: 3, 1: 3})
+        pg = PhysicalGraph(g.attack.id, 0, 30.0, {0: 3, 1: 3})
         with pytest.raises(PlacementError) as err:
-            ssp_greedy(dc, pg, {ATK: g})
+            ssp_greedy(dc, pg, g)
         assert err.value.node in ("a", "r")
 
     def test_counts_match_requests_and_slots_respected(self):
@@ -301,8 +299,8 @@ class TestSspGreedy:
             if n0 + n1 > total:
                 continue
             counts = {0: n0, 1: n1}
-            pg = PhysicalGraph(g.attack, 0, float(rng.randint(5, 40)), counts)
-            res = ssp_greedy(dc, pg, {ATK: g})
+            pg = PhysicalGraph(g.attack.id, 0, float(rng.randint(5, 40)), counts)
+            res = ssp_greedy(dc, pg, g)
             greedy_cost = res.dc_cost(params)
             worst = greedy_cost
             for _ in range(1000):
@@ -329,13 +327,13 @@ class TestSspGreedy:
 
 class TestEvaluateCost:
     def test_zero_traffic(self):
-        lib = {ATK: one_node_graph()}
+        lib = (one_node_graph(),)
         topo = make_topo(1, [make_dc(10.0, [[4]])], [[2.0]])
         dsp = dsp_greedy(topo, np.array([[0.0]]), lib)
         assert evaluate_cost(dsp, [], CostParams()) == 0.0
 
     def test_colocated_single_placement(self):
-        lib = {ATK: one_node_graph()}
+        lib = (one_node_graph(),)
         topo = make_topo(1, [make_dc(999.0, [[8]])], [[2.0]])
         dsp = dsp_greedy(topo, np.array([[10.0]]), lib)
         ssps = place_all(topo, dsp, lib)
@@ -348,7 +346,6 @@ class TestEvaluateCost:
             dsp = dsp_greedy(topo, traffic, lib)
             ssps = place_all(topo, dsp, lib)
             got = evaluate_cost(dsp, ssps, params)
-            graphs = ordered_graphs(lib)
             wide = sum(
                 dsp.f[e, a, d] * traffic[e, a] * topo.latency[e][d]
                 for e in range(traffic.shape[0])
@@ -357,7 +354,7 @@ class TestEvaluateCost:
             )
             dc_cost = 0.0
             for r in ssps:
-                g = graphs[r.attack_id]
+                g = lib[r.attack_id]
                 counts = {}
                 for (node, _rk, _s), c in r.n_srv.items():
                     counts[node] = counts.get(node, 0) + c
@@ -366,7 +363,7 @@ class TestEvaluateCost:
             assert got == pytest.approx(params.alpha * wide + dc_cost, rel=1e-9)
 
     def test_invariant_under_dc_relabeling(self):
-        lib = {ATK: one_node_graph()}
+        lib = (one_node_graph(),)
         dcs = [make_dc(6.0, [[9]]), make_dc(99.0, [[9]])]
         topo = make_topo(1, dcs, [[1.0, 5.0]])
         traffic = np.array([[10.0]])
@@ -402,7 +399,7 @@ class TestCheckFeasibility:
         # Nine datacenters: numpy adds each cell's nine fractions pairwise,
         # and the one array pass must report what per-cell sums report.
         atk1 = AttackType(1, "atk1")
-        lib = {ATK: one_node_graph(), atk1: one_node_graph(attack=atk1)}
+        lib = (one_node_graph(), one_node_graph(attack=atk1))
         topo = make_topo(3, [make_dc(999.0, [[99]]) for _ in range(9)], [[1.0] * 9] * 3)
         traffic = np.array([[10.0, 4.0], [0.0, 7.0], [3.0, 3.0]])
         f = np.random.default_rng(7).random((3, 2, 9)) / 4
@@ -425,7 +422,7 @@ class TestCheckFeasibility:
     def test_backbone_beta_violation_with_slack(self):
         # One pop, one dc, a single backbone link on the path; beta=0.5
         # caps the 10 Gbps link at 5 while f routes 8 through it.
-        lib = {ATK: one_node_graph()}
+        lib = (one_node_graph(),)
         dc = make_dc(999.0, [[99]])
         topo = Topology(
             pops=["p0", "p1"],
@@ -447,7 +444,7 @@ class TestCheckFeasibility:
 
     def test_tampered_placement_exact_violations(self):
         atk1 = AttackType(1, "atk1")
-        lib = {ATK: chain_graph(), atk1: one_node_graph(attack=atk1)}
+        lib = (chain_graph(), one_node_graph(attack=atk1))
         topo = make_topo(1, [make_dc(999.0, [[2, 2], [2, 3]])], [[1.0]])
         traffic = np.array([[20.0, 10.0]])
         dsp = dsp_greedy(topo, traffic, lib)
@@ -572,11 +569,10 @@ def linear_scan_ssp(dc, pg, graph, used):
 def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
     """The DSP greedy with a linear datacenter scan and per-cell array adds.
     Returns (f, counts, demand, t_left, wide_area_cost, exhausted_hits)."""
-    graphs = ordered_graphs(lib)
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
-    factors = [g.compute_factor for g in graphs]
-    rates = [{n.id: g.share(n.id) / n.capacity_gbps for n in g.nodes} for g in graphs]
+    factors = [g.compute_factor for g in lib]
+    rates = [{n.id: g.share(n.id) / n.capacity_gbps for n in g.nodes} for g in lib]
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
     volumes = traffic.tolist()
@@ -619,9 +615,9 @@ def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
             hits += 1
             heapq.heappush(heap, (neg_t, e, a, item))
             continue
-        node_demand = demand.setdefault((d, a), {n.id: 0.0 for n in graphs[a].nodes})
+        node_demand = demand.setdefault((d, a), {n.id: 0.0 for n in lib[a].nodes})
         if ceil_per_assignment:
-            have = charged.setdefault((d, a), {n.id: 0 for n in graphs[a].nodes})
+            have = charged.setdefault((d, a), {n.id: 0 for n in lib[a].nodes})
             for i, r in rates[a].items():
                 new = math.ceil(node_demand[i] + t1 * r - 1e-9)
                 if new > have[i]:
@@ -746,10 +742,10 @@ def assert_ssp_matches_linear_scan(dc, pg, graph, used, table):
         want = linear_scan_ssp(dc, pg, graph, used)
     except PlacementError as exc:
         with pytest.raises(PlacementError) as err:
-            ssp_greedy(dc, pg, {graph.attack: graph}, table)
+            ssp_greedy(dc, pg, graph, table)
         assert (str(err.value), err.value.node) == (str(exc), exc.node)
     else:
-        res = ssp_greedy(dc, pg, {graph.attack: graph}, table)
+        res = ssp_greedy(dc, pg, graph, table)
         assert ssp_outcome(res.placements, res.n_srv, res.intra_rack_units,
                            res.inter_rack_units) == ssp_outcome(*want)
     assert occupancy(dc, table) == {k: v for k, v in used.items() if v}
@@ -784,14 +780,14 @@ class TestIndexedSelectionMatchesLinearScan:
                                   min_size=n_nodes, max_size=n_nodes))
         counts = {i: data.draw(st.integers(1, 3)) for i in range(n_nodes)}
         g = chain(n_nodes, caps)
-        assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack, 0, 10.0, counts), g,
+        assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack.id, 0, 10.0, counts), g,
                                        used, slot_table(dc, used))
 
     @settings(max_examples=200)
     @given(data=st.data())
     def test_full_ssp_results_and_errors(self, data):
         dc, used = data.draw(datacenters())
-        graphs = ordered_graphs(builtin_library())
+        graphs = builtin_library()
         # Two graphs in turn share the datacenter's occupancy, as place_all
         # does; one in three asks for two slots more than are free.
         table = slot_table(dc, used)
@@ -799,7 +795,7 @@ class TestIndexedSelectionMatchesLinearScan:
             g = data.draw(st.sampled_from(graphs))
             spare = data.draw(st.sampled_from([0, 0, 2]))
             counts = data.draw(node_counts(g, free_slots(dc, used) + spare))
-            assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack, 0, gbps, counts), g,
+            assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack.id, 0, gbps, counts), g,
                                            used, table)
 
     @settings(max_examples=200)
@@ -817,7 +813,7 @@ class TestIndexedSelectionMatchesLinearScan:
         g = dag(parents, caps)
         table = slot_table(dc, used)
         for gbps, c in zip((20.0, 5.0), counts):
-            assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack, 0, gbps, c), g,
+            assert_ssp_matches_linear_scan(dc, PhysicalGraph(g.attack.id, 0, gbps, c), g,
                                            used, table)
 
     @settings(max_examples=150)
@@ -825,19 +821,19 @@ class TestIndexedSelectionMatchesLinearScan:
     def test_place_all_shares_one_table_per_datacenter(self, data):
         dc, _used = data.draw(datacenters())
         lib = builtin_library()
-        attacks = data.draw(st.lists(st.sampled_from(ordered_graphs(lib)), min_size=2,
+        attacks = data.draw(st.lists(st.sampled_from(lib), min_size=2,
                                      max_size=3, unique_by=lambda g: g.attack.id))
         physical, free = {}, dc.compute_capacity + data.draw(st.sampled_from([0, 0, 2]))
         for g in attacks:
             counts = data.draw(node_counts(g, free))
             free -= sum(counts.values())
-            physical[(g.attack.id, 0)] = PhysicalGraph(g.attack, 0, 10.0, counts)
+            physical[(g.attack.id, 0)] = PhysicalGraph(g.attack.id, 0, 10.0, counts)
         dsp = DspResult(f=np.zeros((1, len(lib), 1)), demand={},
                         physical=physical, t_left=0.0, wide_area_cost=0.0)
         topo = make_topo(1, [dc], [[1.0]])
         used = {}
         try:
-            want = [ssp_outcome(*linear_scan_ssp(dc, pg, lib[pg.attack], used))
+            want = [ssp_outcome(*linear_scan_ssp(dc, pg, lib[pg.attack_id], used))
                     for _key, pg in sorted(physical.items()) if pg.total_vms]
         except PlacementError as exc:
             # A failed call leaves the next one a full datacenter too.
@@ -888,7 +884,7 @@ class TestIndexedSelectionMatchesLinearScan:
         # first cell leaves datacenter 0 with 1.5e-9 slots: still open, but
         # worth 7.5e-10 Gbps, no more than EPS. The 3 Gbps cell skips it
         # whole and lands on datacenter 1.
-        lib = {ATK: one_node_graph(0.5)}
+        lib = (one_node_graph(0.5),)
         topo = make_topo(2, [make_dc(999.0, [[10]]), make_dc(999.0, [[50]])],
                          [[1.0, 2.0], [1.0, 2.0]])
         traffic = np.array([[5.0 - 7.5e-10], [3.0]])
@@ -909,10 +905,10 @@ class TestRunsMatchPerVmWalk:
     @given(data=st.data())
     def test_edge_units_and_placements(self, data):
         dc, used = data.draw(datacenters())
-        g = data.draw(st.sampled_from(ordered_graphs(builtin_library())))
+        g = data.draw(st.sampled_from(builtin_library()))
         # At most the free slots in all, so every graph fits.
         counts = data.draw(node_counts(g, free_slots(dc, used)))
-        pg = PhysicalGraph(g.attack, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])), counts)
+        pg = PhysicalGraph(g.attack.id, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])), counts)
         assert_ssp_matches_linear_scan(dc, pg, g, used, slot_table(dc, used))
 
 
@@ -923,7 +919,7 @@ class TestRunsMatchPerVmWalk:
 # same runs, units, errors and free slots.
 
 # The built-in graphs and the oracle's single, chain and branch presets.
-WALK_GRAPHS = ordered_graphs(builtin_library()) + [
+WALK_GRAPHS = list(builtin_library()) + [
     _preset_graph(AttackType(a, f"atk{a}"), shape, 0.5)
     for a, shape in enumerate(("single", "chain", "branch"))]
 
@@ -970,17 +966,17 @@ class TestOneStepMatchesNodeWalk:
             total = data.draw(st.sampled_from([most - 1, most, most + 1])
                               | st.integers(0, sum(free) + 2))
             counts = data.draw(vm_counts(graph, max(total, 0)))
-            pg = PhysicalGraph(graph.attack, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])),
+            pg = PhysicalGraph(graph.attack.id, 0, data.draw(st.sampled_from([7.0, 20.0, 100 / 3])),
                                counts)
             try:
                 n_srv, units = reference_ssp(dc, pg, graph, want_free)
             except PlacementError as exc:
                 with pytest.raises(PlacementError) as err:
-                    ssp_greedy(dc, pg, {graph.attack: graph}, free)
+                    ssp_greedy(dc, pg, graph, free)
                 assert (str(err.value), err.value.node) == (str(exc), exc.node)
                 assert free == want_free
                 return
-            got = ssp_greedy(dc, pg, {graph.attack: graph}, free)
+            got = ssp_greedy(dc, pg, graph, free)
             assert list(got.n_srv.items()) == list(n_srv.items())
             assert [u.hex() for u in (got.intra_rack_units, got.inter_rack_units)] == \
                 [u.hex() for u in units]
@@ -1122,7 +1118,7 @@ class TestArrayPassMatchesHeapLoop:
         # one slot and closes it, though each of the 31 cells after it would
         # add no VM there. The loop sends them to datacenter 1; so must the
         # pass, whose end-total check reads the closing.
-        lib = {ATK: one_node_graph(10.0)}
+        lib = (one_node_graph(10.0),)
         topo = make_topo(32, [make_dc(999.0, [[1]]), make_dc(999.0, [[999]])],
                          [[1.0, 2.0]] * 32)
         traffic = np.array([[4.0]] + [[0.1]] * 31)
