@@ -190,16 +190,14 @@ def prev_epoch_estimate(state: EstimatorState) -> np.ndarray:
 
 
 def uniform_estimate(budget: "Budget | float", n_pops: int, n_attacks: int) -> np.ndarray:
-    if n_pops < 1 or n_attacks < 1:
-        raise InputError("need at least one pop and one attack type")
     return np.full((n_pops, n_attacks), _gbps(budget) / (n_pops * n_attacks))
 
 
 def estimate(state: EstimatorState, budget: Budget,
-             rng: np.random.Generator | None = None) -> np.ndarray:
+             rng: np.random.Generator | None) -> np.ndarray:
+    """The next epoch's estimate; `rng` draws fpl's noise, and the other
+    estimators take None."""
     if state.kind == "fpl":
-        if rng is None:
-            raise InputError("fpl estimator needs an rng")
         return fpl_estimate(state, budget, rng)
     if state.kind == "prevepoch":
         return prev_epoch_estimate(state)

@@ -222,7 +222,9 @@ class _MinCostFlow:
         self.adj[u].append([v, cap, cost, len(self.adj[v])])
         self.adj[v].append([u, 0, -cost, len(self.adj[u]) - 1])
 
-    def run(self, s: int, t: int, want: int) -> tuple[int, float]:
+    def run(self, s: int, t: int, want: int) -> float:
+        """The least cost of sending `want` units from `s` to `t`; the graph
+        must have room for all of them."""
         sent = 0
         total_cost = 0.0
         while sent < want:
@@ -243,8 +245,6 @@ class _MinCostFlow:
                             changed = True
                 if not changed:
                     break
-            if math.isinf(dist[t]):
-                break
             aug = want - sent
             v = t
             while v != s:
@@ -258,13 +258,15 @@ class _MinCostFlow:
                 v = prev_node[v]
             sent += aug
             total_cost += aug * dist[t]
-        return sent, total_cost
+        return total_cost
 
 
 def _min_cost_transport(supplies: list[int], demands: list[int],
                         cost: list[list[float]]) -> tuple[float, list[list[int]]]:
     """Exact min-cost transport on a complete bipartite graph. Integral
-    supplies/demands give an integral optimal flow."""
+    supplies/demands give an integral optimal flow. Every supply reaches
+    every demand, so the flow has room for the demand exactly when the
+    supply covers it."""
     n_s, n_d = len(supplies), len(demands)
     want = sum(demands)
     flow = [[0] * n_d for _ in range(n_s)]
@@ -284,9 +286,7 @@ def _min_cost_transport(supplies: list[int], demands: list[int],
             mcf.add_edge(1 + e, 1 + n_s + d, want, cost[e][d])
     for d in range(n_d):
         mcf.add_edge(1 + n_s + d, sink, demands[d], 0.0)
-    sent, value = mcf.run(0, sink, want)
-    if sent < want:
-        raise OracleSizeError("transport infeasible (internal)")
+    value = mcf.run(0, sink, want)
     for (e, d), (node, edge_idx, cap) in mid_edges.items():
         flow[e][d] = cap - mcf.adj[node][edge_idx][1]
     return value, flow

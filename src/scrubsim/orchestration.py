@@ -44,9 +44,7 @@ class GraphTags(NamedTuple):
     def run(self, node: int, context: int) -> tuple[int, int] | None:
         """The node's pool for an output context as (first tag, tags): a
         successor's run, empty when the successor has no VMs, or the egress
-        tag; None when the node has no such pool."""
-        if node not in self.counts:
-            return None
+        tag; None when the node has no such pool. The node must have VMs."""
         succs = self.graph._succ.get(node, ())
         if 0 <= context < len(succs):
             return self.runs.get(succs[context], (0, 0))
@@ -359,9 +357,7 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                 raise InputError(f"unplaced VM {(a, d, short, placed.get(short, 0))}")
         roots[(a, d)] = (graph, tuple([counts.get(root, 0) for root in graph._roots]))
         runs = tag_runs.setdefault(d, {})
-        g = pools.graphs.get((a, d))
-        if g is None:
-            continue
+        g = pools.graphs[(a, d)]
         # A VM gets a rule when the pools tagged it; each egress tag steers
         # to the customer. Tags are drawn ascending, so a run that starts at
         # or above every earlier run at the datacenter cannot clash.
@@ -413,9 +409,7 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     number of pins."""
     if not graph.bidirectional:
         return 0
-    g = pools.graphs.get((pg.attack_id, pg.dc_id))
-    if g is None:
-        return 0
+    g = pools.graphs[(pg.attack_id, pg.dc_id)]
     d = pg.dc_id
     # An analysis node's pools are its successors' runs. The datacenter's
     # tag rules map each identity tag to its VM; an egress tag's customer
@@ -428,9 +422,7 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
         for s in succs:
             lo, n = g.runs.get(s, (0, 0))
             for first, stop, start in plan._tag_rules(d, lo, lo + n):
-                target = None if start is None else runs[start][1]
-                if target is None:
-                    continue
+                target = runs[start][1]
                 for tag in range(first, stop):
                     pin = (d, (*target, tag - start))
                     if pins.setdefault(tag, pin) != pin:

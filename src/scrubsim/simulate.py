@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import config
-from .adaptation import (STRATEGIES, AdversaryStrategy, Budget, EstimatorState, adversary_next,
+from .adaptation import (AdversaryStrategy, Budget, EstimatorState, adversary_next,
                          check_estimator, estimate, loss_accounting)
 from .defense_graphs import Library, load_library
 from .errors import InputError, PlacementError
@@ -66,14 +66,13 @@ class Scenario:
             if getattr(self, name) < 1:
                 raise InputError(f"{name} must be >= 1")
         Budget(self.budget_gbps)  # rejects a budget that is not finite and > 0
-        if self.adversary not in STRATEGIES:
-            raise InputError(f"unknown adversary strategy {self.adversary!r}")
+        AdversaryStrategy(self.adversary)  # rejects an unknown strategy
         check_estimator(self.estimator)
         if not (1.0 <= self.gamma < math.inf):
             raise InputError("gamma must be >= 1 and finite")
         if self.seeds is not None and not self.seeds:
             raise InputError("seeds must be nonempty")
-        _check_fpl_seeds(self.estimator, [self.seed, *(self.seeds or [])])
+        _check_fpl_seeds(self.estimator, self.run_seeds())
 
     def run_seeds(self) -> list[int]:
         """The distinct run seeds, ascending: ``seeds``, or else ``seed``."""

@@ -78,6 +78,10 @@ class TestAdversary:
             assert (mix[e] > 0).all()
             assert len(set(mix[e])) == 1
 
+    def test_negative_epoch_rejected(self):
+        with pytest.raises(InputError, match="epoch must be >= 0"):
+            adversary_next(AdversaryStrategy("randhybrid", seed=1), Budget(10.0), -1, 4, 4)
+
     def test_deterministic_per_seed_epoch(self):
         strat = AdversaryStrategy("randhybrid", seed=2)
         a = adversary_next(strat, Budget(10.0), 7, 4, 4)
@@ -186,6 +190,11 @@ class TestLossAccounting:
             w, v, _ = loss_accounting(prov, act, LIB2)
             assert w - v == pytest.approx(float((prov - act).sum()))
 
+    def test_shapes_must_match(self):
+        # (1, 2) against (2, 2) would broadcast into a loss for two pops.
+        with pytest.raises(InputError, match="provisioned and actual shapes differ"):
+            loss_accounting(np.ones((1, 2)), np.ones((2, 2)), LIB2)
+
     def test_vm_conversion_uses_compute_factor(self):
         prov = np.array([[7.0, 0.0]])
         act = np.zeros((1, 2))
@@ -236,6 +245,10 @@ class TestBestStaticHindsight:
         with pytest.raises(InputError):
             best_static_hindsight([])
 
+    def test_ragged_trace_rejected(self):
+        with pytest.raises(InputError, match="trace mixes must all have one shape"):
+            best_static_hindsight([np.zeros((2, 3)), np.zeros((3, 2))])
+
     def test_tie_break_keeps_the_mean_below_the_observed_value(self):
         # Column 1 of this trace is 0, 10, 5, 10/3, 5, 0, 0 in every pop. The
         # grid tries its mean, 3.333333333333333, before the observed
@@ -285,11 +298,11 @@ class TestNormalizedRegret:
 
 
 def test_fpl_regret_shrinks_with_the_horizon():
-    """No regret means normalized regret falls as the horizon grows. Over
-    seeds 0-9 fpl's combined regret at T = 1000 is below its T = 50 value on
-    every strategy but randhybrid, where it plateaus: the cellwise L1 loss
-    makes each cell's median the best static, while fpl follows the running
-    mean."""
+    """No regret means normalized regret falls as the horizon grows, and
+    fpl's falls about as 1/T. Over seeds 0-9 its combined regret at T = 2000
+    is below half its T = 500 value on every strategy but randhybrid, where
+    it plateaus: the cellwise L1 loss makes each cell's median the best
+    static, while fpl follows the running mean."""
     strategies = ("randingress", "randattack", "flipprevepoch", "steady")
 
     def regret(epochs):
@@ -298,9 +311,9 @@ def test_fpl_regret_shrinks_with_the_horizon():
                                  estimators=("fpl",))
         return {r.strategy: r.mean_regret_combined for r in rows}
 
-    short, long = regret(50), regret(1000)
+    short, long = regret(500), regret(2000)
     for strategy in strategies:
-        assert long[strategy] < short[strategy], (strategy, short, long)
+        assert long[strategy] < 0.5 * short[strategy], (strategy, short, long)
 
 
 class TestLagContract:
@@ -338,7 +351,7 @@ class TestEstimatorDispatch:
 
     def test_estimate_dispatch(self):
         state = EstimatorState("uniform", 2, 2)
-        est = estimate(state, Budget(8.0))
+        est = estimate(state, Budget(8.0), None)
         assert est.sum() == pytest.approx(8.0)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -184,6 +184,22 @@ BAD_TOPO = ["--topo", "{bad}", "--traffic", "{traffic}", "--out", "{out}"]
     (["graph", "validate", "{bad}"],
      library_text(lambda g: g.append(dict(g[0], edges=g[0]["edges"][:1]))),
      "two graphs for attack syn_flood (id 0)"),
+    (["graph", "validate", "{bad}"], library_text(lambda g: g[0]["nodes"][1].update(id=0)),
+     "syn_flood: duplicate node ids"),
+    (["graph", "validate", "{bad}"], library_text(lambda g: g[0].update(nodes=[], edges=[])),
+     "syn_flood: graph has no nodes"),
+    (["graph", "validate", "{bad}"],
+     library_text(lambda g: g[0]["edges"].append({"from": 0, "to": 9, "weight": 0.0})),
+     "syn_flood: edge (0,9) references unknown node"),
+    (["graph", "validate", "{bad}"], library_text(lambda g: g[0]["nodes"][0].update(contexts=0)),
+     "module a_syn: contexts must be >= 1"),
+    (["rm", "dsp", *BAD_TOPO],
+     json.dumps({"pops": ["a", "b"], "latency": [[1.0]],
+                 "dcs": [{"link_capacity_gbps": 10, "racks": [[4]], "attach_pop": 1}]}),
+     "latency matrix dimensions do not match pops/datacenters"),
+    (["rm", "dsp", "--topo", "{topo}", "--traffic", "{bad}", "--out", "{out}"],
+     '{"traffic": [[1' + "0" * 400 + ', 0, 0, 0]]}',
+     "traffic[0][0] must be a number in float range"),
 ])
 def test_malformed_input_file_exit_2(tmp_path, args, content, message):
     bad = tmp_path / "bad.json"
@@ -560,19 +576,54 @@ def test_simulate_non_whole_integer_field_exit_2(tmp_path, bad, message):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("estimator, code", [("fpl", 2), ("uniform", 0)])
-@pytest.mark.parametrize("seeds", [{"seed": -1}, {"seeds": [2, -1]}])
-def test_simulate_negative_seed(tmp_path, estimator, code, seeds):
+# (scenario seed fields, simulate options, environment, fpl's exit code)
+NEGATIVE_SEEDS = [
+    ({"seed": -1}, [], {}, 2),
+    ({"seeds": [2, -1]}, [], {}, 2),
+    # Only the run seeds 2 and 3 seed fpl; the default seed seeds the
+    # generated topology alone.
+    ({"seeds": [2, 3]}, ["--seed", "-1"], {}, 0),
+    ({"seeds": [2, 3]}, [], {"BOHATEI_SEED": "-4"}, 0),
+]
+
+
+@pytest.mark.parametrize("seeds, args, env, estimator, code", [
+    pytest.param(seeds, args, env, estimator, code, id=f"seeds{k}-{estimator}-{code}")
+    for k, (seeds, args, env, fpl_code) in enumerate(NEGATIVE_SEEDS)
+    for estimator, code in (("fpl", fpl_code), ("uniform", 0))])
+def test_simulate_negative_seed(tmp_path, seeds, args, env, estimator, code):
     sc_path = tmp_path / "scenario.json"
     sc_path.write_text(json.dumps({"version": 1, "epochs": 2, "budget_gbps": 10,
                                    "adversary": "steady", "estimator": estimator,
                                    "topology_nodes": 8, **seeds}))
     res = CliRunner().invoke(main, ["simulate", "--scenario", str(sc_path),
-                                    "--out-dir", str(tmp_path / "o")])
+                                    "--out-dir", str(tmp_path / "o"), *args], env=env)
     assert res.exit_code == code, res.output
     if code:
         assert res.output.startswith("error: ") and "fpl needs non-negative seeds" in res.output
         assert not (tmp_path / "o").exists()
+
+
+def test_simulate_default_seed(tmp_path):
+    """--seed and BOHATEI_SEED are the seed of a scenario file that gives
+    none, and a seed in the file beats both."""
+    def reports(name, file_seed, args=(), env=None):
+        sc_path = tmp_path / f"{name}.json"
+        sc_path.write_text(json.dumps({"version": 1, "epochs": 3, "budget_gbps": 20.0,
+                                       "adversary": "randhybrid", "estimator": "fpl",
+                                       "topology_nodes": 8, **file_seed}))
+        out = tmp_path / name
+        res = CliRunner().invoke(main, ["simulate", "--scenario", str(sc_path),
+                                        "--out-dir", str(out), *args], env=env or {})
+        assert res.exit_code == 0, res.output
+        return [(out / f).read_bytes() for f in ("epochs.csv", "summary.json")]
+
+    want = reports("file", {"seed": 7})
+    assert reports("option", {}, ["--seed", "7"]) == want
+    assert reports("env", {}, env={"BOHATEI_SEED": "7"}) == want
+    assert reports("file_over_option", {"seed": 7}, ["--seed", "3"]) == want
+    assert reports("file_over_env", {"seed": 7}, env={"BOHATEI_SEED": "3"}) == want
+    assert reports("other", {"seed": 3}) != want
 
 
 def test_simulate_builds_the_topology_once(tmp_path, monkeypatch):

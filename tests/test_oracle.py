@@ -25,6 +25,7 @@ from scrubsim.oracle import (
     _min_cost_transport,
     _optimal_dsc,
     _preset_graph,
+    _spreads,
     oracle_comparison,
     oracle_exact,
     gap_summary,
@@ -64,6 +65,11 @@ class TestTransport:
     def test_zero_demand(self):
         value, flow = _min_cost_transport([3], [0], [[1.0]])
         assert value == 0.0 and flow == [[0]]
+
+    def test_demand_beyond_supply_refused(self):
+        # Every supply reaches every demand, so supply is the one limit.
+        with pytest.raises(OracleSizeError, match="transport demand exceeds supply"):
+            _min_cost_transport([2, 1], [2, 2], [[1.0, 1.0], [1.0, 1.0]])
 
 
 class TestOracleExact:
@@ -108,6 +114,23 @@ class TestOracleExact:
         with pytest.raises(OracleSizeError):
             oracle_exact(OracleInstance(), topo, np.full((4, 1), 20.0), lib,
                          CostParams())
+
+    @pytest.mark.parametrize("n_pops, dcs, lib, delta, message", [
+        (1, [make_dc(99.0, [[99]])] * 4, one_node_lib(), 0.05, "4 datacenters > 3"),
+        (1, [make_dc(99.0, [[99]])], one_node_lib() * 3, 0.05, "3 attacks > 2"),
+        (1, [make_dc(99.0, [[99]])],
+         (AnnotatedGraph(attack=ATK, edges=[],
+                         nodes=[LogicalModule(i, f"m{i}", ANALYSIS, 10.0) for i in range(4)]),),
+         0.05, "graph atk0 has 4 nodes > 3"),
+        (1, [make_dc(99.0, [[1] * 5, [1] * 4])], one_node_lib(), 0.05,
+         "dc 0 has 9 servers > 8"),
+        (3, [make_dc(99.0, [[99]])], one_node_lib() * 2, 0.01, "600 volume units > 400"),
+    ])
+    def test_each_size_bound_enforced(self, n_pops, dcs, lib, delta, message):
+        topo = make_topo(n_pops, dcs, [[1.0] * len(dcs)] * n_pops)
+        traffic = np.full((n_pops, len(lib)), 20.0)
+        with pytest.raises(OracleSizeError, match=f"^invalid oracle instance: {message}$"):
+            OracleInstance(delta=delta).check(topo, traffic, lib)
 
     def test_unequal_cells_refused(self):
         lib = one_node_lib()
@@ -386,6 +409,24 @@ class TestOptimalDsc:
                                     rel=1e-9, abs=1e-12)
         assert got <= greedy_dsc(dc, graphs, vols, 1.0, DSC_PARAMS)
 
+    def test_zero_weight_edge_costs_nothing(self):
+        # Both ends of the leaves' zero-weight edge hold VMs; the edge adds
+        # no pair cost.
+        dc, [branch] = dsc_case(2, 2, 3, ["branch"])
+        g = AnnotatedGraph(attack=branch.attack, nodes=branch.nodes,
+                           edges=[*branch.edges, (1, 2, 0.0)])
+        got, proven = _optimal_dsc(dc, 0, [g], (8,), 1.0, DSC_PARAMS)
+        assert proven
+        assert got == pytest.approx(brute_force_dsc(dc, [g], (8,), 1.0, DSC_PARAMS),
+                                    rel=1e-9, abs=1e-12)
+        assert got == _optimal_dsc(dc, 0, [branch], (8,), 1.0, DSC_PARAMS)[0]
+
+    def test_spreads_over_one_server(self):
+        # No placement search spreads over one server: every placement there
+        # costs 0, which the greedy incumbent already pays.
+        assert list(_spreads(3, (5,))) == [((0, 0, 0), (2,))]
+        assert list(_spreads(6, (5,))) == []
+
     def test_search_beats_the_greedy_somewhere(self):
         # Otherwise the cases above would not tell the search from its seed.
         assert any(
@@ -502,6 +543,15 @@ class TestComparisonRunner:
         assert stats["unproven"] == 0
         rows[1].proven = rows[3].proven = False
         assert gap_summary(rows)["unproven"] == 2
+
+    def test_off_grid_greedy_against_an_empty_grid(self):
+        # At delta 1 a cell is one 20 Gbps unit, and seed 15's one datacenter
+        # links 9 Gbps: the greedy's 9 Gbps is off the grid, so it seeds no
+        # incumbent, and the oracle handles nothing at cost 0, a gap of inf.
+        [row] = oracle_comparison(1, seed=15, delta=1.0)
+        assert (row.handled_greedy, row.handled_oracle, row.cost_oracle) == (9.0, 0.0, 0.0)
+        assert row.cost_greedy > 0 and row.gap == math.inf
+        assert row.counterexample["handled_mismatch"]
 
     @pytest.mark.parametrize("n_instances", [0, -3])
     def test_empty_comparison_rejected(self, n_instances):

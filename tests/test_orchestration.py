@@ -140,6 +140,10 @@ class TestTagSpaceBound:
         m2, _ = tag_space_bound(graphs, l_max=20)
         assert m2 == 2 * m1
 
+    def test_l_max_below_one_rejected(self):
+        with pytest.raises(InputError, match="l_max must be >= 1"):
+            tag_space_bound(list(builtin_library()), l_max=0)
+
     def test_builtin_within_budget(self):
         graphs = list(builtin_library())
         max_tags, bits = tag_space_bound(graphs, l_max=50, k_max=2)
@@ -178,6 +182,15 @@ class TestSynthesizeRules:
         plan = synthesize_rules(dsp, [], TagPool(), topo, lib)
         assert plan.dc_tables == {}
         assert plan.max_switch_rules() == 0
+
+    def test_graph_sized_at_zero_vms_gets_no_tag_rules(self):
+        # 2e-9 Gbps is assigned but rounds to no VM, so the graph has no
+        # placement, tags or ingress split; only its pop's flow rule stays.
+        dsp, pools, plan = self._plan(two_branch_graph(), traffic_gbps=2e-9)
+        assert dsp.physical[(0, 0)].total_vms == 0
+        assert pools.graphs[(0, 0)].counts == {}
+        assert (plan.roots, plan.tag_runs) == ({}, {})
+        assert plan.rules_by_switch() == {"pop0": 1}
 
     def test_wide_area_weights_match_fractions(self):
         lib = builtin_library()
@@ -369,12 +382,12 @@ class TestLoadBalancePick:
 
 
 class TestBidirectionalPins:
-    def _dns_setup(self):
+    def _dns_setup(self, gbps=20.0):
         lib = builtin_library()
         dns = [g for g in lib if g.attack.name == "dns_amplification"][0]
         topo = small_topo()
         traffic = np.zeros((1, 4))
-        traffic[0, dns.attack.id] = 20.0
+        traffic[0, dns.attack.id] = gbps
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
@@ -395,6 +408,24 @@ class TestBidirectionalPins:
         assert len([t for t in plan.bidi_pins if t == 42]) == 1
         with pytest.raises(PinConflictError):
             pin_bidirectional(plan, 42, 0, (1, 0, 1, 1))
+
+    def test_graph_pins_refuse_a_conflicting_pin(self):
+        _lib, dns, dsp, pools, plan = self._dns_setup()
+        pg = dsp.physical[(dns.attack.id, 0)]
+        assert pin_bidirectional_for_graph(plan, pg, pools, dns) > 0
+        assert pin_bidirectional_for_graph(plan, pg, pools, dns) == 0
+        tag = min(plan.bidi_pins)
+        plan.bidi_pins[tag] = (0, (9, 9, 9, 9))
+        with pytest.raises(PinConflictError, match=f"^tag {tag} already pinned to "):
+            pin_bidirectional_for_graph(plan, pg, pools, dns)
+
+    def test_graph_without_vms_pins_nothing(self):
+        # 2e-9 Gbps rounds to no VM, so no analysis node has tags to pin.
+        _lib, dns, dsp, pools, plan = self._dns_setup(gbps=2e-9)
+        pg = dsp.physical[(dns.attack.id, 0)]
+        assert pg.total_vms == 0
+        assert pin_bidirectional_for_graph(plan, pg, pools, dns) == 0
+        assert plan.bidi_pins == {}
 
     def test_dns_pins_analysis_tags_udp_pins_nothing(self):
         lib = builtin_library()

@@ -454,8 +454,10 @@ class TestCheckFeasibility:
         # a second VM of attack 1's node.
         ssps[0].n_srv[(0, 1, 3)] = 1
         ssps[1].n_srv[(0, 1, 2)] = 1
-        got = [(v.constraint, v.indices, v.slack, v.message)
-               for v in check_feasibility(topo, traffic, dsp, ssps, CostParams(), lib)]
+        violations = check_feasibility(topo, traffic, dsp, ssps, CostParams(), lib)
+        assert str(violations[1]) == \
+            "C6(0, 1, 2): server (0,1,2) holds 3 VMs for 2 slots (slack 1)"
+        got = [(v.constraint, v.indices, v.slack, v.message) for v in violations]
         assert got == [
             (5, (0, 0, 0), 10.0,
              "dc 0 attack 0 node a: capacity 10.0000 < required 20.0000"),

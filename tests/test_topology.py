@@ -97,6 +97,11 @@ class TestGenerateTopology:
         topo = generate_topology(2, 10, seed=1)
         assert len(topo.datacenters) == 1
 
+    def test_negative_slots_clamp_to_zero(self, caplog):
+        topo = generate_topology(8, -5, seed=1)
+        assert [dc.compute_capacity for dc in topo.datacenters] == [0]
+        assert "clamping dc_slot_capacity from -5 to 0" in caplog.text
+
     def test_deterministic_per_seed(self):
         a = generate_topology(100, 400, seed=5)
         b = generate_topology(100, 400, seed=5)
