@@ -14,6 +14,7 @@ epoch's seed hash, PCG64 states and draws come from array passes, with no
 generator built), the losses are scored in one pass, and the hindsight
 search sorts every cell's candidates at once, prices them in blocked
 broadcasts and scans them across all cells together.
+The steady and flipping adversaries draw their fixed mixes once, then copy them.
 Per-epoch scoring is the one-epoch case of it; the simulator's online loop
 uses ``EstimatorState`` and ``estimate`` instead.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,6 +86,27 @@ def _steady_mix(seed_key: str, budget: float, n_pops: int, n_attacks: int) -> np
     return mix
 
 
+_FIXED_MIXES_MEMO = 64  # callers ask for one strategy's epochs in a row
+
+
+@lru_cache(maxsize=_FIXED_MIXES_MEMO, typed=True)  # typed: seed True draws as "True"
+def _fixed_mixes(kind: str, seed, budget: float, n_pops: int,
+                 n_attacks: int) -> tuple[np.ndarray, ...]:
+    """`steady`'s one mix, or `flipprevepoch`'s (first, second), read-only."""
+    if kind == "steady":
+        mixes = (_steady_mix(f"{seed}:steady", budget, n_pops, n_attacks),)
+    else:
+        first = _steady_mix(f"{seed}:flip0", budget, n_pops, n_attacks)
+        for retry in range(100):
+            second = _steady_mix(f"{seed}:flip1:{retry}", budget, n_pops, n_attacks)
+            if not np.array_equal(first, second):
+                break
+        mixes = (first, second)
+    for mix in mixes:
+        mix.flags.writeable = False
+    return mixes
+
+
 def adversary_next(strategy: AdversaryStrategy, budget: Budget, epoch: int,
                    n_pops: int, n_attacks: int) -> np.ndarray:
     """The adversary's mix for this epoch; the full budget is always spent.
@@ -96,15 +119,9 @@ def adversary_next(strategy: AdversaryStrategy, budget: Budget, epoch: int,
     if n_pops < 1 or n_attacks < 1:
         raise InputError("need at least one pop and one attack type")
     b = budget.b_gbps
-    if strategy.kind == "steady":
-        return _steady_mix(f"{strategy.seed}:steady", b, n_pops, n_attacks)
-    if strategy.kind == "flipprevepoch":
-        first = _steady_mix(f"{strategy.seed}:flip0", b, n_pops, n_attacks)
-        for retry in range(100):
-            second = _steady_mix(f"{strategy.seed}:flip1:{retry}", b, n_pops, n_attacks)
-            if not np.array_equal(first, second):
-                break
-        return first if epoch % 2 == 0 else second
+    if strategy.kind in ("steady", "flipprevepoch"):
+        mixes = _fixed_mixes(strategy.kind, strategy.seed, b, n_pops, n_attacks)
+        return mixes[epoch % len(mixes)].copy()
 
     rng = random.Random(f"{strategy.seed}:{epoch}")
     mix = np.zeros((n_pops, n_attacks))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from . import config
@@ -185,15 +185,16 @@ class PhysicalGraph:
     """A graph provisioned in one datacenter: how many VMs run each logical
     node. The resource manager lists every node, in graph order, zeros
     included; a node left out runs none. Instance k of node i is the VM
-    (attack id, dc id, i, k), for k below the node's count."""
+    (attack id, dc id, i, k), for k below the node's count. The counts are
+    not changed after construction, so `total_vms` is summed once."""
     attack_id: int
     dc_id: int
     traffic_gbps: float
     counts: dict[int, int]  # node id -> VM count
+    total_vms: int = field(init=False, repr=False, compare=False)
 
-    @property
-    def total_vms(self) -> int:
-        return sum(self.counts.values())
+    def __post_init__(self):
+        self.total_vms = sum(self.counts.values())
 
 
 def _check_volume(t_gbps: float) -> None:

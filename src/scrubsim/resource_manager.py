@@ -64,7 +64,9 @@ def attack_dc_volumes(f: np.ndarray, traffic: np.ndarray) -> np.ndarray:
     """The (attack, dc) table of Gbps sent, in one pass: with the pop axis
     made contiguous, entry (a, d) is the pairwise sum that
     ``(f[:, a, d] * traffic[:, a]).sum()`` takes."""
-    return np.ascontiguousarray((f * traffic[:, :, None]).transpose(1, 2, 0)).sum(axis=2)
+    sent = f.transpose(1, 2, 0).copy()
+    sent *= traffic.T[:, None, :]
+    return sent.sum(axis=2)
 
 
 # -- DSP's rules, read by the array pass (on numpy columns) and the heap loop (on floats).

@@ -155,27 +155,23 @@ def _components(adj: dict[int, set[int]]) -> list[list[int]]:
     out = []
     for start in adj:
         if start not in seen:
-            group = sorted(_bfs(adj, start)[0])
+            group = sorted(_bfs(adj, start))
             seen.update(group)
             out.append(group)
     return out
 
 
-def _bfs(adj: dict[int, Iterable[int]], src: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Hop count and BFS-tree parent of every node reachable from `src`
-    (``prev[src] == src``). Neighbours are visited in the order `adj` gives
-    them, which breaks ties in `prev`; `_adjacency` gives them in id order."""
+def _bfs(adj: dict[int, Iterable[int]], src: int) -> dict[int, int]:
+    """Hop count of every node reachable from `src`."""
     dist = {src: 0}
-    prev = {src: src}
     queue = deque([src])
     while queue:
         u = queue.popleft()
         for v in adj[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
-                prev[v] = u
                 queue.append(v)
-    return dist, prev
+    return dist
 
 
 def _adjacency(n_pops: int, links: list[tuple[int, int, float]],
@@ -198,26 +194,26 @@ def _adjacency(n_pops: int, links: list[tuple[int, int, float]],
 def _routes(adj: dict[int, list[int]], attach_pops: list[int]
             ) -> tuple[list[list[int]], dict[tuple[int, int], list[tuple[int, int]]]]:
     """Hop counts ``hops[e][d]`` and shortest backbone paths ``paths[(e, d)]``
-    (normalized link endpoints, ties by node id) from every pop `e` to the
-    attach pop of every datacenter `d`, from one BFS per pop. Rooting each
-    search at `e` fixes every tie-break the way a search from `e` that
-    stopped at the attach pop would."""
+    (normalized link endpoints) from every pop `e` to the attach pop of every
+    datacenter `d`, from one BFS per attach pop. A path is the walk from `e` that
+    always steps to the first neighbour one hop nearer, `adj` being in id order:
+    the lexicographically smallest shortest path, which a BFS from `e` finds."""
+    dists = {pop: _bfs(adj, pop) for pop in set(attach_pops)}
     hops = []
     paths: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for e in range(len(adj)):
-        dist, prev = _bfs(adj, e)
         row = []
         for d, pop in enumerate(attach_pops):
-            if pop not in dist:
+            dist = dists[pop]
+            if e not in dist:
                 raise InputError(f"pop {e} has no backbone path to dc {d} (at pop {pop})")
-            row.append(dist[pop])
+            row.append(dist[e])
             path = []
-            node = pop
-            while node != e:
-                u = prev[node]
+            node = e
+            while node != pop:
+                u = next(v for v in adj[node] if dist[v] < dist[node])
                 path.append((min(u, node), max(u, node)))
                 node = u
-            path.reverse()
             paths[(e, d)] = path
         hops.append(row)
     return hops, paths
@@ -295,7 +291,7 @@ def path_cost_comparison(
 
     def dist(a: int, b: int) -> int:
         if a not in hops_from:
-            hops_from[a] = _bfs(adj, a)[0]
+            hops_from[a] = _bfs(adj, a)
         if b not in hops_from[a]:
             raise InputError(f"nodes {a} and {b} are disconnected")
         return hops_from[a][b]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scrubsim.adaptation import (
+    _FIXED_MIXES_MEMO,
     _PCG_MULT,
     ESTIMATORS,
     STRATEGIES,
@@ -13,6 +14,7 @@ from scrubsim.adaptation import (
     Budget,
     EstimatorState,
     RegretReport,
+    _fixed_mixes,
     _mul128,
     _replay,
     _seeded_uniform_rows,
@@ -107,6 +109,41 @@ class TestAdversary:
         strat, b = AdversaryStrategy(kind, seed), Budget(budget)
         assert adversary_next(strat, b, epoch, n_pops, n_attacks).tobytes() == \
             reference_adversary_next(strat, b, epoch, n_pops, n_attacks).tobytes()
+
+    @settings(max_examples=100, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(STRATEGIES), st.sampled_from([0, 1, 2, True]),
+                              st.sampled_from([10.0, 37.5]), st.integers(0, 5),
+                              st.integers(1, 4), st.integers(1, 3)),
+                    min_size=1, max_size=40))
+    def test_memo_hands_out_fresh_copies(self, calls):
+        # Few values per argument, so keys repeat and interleave and the memo
+        # both hits and misses. Seed True draws as "True", so it must not
+        # share seed 1's entry. Every mix is overwritten before the next
+        # call, which must still match the reference.
+        handed_out = []
+        for kind, seed, budget, epoch, n_pops, n_attacks in calls:
+            strat, b = AdversaryStrategy(kind, seed), Budget(budget)
+            mix = adversary_next(strat, b, epoch, n_pops, n_attacks)
+            assert mix.tobytes() == \
+                reference_adversary_next(strat, b, epoch, n_pops, n_attacks).tobytes()
+            assert all(mix is not old for old in handed_out)
+            mix.fill(-1)
+            handed_out.append(mix)
+
+    def test_memo_hits_misses_and_evicts(self):
+        b = Budget(20.0)
+        _fixed_mixes.cache_clear()
+        first = adversary_next(AdversaryStrategy("flipprevepoch", 0), b, 1, 6, 4)
+        for t in range(10):
+            adversary_next(AdversaryStrategy("flipprevepoch", 0), b, t, 6, 4)
+        assert _fixed_mixes.cache_info()[:2] == (10, 1)  # (hits, misses)
+        # More keys than the memo holds push seed 0 out; it is drawn again.
+        for seed in range(1, _FIXED_MIXES_MEMO + 1):
+            adversary_next(AdversaryStrategy("steady", seed), b, 0, 6, 4)
+        again = adversary_next(AdversaryStrategy("flipprevepoch", 0), b, 1, 6, 4)
+        assert _fixed_mixes.cache_info()[:2] == (10, _FIXED_MIXES_MEMO + 2)
+        assert again.tobytes() == first.tobytes()
+        assert again.flags.writeable
 
 
 class TestFpl:

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from scrubsim.defense_graphs import (
     AnnotatedGraph,
     AttackType,
     LogicalModule,
+    PhysicalGraph,
     builtin_library,
     graph_from_config,
     graph_to_config,
@@ -102,6 +104,16 @@ def test_vms_on_an_array_is_vms_on_each_float(demands):
     # count must be the bits a call on its float gives, -0.0 included.
     assert [x.hex() for x in vms(np.array(demands, dtype=float)).tolist()] == \
         [vms(x).hex() for x in demands]
+
+
+def test_physical_graph_total_is_summed_at_construction():
+    pg = PhysicalGraph(0, 1, 5.0, {0: 2, 1: 0, 2: 3})
+    assert pg.total_vms == 5
+    assert replace(pg, counts={0: 1}).total_vms == 1
+    # The stored total is neither compared nor shown.
+    assert pg == PhysicalGraph(0, 1, 5.0, {0: 2, 1: 0, 2: 3})
+    assert repr(pg) == "PhysicalGraph(attack_id=0, dc_id=1, traffic_gbps=5.0, " \
+        "counts={0: 2, 1: 0, 2: 3})"
 
 
 class TestNodeDemand:

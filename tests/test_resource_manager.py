@@ -1099,6 +1099,19 @@ class TestArrayPassMatchesHeapLoop:
             [[repr(float((f[:, a, d] * traffic[:, a]).sum())) for d in range(5)]
              for a in range(4)]
 
+    @settings(max_examples=100, derandomize=True)
+    @given(n_e=st.integers(1, 300), n_a=st.integers(1, 5), n_d=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_volume_table_bits_match_the_broadcast_product(self, n_e, n_a, n_d, seed):
+        # The table multiplies a transposed copy of `f` in place; the products
+        # and the summed layout are those of the broadcast product.
+        rng = np.random.default_rng(seed)
+        f = rng.random((n_e, n_a, n_d)) * (rng.random((n_e, n_a, n_d)) < 0.7)
+        traffic = rng.uniform(0.0, 50.0, (n_e, n_a)) * (rng.random((n_e, n_a)) < 0.8)
+        want = np.ascontiguousarray((f * traffic[:, :, None]).transpose(1, 2, 0)).sum(axis=2)
+        got = attack_dc_volumes(f, traffic)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
     def test_dense_input_takes_no_heap_step(self, monkeypatch):
         # 196 pops, 4000 slots, 1 Tbps over every cell: all of it fits, so
         # the array pass assigns every cell and the heap loop has none left.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrubsim import topology
 from scrubsim.errors import InputError
 from scrubsim.topology import (
     _adjacency,
@@ -204,20 +205,27 @@ class TestRoutes:
                "dcs": [{"link_capacity_gbps": 10, "racks": [[1]], "attach_pop": pop}
                        for pop in attach],
                "links": [list(link) for link in links]}
-        try:
-            want_paths = {(e, d): per_pair_bfs_path(sets, e, pop)
-                          for d, pop in enumerate(attach) for e in range(n)}
-        except InputError:
-            with pytest.raises(InputError):
-                _routes(adj, attach)
-            with pytest.raises(InputError):
-                topology_from_config(cfg)
+        want_paths = {}
+        unreachable = None
+        for e in range(n):
+            for d, pop in enumerate(attach):
+                try:
+                    want_paths[(e, d)] = per_pair_bfs_path(sets, e, pop)
+                except InputError:
+                    unreachable = unreachable or \
+                        f"pop {e} has no backbone path to dc {d} (at pop {pop})"
+        if unreachable:
+            # The first unreachable (pop, datacenter) pair, pop-major, is named.
+            for build in (lambda: _routes(adj, attach), lambda: topology_from_config(cfg)):
+                with pytest.raises(InputError) as exc:
+                    build()
+                assert str(exc.value) == unreachable
             return
         hops, paths = _routes(adj, attach)
         # A hop count is the length of a shortest path.
         assert hops == [[len(want_paths[(e, d)]) for d in range(len(attach))]
                         for e in range(n)]
-        assert paths == want_paths
+        assert list(paths.items()) == list(want_paths.items())
         topo = topology_from_config(cfg)
         assert topo.latency == [[h * 10.0 for h in row] for row in hops]
         assert topo.paths == want_paths
@@ -230,6 +238,25 @@ class TestRoutes:
         assert hops[0] == [2]
         assert paths[(0, 0)] == [(0, 1), (1, 3)]
         assert paths[(3, 0)] == []
+
+
+    def test_datacenters_sharing_an_attach_pop_share_one_search(self, monkeypatch):
+        # 0-1-3 and 0-2-3 tie on the way to pop 4, and 2-0-1 and 2-3-1 on the
+        # way to pop 1: the walk takes the lower-id neighbour each time.
+        links = [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 4, 1.0)]
+        attach = [4, 4, 1]
+        roots = []
+        bfs = topology._bfs
+        monkeypatch.setattr(topology, "_bfs", lambda adj, src: roots.append(src) or bfs(adj, src))
+        hops, paths = _routes(_adjacency(5, links, attach), attach)
+        assert sorted(roots) == [1, 4]
+        assert hops == [[3, 3, 1], [2, 2, 0], [2, 2, 2], [1, 1, 1], [0, 0, 2]]
+        assert paths[(0, 0)] == paths[(0, 1)] == [(0, 1), (1, 3), (3, 4)]
+        assert paths[(2, 2)] == [(0, 2), (0, 1)]
+        assert paths[(4, 2)] == [(3, 4), (1, 3)]
+        sets = neighbour_sets(5, links)
+        assert paths == {(e, d): per_pair_bfs_path(sets, e, pop)
+                         for e in range(5) for d, pop in enumerate(attach)}
 
 
 class TestDerivedLatency:
