@@ -1,10 +1,15 @@
+import json
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scrubsim import adaptation
 from scrubsim.adaptation import (
     _FIXED_MIXES_MEMO,
     _PCG_MULT,
@@ -15,6 +20,7 @@ from scrubsim.adaptation import (
     EstimatorState,
     RegretReport,
     _fixed_mixes,
+    _hindsight_reference,
     _mul128,
     _replay,
     _seeded_uniform_rows,
@@ -39,6 +45,7 @@ from reference import reference_adversary_next
 
 LIB = builtin_library()
 LIB2 = LIB[:2]
+RUN_BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def toy_trace():
@@ -311,14 +318,14 @@ class TestNormalizedRegret:
             wastage.append(w)
             evasion.append(v)
             wvm.append(m)
-        rep = normalized_regret(trace, wastage, evasion, wvm, LIB2)
+        rep = normalized_regret(trace, wastage, evasion, wvm)
         assert rep.regret_combined == pytest.approx(0.0, abs=1e-12)
         # Each loss series needs one value per epoch of the trace.
         for k in range(3):
             series = [wastage, evasion, wvm]
             series[k] = series[k][:-1]
             with pytest.raises(InputError, match="loss series must align"):
-                normalized_regret(trace, *series, LIB2)
+                normalized_regret(trace, *series)
 
     def test_prevepoch_positive_on_toy_trace(self):
         rep = run_estimator_on_trace("prevepoch", toy_trace(), Budget(30.0), LIB2)
@@ -332,6 +339,92 @@ class TestNormalizedRegret:
         rep2 = run_estimator_on_trace("prevepoch", scaled, Budget(90.0), LIB2)
         assert rep1.regret_combined == pytest.approx(rep2.regret_combined)
         assert rep1.regret_g2 == pytest.approx(rep2.regret_g2)
+
+
+
+@pytest.fixture
+def hindsight_calls(monkeypatch):
+    """Counts best_static_hindsight's calls, starting with no reference held."""
+    calls = []
+    real = adaptation.best_static_hindsight
+
+    def counted(trace):
+        calls.append(trace)
+        return real(trace)
+
+    monkeypatch.setattr(adaptation, "best_static_hindsight", counted)
+    monkeypatch.setattr(adaptation, "_last_reference", (None, None))
+    return calls
+
+
+def _sweep_trace(kind, seed, epochs=60):
+    return _stack([adversary_next(AdversaryStrategy(kind, seed), Budget(100.0), t, 6, 4)
+                   for t in range(epochs)])
+
+
+class TestHindsightReference:
+    def test_priced_once_per_trace(self, hindsight_calls):
+        a, b = _sweep_trace("randhybrid", 1), _sweep_trace("randhybrid", 2)
+        for kind in ESTIMATORS:
+            run_estimator_on_trace(kind, a, Budget(100.0), LIB, seed=1)
+        assert len(hindsight_calls) == 1
+        for trace in (b, a):
+            run_estimator_on_trace("fpl", trace, Budget(100.0), LIB, seed=1)
+        assert len(hindsight_calls) == 3
+
+    def test_a_negative_zero_misses(self, hindsight_calls):
+        trace = _sweep_trace("steady", 3)
+        flipped = trace.copy()
+        index = tuple(np.argwhere(trace == 0.0)[0])
+        flipped[index] = -0.0
+        assert np.array_equal(trace, flipped) and trace.tobytes() != flipped.tobytes()
+        for t in (trace, flipped):
+            run_estimator_on_trace("uniform", t, Budget(100.0), LIB)
+        assert len(hindsight_calls) == 2
+
+    def test_an_in_place_edit_misses(self, hindsight_calls, monkeypatch):
+        trace = _sweep_trace("randingress", 4)
+        run_estimator_on_trace("prevepoch", trace, Budget(100.0), LIB)
+        trace[5, 2, 1] += 7.0
+        edited = run_estimator_on_trace("prevepoch", trace, Budget(100.0), LIB)
+        assert len(hindsight_calls) == 2
+        monkeypatch.setattr(adaptation, "_last_reference", (None, None))
+        assert repr(edited) == repr(run_estimator_on_trace("prevepoch", trace,
+                                                           Budget(100.0), LIB))
+
+    @pytest.mark.parametrize("kind", STRATEGIES)
+    def test_a_hit_reports_what_a_fresh_reference_does(self, hindsight_calls, monkeypatch,
+                                                      kind):
+        trace = _sweep_trace(kind, 5)
+        run_estimator_on_trace("fpl", trace, Budget(100.0), LIB, seed=5)
+        for est in ESTIMATORS:
+            hit = run_estimator_on_trace(est, trace, Budget(100.0), LIB, seed=5)
+            monkeypatch.setattr(adaptation, "_last_reference", (None, None))
+            fresh = run_estimator_on_trace(est, trace, Budget(100.0), LIB, seed=5)
+            assert repr(hit) == repr(fresh), est
+        assert len(hindsight_calls) == 1 + len(ESTIMATORS)
+
+    def test_running_sums_are_read_only(self):
+        _loss, cum = _hindsight_reference(_sweep_trace("flipprevepoch", 6))
+        assert cum.shape == (3, 60) and not cum.flags.writeable
+        with pytest.raises(ValueError):
+            cum[0, -1] = 0.0
+
+
+def test_traced_regret_sweep_reads_its_hooked_spans():
+    """A traced regret-sweep smoke run passes its output checks, and the
+    spans timed through its hooks on `normalized_regret` and
+    `best_static_hindsight` are above 0. A caller that reached either
+    through a local alias would skip the hook and read 0 here. (Its
+    `estimate_s` and `loss_s` hook functions that replays do not call.)"""
+    proc = subprocess.run([sys.executable, str(RUN_BENCH), "--workload", "regret-sweep",
+                           "--smoke", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    for name in ("adaptation.regret_s", "adaptation.hindsight_s"):
+        assert result["metrics"][name]["value"] > 0, name
 
 
 def test_fpl_regret_shrinks_with_the_horizon():
