@@ -569,8 +569,9 @@ def per_epoch_regret_report(strategy_kind: str, estimator_kind: str,
                             seeds: list[int]) -> list[dict[str, float]]:
     """Per-epoch loss series for one strategy/estimator pair, averaged over
     seeds: wastage, evasion, VM wastage, per-goal running cumulatives, and
-    regret accruing against the full-trace hindsight static (so the final
-    row equals the trace's normalized regret)."""
+    regret accruing against the full-trace hindsight static. The final row's
+    regrets are `regret_experiment`'s mean normalized regrets up to rounding:
+    the two sum in different orders, so they can differ in the last bits."""
     if not seeds:
         raise InputError("need at least one seed")
     n_attacks = len(lib)

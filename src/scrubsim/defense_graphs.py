@@ -71,10 +71,11 @@ class AnnotatedGraph:
 
     def __post_init__(self):
         # The graph is not changed after construction, so its adjacency,
-        # shares, VM rates, compute factor, delivering nodes, analysis nodes'
-        # successors and SSP node orders (`ssp_order`) are derived once; the
-        # accessors hand out copies.
-        self._by_id = {n.id: n for n in self.nodes}
+        # shares, VM rates, compute factor and SSP node orders (`ssp_order`)
+        # are derived once, and callers read them as they are.
+        # `predecessors` and ascending `successors` map every node id to a
+        # tuple; `roots` are in node order.
+        self.by_id = {n.id: n for n in self.nodes}
         pred: dict[int, list[int]] = {}
         succ: dict[int, list[int]] = {}
         incoming: dict[int, float] = {}
@@ -82,13 +83,13 @@ class AnnotatedGraph:
             pred.setdefault(d, []).append(s)
             succ.setdefault(s, []).append(d)
             incoming[d] = incoming.get(d, 0) + w  # sequential_sum's order
-        self._pred = {i: tuple(p) for i, p in pred.items()}
-        self._succ = {i: tuple(sorted(c)) for i, c in succ.items()}
-        self._roots = tuple(n.id for n in self.nodes if n.id not in pred)
+        self.predecessors = {i: tuple(pred.get(i, ())) for i in self.by_id}
+        self.successors = {i: tuple(sorted(succ.get(i, ()))) for i in self.by_id}
+        self.roots = tuple(n.id for n in self.nodes if n.id not in pred)
         # By ascending id, the order in which tags and pins visit nodes.
-        by_id = sorted(self._by_id.items())
-        self._delivering = tuple(i for i, n in by_id if n.delivers)
-        self._analysis_succ = {i: self._succ.get(i, ()) for i, n in by_id if n.kind == ANALYSIS}
+        by_id = sorted(self.by_id.items())
+        self.delivering = tuple(i for i, n in by_id if n.delivers)
+        self.analysis_successors = {i: self.successors[i] for i, n in by_id if n.kind == ANALYSIS}
         # A node's share is its incoming edge weight; roots have none and
         # split the external input evenly.
         self._share = {n.id: incoming[n.id] if n.id in pred else self.external_fraction(n.id)
@@ -104,19 +105,9 @@ class AnnotatedGraph:
 
     def node(self, i: int) -> LogicalModule:
         try:
-            return self._by_id[i]
+            return self.by_id[i]
         except KeyError:
             raise InputError(f"unknown node id {i} in {self.attack.name} graph") from None
-
-    def predecessors(self, i: int) -> list[int]:
-        return list(self._pred.get(i, ()))
-
-    def successors(self, i: int) -> list[int]:
-        return list(self._succ.get(i, ()))
-
-    @property
-    def roots(self) -> list[int]:
-        return list(self._roots)
 
     def ssp_order(self, provisioned: frozenset[int]) -> tuple[SspOrder, bool]:
         """(node id, predecessor ids) for each node in `provisioned`, the
@@ -131,11 +122,11 @@ class AnnotatedGraph:
             pending, order = set(provisioned), []
             placed = {n.id for n in self.nodes} - pending
             while pending:
-                i = max((i for i in pending if placed.issuperset(self._pred.get(i, ()))),
+                i = max((i for i in pending if placed.issuperset(self.predecessors.get(i, ()))),
                         key=lambda i: (self.node(i).capacity_gbps, -i), default=None)
                 if i is None:
                     raise InputError(f"{self.attack.name}: graph contains a cycle")
-                order.append((i, self._pred.get(i, ())))
+                order.append((i, self.predecessors.get(i, ())))
                 pending.remove(i)
                 placed.add(i)
             chained = all(provisioned.intersection(preds) for _i, preds in order[1:])
@@ -144,7 +135,7 @@ class AnnotatedGraph:
 
     def external_fraction(self, i: int) -> float:
         """External input splits evenly over the roots."""
-        return 1.0 / len(self._roots) if i in self._roots else 0.0
+        return 1.0 / len(self.roots) if i in self.roots else 0.0
 
     def share(self, i: int) -> float:
         """Fraction of the graph's total input traffic this node processes."""
@@ -159,11 +150,11 @@ class AnnotatedGraph:
         if not self.nodes:
             raise InputError(f"{self.attack.name}: graph has no nodes")
         for s, d, w in self.edges:
-            if s not in self._by_id or d not in self._by_id:
+            if s not in self.by_id or d not in self.by_id:
                 raise InputError(f"{self.attack.name}: edge ({s},{d}) references unknown node")
             if not (0.0 <= w <= 1.0):
                 raise InputError(f"{self.attack.name}: edge ({s},{d}) weight {w} outside [0,1]")
-        self.ssp_order(frozenset(self._by_id))  # raises InputError on a cycle
+        self.ssp_order(frozenset(self.by_id))  # raises InputError on a cycle
         # Traffic may shrink at a node (drops) but never amplify.
         for n in self.nodes:
             out = sum(w for s, _d, w in self.edges if s == n.id)
@@ -173,7 +164,7 @@ class AnnotatedGraph:
                     f"but only receives {self.share(n.id):.4f}"
                 )
         for n in self.nodes:
-            needed = len(self.successors(n.id)) + (1 if n.delivers else 0)
+            needed = len(self.successors[n.id]) + (1 if n.delivers else 0)
             if n.contexts < max(needed, 1):
                 raise InputError(
                     f"{self.attack.name}: node {n.name} needs >= {needed} contexts, has {n.contexts}"

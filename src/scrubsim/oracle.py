@@ -68,40 +68,38 @@ _SPREAD_MEMO_ENTRIES = 20_000
 GAP_DUMP_THRESHOLD = 0.10
 
 
-@dataclass
-class OracleInstance:
-    delta: float = 0.05
-
-    def check(self, topo: Topology, traffic: np.ndarray, lib: Library) -> None:
-        problems = []
-        if len(topo.pops) > MAX_POPS:
-            problems.append(f"{len(topo.pops)} pops > {MAX_POPS}")
-        if len(topo.datacenters) > MAX_DCS:
-            problems.append(f"{len(topo.datacenters)} datacenters > {MAX_DCS}")
-        if len(lib) > MAX_ATTACKS:
-            problems.append(f"{len(lib)} attacks > {MAX_ATTACKS}")
-        for g in lib:
-            if len(g.nodes) > MAX_GRAPH_NODES:
-                problems.append(f"graph {g.attack.name} has {len(g.nodes)} nodes > {MAX_GRAPH_NODES}")
-        for d, dc in enumerate(topo.datacenters):
-            n_srv = sum(map(len, dc.racks))
-            if n_srv > MAX_SERVERS_PER_DC:
-                problems.append(f"dc {d} has {n_srv} servers > {MAX_SERVERS_PER_DC}")
-        # A delta that is not finite and positive has no grid to round to.
-        inv = 1.0 / self.delta if self.delta > 0 else math.nan
-        gridded = math.isfinite(inv)
-        if not gridded or abs(inv - round(inv)) > 1e-6 or not (1 <= round(inv) <= 100):
-            problems.append(f"delta {self.delta} must be 1/k for integer k <= 100")
-        positive = traffic[traffic > _EPS]
-        if positive.size:
-            t0 = positive.max()
-            if (np.abs(positive - t0) > 1e-9 * max(t0, 1.0)).any():
-                problems.append("positive traffic cells must be equal for grid alignment")
-            units = round(inv) * positive.size if gridded else 0
-            if units > MAX_TOTAL_UNITS:
-                problems.append(f"{units} volume units > {MAX_TOTAL_UNITS}")
-        if problems:
-            raise OracleSizeError("invalid oracle instance: " + "; ".join(problems))
+def check_instance(delta: float, topo: Topology, traffic: np.ndarray, lib: Library) -> None:
+    """Refuse an instance beyond the oracle's size bounds, or a grid step
+    `delta` that is not 1/k for an integer k <= 100, naming every problem."""
+    problems = []
+    if len(topo.pops) > MAX_POPS:
+        problems.append(f"{len(topo.pops)} pops > {MAX_POPS}")
+    if len(topo.datacenters) > MAX_DCS:
+        problems.append(f"{len(topo.datacenters)} datacenters > {MAX_DCS}")
+    if len(lib) > MAX_ATTACKS:
+        problems.append(f"{len(lib)} attacks > {MAX_ATTACKS}")
+    for g in lib:
+        if len(g.nodes) > MAX_GRAPH_NODES:
+            problems.append(f"graph {g.attack.name} has {len(g.nodes)} nodes > {MAX_GRAPH_NODES}")
+    for d, dc in enumerate(topo.datacenters):
+        n_srv = sum(map(len, dc.racks))
+        if n_srv > MAX_SERVERS_PER_DC:
+            problems.append(f"dc {d} has {n_srv} servers > {MAX_SERVERS_PER_DC}")
+    # A delta that is not finite and positive has no grid to round to.
+    inv = 1.0 / delta if delta > 0 else math.nan
+    gridded = math.isfinite(inv)
+    if not gridded or abs(inv - round(inv)) > 1e-6 or not (1 <= round(inv) <= 100):
+        problems.append(f"delta {delta} must be 1/k for integer k <= 100")
+    positive = traffic[traffic > _EPS]
+    if positive.size:
+        t0 = positive.max()
+        if (np.abs(positive - t0) > 1e-9 * max(t0, 1.0)).any():
+            problems.append("positive traffic cells must be equal for grid alignment")
+        units = round(inv) * positive.size if gridded else 0
+        if units > MAX_TOTAL_UNITS:
+            problems.append(f"{units} volume units > {MAX_TOTAL_UNITS}")
+    if problems:
+        raise OracleSizeError("invalid oracle instance: " + "; ".join(problems))
 
 
 @dataclass
@@ -211,62 +209,13 @@ def _spreads(count: int, free: tuple[int, ...], idx: int = 0,
                    rest + (free[idx] - take, free[last] - left))
 
 
-class _MinCostFlow:
-    """Successive-shortest-path min-cost flow (Bellman-Ford labeling)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.adj: list[list[list]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int, cap: int, cost: float) -> None:
-        self.adj[u].append([v, cap, cost, len(self.adj[v])])
-        self.adj[v].append([u, 0, -cost, len(self.adj[u]) - 1])
-
-    def run(self, s: int, t: int, want: int) -> float:
-        """The least cost of sending `want` units from `s` to `t`; the graph
-        must have room for all of them."""
-        sent = 0
-        total_cost = 0.0
-        while sent < want:
-            dist = [math.inf] * self.n
-            prev_node = [-1] * self.n
-            prev_edge = [-1] * self.n
-            dist[s] = 0.0
-            for _ in range(self.n):
-                changed = False
-                for u in range(self.n):
-                    if math.isinf(dist[u]):
-                        continue
-                    for ei, (v, cap, cost, _rev) in enumerate(self.adj[u]):
-                        if cap > 0 and dist[u] + cost < dist[v] - 1e-12:
-                            dist[v] = dist[u] + cost
-                            prev_node[v] = u
-                            prev_edge[v] = ei
-                            changed = True
-                if not changed:
-                    break
-            aug = want - sent
-            v = t
-            while v != s:
-                aug = min(aug, self.adj[prev_node[v]][prev_edge[v]][1])
-                v = prev_node[v]
-            v = t
-            while v != s:
-                edge = self.adj[prev_node[v]][prev_edge[v]]
-                edge[1] -= aug
-                self.adj[v][edge[3]][1] += aug
-                v = prev_node[v]
-            sent += aug
-            total_cost += aug * dist[t]
-        return total_cost
-
-
 def _min_cost_transport(supplies: list[int], demands: list[int],
                         cost: list[list[float]]) -> tuple[float, list[list[int]]]:
-    """Exact min-cost transport on a complete bipartite graph. Integral
-    supplies/demands give an integral optimal flow. Every supply reaches
-    every demand, so the flow has room for the demand exactly when the
-    supply covers it."""
+    """Exact min-cost transport on a complete bipartite graph, as a
+    successive-shortest-path min-cost flow with Bellman-Ford labels.
+    Integral supplies/demands give an integral optimal flow. Every supply
+    reaches every demand, so the flow has room for the demand exactly when
+    the supply covers it."""
     n_s, n_d = len(supplies), len(demands)
     want = sum(demands)
     flow = [[0] * n_d for _ in range(n_s)]
@@ -275,20 +224,62 @@ def _min_cost_transport(supplies: list[int], demands: list[int],
     if want > sum(supplies):
         raise OracleSizeError("transport demand exceeds supply (internal)")
     # Nodes: 0 = source, 1..n_s supplies, n_s+1..n_s+n_d demands, last = sink.
-    mcf = _MinCostFlow(n_s + n_d + 2)
-    sink = n_s + n_d + 1
-    mid_edges: dict[tuple[int, int], tuple[int, int, int]] = {}
+    # An edge is [head, residual capacity, cost, index of its reverse edge in
+    # the head's list].
+    n = n_s + n_d + 2
+    sink = n - 1
+    adj: list[list[list]] = [[] for _ in range(n)]
+
+    def add_edge(u: int, v: int, cap: int, c: float) -> list:
+        edge = [v, cap, c, len(adj[v])]
+        adj[u].append(edge)
+        adj[v].append([u, 0, -c, len(adj[u]) - 1])
+        return edge
+
     for e in range(n_s):
-        mcf.add_edge(0, 1 + e, supplies[e], 0.0)
-    for e in range(n_s):
-        for d in range(n_d):
-            mid_edges[(e, d)] = (1 + e, len(mcf.adj[1 + e]), want)
-            mcf.add_edge(1 + e, 1 + n_s + d, want, cost[e][d])
+        add_edge(0, 1 + e, supplies[e], 0.0)
+    mid = [[add_edge(1 + e, 1 + n_s + d, want, cost[e][d]) for d in range(n_d)]
+           for e in range(n_s)]
     for d in range(n_d):
-        mcf.add_edge(1 + n_s + d, sink, demands[d], 0.0)
-    value = mcf.run(0, sink, want)
-    for (e, d), (node, edge_idx, cap) in mid_edges.items():
-        flow[e][d] = cap - mcf.adj[node][edge_idx][1]
+        add_edge(1 + n_s + d, sink, demands[d], 0.0)
+
+    sent = 0
+    value = 0.0
+    while sent < want:
+        dist = [math.inf] * n
+        prev_node = [-1] * n
+        prev_edge = [-1] * n
+        dist[0] = 0.0
+        for _ in range(n):
+            changed = False
+            for u in range(n):
+                if math.isinf(dist[u]):
+                    continue
+                for ei, (v, cap, c, _rev) in enumerate(adj[u]):
+                    if cap > 0 and dist[u] + c < dist[v] - 1e-12:
+                        dist[v] = dist[u] + c
+                        prev_node[v] = u
+                        prev_edge[v] = ei
+                        changed = True
+            if not changed:
+                break
+        aug = want - sent
+        v = sink
+        while v != 0:
+            aug = min(aug, adj[prev_node[v]][prev_edge[v]][1])
+            v = prev_node[v]
+        v = sink
+        while v != 0:
+            edge = adj[prev_node[v]][prev_edge[v]]
+            edge[1] -= aug
+            adj[v][edge[3]][1] += aug
+            v = prev_node[v]
+        sent += aug
+        value += aug * dist[sink]
+    # A middle edge's flow is its capacity less what is left of it.
+    for e, row in enumerate(mid):
+        for d, edge in enumerate(row):
+            flow[e][d] = want - edge[1]
     return value, flow
 
 
@@ -411,13 +402,14 @@ def _optimal_dsc(dc: Datacenter, dc_id: int, graphs: Library,
     return best, True
 
 
-def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
-                 lib: Library, params: CostParams) -> OracleResult:
+def oracle_exact(topo: Topology, traffic: np.ndarray, lib: Library, params: CostParams,
+                 delta: float = 0.05) -> OracleResult:
     """Globally optimal (over the delta grid) assignment: maximize handled
     volume, then minimize alpha * wide-area cost + datacenter placement cost.
+    The grid step `delta` is a fraction of the largest traffic cell.
     """
     traffic = validate_traffic(traffic, topo, lib)
-    inst.check(topo, traffic, lib)
+    check_instance(delta, topo, traffic, lib)
 
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
@@ -426,8 +418,8 @@ def oracle_exact(inst: OracleInstance, topo: Topology, traffic: np.ndarray,
         return OracleResult(0.0, 0.0, np.zeros((n_e, n_a, n_d)),
                             np.zeros((n_a, n_d)), {})
     t0 = float(positive.max())
-    q = inst.delta * t0  # Gbps per grid unit
-    units_per_cell = round(1.0 / inst.delta)
+    q = delta * t0  # Gbps per grid unit
+    units_per_cell = round(1.0 / delta)
 
     supplies = np.zeros((n_e, n_a), dtype=int)
     supplies[traffic > _EPS] = units_per_cell
@@ -701,7 +693,6 @@ def oracle_comparison(n_instances: int, seed: int,
     if n_instances < 1:
         raise InputError(f"need at least 1 instance, got {n_instances}")
     rows = []
-    inst = OracleInstance(delta=delta)
     for k in range(n_instances):
         s = seed + k
         topo, traffic, lib, params = random_tiny_instance(s)
@@ -710,7 +701,7 @@ def oracle_comparison(n_instances: int, seed: int,
         ssps = place_all(topo, dsp, lib)
         cost_g = evaluate_cost(dsp, ssps, params)
         handled_g = float(traffic.sum()) - dsp.t_left
-        res = oracle_exact(inst, topo, traffic, lib, params)
+        res = oracle_exact(topo, traffic, lib, params, delta)
         elapsed = time.perf_counter() - t_start
         gap = 0.0
         if res.objective > 1e-9:

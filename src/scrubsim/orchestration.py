@@ -23,7 +23,6 @@ from . import config
 from .defense_graphs import AnnotatedGraph, Library, PhysicalGraph
 from .errors import CapacityError, InputError, PinConflictError
 from .resource_manager import DspResult, SspResult
-from .topology import Topology
 
 # A VM instance is identified by (attack id, dc id, node id, instance index)
 # and its logical node by the first three.
@@ -45,7 +44,7 @@ class GraphTags(NamedTuple):
         """The node's pool for an output context as (first tag, tags): a
         successor's run, empty when the successor has no VMs, or the egress
         tag; None when the node has no such pool. The node must have VMs."""
-        succs = self.graph._succ.get(node, ())
+        succs = self.graph.successors.get(node, ())
         if 0 <= context < len(succs):
             return self.runs.get(succs[context], (0, 0))
         if context == len(succs) and node in self.egress:
@@ -83,7 +82,7 @@ class TagPool:
     @property
     def egress_tags(self) -> dict[tuple[int, int, int, int], int]:
         """(attack id, dc id, node id, context index) -> egress tag."""
-        return {(a, d, node, len(g.graph._succ.get(node, ()))): tag
+        return {(a, d, node, len(g.graph.successors[node])): tag
                 for (a, d), g in self.graphs.items() for node, tag in g.egress.items()}
 
 
@@ -99,23 +98,23 @@ def assign_tags(pg: PhysicalGraph, graph: AnnotatedGraph,
     pools = pools if pools is not None else TagPool()
     all_counts = pg.counts
     counts = {i: all_counts[i] for i in sorted(all_counts) if all_counts[i]}
-    if not counts.keys() <= graph._by_id.keys():
-        graph.node(next(i for i in counts if i not in graph._by_id))  # raises InputError
+    if not counts.keys() <= graph.by_id.keys():
+        graph.node(next(i for i in counts if i not in graph.by_id))  # raises InputError
     tag = pools.next_tag
     runs: dict[int, tuple[int, int]] = {}
     for node, n in counts.items():
-        if node not in graph._roots:
+        if node not in graph.roots:
             runs[node] = (tag, n)
             tag += n
     egress: dict[int, int] = {}
-    for node in graph._delivering:
+    for node in graph.delivering:
         if node in counts:
             egress[node] = tag
             tag += 1
     # The graph's largest pool tag: its last egress tag, or else the end of
     # the last run that some node's pool holds.
     top = tag - 1 if egress else max(
-        (sum(runs[s]) - 1 for node in counts for s in graph._succ.get(node, ()) if s in runs),
+        (sum(runs[s]) - 1 for node in counts for s in graph.successors[node] if s in runs),
         default=0)
     pools.graphs[(pg.attack_id, pg.dc_id)] = GraphTags(graph, counts, runs, egress, top)
     pools.next_tag = tag
@@ -144,7 +143,7 @@ def tag_space_bound(graphs: list[AnnotatedGraph], l_max: int,
     for g in graphs:
         count = 0
         for n in g.nodes:
-            if g.successors(n.id):
+            if g.successors[n.id]:
                 count += 1
                 max_contexts = max(max_contexts, n.contexts)
         emitting += max(count, 1)  # a single-module graph still tags egress
@@ -256,7 +255,7 @@ class ForwardingPlan:
         """(a, d) -> the split every tunnel into the graph shares, rendered
         afresh: each root's share over its VMs."""
         return {(a, d): ("split", tuple(((a, d, root, k), graph.external_fraction(root) / n)
-                                        for root, n in zip(graph._roots, counts)
+                                        for root, n in zip(graph.roots, counts)
                                         for k in range(n)))
                 for (a, d), (graph, counts) in self.roots.items()}
 
@@ -319,7 +318,7 @@ def _refuse_clash(runs: TagRuns, first: int, stop: int, dc: int) -> None:
 
 
 def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
-                     topo: Topology, lib: Library) -> ForwardingPlan:
+                     lib: Library) -> ForwardingPlan:
     """Compile the resource assignment into proactive forwarding state:
     ingress flow-spec rules splitting over tunnels, per-datacenter tag rules
     steering between VM instances, and egress rules toward the customer.
@@ -355,7 +354,7 @@ def synthesize_rules(dsp: DspResult, ssps: list[SspResult], pools: TagPool,
                 short = next(i for i in (*graph.roots, *sorted(counts))
                              if placed.get(i, 0) < counts.get(i, 0))
                 raise InputError(f"unplaced VM {(a, d, short, placed.get(short, 0))}")
-        roots[(a, d)] = (graph, tuple([counts.get(root, 0) for root in graph._roots]))
+        roots[(a, d)] = (graph, tuple([counts.get(root, 0) for root in graph.roots]))
         runs = tag_runs.setdefault(d, {})
         g = pools.graphs[(a, d)]
         # A VM gets a rule when the pools tagged it; each egress tag steers
@@ -416,7 +415,7 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     # rule is no pin target.
     runs, pins = plan.tag_runs.get(d, {}), plan.bidi_pins
     before = len(pins)
-    for node, succs in graph._analysis_succ.items():
+    for node, succs in graph.analysis_successors.items():
         if node not in g.counts or not pg.counts.get(node):
             continue
         for s in succs:
@@ -443,7 +442,7 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
     for s, dst, w in graph.edges:
         if w <= 0 or not counts.get(s) or not counts.get(dst):
             continue
-        c = graph.successors(s).index(dst)
+        c = graph.successors[s].index(dst)
         node: NodeKey = (a, d, s)
         run = None if g is None else g.run(s, c)
         if not run or not run[1]:

@@ -205,7 +205,7 @@ def control_plane(topo: Topology, lib: Library,
         return EpochPlan(dsp, error=str(exc))
     price = evaluate_cost(dsp, ssps, cost)
     pools = build_tag_pools(dsp.physical, lib)
-    plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+    plan = synthesize_rules(dsp, ssps, pools, lib)
     for (a, _d), pg in dsp.physical.items():
         pin_bidirectional_for_graph(plan, pg, pools, lib[a])
     return EpochPlan(dsp, ssps, plan, price)

@@ -164,7 +164,7 @@ def node_pools(pools) -> dict:
     out = {}
     for (a, d), g in pools.graphs.items():
         for node in g.counts:
-            contexts = len(g.graph.successors(node)) + (node in g.egress)
+            contexts = len(g.graph.successors[node]) + (node in g.egress)
             for c in range(contexts):
                 out[((a, d, node), c)] = pools.pool((a, d, node, 0), c)
     return out

@@ -97,7 +97,7 @@ def test_criterion_3_rule_count_separation():
     dsp = dsp_greedy(topo, traffic, lib)
     ssps = place_all(topo, dsp, lib)
     pools = build_tag_pools(dsp.physical, lib)
-    plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+    plan = synthesize_rules(dsp, ssps, pools, lib)
     vms = dsp.total_vms()
     tag_rules = plan.max_switch_rules()
     ratio = 200_000 / tag_rules
@@ -110,7 +110,7 @@ def test_criterion_3_rule_count_separation():
     dsp_big = dsp_greedy(topo_big, traffic_big, lib)
     ssps_big = place_all(topo_big, dsp_big, lib)
     pools_big = build_tag_pools(dsp_big.physical, lib)
-    plan_big = synthesize_rules(dsp_big, ssps_big, pools_big, topo_big, lib)
+    plan_big = synthesize_rules(dsp_big, ssps_big, pools_big, lib)
     big_rules = plan_big.max_switch_rules()
 
     ok = vms <= 50 and ratio >= 1e3 and big_rules < 1000

@@ -446,6 +446,23 @@ def test_fpl_regret_shrinks_with_the_horizon():
         assert long[strategy] < 0.5 * short[strategy], (strategy, short, long)
 
 
+def test_per_epoch_final_row_matches_regret_experiment():
+    """Every pair's last per-epoch regrets are the sweep's mean regrets up to
+    rounding. A regret is a difference over a denominator no smaller than
+    its reference, so its rounding scales with max(1, |regret|): the bound
+    is 1e-12 relative, or absolute near 0. At 6 pops, 500 epochs and seeds
+    0-2 10 of the 45 values differ in the last bits."""
+    seeds = [0, 1, 2]
+    rows = regret_experiment(n_pops=6, budget=Budget(100.0), lib=LIB, epochs=500, seeds=seeds)
+    assert len(rows) == len(STRATEGIES) * len(ESTIMATORS)
+    for r in rows:
+        last = per_epoch_regret_report(r.strategy, r.estimator, 6, Budget(100.0), LIB, 500,
+                                       seeds)[-1]
+        got = [last[f"regret_{k}"] for k in ("combined", "g1", "g2")]
+        want = [r.mean_regret_combined, r.mean_regret_g1, r.mean_regret_g2]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (r.strategy, r.estimator)
+
+
 class TestLagContract:
     def test_estimates_blind_to_current_epoch(self):
         # Two traces that differ only in their final epoch must produce the

@@ -43,7 +43,7 @@ from scrubsim.adaptation import (
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library
 from scrubsim.errors import PlacementError
-from scrubsim.oracle import OracleInstance, oracle_exact, random_tiny_instance
+from scrubsim.oracle import oracle_exact, random_tiny_instance
 from scrubsim.orchestration import (
     build_tag_pools,
     pin_bidirectional_for_graph,
@@ -105,7 +105,7 @@ def golden_plan():
     dsp = dsp_greedy(topo, traffic, lib)
     ssps = place_all(topo, dsp, lib)
     pools = build_tag_pools(dsp.physical, lib)
-    plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+    plan = synthesize_rules(dsp, ssps, pools, lib)
     for key in sorted(dsp.physical):
         pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib[key[0]])
     return plan
@@ -133,7 +133,7 @@ def oracle_reprs() -> dict[str, dict[str, str]]:
     out = {}
     for seed in ORACLE_SEEDS:
         topo, traffic, lib, params = random_tiny_instance(seed)
-        res = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        res = oracle_exact(topo, traffic, lib, params, delta=0.05)
         out[str(seed)] = dict(oracle_result_reprs(res), search_nodes=repr(res.search_nodes))
     return out
 
@@ -145,7 +145,7 @@ def oracle_digest() -> str:
     h = hashlib.sha256()
     for seed in ORACLE_DIGEST_SEEDS:
         topo, traffic, lib, params = random_tiny_instance(seed)
-        res = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        res = oracle_exact(topo, traffic, lib, params, delta=0.05)
         h.update(json.dumps([seed, oracle_result_reprs(res), res.proven],
                             sort_keys=True).encode())
     return h.hexdigest()
@@ -245,7 +245,7 @@ def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict
     out["ssp"] = _digest(repr([(r.dc_id, r.attack_id, list(r.n_srv.items()),
                                 list(r.placements.items()), r.intra_rack_units,
                                 r.inter_rack_units) for r in ssps]))
-    plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+    plan = synthesize_rules(dsp, ssps, pools, lib)
     for key in sorted(dsp.physical):
         pin_bidirectional_for_graph(plan, dsp.physical[key], pools, lib[key[0]])
     with tempfile.TemporaryDirectory() as tmp:

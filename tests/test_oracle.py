@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scrubsim import oracle
@@ -18,7 +18,6 @@ from scrubsim.defense_graphs import (
 from scrubsim.errors import InputError, OracleSizeError, PlacementError
 from scrubsim.oracle import (
     ComparisonRow,
-    OracleInstance,
     _feasible_tuples,
     _largest_last,
     _max_handled_tables,
@@ -26,6 +25,7 @@ from scrubsim.oracle import (
     _optimal_dsc,
     _preset_graph,
     _spreads,
+    check_instance,
     oracle_comparison,
     oracle_exact,
     gap_summary,
@@ -45,22 +45,49 @@ def one_node_lib(p=10.0):
     return (g,)
 
 
+def _splits(units: int, n: int):
+    """Every way to split `units` over `n` supplies."""
+    if n == 1:
+        yield (units,)
+        return
+    for first in range(units + 1):
+        for rest in _splits(units - first, n - 1):
+            yield (first, *rest)
+
+
+@st.composite
+def transport_cases(draw):
+    """1-3 supplies of 0-3 units, 1-3 demands within their total, and
+    integer costs 1-9."""
+    supplies = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    demands, left = [], sum(supplies)
+    for _ in range(draw(st.integers(1, 3))):
+        demands.append(draw(st.integers(0, left)))
+        left -= demands[-1]
+    cost = [[float(draw(st.integers(1, 9))) for _ in demands] for _ in supplies]
+    return supplies, demands, cost
+
+
 class TestTransport:
-    def test_against_brute_force(self):
-        supplies = [2, 3]
-        demands = [1, 3]
-        cost = [[1.0, 4.0], [2.0, 1.5]]
+    @settings(max_examples=150)
+    @given(transport_cases())
+    @example(([2, 3], [1, 3], [[1.0, 4.0], [2.0, 1.5]]))
+    def test_against_brute_force(self, case):
+        supplies, demands, cost = case
         value, flow = _min_cost_transport(supplies, demands, cost)
+        # Enumerate every integral flow meeting the demands within the supplies.
         best = math.inf
-        # Enumerate all integral flows meeting demands within supplies.
-        for f00, f01, f10, f11 in itertools.product(range(4), repeat=4):
-            if f00 + f01 > supplies[0] or f10 + f11 > supplies[1]:
-                continue
-            if f00 + f10 != demands[0] or f01 + f11 != demands[1]:
-                continue
-            best = min(best, f00 * 1.0 + f01 * 4.0 + f10 * 2.0 + f11 * 1.5)
-        assert value == pytest.approx(best)
-        assert sum(flow[e][d] for e in range(2) for d in range(2)) == sum(demands)
+        for cols in itertools.product(*(_splits(k, len(supplies)) for k in demands)):
+            if all(sum(col[e] for col in cols) <= s for e, s in enumerate(supplies)):
+                best = min(best, sum(col[e] * cost[e][d] for d, col in enumerate(cols)
+                                     for e in range(len(supplies))))
+        # Whole and half costs make every sum exact.
+        assert value == best
+        assert all(x >= 0 for row in flow for x in row)
+        assert [sum(row[d] for row in flow) for d in range(len(demands))] == demands
+        assert all(sum(row) <= s for row, s in zip(flow, supplies))
+        assert sum(x * c for row, cost_row in zip(flow, cost)
+                   for x, c in zip(row, cost_row)) == value
 
     def test_zero_demand(self):
         value, flow = _min_cost_transport([3], [0], [[1.0]])
@@ -80,7 +107,7 @@ class TestOracleExact:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         params = CostParams()
-        res = oracle_exact(OracleInstance(), topo, traffic, lib, params)
+        res = oracle_exact(topo, traffic, lib, params)
         assert res.handled == pytest.approx(10.0)
         assert res.objective == pytest.approx(evaluate_cost(dsp, ssps, params))
 
@@ -92,7 +119,7 @@ class TestOracleExact:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         params = CostParams()
-        res = oracle_exact(OracleInstance(), topo, traffic, lib, params)
+        res = oracle_exact(topo, traffic, lib, params)
         assert res.handled == pytest.approx(10.0 - dsp.t_left)
         assert res.objective <= evaluate_cost(dsp, ssps, params) + 1e-9
 
@@ -101,8 +128,8 @@ class TestOracleExact:
         topo = make_topo(1, [make_dc(7.0, [[99]]), make_dc(99.0, [[99]])],
                          [[1.0, 4.0]])
         traffic = np.array([[20.0]])
-        coarse = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, CostParams())
-        fine = oracle_exact(OracleInstance(delta=0.025), topo, traffic, lib, CostParams())
+        coarse = oracle_exact(topo, traffic, lib, CostParams(), delta=0.05)
+        fine = oracle_exact(topo, traffic, lib, CostParams(), delta=0.025)
         assert fine.handled >= coarse.handled - 1e-9
         if fine.handled == pytest.approx(coarse.handled):
             assert fine.objective <= coarse.objective + 1e-9
@@ -112,8 +139,7 @@ class TestOracleExact:
         dcs = [make_dc(99.0, [[99]])]
         topo = make_topo(4, dcs, [[1.0]] * 4)
         with pytest.raises(OracleSizeError):
-            oracle_exact(OracleInstance(), topo, np.full((4, 1), 20.0), lib,
-                         CostParams())
+            oracle_exact(topo, np.full((4, 1), 20.0), lib, CostParams())
 
     @pytest.mark.parametrize("n_pops, dcs, lib, delta, message", [
         (1, [make_dc(99.0, [[99]])] * 4, one_node_lib(), 0.05, "4 datacenters > 3"),
@@ -130,20 +156,18 @@ class TestOracleExact:
         topo = make_topo(n_pops, dcs, [[1.0] * len(dcs)] * n_pops)
         traffic = np.full((n_pops, len(lib)), 20.0)
         with pytest.raises(OracleSizeError, match=f"^invalid oracle instance: {message}$"):
-            OracleInstance(delta=delta).check(topo, traffic, lib)
+            check_instance(delta, topo, traffic, lib)
 
     def test_unequal_cells_refused(self):
         lib = one_node_lib()
         topo = make_topo(2, [make_dc(99.0, [[99]])], [[1.0], [1.0]])
         with pytest.raises(OracleSizeError):
-            oracle_exact(OracleInstance(), topo, np.array([[20.0], [10.0]]),
-                         lib, CostParams())
+            oracle_exact(topo, np.array([[20.0], [10.0]]), lib, CostParams())
 
     def test_zero_traffic(self):
         lib = one_node_lib()
         topo = make_topo(1, [make_dc(99.0, [[99]])], [[1.0]])
-        res = oracle_exact(OracleInstance(), topo, np.array([[0.0]]), lib,
-                           CostParams())
+        res = oracle_exact(topo, np.array([[0.0]]), lib, CostParams())
         assert res.handled == 0.0 and res.objective == 0.0
 
     @pytest.mark.parametrize("delta", [0.0, math.nan, 0.3])
@@ -152,14 +176,13 @@ class TestOracleExact:
         topo = make_topo(1, [make_dc(99.0, [[99]])], [[1.0]])
         with pytest.raises(OracleSizeError,
                            match=r"^invalid oracle instance: delta .* must be 1/k") as info:
-            oracle_exact(OracleInstance(delta=delta), topo, np.array([[20.0]]), lib,
-                         CostParams())
+            oracle_exact(topo, np.array([[20.0]]), lib, CostParams(), delta=delta)
         assert "too large" not in str(info.value)
 
     def test_deterministic(self):
         topo, traffic, lib, params = random_tiny_instance(11)
-        a = oracle_exact(OracleInstance(), topo, traffic, lib, params)
-        b = oracle_exact(OracleInstance(), topo, traffic, lib, params)
+        a = oracle_exact(topo, traffic, lib, params)
+        b = oracle_exact(topo, traffic, lib, params)
         assert a.objective == b.objective
         assert np.array_equal(a.volumes, b.volumes)
 
@@ -303,7 +326,7 @@ class TestDownwardClosedTuples:
         monkeypatch.setattr(oracle, "_max_handled_tables", spy)
         for seed in range(20_000, 20_100):
             topo, traffic, lib, params = random_tiny_instance(seed)
-            oracle_exact(OracleInstance(), topo, traffic, lib, params)
+            oracle_exact(topo, traffic, lib, params)
         assert len(calls) == 100
         for tuples_by_dc in calls:
             for feas in tuples_by_dc:
@@ -483,8 +506,7 @@ class TestAgainstNaiveEnumeration:
             return tables
 
         monkeypatch.setattr(oracle, "_max_handled_tables", spy)
-        res = oracle_exact(OracleInstance(delta=0.25), topo, traffic, lib,
-                           CostParams())
+        res = oracle_exact(topo, traffic, lib, CostParams(), delta=0.25)
 
         q = 0.25 * 8.0
         best = None  # (handled, -cost) lexicographic max
@@ -567,10 +589,10 @@ class TestComparisonRunner:
         # Criterion 1's seed 20007 prices datacenters by search (1 oracle
         # node) and is proven at the default budget.
         topo, traffic, lib, params = random_tiny_instance(20_007)
-        full = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        full = oracle_exact(topo, traffic, lib, params, delta=0.05)
         assert full.search_nodes > 0 and full.proven
         monkeypatch.setattr(oracle, "_PLACEMENT_NODE_BUDGET", budget)
-        cut = oracle_exact(OracleInstance(delta=0.05), topo, traffic, lib, params)
+        cut = oracle_exact(topo, traffic, lib, params, delta=0.05)
         assert not cut.proven
         dsp = dsp_greedy(topo, traffic, lib)
         assert full.objective <= cut.objective <= evaluate_cost(

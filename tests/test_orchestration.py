@@ -159,7 +159,7 @@ class TestSynthesizeRules:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         return dsp, pools, plan
 
     def test_two_rules_at_branching_switch(self):
@@ -179,7 +179,7 @@ class TestSynthesizeRules:
         lib = (two_branch_graph(),)
         topo = small_topo()
         dsp = dsp_greedy(topo, np.array([[0.0]]), lib)
-        plan = synthesize_rules(dsp, [], TagPool(), topo, lib)
+        plan = synthesize_rules(dsp, [], TagPool(), lib)
         assert plan.dc_tables == {}
         assert plan.max_switch_rules() == 0
 
@@ -200,7 +200,7 @@ class TestSynthesizeRules:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         for (e, a), splits in plan.wide_area.items():
             assert sum(w for _d, w in splits) == pytest.approx(float(dsp.f[e, a, :].sum()))
 
@@ -212,7 +212,7 @@ class TestSynthesizeRules:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         for pg in dsp.physical.values():
             assert plan_realizes_edges(plan, pg, pools, lib) == []
 
@@ -228,7 +228,7 @@ class TestSynthesizeRules:
         shared = pools.next_tag = min(pools.instance_tags.values())
         assign_tags(dsp.physical[second], lib[second[0]], pools)
         with pytest.raises(InputError) as err:
-            synthesize_rules(dsp, ssps, pools, topo, lib)
+            synthesize_rules(dsp, ssps, pools, lib)
         assert str(err.value) == f"duplicate rule match ('tag', {shared}) on dc0"
 
     def test_clash_inside_a_run_names_its_first_shared_tag(self):
@@ -241,7 +241,7 @@ class TestSynthesizeRules:
         # 4, and ends inside it.
         pools.graphs[(0, 0)].runs.update({1: (3, 2), 2: (2, 2)})
         with pytest.raises(InputError) as err:
-            synthesize_rules(dsp, ssps, pools, topo, lib)
+            synthesize_rules(dsp, ssps, pools, lib)
         assert str(err.value) == "duplicate rule match ('tag', 3) on dc0"
 
     def test_golden_stable_serialization(self, tmp_path):
@@ -266,7 +266,7 @@ class TestPlanRealizesEdges:
         dsp = dsp_greedy(topo, np.array([[40.0]]), lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         pg = dsp.physical[(0, 0)]
         assert plan_realizes_edges(plan, pg, pools, lib) == []
         assert node_pools(pools) == {((0, 0, 0), 0): [1, 2], ((0, 0, 0), 1): [3, 4],
@@ -326,7 +326,7 @@ class TestPlanRealizesEdges:
         assert dsp.n_dc == {(0, 0): {0: 2, 1: 0, 2: 2}}
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         assert sorted(pools.instance_tags) == [(0, 0, 2, 0), (0, 0, 2, 1)]
         assert pools.egress_tags == {}
         # Only a1 emits tags; its pool toward r_ok is empty.
@@ -391,7 +391,7 @@ class TestBidirectionalPins:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         return lib, dns, dsp, pools, plan
 
     def test_pin_then_lookup(self):
@@ -440,7 +440,7 @@ class TestBidirectionalPins:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         pins = {a: pin_bidirectional_for_graph(plan, pg, pools, lib[a])
                 for (a, d), pg in dsp.physical.items()}
         assert pins[dns_id] > 0
@@ -453,7 +453,7 @@ class TestBidirectionalPins:
                 continue
             for k in range(count):
                 vm = (dns_id, 0, node, k)
-                for c in range(len(dns_graph.successors(node))):
+                for c in range(len(dns_graph.successors[node])):
                     for tag in pools.pool(vm, c):
                         assert tag in plan.bidi_pins
 
@@ -465,7 +465,7 @@ class TestBidirectionalPins:
         dsp = dsp_greedy(topo, traffic, lib)
         ssps = place_all(topo, dsp, lib)
         pools = build_tag_pools(dsp.physical, lib)
-        plan = synthesize_rules(dsp, ssps, pools, topo, lib)
+        plan = synthesize_rules(dsp, ssps, pools, lib)
         want = reference_pins(dsp.physical, pools, lib)
         assert library_pins(plan, dsp.physical, pools, lib) == want
         assert sum(want[0]) > 0
@@ -508,7 +508,7 @@ def reference_assign_tags(pg, graph, pools=None):
             slots_needed.append(("vm", (a, d, node, k)))
     for node in placed_nodes:
         if graph.node(node).delivers:
-            slots_needed.append(("egress", (a, d, node, len(graph.successors(node)))))
+            slots_needed.append(("egress", (a, d, node, len(graph.successors[node]))))
     values = list(range(pools.next_tag, pools.next_tag + len(slots_needed)))
     pools.next_tag += len(slots_needed)
     for (kind, key), value in zip(slots_needed, values):
@@ -517,7 +517,7 @@ def reference_assign_tags(pg, graph, pools=None):
         else:
             pools.egress_tags[key] = value
     for node in placed_nodes:
-        succs = graph.successors(node)
+        succs = graph.successors[node]
         for k in range(pg.counts[node]):
             vm = (a, d, node, k)
             for c, succ in enumerate(succs):
@@ -529,7 +529,7 @@ def reference_assign_tags(pg, graph, pools=None):
     return pools
 
 
-def reference_synthesize_rules(dsp, ssps, pools, topo, lib):
+def reference_synthesize_rules(dsp, ssps, pools, lib):
     placements = {(r.attack_id, r.dc_id): r.placements for r in ssps}
     wide_area = {}
     assigned = np.nonzero(dsp.f > 0)
@@ -603,7 +603,7 @@ def reference_pins(physical, pools, lib):
                     continue
                 for k in range(pg.counts[node]):
                     vm = (a, d, node, k)
-                    for c in range(len(graph.successors(node))):
+                    for c in range(len(graph.successors[node])):
                         for tag in pools.pool(vm, c):
                             target = next((v for v, t in pools.instance_tags.items()
                                            if t == tag and v[1] == d), None)
@@ -750,9 +750,8 @@ class TestMatchesLinearReference:
         ssps = place_all(topo, dsp, lib)
         pg = dsp.physical[(0, 0)]
         more = replace(pg, counts={node: n + 1 for node, n in pg.counts.items()})
-        plan = synthesize_rules(dsp, ssps, assign_tags(more, lib[0]), topo, lib)
-        want = reference_synthesize_rules(dsp, ssps, reference_assign_tags(more, lib[0]), topo,
-                                          lib)
+        plan = synthesize_rules(dsp, ssps, assign_tags(more, lib[0]), lib)
+        want = reference_synthesize_rules(dsp, ssps, reference_assign_tags(more, lib[0]), lib)
         assert plan_state(plan) == reference_state(*want)
         assert plan.tag_runs == {0: {1: (3, (0, 0, 1)), 4: (6, (0, 0, 2)), 7: (8, None)}}
 
@@ -779,8 +778,8 @@ class TestMatchesLinearReference:
                 ssps = [r for r in ssps if r is not victim]
             else:
                 del victim.n_srv[data.draw(st.sampled_from(sorted(victim.n_srv)))]
-        got = outcome(synthesize_rules, dsp, ssps, pools, topo, lib)
-        want = outcome(reference_synthesize_rules, dsp, ssps, ref_pools, topo, lib)
+        got = outcome(synthesize_rules, dsp, ssps, pools, lib)
+        want = outcome(reference_synthesize_rules, dsp, ssps, ref_pools, lib)
         if isinstance(want[0], type):
             assert got == want
         else:
@@ -798,7 +797,7 @@ def compile_inputs(nodes, seed):
     traffic = np.random.default_rng(seed).uniform(0.1, 3.0, size=(len(topo.pops), len(lib)))
     dsp = dsp_greedy(topo, traffic, lib)
     ssps = place_all(topo, dsp, lib)
-    return dsp, ssps, build_tag_pools(dsp.physical, lib), topo, lib
+    return dsp, ssps, build_tag_pools(dsp.physical, lib), lib
 
 
 def plan_bytes(plan):
@@ -829,8 +828,8 @@ class TestSharedShapeKeys:
         small, large = compile_inputs(24, 3), compile_inputs(48, 3)
         assert small[0].f.shape != large[0].f.shape
         for args in (small, large, small, large):
-            dsp, ssps, _pools, topo, lib = args
+            dsp, ssps, _pools, lib = args
             ref_pools = numbered_pools(reference_assign_tags, dsp.physical, lib,
                                        ReferencePools(), None)
             assert (plan_state(synthesize_rules(*args)) == reference_state(
-                *reference_synthesize_rules(dsp, ssps, ref_pools, topo, lib)))
+                *reference_synthesize_rules(dsp, ssps, ref_pools, lib)))

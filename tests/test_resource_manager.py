@@ -524,7 +524,7 @@ def linear_scan_ssp(dc, pg, graph, used):
                              f"for node {name}", node=name)
 
     def localize(node, count):
-        pred_servers = {placements[(p, k)] for p in graph.predecessors(node)
+        pred_servers = {placements[(p, k)] for p in graph.predecessors[node]
                         for k in range(pg.counts.get(p, 0))
                         if (p, k) in placements}
         pred_racks = {rack_id for rack_id, _srv in pred_servers}
@@ -560,7 +560,7 @@ def linear_scan_ssp(dc, pg, graph, used):
     pending = {i for i, c in pg.counts.items() if c}
     placed = {n.id for n in graph.nodes if n.id not in pending}
     while pending:
-        ready = [i for i in pending if all(p in placed for p in graph.predecessors(i))]
+        ready = [i for i in pending if all(p in placed for p in graph.predecessors[i])]
         node = max(ready or pending, key=lambda i: (graph.node(i).capacity_gbps, -i))
         localize(node, pg.counts[node])
         pending.discard(node)
