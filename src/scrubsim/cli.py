@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 config error, 3 runtime infeasibility: unassignable
-volume or failed placements recorded by a run, or a placement that failed.
+Exit codes: 0 success, 2 config error, 3 runtime infeasibility: a `simulate`
+run that recorded unassignable volume or failed placements.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .resource_manager import dsp_greedy, validate_traffic
 SEED_ENV = "BOHATEI_SEED"
 
 
-def _fail(message: str, code: int = 2):
+def _fail(message: str):
     click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+    sys.exit(2)
 
 
 def _echo(text: str, nl: bool = True) -> None:
@@ -139,15 +139,13 @@ def rm():
 @click.option("--topo", "topo_path", type=click.Path(exists=True), required=True)
 @click.option("--traffic", "traffic_path", type=click.Path(exists=True), required=True)
 @click.option("--graphs", "graphs_path", type=click.Path(exists=True), default=None)
-@click.option("--ceil-per-assignment", is_flag=True, default=False,
-              help="Charge whole VMs per assignment instead of fractionally.")
 @click.option("--out", type=click.Path(), required=True)
-def rm_dsp(topo_path, traffic_path, graphs_path, ceil_per_assignment, out):
+def rm_dsp(topo_path, traffic_path, graphs_path, out):
     t = topology.load_topology(topo_path)
     lib = defense_graphs.load_library(graphs_path)
     traffic = _load_traffic(traffic_path, t, lib)
     started = time.perf_counter()
-    dsp = dsp_greedy(t, traffic, lib, ceil_per_assignment=ceil_per_assignment)
+    dsp = dsp_greedy(t, traffic, lib)
     elapsed = time.perf_counter() - started
     payload = {
         "f": dsp.f.tolist(),
@@ -172,8 +170,6 @@ def rm_ssp(topo_path, traffic_path, graphs_path, out):
     t = topology.load_topology(topo_path)
     lib = defense_graphs.load_library(graphs_path)
     step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
-    if step.ssps is None:
-        _fail(step.error, 3)
     payload = {
         "f": step.dsp.f.tolist(),
         "t_left": step.dsp.t_left,
@@ -242,8 +238,6 @@ def orch_rules(topo_path, traffic_path, graphs_path, out):
     t = topology.load_topology(topo_path)
     lib = defense_graphs.load_library(graphs_path)
     step = simulate.control_plane(t, lib, _load_traffic(traffic_path, t, lib))
-    if step.plan is None:
-        _fail(step.error, 3)
     step.plan.dump(out)
     _echo(f"plan: {step.plan.max_switch_rules()} rules on the busiest switch, "
           f"{step.plan.tag_bits} tag bits; wrote {out}")

@@ -408,24 +408,21 @@ def pin_bidirectional_for_graph(plan: ForwardingPlan, pg: PhysicalGraph,
     number of pins."""
     if not graph.bidirectional:
         return 0
-    g = pools.graphs[(pg.attack_id, pg.dc_id)]
-    d = pg.dc_id
-    # An analysis node's pools are its successors' runs. The datacenter's
-    # tag rules map each identity tag to its VM; an egress tag's customer
-    # rule is no pin target.
-    runs, pins = plan.tag_runs.get(d, {}), plan.bidi_pins
+    a, d = pg.attack_id, pg.dc_id
+    g = pools.graphs[(a, d)]
+    # An analysis node's pools are its successors' runs, whose tag lo + k
+    # names VM k; tags past a successor's placed VMs have no VM to pin.
+    pins = plan.bidi_pins
     before = len(pins)
     for node, succs in graph.analysis_successors.items():
         if node not in g.counts or not pg.counts.get(node):
             continue
         for s in succs:
             lo, n = g.runs.get(s, (0, 0))
-            for first, stop, start in plan._tag_rules(d, lo, lo + n):
-                target = runs[start][1]
-                for tag in range(first, stop):
-                    pin = (d, (*target, tag - start))
-                    if pins.setdefault(tag, pin) != pin:
-                        pin_bidirectional(plan, tag, *pin)  # raises PinConflictError
+            for k in range(min(n, pg.counts.get(s, 0))):
+                pin = (d, (a, d, s, k))
+                if pins.setdefault(lo + k, pin) != pin:
+                    pin_bidirectional(plan, lo + k, *pin)  # raises PinConflictError
     return len(pins) - before
 
 

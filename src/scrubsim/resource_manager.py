@@ -45,7 +45,7 @@ def validate_traffic(traffic: np.ndarray, topo: Topology, lib: Library) -> np.nd
 @dataclass
 class DspResult:
     f: np.ndarray  # (E, A, D) fraction of T[e][a] sent to datacenter d
-    demand: dict[tuple[int, int], dict[int, float]]  # fractional VM demand
+    demand: dict[tuple[int, int], dict[int, float]]  # VM demand before rounding
     physical: dict[tuple[int, int], PhysicalGraph]  # (attack, dc) -> graph
     t_left: float
     wide_area_cost: float  # sum of f * T * L (alpha applied by evaluate_cost)
@@ -98,30 +98,20 @@ def _is_open(link, compute):
     return (link > EPS) & (compute > EPS)
 
 
-def _charge(x, fac, nodes, whole_vms):
-    """The slots that x Gbps more of one (datacenter, attack) cost: x times
-    the graph's compute factor `fac` or, charging whole VMs, the VMs gained
-    by its `nodes`, each given as (VM demand before the x, VMs per Gbps)."""
-    if whole_vms:
-        return sum(vms(demand + x * rate) - vms(demand) for demand, rate in nodes)
-    return x * fac
+def _charge(x, nodes):
+    """The slots that x Gbps more of one (datacenter, attack) cost: the whole
+    VMs gained by its `nodes`, each given as (VM demand before the x, VMs
+    per Gbps)."""
+    return sum(vms(demand + x * rate) - vms(demand) for demand, rate in nodes)
 
 
-def _fits(x, slots, fac, compute, whole_vms):
-    """Whether x Gbps charged `slots` fit in `compute` slots."""
-    return slots <= compute + EPS if whole_vms else x <= compute / fac
-
-
-def _largest_fit(x, fac, nodes, compute, whole_vms):
-    """The largest volume under x, which does not fit, that fits: exact under
-    fractional charging, by bisection under whole-VM charging."""
-    if not whole_vms:
-        return compute / fac
+def _largest_fit(x, nodes, compute):
+    """The largest volume under x, which does not fit in `compute` slots,
+    that fits, by bisection."""
     lo, hi = 0.0, x
     for _ in range(60):
         mid = (lo + hi) / 2
-        fits = _fits(mid, _charge(mid, fac, nodes, True), fac, compute, True)
-        lo, hi = (mid, hi) if fits else (lo, mid)
+        lo, hi = (mid, hi) if _charge(mid, nodes) <= compute + EPS else (lo, mid)
     return lo
 
 
@@ -151,7 +141,7 @@ def _scatter(ufunc: np.ufunc, start: np.ndarray, keys, steps) -> np.ndarray:
     return table
 
 
-def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms, traffic,
+def _assign_prefix(cells, rates, latency, ranked, traffic,
                    link_rem, compute_rem, f, demand, wide_area_cost):
     """dsp_greedy's array pass over cells in heap order, from the loop's
     state. Assigns the longest prefix of the order whose cells all fit whole,
@@ -170,7 +160,6 @@ def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms, traffic,
     first_open = ranked[:, 0] if is_open.all() else \
         ranked[np.arange(n_e), np.argmax(is_open[ranked], axis=1)]
     d = first_open[e]
-    fac = np.array(factors)[a]
     width = max(map(len, rates))
     rate_rows = np.array([[r for _i, r in nr] + [0.0] * (width - len(nr)) for nr in rates])
     n_k, rate = n_d * n_a, rate_rows.take(a, axis=0)
@@ -178,64 +167,68 @@ def _assign_prefix(cells, rates, factors, latency, ranked, whole_vms, traffic,
     start = np.zeros((n_k, width))
     for (dk, ak), node_demand in demand.items():
         start[dk * n_a + ak, :len(node_demand)] = list(node_demand.values())
-    if whole_vms:  # the charge reads each cell's running demand
-        before = _running(np.add, keys, n_k, steps, start)[0]
-    charge = _charge(t, fac, zip(before.T, rate.T) if whole_vms else None, whole_vms)
 
-    def fits(rem):  # each cell against its datacenter's (link, compute) left
-        link, compute = rem.T
-        return _is_open(link, compute) & (t <= link) & _fits(t, charge, fac, compute, whole_vms)
-
-    # Remainders only fall, so if every cell fits its datacenter's end
-    # remainders, every cell fits when its turn comes.
-    rem_steps, n = np.stack([t, charge], axis=1), len(t)
-    rem = _scatter(np.subtract, rem0, d, rem_steps)
-    if not fits(rem.take(d, axis=0)).all():
-        rem_before, rem_table = _running(np.subtract, d, n_d, rem_steps, rem0)
-        n = int(np.argmin(np.append(fits(rem_before), False)))  # the first misfit
+    # Whole-VM charges telescope: the cells of one key gain vms(end) -
+    # vms(start) VMs per node, and slot counts subtract exactly, so each
+    # datacenter's end compute comes from its keys' end demand.
+    end = _scatter(np.add, start, keys, steps)
+    gained = vms(end) - vms(start) if demand else vms(end)
+    rem = rem0.copy()
+    np.subtract.at(rem[:, 0], d, t)
+    rem[:, 1] -= gained.sum(axis=1).reshape(n_d, n_a).sum(axis=1)
+    # Remainders only fall, so a datacenter still open at its end remainders
+    # was open after each of its cells: each cell's volume and charge fit
+    # when its turn came. Else per-cell running totals find the first misfit.
+    n = len(t)
+    if not _is_open(*rem.take(d, axis=0).T).all():
+        before, table = _running(np.add, keys, n_k, steps, start)
+        charge = _charge(t, zip(before.T, rate.T))
+        rem_before, rem_table = _running(np.subtract, d, n_d, np.stack([t, charge], axis=1),
+                                         rem0)
+        link, compute = rem_before.T
+        fits = _is_open(link, compute) & (t <= link) & (charge <= compute + EPS)
+        n = int(np.argmin(np.append(fits, False)))  # the first misfit
         rem = rem_table[np.bincount(d[:n], minlength=n_d), np.arange(n_d)]
+        end = table[np.bincount(keys[:n], minlength=n_k), np.arange(n_k)]
 
     cell_p, e_p, d_p, t_p, keys_p = cell[:n], e[:n], d[:n], t[:n], keys[:n]
     f.reshape(-1)[cell_p * n_d + d_p] += t_p / traffic.ravel()[cell_p]
     wide_area_cost = float(np.cumsum(np.append(wide_area_cost, t_p * latency[e_p, d_p]))[-1])
     link_rem[:], compute_rem[:] = rem[:, 0].tolist(), rem[:, 1].tolist()
-    totals = _scatter(np.add, start, keys_p, steps[:n])
     # `demand` keeps the order in which keys were first assigned.
     first = np.full(n_k, n)
     np.minimum.at(first, keys_p, np.arange(n))
     order = np.argsort(first)[:np.count_nonzero(first < n)]
     ids = [[i for i, _r in nr] for nr in rates]
-    for key, row in zip(order.tolist(), totals[order].tolist()):
+    for key, row in zip(order.tolist(), end[order].tolist()):
         dk, ak = divmod(key, n_a)
         demand[(dk, ak)] = dict(zip(ids[ak], row))  # a row is as wide as the widest graph
     # Sorted, the cells left already form a heap.
     return wide_area_cost, list(zip(*(column[n:].tolist() for column in cells)))
 
 
-def dsp_greedy(topo: Topology, traffic: np.ndarray, lib: Library,
-               ceil_per_assignment: bool = False) -> DspResult:
+def dsp_greedy(topo: Topology, traffic: np.ndarray, lib: Library) -> DspResult:
     """Assign suspicious traffic volumes to datacenters, largest volume first,
     each to the cheapest datacenter that still has link and compute capacity.
 
     Infeasible volume is reported in t_left; this never raises for capacity.
 
-    Default accounting charges compute fractionally and rounds VM counts up
-    once at the end. `ceil_per_assignment` is a conservative sensitivity
-    mode: each assignment is charged its whole-VM increment immediately, so
-    final counts can never exceed slot budgets at the cost of handling less
-    volume.
+    Each assignment is charged the whole VMs it adds to its (datacenter,
+    attack) graph as it is made, so no datacenter's VM counts exceed its
+    slots. A volume that would overfill one is cut to the largest that fits.
 
     Cells go largest first, each to its cheapest open datacenter. Until one
     fails to fit whole or a datacenter closes, no cell's choice depends on
     those before it, and an array pass assigns them at once. Remainders only
-    fall, so if every cell fits its datacenter's end remainders, which
-    ordered scatters total in the loop's order, all fit; else per-cell
-    running totals find the first misfit. The heap loop goes on from there
-    and, after a closing with no cell barred, hands the heap to a new pass.
-    Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells take no pass.
+    fall, so if every used datacenter is still open at its end remainders,
+    all fit. Whole-VM charges telescope, so its end compute is read off its
+    keys' end demand, which ordered scatters total in the loop's order; else
+    per-cell running totals find the first misfit. The heap loop goes on
+    from there and, after a closing with no cell barred, hands the heap to
+    a new pass. Inputs of fewer than `ARRAY_PASS_MIN_CELLS` cells take no
+    pass.
     """
     traffic = validate_traffic(traffic, topo, lib)
-    factors = [g.compute_factor for g in lib]
     rates = [g.vm_rates for g in lib]
 
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
@@ -247,15 +240,14 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray, lib: Library,
     t_left = 0.0
 
     def array_pass(cells, wide_area_cost):
-        return _assign_prefix(cells, rates, factors, latency, ranked, ceil_per_assignment,
-                              traffic, link_rem, compute_rem, f, demand, wide_area_cost)
+        return _assign_prefix(cells, rates, latency, ranked, traffic,
+                              link_rem, compute_rem, f, demand, wide_area_cost)
 
     wide_area_cost, heap = 0.0, _heap_order(traffic)
     if not isinstance(heap, list):
         wide_area_cost, heap = array_pass(heap, 0.0)
     by_latency = topo.latency_ranking_rows
-    # Per cell, the datacenters that could afford none of it: under whole-VM
-    # charging not the next VM, under fractional charging no more than EPS Gbps.
+    # Per cell, the datacenters that could not afford its next VM.
     exhausted: dict[int, set[int]] = {}
 
     while heap:
@@ -270,13 +262,12 @@ def dsp_greedy(topo: Topology, traffic: np.ndarray, lib: Library,
             continue
 
         node_demand = demand.get((d, a))
-        nodes = [(node_demand[i] if node_demand else 0.0, r) for i, r in rates[a]] \
-            if ceil_per_assignment else None
-        x, fac, compute = min(t, link_rem[d]), factors[a], compute_rem[d]
-        slots = _charge(x, fac, nodes, ceil_per_assignment)
-        if not _fits(x, slots, fac, compute, ceil_per_assignment):
-            x = _largest_fit(x, fac, nodes, compute, ceil_per_assignment)
-            slots = _charge(x, fac, nodes, ceil_per_assignment)
+        nodes = [(node_demand[i] if node_demand else 0.0, r) for i, r in rates[a]]
+        x, compute = min(t, link_rem[d]), compute_rem[d]
+        slots = _charge(x, nodes)
+        if slots > compute + EPS:
+            x = _largest_fit(x, nodes, compute)
+            slots = _charge(x, nodes)
         if x <= EPS:
             exhausted.setdefault(cell, set()).add(d)
             heapq.heappush(heap, (neg_t, cell, e, a))

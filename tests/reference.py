@@ -119,9 +119,9 @@ def units_cost(units, params):
 
 
 # (nodes, dc slots, dc link Gbps, offered Gbps): five datacenters whose links
-# and slots both bind. Both charging modes spill cells over datacenters;
-# fractional charging then fails placement, and whole-VM charging skips a
-# datacenter that cannot afford the next VM.
+# and slots both bind. DSP spills cells over datacenters and skips a
+# datacenter that cannot afford the next VM; a cushion of 1.2 on its counts
+# fails placement.
 CAPACITY_BOUND = (100, 35, 120.0, 600.0)
 
 
@@ -144,8 +144,8 @@ def capacity_bound_case():
 @st.composite
 def capacity_bound_cases(draw):
     """A generated topology and traffic whose cells are often zero and whose
-    datacenter links and slots are often small enough to spill cells, fail
-    placement or, under whole-VM charging, skip a datacenter."""
+    datacenter links and slots are often small enough to spill cells or
+    skip a datacenter that cannot afford the next VM."""
     lib = builtin_library()
     topo = generate_topology(draw(st.integers(2, 80)),
                              dc_slot_capacity=draw(st.sampled_from([10, 30, 100, 4000])),

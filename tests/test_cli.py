@@ -713,20 +713,19 @@ def test_simulate_infeasible_exit_3(tmp_path):
     assert res.exit_code == 3, res.output
 
 
-def test_rm_dsp_ceil_per_assignment(tmp_path):
-    # Whole-VM charging keeps the capacity-bound case within every
-    # datacenter's slots, where fractional charging overfills one
-    # (test_placement_failure_exit_3).
+def test_rm_dsp_stays_within_every_datacenters_slots(tmp_path):
+    # DSP charges whole VMs as it assigns, so the capacity-bound case, which
+    # spills cells, commits no datacenter more VMs than it has slots.
     topo, traffic, lib = capacity_bound_case()
     topo_path, traffic_path, out = (tmp_path / n for n in ("topo.json", "traffic.json", "o.json"))
     save_topology(topo, str(topo_path))
     write_traffic(traffic_path, traffic.tolist())
     res = CliRunner().invoke(main, ["rm", "dsp", "--topo", str(topo_path), "--traffic",
-                                    str(traffic_path), "--ceil-per-assignment", "--out", str(out)])
+                                    str(traffic_path), "--out", str(out)])
     assert res.exit_code == 0, res.output
     payload = json.loads(out.read_text())
-    want = dsp_greedy(topo, traffic, lib, ceil_per_assignment=True)
-    assert payload["t_left"] == want.t_left
+    want = dsp_greedy(topo, traffic, lib)
+    assert payload["t_left"] == want.t_left > 0
     assert payload["n_dc"] == {f"{d}:{a}": {str(i): c for i, c in counts.items()}
                                for (d, a), counts in want.n_dc.items()}
     for d, dc in enumerate(topo.datacenters):
@@ -753,18 +752,20 @@ def test_topology_without_datacenters_handles_nothing(tmp_path, args, line):
 
 
 @pytest.mark.parametrize("args", [["rm", "ssp"], ["orch", "rules"]])
-def test_placement_failure_exit_3(tmp_path, args):
-    # DSP's rounding overshoots a datacenter's slots in the capacity-bound
-    # golden case, so server placement fails after DSP succeeds.
-    topo, traffic, _lib = capacity_bound_case()
+def test_capacity_bound_case_places(tmp_path, args):
+    # DSP's whole-VM counts fit every datacenter's slots, so server
+    # placement places every VM after DSP spills cells.
+    topo, traffic, lib = capacity_bound_case()
     topo_path, traffic_path = tmp_path / "topo.json", tmp_path / "traffic.json"
     save_topology(topo, str(topo_path))
     write_traffic(traffic_path, traffic.tolist())
     res = CliRunner().invoke(main, [*args, "--topo", str(topo_path), "--traffic",
                                     str(traffic_path), "--out", str(tmp_path / "out.json")])
-    assert res.exit_code == 3, res.output
-    assert res.output == "error: datacenter 0 lacks 4 slots for node a_match_request (2 free)\n"
-    assert not (tmp_path / "out.json").exists()
+    assert res.exit_code == 0, res.output
+    line = {"ssp": f"ssp: placed {dsp_greedy(topo, traffic, lib).total_vms()} VMs;",
+            "rules": "plan: "}[args[1]]
+    assert res.output.startswith(line), res.output
+    assert (tmp_path / "out.json").exists()
 
 
 def test_oracle_compare_cli(tmp_path):

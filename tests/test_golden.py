@@ -42,7 +42,6 @@ from scrubsim.adaptation import (
 )
 from scrubsim.cli import main
 from scrubsim.defense_graphs import builtin_library
-from scrubsim.errors import PlacementError
 from scrubsim.oracle import oracle_exact, random_tiny_instance
 from scrubsim.orchestration import (
     build_tag_pools,
@@ -226,22 +225,17 @@ def _digest(data: bytes | str) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict[str, str]:
+def control_plane_digests(topo, traffic, lib) -> dict[str, str]:
     """Digests of one assignment's DSP result, SSP placements, tag pools
-    and ``ForwardingPlan.dump()`` bytes. A failed placement is pinned by
-    its message instead of the SSP and plan."""
-    dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil_per_assignment)
+    and ``ForwardingPlan.dump()`` bytes."""
+    dsp = dsp_greedy(topo, traffic, lib)
     out = {"dsp": _digest(dsp.f.tobytes() + repr(
         (dsp.n_dc, dsp.demand, dsp.t_left, dsp.wide_area_cost)).encode())}
     pools = build_tag_pools(dsp.physical, lib)
     out["pools"] = _digest(repr((per_vm_pools(pools, dsp.physical),
                                  list(pools.instance_tags.items()),
                                  list(pools.egress_tags.items()), pools.next_tag)))
-    try:
-        ssps = place_all(topo, dsp, lib)
-    except PlacementError as exc:
-        out["placement_error"] = str(exc)
-        return out
+    ssps = place_all(topo, dsp, lib)
     out["ssp"] = _digest(repr([(r.dc_id, r.attack_id, list(r.n_srv.items()),
                                 list(r.placements.items()), r.intra_rack_units,
                                 r.inter_rack_units) for r in ssps]))
@@ -257,15 +251,12 @@ def control_plane_digests(topo, traffic, lib, ceil_per_assignment: bool) -> dict
 
 def dense_digests() -> dict:
     """A dense 196-node assignment (every cell nonzero, 1 Tbps), the
-    capacity-bound case under both charging modes, and the ``epochs.csv``
-    rows of five ``sim-dense`` epochs."""
+    capacity-bound case, and the ``epochs.csv`` rows of five ``sim-dense``
+    epochs."""
     lib = builtin_library()
     topo = generate_topology(196, dc_slot_capacity=4000, seed=1)
-    out = {"dense": control_plane_digests(topo, dense_traffic(topo, lib, 1000.0, seed=5),
-                                          lib, False)}
-    for ceil in (False, True):
-        out[f"capacity_bound_ceil_{ceil}"] = control_plane_digests(
-            *capacity_bound_case(), ceil)
+    out = {"dense": control_plane_digests(topo, dense_traffic(topo, lib, 1000.0, seed=5), lib),
+           "capacity_bound": control_plane_digests(*capacity_bound_case())}
     rows = [rec.csv_row() for rec in run_simulation(DENSE_SCENARIO)]
     out["sim_dense_epochs"] = _digest(json.dumps(rows))
     return out
@@ -354,14 +345,11 @@ def test_dense_digests():
     assert dense_digests() == json.loads(DENSE_PATH.read_text())
 
 
-def test_capacity_bound_case_spills_and_fails_placement():
+def test_capacity_bound_case_spills_and_places():
     topo, traffic, lib = capacity_bound_case()
-    for ceil in (False, True):
-        dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
-        assert ((dsp.f > 0).sum(axis=2) > 1).any()
-    golden = json.loads(DENSE_PATH.read_text())
-    assert "placement_error" in golden["capacity_bound_ceil_False"]
-    assert "plan" in golden["capacity_bound_ceil_True"]
+    dsp = dsp_greedy(topo, traffic, lib)
+    assert ((dsp.f > 0).sum(axis=2) > 1).any()
+    assert "plan" in json.loads(DENSE_PATH.read_text())["capacity_bound"]
 
 
 def test_goldens_independent_of_float_sum_algorithm(monkeypatch, tmp_path):

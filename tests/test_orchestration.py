@@ -17,7 +17,7 @@ from scrubsim.defense_graphs import (
     PhysicalGraph,
     builtin_library,
 )
-from scrubsim.errors import CapacityError, InputError, PinConflictError, PlacementError
+from scrubsim.errors import CapacityError, InputError, PinConflictError
 from scrubsim.orchestration import (
     TagPool,
     assign_tags,
@@ -419,6 +419,24 @@ class TestBidirectionalPins:
         with pytest.raises(PinConflictError, match=f"^tag {tag} already pinned to "):
             pin_bidirectional_for_graph(plan, pg, pools, dns)
 
+    def test_pools_for_more_vms_pin_the_placed_ones(self):
+        # Pools drawn for one VM more per node than were placed, as
+        # synthesize_rules allows: each successor run's last tag has no VM
+        # and no tag rule, so it gets no pin, and every other pooled tag is
+        # pinned to the VM its rule steers to.
+        lib, dns, dsp, _pools, _plan = self._dns_setup()
+        pg = dsp.physical[(dns.attack.id, 0)]
+        pools = assign_tags(replace(pg, counts={n: c + 1 for n, c in pg.counts.items()}), dns)
+        plan = synthesize_rules(dsp, place_all(small_topo(), dsp, lib), pools, lib)
+        assert pin_bidirectional_for_graph(plan, pg, pools, dns) == len(plan.bidi_pins) > 0
+        rules = plan.tag_tables[0]
+        pooled = {tag for node in dns.analysis_successors if pg.counts.get(node)
+                  for c in range(len(dns.successors[node]))
+                  for tag in pools.pool((dns.attack.id, 0, node, 0), c)}
+        placed = {tag for tag in pooled if rules.get(("tag", tag), ("",))[0] == "vm"}
+        assert len(placed) < len(pooled)
+        assert plan.bidi_pins == {tag: (0, rules[("tag", tag)][1]) for tag in placed}
+
     def test_graph_without_vms_pins_nothing(self):
         # 2e-9 Gbps rounds to no VM, so no analysis node has tags to pin.
         _lib, dns, dsp, pools, plan = self._dns_setup(gbps=2e-9)
@@ -712,10 +730,10 @@ REWINDS = st.none() | st.tuples(st.integers(0, 200), st.integers(0, 10**6))
 
 class TestMatchesLinearReference:
     @settings(max_examples=120)
-    @given(case=capacity_bound_cases(), ceil=st.booleans(), rewind=REWINDS)
-    def test_tag_pools(self, case, ceil, rewind):
+    @given(case=capacity_bound_cases(), rewind=REWINDS)
+    def test_tag_pools(self, case, rewind):
         topo, traffic, lib = case
-        dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
+        dsp = dsp_greedy(topo, traffic, lib)
         got, want = TagPool(), ReferencePools()
         keys = sorted(dsp.physical)
         for i, key in enumerate(keys):
@@ -756,14 +774,11 @@ class TestMatchesLinearReference:
         assert plan.tag_runs == {0: {1: (3, (0, 0, 1)), 4: (6, (0, 0, 2)), 7: (8, None)}}
 
     @settings(max_examples=200)
-    @given(case=capacity_bound_cases(), ceil=st.booleans(), rewind=REWINDS, data=st.data())
-    def test_plans(self, case, ceil, rewind, data):
+    @given(case=capacity_bound_cases(), rewind=REWINDS, data=st.data())
+    def test_plans(self, case, rewind, data):
         topo, traffic, lib = case
-        dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil)
-        try:
-            ssps = place_all(topo, dsp, lib)
-        except PlacementError:
-            return
+        dsp = dsp_greedy(topo, traffic, lib)
+        ssps = place_all(topo, dsp, lib)
         pools = numbered_pools(assign_tags, dsp.physical, lib, TagPool(), rewind)
         ref_pools = numbered_pools(reference_assign_tags, dsp.physical, lib,
                                    ReferencePools(), rewind)

@@ -100,17 +100,29 @@ class TestDspGreedy:
             assert dsp.t_left == pytest.approx(implied, abs=1e-6)
 
     def test_never_exceeds_capacities(self):
+        # Link load, and the whole VMs committed to each datacenter.
         for seed in range(25):
             topo, traffic, lib, _params = random_tiny_instance(seed)
             dsp = dsp_greedy(topo, traffic, lib)
-            factors = [g.compute_factor for g in lib]
-            volumes = attack_dc_volumes(dsp.f, traffic)
             for d, dc in enumerate(topo.datacenters):
                 vol = float((dsp.f[:, :, d] * traffic).sum())
                 assert vol <= dc.link_capacity_gbps + 1e-6
-                used = sum(volumes[a, d] * factors[a]
-                           for a in range(len(lib)))
-                assert used <= dc.compute_capacity + 1e-6
+                vms_at_d = sum(sum(counts.values()) for (dk, _a), counts in dsp.n_dc.items()
+                               if dk == d)
+                assert vms_at_d <= dc.compute_capacity
+
+    @settings(max_examples=150, derandomize=True)
+    @given(case=capacity_bound_cases())
+    def test_counts_fit_every_datacenter_and_place(self, case):
+        # Whole VMs are charged as they are assigned, so no datacenter is
+        # committed more VMs than it has slots, and SSP places them all.
+        topo, traffic, lib = case
+        dsp = dsp_greedy(topo, traffic, lib)
+        for d, dc in enumerate(topo.datacenters):
+            assert sum(pg.total_vms for (_a, dk), pg in dsp.physical.items()
+                       if dk == d) <= dc.compute_capacity
+        placed = place_all(topo, dsp, lib)
+        assert sum(sum(r.placed.values()) for r in placed) == dsp.total_vms()
 
     def test_deterministic(self):
         topo, traffic, lib, _params = random_tiny_instance(3)
@@ -125,27 +137,15 @@ class TestDspGreedy:
         dsp = dsp_greedy(topo, np.array([[15.0]]), lib)
         assert dsp.n_dc[(0, 0)] == {0: 2, 1: 2}  # ceil(15/10) each
 
-    def test_ceil_per_assignment_respects_slot_budget(self):
-        # Fractional accounting on a 3-slot datacenter admits 15 Gbps but
-        # rounds to 4 VMs; whole-VM charging stops at 10 Gbps and 2 VMs.
+    def test_whole_vms_respect_slot_budget(self):
+        # A 3-slot datacenter takes 10 Gbps of a 15 Gbps cell as one VM per
+        # node. Charging 1.5 VMs per node and rounding once at the end would
+        # have committed 4 VMs to it.
         lib = (chain_graph(),)
         topo = make_topo(1, [make_dc(999.0, [[3]])], [[1.0]])
-        traffic = np.array([[15.0]])
-        frac = dsp_greedy(topo, traffic, lib)
-        assert sum(frac.n_dc[(0, 0)].values()) == 4  # exceeds the 3 slots
-        strict = dsp_greedy(topo, traffic, lib, ceil_per_assignment=True)
-        assert strict.n_dc[(0, 0)] == {0: 1, 1: 1}
-        assert strict.t_left == pytest.approx(5.0, abs=1e-6)
-
-    def test_ceil_per_assignment_never_overflows(self):
-        for seed in range(25):
-            topo, traffic, lib, _params = random_tiny_instance(seed)
-            dsp = dsp_greedy(topo, traffic, lib, ceil_per_assignment=True)
-            per_dc: dict[int, int] = {}
-            for (d, _a), counts in dsp.n_dc.items():
-                per_dc[d] = per_dc.get(d, 0) + sum(counts.values())
-            for d, total in per_dc.items():
-                assert total <= topo.datacenters[d].compute_capacity
+        dsp = dsp_greedy(topo, np.array([[15.0]]), lib)
+        assert dsp.n_dc[(0, 0)] == {0: 1, 1: 1}
+        assert dsp.t_left == pytest.approx(5.0, abs=1e-6)
 
 
 class TestOverprovision:
@@ -568,12 +568,11 @@ def linear_scan_ssp(dc, pg, graph, used):
     return (placements, n_srv, *pair_units(graph, pg.traffic_gbps, pg.counts, placements))
 
 
-def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
+def linear_scan_dsp(topo, traffic, lib):
     """The DSP greedy with a linear datacenter scan and per-cell array adds.
     Returns (f, counts, demand, t_left, wide_area_cost, exhausted_hits)."""
     n_e, n_a = traffic.shape
     n_d = len(topo.datacenters)
-    factors = [g.compute_factor for g in lib]
     rates = [{n.id: g.share(n.id) / n.capacity_gbps for n in g.nodes} for g in lib]
     link_rem = [dc.link_capacity_gbps for dc in topo.datacenters]
     compute_rem = [float(dc.compute_capacity) for dc in topo.datacenters]
@@ -602,31 +601,25 @@ def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
             continue
         d = min(candidates, key=lambda d: (topo.latency[e][d], d))
         t1 = min(t, link_rem[d])
-        if ceil_per_assignment:
-            lo, hi = 0.0, t1
-            if increment(d, a, t1) > compute_rem[d] + 1e-9:
-                for _ in range(60):
-                    mid = (lo + hi) / 2
-                    lo, hi = (mid, hi) if increment(d, a, mid) <= compute_rem[d] + 1e-9 \
-                        else (lo, mid)
-                t1 = min(t1, lo)
-        else:
-            t1 = min(t1, compute_rem[d] / factors[a] if factors[a] > 0 else t1)
+        lo, hi = 0.0, t1
+        if increment(d, a, t1) > compute_rem[d] + 1e-9:
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if increment(d, a, mid) <= compute_rem[d] + 1e-9 \
+                    else (lo, mid)
+            t1 = min(t1, lo)
         if t1 <= 1e-9:
             exhausted[item].add(d)
             hits += 1
             heapq.heappush(heap, (neg_t, e, a, item))
             continue
         node_demand = demand.setdefault((d, a), {n.id: 0.0 for n in lib[a].nodes})
-        if ceil_per_assignment:
-            have = charged.setdefault((d, a), {n.id: 0 for n in lib[a].nodes})
-            for i, r in rates[a].items():
-                new = math.ceil(node_demand[i] + t1 * r - 1e-9)
-                if new > have[i]:
-                    compute_rem[d] -= new - have[i]
-                    have[i] = new
-        else:
-            compute_rem[d] -= t1 * factors[a]
+        have = charged.setdefault((d, a), {n.id: 0 for n in lib[a].nodes})
+        for i, r in rates[a].items():
+            new = math.ceil(node_demand[i] + t1 * r - 1e-9)
+            if new > have[i]:
+                compute_rem[d] -= new - have[i]
+                have[i] = new
         for i, r in rates[a].items():
             node_demand[i] += t1 * r
         f[e, a, d] += t1 / volumes[e][a]
@@ -634,12 +627,7 @@ def linear_scan_dsp(topo, traffic, lib, ceil_per_assignment):
         link_rem[d] -= t1
         if t - t1 > 1e-9:
             heapq.heappush(heap, (-(t - t1), e, a, item))
-    if ceil_per_assignment:
-        counts = dict(sorted(charged.items()))
-    else:
-        counts = {k: {i: math.ceil(v - 1e-9) if v > 1e-9 else 0 for i, v in dm.items()}
-                  for k, dm in sorted(demand.items())}
-    return f, counts, demand, t_left, cost, hits
+    return f, dict(sorted(charged.items())), demand, t_left, cost, hits
 
 
 @st.composite
@@ -764,10 +752,10 @@ def assert_dsp_matches(got, want, traffic):
         [((a, d), repr(float((f[:, a, d] * traffic[:, a]).sum()))) for d, a in counts]
 
 
-def check_dsp(topo, traffic, lib, ceil):
+def check_dsp(topo, traffic, lib):
     """Returns the reference's count of exhausted-datacenter retries."""
-    want = linear_scan_dsp(topo, traffic, lib, ceil)
-    assert_dsp_matches(dsp_greedy(topo, traffic, lib, ceil_per_assignment=ceil), want, traffic)
+    want = linear_scan_dsp(topo, traffic, lib)
+    assert_dsp_matches(dsp_greedy(topo, traffic, lib), want, traffic)
     return want[-1]
 
 
@@ -851,8 +839,8 @@ class TestIndexedSelectionMatchesLinearScan:
         assert place_all(topo, dsp, lib) == got
 
     @settings(max_examples=150)
-    @given(data=st.data(), ceil=st.booleans())
-    def test_dsp_datacenter_choice(self, data, ceil):
+    @given(data=st.data())
+    def test_dsp_datacenter_choice(self, data):
         lib = builtin_library()
         n_e = data.draw(st.integers(1, 4))
         n_d = data.draw(st.integers(1, 4))
@@ -865,33 +853,21 @@ class TestIndexedSelectionMatchesLinearScan:
         scale = data.draw(st.sampled_from([1.0, 0.7, 1.3]))
         traffic = np.array([[data.draw(st.sampled_from([0.0, 2.5, 5.0, 10.0, 17.0])) * scale
                              for _ in range(len(lib))] for _ in range(n_e)])
-        check_dsp(make_topo(n_e, dcs, latency), traffic, lib, ceil)
+        check_dsp(make_topo(n_e, dcs, latency), traffic, lib)
 
     @settings(max_examples=150)
-    @given(case=capacity_bound_cases(), ceil=st.booleans())
-    def test_dsp_on_generated_topologies(self, case, ceil):
-        check_dsp(*case, ceil)
+    @given(case=capacity_bound_cases())
+    def test_dsp_on_generated_topologies(self, case):
+        check_dsp(*case)
 
     def test_dsp_exhausted_datacenters(self):
-        # Whole-VM charging with tied latencies: the cheapest datacenters run
-        # out of affordable VM steps, so items skip them and retry elsewhere.
+        # Tied latencies: the cheapest datacenters run out of affordable VM
+        # steps, so items skip them and retry elsewhere.
         lib = builtin_library()
         dcs = [make_dc(999.0, [[1, 1]]) for _ in range(3)]
         topo = make_topo(2, dcs, [[1.0, 1.0, 2.0], [2.0, 1.0, 1.0]])
         traffic = np.array([[4.0, 3.0, 6.0, 2.0], [5.0, 0.0, 3.0, 7.0]])
-        assert check_dsp(topo, traffic, lib, ceil=True) > 0
-
-    def test_dsp_exhausted_datacenter_fractional(self):
-        # Fractional charging reaches the retry too. At 2 slots per Gbps the
-        # first cell leaves datacenter 0 with 1.5e-9 slots: still open, but
-        # worth 7.5e-10 Gbps, no more than EPS. The 3 Gbps cell skips it
-        # whole and lands on datacenter 1.
-        lib = (one_node_graph(0.5),)
-        topo = make_topo(2, [make_dc(999.0, [[10]]), make_dc(999.0, [[50]])],
-                         [[1.0, 2.0], [1.0, 2.0]])
-        traffic = np.array([[5.0 - 7.5e-10], [3.0]])
-        assert check_dsp(topo, traffic, lib, ceil=False) >= 1
-        assert dsp_greedy(topo, traffic, lib).f[1, 0].tolist() == [0.0, 1.0]
+        assert check_dsp(topo, traffic, lib) > 0
 
 
 # -- placement units from per-server runs ------------------------------
@@ -1034,8 +1010,7 @@ class TestArrayPassMatchesHeapLoop:
     @settings(max_examples=200, derandomize=True)
     @given(case=st.one_of(dsp_cases(), capacity_bound_cases(), closing_cases()))
     def test_bit_identical_to_reference(self, case):
-        for ceil in (False, True):
-            check_dsp(*case, ceil)
+        check_dsp(*case)
 
     def test_closing_cases_reach_each_pass_path(self, monkeypatch):
         # closing_cases is there for three paths of the pass; each comes up.
@@ -1043,7 +1018,7 @@ class TestArrayPassMatchesHeapLoop:
         assign_prefix, running = resource_manager._assign_prefix, resource_manager._running
 
         def tracked_pass(cells, *args):
-            demand = args[9]  # the loop's demand, which the pass updates
+            demand = args[7]  # the loop's demand, which the pass updates
             before = {key: dict(node_demand) for key, node_demand in demand.items()}
             result = assign_prefix(cells, *args)
             if before:
@@ -1063,8 +1038,7 @@ class TestArrayPassMatchesHeapLoop:
         @settings(max_examples=20, derandomize=True)
         @given(case=closing_cases())
         def run(case):
-            for ceil in (False, True):
-                dsp_greedy(*case, ceil_per_assignment=ceil)
+            dsp_greedy(*case)
 
         run()
         assert reached == {"resumed pass", "failed end-total check",
@@ -1073,18 +1047,17 @@ class TestArrayPassMatchesHeapLoop:
     @settings(max_examples=100, derandomize=True)
     @given(case=st.one_of(dsp_cases(), closing_cases(), capacity_bound_cases()))
     def test_counts_round_final_demand(self, case):
-        # Under both accountings each node's VM count is its final demand
-        # rounded up once, as linear_scan_dsp rounds it, and, in node order,
-        # the int of a vms call on that demand alone, though dsp_greedy
-        # rounds them all in one call on an array.
-        for ceil in (False, True):
-            res = dsp_greedy(*case, ceil_per_assignment=ceil)
-            assert res.n_dc == {key: {i: math.ceil(v - CEIL_EPS) if v > EPS else 0
-                                      for i, v in node_demand.items()}
-                                for key, node_demand in res.demand.items()}
-            assert [(key, list(counts.items())) for key, counts in res.n_dc.items()] == \
-                [(key, [(i, int(vms(v))) for i, v in node_demand.items()])
-                 for key, node_demand in sorted(res.demand.items())]
+        # Each node's VM count is its final demand rounded up once, as
+        # linear_scan_dsp rounds it, and, in node order, the int of a vms
+        # call on that demand alone, though dsp_greedy rounds them all in one
+        # call on an array.
+        res = dsp_greedy(*case)
+        assert res.n_dc == {key: {i: math.ceil(v - CEIL_EPS) if v > EPS else 0
+                                  for i, v in node_demand.items()}
+                            for key, node_demand in res.demand.items()}
+        assert [(key, list(counts.items())) for key, counts in res.n_dc.items()] == \
+            [(key, [(i, int(vms(v))) for i, v in node_demand.items()])
+             for key, node_demand in sorted(res.demand.items())]
 
     @pytest.mark.parametrize("n_e", [1, 7, 9, 196, 300])
     def test_volume_table_equals_per_key_sums(self, n_e):
@@ -1120,26 +1093,24 @@ class TestArrayPassMatchesHeapLoop:
         weights = np.random.default_rng(0).random((196, len(lib)))
         traffic = weights * (1000.0 / weights.sum())
         assert traffic.size >= ARRAY_PASS_MIN_CELLS
-        want = [linear_scan_dsp(topo, traffic, lib, ceil) for ceil in (False, True)]
+        want = linear_scan_dsp(topo, traffic, lib)
 
         def heappop(heap):
             raise AssertionError("the heap loop ran")
         monkeypatch.setattr(heapq, "heappop", heappop)
-        for ceil, ref in zip((False, True), want):
-            assert_dsp_matches(dsp_greedy(topo, traffic, lib, ceil), ref, traffic)
+        assert_dsp_matches(dsp_greedy(topo, traffic, lib), want, traffic)
 
     def test_closed_datacenter_takes_no_cell(self):
-        # Under whole-VM charging the first cell's VM takes datacenter 0's
-        # one slot and closes it, though each of the 31 cells after it would
-        # add no VM there. The loop sends them to datacenter 1; so must the
-        # pass, whose end-total check reads the closing.
+        # The first cell's VM takes datacenter 0's one slot and closes it,
+        # though each of the 31 cells after it would add no VM there. The
+        # loop sends them to datacenter 1; so must the pass, whose end-total
+        # check reads the closing.
         lib = (one_node_graph(10.0),)
         topo = make_topo(32, [make_dc(999.0, [[1]]), make_dc(999.0, [[999]])],
                          [[1.0, 2.0]] * 32)
         traffic = np.array([[4.0]] + [[0.1]] * 31)
-        for ceil in (False, True):
-            check_dsp(topo, traffic, lib, ceil)
-        assert dsp_greedy(topo, traffic, lib, True).f[1:, 0].tolist() == [[0.0, 1.0]] * 31
+        check_dsp(topo, traffic, lib)
+        assert dsp_greedy(topo, traffic, lib).f[1:, 0].tolist() == [[0.0, 1.0]] * 31
 
     def test_sim_dense_epochs_take_at_most_one_heap_step(self, monkeypatch):
         # The sim-dense benchmark's inputs: fpl's estimates of 1 Tbps
@@ -1152,15 +1123,14 @@ class TestArrayPassMatchesHeapLoop:
         topo, lib = sc.load_topology(), builtin_library()
         estimates = [r.estimate for _seed, runs in sorted(run_scenario_sweep(sc).items())
                      for r in runs]
-        want = [[linear_scan_dsp(topo, x, lib, ceil) for x in estimates] for ceil in (False, True)]
+        want = [linear_scan_dsp(topo, x, lib) for x in estimates]
 
         pops = []
         heappop = heapq.heappop
         monkeypatch.setattr(heapq, "heappop", lambda heap: pops.append(1) or heappop(heap))
-        for ceil, refs in zip((False, True), want):
-            per_epoch = []
-            for x, ref in zip(estimates, refs):
-                before = len(pops)
-                assert_dsp_matches(dsp_greedy(topo, x, lib, ceil), ref, x)
-                per_epoch.append(len(pops) - before)
-            assert (len(per_epoch), max(per_epoch), sum(per_epoch)) == (100, 1, 9)
+        per_epoch = []
+        for x, ref in zip(estimates, want):
+            before = len(pops)
+            assert_dsp_matches(dsp_greedy(topo, x, lib), ref, x)
+            per_epoch.append(len(pops) - before)
+        assert (len(per_epoch), max(per_epoch), sum(per_epoch)) == (100, 1, 9)

@@ -204,14 +204,30 @@ def test_traced_sim_dense_reads_every_hooked_span():
 
 def test_control_plane_reports_a_failed_placement():
     """A placement failure leaves the cushioned assignment, no placements
-    or plan, a NaN cost and the failure's message."""
+    or plan, a NaN cost and the failure's message. DSP's counts fit every
+    datacenter, so only the cushion, applied after DSP, can overfill one."""
     topo, traffic, lib = capacity_bound_case()
-    step = simulate.control_plane(topo, lib, traffic)
+    step = simulate.control_plane(topo, lib, traffic, gamma=1.2)
     assert step.ssps is None and step.plan is None
     assert math.isnan(step.cost)
     with pytest.raises(PlacementError) as exc:
         place_all(topo, step.dsp, lib)
     assert step.error == str(exc.value) != ""
+
+
+@pytest.mark.parametrize("estimator", ["fpl", "prevepoch"])
+def test_small_datacenters_place_every_epoch(estimator):
+    """48 pops with 100-slot datacenters under 600 Gbps of randhybrid, run
+    seed 0: DSP commits no datacenter more VMs than it has slots, so every
+    epoch places, and what the slots cannot take is reported in t_left.
+    Charging fractional VMs and rounding once failed placement in 6 of 6
+    fpl epochs and 5 of 6 prevepoch epochs here."""
+    sc = Scenario(epochs=6, budget_gbps=600.0, adversary="randhybrid",
+                  estimator=estimator, seed=0, topology_nodes=48, dc_slots=100)
+    records = run_simulation(sc)
+    assert [r.infeasible.startswith("placement") for r in records] == [False] * 6
+    assert not any(math.isnan(r.cost) for r in records)
+    assert sum(r.t_left > 0 for r in records) >= 2
 
 
 def test_epochs_count_rules_without_rendering_tables(monkeypatch):
