@@ -219,7 +219,10 @@ def rm_oracle_compare(instances, seed, delta, report_path, dump_dir):
     _echo(f"instances={len(rows)} handled_equal={stats['handled_equal']} "
           f"median_gap={stats['median_gap']:.6f} "
           f"p90_gap={stats['p90_gap']:.6f} over_10pct={stats['over_10pct']} "
-          f"max_gap={stats['max_gap']:.6f} unproven={stats['unproven']} dumped={dumped}")
+          f"max_gap={stats['max_gap']:.6f} handled_unequal={stats['handled_unequal']} "
+          f"greedy_more_gbps={stats['greedy_more_gbps']:.6f} "
+          f"greedy_less_gbps={stats['greedy_less_gbps']:.6f} "
+          f"unproven={stats['unproven']} dumped={dumped}")
 
 
 # -- orch ---------------------------------------------------------------

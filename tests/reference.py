@@ -1,13 +1,15 @@
 """Inputs and reference views that more than one test module uses. Test
 modules import from here, never from each other."""
 
+import itertools
+import math
 import random
 
 import numpy as np
 from hypothesis import strategies as st
 
 from scrubsim.defense_graphs import builtin_library
-from scrubsim.errors import CapacityError, PlacementError
+from scrubsim.errors import CapacityError, OracleSizeError, PlacementError
 from scrubsim.resource_manager import EPS
 from scrubsim.topology import Datacenter, Topology, generate_topology
 
@@ -233,3 +235,94 @@ def reference_adversary_next(strategy, budget, epoch: int, n_pops: int,
         for a in attacks:
             mix[e, a] = budget.b_gbps / (len(pops) * len(attacks))
     return mix
+
+
+def reference_min_cost_transport(supplies, demands, cost):
+    """The oracle's transport kernel on explicit adjacency lists: a
+    successive-shortest-path min-cost flow with Bellman-Ford labels over
+    source -> supplies -> demands -> sink, each edge a ``[head, residual
+    capacity, cost, index of its reverse edge in the head's list]``."""
+    n_s, n_d = len(supplies), len(demands)
+    want = sum(demands)
+    flow = [[0] * n_d for _ in range(n_s)]
+    if want == 0:
+        return 0.0, flow
+    if want > sum(supplies):
+        raise OracleSizeError("transport demand exceeds supply (internal)")
+    n = n_s + n_d + 2
+    sink = n - 1
+    adj = [[] for _ in range(n)]
+
+    def add_edge(u, v, cap, c):
+        edge = [v, cap, c, len(adj[v])]
+        adj[u].append(edge)
+        adj[v].append([u, 0, -c, len(adj[u]) - 1])
+        return edge
+
+    for e in range(n_s):
+        add_edge(0, 1 + e, supplies[e], 0.0)
+    mid = [[add_edge(1 + e, 1 + n_s + d, want, cost[e][d]) for d in range(n_d)]
+           for e in range(n_s)]
+    for d in range(n_d):
+        add_edge(1 + n_s + d, sink, demands[d], 0.0)
+
+    sent = 0
+    value = 0.0
+    while sent < want:
+        dist = [math.inf] * n
+        prev_node = [-1] * n
+        prev_edge = [-1] * n
+        dist[0] = 0.0
+        for _ in range(n):
+            changed = False
+            for u in range(n):
+                if math.isinf(dist[u]):
+                    continue
+                for ei, (v, cap, c, _rev) in enumerate(adj[u]):
+                    if cap > 0 and dist[u] + c < dist[v] - 1e-12:
+                        dist[v] = dist[u] + c
+                        prev_node[v] = u
+                        prev_edge[v] = ei
+                        changed = True
+            if not changed:
+                break
+        aug = want - sent
+        v = sink
+        while v != 0:
+            aug = min(aug, adj[prev_node[v]][prev_edge[v]][1])
+            v = prev_node[v]
+        v = sink
+        while v != 0:
+            edge = adj[prev_node[v]][prev_edge[v]]
+            edge[1] -= aug
+            adj[v][edge[3]][1] += aug
+            v = prev_node[v]
+        sent += aug
+        value += aug * dist[sink]
+    for e, row in enumerate(mid):
+        for d, edge in enumerate(row):
+            flow[e][d] = want - edge[1]
+    return value, flow
+
+
+def reference_largest_last(link_units, slots, supply, q, factors):
+    """``{prefix: k}`` as the oracle's ``_largest_last`` gives it, found by
+    bisecting each prefix's last coordinate with the whole tuple's slot
+    sum."""
+    caps = [min(link_units, s) for s in supply]
+
+    def fits(combo):
+        return sum(v * q * factors[a] for a, v in enumerate(combo)) <= slots + 1e-9
+
+    last = {}
+    for pre in itertools.product(*(range(c + 1) for c in caps[:-1])):
+        lo, hi = -1, min(caps[-1], link_units - sum(pre))
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if fits(pre + (mid,)):
+                lo = mid
+            else:
+                hi = mid - 1
+        if lo >= 0:
+            last[pre] = lo
+    return last

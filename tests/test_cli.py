@@ -782,6 +782,18 @@ def test_oracle_compare_cli(tmp_path):
     assert "unproven=0" in res.output
 
 
+def test_oracle_compare_gaps_only_between_equal_volumes(tmp_path):
+    # At delta 1, 10 of seeds 3-22 handle unequal volumes: on seed 8 the
+    # greedy's 31 Gbps at cost 200 against the oracle's 0 Gbps at cost 0
+    # would read as an infinite gap.
+    res = CliRunner().invoke(main, ["rm", "oracle-compare", "--instances", "20", "--seed", "3",
+                                    "--delta", "1", "--report", str(tmp_path / "report.csv")])
+    assert res.exit_code == 0, res.output
+    assert ("handled_equal=10 median_gap=0.000000 p90_gap=0.000000 over_10pct=0 "
+            "max_gap=0.000000 handled_unequal=10 greedy_more_gbps=184.000000 "
+            "greedy_less_gbps=0.000000 ") in res.output
+
+
 @pytest.mark.parametrize("bad, message", [
     (["--instances", "0"], "--instances"),
     (["--delta", "0.3"], "delta 0.3 must be 1/k"),

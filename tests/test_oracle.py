@@ -33,7 +33,14 @@ from scrubsim.oracle import (
 )
 from scrubsim.resource_manager import dsp_greedy, evaluate_cost, place_all, ssp_greedy
 from scrubsim.topology import CostParams
-from reference import make_dc, make_topo, pair_units, units_cost
+from reference import (
+    make_dc,
+    make_topo,
+    pair_units,
+    reference_largest_last,
+    reference_min_cost_transport,
+    units_cost,
+)
 
 ATK = AttackType(0, "atk0")
 
@@ -68,6 +75,20 @@ def transport_cases(draw):
     return supplies, demands, cost
 
 
+@st.composite
+def kernel_cases(draw):
+    """1-4 supplies of 0-4 units, 1-4 demands within their total, and
+    either tie-heavy integer costs 1-3 or random float costs."""
+    supplies = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    demands, left = [], sum(supplies)
+    for _ in range(draw(st.integers(1, 4))):
+        demands.append(draw(st.integers(0, left)))
+        left -= demands[-1]
+    costs = draw(st.sampled_from([st.integers(1, 3).map(float), st.floats(0.0, 10.0)]))
+    cost = [[draw(costs) for _ in demands] for _ in supplies]
+    return supplies, demands, cost
+
+
 class TestTransport:
     @settings(max_examples=150)
     @given(transport_cases())
@@ -89,6 +110,13 @@ class TestTransport:
         assert sum(x * c for row, cost_row in zip(flow, cost)
                    for x, c in zip(row, cost_row)) == value
 
+    @settings(max_examples=400)
+    @given(kernel_cases())
+    @example(([2, 0, 2], [1, 1, 2], [[1.0, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 1.0]]))
+    def test_matches_the_adjacency_list_kernel(self, case):
+        # The flows match on ties too, and the value's float in every bit.
+        assert repr(_min_cost_transport(*case)) == repr(reference_min_cost_transport(*case))
+
     def test_zero_demand(self):
         value, flow = _min_cost_transport([3], [0], [[1.0]])
         assert value == 0.0 and flow == [[0]]
@@ -99,7 +127,39 @@ class TestTransport:
             _min_cost_transport([2, 1], [2, 2], [[1.0, 1.0], [1.0, 1.0]])
 
 
+def count_kernel_calls(monkeypatch) -> list:
+    """Record each transport kernel call's (supplies, demands)."""
+    calls = []
+    kernel = oracle._min_cost_transport
+
+    def counted(supplies, demands, cost):
+        calls.append((tuple(supplies), tuple(demands)))
+        return kernel(supplies, demands, cost)
+
+    monkeypatch.setattr(oracle, "_min_cost_transport", counted)
+    return calls
+
+
 class TestOracleExact:
+    def test_equal_supply_columns_share_a_kernel_call(self, monkeypatch):
+        calls = count_kernel_calls(monkeypatch)
+        # Two attacks of 20 Gbps at the one pop, both into the cheaper
+        # datacenter: one demand, so one call.
+        lib = tuple(_preset_graph(AttackType(a, f"atk{a}"), "single", 0.5) for a in range(2))
+        topo = make_topo(1, [make_dc(999.0, [[99]]), make_dc(999.0, [[99]])], [[1.0, 2.0]])
+        res = oracle_exact(topo, np.array([[20.0, 20.0]]), lib, CostParams())
+        assert res.volumes.tolist() == [[20.0, 0.0], [20.0, 0.0]]
+        assert calls == [((20,), (20, 0))]
+
+    def test_each_supply_and_demand_is_transported_once(self, monkeypatch):
+        # Criterion 1's seed 20012 has two attacks with equal supply columns
+        # and searches 325 nodes.
+        topo, traffic, lib, params = random_tiny_instance(20_012)
+        assert (traffic[:, 0] == traffic[:, 1]).all()
+        calls = count_kernel_calls(monkeypatch)
+        oracle_exact(topo, traffic, lib, params)
+        assert len(calls) == len(set(calls)) == 306
+
     def test_unconstrained_matches_greedy(self):
         lib = one_node_lib()
         topo = make_topo(1, [make_dc(999.0, [[99]])], [[3.0]])
@@ -298,6 +358,15 @@ class TestLargestLast:
     @given(tuple_capacities())
     def test_lists_the_product_filter_tuples_in_order(self, case):
         assert _feasible_tuples(_largest_last(*case)) == product_filter(*case)
+
+    @settings(max_examples=400)
+    @given(tuple_capacities())
+    @example((5, 0.1 * 3 + 0.5 * 2, (4, 3), 1.0, [0.1, 0.5]))
+    @example((9, sum(v * 0.1 * f for v, f in zip((2, 1, 1), (1.0, 2.0, 3.0))), (3, 3, 3), 0.1,
+              [1.0, 2.0, 3.0]))
+    def test_matches_bisection(self, case):
+        got, want = _largest_last(*case), reference_largest_last(*case)
+        assert list(got.items()) == list(want.items())
 
     def test_boundaries(self):
         # Two attacks at 0.1 and 0.5 slots per Gbps, q = 1: the slots of
@@ -554,14 +623,19 @@ class TestComparisonRunner:
             return ComparisonRow(seed=0, handled_greedy=10.0, handled_oracle=handled_oracle,
                                  cost_greedy=1.0, cost_oracle=1.0, gap=gap, runtime_s=0.0)
 
-        rows = [row(0.0), row(0.05), row(0.2), row(0.5, handled_oracle=12.0), row(math.inf)]
+        rows = [row(0.0), row(0.05), row(0.2), row(0.5, handled_oracle=12.0), row(math.inf),
+                row(3.0, handled_oracle=7.5)]
         stats = gap_summary(rows)
-        assert stats["median_gap"] == 0.2
-        # p90 interpolates over the four finite gaps: 0.2 + 0.7 * (0.5 - 0.2).
-        assert stats["p90_gap"] == pytest.approx(0.41)
+        # The gaps of unequal volumes are left out: 0.0, 0.05, 0.2 and inf.
+        assert stats["median_gap"] == pytest.approx(0.125)
+        # p90 interpolates over the three finite gaps: 0.05 + 0.8 * (0.2 - 0.05).
+        assert stats["p90_gap"] == pytest.approx(0.17)
         assert stats["max_gap"] == math.inf
-        assert stats["over_10pct"] == 3
+        assert stats["over_10pct"] == 2
         assert stats["handled_equal"] == 4
+        assert stats["handled_unequal"] == 2
+        assert stats["greedy_more_gbps"] == 2.5
+        assert stats["greedy_less_gbps"] == 2.0
         assert stats["unproven"] == 0
         rows[1].proven = rows[3].proven = False
         assert gap_summary(rows)["unproven"] == 2
@@ -579,6 +653,13 @@ class TestComparisonRunner:
     def test_empty_comparison_rejected(self, n_instances):
         with pytest.raises(InputError, match="at least 1 instance"):
             oracle_comparison(n_instances, seed=1)
+
+    def test_no_equal_volumes_has_no_gap(self):
+        [row] = oracle_comparison(1, seed=15, delta=1.0)
+        stats = gap_summary([row])
+        assert stats["handled_equal"] == stats["over_10pct"] == 0
+        assert all(math.isnan(stats[k]) for k in ("median_gap", "p90_gap", "max_gap"))
+        assert (stats["handled_unequal"], stats["greedy_more_gbps"]) == (1, 9.0)
 
     def test_empty_gap_summary_rejected(self):
         with pytest.raises(InputError, match="no comparison rows"):

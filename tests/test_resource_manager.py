@@ -143,7 +143,7 @@ class TestDspGreedy:
         assert dsp.n_dc[(0, 0)] == {0: 1, 1: 1}
         assert dsp.t_left == pytest.approx(5.0, abs=1e-6)
 
-    def test_ceil_per_assignment_never_overflows(self):
+    def test_whole_vms_never_overflow_tiny_instances(self):
         # Each assignment is charged the whole VMs it adds, so the VMs
         # committed to a datacenter never exceed its slots.
         for seed in range(25):
