@@ -10,12 +10,13 @@ objectives are directly comparable.
 The search is organized as: build each datacenter's volume tuples on the
 grid (grid units per attack, within the datacenter's link and compute
 capacity) per tuple prefix, as the prefix's largest last coordinate; fill
-one dense integer table per datacenter suffix, where ``H[d][r]`` is the most
-units datacenters ``d..`` can take from the remaining per-attack supply
-``r`` (the box ``prod(supply_a + 1)``, filled bottom-up from ``H[n_d] = 0``;
-the tuple sets are downward closed, so two slice maxima per tuple prefix
-fill a table); then run a depth-first search over the datacenters that
-keeps only assignments reaching ``H[0][supply]``. A table lookup cuts every
+one dense integer table per datacenter after the first, where ``H[d][r]`` is
+the most units datacenters ``d..`` can take from the remaining per-attack
+supply ``r`` (the box ``prod(supply_a + 1)``, filled bottom-up from
+``H[n_d] = 0``; the tuple sets are downward closed, so two slice maxima per
+tuple prefix fill a table), and ``h_star = H[0][supply]`` as one max over
+datacenter 0's prefixes; then run a depth-first search over the datacenters
+that keeps only assignments reaching ``h_star``. A table lookup cuts every
 tuple that cannot reach it before the tuple is priced; the rest are priced
 on the wide-area side with an exact min-cost transport, and per datacenter
 with an exact placement search seeded by the greedy placement, which
@@ -26,14 +27,18 @@ The search is cheap per node: each datacenter's tuples are priced once, by
 their wide-area lower bound; a leaf reads its demands off the chosen tuples;
 transports are memoized by (supply column, demand), so attacks with equal
 supply columns share one; and the transport kernel runs on the flows
-themselves, not on adjacency lists. Under cProfile on criterion 1's 100
-instances (2-core x86-64 host, Python 3.11), the kernel then takes about
-17% of the time, the search loop's own lines 10%, the placement search 24%,
-the suffix tables 9% and instance generation 9%.
+themselves, not on adjacency lists. A feasible greedy taking every supply
+unit proves ``h_star``, so the tables are built only for a search; a free
+greedy placement is not searched; and each preset graph is built once.
+Under cProfile on criterion 1's 100 instances (2-core x86-64 host, Python
+3.11), the kernel then takes about 20% of the time, the search loop's own
+lines 12%, the placement search 25%, the incumbent DSP 8%, instance
+generation 6%, ``_largest_last`` 4% and the suffix tables 2%.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -156,10 +161,11 @@ def _feasible_tuples(last: dict[tuple[int, ...], int]) -> list[tuple[int, ...]]:
 
 
 def _max_handled_tables(last_by_dc: list[dict[tuple[int, ...], int]],
-                        supply: tuple[int, ...]) -> list[np.ndarray]:
-    """Suffix tables ``H`` with ``H[n_d] = 0`` and ``H[d][r]`` the maximum of
-    ``sum(c) + H[d + 1][r - c]`` over the tuples ``c <= r`` of datacenter
-    ``d``, for every remaining supply ``r`` in the box ``prod(supply + 1)``.
+                        supply: tuple[int, ...]) -> tuple[int, list[np.ndarray]]:
+    """``H[0][supply]`` and the suffix tables ``H[1..n_d]``, with ``H[n_d] =
+    0`` and ``H[d][r]`` the maximum of ``sum(c) + H[d + 1][r - c]`` over the
+    tuples ``c <= r`` of datacenter ``d``, for every remaining supply ``r``
+    in the box ``prod(supply + 1)``.
 
     Datacenter ``d``'s tuples are given as ``_largest_last`` gives them: each
     prefix (all coordinates but the last) maps to its largest last
@@ -170,10 +176,11 @@ def _max_handled_tables(last_by_dc: list[dict[tuple[int, ...], int]],
     ``H[d + 1]`` gains at most 1 per extra unit of supply, the best choice
     takes ``min(k, r_last)``. That is two slice maxima per prefix:
     ``r_last >= k`` reads ``H[d + 1]`` at ``r - (p, k)``, and ``r_last < k``
-    takes every remaining unit on top of ``H[d + 1][r_prefix - p, 0]``."""
+    takes every remaining unit on top of ``H[d + 1][r_prefix - p, 0]``.
+    ``H[0]``, read at ``supply`` alone, is one max over datacenter 0's prefixes."""
     shape = tuple(s + 1 for s in supply)
     tables = [np.zeros(shape, dtype=np.int64)]
-    for last in reversed(last_by_dc):
+    for last in reversed(last_by_dc[1:]):
         nxt = tables[-1]
         h = np.zeros(shape, dtype=np.int64)
         # H[d + 1] with the last coordinate at 0, plus 0..k-1 remaining units.
@@ -190,7 +197,9 @@ def _max_handled_tables(last_by_dc: list[dict[tuple[int, ...], int]],
                 dst = h[dst_pre + (slice(0, k),)]
                 np.maximum(dst, floor[src_pre] + (ramp[:k] + base), out=dst)
         tables.append(h)
-    return tables[::-1]
+    h_star = max((sum(pre) + k + int(tables[-1][tuple(map(operator.sub, supply, pre + (k,)))])
+                  for pre, k in last_by_dc[0].items()), default=0)
+    return h_star, tables[::-1]
 
 
 class _BudgetExceeded(Exception):
@@ -331,6 +340,9 @@ def _optimal_dsc(dc: Datacenter, dc_id: int, graphs: Library,
     for a, counts in counts_by_attack.items():
         pg = PhysicalGraph(a, dc_id, vols[a] * q, counts)
         best += ssp_greedy(dc, pg, graphs[a], free).dc_cost(params)
+    # The search's first check, `dfs` at cost 0, would cut every placement.
+    if best <= 1e-12:
+        return best, True
 
     # Exhaustive placement: assign each group's count across servers, one
     # group per level; a group pays for its edges to the groups before it.
@@ -454,10 +466,6 @@ def oracle_exact(topo: Topology, traffic: np.ndarray, lib: Library, params: Cost
                       dc.compute_capacity, start, q, factors)
         for dc in topo.datacenters]
 
-    # Max handled units from datacenter d on, per remaining supply vector.
-    h_tables = _max_handled_tables(last_by_dc, start)
-    h_star = int(h_tables[0][start])
-
     # Greedy incumbent: quantize the greedy's solution onto the grid.
     best_cost = math.inf
     greedy_v = np.zeros((n_a, n_d), dtype=int)
@@ -469,6 +477,14 @@ def oracle_exact(topo: Topology, traffic: np.ndarray, lib: Library, params: Cost
             if abs(u - round(u)) > 1e-6:
                 aligned = False
             greedy_v[a, d] = round(u)
+    greedy_tuples = [tuple(int(x) for x in greedy_v[:, d]) for d in range(n_d)]
+    witness = aligned and all(c[-1] <= last_by_dc[d].get(c[:-1], -1)
+                              for d, c in enumerate(greedy_tuples))
+    greedy_units = int(greedy_v.sum())
+    # The most units any assignment handles, proven by a feasible greedy
+    # taking every unit; the suffix tables are built only when read.
+    full = witness and greedy_units == sum(start)
+    h_star, h_tables = (greedy_units, None) if full else _max_handled_tables(last_by_dc, start)
 
     dsc_memo: dict[tuple[int, tuple[int, ...]], tuple[float, bool]] = {}
     # Keyed by the supply column, so attacks with equal columns share a call.
@@ -495,12 +511,8 @@ def oracle_exact(topo: Topology, traffic: np.ndarray, lib: Library, params: Cost
         wide = sum(transport(a, tuple(c[a] for c in chosen))[0] for a in range(n_a))
         return params.alpha * wide + sum(dsc(d, c) for d, c in enumerate(chosen))
 
-    if aligned and int(greedy_v.sum()) == h_star:
-        ok = all(int(greedy_v[-1, d]) <= last_by_dc[d].get(
-                     tuple(int(x) for x in greedy_v[:-1, d]), -1)
-                 for d in range(n_d))
-        if ok:
-            best_cost = leaf_cost([tuple(int(x) for x in greedy_v[:, d]) for d in range(n_d)])
+    if witness and greedy_units == h_star:
+        best_cost = leaf_cost(greedy_tuples)
 
     best_v = greedy_v.copy() if best_cost < math.inf else None
     nodes = 0
@@ -534,6 +546,8 @@ def oracle_exact(topo: Topology, traffic: np.ndarray, lib: Library, params: Cost
                         for c in _feasible_tuples(last_by_dc[d]))
         ordered_tuples.append([(c, -neg, params.alpha * lb) for lb, neg, c in priced])
 
+    if h_tables is None:
+        h_tables = _max_handled_tables(last_by_dc, start)[1]
     # Nested lists make the per-node bound lookup cheapest.
     h_lists = [h.tolist() for h in h_tables]
 
@@ -553,7 +567,7 @@ def oracle_exact(topo: Topology, traffic: np.ndarray, lib: Library, params: Cost
                 best_v = np.array(chosen, dtype=int).T.copy()
             return
         remaining_min_l = min(col_min_l[d + 1:], default=col_min_l[d])
-        h_next = h_lists[d + 1]
+        h_next = h_lists[d]  # H[d + 1]
         for combo, size, wide_lb in ordered_tuples[d]:
             left = tuple(map(operator.sub, rem, combo))
             if min(left) < 0:
@@ -609,9 +623,11 @@ def oracle_exact(topo: Topology, traffic: np.ndarray, lib: Library, params: Cost
 _T0 = 20.0
 
 
+@functools.cache
 def _preset_graph(attack: AttackType, shape: str, scale: float) -> AnnotatedGraph:
     """Small graphs with compute factors that keep capacity limits on the
-    volume grid: factor = scale for every shape."""
+    volume grid: factor = scale for every shape. Built once per argument triple
+    and shared by the instances that draw it: a graph never changes once built."""
     if shape == "single":
         nodes = [LogicalModule(0, "m0", ANALYSIS, 1.0 / scale, contexts=1)]
         edges = []

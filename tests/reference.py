@@ -326,3 +326,30 @@ def reference_largest_last(link_units, slots, supply, q, factors):
         if lo >= 0:
             last[pre] = lo
     return last
+
+
+def reference_max_handled_tables(last_by_dc, supply):
+    """Every suffix table ``H[0..n_d]`` the oracle's ``_max_handled_tables``
+    describes, ``H[0]`` included: ``H[n_d] = 0`` and ``H[d][r]`` the most
+    units datacenters ``d..`` take from the remaining supply ``r``, filled
+    with two slice maxima per tuple prefix of each downward-closed set."""
+    shape = tuple(s + 1 for s in supply)
+    tables = [np.zeros(shape, dtype=np.int64)]
+    for last in reversed(last_by_dc):
+        nxt = tables[-1]
+        h = np.zeros(shape, dtype=np.int64)
+        # H[d + 1] with the last coordinate at 0, plus 0..k-1 remaining units.
+        floor = nxt[..., :1]
+        ramp = np.arange(shape[-1], dtype=np.int64)
+        for pre, k in last.items():
+            base = sum(pre)
+            dst_pre = tuple(slice(v, None) for v in pre)
+            src_pre = tuple(slice(0, n - v) for n, v in zip(shape, pre))
+            dst = h[dst_pre + (slice(k, None),)]
+            src = nxt[src_pre + (slice(0, shape[-1] - k),)]
+            np.maximum(dst, src + (base + k), out=dst)
+            if k:
+                dst = h[dst_pre + (slice(0, k),)]
+                np.maximum(dst, floor[src_pre] + (ramp[:k] + base), out=dst)
+        tables.append(h)
+    return tables[::-1]

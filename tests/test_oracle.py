@@ -31,13 +31,20 @@ from scrubsim.oracle import (
     gap_summary,
     random_tiny_instance,
 )
-from scrubsim.resource_manager import dsp_greedy, evaluate_cost, place_all, ssp_greedy
+from scrubsim.resource_manager import (
+    attack_dc_volumes,
+    dsp_greedy,
+    evaluate_cost,
+    place_all,
+    ssp_greedy,
+)
 from scrubsim.topology import CostParams
 from reference import (
     make_dc,
     make_topo,
     pair_units,
     reference_largest_last,
+    reference_max_handled_tables,
     reference_min_cost_transport,
     units_cost,
 )
@@ -160,6 +167,32 @@ class TestOracleExact:
         oracle_exact(topo, traffic, lib, params)
         assert len(calls) == len(set(calls)) == 306
 
+    def test_tables_are_built_only_where_read(self, monkeypatch):
+        # The suffix tables give h_star and the search's cuts. A greedy that
+        # takes every supply unit on the grid proves h_star, and one that
+        # also meets the global bound leaves no search: 45 of criterion 1's
+        # 100 instances build no table, and the others build one set.
+        calls = []
+        builder = oracle._max_handled_tables
+
+        def counted(last_by_dc, supply):
+            calls.append(supply)
+            return builder(last_by_dc, supply)
+
+        monkeypatch.setattr(oracle, "_max_handled_tables", counted)
+        skipped = 0
+        for seed in range(20_000, 20_100):
+            topo, traffic, lib, params = random_tiny_instance(seed)
+            before = len(calls)
+            res = oracle_exact(topo, traffic, lib, params)
+            units = attack_dc_volumes(res.greedy.f, traffic) / (0.05 * traffic.max())
+            witness = res.greedy.t_left <= 1e-9 and bool(
+                (np.abs(units - units.round()) <= 1e-6).all())
+            built = len(calls) - before
+            assert built == (0 if witness and res.search_nodes == 0 else 1), seed
+            skipped += built == 0
+        assert (len(calls), skipped) == (55, 45)
+
     def test_unconstrained_matches_greedy(self):
         lib = one_node_lib()
         topo = make_topo(1, [make_dc(999.0, [[99]])], [[3.0]])
@@ -273,13 +306,21 @@ def largest_last(tuples):
     return last
 
 
-def assert_tables_match_reference(tuples_by_dc, supply, tables):
-    assert len(tables) == len(tuples_by_dc) + 1
+def assert_tables_match_reference(tuples_by_dc, supply, tables, first=0):
+    """`tables` are ``H[first..n_d]``, each right at every remaining supply."""
+    assert len(tables) == len(tuples_by_dc) + 1 - first
     memo = {}
-    for d, table in enumerate(tables):
+    for d, table in enumerate(tables, start=first):
         assert table.shape == tuple(s + 1 for s in supply)
         for rem in itertools.product(*(range(s + 1) for s in supply)):
             assert table[rem] == reference_max_handled(tuples_by_dc, d, rem, memo), (d, rem)
+
+
+def assert_handled_matches_reference(tuples_by_dc, supply, handled):
+    """`_max_handled_tables`'s ``(H[0][supply], H[1..n_d])``."""
+    h_star, tables = handled
+    assert h_star == reference_max_handled(tuples_by_dc, 0, supply, {})
+    assert_tables_match_reference(tuples_by_dc, supply, tables, first=1)
 
 
 @st.composite
@@ -300,25 +341,60 @@ def downward_closed_tuple_sets(draw):
     return tuples_by_dc, supply
 
 
+@st.composite
+def oracle_tuple_sets(draw):
+    """Each of 1-3 datacenters' tuples as ``_largest_last`` builds them, for
+    1-2 attacks with supplies 0-40: link units 0-60, and slots of 0, exactly
+    the slot sum of a drawn tuple, or drawn at random."""
+    n_a = draw(st.integers(1, 2))
+    supply = tuple(draw(st.lists(st.integers(0, 40), min_size=n_a, max_size=n_a)))
+    q = draw(st.sampled_from([0.25, 1.0, 2.0]) | st.floats(0.01, 5.0))
+    factors = draw(st.lists(st.sampled_from([0.1, 0.2, 0.25, 0.5, 1.0]) | st.floats(0.0, 3.0),
+                            min_size=n_a, max_size=n_a))
+    last_by_dc = []
+    for _ in range(draw(st.integers(1, 3))):
+        edge = tuple(draw(st.integers(0, s)) for s in supply)
+        on_edge = sum(v * q * factors[a] for a, v in enumerate(edge))
+        slots = draw(st.sampled_from([0.0, on_edge]) | st.floats(0.0, 60.0))
+        last_by_dc.append(_largest_last(draw(st.integers(0, 60)), slots, supply, q, factors))
+    return last_by_dc, supply
+
+
 class TestMaxHandledTables:
     @settings(max_examples=200)
     @given(downward_closed_tuple_sets())
     def test_matches_recursive_memo_at_every_remaining_supply(self, case):
         tuples_by_dc, supply = case
-        tables = _max_handled_tables([largest_last(t) for t in tuples_by_dc], supply)
-        assert_tables_match_reference(tuples_by_dc, supply, tables)
+        last_by_dc = [largest_last(t) for t in tuples_by_dc]
+        assert_handled_matches_reference(tuples_by_dc, supply,
+                                         _max_handled_tables(last_by_dc, supply))
+        assert_tables_match_reference(tuples_by_dc, supply,
+                                      reference_max_handled_tables(last_by_dc, supply))
+
+    @settings(max_examples=200)
+    @given(oracle_tuple_sets())
+    def test_matches_the_all_datacenter_tables(self, case):
+        # H[0] is read at the full supply alone; the rest are whole tables.
+        last_by_dc, supply = case
+        h_star, tables = _max_handled_tables(last_by_dc, supply)
+        want = reference_max_handled_tables(last_by_dc, supply)
+        assert h_star == want[0][supply]
+        assert len(tables) == len(want) - 1
+        for got, table in zip(tables, want[1:]):
+            assert got.dtype == table.dtype and np.array_equal(got, table)
 
     def test_uneven_attacks_and_datacenters(self):
         # Datacenter 0 takes at most 2 of attack 0 or 1 of attack 1; datacenter
         # 1 takes at most 3 units in all, but only of attack 1.
         tuples_by_dc = [[(0, 0), (0, 1), (1, 0), (2, 0)],
                         [(0, 0), (0, 1), (0, 2), (0, 3)]]
-        tables = _max_handled_tables([largest_last(t) for t in tuples_by_dc], (3, 2))
-        assert tables[0][3, 2] == 4  # 2 of attack 0 at dc0, 2 of attack 1 at dc1
-        assert tables[1][3, 2] == 2
-        assert tables[0][0, 0] == 0
-        assert not tables[2].any()
-        assert_tables_match_reference(tuples_by_dc, (3, 2), tables)
+        last_by_dc = [largest_last(t) for t in tuples_by_dc]
+        h_star, tables = _max_handled_tables(last_by_dc, (3, 2))
+        assert h_star == 4  # 2 of attack 0 at dc0, 2 of attack 1 at dc1
+        assert tables[0][3, 2] == 2
+        assert reference_max_handled_tables(last_by_dc, (3, 2))[0][0, 0] == 0
+        assert not tables[1].any()
+        assert_handled_matches_reference(tuples_by_dc, (3, 2), (h_star, tables))
 
 
 def product_filter(link_units, slots, supply, q, factors):
@@ -384,27 +460,29 @@ class TestLargestLast:
 class TestDownwardClosedTuples:
     def test_every_decrement_of_a_built_tuple_is_built(self, monkeypatch):
         # _max_handled_tables fills one pass per tuple prefix, which is exact
-        # only on downward-closed tuple sets; the sets oracle_exact builds on
-        # criterion 1's instances must be.
+        # only on downward-closed tuple sets; every set oracle_exact builds
+        # on criterion 1's instances must be, read or not.
         calls = []
 
-        def spy(last_by_dc, supply):
-            calls.append([_feasible_tuples(last) for last in last_by_dc])
-            return _max_handled_tables(last_by_dc, supply)
+        def spy(*args):
+            last = _largest_last(*args)
+            calls.append(_feasible_tuples(last))
+            return last
 
-        monkeypatch.setattr(oracle, "_max_handled_tables", spy)
+        monkeypatch.setattr(oracle, "_largest_last", spy)
+        n_dcs = 0
         for seed in range(20_000, 20_100):
             topo, traffic, lib, params = random_tiny_instance(seed)
+            n_dcs += len(topo.datacenters)
             oracle_exact(topo, traffic, lib, params)
-        assert len(calls) == 100
-        for tuples_by_dc in calls:
-            for feas in tuples_by_dc:
-                members = set(feas)
-                assert (0,) * len(feas[0]) in members
-                for combo in feas:
-                    for a, v in enumerate(combo):
-                        if v:
-                            assert combo[:a] + (v - 1,) + combo[a + 1:] in members
+        assert len(calls) == n_dcs == 184
+        for feas in calls:
+            members = set(feas)
+            assert (0,) * len(feas[0]) in members
+            for combo in feas:
+                for a, v in enumerate(combo):
+                    if v:
+                        assert combo[:a] + (v - 1,) + combo[a + 1:] in members
 
 
 DSC_PARAMS = CostParams(alpha=1.0, intra_unit_cost=1.0, inter_unit_cost=5.0, beta=1.0)
@@ -551,11 +629,47 @@ class TestOptimalDsc:
         monkeypatch.setattr(oracle, "_SPREAD_MEMO_ENTRIES", 0)
         assert run_all() == memoised
 
+    def test_free_greedy_placement_is_not_searched(self, monkeypatch):
+        calls = []
+        spreads = oracle._spreads
+
+        def counted(count, free, *rest):
+            calls.append((count, free))
+            return spreads(count, free, *rest)
+
+        monkeypatch.setattr(oracle, "_spreads", counted)
+        # One VM per chain node fits on one of the two servers, for free.
+        dc, graphs = dsc_case(1, 2, 4, ["chain"])
+        assert _optimal_dsc(dc, 0, graphs, (2,), 1.0, DSC_PARAMS) == (0.0, True)
+        assert calls == []
+        # Three VMs per node on servers of 3 slots cross servers, so the
+        # search runs.
+        dc, graphs = dsc_case(1, 2, 3, ["chain"])
+        cost, proven = _optimal_dsc(dc, 0, graphs, (6,), 1.0, DSC_PARAMS)
+        assert cost > 0 and proven and calls
+
     def test_no_demand_and_too_much_demand(self):
         dc, graphs = dsc_case(1, 2, 2, ["chain"])
         assert _optimal_dsc(dc, 0, graphs, (0,), 1.0, DSC_PARAMS) == (0.0, True)
         # Two nodes of 3 VMs each need 6 slots; the datacenter has 4.
         assert _optimal_dsc(dc, 0, graphs, (6,), 1.0, DSC_PARAMS) == (math.inf, True)
+
+
+class TestRandomTinyInstance:
+    def test_equal_draws_share_one_graph(self):
+        # Seeds 1 and 3 both draw a branch graph at scale 0.5 for attack 0.
+        g1 = random_tiny_instance(1)[2][0]
+        g3 = random_tiny_instance(3)[2][0]
+        assert g1 is g3
+        fresh = _preset_graph.__wrapped__(AttackType(0, "atk0"), "branch", 0.5)
+        assert fresh is not g1 and fresh == g1
+
+        def derived(g):
+            return {k: v for k, v in vars(g).items() if k != "_ssp_orders"}
+
+        assert derived(g1) == derived(fresh)
+        # The shared graph's memoised SSP orders are the fresh graph's.
+        assert all(fresh.ssp_order(k) == v for k, v in g1._ssp_orders.items())
 
 
 class TestAgainstNaiveEnumeration:
@@ -569,12 +683,12 @@ class TestAgainstNaiveEnumeration:
         traffic = np.array([[8.0], [8.0]])
         calls = []
 
-        def spy(last_by_dc, supply):
-            tables = _max_handled_tables(last_by_dc, supply)
-            calls.append(([_feasible_tuples(last) for last in last_by_dc], supply, tables))
-            return tables
+        def spy(link_units, slots, supply, q, factors):
+            last = _largest_last(link_units, slots, supply, q, factors)
+            calls.append((last, supply))
+            return last
 
-        monkeypatch.setattr(oracle, "_max_handled_tables", spy)
+        monkeypatch.setattr(oracle, "_largest_last", spy)
         res = oracle_exact(topo, traffic, lib, CostParams(), delta=0.25)
 
         q = 0.25 * 8.0
@@ -599,11 +713,13 @@ class TestAgainstNaiveEnumeration:
         assert res.objective == pytest.approx(want_cost)
 
         # h_star: 8 supply units, at most 3 of them (6 Gbps) into dc0.
-        [(tuples_by_dc, supply, tables)] = calls
-        assert supply == (8,)
+        [(last0, supply), (last1, supply1)] = calls
+        assert supply == supply1 == (8,)
+        tuples_by_dc = [_feasible_tuples(last0), _feasible_tuples(last1)]
         assert tuples_by_dc == [[(u,) for u in range(4)], [(u,) for u in range(9)]]
-        assert tables[0][supply] == round(want_handled / q) == 8
-        assert_tables_match_reference(tuples_by_dc, supply, tables)
+        h_star, tables = _max_handled_tables([last0, last1], supply)
+        assert h_star == round(want_handled / q) == 8
+        assert_handled_matches_reference(tuples_by_dc, supply, (h_star, tables))
 
 
 class TestComparisonRunner:
