@@ -30,10 +30,6 @@ supply columns share one; and the transport kernel runs on the flows
 themselves, not on adjacency lists. A feasible greedy taking every supply
 unit proves ``h_star``, so the tables are built only for a search; a free
 greedy placement is not searched; and each preset graph is built once.
-Under cProfile on criterion 1's 100 instances (2-core x86-64 host, Python
-3.11), the kernel then takes about 20% of the time, the search loop's own
-lines 12%, the placement search 25%, the incumbent DSP 8%, instance
-generation 6%, ``_largest_last`` 4% and the suffix tables 2%.
 """
 
 from __future__ import annotations

@@ -220,28 +220,6 @@ class ForwardingPlan:
         flows, ingress, tags = self._counts()
         return max([*flows, *ingress.values(), *tags.values()], default=0)
 
-    def _tag_rules(self, dc: int, first: int, stop: int) -> list[tuple[int, int, int | None]]:
-        """The datacenter's rules for tags first..stop-1, ascending, as
-        (first, stop, run) pieces: the first tag of the run whose rules match
-        those tags, or None where no rule matches."""
-        runs = self.tag_runs.get(dc, {})
-        pieces = []
-        while first < stop:
-            end, hit = stop, None
-            run = runs.get(first)
-            if run is not None and run[0] > first:  # the tags start a run
-                end, hit = min(run[0], stop), first
-            else:
-                for start, (run_stop, _node) in runs.items():
-                    if start <= first < run_stop:
-                        end, hit = min(run_stop, stop), start
-                        break
-                    if first < start < end:
-                        end = start
-            pieces.append((first, end, hit))
-            first = end
-        return pieces
-
     @property
     def wide_area(self) -> dict[tuple[int, int], list[tuple[int, float]]]:
         """(e, a) -> [(d, weight)] in ascending order, rendered afresh."""
@@ -446,12 +424,14 @@ def plan_realizes_edges(plan: ForwardingPlan, pg: PhysicalGraph, pools: TagPool,
             gaps.append(f"node {node} has no pool for context {c}")
             continue
         reachable = set()
-        for first, stop, start in plan._tag_rules(d, run[0], run[0] + run[1]):
+        for tag in range(run[0], run[0] + run[1]):
+            # Runs at a datacenter never overlap, so at most one holds the tag.
+            start = next((first for first, (stop, _node) in runs.items()
+                          if first <= tag < stop), None)
             if start is None:
-                gaps += [f"tag {tag} from node {node} has no switch rule"
-                         for tag in range(first, stop)]
+                gaps.append(f"tag {tag} from node {node} has no switch rule")
             elif runs[start][1] == (a, d, dst):
-                reachable.update(range(first - start, stop - start))
+                reachable.add(tag - start)
         want = set(range(counts[dst]))
         if reachable != want:
             gaps.append(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -26,8 +25,8 @@ from .defense_graphs import Library, load_library
 from .errors import InputError, PlacementError
 from .orchestration import (ForwardingPlan, build_tag_pools, pin_bidirectional_for_graph,
                             synthesize_rules)
-from .resource_manager import (DspResult, SspResult, check_feasibility, dsp_greedy, evaluate_cost,
-                               overprovision, place_all)
+from .resource_manager import (DspResult, SspResult, dsp_greedy, evaluate_cost, overprovision,
+                               place_all)
 from .topology import CostParams, Topology, generate_topology, load_topology
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -160,22 +159,12 @@ class EpochRecord:
 
 
 def run_simulation(sc: Scenario, seed: int | None = None) -> list[EpochRecord]:
-    """One seeded simulation run; fully deterministic per (scenario, seed)."""
-    return _run_epochs(sc, _run_seed(sc, seed), sc.load_topology(), sc.load_library())
-
-
-def _run_seed(sc: Scenario, seed: int | None) -> int:
-    """`seed`, or the scenario's own when it is None, checked as the
-    scenario checks its seeds."""
+    """One seeded simulation run; fully deterministic per (scenario, seed).
+    `seed` is the scenario's own when None, and is checked as the scenario
+    checks its seeds."""
     seed = sc.seed if seed is None else seed
     _check_fpl_seeds(sc.estimator, [seed])
-    return seed
-
-
-def _run_epochs(sc: Scenario, seed: int, topo: Topology, lib: Library) -> list[EpochRecord]:
-    """The epochs of one run on a loaded topology and library, which no
-    run changes."""
-    return [record for record, _plan in _epochs(sc, seed, topo, lib)]
+    return _run_epochs(sc, seed, sc.load_topology(), sc.load_library())
 
 
 @dataclass
@@ -211,10 +200,10 @@ def control_plane(topo: Topology, lib: Library,
     return EpochPlan(dsp, ssps, plan, price)
 
 
-def _epochs(sc: Scenario, seed: int, topo: Topology, lib: Library,
-            ) -> Iterator[tuple[EpochRecord, EpochPlan]]:
-    """Run the epochs one at a time, yielding each epoch's record and
-    control-plane step."""
+def _run_epochs(sc: Scenario, seed: int, topo: Topology, lib: Library) -> list[EpochRecord]:
+    """The epochs of one run on a loaded topology and library, which no
+    run changes."""
+    records = []
     n_pops, n_attacks = len(topo.pops), len(lib)
     budget = Budget(sc.budget_gbps)
     strategy = AdversaryStrategy(kind=sc.adversary, seed=seed)
@@ -235,14 +224,15 @@ def _epochs(sc: Scenario, seed: int, topo: Topology, lib: Library,
         # counts; losses are scored against the cushioned capacity.
         w, v, wvm = loss_accounting(est * sc.gamma, actual, lib)
         state.observe(actual)
-        yield EpochRecord(
+        records.append(EpochRecord(
             epoch=t, actual=actual, estimate=est, t_left=dsp.t_left,
             handled_gbps=float(est.sum()) - dsp.t_left, cost=step.cost,
             vm_total=dsp.total_vms(),
             tag_rules=0 if step.plan is None else step.plan.max_switch_rules(),
             wastage_gbps=w, evasion_gbps=v, wastage_vm=wvm,
             infeasible=infeasible,
-        ), step
+        ))
+    return records
 
 
 def run_scenario_sweep(sc: Scenario) -> dict[int, list[EpochRecord]]:
@@ -302,14 +292,3 @@ def emit_report(records: list[EpochRecord], out_dir: str,
         summary.update(summary_extra)
     config.write_json(json_path, summary)
     return csv_path, json_path
-
-
-def verify_records_feasible(sc: Scenario, seed: int | None = None) -> int:
-    """Re-run a scenario and recheck every placed epoch's resource assignment
-    with the constraint checker; returns the number of violations found."""
-    seed = _run_seed(sc, seed)
-    topo, lib = sc.load_topology(), sc.load_library()
-    return sum(len(check_feasibility(topo, record.estimate, step.dsp, step.ssps,
-                                     sc.cost, lib))
-               for record, step in _epochs(sc, seed, topo, lib)
-               if step.ssps is not None)

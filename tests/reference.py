@@ -2,16 +2,24 @@
 modules import from here, never from each other."""
 
 import itertools
+import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+from scrubsim import simulate
+from scrubsim.adaptation import ESTIMATORS, STRATEGIES
 from scrubsim.defense_graphs import builtin_library
 from scrubsim.errors import CapacityError, OracleSizeError, PlacementError
 from scrubsim.resource_manager import EPS
-from scrubsim.topology import Datacenter, Topology, generate_topology
+from scrubsim.topology import CostParams, Datacenter, Topology, generate_topology
+
+RUN_BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def make_dc(link, rack_slots, attach=0):
@@ -157,6 +165,52 @@ def capacity_bound_cases(draw):
                          for _ in range(len(lib))] for _ in topo.pops])
     total = draw(st.sampled_from([30.0, 150.0, 600.0]))
     return topo, weights * (total / max(weights.sum(), 1.0)), lib
+
+
+@st.composite
+def scenarios(draw):
+    """A small simulator scenario: 4-48 pops, 20-4 000 slots per
+    datacenter, a cushion of 1-1.5, a backbone share of 0.3-1, any adversary
+    and estimator, a non-negative seed, 1-6 epochs and 10-1 000 Gbps."""
+    return simulate.Scenario(
+        epochs=draw(st.integers(1, 6)), budget_gbps=draw(st.floats(10.0, 1000.0)),
+        adversary=draw(st.sampled_from(STRATEGIES)),
+        estimator=draw(st.sampled_from(ESTIMATORS)), seed=draw(st.integers(0, 10_000)),
+        gamma=draw(st.floats(1.0, 1.5)),
+        topology_nodes=draw(st.integers(4, 48)), dc_slots=draw(st.integers(20, 4000)),
+        cost=CostParams(beta=draw(st.floats(0.3, 1.0))))
+
+
+def epoch_steps(sc, seed: int, topo, lib) -> list:
+    """One run's epochs as ``(record, step)`` pairs, each step the
+    control-plane result that epoch's record was made from. The run's own
+    steps are kept, so the control plane runs once per epoch, as in a plain
+    run, and what a test counts of its calls is unchanged."""
+    steps = []
+    control_plane = simulate.control_plane
+
+    def keep(*args, **kwargs):
+        steps.append(control_plane(*args, **kwargs))
+        return steps[-1]
+
+    simulate.control_plane = keep
+    try:
+        records = simulate._run_epochs(sc, seed, topo, lib)
+    finally:
+        simulate.control_plane = control_plane
+    return list(zip(records, steps))
+
+
+def traced_smoke(workload: str) -> dict:
+    """The result of a traced perfbench smoke run of `workload`, which
+    exits 0 and passes its output checks."""
+    proc = subprocess.run([sys.executable, str(RUN_BENCH), "--workload", workload,
+                           "--smoke", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    return result
 
 
 def node_pools(pools) -> dict:

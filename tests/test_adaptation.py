@@ -1,8 +1,4 @@
-import json
-import subprocess
-import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,11 +37,10 @@ from scrubsim.adaptation import (
 from scrubsim.defense_graphs import AttackType, builtin_library
 from scrubsim.errors import InputError
 from scrubsim.simulate import Scenario
-from reference import reference_adversary_next
+from reference import reference_adversary_next, traced_smoke
 
 LIB = builtin_library()
 LIB2 = LIB[:2]
-RUN_BENCH = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
 def toy_trace():
@@ -417,12 +412,7 @@ def test_traced_regret_sweep_reads_its_hooked_spans():
     `best_static_hindsight` are above 0. A caller that reached either
     through a local alias would skip the hook and read 0 here. (Its
     `estimate_s` and `loss_s` hook functions that replays do not call.)"""
-    proc = subprocess.run([sys.executable, str(RUN_BENCH), "--workload", "regret-sweep",
-                           "--smoke", "--trace", "1"],
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result["correct"] is True
+    result = traced_smoke("regret-sweep")
     for name in ("adaptation.regret_s", "adaptation.hindsight_s"):
         assert result["metrics"][name]["value"] > 0, name
 

@@ -46,6 +46,7 @@ from reference import (
     reference_largest_last,
     reference_max_handled_tables,
     reference_min_cost_transport,
+    traced_smoke,
     units_cost,
 )
 
@@ -796,3 +797,15 @@ class TestComparisonRunner:
             dsp, place_all(topo, dsp, lib), params) + 1e-9
         [row] = oracle_comparison(1, seed=20_007)
         assert not row.proven and gap_summary([row])["unproven"] == 1
+
+
+def test_traced_oracle_tiny_reads_its_hooked_spans():
+    """A traced oracle-tiny smoke run passes its output checks, and the
+    spans and counter it reads through its hooks on `oracle`'s names
+    (`oracle_exact`, and `place_all` and `evaluate_cost` of the greedy it is
+    compared with) are above 0. A rename there, or a caller that reached one
+    through a local alias, would read 0 here rather than only in the
+    benchmark."""
+    result = traced_smoke("oracle-tiny")
+    for name in ("oracle.exact_s", "oracle.greedy_s", "oracle.search_nodes"):
+        assert result["metrics"][name]["value"] > 0, name
