@@ -100,17 +100,12 @@ class TestDspGreedy:
             assert dsp.t_left == pytest.approx(implied, abs=1e-6)
 
     def test_never_exceeds_capacities(self):
-        # No datacenter takes more than its link carries, and, as each
-        # assignment is charged the whole VMs it adds, none is committed
-        # more VMs than it has slots.
         for seed in range(25):
             topo, traffic, lib, _params = random_tiny_instance(seed)
             dsp = dsp_greedy(topo, traffic, lib)
             for d, dc in enumerate(topo.datacenters):
                 vol = float((dsp.f[:, :, d] * traffic).sum())
                 assert vol <= dc.link_capacity_gbps + 1e-6
-                vms = sum(pg.total_vms for (_a, dk), pg in dsp.physical.items() if dk == d)
-                assert vms <= dc.compute_capacity
 
     @settings(max_examples=150, derandomize=True)
     @given(case=capacity_bound_cases())
@@ -147,6 +142,18 @@ class TestDspGreedy:
         dsp = dsp_greedy(topo, np.array([[15.0]]), lib)
         assert dsp.n_dc[(0, 0)] == {0: 1, 1: 1}
         assert dsp.t_left == pytest.approx(5.0, abs=1e-6)
+
+    def test_whole_vms_never_overflow_tiny_instances(self):
+        # Each assignment is charged the whole VMs it adds, so the VMs
+        # committed to a datacenter never exceed its slots.
+        for seed in range(25):
+            topo, traffic, lib, _params = random_tiny_instance(seed)
+            dsp = dsp_greedy(topo, traffic, lib)
+            per_dc: dict[int, int] = {}
+            for (d, _a), counts in dsp.n_dc.items():
+                per_dc[d] = per_dc.get(d, 0) + sum(counts.values())
+            for d, total in per_dc.items():
+                assert total <= topo.datacenters[d].compute_capacity
 
 
 class TestOverprovision:
