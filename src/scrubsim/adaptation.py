@@ -13,7 +13,11 @@ noise for epoch t is the stream of ``default_rng([seed, t])``: every
 epoch's seed hash, PCG64 states and draws come from array passes, with no
 generator built), the losses are scored in one pass, and the hindsight
 search sorts every cell's candidates at once, prices them in blocked
-broadcasts and scans them across all cells together.
+broadcasts and scans them across all cells together. The noise's unit
+draws depend on the seed, the epoch count and the cell count alone, so
+they are drawn once and held, read-only, under that key: the most recently
+used entries are kept within ``_DRAWS_MEMO_BYTES`` (16 MiB), and a replay
+scales them by its own perturbation bounds.
 The steady and flipping adversaries draw their fixed mixes once, then copy them.
 Per-epoch scoring is the one-epoch case of it; the simulator's online loop
 uses ``EstimatorState`` and ``estimate`` instead. The hindsight reference
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -44,6 +50,10 @@ _REGRET_FLOOR_FRACTION = 0.01
 # Elements per broadcast block when pricing hindsight candidates: one block
 # of a few cells stays in cache, where pricing every cell at once does not.
 _LOSS_BLOCK = 1 << 15
+
+# Bytes of fpl unit draws held across replays (``_unit_draws``): one seed's
+# 500 epochs at 6 pops x 4 attacks take 96 kB.
+_DRAWS_MEMO_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -436,8 +446,78 @@ def _add128(a_hi: np.ndarray, a_lo: np.ndarray, b_hi: np.ndarray,
 
 def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Row t equals ``np.random.default_rng([seed, t]).uniform(0.0, bounds[t],
-    shape)`` bit for bit, for every t < len(bounds), with no generator built
-    and no loop over epochs.
+    shape)`` bit for bit, for every t < len(bounds), as a fresh array.
+
+    ``uniform`` returns 0.0 + bound * d, which is bound * d exactly, for the
+    double d that ``random`` makes from a draw's top 53 bits. The d do not
+    depend on the bounds, so ``_unit_draws`` holds them per (seed, epochs,
+    draws per epoch) within ``_DRAWS_MEMO_BYTES``, and each call scales them
+    by its own bounds.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InputError(f"fpl seed must be a non-negative integer, got {seed!r}")
+    draws = _unit_draws(int(seed), len(bounds), math.prod(shape))
+    return (draws * bounds[:, None]).reshape(len(bounds), *shape)
+
+
+class _ByteBoundedMemo:
+    """Whole read-only arrays by key, oldest first, within a byte budget
+    given at each store: a hit becomes the most recent, the oldest go until
+    the budget holds, and an array larger than the budget is not held. A
+    lock keeps the entries and their byte count consistent across threads."""
+
+    def __init__(self):
+        self.entries: OrderedDict = OrderedDict()
+        self.nbytes = 0
+        self._lock = threading.Lock()
+
+    def get(self, key) -> "np.ndarray | None":
+        with self._lock:
+            value = self.entries.get(key)
+            if value is not None:
+                self.entries.move_to_end(key)
+            return value
+
+    def put(self, key, value: np.ndarray, budget: int) -> None:
+        if value.nbytes > budget:
+            return
+        with self._lock:
+            # Two threads that missed one key together store it twice.
+            held = self.entries.pop(key, None)
+            self.nbytes += value.nbytes - (0 if held is None else held.nbytes)
+            self.entries[key] = value
+            while self.nbytes > budget:
+                self.nbytes -= self.entries.popitem(last=False)[1].nbytes
+
+    def clear(self) -> None:
+        with self._lock:
+            self.entries.clear()
+            self.nbytes = 0
+
+
+_draws_memo = _ByteBoundedMemo()
+
+
+def _unit_draws(seed: int, n_t: int, n_draws: int) -> np.ndarray:
+    """The read-only (n_t, n_draws) doubles whose row t is what
+    ``np.random.default_rng([seed, t]).random(n_draws)`` returns.
+
+    They are held in ``_draws_memo`` under (seed, n_t, n_draws), within
+    ``_DRAWS_MEMO_BYTES``: every fpl replay of one seed over traces of one
+    shape reads the same draws, whatever the trace and budget.
+    """
+    key = (seed, n_t, n_draws)
+    draws = _draws_memo.get(key)
+    if draws is None:
+        draws = _pcg64_unit_draws(seed, n_t, n_draws)
+        draws.flags.writeable = False
+        _draws_memo.put(key, draws, _DRAWS_MEMO_BYTES)
+    return draws
+
+
+def _pcg64_unit_draws(seed: int, n_t: int, n_draws: int) -> np.ndarray:
+    """``_unit_draws``' rows, computed with no generator built and no loop
+    over epochs.
 
     ``default_rng`` spends most of its time in ``SeedSequence``'s hash, a
     fixed sequence of uint32 multiply/xor-shift steps, so it runs here once
@@ -448,13 +528,8 @@ def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) 
     draw, so a row's states come from doubling jumps: once states 1..m are
     known, state m + j is M^m * state j + (1 + M + ... + M^(m-1)) * inc.
     Each draw is the XSL-RR output of its state, and ``random`` makes the
-    double d from its top 53 bits; ``uniform`` returns 0.0 + bound * d,
-    which is bound * d exactly.
+    double from its top 53 bits.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InputError(f"fpl seed must be a non-negative integer, got {seed!r}")
-    n_t = len(bounds)
-    seed = int(seed)
     entropy = [np.full(n_t, seed >> shift & _MASK32, dtype=np.uint32)
                for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy.append(np.arange(n_t, dtype=np.uint32))
@@ -496,7 +571,7 @@ def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) 
     # state after i steps, one epoch per column. The jump's one product of
     # rows 0..k gives both the next k states and the 2m-step addend,
     # M^m * addend + addend.
-    n_rows = math.prod(shape) + 3
+    n_rows = n_draws + 3
     hi = np.empty((n_rows, n_t), dtype=np.uint64)
     lo = np.empty((n_rows, n_t), dtype=np.uint64)
     hi[0], lo[0] = w2 << 1 | w3 >> 63, w3 << 1 | 1
@@ -516,10 +591,9 @@ def _seeded_uniform_rows(seed: int, bounds: np.ndarray, shape: tuple[int, int]) 
     xored = hi ^ lo
     rot = hi >> 58
     out = xored >> rot | xored << (-rot & 63)
-    noise = (out >> 11).T.astype(np.float64, order="C")
-    noise *= 2.0 ** -53
-    noise *= bounds[:, None]
-    return noise.reshape(n_t, *shape)
+    draws = (out >> 11).T.astype(np.float64, order="C")
+    draws *= 2.0 ** -53
+    return draws
 
 
 def _replay(kind: str, actual: np.ndarray, budget: "Budget | float", seed: int) -> np.ndarray:

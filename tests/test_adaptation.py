@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -404,6 +406,137 @@ class TestHindsightReference:
         assert cum.shape == (3, 60) and not cum.flags.writeable
         with pytest.raises(ValueError):
             cum[0, -1] = 0.0
+
+
+@pytest.fixture
+def draws_calls(monkeypatch):
+    """Counts the unit draws computed on a memo miss, starting from an empty
+    memo (the process-wide one is put back afterwards)."""
+    calls = []
+    real = adaptation._pcg64_unit_draws
+
+    def counted(seed, n_t, n_draws):
+        calls.append((seed, n_t, n_draws))
+        return real(seed, n_t, n_draws)
+
+    monkeypatch.setattr(adaptation, "_pcg64_unit_draws", counted)
+    monkeypatch.setattr(adaptation, "_draws_memo", adaptation._ByteBoundedMemo())
+    return calls
+
+
+def _generator_rows(seed, bounds, shape):
+    return np.array([np.random.default_rng([seed, t]).uniform(0.0, bounds[t], shape)
+                     for t in range(len(bounds))])
+
+
+def _held():
+    """The memo's keys, oldest first."""
+    return list(adaptation._draws_memo.entries)
+
+
+class TestUnitDrawsMemo:
+    def test_hit_miss_and_generator_agree_for_any_bounds(self, draws_calls):
+        shape = (6, 4)
+        rng = np.random.default_rng(9)
+        bounds_a, bounds_b = rng.uniform(0.0, 100.0, 40), rng.uniform(0.0, 1e-3, 40)
+        miss = _seeded_uniform_rows(7, bounds_a, shape)
+        hit = _seeded_uniform_rows(7, bounds_a, shape)
+        other = _seeded_uniform_rows(7, bounds_b, shape)
+        assert draws_calls == [(7, 40, 24)]
+        adaptation._draws_memo.clear()
+        fresh = _seeded_uniform_rows(7, bounds_b, shape)
+        assert len(draws_calls) == 2
+        want_a = _generator_rows(7, bounds_a, shape)
+        assert miss.tobytes() == hit.tobytes() == want_a.tobytes()
+        assert other.tobytes() == fresh.tobytes() == _generator_rows(7, bounds_b, shape).tobytes()
+
+    def test_held_draws_are_read_only(self, draws_calls):
+        draws = adaptation._unit_draws(3, 10, 24)
+        assert draws.shape == (10, 24) and not draws.flags.writeable
+        assert adaptation._draws_memo.entries[(3, 10, 24)] is draws
+        with pytest.raises(ValueError):
+            draws[0, 0] = 0.5
+
+    def test_writing_into_outputs_changes_no_later_replay(self, draws_calls):
+        bounds = np.linspace(1.0, 5.0, 30)
+        noise = _seeded_uniform_rows(4, bounds, (3, 2))
+        noise.fill(-1.0)
+        assert _seeded_uniform_rows(4, bounds, (3, 2)).tobytes() == \
+            _generator_rows(4, bounds, (3, 2)).tobytes()
+        trace = _sweep_trace("randhybrid", 4, epochs=30)
+        prov = _replay("fpl", trace, Budget(100.0), 4)
+        want = prov.tobytes()
+        prov[...] = 1e9
+        assert _replay("fpl", trace, Budget(100.0), 4).tobytes() == want
+        assert want == np.array(_loop_provisions("fpl", list(trace), Budget(100.0), 4)).tobytes()
+        assert len(draws_calls) == 2
+
+    def test_held_bytes_never_exceed_the_budget(self, draws_calls, monkeypatch):
+        budget = 5_000
+        monkeypatch.setattr(adaptation, "_DRAWS_MEMO_BYTES", budget)
+        memo = adaptation._draws_memo
+        for seed, (n_t, n_draws) in enumerate([(10, 24), (5, 3), (20, 12), (1, 1), (30, 20),
+                                               (7, 7), (40, 20), (10, 24), (2, 50)]):
+            draws = adaptation._unit_draws(seed, n_t, n_draws)
+            assert draws.shape == (n_t, n_draws)
+            assert memo.nbytes == sum(d.nbytes for d in memo.entries.values()) <= budget
+            assert draws.nbytes > budget or _held()[-1] == (seed, n_t, n_draws)
+
+    def test_an_over_budget_entry_is_returned_not_held(self, draws_calls, monkeypatch):
+        monkeypatch.setattr(adaptation, "_DRAWS_MEMO_BYTES", 1_000)
+        small = adaptation._unit_draws(1, 5, 24)  # 960 bytes
+        big = adaptation._unit_draws(2, 6, 24)  # 1 152 bytes
+        assert _held() == [(1, 5, 24)] and adaptation._draws_memo.nbytes == small.nbytes
+        assert not big.flags.writeable
+        bounds = np.ones(6)
+        assert big.tobytes() == _generator_rows(2, bounds, (24,)).tobytes()
+        adaptation._unit_draws(2, 6, 24)
+        assert len(draws_calls) == 3
+
+    def test_eviction_goes_oldest_first(self, draws_calls, monkeypatch):
+        monkeypatch.setattr(adaptation, "_DRAWS_MEMO_BYTES", 3 * 8 * 10 * 4)
+        for seed in (0, 1, 2):
+            adaptation._unit_draws(seed, 10, 4)
+        adaptation._unit_draws(0, 10, 4)  # a hit becomes the most recent
+        assert _held() == [(1, 10, 4), (2, 10, 4), (0, 10, 4)]
+        adaptation._unit_draws(3, 10, 4)
+        assert _held() == [(2, 10, 4), (0, 10, 4), (3, 10, 4)]
+        adaptation._unit_draws(4, 10, 8)  # twice the size: two go
+        assert _held() == [(3, 10, 4), (4, 10, 8)]
+        assert [c[0] for c in draws_calls] == [0, 1, 2, 3, 4]
+
+    def test_threads_keep_the_byte_count(self, draws_calls, monkeypatch):
+        monkeypatch.setattr(adaptation, "_DRAWS_MEMO_BYTES", 3 * 8 * 10 * 4)
+        want = [_generator_rows(seed, np.ones(10), (4,)).tobytes() for seed in range(6)]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(1000):
+                    seed = (i + offset) % 6
+                    assert adaptation._unit_draws(seed, 10, 4).tobytes() == want[seed]
+            except Exception as exc:  # reported below, in the test's thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        memo = adaptation._draws_memo
+        assert memo.nbytes == sum(d.nbytes for d in memo.entries.values()) <= 3 * 8 * 10 * 4
+
+    def test_a_criterion_8_sweep_draws_each_seed_once(self, draws_calls):
+        seeds = list(range(10))
+        regret_experiment(6, Budget(100.0), LIB, 500, seeds)
+        # 5 strategies x 10 seeds: 50 fpl replays, one draw per seed.
+        assert draws_calls == [(s, 500, 6 * len(LIB)) for s in seeds]
 
 
 def test_traced_regret_sweep_reads_its_hooked_spans():
