@@ -489,11 +489,6 @@ class _ByteBoundedMemo:
             while self.nbytes > budget:
                 self.nbytes -= self.entries.popitem(last=False)[1].nbytes
 
-    def clear(self) -> None:
-        with self._lock:
-            self.entries.clear()
-            self.nbytes = 0
-
 
 _draws_memo = _ByteBoundedMemo()
 

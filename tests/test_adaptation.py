@@ -435,7 +435,7 @@ def _held():
 
 
 class TestUnitDrawsMemo:
-    def test_hit_miss_and_generator_agree_for_any_bounds(self, draws_calls):
+    def test_hit_miss_and_generator_agree_for_any_bounds(self, draws_calls, monkeypatch):
         shape = (6, 4)
         rng = np.random.default_rng(9)
         bounds_a, bounds_b = rng.uniform(0.0, 100.0, 40), rng.uniform(0.0, 1e-3, 40)
@@ -443,7 +443,7 @@ class TestUnitDrawsMemo:
         hit = _seeded_uniform_rows(7, bounds_a, shape)
         other = _seeded_uniform_rows(7, bounds_b, shape)
         assert draws_calls == [(7, 40, 24)]
-        adaptation._draws_memo.clear()
+        monkeypatch.setattr(adaptation, "_draws_memo", adaptation._ByteBoundedMemo())
         fresh = _seeded_uniform_rows(7, bounds_b, shape)
         assert len(draws_calls) == 2
         want_a = _generator_rows(7, bounds_a, shape)
